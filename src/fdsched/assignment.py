@@ -11,6 +11,7 @@ stays independent of it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ def _selected_total(values: np.ndarray, assignment: dict[int, int]) -> float:
     return float(values[rows, cols].sum()) if rows else 0.0
 
 
-def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     """Exact minimum-cost perfect matching on a square cost matrix.
 
     Augmenting-path Hungarian with row/column potentials, O(n^3).  One row
@@ -73,40 +74,60 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     tree over columns, tracking for every unreached column the smallest
     reduced slack (minv) and its tree attachment point (way).  Column n is
     a virtual root holding the row currently being inserted.
+
+    Scalar Python over the matrix rows: at these sizes a per-element loop
+    beats a handful of tiny numpy calls per tree step.  The unreached
+    columns are scanned in index order, so ties go to the lowest column,
+    and the previous step's slack shift (minv -= delta) is applied inside
+    the next scan.  Every floating-point operation is the one the
+    vectorized numpy form (kept in tests/test_assignment.py as an oracle)
+    performs, in the same order, so both pick the same matching.
     """
     n = cost.shape[0]
-    u = np.zeros(n)                              # row potentials
-    v = np.zeros(n + 1)                          # column potentials
-    row_of_col = np.full(n + 1, -1, dtype=int)
+    rows = cost.tolist()
+    u = [0.0] * n                                # row potentials
+    v = [0.0] * (n + 1)                          # column potentials
+    row_of_col = [-1] * (n + 1)
     for i in range(n):
         row_of_col[n] = i
         j0 = n
-        minv = np.full(n, np.inf)
-        way = np.full(n, n, dtype=int)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [math.inf] * n
+        way = [n] * n
+        free = list(range(n))                    # unreached columns, in order
+        used = [n]                               # columns in the tree
+        shift = 0.0
         while True:
-            used[j0] = True
             i0 = row_of_col[j0]
-            reduced = cost[i0, :] - u[i0] - v[:n]
-            improve = ~used[:n] & (reduced < minv)
-            minv[improve] = reduced[improve]
-            way[improve] = j0
-            slack = np.where(used[:n], np.inf, minv)
-            j1 = int(np.argmin(slack))
-            delta = float(slack[j1])
-            used_cols = np.flatnonzero(used)
-            u[row_of_col[used_cols]] += delta
-            v[used_cols] -= delta
-            minv[~used[:n]] -= delta
+            row = rows[i0]
+            ui = u[i0]
+            delta = math.inf
+            j1 = -1
+            for j in free:
+                m = minv[j] - shift
+                reduced = row[j] - ui - v[j]
+                if reduced < m:
+                    m = reduced
+                    way[j] = j0
+                minv[j] = m
+                if m < delta:
+                    delta = m
+                    j1 = j
+            for j in used:
+                u[row_of_col[j]] += delta
+                v[j] -= delta
+            shift = delta
+            free.remove(j1)
             j0 = j1
             if row_of_col[j0] < 0:
                 break
+            used.append(j0)
         while j0 != n:                           # augment along the tree path
             j_prev = way[j0]
             row_of_col[j0] = row_of_col[j_prev]
             j0 = j_prev
-    col_of_row = np.empty(n, dtype=int)
-    col_of_row[row_of_col[:n]] = np.arange(n)
+    col_of_row = [0] * n
+    for j in range(n):
+        col_of_row[row_of_col[j]] = j
     return col_of_row
 
 
@@ -125,7 +146,7 @@ def hungarian_max(values) -> tuple[dict[int, int], float]:
     rows, cols = values.shape
     padded = _padded_square(values)
     col_of_row = _min_cost_assignment(padded.max() - padded)
-    assignment = {r: int(col_of_row[r]) for r in range(rows) if col_of_row[r] < cols}
+    assignment = {r: col_of_row[r] for r in range(rows) if col_of_row[r] < cols}
     return assignment, _selected_total(values, assignment)
 
 

@@ -118,11 +118,7 @@ def _gain_hash(gains: GainTable) -> str:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Metrics of one (drop, strategy, mu, weight mode) evaluation.
-
-    wall_time_s is measurement metadata and is excluded from the
-    deterministic serialization.
-    """
+    """Metrics of one (drop, strategy, mu, weight mode) evaluation."""
 
     drop: int
     strategy: str
@@ -136,14 +132,22 @@ class RunRecord:
     se_dl: tuple[float, ...]
     seed: str
     gain_hash: str
-    wall_time_s: float = 0.0
 
     def to_json_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc.pop("wall_time_s")
-        doc["se_ul"] = list(doc["se_ul"])
-        doc["se_dl"] = list(doc["se_dl"])
-        return doc
+        return {
+            "drop": self.drop,
+            "strategy": self.strategy,
+            "mu": self.mu,
+            "weight_mode": self.weight_mode,
+            "objective": self.objective,
+            "sum_se": self.sum_se,
+            "min_se": self.min_se,
+            "jain": self.jain,
+            "se_ul": list(self.se_ul),
+            "se_dl": list(self.se_dl),
+            "seed": self.seed,
+            "gain_hash": self.gain_hash,
+        }
 
 
 def _run_drop(cfg: ExperimentConfig, drop_index: int):
@@ -176,7 +180,6 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
                     gain_hash=table_hash,
                 ))
     elapsed = time.perf_counter() - started
-    records = [dataclasses.replace(r, wall_time_s=elapsed) for r in records]
     scenario_doc = scenario_to_dict(gains) if cfg.dump_scenarios else None
     return records, scenario_doc, elapsed
 
@@ -189,8 +192,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all drops, write result files, return a small result index.
 
     Raises ConfigError for invalid configurations; on runtime failure a
-    FAILED marker with the error text is left in the output directory and
-    the exception propagates.
+    FAILED marker with the error text is left in the output directory,
+    records.jsonl holds the records of every drop before the first failed
+    one, and the exception propagates.
     """
     require_valid_config(cfg)
     out = Path(cfg.out_dir)
@@ -201,25 +205,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     records: list[RunRecord] = []
     timings: list[str] = []
     try:
-        results = {}
         if cfg.parallelism == 1:
             for k in range(cfg.iterations):
-                results[k] = _run_drop(cfg, k)
+                _merge_drop(out, k, _run_drop(cfg, k), records, timings)
         else:
             with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-                futures = {k: pool.submit(_run_drop, cfg, k)
-                           for k in range(cfg.iterations)}
-                for k in range(cfg.iterations):
-                    results[k] = futures[k].result()
-        for k in range(cfg.iterations):  # merge in drop order
-            drop_records, scenario_doc, elapsed = results[k]
-            records.extend(drop_records)
-            timings.append(f"drop {k}: {elapsed:.4f} s")
-            if scenario_doc is not None:
-                scen_dir = out / "scenarios"
-                scen_dir.mkdir(exist_ok=True)
-                (scen_dir / f"drop_{k:04d}.json").write_text(
-                    json.dumps(scenario_doc, indent=1, sort_keys=True))
+                futures = [pool.submit(_run_drop, cfg, k) for k in range(cfg.iterations)]
+                for k, future in enumerate(futures):
+                    _merge_drop(out, k, future.result(), records, timings)
     except ConfigError:
         raise
     except Exception as exc:
@@ -234,6 +227,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         time.strftime("run finished %Y-%m-%dT%H:%M:%S\n") + "\n".join(timings) + "\n")
     return {"out_dir": str(out), "records": len(records),
             "cdf_files": cdf_files, "summary": summary}
+
+
+def _merge_drop(out: Path, k: int, result, records: list[RunRecord],
+                timings: list[str]) -> None:
+    """Append drop k's results; drops are merged in order as they finish,
+    so a later failure keeps every earlier drop."""
+    drop_records, scenario_doc, elapsed = result
+    records.extend(drop_records)
+    timings.append(f"drop {k}: {elapsed:.4f} s")
+    if scenario_doc is not None:
+        scen_dir = out / "scenarios"
+        scen_dir.mkdir(exist_ok=True)
+        (scen_dir / f"drop_{k:04d}.json").write_text(
+            json.dumps(scenario_doc, indent=1, sort_keys=True))
 
 
 def _flush_records(out: Path, records: list[RunRecord]) -> None:

@@ -4,10 +4,64 @@ from scipy.optimize import linear_sum_assignment
 
 from fdsched.assignment import (
     BenefitMatrix,
+    _min_cost_assignment,
     assign_with_solo,
     brute_force_assignment,
     hungarian_max,
 )
+
+
+def reference_min_cost_assignment(cost: np.ndarray) -> list[int]:
+    """The vectorized form of the package's Hungarian solver: the same
+    potentials, the same minv/way tree and the same floating-point
+    operations, written as a few numpy calls per tree step.  Kept as an
+    oracle for the decisions of the scalar solver, ties included."""
+    n = cost.shape[0]
+    u = np.zeros(n)                              # row potentials
+    v = np.zeros(n + 1)                          # column potentials
+    row_of_col = np.full(n + 1, -1, dtype=int)
+    for i in range(n):
+        row_of_col[n] = i
+        j0 = n
+        minv = np.full(n, np.inf)
+        way = np.full(n, n, dtype=int)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = row_of_col[j0]
+            reduced = cost[i0, :] - u[i0] - v[:n]
+            improve = ~used[:n] & (reduced < minv)
+            minv[improve] = reduced[improve]
+            way[improve] = j0
+            slack = np.where(used[:n], np.inf, minv)
+            j1 = int(np.argmin(slack))
+            delta = float(slack[j1])
+            used_cols = np.flatnonzero(used)
+            u[row_of_col[used_cols]] += delta
+            v[used_cols] -= delta
+            minv[~used[:n]] -= delta
+            j0 = j1
+            if row_of_col[j0] < 0:
+                break
+        while j0 != n:                           # augment along the tree path
+            j_prev = way[j0]
+            row_of_col[j0] = row_of_col[j_prev]
+            j0 = j_prev
+    col_of_row = np.empty(n, dtype=int)
+    col_of_row[row_of_col[:n]] = np.arange(n)
+    return col_of_row.tolist()
+
+
+def solo_square(rng, num_ul, num_dl, num_channels):
+    """The square assign_with_solo hands to the solver: pair benefits,
+    each UL user's solo score repeated across the dummy columns, each DL
+    user's across the dummy rows, zeros where dummies meet."""
+    size = num_ul + num_dl - max(0, num_ul + num_dl - num_channels)
+    square = np.zeros((size, size))
+    square[:num_ul, :num_dl] = rng.normal(size=(num_ul, num_dl))
+    square[:num_ul, num_dl:] = rng.normal(size=num_ul)[:, None]
+    square[num_ul:, :num_dl] = rng.normal(size=num_dl)[None, :]
+    return square
 
 
 def random_matrix(rng, max_side=7):
@@ -87,6 +141,36 @@ class TestHungarianMax:
             permuted, permuted_total = hungarian_max(m[perm])
             assert permuted_total == pytest.approx(base_total, rel=1e-12)
             assert {int(perm[r]): c for r, c in permuted.items()} == base
+
+
+class TestMatchesVectorizedReference:
+    """The solver must pick the same matching as the vectorized reference,
+    not just one of equal total: C-NINT realizes the planned matching on
+    different gains, so a different tie choice changes its results."""
+
+    def assert_same_decisions(self, cost):
+        assert _min_cost_assignment(cost) == reference_min_cost_assignment(cost)
+
+    def test_random_floats_sizes_1_to_96(self):
+        rng = np.random.default_rng(10)
+        for n in range(1, 97):
+            for _ in range(3 if n <= 12 else 1):
+                self.assert_same_decisions(rng.normal(0.0, 5.0, size=(n, n)))
+
+    def test_integer_matrices_full_of_ties(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 5, 8, 13, 25, 40):
+            for high in (1, 2, 4):
+                self.assert_same_decisions(
+                    rng.integers(0, high + 1, size=(n, n)).astype(float))
+        self.assert_same_decisions(np.zeros((7, 7)))
+
+    def test_assign_with_solo_squares(self):
+        rng = np.random.default_rng(12)
+        for num_ul, num_dl, num_channels in ((40, 80, 96), (3, 5, 6), (6, 2, 7),
+                                             (4, 4, 8), (25, 25, 25), (10, 20, 25)):
+            square = solo_square(rng, num_ul, num_dl, num_channels)
+            self.assert_same_decisions(square.max() - square)
 
 
 class TestBruteForce:

@@ -199,6 +199,30 @@ class TestRunExperiment:
         finally:
             STRATEGIES.pop("EXPLODE")
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_runtime_failure_keeps_finished_drops(self, tmp_path, monkeypatch,
+                                                  parallelism):
+        from fdsched import harness
+
+        real_drop_rng = harness.drop_rng
+
+        def failing_drop_rng(master_seed, drop_index, role):
+            if drop_index == 3:
+                raise RuntimeError("drop 3 failed")
+            return real_drop_rng(master_seed, drop_index, role)
+
+        # workers fork after the patch, so the pool branch sees it too
+        monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
+        cfg = tiny_config(tmp_path / "fail", iterations=6, parallelism=parallelism)
+        with pytest.raises(RuntimeError, match="drop 3 failed"):
+            run_experiment(cfg)
+        out = tmp_path / "fail"
+        assert "drop 3 failed" in (out / "FAILED").read_text()
+        drops = [json.loads(line)["drop"]
+                 for line in (out / "records.jsonl").read_text().splitlines()]
+        per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
+        assert drops == [k for k in range(3) for _ in range(per_drop)]
+
 
 class TestSeeding:
     def test_substreams_are_stable(self):

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,27 @@ class TestPOpt:
 
 
 class TestCHun:
+    def test_solve_does_not_import_scipy(self):
+        # scipy is a test-only dependency: importing scipy.optimize would add
+        # about half a second and tens of MB to every run's start-up
+        import fdsched
+        src = str(Path(fdsched.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import fdsched as fd\n"
+            "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9, mu=0.5)\n"
+            "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
+            "fd.solve_c_hun(gains, params)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_matches_p_opt_without_interference(self):
         params = params_with(si_cancellation=1e-30, mu=0.3)
         rng = np.random.default_rng(3)
