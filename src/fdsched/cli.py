@@ -59,7 +59,8 @@ def _resolve_run_config(args):
                                  seed=args.seed if args.seed is not None else 1,
                                  iterations=args.iters if args.iters is not None else 400,
                                  out_dir=args.out,
-                                 parallelism=args.parallelism or 1)
+                                 parallelism=(args.parallelism
+                                              if args.parallelism is not None else 1))
     else:
         cfg = load_config(args.config)
         params = cfg.params

@@ -12,6 +12,9 @@ Outputs per run directory:
   cdf_*.csv      empirical CDF per metric and combination
   summary.json   medians and pairwise median gaps
   timing.log     wall-clock sidecar; the only non-deterministic file
+
+A parallel run hands each worker process a contiguous block of drops and
+merges the blocks back in drop order.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +42,7 @@ from .model import (
     validate_params,
 )
 from .scenario import build_gain_table, scenario_to_dict
-from .solvers import STRATEGIES, StrategyId, solve
+from .solvers import _P_OPT_MAX_USERS, STRATEGIES, StrategyId, solve
 
 _ROLE_SCENARIO = 0
 _ROLE_STRATEGY = 1
@@ -74,8 +79,8 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
         if s not in STRATEGIES:
             bad.append(f"unknown strategy {s!r}; known: {sorted(STRATEGIES)}")
     users = cfg.params.num_ul + cfg.params.num_dl
-    if StrategyId.P_OPT.value in cfg.strategies and users > 10:
-        bad.append(f"P-OPT allowed only for up to 10 users, got {users}")
+    if StrategyId.P_OPT.value in cfg.strategies and users > _P_OPT_MAX_USERS:
+        bad.append(f"P-OPT allowed only for up to {_P_OPT_MAX_USERS} users, got {users}")
     if not cfg.mu_values:
         bad.append("at least one mu value required")
     for mu in cfg.mu_values:
@@ -184,6 +189,28 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
     return records, scenario_doc, elapsed
 
 
+class _WorkerTraceback(Exception):
+    """Traceback text of an exception raised in a pool worker."""
+
+
+def _run_block(cfg: ExperimentConfig, lo: int, hi: int):
+    """Worker: drops lo..hi-1 in order, stopping at the first failure.
+
+    Returns the finished drops' results, the exception that stopped the
+    block with its traceback text (None if all finished), the worker pid
+    and the block's wall time.
+    """
+    started = time.perf_counter()
+    results = []
+    error = None
+    try:
+        for k in range(lo, hi):
+            results.append(_run_drop(cfg, k))
+    except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+        error = exc, traceback.format_exc()
+    return results, error, os.getpid(), time.perf_counter() - started
+
+
 # ---------------------------------------------------------------------------
 # Experiment driver
 # ---------------------------------------------------------------------------
@@ -209,10 +236,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             for k in range(cfg.iterations):
                 _merge_drop(out, k, _run_drop(cfg, k), records, timings)
         else:
-            with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-                futures = [pool.submit(_run_drop, cfg, k) for k in range(cfg.iterations)]
-                for k, future in enumerate(futures):
-                    _merge_drop(out, k, future.result(), records, timings)
+            n_blocks = min(cfg.iterations, 4 * cfg.parallelism)
+            edges = [cfg.iterations * b // n_blocks for b in range(n_blocks + 1)]
+            blocks = list(zip(edges, edges[1:]))
+            block_lines = []
+            with ProcessPoolExecutor(max_workers=min(cfg.parallelism, n_blocks)) as pool:
+                futures = [pool.submit(_run_block, cfg, lo, hi) for lo, hi in blocks]
+                for (lo, hi), future in zip(blocks, futures):
+                    results, error, pid, elapsed = future.result()
+                    for k, result in enumerate(results, lo):
+                        _merge_drop(out, k, result, records, timings)
+                    if error is not None:
+                        raise error[0] from _WorkerTraceback(error[1])
+                    block_lines.append(f"drops {lo}-{hi - 1}: pid {pid}, {elapsed:.4f} s")
+            timings.extend(block_lines)
     except ConfigError:
         raise
     except Exception as exc:

@@ -35,6 +35,9 @@ from .radio import (
 )
 
 _P_OPT_MAX_USERS = 10
+# Most (matching, power combo) cells P-OPT scores in one array: 512 KB per
+# float64 grid.  5+5 users with a 9-point power grid span 7.1 M cells.
+_P_OPT_GRID_CELLS = 1 << 16
 
 
 class StrategyId(enum.Enum):
@@ -144,6 +147,40 @@ def _power_candidates(
     return candidates, se_ul, se_dl
 
 
+def _best_in_slice(pair_ws, pair_min, ul_idx, perms, base_ws, base_min, mu,
+                   combo_shape):
+    """Best (value, DL partners, candidate combo) over a slice of matchings.
+
+    perms[p, a] is the DL partner of UL user ul_idx[a] in matching p.  The
+    objective of every (matching, combo) cell is built with a leading
+    matching axis, adding the pair terms in pair order, and one argmax
+    returns the first maximal cell: the first matching, then the first
+    combo, as a strict-improvement scan over matchings would pick.
+    """
+    n_perm, n_pairs = perms.shape
+    ws = pair_ws[ul_idx, perms]       # (n_perm, n_pairs, n_cand)
+    mins = pair_min[ul_idx, perms]
+    grid_ws = np.full((n_perm,) + (1,) * n_pairs, base_ws)
+    grid_min = np.full((n_perm,) + (1,) * n_pairs, base_min)
+    for axis in range(n_pairs):
+        view = [n_perm] + [1] * n_pairs
+        view[axis + 1] = -1
+        grid_ws = grid_ws + ws[:, axis].reshape(view)
+        grid_min = np.minimum(grid_min, mins[:, axis].reshape(view))
+    grid_min *= mu
+    grid_ws += grid_min
+    grid_obj = grid_ws.reshape(n_perm, -1)
+    flat_idx = int(np.argmax(grid_obj))
+    if np.isnan(grid_obj.flat[flat_idx]):
+        # argmax stops at the first NaN; a matching with a NaN cell never
+        # beats the incumbent, so rule those matchings out.
+        grid_obj[np.isnan(grid_obj).any(axis=1)] = -np.inf
+        flat_idx = int(np.argmax(grid_obj))
+    perm_idx, combo_idx = divmod(flat_idx, grid_obj.shape[1])
+    combo = np.unravel_index(combo_idx, combo_shape) if n_pairs else ()
+    return float(grid_obj.flat[flat_idx]), perms[perm_idx].tolist(), combo
+
+
 def solve_p_opt(
     gains: GainTable,
     params: ScenarioParams,
@@ -155,8 +192,10 @@ def solve_p_opt(
     load, I = J = F, that means perfect matchings only); for each, every
     per-pair power candidate combination is scored against the true
     objective with the global minimum term.  Unpaired users transmit at max
-    power, which is optimal for them in a single cell.  Guarded to
-    I + J <= 10 users.
+    power, which is optimal for them in a single cell.  The matchings of
+    one (UL subset, DL subset) pair are scored together as one array, in
+    slices of at most _P_OPT_GRID_CELLS cells.  Guarded to I + J <= 10
+    users.
     """
     require_valid(params)
     num_ul, num_dl = gains.num_ul, gains.num_dl
@@ -186,31 +225,30 @@ def solve_p_opt(
     best_pairs: list[tuple[int, int]] = []
     best_combo: tuple[int, ...] = ()
     for n_pairs in range(min_pairs, min(num_ul, num_dl) + 1):
+        # Permutations of subset positions, in itertools order; the
+        # permutations of a DL subset are this array mapped through it.
+        orders = list(itertools.permutations(range(n_pairs)))
+        orders = np.array(orders, dtype=np.intp).reshape(len(orders), n_pairs)
+        combo_shape = (n_cand,) * n_pairs
+        chunk = max(1, _P_OPT_GRID_CELLS // n_cand ** n_pairs)
         for ul_subset in itertools.combinations(range(num_ul), n_pairs):
             ul_solo = [i for i in range(num_ul) if i not in ul_subset]
             ws_ul_solo = float(solo_ws_ul[ul_solo].sum())
+            ul_idx = np.array(ul_subset, dtype=np.intp)
             for dl_subset in itertools.combinations(range(num_dl), n_pairs):
                 dl_solo = [j for j in range(num_dl) if j not in dl_subset]
                 base_ws = ws_ul_solo + float(solo_ws_dl[dl_solo].sum())
                 solo_se = np.concatenate([solo_se_ul[ul_solo], solo_se_dl[dl_solo]])
                 base_min = float(solo_se.min()) if solo_se.size else np.inf
-                for perm in itertools.permutations(dl_subset):
-                    pairs = list(zip(ul_subset, perm))
-                    shape = (n_cand,) * n_pairs
-                    grid_ws = np.full(shape, base_ws)
-                    grid_min = np.full(shape, base_min)
-                    for axis, (i, j) in enumerate(pairs):
-                        view = [1] * n_pairs
-                        view[axis] = n_cand
-                        grid_ws = grid_ws + pair_ws[i, j].reshape(view)
-                        grid_min = np.minimum(grid_min, pair_min[i, j].reshape(view))
-                    grid_obj = grid_ws + mu * grid_min
-                    flat_idx = int(np.argmax(grid_obj))
-                    value = float(grid_obj.flat[flat_idx])
+                perms = np.array(dl_subset, dtype=np.intp)[orders]
+                for start in range(0, len(perms), chunk):
+                    value, perm, combo = _best_in_slice(
+                        pair_ws, pair_min, ul_idx, perms[start:start + chunk],
+                        base_ws, base_min, mu, combo_shape)
                     if value > best_value:
                         best_value = value
-                        best_pairs = pairs
-                        best_combo = np.unravel_index(flat_idx, shape) if n_pairs else ()
+                        best_pairs = list(zip(ul_subset, perm))
+                        best_combo = combo
 
     pairing = Pairing.from_pairs(best_pairs, num_ul, num_dl)
     p_ul = np.full(num_ul, params.p_max_ul_w)

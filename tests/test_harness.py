@@ -57,6 +57,15 @@ class TestValidateConfig:
         report = validate_config(cfg)
         assert any("P-OPT" in v for v in report.violations)
 
+    def test_p_opt_user_guard_matches_the_solver_limit(self):
+        cfg = canned_experiments("fig2")
+        at_limit = dataclasses.replace(cfg, params=dataclasses.replace(
+            cfg.params, num_ul=5, num_dl=5, num_channels=5))
+        assert validate_config(at_limit).ok
+        over = dataclasses.replace(cfg, params=dataclasses.replace(
+            cfg.params, num_ul=6, num_dl=5, num_channels=6))
+        assert not validate_config(over).ok
+
     def test_unknown_strategy_flagged(self):
         cfg = dataclasses.replace(canned_experiments("fig2"), strategies=("BOGUS",))
         assert not validate_config(cfg).ok
@@ -224,6 +233,58 @@ class TestRunExperiment:
         assert drops == [k for k in range(3) for _ in range(per_drop)]
 
 
+class TestPoolBlocks:
+    """Parallel runs hand out contiguous blocks of drops (4 per worker)."""
+
+    @pytest.mark.parametrize("iterations", [7, 1])
+    def test_outputs_identical_across_parallelism(self, tmp_path, iterations):
+        outputs = {}
+        for parallelism in (1, 2, 3):
+            out = tmp_path / f"p{parallelism}"
+            run_experiment(tiny_config(out, iterations=iterations,
+                                       parallelism=parallelism))
+            outputs[parallelism] = read_deterministic_outputs(out)
+        names = set(outputs[1])
+        assert {"records.jsonl", "summary.json"} <= names
+        assert any(name.startswith("cdf_") for name in names)
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+
+    @pytest.mark.parametrize("failing", [1, 3, 11])
+    def test_failure_inside_a_block_keeps_earlier_drops(self, tmp_path, monkeypatch,
+                                                        failing):
+        from fdsched import harness
+
+        real_drop_rng = harness.drop_rng
+
+        def failing_drop_rng(master_seed, drop_index, role):
+            if drop_index == failing:
+                raise RuntimeError(f"drop {failing} failed")
+            return real_drop_rng(master_seed, drop_index, role)
+
+        monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
+        cfg = tiny_config(tmp_path / "fail", iterations=20, parallelism=2)
+        with pytest.raises(RuntimeError, match=f"drop {failing} failed") as excinfo:
+            run_experiment(cfg)
+        assert "in _run_drop" in str(excinfo.value.__cause__)  # worker traceback
+        out = tmp_path / "fail"
+        assert (out / "FAILED").read_text() == f"RuntimeError: drop {failing} failed\n"
+        drops = [json.loads(line)["drop"]
+                 for line in (out / "records.jsonl").read_text().splitlines()]
+        per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
+        assert drops == [k for k in range(failing) for _ in range(per_drop)]
+
+    def test_timing_log_has_one_line_per_block(self, tmp_path):
+        run_experiment(tiny_config(tmp_path / "t", iterations=9, parallelism=2))
+        lines = (tmp_path / "t" / "timing.log").read_text().splitlines()[1:]
+        assert [line.split(":")[0] for line in lines[:9]] == [f"drop {k}" for k in range(9)]
+        blocks = [line.split(":")[0] for line in lines[9:]]
+        # 9 drops in 8 blocks: edges at 9 * b // 8
+        assert blocks == ["drops 0-0", "drops 1-1", "drops 2-2", "drops 3-3",
+                          "drops 4-4", "drops 5-5", "drops 6-6", "drops 7-8"]
+        assert all(" pid " in line and line.endswith(" s") for line in lines[9:])
+
+
 class TestSeeding:
     def test_substreams_are_stable(self):
         a = drop_rng(42, 3, 0).random(4)
@@ -315,6 +376,12 @@ class TestCli:
         assert main(["dump-scenario", "--seed", "4", "--out", str(out)]) == 0
         gains = load_scenario(out)
         assert gains.g_ul.shape == (4,)
+
+    def test_canned_run_rejects_parallelism_zero(self, tmp_path):
+        code = main(["run", "--canned", "fig2", "--iters", "1", "--parallelism", "0",
+                     "--out", str(tmp_path / "p0")])
+        assert code == 1
+        assert not (tmp_path / "p0" / "records.jsonl").exists()
 
     def test_exit_code_for_config_error(self, tmp_path):
         missing = tmp_path / "missing.json"

@@ -2,17 +2,19 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdsched.model import GainTable, ScenarioParams, WeightMode
-from fdsched.radio import make_weights, outcome_metrics
+from fdsched.model import GainTable, Pairing, PowerAllocation, ScenarioParams, WeightMode
+from fdsched.radio import corner_tables, make_weights, outcome_metrics
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     STRATEGIES,
     StrategyId,
+    _power_candidates,
     dual_multipliers,
     solve,
     solve_c_hun,
@@ -39,6 +41,72 @@ def random_drop(rng, params):
 def table(g_ul, g_dl, g_cross):
     return GainTable(g_ul=np.asarray(g_ul, float), g_dl=np.asarray(g_dl, float),
                      g_cross=np.asarray(g_cross, float))
+
+
+def reference_p_opt(gains, params, power_levels=0):
+    """P-OPT as one power-candidate grid per matching (test oracle).
+
+    The former solve_p_opt body: every matching is scored on its own grid
+    and kept only if it strictly beats the best so far.  solve_p_opt must
+    take the same decisions bit for bit.
+    """
+    num_ul, num_dl = gains.num_ul, gains.num_dl
+    mu = params.mu
+    weights = make_weights(params.weight_mode, gains)
+    candidates, cand_se_ul, cand_se_dl = _power_candidates(gains, params, power_levels)
+    n_cand = len(candidates)
+    pair_ws = (1.0 - mu) * (weights.alpha_ul[:, None, None] * cand_se_ul
+                            + weights.alpha_dl[None, :, None] * cand_se_dl)
+    pair_min = np.minimum(cand_se_ul, cand_se_dl)
+    tables = corner_tables(gains, params, weights)
+    solo_ws_ul, solo_ws_dl = tables.solo_contrib_ul, tables.solo_contrib_dl
+    solo_se_ul, solo_se_dl = tables.solo_se_ul, tables.solo_se_dl
+    min_pairs = max(0, num_ul + num_dl - params.num_channels)
+
+    best_value = -np.inf
+    best_pairs = []
+    best_combo = ()
+    for n_pairs in range(min_pairs, min(num_ul, num_dl) + 1):
+        for ul_subset in itertools.combinations(range(num_ul), n_pairs):
+            ul_solo = [i for i in range(num_ul) if i not in ul_subset]
+            ws_ul_solo = float(solo_ws_ul[ul_solo].sum())
+            for dl_subset in itertools.combinations(range(num_dl), n_pairs):
+                dl_solo = [j for j in range(num_dl) if j not in dl_subset]
+                base_ws = ws_ul_solo + float(solo_ws_dl[dl_solo].sum())
+                solo_se = np.concatenate([solo_se_ul[ul_solo], solo_se_dl[dl_solo]])
+                base_min = float(solo_se.min()) if solo_se.size else np.inf
+                for perm in itertools.permutations(dl_subset):
+                    pairs = list(zip(ul_subset, perm))
+                    shape = (n_cand,) * n_pairs
+                    grid_ws = np.full(shape, base_ws)
+                    grid_min = np.full(shape, base_min)
+                    for axis, (i, j) in enumerate(pairs):
+                        view = [1] * n_pairs
+                        view[axis] = n_cand
+                        grid_ws = grid_ws + pair_ws[i, j].reshape(view)
+                        grid_min = np.minimum(grid_min, pair_min[i, j].reshape(view))
+                    grid_obj = grid_ws + mu * grid_min
+                    flat_idx = int(np.argmax(grid_obj))
+                    value = float(grid_obj.flat[flat_idx])
+                    if value > best_value:
+                        best_value = value
+                        best_pairs = pairs
+                        best_combo = np.unravel_index(flat_idx, shape) if n_pairs else ()
+
+    pairing = Pairing.from_pairs(best_pairs, num_ul, num_dl)
+    p_ul = np.full(num_ul, params.p_max_ul_w)
+    p_dl = np.full(num_dl, params.p_max_dl_w)
+    for (i, j), cand in zip(best_pairs, best_combo):
+        p_ul[i], p_dl[j] = candidates[cand]
+    return outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), gains, params, weights)
+
+
+def assert_same_decisions(got, want):
+    assert got.pairing == want.pairing
+    assert got.powers.p_ul.tolist() == want.powers.p_ul.tolist()
+    assert got.powers.p_dl.tolist() == want.powers.p_dl.tolist()
+    assert got.objective == want.objective or (np.isnan(got.objective)
+                                               and np.isnan(want.objective))
 
 
 class TestPOpt:
@@ -118,6 +186,60 @@ class TestPOpt:
             corners = solve_p_opt(g, params).objective
             refined = solve_p_opt(g, params, power_levels=6).objective
             assert refined >= corners - 1e-12
+
+
+def tie_heavy_drop(rng, num_ul, num_dl):
+    """Gains drawn from two levels, so many matchings and combos tie."""
+    def levels(*shape):
+        return rng.choice([1e-9, 1e-7], size=shape)
+    return table(levels(num_ul), levels(num_dl), levels(num_ul, num_dl))
+
+
+P_OPT_SHAPES = ((4, 4, 4), (3, 3, 4), (2, 4, 5), (1, 4, 4), (0, 3, 3), (3, 0, 3),
+                (5, 5, 5), (2, 3, 5), (4, 5, 6), (2, 2, 2))
+
+
+class TestPOptMatchesLoopReference:
+    @pytest.mark.parametrize("shape", P_OPT_SHAPES, ids=lambda s: "%d+%d/%d" % s)
+    def test_same_decisions(self, shape):
+        num_ul, num_dl, channels = shape
+        rng = np.random.default_rng(sum(shape))
+        for mode in (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION):
+            for mu in (0.0, 0.1, 0.5, 0.9, 1.0):
+                params = params_with(num_ul=num_ul, num_dl=num_dl,
+                                     num_channels=channels, mu=mu, weight_mode=mode)
+                drops = [random_drop(rng, params), tie_heavy_drop(rng, num_ul, num_dl),
+                         table(np.full(num_ul, 1e-8), np.full(num_dl, 1e-8),
+                               np.full((num_ul, num_dl), 1e-10))]
+                for g in drops:
+                    for levels in (0, 3):
+                        assert_same_decisions(solve_p_opt(g, params, power_levels=levels),
+                                              reference_p_opt(g, params, levels))
+
+    def test_matchings_with_nan_cells_are_skipped_alike(self):
+        # an infinite cross gain makes 0 * inf = NaN at the (0, Pmax) corner
+        # of pair (0, 0); the loop reference never keeps such a matching
+        g_cross = np.full((3, 3), 1e-10)
+        g_cross[0, 0] = np.inf
+        g = table([1e-8, 2e-8, 3e-8], [3e-8, 2e-8, 1e-8], g_cross)
+        for mu in (0.1, 0.9):
+            params = params_with(num_ul=3, num_dl=3, num_channels=3, mu=mu)
+            with np.errstate(invalid="ignore"):
+                assert_same_decisions(solve_p_opt(g, params), reference_p_opt(g, params))
+
+    def test_batched_grid_memory_is_bounded(self):
+        # 120 matchings x 9**5 combos = 7.1 M cells, about 57 MB per float64
+        # array if scored at once; sliced, the peak stays far below
+        params = params_with(num_ul=5, num_dl=5, num_channels=5, mu=0.5)
+        g = random_drop(np.random.default_rng(17), params)
+        tracemalloc.start()
+        try:
+            got = solve_p_opt(g, params, power_levels=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert_same_decisions(got, reference_p_opt(g, params, 3))
 
 
 class TestCHun:
