@@ -8,7 +8,7 @@ heuristic against exhaustive search and random baselines over seeded
 Monte Carlo drops.
 """
 
-from .assignment import BenefitMatrix, assign_with_solo, brute_force_assignment, hungarian_max
+from .assignment import assign_with_solo, hungarian_max
 from .harness import (
     ExperimentConfig,
     RunRecord,
@@ -30,23 +30,12 @@ from .model import (
     validate_params,
     watts_to_dbm,
 )
-from .radio import (
-    PairEvaluation,
-    evaluate_pair,
-    evaluate_solo_dl,
-    evaluate_solo_ul,
-    make_weights,
-    outcome_metrics,
-    sinr_dl,
-    sinr_ul,
-    spectral_efficiency,
-)
+from .radio import make_weights, outcome_metrics, sinr
 from .scenario import PropagationModel, build_gain_table, drop_users, link_gain, load_scenario, save_scenario
 from .solvers import (
     STRATEGIES,
     StrategyId,
     dual_multipliers,
-    register_strategy,
     solve,
     solve_c_hun,
     solve_c_nint,

@@ -1,55 +1,18 @@
-"""Maximization linear assignment: Hungarian solver plus a brute-force
-permutation oracle, and the reduction that lets users stand alone.
+"""Maximization linear assignment: the Hungarian solver and the reduction
+that lets users stand alone.
 
-hungarian_max and brute_force_assignment share one contract: the input is
-padded with zero-benefit dummy cells to a square matrix, a maximum-total
-perfect matching is found on that square, and only assignments inside the
-original matrix are reported.  The oracle exists to verify the solver and
-stays independent of it.
+hungarian_max pads its input with zero-benefit dummy cells to a square
+matrix, finds a maximum-total perfect matching on that square, and reports
+only the assignments inside the original matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Pairing
-
-_BRUTE_FORCE_MAX_SIZE = 9
-
-
-@dataclass(frozen=True)
-class BenefitMatrix:
-    """Pairing benefits plus the score of leaving each user unpaired."""
-
-    values: np.ndarray    # shape (I, J), benefit of pairing UL i with DL j
-    solo_ul: np.ndarray   # shape (I,)
-    solo_dl: np.ndarray   # shape (J,)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        solo_ul = np.asarray(self.solo_ul, dtype=float)
-        solo_dl = np.asarray(self.solo_dl, dtype=float)
-        if values.shape != (solo_ul.size, solo_dl.size):
-            raise ValueError(f"benefit shape {values.shape} does not match solo "
-                             f"vectors ({solo_ul.size}, {solo_dl.size})")
-        for name, arr in (("values", values), ("solo_ul", solo_ul), ("solo_dl", solo_dl)):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "solo_ul", solo_ul)
-        object.__setattr__(self, "solo_dl", solo_dl)
-
-    @property
-    def num_ul(self) -> int:
-        return self.solo_ul.size
-
-    @property
-    def num_dl(self) -> int:
-        return self.solo_dl.size
 
 
 def _padded_square(values: np.ndarray) -> np.ndarray:
@@ -150,45 +113,24 @@ def hungarian_max(values) -> tuple[dict[int, int], float]:
     return assignment, _selected_total(values, assignment)
 
 
-def brute_force_assignment(values) -> tuple[dict[int, int], float]:
-    """Exact optimum by enumerating all permutations of the padded square.
-
-    Guarded to padded size 9; beyond that the factorial blows up.  Ties
-    resolve to the lexicographically first permutation.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.size == 0:
-        raise ValueError("assignment needs a nonempty 2-D matrix")
-    rows, cols = values.shape
-    n = max(rows, cols)
-    if n > _BRUTE_FORCE_MAX_SIZE:
-        raise ValueError(f"brute force limited to padded size {_BRUTE_FORCE_MAX_SIZE}, "
-                         f"got {n}")
-    best_perm = None
-    best_total = -np.inf
-    for perm in itertools.permutations(range(n)):
-        total = sum(values[r, perm[r]] for r in range(rows) if perm[r] < cols)
-        if total > best_total:
-            best_total = total
-            best_perm = perm
-    assignment = {r: best_perm[r] for r in range(rows) if best_perm[r] < cols}
-    return assignment, _selected_total(values, assignment)
-
-
 def assign_with_solo(
-    benefit: BenefitMatrix,
+    values: np.ndarray,
+    solo_ul: np.ndarray,
+    solo_dl: np.ndarray,
     num_channels: int | None = None,
 ) -> tuple[Pairing, float]:
     """Choose pairs or stand-alone users to maximize the separable benefit.
 
     Builds a square problem where matching UL i with DL j scores
     values[i, j] and matching a user with a dummy partner scores its solo
-    contribution.  The number of dummy partners is limited by the channel
-    budget: with P pairs the schedule occupies I + J - P channels, so at
-    least I + J - num_channels pairs are forced.  With num_channels None
-    the budget is treated as unlimited.
+    contribution, solo_ul[i] or solo_dl[j].  The number of dummy partners
+    is limited by the channel budget: with P pairs the schedule occupies
+    I + J - P channels, so at least I + J - num_channels pairs are forced.
+    With num_channels None the budget is treated as unlimited.
     """
-    num_ul, num_dl = benefit.num_ul, benefit.num_dl
+    num_ul, num_dl = len(solo_ul), len(solo_dl)
+    if values.shape != (num_ul, num_dl):
+        raise ValueError(f"benefit shape {values.shape} does not match ({num_ul}, {num_dl})")
     forced_pairs = 0
     if num_channels is not None:
         forced_pairs = max(0, num_ul + num_dl - num_channels)
@@ -199,9 +141,9 @@ def assign_with_solo(
 
     size = num_ul + num_dl - forced_pairs
     square = np.zeros((size, size))
-    square[:num_ul, :num_dl] = benefit.values
-    square[:num_ul, num_dl:] = benefit.solo_ul[:, None]
-    square[num_ul:, :num_dl] = benefit.solo_dl[None, :]
+    square[:num_ul, :num_dl] = values
+    square[:num_ul, num_dl:] = solo_ul[:, None]
+    square[num_ul:, :num_dl] = solo_dl[None, :]
 
     mapping, total = hungarian_max(square)
     pairs = [(r, c) for r, c in mapping.items() if r < num_ul and c < num_dl]

@@ -258,8 +258,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         raise
 
     _flush_records(out, records)
-    cdf_files = _write_cdfs(out, cfg, records)
-    summary = _write_summary(out, cfg, records)
+    cdf_files, summary = _write_cdfs_and_summary(out, cfg, records)
     (out / "timing.log").write_text(
         time.strftime("run finished %Y-%m-%dT%H:%M:%S\n") + "\n".join(timings) + "\n")
     return {"out_dir": str(out), "records": len(records),
@@ -285,17 +284,17 @@ def _flush_records(out: Path, records: list[RunRecord]) -> None:
     (out / "records.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _combo_records(records, strategy, mu, mode):
-    return [r for r in records
-            if r.strategy == strategy and r.mu == mu and r.weight_mode == mode.value]
-
-
-def _write_cdfs(out: Path, cfg: ExperimentConfig, records) -> list[str]:
+def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
+                            records) -> tuple[list[str], dict]:
+    """One CDF file per (metric, strategy, mu, weight mode), and the summary
+    of their medians and pairwise median gaps."""
     files = []
+    medians: dict[str, float] = {}
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
             for strategy in cfg.strategies:
-                combo = _combo_records(records, strategy, mu, mode)
+                combo = [r for r in records if r.strategy == strategy
+                         and r.mu == mu and r.weight_mode == mode.value]
                 for metric in METRIC_NAMES:
                     series = metrics.empirical_cdf(
                         [getattr(r, metric) for r in combo],
@@ -304,17 +303,6 @@ def _write_cdfs(out: Path, cfg: ExperimentConfig, records) -> list[str]:
                     path = out / f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
                     series.write_csv(path)
                     files.append(path.name)
-    return files
-
-
-def _write_summary(out: Path, cfg: ExperimentConfig, records) -> dict:
-    medians: dict[str, float] = {}
-    for mode in cfg.weight_modes:
-        for mu in cfg.mu_values:
-            for strategy in cfg.strategies:
-                combo = _combo_records(records, strategy, mu, mode)
-                for metric in METRIC_NAMES:
-                    series = metrics.empirical_cdf([getattr(r, metric) for r in combo])
                     key = f"{metric}|{strategy}|mu={mu}|{mode.value}"
                     medians[key] = metrics.percentile(series, 50)
     gaps: dict[str, float | None] = {}
@@ -332,7 +320,7 @@ def _write_summary(out: Path, cfg: ExperimentConfig, records) -> dict:
     summary = {"name": cfg.name, "iterations": cfg.iterations,
                "master_seed": cfg.params.rng_seed, "medians": medians, "gaps": gaps}
     (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
-    return summary
+    return files, summary
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +371,7 @@ def canned_experiments(name: str, seed: int = 1, iterations: int = 400,
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {
-    "name", "cell_radius_m", "num_ul", "num_dl", "num_channels", "carrier_ghz",
+    "name", "cell_radius_m", "num_ul", "num_dl", "num_channels",
     "noise_dbm", "si_cancellation_db", "p_max_ul_dbm", "p_max_dl_dbm",
     "min_bs_ue_distance_m", "strategies", "mu_values", "weight_modes",
     "iterations", "seed", "parallelism", "out_dir", "dump_scenarios",
@@ -393,8 +381,8 @@ _CONFIG_KEYS = {
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from a JSON document in reporting units.
 
-    Physical quantities use the units of the parameter table (m, GHz, dBm,
-    dB) and are converted to linear units here.
+    Physical quantities use the units of the parameter table (m, dBm, dB)
+    and are converted to linear units here.
     """
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
@@ -405,7 +393,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             num_dl=int(doc.get("num_dl", 4)),
             num_channels=int(doc.get("num_channels", 4)),
             cell_radius_m=float(doc.get("cell_radius_m", 100.0)),
-            carrier_hz=float(doc.get("carrier_ghz", 2.5)) * 1e9,
             noise_power_w=dbm_to_watts(float(doc.get("noise_dbm", -116.4))),
             si_cancellation=db_to_linear(float(doc.get("si_cancellation_db", -100.0))),
             p_max_ul_w=dbm_to_watts(float(doc.get("p_max_ul_dbm", 24.0))),
@@ -451,7 +438,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "num_ul": p.num_ul,
         "num_dl": p.num_dl,
         "num_channels": p.num_channels,
-        "carrier_ghz": p.carrier_hz / 1e9,
         "noise_dbm": 10 * np.log10(p.noise_power_w) + 30,
         "si_cancellation_db": 10 * np.log10(p.si_cancellation),
         "p_max_ul_dbm": 10 * np.log10(p.p_max_ul_w) + 30,

@@ -33,10 +33,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 # ---------------------------------------------------------------------------
 # Scenario parameters
 # ---------------------------------------------------------------------------
@@ -66,15 +62,15 @@ class ScenarioParams:
     """Physical and system constants for one simulated cell.
 
     Defaults correspond to the small fully-loaded urban-micro setup used by
-    the canned experiments: 2.5 GHz carrier, 100 m cell, per-channel noise
-    of -116.4 dBm, 24 dBm power caps and -100 dB residual self-interference.
+    the canned experiments: 100 m cell, per-channel noise of -116.4 dBm,
+    24 dBm power caps and -100 dB residual self-interference.  The carrier
+    (2.5 GHz) is fixed by the path-loss laws of scenario.PropagationModel.
     """
 
     num_ul: int = 4
     num_dl: int = 4
     num_channels: int = 4
     cell_radius_m: float = 100.0
-    carrier_hz: float = 2.5e9
     noise_power_w: float = dbm_to_watts(-116.4)
     si_cancellation: float = db_to_linear(-100.0)  # linear residual-SI factor
     p_max_ul_w: float = dbm_to_watts(24.0)
@@ -114,8 +110,6 @@ def validate_params(p: ScenarioParams) -> ValidationReport:
         bad.append(f"mu must lie in [0, 1], got {p.mu}")
     if not p.cell_radius_m > 0:
         bad.append(f"cell_radius_m must be positive, got {p.cell_radius_m}")
-    if not p.carrier_hz > 0:
-        bad.append(f"carrier_hz must be positive, got {p.carrier_hz}")
     if not p.noise_power_w > 0:
         bad.append(f"noise_power_w must be positive, got {p.noise_power_w}")
     if not 0.0 < p.si_cancellation <= 1.0:

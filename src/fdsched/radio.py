@@ -1,5 +1,5 @@
-"""Physical-layer math: SINRs, spectral efficiencies, weights and the
-corner-point evaluation of one UL/DL pair.
+"""Physical-layer math: the SINR kernel, weights, the corner-point tables
+of every UL/DL pair and the evaluation of a realized schedule.
 
 A pair sharing a frequency channel interacts two ways: the DL transmission
 leaks into the BS receiver through the residual self-interference factor,
@@ -9,7 +9,7 @@ cross gain.  Users alone on a channel see neither term.
 The per-pair power choice is restricted to the three corner points
 (Pmax_u, Pmax_d), (Pmax_u, 0) and (0, Pmax_d); binary power control is
 optimal for the weighted-sum part of the objective, and the same corner set
-is applied to the fairness-weighted benefit (see evaluate_pair).
+is applied to the fairness-weighted benefit (see corner_tables).
 """
 
 from __future__ import annotations
@@ -31,22 +31,14 @@ from .model import (
 )
 
 
-def sinr_ul(p_u: float, g_ib: float, p_d_paired: float, beta: float, noise: float) -> float:
-    """UL SINR at the BS: p_u g_ib / (noise + p_d_paired * beta).
+def sinr(p_tx, g_tx, p_int, g_int, noise):
+    """SINR p_tx g_tx / (noise + p_int g_int), for scalars or broadcast arrays.
 
-    p_d_paired is the DL power sharing the channel, 0 when unpaired.
+    For UL, g_int is the residual self-interference factor and p_int the DL
+    power sharing the channel; for DL, g_int is the UE-to-UE cross gain and
+    p_int the UL power.  A user alone on a channel has p_int = 0.
     """
-    return p_u * g_ib / (noise + p_d_paired * beta)
-
-
-def sinr_dl(p_d: float, g_bj: float, p_u_paired: float, g_ij: float, noise: float) -> float:
-    """DL SINR at the UE: p_d g_bj / (noise + p_u_paired * g_ij)."""
-    return p_d * g_bj / (noise + p_u_paired * g_ij)
-
-
-def spectral_efficiency(sinr) -> float:
-    """Shannon spectral efficiency log2(1 + sinr) in bit/s/Hz."""
-    return np.log2(1.0 + sinr)
+    return p_tx * g_tx / (noise + p_int * g_int)
 
 
 def make_weights(mode: WeightMode, gains: GainTable) -> WeightVector:
@@ -72,59 +64,6 @@ def corner_points(params: ScenarioParams) -> tuple[tuple[float, float], ...]:
     return ((pu, pd), (pu, 0.0), (0.0, pd))
 
 
-@dataclass(frozen=True)
-class PairEvaluation:
-    """Best corner of one candidate pair and its benefit."""
-
-    ul_index: int
-    dl_index: int
-    best_powers: tuple[float, float]
-    se_ul: float
-    se_dl: float
-    benefit: float
-
-
-def evaluate_pair(
-    i: int,
-    j: int,
-    gains: GainTable,
-    params: ScenarioParams,
-    weights: WeightVector,
-) -> PairEvaluation:
-    """Evaluate the three power corners of pair (i, j) and keep the argmax.
-
-    Ties resolve toward (Pmax, Pmax), then (Pmax, 0): serve both users when
-    the benefit does not say otherwise.
-    """
-    noise = params.noise_power_w
-    alpha_u = weights.alpha_ul[i]
-    alpha_d = weights.alpha_dl[j]
-    best = None
-    for p_u, p_d in corner_points(params):
-        c_u = math.log2(1.0 + sinr_ul(p_u, gains.g_ul[i], p_d, params.si_cancellation, noise))
-        c_d = math.log2(1.0 + sinr_dl(p_d, gains.g_dl[j], p_u, gains.g_cross[i, j], noise))
-        s = benefit_value(c_u, c_d, alpha_u, alpha_d, params.mu)
-        if best is None or s > best.benefit:
-            best = PairEvaluation(i, j, (p_u, p_d), c_u, c_d, s)
-    return best
-
-
-def evaluate_solo_ul(i: int, gains: GainTable, params: ScenarioParams,
-                     weights: WeightVector) -> tuple[float, float]:
-    """(SE, weighted-sum contribution) of UL user i alone at max power."""
-    se = math.log2(1.0 + sinr_ul(params.p_max_ul_w, gains.g_ul[i], 0.0,
-                                 params.si_cancellation, params.noise_power_w))
-    return se, (1.0 - params.mu) * weights.alpha_ul[i] * se
-
-
-def evaluate_solo_dl(j: int, gains: GainTable, params: ScenarioParams,
-                     weights: WeightVector) -> tuple[float, float]:
-    """(SE, weighted-sum contribution) of DL user j alone at max power."""
-    se = math.log2(1.0 + sinr_dl(params.p_max_dl_w, gains.g_dl[j], 0.0, 0.0,
-                                 params.noise_power_w))
-    return se, (1.0 - params.mu) * weights.alpha_dl[j] * se
-
-
 # ---------------------------------------------------------------------------
 # Vectorized corner tables
 # ---------------------------------------------------------------------------
@@ -135,9 +74,10 @@ class CornerTables:
 
     se_ul/se_dl have shape (I, J, 3) with the corner axis ordered as
     corner_points(); benefit has the same shape.  best_corner[i, j] is the
-    argmax corner index with first-wins tie-breaking, so it honors the same
-    preference order as evaluate_pair.  solo_se_* and solo_contrib_* cover
-    the stand-alone alternative at max power.
+    argmax corner index with first-wins tie-breaking, so ties resolve toward
+    (Pmax, Pmax), then (Pmax, 0): serve both users when the benefit does not
+    say otherwise.  solo_se_* and solo_contrib_* cover the stand-alone
+    alternative at max power.
     """
 
     se_ul: np.ndarray
@@ -152,15 +92,15 @@ class CornerTables:
 
 def corner_tables(gains: GainTable, params: ScenarioParams,
                   weights: WeightVector) -> CornerTables:
-    """Vectorized equivalent of evaluate_pair over the full I x J grid."""
+    """Evaluate the three power corners of every pair (i, j) at once."""
     noise = params.noise_power_w
     pu, pd = params.p_max_ul_w, params.p_max_dl_w
     num_ul, num_dl = gains.num_ul, gains.num_dl
 
-    ul_paired = np.log2(1.0 + pu * gains.g_ul / (noise + pd * params.si_cancellation))
-    ul_solo = np.log2(1.0 + pu * gains.g_ul / noise)
-    dl_solo = np.log2(1.0 + pd * gains.g_dl / noise)
-    dl_paired = np.log2(1.0 + pd * gains.g_dl[None, :] / (noise + pu * gains.g_cross))
+    ul_paired = np.log2(1.0 + sinr(pu, gains.g_ul, pd, params.si_cancellation, noise))
+    ul_solo = np.log2(1.0 + sinr(pu, gains.g_ul, 0.0, 0.0, noise))
+    dl_solo = np.log2(1.0 + sinr(pd, gains.g_dl, 0.0, 0.0, noise))
+    dl_paired = np.log2(1.0 + sinr(pd, gains.g_dl[None, :], pu, gains.g_cross, noise))
 
     se_ul = np.zeros((num_ul, num_dl, 3))
     se_dl = np.zeros((num_ul, num_dl, 3))
@@ -172,14 +112,11 @@ def corner_tables(gains: GainTable, params: ScenarioParams,
     benefit = benefit_value(se_ul, se_dl,
                             weights.alpha_ul[:, None, None],
                             weights.alpha_dl[None, :, None], params.mu)
-    best_corner = benefit.argmax(axis=2) if num_ul and num_dl else \
-        np.zeros((num_ul, num_dl), dtype=int)
-
     return CornerTables(
         se_ul=se_ul,
         se_dl=se_dl,
         benefit=benefit,
-        best_corner=best_corner,
+        best_corner=benefit.argmax(axis=2),
         solo_se_ul=ul_solo,
         solo_se_dl=dl_solo,
         solo_contrib_ul=(1.0 - params.mu) * weights.alpha_ul * ul_solo,
@@ -211,18 +148,18 @@ def outcome_metrics(
         raise ValueError("power dimensions do not match the gain table")
 
     noise = params.noise_power_w
-    se_ul = np.zeros(num_ul)
-    se_dl = np.zeros(num_dl)
-    for i in range(num_ul):
-        j = pairing.partner_of_ul[i]
-        p_d = powers.p_dl[j] if j is not None else 0.0
-        se_ul[i] = math.log2(1.0 + sinr_ul(powers.p_ul[i], gains.g_ul[i], p_d,
-                                           params.si_cancellation, noise))
-    for j in range(num_dl):
-        i = pairing.partner_of_dl[j]
-        p_u = powers.p_ul[i] if i is not None else 0.0
-        g_x = gains.g_cross[i, j] if i is not None else 0.0
-        se_dl[j] = math.log2(1.0 + sinr_dl(powers.p_dl[j], gains.g_dl[j], p_u, g_x, noise))
+    p_ul, p_dl = powers.p_ul.tolist(), powers.p_dl.tolist()
+    g_ul, g_dl = gains.g_ul.tolist(), gains.g_dl.tolist()
+    sinr_ul = [sinr(p_ul[i], g_ul[i], 0.0 if j is None else p_dl[j],
+                    params.si_cancellation, noise)
+               for i, j in enumerate(pairing.partner_of_ul)]
+    sinr_dl = [sinr(p_dl[j], g_dl[j], 0.0 if i is None else p_ul[i],
+                    0.0 if i is None else gains.g_cross[i, j], noise)
+               for j, i in enumerate(pairing.partner_of_dl)]
+    # math.log2, not np.log2: the golden digests pin libm's log2 for reported
+    # SEs, and numpy's SIMD log2 differs from it in the last bit on some inputs.
+    se_ul = np.array([math.log2(1.0 + s) for s in sinr_ul])
+    se_dl = np.array([math.log2(1.0 + s) for s in sinr_dl])
 
     all_se = np.concatenate([se_ul, se_dl])
     weighted = float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assignment import BenefitMatrix, assign_with_solo
+from .assignment import assign_with_solo
 from .model import (
     GainTable,
     Pairing,
@@ -32,6 +32,7 @@ from .radio import (
     corner_tables,
     make_weights,
     outcome_metrics,
+    sinr,
 )
 
 _P_OPT_MAX_USERS = 10
@@ -62,18 +63,12 @@ def _hungarian_schedule(
     the outcome is evaluated on.
     """
     tables = corner_tables(planning_gains, params, weights)
-    num_ul, num_dl = planning_gains.num_ul, planning_gains.num_dl
-    if num_ul and num_dl:
-        values = np.take_along_axis(
-            tables.benefit, tables.best_corner[:, :, None], axis=2)[:, :, 0]
-    else:
-        values = np.zeros((num_ul, num_dl))
-    matrix = BenefitMatrix(values, tables.solo_contrib_ul, tables.solo_contrib_dl)
-    pairing, _ = assign_with_solo(matrix, params.num_channels)
+    pairing, _ = assign_with_solo(tables.benefit.max(axis=2), tables.solo_contrib_ul,
+                                  tables.solo_contrib_dl, params.num_channels)
 
     corners = corner_points(params)
-    p_ul = np.full(num_ul, params.p_max_ul_w)
-    p_dl = np.full(num_dl, params.p_max_dl_w)
+    p_ul = np.full(planning_gains.num_ul, params.p_max_ul_w)
+    p_dl = np.full(planning_gains.num_dl, params.p_max_dl_w)
     for i, j in pairing.pairs():
         p_u, p_d = corners[tables.best_corner[i, j]]
         p_ul[i] = p_u
@@ -140,10 +135,10 @@ def _power_candidates(
         candidates = [(float(a), float(b)) for a in ul_levels for b in dl_levels]
     p_u = np.array([c[0] for c in candidates])
     p_d = np.array([c[1] for c in candidates])
-    se_ul = np.log2(1.0 + p_u[None, None, :] * gains.g_ul[:, None, None]
-                    / (noise + p_d[None, None, :] * params.si_cancellation))
-    se_dl = np.log2(1.0 + p_d[None, None, :] * gains.g_dl[None, :, None]
-                    / (noise + p_u[None, None, :] * gains.g_cross[:, :, None]))
+    se_ul = np.log2(1.0 + sinr(p_u, gains.g_ul[:, None, None], p_d,
+                               params.si_cancellation, noise))
+    se_dl = np.log2(1.0 + sinr(p_d, gains.g_dl[None, :, None], p_u,
+                               gains.g_cross[:, :, None], noise))
     return candidates, se_ul, se_dl
 
 
@@ -323,12 +318,6 @@ STRATEGIES: dict[str, Strategy] = {
     StrategyId.C_NINT.value: lambda gains, params, rng=None: solve_c_nint(gains, params),
     StrategyId.R_EPA.value: lambda gains, params, rng=None: solve_r_epa(gains, params, rng),
 }
-
-
-def register_strategy(name: str, fn: Strategy) -> None:
-    if name in STRATEGIES:
-        raise ValueError(f"strategy {name!r} already registered")
-    STRATEGIES[name] = fn
 
 
 def solve(name: str, gains: GainTable, params: ScenarioParams,

@@ -1,0 +1,161 @@
+"""Scalar reference implementations that the tests compare the package
+against: per-link SINRs, the corner-point evaluation of one pair, the
+stand-alone evaluation of one user, the per-user outcome evaluation of a
+schedule and a brute-force assignment.
+
+They are written one user or one permutation at a time, independent of
+the vectorized code they check.
+"""
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from fdsched.metrics import jain_index
+from fdsched.model import (
+    GainTable,
+    Pairing,
+    PowerAllocation,
+    ScenarioParams,
+    ScheduleOutcome,
+    WeightVector,
+)
+from fdsched.radio import benefit_value, corner_points
+
+_BRUTE_FORCE_MAX_SIZE = 9
+
+
+def sinr_ul(p_u: float, g_ib: float, p_d_paired: float, beta: float, noise: float) -> float:
+    """UL SINR at the BS: p_u g_ib / (noise + p_d_paired * beta).
+
+    p_d_paired is the DL power sharing the channel, 0 when unpaired.
+    """
+    return p_u * g_ib / (noise + p_d_paired * beta)
+
+
+def sinr_dl(p_d: float, g_bj: float, p_u_paired: float, g_ij: float, noise: float) -> float:
+    """DL SINR at the UE: p_d g_bj / (noise + p_u_paired * g_ij)."""
+    return p_d * g_bj / (noise + p_u_paired * g_ij)
+
+
+@dataclass(frozen=True)
+class PairEvaluation:
+    """Best corner of one candidate pair and its benefit."""
+
+    ul_index: int
+    dl_index: int
+    best_powers: tuple[float, float]
+    se_ul: float
+    se_dl: float
+    benefit: float
+
+
+def evaluate_pair(
+    i: int,
+    j: int,
+    gains: GainTable,
+    params: ScenarioParams,
+    weights: WeightVector,
+) -> PairEvaluation:
+    """Evaluate the three power corners of pair (i, j) and keep the argmax.
+
+    Ties resolve toward (Pmax, Pmax), then (Pmax, 0): serve both users when
+    the benefit does not say otherwise.
+    """
+    noise = params.noise_power_w
+    alpha_u = weights.alpha_ul[i]
+    alpha_d = weights.alpha_dl[j]
+    best = None
+    for p_u, p_d in corner_points(params):
+        c_u = math.log2(1.0 + sinr_ul(p_u, gains.g_ul[i], p_d, params.si_cancellation, noise))
+        c_d = math.log2(1.0 + sinr_dl(p_d, gains.g_dl[j], p_u, gains.g_cross[i, j], noise))
+        s = benefit_value(c_u, c_d, alpha_u, alpha_d, params.mu)
+        if best is None or s > best.benefit:
+            best = PairEvaluation(i, j, (p_u, p_d), c_u, c_d, s)
+    return best
+
+
+def evaluate_solo_ul(i: int, gains: GainTable, params: ScenarioParams,
+                     weights: WeightVector) -> tuple[float, float]:
+    """(SE, weighted-sum contribution) of UL user i alone at max power."""
+    se = math.log2(1.0 + sinr_ul(params.p_max_ul_w, gains.g_ul[i], 0.0,
+                                 params.si_cancellation, params.noise_power_w))
+    return se, (1.0 - params.mu) * weights.alpha_ul[i] * se
+
+
+def evaluate_solo_dl(j: int, gains: GainTable, params: ScenarioParams,
+                     weights: WeightVector) -> tuple[float, float]:
+    """(SE, weighted-sum contribution) of DL user j alone at max power."""
+    se = math.log2(1.0 + sinr_dl(params.p_max_dl_w, gains.g_dl[j], 0.0, 0.0,
+                                 params.noise_power_w))
+    return se, (1.0 - params.mu) * weights.alpha_dl[j] * se
+
+
+def reference_outcome_metrics(
+    pairing: Pairing,
+    powers: PowerAllocation,
+    gains: GainTable,
+    params: ScenarioParams,
+    weights: WeightVector,
+) -> ScheduleOutcome:
+    """radio.outcome_metrics one user at a time: a paired user's
+    interference comes from its partner's power, an unpaired user sees
+    noise only."""
+    noise = params.noise_power_w
+    se_ul = np.zeros(gains.num_ul)
+    se_dl = np.zeros(gains.num_dl)
+    for i in range(gains.num_ul):
+        j = pairing.partner_of_ul[i]
+        p_d = powers.p_dl[j] if j is not None else 0.0
+        se_ul[i] = math.log2(1.0 + sinr_ul(powers.p_ul[i], gains.g_ul[i], p_d,
+                                           params.si_cancellation, noise))
+    for j in range(gains.num_dl):
+        i = pairing.partner_of_dl[j]
+        p_u = powers.p_ul[i] if i is not None else 0.0
+        g_x = gains.g_cross[i, j] if i is not None else 0.0
+        se_dl[j] = math.log2(1.0 + sinr_dl(powers.p_dl[j], gains.g_dl[j], p_u, g_x, noise))
+
+    all_se = np.concatenate([se_ul, se_dl])
+    weighted = float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl)
+    min_se = float(all_se.min())
+    return ScheduleOutcome(
+        pairing=pairing,
+        powers=powers,
+        se_ul=se_ul,
+        se_dl=se_dl,
+        objective=(1.0 - params.mu) * weighted + params.mu * min_se,
+        sum_se=float(all_se.sum()),
+        min_se=min_se,
+        jain=jain_index(all_se),
+    )
+
+
+def brute_force_assignment(values) -> tuple[dict[int, int], float]:
+    """Exact maximum-total assignment by enumerating all permutations of the
+    zero-padded square, with hungarian_max's contract: only assignments
+    inside the original matrix are reported.
+
+    Guarded to padded size 9; beyond that the factorial blows up.  Ties
+    resolve to the lexicographically first permutation.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.size == 0:
+        raise ValueError("assignment needs a nonempty 2-D matrix")
+    rows, cols = values.shape
+    n = max(rows, cols)
+    if n > _BRUTE_FORCE_MAX_SIZE:
+        raise ValueError(f"brute force limited to padded size {_BRUTE_FORCE_MAX_SIZE}, "
+                         f"got {n}")
+    best_perm = None
+    best_total = -np.inf
+    for perm in itertools.permutations(range(n)):
+        total = sum(values[r, perm[r]] for r in range(rows) if perm[r] < cols)
+        if total > best_total:
+            best_total = total
+            best_perm = perm
+    assignment = {r: best_perm[r] for r in range(rows) if best_perm[r] < cols}
+    selected = sorted(assignment)
+    total = float(values[selected, [assignment[r] for r in selected]].sum()) if selected else 0.0
+    return assignment, total

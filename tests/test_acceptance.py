@@ -15,13 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from fdsched.assignment import brute_force_assignment, hungarian_max
+from fdsched.assignment import hungarian_max
 from fdsched.harness import canned_experiments, drop_rng, run_experiment
 from fdsched.metrics import CdfSeries, median_gap, percentile
 from fdsched.model import ScenarioParams
-from fdsched.radio import benefit_value, evaluate_pair, make_weights
+from fdsched.radio import benefit_value, make_weights
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import dual_multipliers, solve_c_hun, solve_p_opt, solve_r_epa
+from oracles import brute_force_assignment, evaluate_pair
 
 SEED = 1
 

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from fdsched.assignment import (
-    BenefitMatrix,
-    _min_cost_assignment,
-    assign_with_solo,
-    brute_force_assignment,
-    hungarian_max,
-)
+from fdsched.assignment import _min_cost_assignment, assign_with_solo, hungarian_max
+from oracles import brute_force_assignment
 
 
 def reference_min_cost_assignment(cost: np.ndarray) -> list[int]:
@@ -201,31 +196,27 @@ class TestAssignWithSolo:
     def test_full_load_forces_perfect_matching(self):
         # I = J = F: the channel budget leaves no solo slots
         values = np.full((2, 2), -100.0)
-        benefit = BenefitMatrix(values, solo_ul=np.array([50.0, 50.0]),
-                                solo_dl=np.array([50.0, 50.0]))
-        pairing, total = assign_with_solo(benefit, num_channels=2)
+        pairing, total = assign_with_solo(values, np.array([50.0, 50.0]),
+                                          np.array([50.0, 50.0]), num_channels=2)
         assert pairing.num_pairs == 2
         assert total == -200.0
 
     def test_dominant_pairs_selected_when_beneficial(self):
         values = np.array([[10.0, 1.0], [1.0, 10.0]])
-        benefit = BenefitMatrix(values, solo_ul=np.ones(2), solo_dl=np.ones(2))
-        pairing, total = assign_with_solo(benefit, num_channels=4)
+        pairing, total = assign_with_solo(values, np.ones(2), np.ones(2), num_channels=4)
         assert pairing.pairs() == [(0, 0), (1, 1)]
         assert total == 20.0
 
     def test_everyone_solo_when_pairing_is_bad(self):
         values = np.array([[0.5, 0.25], [0.25, 0.5]])
-        benefit = BenefitMatrix(values, solo_ul=np.array([2.0, 3.0]),
-                                solo_dl=np.array([4.0, 5.0]))
-        pairing, total = assign_with_solo(benefit, num_channels=4)
+        pairing, total = assign_with_solo(values, np.array([2.0, 3.0]),
+                                          np.array([4.0, 5.0]), num_channels=4)
         assert pairing.num_pairs == 0
         assert total == pytest.approx(14.0)
 
     def test_single_ul_user_no_dl(self):
-        benefit = BenefitMatrix(np.zeros((1, 0)), solo_ul=np.array([3.0]),
-                                solo_dl=np.zeros(0))
-        pairing, total = assign_with_solo(benefit, num_channels=1)
+        pairing, total = assign_with_solo(np.zeros((1, 0)), np.array([3.0]),
+                                          np.zeros(0), num_channels=1)
         assert pairing.partner_of_ul == (None,)
         assert total == 3.0
 
@@ -233,9 +224,8 @@ class TestAssignWithSolo:
         # 2+2 users on 3 channels: exactly one pair is forced even though
         # every solo score dominates every pair score
         values = np.array([[1.0, 0.0], [0.0, 0.5]])
-        benefit = BenefitMatrix(values, solo_ul=np.array([10.0, 10.0]),
-                                solo_dl=np.array([10.0, 10.0]))
-        pairing, total = assign_with_solo(benefit, num_channels=3)
+        pairing, total = assign_with_solo(values, np.array([10.0, 10.0]),
+                                          np.array([10.0, 10.0]), num_channels=3)
         assert pairing.num_pairs == 1
         assert pairing.pairs() == [(0, 0)]
         assert total == pytest.approx(21.0)
@@ -243,13 +233,17 @@ class TestAssignWithSolo:
     def test_unlimited_budget_equals_none(self):
         rng = np.random.default_rng(6)
         values = rng.normal(size=(3, 2))
-        benefit = BenefitMatrix(values, rng.normal(size=3), rng.normal(size=2))
-        assert assign_with_solo(benefit, None)[1] == assign_with_solo(benefit, 5)[1]
+        benefit = (values, rng.normal(size=3), rng.normal(size=2))
+        assert assign_with_solo(*benefit, None)[1] == assign_with_solo(*benefit, 5)[1]
 
     def test_infeasible_budget_rejected(self):
-        benefit = BenefitMatrix(np.ones((3, 1)), np.ones(3), np.ones(1))
         with pytest.raises(ValueError):
-            assign_with_solo(benefit, num_channels=2)
+            assign_with_solo(np.ones((3, 1)), np.ones(3), np.ones(1), num_channels=2)
+
+    def test_shape_mismatch_rejected(self):
+        # a (1, J) row would otherwise broadcast over every UL user
+        with pytest.raises(ValueError):
+            assign_with_solo(np.array([[5.0, 1.0]]), np.ones(3), np.ones(2), num_channels=3)
 
     def test_output_is_valid_pairing(self):
         rng = np.random.default_rng(7)
@@ -257,9 +251,9 @@ class TestAssignWithSolo:
             num_ul = int(rng.integers(1, 5))
             num_dl = int(rng.integers(1, 5))
             channels = int(rng.integers(max(num_ul, num_dl), num_ul + num_dl + 2))
-            benefit = BenefitMatrix(rng.normal(size=(num_ul, num_dl)),
-                                    rng.normal(size=num_ul), rng.normal(size=num_dl))
-            pairing, _ = assign_with_solo(benefit, channels)
+            pairing, _ = assign_with_solo(rng.normal(size=(num_ul, num_dl)),
+                                          rng.normal(size=num_ul), rng.normal(size=num_dl),
+                                          channels)
             x = pairing.to_matrix()
             assert x.sum(axis=0).max(initial=0) <= 1
             assert x.sum(axis=1).max(initial=0) <= 1
@@ -273,8 +267,7 @@ class TestAssignWithSolo:
             values = rng.normal(size=(num_ul, num_dl))
             solo_ul = rng.normal(size=num_ul)
             solo_dl = rng.normal(size=num_dl)
-            benefit = BenefitMatrix(values, solo_ul, solo_dl)
-            _, total = assign_with_solo(benefit, channels)
+            _, total = assign_with_solo(values, solo_ul, solo_dl, channels)
             best = -np.inf
             import itertools
             for n_pairs in range(max(0, 4 - channels), 3):

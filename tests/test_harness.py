@@ -94,7 +94,6 @@ class TestCannedExperiments:
             assert p.noise_power_w == pytest.approx(10 ** (-14.64))
             assert p.p_max_ul_w == pytest.approx(10 ** (-0.6))
             assert p.cell_radius_m == 100.0
-            assert p.carrier_hz == 2.5e9
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
@@ -190,23 +189,20 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
-    def test_runtime_failure_leaves_marker(self, tmp_path):
-        from fdsched.solvers import STRATEGIES, register_strategy
+    def test_runtime_failure_leaves_marker(self, tmp_path, monkeypatch):
+        from fdsched import solvers
 
         def explode(gains, params, rng=None):
             raise RuntimeError("boom")
 
-        register_strategy("EXPLODE", explode)
-        try:
-            cfg = dataclasses.replace(tiny_config(tmp_path / "fail"),
-                                      strategies=("EXPLODE",))
-            with pytest.raises(RuntimeError):
-                run_experiment(cfg)
-            marker = tmp_path / "fail" / "FAILED"
-            assert marker.exists()
-            assert "boom" in marker.read_text()
-        finally:
-            STRATEGIES.pop("EXPLODE")
+        monkeypatch.setitem(solvers.STRATEGIES, "EXPLODE", explode)
+        cfg = dataclasses.replace(tiny_config(tmp_path / "fail"),
+                                  strategies=("EXPLODE",))
+        with pytest.raises(RuntimeError):
+            run_experiment(cfg)
+        marker = tmp_path / "fail" / "FAILED"
+        assert marker.exists()
+        assert "boom" in marker.read_text()
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_runtime_failure_keeps_finished_drops(self, tmp_path, monkeypatch,
@@ -304,14 +300,12 @@ class TestJsonConfig:
             "num_ul": 2, "num_dl": 2, "num_channels": 2,
             "noise_dbm": -116.4, "si_cancellation_db": -100.0,
             "p_max_ul_dbm": 24.0, "p_max_dl_dbm": 24.0,
-            "carrier_ghz": 2.5,
             "strategies": ["C-HUN"], "mu_values": [0.5],
             "weight_modes": ["SR", "PL"], "iterations": 1,
         })
         assert cfg.params.noise_power_w == pytest.approx(10 ** (-14.64))
         assert cfg.params.si_cancellation == pytest.approx(1e-10)
         assert cfg.params.p_max_ul_w == pytest.approx(10 ** (-0.6))
-        assert cfg.params.carrier_hz == 2.5e9
         assert cfg.weight_modes == (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)
 
     def test_round_trip(self):
@@ -382,6 +376,15 @@ class TestCli:
                      "--out", str(tmp_path / "p0")])
         assert code == 1
         assert not (tmp_path / "p0" / "records.jsonl").exists()
+
+    def test_carrier_key_is_rejected(self, tmp_path):
+        # the path-loss laws fix the carrier at 2.5 GHz; no key may pretend
+        # to change it
+        path = tmp_path / "carrier.json"
+        path.write_text(json.dumps({"carrier_ghz": 3.5, "iterations": 1,
+                                    "out_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_exit_code_for_config_error(self, tmp_path):
         missing = tmp_path / "missing.json"

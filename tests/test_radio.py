@@ -14,16 +14,12 @@ from fdsched.radio import (
     benefit_value,
     corner_points,
     corner_tables,
-    evaluate_pair,
-    evaluate_solo_dl,
-    evaluate_solo_ul,
     make_weights,
     outcome_metrics,
-    sinr_dl,
-    sinr_ul,
-    spectral_efficiency,
+    sinr,
 )
 from fdsched.scenario import build_gain_table
+from oracles import evaluate_pair, evaluate_solo_dl, evaluate_solo_ul, reference_outcome_metrics
 
 P24 = 10 ** (-0.6)           # 24 dBm in watts
 NOISE = 2.291e-15            # -116.4 dBm per channel (rounded)
@@ -50,34 +46,36 @@ def random_table(rng, num_ul=4, num_dl=4):
 
 class TestSinr:
     def test_unpaired_ul_sees_noise_only(self):
-        assert sinr_ul(P24, 1e-8, 0.0, BETA, NOISE) == pytest.approx(P24 * 1e-8 / NOISE)
+        assert sinr(P24, 1e-8, 0.0, BETA, NOISE) == pytest.approx(P24 * 1e-8 / NOISE)
 
     def test_reference_value(self):
         # p=0.2512 W, g=-80 dB, both powers equal, beta=-100 dB: the SI term
         # dominates the noise and the SINR sits just below g/beta = 100.
-        got = sinr_ul(P24, 1e-8, P24, BETA, NOISE)
+        got = sinr(P24, 1e-8, P24, BETA, NOISE)
         assert got == pytest.approx(99.9909, abs=5e-3)
         assert 10 * math.log10(got) == pytest.approx(20.0, abs=1e-3)
 
     def test_monotone_in_interference(self):
-        base = sinr_ul(P24, 1e-8, P24, BETA, NOISE)
-        assert sinr_ul(P24, 1e-8, P24, 2 * BETA, NOISE) < base
-        assert sinr_dl(P24, 1e-8, P24, 2e-9, NOISE) < sinr_dl(P24, 1e-8, P24, 1e-9, NOISE)
+        base = sinr(P24, 1e-8, P24, BETA, NOISE)
+        assert sinr(P24, 1e-8, P24, 2 * BETA, NOISE) < base
+        assert sinr(P24, 1e-8, P24, 2e-9, NOISE) < sinr(P24, 1e-8, P24, 1e-9, NOISE)
 
     def test_monotone_in_own_power(self):
-        assert sinr_ul(2 * P24, 1e-8, P24, BETA, NOISE) > sinr_ul(P24, 1e-8, P24, BETA, NOISE)
+        assert sinr(2 * P24, 1e-8, P24, BETA, NOISE) > sinr(P24, 1e-8, P24, BETA, NOISE)
 
     def test_dl_mirrors_ul(self):
-        assert sinr_dl(P24, 1e-8, 0.0, 1e-9, NOISE) == pytest.approx(P24 * 1e-8 / NOISE)
-        assert sinr_dl(P24, 1e-8, P24, 0.0, NOISE) == pytest.approx(P24 * 1e-8 / NOISE)
-        assert sinr_dl(0.0, 1e-8, P24, 1e-9, NOISE) == 0.0
+        assert sinr(P24, 1e-8, 0.0, 1e-9, NOISE) == pytest.approx(P24 * 1e-8 / NOISE)
+        assert sinr(P24, 1e-8, P24, 0.0, NOISE) == pytest.approx(P24 * 1e-8 / NOISE)
+        assert sinr(0.0, 1e-8, P24, 1e-9, NOISE) == 0.0
 
 
 class TestSpectralEfficiency:
     def test_reference_points(self):
-        assert spectral_efficiency(0.0) == 0.0
-        assert spectral_efficiency(1.0) == pytest.approx(1.0)
-        assert spectral_efficiency(99.1) == pytest.approx(6.6453, abs=1e-3)
+        # received power 0, 1 and 99.1 times the noise, alone on a channel
+        assert math.log2(1.0 + sinr(0.0, 1e-8, 0.0, BETA, NOISE)) == 0.0
+        assert math.log2(1.0 + sinr(NOISE, 1.0, 0.0, BETA, NOISE)) == pytest.approx(1.0)
+        assert math.log2(1.0 + sinr(99.1 * NOISE, 1.0, 0.0, BETA, NOISE)) == \
+            pytest.approx(6.6453, abs=1e-3)
 
 
 class TestWeights:
@@ -242,6 +240,43 @@ class TestOutcomeMetrics:
             assert out.objective == pytest.approx(recomputed, rel=1e-9)
             assert out.min_se == out.all_se().min()
             assert out.sum_se == pytest.approx(out.all_se().sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("num_ul, num_dl, num_channels",
+                             [(4, 4, 4), (3, 5, 8), (5, 2, 6), (6, 6, 9), (0, 3, 3),
+                              (3, 0, 4), (1, 1, 2), (25, 25, 25)])
+    def test_matches_per_user_reference(self, num_ul, num_dl, num_channels):
+        # random partial matchings (solo users wherever the budget allows)
+        # with powers at the corners and in between, on every objective;
+        # enough SEs that a log2 off in the last bit on ~0.1% of inputs shows
+        rng = np.random.default_rng(100 * num_ul + num_dl)
+        base = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
+        for _ in range(100):
+            g = build_gain_table(base, rng)
+            min_pairs = max(0, num_ul + num_dl - num_channels)
+            n_pairs = int(rng.integers(min_pairs, min(num_ul, num_dl) + 1))
+            pairs = zip(rng.permutation(num_ul)[:n_pairs].tolist(),
+                        rng.permutation(num_dl)[:n_pairs].tolist())
+            pairing = Pairing.from_pairs(list(pairs), num_ul, num_dl)
+            levels = np.array([0.0, 0.5, 1.0])
+            powers = PowerAllocation(
+                base.p_max_ul_w * np.where(rng.random(num_ul) < 0.3,
+                                           rng.random(num_ul), rng.choice(levels, num_ul)),
+                base.p_max_dl_w * np.where(rng.random(num_dl) < 0.3,
+                                           rng.random(num_dl), rng.choice(levels, num_dl)))
+            for mode in WeightMode:
+                for mu in (0.0, 0.5, 1.0):
+                    params = params_with(num_ul=num_ul, num_dl=num_dl,
+                                         num_channels=num_channels, mu=mu,
+                                         weight_mode=mode)
+                    w = make_weights(mode, g)
+                    got = outcome_metrics(pairing, powers, g, params, w)
+                    want = reference_outcome_metrics(pairing, powers, g, params, w)
+                    assert np.array_equal(got.se_ul, want.se_ul)
+                    assert np.array_equal(got.se_dl, want.se_dl)
+                    assert got.objective == want.objective
+                    assert got.sum_se == want.sum_se
+                    assert got.min_se == want.min_se
+                    assert got.jain == want.jain
 
     def test_dimension_mismatch_rejected(self):
         g = table([1e-8], [1e-8], [[1e-9]])

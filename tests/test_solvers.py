@@ -302,6 +302,17 @@ class TestCHun:
         assert out.se_dl.size == 0
         assert out.min_se == out.se_ul[0]
 
+    @pytest.mark.parametrize("g_dl0, g_x00", [(np.inf, np.inf), (1e-8, np.nan)])
+    def test_nan_benefit_rejected(self, g_dl0, g_x00):
+        # inf / inf (or a NaN cross gain) makes pair (0, 0)'s DL SE NaN at
+        # the (Pmax, Pmax) corner; the assignment refuses non-finite scores
+        params = params_with(num_ul=2, num_dl=2, num_channels=2)
+        g_cross = np.full((2, 2), 1e-10)
+        g_cross[0, 0] = g_x00
+        g = table([1e-8, 2e-8], [g_dl0, 2e-8], g_cross)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            solve_c_hun(g, params)
+
 
 class TestCNInt:
     def test_identical_to_c_hun_when_cross_gains_are_zero(self):
