@@ -1,9 +1,10 @@
 """Maximization linear assignment: the Hungarian solver and the reduction
 that lets users stand alone.
 
-hungarian_max pads its input with zero-benefit dummy cells to a square
-matrix, finds a maximum-total perfect matching on that square, and reports
-only the assignments inside the original matrix.
+hungarian_max solves a rectangular benefit matrix without padding it:
+each line of the shorter side gets a distinct partner (Crouse, IEEE TAES
+2016).  assign_with_solo reduces pairing or standing alone to one I-row
+rectangle.
 """
 
 from __future__ import annotations
@@ -15,14 +16,6 @@ import numpy as np
 from .model import Pairing
 
 
-def _padded_square(values: np.ndarray) -> np.ndarray:
-    rows, cols = values.shape
-    n = max(rows, cols)
-    padded = np.zeros((n, n))
-    padded[:rows, :cols] = values
-    return padded
-
-
 def _selected_total(values: np.ndarray, assignment: dict[int, int]) -> float:
     rows = sorted(assignment)
     cols = [assignment[r] for r in rows]
@@ -30,13 +23,13 @@ def _selected_total(values: np.ndarray, assignment: dict[int, int]) -> float:
 
 
 def _min_cost_assignment(cost: np.ndarray) -> list[int]:
-    """Exact minimum-cost perfect matching on a square cost matrix.
+    """Exact minimum-cost assignment of the rows of an n x m cost, n <= m.
 
-    Augmenting-path Hungarian with row/column potentials, O(n^3).  One row
-    is inserted per outer iteration; the inner search grows an alternating
-    tree over columns, tracking for every unreached column the smallest
-    reduced slack (minv) and its tree attachment point (way).  Column n is
-    a virtual root holding the row currently being inserted.
+    Augmenting-path Hungarian with row/column potentials, O(n^2 m).  One
+    row is inserted per outer iteration; the inner search grows an
+    alternating tree over columns, tracking for every unreached column the
+    smallest reduced slack (minv) and its tree attachment point (way).
+    Column m is a virtual root holding the row currently being inserted.
 
     Scalar Python over the matrix rows: at these sizes a per-element loop
     beats a handful of tiny numpy calls per tree step.  The unreached
@@ -46,18 +39,18 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     vectorized numpy form (kept in tests/test_assignment.py as an oracle)
     performs, in the same order, so both pick the same matching.
     """
-    n = cost.shape[0]
+    n, m = cost.shape
     rows = cost.tolist()
     u = [0.0] * n                                # row potentials
-    v = [0.0] * (n + 1)                          # column potentials
-    row_of_col = [-1] * (n + 1)
+    v = [0.0] * (m + 1)                          # column potentials
+    row_of_col = [-1] * (m + 1)
     for i in range(n):
-        row_of_col[n] = i
-        j0 = n
-        minv = [math.inf] * n
-        way = [n] * n
-        free = list(range(n))                    # unreached columns, in order
-        used = [n]                               # columns in the tree
+        row_of_col[m] = i
+        j0 = m
+        minv = [math.inf] * m
+        way = [m] * m
+        free = list(range(m))                    # unreached columns, in order
+        used = [m]                               # columns in the tree
         shift = 0.0
         while True:
             i0 = row_of_col[j0]
@@ -66,14 +59,14 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
             delta = math.inf
             j1 = -1
             for j in free:
-                m = minv[j] - shift
+                mj = minv[j] - shift
                 reduced = row[j] - ui - v[j]
-                if reduced < m:
-                    m = reduced
+                if reduced < mj:
+                    mj = reduced
                     way[j] = j0
-                minv[j] = m
-                if m < delta:
-                    delta = m
+                minv[j] = mj
+                if mj < delta:
+                    delta = mj
                     j1 = j
             for j in used:
                 u[row_of_col[j]] += delta
@@ -84,32 +77,36 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
             if row_of_col[j0] < 0:
                 break
             used.append(j0)
-        while j0 != n:                           # augment along the tree path
+        while j0 != m:                           # augment along the tree path
             j_prev = way[j0]
             row_of_col[j0] = row_of_col[j_prev]
             j0 = j_prev
     col_of_row = [0] * n
-    for j in range(n):
-        col_of_row[row_of_col[j]] = j
+    for j in range(m):
+        if row_of_col[j] >= 0:
+            col_of_row[row_of_col[j]] = j
     return col_of_row
 
 
 def hungarian_max(values) -> tuple[dict[int, int], float]:
     """Maximum-total assignment of a rectangular benefit matrix.
 
-    Returns (row -> column map over the original matrix, total benefit of
-    the selected entries).  Reduction to the classical minimization form:
-    pad to a square with zeros, then cost = max - benefit.
+    Returns (row -> column map, total benefit of the selected entries).
+    Every line of the shorter side is assigned, as on the zero-padded
+    square.  Solves cost = max - benefit, on the transpose if rows > cols.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.size == 0:
         raise ValueError("assignment needs a nonempty 2-D matrix")
     if not np.all(np.isfinite(values)):
         raise ValueError("assignment matrix has non-finite entries")
-    rows, cols = values.shape
-    padded = _padded_square(values)
-    col_of_row = _min_cost_assignment(padded.max() - padded)
-    assignment = {r: col_of_row[r] for r in range(rows) if col_of_row[r] < cols}
+    flip = values.shape[0] > values.shape[1]
+    benefit = values.T if flip else values
+    matched = _min_cost_assignment(benefit.max() - benefit)
+    if flip:                                     # matched[c] is column c's row
+        assignment = {r: c for c, r in enumerate(matched)}
+    else:
+        assignment = dict(enumerate(matched))
     return assignment, _selected_total(values, assignment)
 
 
@@ -121,12 +118,14 @@ def assign_with_solo(
 ) -> tuple[Pairing, float]:
     """Choose pairs or stand-alone users to maximize the separable benefit.
 
-    Builds a square problem where matching UL i with DL j scores
-    values[i, j] and matching a user with a dummy partner scores its solo
-    contribution, solo_ul[i] or solo_dl[j].  The number of dummy partners
-    is limited by the channel budget: with P pairs the schedule occupies
-    I + J - P channels, so at least I + J - num_channels pairs are forced.
-    With num_channels None the budget is treated as unlimited.
+    Pairing UL i with DL j scores values[i, j]; a user alone on a channel
+    scores solo_ul[i] or solo_dl[j].  With P pairs the schedule occupies
+    I + J - P channels, so at least P = I + J - num_channels pairs are
+    forced (none when num_channels is None: unlimited budget).  Solved as
+    an I x (J + I - P) rectangle: row i takes DL column j at
+    values[i, j] - solo_dl[j] or one of I - P solo columns at solo_ul[i],
+    and solo_dl.sum() is added back.  With J = P every DL user pairs, so
+    the shift would only add rounding and is skipped.
     """
     num_ul, num_dl = len(solo_ul), len(solo_dl)
     if values.shape != (num_ul, num_dl):
@@ -138,13 +137,14 @@ def assign_with_solo(
             raise ValueError(
                 f"channel budget infeasible: {num_ul}+{num_dl} users on "
                 f"{num_channels} channels")
+    if num_ul == 0:
+        return Pairing.from_pairs([], 0, num_dl), float(solo_dl.sum())
 
-    size = num_ul + num_dl - forced_pairs
-    square = np.zeros((size, size))
-    square[:num_ul, :num_dl] = values
-    square[:num_ul, num_dl:] = solo_ul[:, None]
-    square[num_ul:, :num_dl] = solo_dl[None, :]
+    shift = solo_dl if num_dl > forced_pairs else np.zeros(num_dl)
+    rect = np.empty((num_ul, num_dl + num_ul - forced_pairs))
+    rect[:, :num_dl] = values - shift
+    rect[:, num_dl:] = solo_ul[:, None]
 
-    mapping, total = hungarian_max(square)
-    pairs = [(r, c) for r, c in mapping.items() if r < num_ul and c < num_dl]
-    return Pairing.from_pairs(pairs, num_ul, num_dl), total
+    mapping, total = hungarian_max(rect)
+    pairs = [(r, c) for r, c in mapping.items() if c < num_dl]
+    return Pairing.from_pairs(pairs, num_ul, num_dl), total + float(shift.sum())

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DropPositions, GainTable, ScenarioParams, require_valid
+from .model import DropPositions, GainTable, ScenarioParams, require_valid, validate_gain_table
 
 # Hexagon orientation: vertices on the x axis; edge normals at 30/90/150 deg.
 _HEX_NORMALS = np.array([
@@ -188,6 +188,8 @@ def scenario_to_dict(gains: GainTable) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> GainTable:
+    """Rebuild a dumped drop; raise ValueError on a gain that is not finite
+    and positive, since the strategies disagree on such a drop."""
     positions = None
     if "positions" in doc:
         positions = DropPositions(
@@ -195,13 +197,17 @@ def scenario_from_dict(doc: dict) -> GainTable:
             ul=np.array(doc["positions"]["ul"]).reshape(-1, 2),
             dl=np.array(doc["positions"]["dl"]).reshape(-1, 2),
         )
-    return GainTable(
+    gains = GainTable(
         g_ul=np.array(doc["g_ul"], dtype=float),
         g_dl=np.array(doc["g_dl"], dtype=float),
         g_cross=np.array(doc["g_cross"], dtype=float).reshape(
             len(doc["g_ul"]), len(doc["g_dl"])),
         positions=positions,
     )
+    report = validate_gain_table(gains)
+    if not report.ok:
+        raise ValueError(f"invalid gain table: {report}")
+    return gains
 
 
 def save_scenario(gains: GainTable, path) -> None:

@@ -1,7 +1,8 @@
 """Scalar reference implementations that the tests compare the package
 against: per-link SINRs, the corner-point evaluation of one pair, the
 stand-alone evaluation of one user, the per-user outcome evaluation of a
-schedule and a brute-force assignment.
+schedule, a brute-force assignment and the padded-square form of the
+solo-aware assignment.
 
 They are written one user or one permutation at a time, independent of
 the vectorized code they check.
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fdsched.assignment import hungarian_max
 from fdsched.metrics import jain_index
 from fdsched.model import (
     GainTable,
@@ -159,3 +161,21 @@ def brute_force_assignment(values) -> tuple[dict[int, int], float]:
     selected = sorted(assignment)
     total = float(values[selected, [assignment[r] for r in selected]].sum()) if selected else 0.0
     return assignment, total
+
+
+def reference_assign_with_solo(values, solo_ul, solo_dl, num_channels=None):
+    """assign_with_solo as one square problem: UL i meets DL j at
+    values[i, j], each UL user's solo score fills I - P dummy columns, each
+    DL user's solo score fills J - P dummy rows, zeros where dummies meet.
+    P = max(0, I + J - num_channels) pairs are forced.  Solved with the
+    package's hungarian_max, so it checks the reduction, not the solver."""
+    num_ul, num_dl = len(solo_ul), len(solo_dl)
+    forced_pairs = 0 if num_channels is None else max(0, num_ul + num_dl - num_channels)
+    size = num_ul + num_dl - forced_pairs
+    square = np.zeros((size, size))
+    square[:num_ul, :num_dl] = values
+    square[:num_ul, num_dl:] = solo_ul[:, None]
+    square[num_ul:, :num_dl] = solo_dl[None, :]
+    mapping, total = hungarian_max(square)
+    pairs = [(r, c) for r, c in mapping.items() if r < num_ul and c < num_dl]
+    return Pairing.from_pairs(pairs, num_ul, num_dl), total

@@ -2,48 +2,54 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from fdsched import assignment
 from fdsched.assignment import _min_cost_assignment, assign_with_solo, hungarian_max
-from oracles import brute_force_assignment
+from fdsched.model import GainTable, ScenarioParams
+from fdsched.radio import corner_tables, make_weights
+from fdsched.scenario import build_gain_table
+from oracles import brute_force_assignment, reference_assign_with_solo
 
 
 def reference_min_cost_assignment(cost: np.ndarray) -> list[int]:
-    """The vectorized form of the package's Hungarian solver: the same
-    potentials, the same minv/way tree and the same floating-point
-    operations, written as a few numpy calls per tree step.  Kept as an
-    oracle for the decisions of the scalar solver, ties included."""
-    n = cost.shape[0]
+    """The vectorized form of the package's Hungarian solver on an n x m
+    cost matrix, n <= m: the same potentials, the same minv/way tree and
+    the same floating-point operations, written as a few numpy calls per
+    tree step.  Kept as an oracle for the decisions of the scalar solver,
+    ties included."""
+    n, m = cost.shape
     u = np.zeros(n)                              # row potentials
-    v = np.zeros(n + 1)                          # column potentials
-    row_of_col = np.full(n + 1, -1, dtype=int)
+    v = np.zeros(m + 1)                          # column potentials
+    row_of_col = np.full(m + 1, -1, dtype=int)
     for i in range(n):
-        row_of_col[n] = i
-        j0 = n
-        minv = np.full(n, np.inf)
-        way = np.full(n, n, dtype=int)
-        used = np.zeros(n + 1, dtype=bool)
+        row_of_col[m] = i
+        j0 = m
+        minv = np.full(m, np.inf)
+        way = np.full(m, m, dtype=int)
+        used = np.zeros(m + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = row_of_col[j0]
-            reduced = cost[i0, :] - u[i0] - v[:n]
-            improve = ~used[:n] & (reduced < minv)
+            reduced = cost[i0, :] - u[i0] - v[:m]
+            improve = ~used[:m] & (reduced < minv)
             minv[improve] = reduced[improve]
             way[improve] = j0
-            slack = np.where(used[:n], np.inf, minv)
+            slack = np.where(used[:m], np.inf, minv)
             j1 = int(np.argmin(slack))
             delta = float(slack[j1])
             used_cols = np.flatnonzero(used)
             u[row_of_col[used_cols]] += delta
             v[used_cols] -= delta
-            minv[~used[:n]] -= delta
+            minv[~used[:m]] -= delta
             j0 = j1
             if row_of_col[j0] < 0:
                 break
-        while j0 != n:                           # augment along the tree path
+        while j0 != m:                           # augment along the tree path
             j_prev = way[j0]
             row_of_col[j0] = row_of_col[j_prev]
             j0 = j_prev
+    matched = np.flatnonzero(row_of_col[:m] >= 0)
     col_of_row = np.empty(n, dtype=int)
-    col_of_row[row_of_col[:n]] = np.arange(n)
+    col_of_row[row_of_col[matched]] = matched
     return col_of_row.tolist()
 
 
@@ -166,6 +172,97 @@ class TestMatchesVectorizedReference:
                                              (4, 4, 8), (25, 25, 25), (10, 20, 25)):
             square = solo_square(rng, num_ul, num_dl, num_channels)
             self.assert_same_decisions(square.max() - square)
+
+    def test_random_float_rectangles_up_to_40_by_96(self):
+        rng = np.random.default_rng(13)
+        for n in range(1, 41):
+            for m in sorted({n, int(rng.integers(n, 97)), 96}):
+                self.assert_same_decisions(rng.normal(0.0, 5.0, size=(n, m)))
+
+    def test_integer_rectangles_full_of_ties(self):
+        rng = np.random.default_rng(14)
+        for n, m in ((1, 2), (2, 3), (3, 7), (5, 8), (8, 13), (13, 25), (25, 40), (40, 96)):
+            for high in (1, 2, 4):
+                self.assert_same_decisions(
+                    rng.integers(0, high + 1, size=(n, m)).astype(float))
+        self.assert_same_decisions(np.zeros((7, 12)))
+
+    def test_assign_with_solo_rectangles(self, monkeypatch):
+        # the matrices assign_with_solo itself hands to hungarian_max
+        solved = []
+
+        def recording(values):
+            solved.append(values)
+            return hungarian_max(values)
+
+        monkeypatch.setattr(assignment, "hungarian_max", recording)
+        rng = np.random.default_rng(15)
+        for num_ul, num_dl, num_channels in ((40, 80, 96), (3, 5, 6), (10, 20, 25), (6, 2, 7)):
+            assign_with_solo(*random_solo_inputs(rng, num_ul, num_dl), num_channels)
+            rect = solved.pop()
+            assert rect.shape == (num_ul, num_dl + num_ul - max(0, num_ul + num_dl - num_channels))
+            self.assert_same_decisions(rect.max() - rect)
+
+
+def random_solo_inputs(rng, num_ul, num_dl, num_channels=None):
+    return rng.normal(size=(num_ul, num_dl)), rng.normal(size=num_ul), rng.normal(size=num_dl)
+
+
+def separable_solo_inputs(rng, num_ul, num_dl, num_channels=None):
+    """values[i, j] = a[i] + b[j] in small integers: every matching of a
+    given size ties, so only the tie-break decides."""
+    a = rng.integers(0, 3, size=num_ul).astype(float)
+    b = rng.integers(0, 3, size=num_dl).astype(float)
+    return (a[:, None] + b[None, :], a + rng.integers(-1, 2, size=num_ul),
+            b + rng.integers(-1, 2, size=num_dl))
+
+
+def blind_planner_inputs(rng, num_ul, num_dl, num_channels=None):
+    """What C-NINT plans with: corner benefits with every cross gain zeroed,
+    nearly separable in (i, j)."""
+    params = ScenarioParams(num_ul=num_ul, num_dl=num_dl,
+                            num_channels=num_channels or num_ul + num_dl, mu=0.5)
+    g = build_gain_table(params, rng)
+    blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
+    tables = corner_tables(blind, params, make_weights(params.weight_mode, g))
+    return tables.benefit.max(axis=2), tables.solo_contrib_ul, tables.solo_contrib_dl
+
+
+SOLO_INPUTS = [random_solo_inputs, separable_solo_inputs, blind_planner_inputs]
+
+
+class TestRectangleMatchesSquareOracle:
+    """assign_with_solo's I-row rectangle against the padded square it
+    replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("make_inputs", SOLO_INPUTS)
+    @pytest.mark.parametrize("num_ul, num_dl, num_channels", [
+        (40, 80, 96), (3, 5, 6), (5, 3, 5), (0, 3, 3), (0, 3, 5), (3, 0, 3), (4, 6, None)])
+    def test_same_total(self, make_inputs, num_ul, num_dl, num_channels):
+        rng = np.random.default_rng(16)
+        for _ in range(3 if num_ul == 40 else 20):
+            inputs = make_inputs(rng, num_ul, num_dl, num_channels)
+            pairing, total = assign_with_solo(*inputs, num_channels)
+            _, expected = reference_assign_with_solo(*inputs, num_channels)
+            assert total == pytest.approx(expected, rel=1e-12)
+            values, solo_ul, solo_dl = inputs
+            realized = (sum(values[i, j] for i, j in pairing.pairs())
+                        + sum(solo_ul[i] for i, j in enumerate(pairing.partner_of_ul) if j is None)
+                        + sum(solo_dl[j] for j, i in enumerate(pairing.partner_of_dl) if i is None))
+            assert realized == pytest.approx(total, rel=1e-12, abs=1e-12)
+            if num_channels is not None:
+                assert pairing.num_pairs >= num_ul + num_dl - num_channels
+
+    @pytest.mark.parametrize("make_inputs", SOLO_INPUTS)
+    @pytest.mark.parametrize("num_ul, num_dl, num_channels", [
+        (5, 3, 5), (3, 0, 3), (4, 4, 4), (25, 25, 25), (10, 4, 10), (6, 2, 6)])
+    def test_same_pairing_when_every_dl_user_pairs(self, make_inputs, num_ul, num_dl,
+                                                   num_channels):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            inputs = make_inputs(rng, num_ul, num_dl, num_channels)
+            assert (assign_with_solo(*inputs, num_channels)
+                    == reference_assign_with_solo(*inputs, num_channels))
 
 
 class TestBruteForce:

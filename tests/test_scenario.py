@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdsched.model import ScenarioParams
+from fdsched.model import GainTable, ScenarioParams
 from fdsched.scenario import (
     PropagationModel,
     build_gain_table,
@@ -146,3 +146,14 @@ class TestBuildGainTable:
         assert np.array_equal(loaded.g_dl, g.g_dl)
         assert np.array_equal(loaded.g_cross, g.g_cross)
         assert np.array_equal(loaded.positions.ul, g.positions.ul)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
+    @pytest.mark.parametrize("field", ["g_ul", "g_dl", "g_cross"])
+    def test_load_rejects_non_finite_or_non_positive_gain(self, tmp_path, field, bad):
+        g = build_gain_table(make_params(), np.random.default_rng(4))
+        arrays = {name: getattr(g, name).copy() for name in ("g_ul", "g_dl", "g_cross")}
+        arrays[field].flat[1] = bad
+        path = tmp_path / "scenario.json"
+        save_scenario(GainTable(positions=g.positions, **arrays), path)
+        with pytest.raises(ValueError, match=field):
+            load_scenario(path)

@@ -302,6 +302,18 @@ class TestCHun:
         assert out.se_dl.size == 0
         assert out.min_se == out.se_ul[0]
 
+    @pytest.mark.parametrize("strategy", [solve_c_hun, solve_c_nint])
+    @pytest.mark.parametrize("num_channels", [3, 5])
+    def test_no_ul_users_leaves_every_dl_user_solo(self, strategy, num_channels):
+        params = params_with(num_ul=0, num_dl=3, num_channels=num_channels, mu=0.5)
+        g = random_drop(np.random.default_rng(9), params)
+        out = strategy(g, params)
+        assert out.pairing.num_pairs == 0
+        assert out.pairing.partner_of_dl == (None, None, None)
+        assert np.all(out.powers.p_dl == params.p_max_dl_w)
+        assert out.se_ul.size == 0
+        assert np.all(out.se_dl > 0)
+
     @pytest.mark.parametrize("g_dl0, g_x00", [(np.inf, np.inf), (1e-8, np.nan)])
     def test_nan_benefit_rejected(self, g_dl0, g_x00):
         # inf / inf (or a NaN cross gain) makes pair (0, 0)'s DL SE NaN at
