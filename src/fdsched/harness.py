@@ -161,15 +161,17 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
     master = cfg.params.rng_seed
     gains = build_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
     table_hash = _gain_hash(gains)
+    strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
+    strategy_state = strategy_rng.bit_generator.state
     records = []
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
             params = dataclasses.replace(cfg.params, mu=mu, weight_mode=mode)
             for name in cfg.strategies:
-                # Fresh generator per solve: randomized strategies make the
+                # Generator rewound per solve: randomized strategies make the
                 # same draw for every (mu, mode) combination of the drop.
-                outcome = solve(name, gains, params,
-                                drop_rng(master, drop_index, _ROLE_STRATEGY))
+                strategy_rng.bit_generator.state = strategy_state
+                outcome = solve(name, gains, params, strategy_rng)
                 records.append(RunRecord(
                     drop=drop_index,
                     strategy=name,

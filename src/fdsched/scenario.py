@@ -27,7 +27,7 @@ _HEX_NORMALS = np.array([
     [math.cos(math.radians(a)), math.sin(math.radians(a))] for a in (30, 90, 150)
 ])
 
-# Rejection-sampling cap per UE; hitting it signals inconsistent geometry.
+# Consecutive rejections before a UE is given up; signals inconsistent geometry.
 _MAX_PLACEMENT_ATTEMPTS = 10_000
 
 LOS_MODES = ("umi", "los", "nlos")
@@ -101,34 +101,32 @@ def draw_link_states(model: PropagationModel, d_m, rng: np.random.Generator):
     return los, shadow_db
 
 
-def _inside_hexagon(point: np.ndarray, circumradius: float) -> bool:
-    apothem = circumradius * math.sqrt(3) / 2
-    return bool(np.all(np.abs(_HEX_NORMALS @ point) <= apothem))
-
-
 def drop_users(params: ScenarioParams, rng: np.random.Generator) -> DropPositions:
     """Place the BS at the origin and all UEs uniformly over the hexagon.
 
-    Candidates are drawn uniformly from the bounding square and rejected
-    until they fall inside the hexagon of circumradius cell_radius_m and at
-    least min_bs_ue_distance_m away from the BS.  UL users are placed first,
-    then DL users.
+    Candidates from the bounding square are rejected until they fall inside
+    the hexagon of circumradius cell_radius_m, min_bs_ue_distance_m or more
+    from the BS; UL users first.  A batch of one candidate per unplaced UE
+    consumes exactly the draws of the one-at-a-time loop.  ValueError if a
+    UE meets _MAX_PLACEMENT_ATTEMPTS consecutive rejections.
     """
     require_valid(params)
     r = params.cell_radius_m
-    placed = []
-    for _ in range(params.num_ul + params.num_dl):
-        for attempt in range(_MAX_PLACEMENT_ATTEMPTS):
-            candidate = rng.uniform(-r, r, size=2)
-            if (_inside_hexagon(candidate, r)
-                    and np.hypot(*candidate) >= params.min_bs_ue_distance_m):
-                placed.append(candidate)
-                break
-        else:
-            raise ValueError(
-                "could not place a UE inside the cell; check cell_radius_m "
-                "against min_bs_ue_distance_m")
-    pts = np.array(placed).reshape(-1, 2)
+    placed, unplaced, misses = [], params.num_ul + params.num_dl, 0
+    while unplaced:
+        cand = rng.uniform(-r, r, size=(unplaced, 2))
+        # A matvec per candidate rounds bit for bit as `_HEX_NORMALS @ point`.
+        inside = np.abs(_HEX_NORMALS @ cand[:, :, None]).max(axis=(1, 2)) <= r * math.sqrt(3) / 2
+        hits = np.flatnonzero(inside & (np.hypot(*cand.T) >= params.min_bs_ue_distance_m))
+        # Rejections before each hit and after the last; misses carries the run.
+        gaps = np.diff(hits, prepend=-1 - misses, append=unplaced) - 1
+        if gaps.max() >= _MAX_PLACEMENT_ATTEMPTS:
+            raise ValueError("could not place a UE inside the cell; check cell_radius_m "
+                             "against min_bs_ue_distance_m")
+        misses = int(gaps[-1])
+        placed.append(cand[hits])
+        unplaced -= len(hits)
+    pts = np.concatenate(placed)
     return DropPositions(bs=np.zeros(2), ul=pts[:params.num_ul], dl=pts[params.num_ul:])
 
 

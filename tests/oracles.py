@@ -1,8 +1,8 @@
 """Scalar reference implementations that the tests compare the package
 against: per-link SINRs, the corner-point evaluation of one pair, the
 stand-alone evaluation of one user, the per-user outcome evaluation of a
-schedule, a brute-force assignment and the padded-square form of the
-solo-aware assignment.
+schedule, a brute-force assignment, the padded-square form of the
+solo-aware assignment and the one-candidate-at-a-time UE placement.
 
 They are written one user or one permutation at a time, independent of
 the vectorized code they check.
@@ -17,6 +17,7 @@ import numpy as np
 from fdsched.assignment import hungarian_max
 from fdsched.metrics import jain_index
 from fdsched.model import (
+    DropPositions,
     GainTable,
     Pairing,
     PowerAllocation,
@@ -25,6 +26,7 @@ from fdsched.model import (
     WeightVector,
 )
 from fdsched.radio import benefit_value, corner_points
+from fdsched.scenario import _HEX_NORMALS, _MAX_PLACEMENT_ATTEMPTS
 
 _BRUTE_FORCE_MAX_SIZE = 9
 
@@ -179,3 +181,26 @@ def reference_assign_with_solo(values, solo_ul, solo_dl, num_channels=None):
     mapping, total = hungarian_max(square)
     pairs = [(r, c) for r, c in mapping.items() if r < num_ul and c < num_dl]
     return Pairing.from_pairs(pairs, num_ul, num_dl), total
+
+
+def reference_drop_users(params: ScenarioParams, rng) -> DropPositions:
+    """drop_users one candidate at a time: draw a point of the bounding
+    square, keep it if it lies inside the hexagon and at least
+    min_bs_ue_distance_m from the BS, give up on a UE after
+    _MAX_PLACEMENT_ATTEMPTS rejections.  UL users first, then DL users."""
+    r = params.cell_radius_m
+    apothem = r * math.sqrt(3) / 2
+    placed = []
+    for _ in range(params.num_ul + params.num_dl):
+        for _attempt in range(_MAX_PLACEMENT_ATTEMPTS):
+            candidate = rng.uniform(-r, r, size=2)
+            if (np.all(np.abs(_HEX_NORMALS @ candidate) <= apothem)
+                    and np.hypot(*candidate) >= params.min_bs_ue_distance_m):
+                placed.append(candidate)
+                break
+        else:
+            raise ValueError(
+                "could not place a UE inside the cell; check cell_radius_m "
+                "against min_bs_ue_distance_m")
+    pts = np.array(placed).reshape(-1, 2)
+    return DropPositions(bs=np.zeros(2), ul=pts[:params.num_ul], dl=pts[params.num_ul:])

@@ -3,6 +3,7 @@ import pytest
 
 from fdsched.model import GainTable, ScenarioParams
 from fdsched.scenario import (
+    _MAX_PLACEMENT_ATTEMPTS,
     PropagationModel,
     build_gain_table,
     draw_link_states,
@@ -11,6 +12,7 @@ from fdsched.scenario import (
     load_scenario,
     save_scenario,
 )
+from oracles import reference_drop_users
 
 
 def make_params(**kw):
@@ -44,6 +46,86 @@ class TestDropUsers:
         pos = drop_users(params, np.random.default_rng(0))
         radii = np.hypot(pos.ul[:, 0], pos.ul[:, 1])
         assert radii.max() > 100.0 * np.sqrt(3) / 2
+
+    @pytest.mark.parametrize("num_ul,num_dl,min_dist", [
+        (0, 1, 3.0), (1, 0, 3.0), (4, 4, 3.0), (25, 25, 3.0), (40, 80, 3.0),
+        (100, 100, 3.0), (400, 100, 3.0),
+        (25, 25, 86.0),  # 0.86 r, just inside the apothem: about 7% acceptance
+    ])
+    def test_matches_scalar_reference(self, num_ul, num_dl, min_dist):
+        params = make_params(num_ul=num_ul, num_dl=num_dl,
+                             num_channels=max(num_ul, num_dl),
+                             min_bs_ue_distance_m=min_dist)
+        for seed in range(50):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            pos = drop_users(params, rng)
+            ref = reference_drop_users(params, ref_rng)
+            assert np.array_equal(pos.ul, ref.ul) and np.array_equal(pos.dl, ref.dl)
+            assert rng.random() == ref_rng.random()
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: uniform() replays fixed candidate points
+    in order, whatever batch shape it is asked for."""
+
+    def __init__(self, points):
+        self.coords = np.asarray(points, dtype=float).ravel()
+        self.used = 0
+
+    def uniform(self, low, high, size):
+        n = int(np.prod(size))
+        if self.used + n > self.coords.size:
+            raise RuntimeError("script exhausted")
+        out = self.coords[self.used:self.used + n].reshape(size)
+        self.used += n
+        return out
+
+
+def _hits(lo, hi):
+    """Accepted points number lo..hi-1, all distinct (inside the hexagon,
+    past 3 m)."""
+    return [(10.0 + i, 5.0) for i in range(lo, hi)]
+
+
+def _misses(k):
+    """k rejected points: outside the hexagon or too close to the BS."""
+    return [(99.0, 99.0) if i % 2 else (0.5, -0.5) for i in range(k)]
+
+
+_CAP = _MAX_PLACEMENT_ATTEMPTS
+
+
+@pytest.mark.parametrize("place", [drop_users, reference_drop_users],
+                         ids=["batched", "scalar"])
+class TestPlacementCap:
+    @pytest.mark.parametrize("num_ul,num_dl,script", [
+        # the 9,999th miss and the first hit share a batch of two
+        (1, 1, _misses(_CAP - 1) + _hits(0, 1) + _misses(_CAP - 1) + _hits(1, 2)),
+        # one batch of three places every UE after 9,999 carried misses
+        (2, 1, _misses(_CAP - 1) + _hits(0, 3)),
+    ], ids=["two-ues", "batch-of-three"])
+    def test_last_attempt_places_the_ue(self, place, num_ul, num_dl, script):
+        params = make_params(num_ul=num_ul, num_dl=num_dl)
+        rng = _ScriptedRng(script)
+        pos = place(params, rng)
+        ref = reference_drop_users(params, _ScriptedRng(script))
+        assert np.array_equal(pos.ul, ref.ul) and np.array_equal(pos.dl, ref.dl)
+        assert np.array_equal(np.vstack([pos.ul, pos.dl]), _hits(0, num_ul + num_dl))
+        assert rng.used == rng.coords.size
+
+    @pytest.mark.parametrize("num_ul,num_dl,script", [
+        (1, 0, _misses(_CAP)),
+        # the 10,000th miss and two hits share a batch of three
+        (2, 1, _misses(_CAP) + _hits(0, 3)),
+    ], ids=["alone", "batch-of-three"])
+    def test_first_ue_gives_up_after_cap_misses(self, place, num_ul, num_dl, script):
+        with pytest.raises(ValueError, match="could not place a UE inside the cell"):
+            place(make_params(num_ul=num_ul, num_dl=num_dl), _ScriptedRng(script))
+
+    def test_later_ue_gives_up_after_cap_misses(self, place):
+        script = _hits(0, 1) + _misses(_CAP) + _hits(1, 2)
+        with pytest.raises(ValueError, match="could not place a UE inside the cell"):
+            place(make_params(num_ul=1, num_dl=1), _ScriptedRng(script))
 
 
 class TestLinkGain:
