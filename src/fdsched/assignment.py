@@ -35,9 +35,13 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     beats a handful of tiny numpy calls per tree step.  The unreached
     columns are scanned in index order, so ties go to the lowest column,
     and the previous step's slack shift (minv -= delta) is applied inside
-    the next scan.  Every floating-point operation is the one the
-    vectorized numpy form (kept in tests/test_assignment.py as an oracle)
-    performs, in the same order, so both pick the same matching.
+    the next scan.  Ties make most steps zero-slack (delta 0.0): such a
+    step skips the tree update (u += delta, v -= delta) and the next scan
+    skips minv - shift.  Neither changes a value: x - 0.0 == x but -0.0
+    turns +0.0, which no comparison sees, and u and v start at +0.0 and
+    never become -0.0, so a zero leaves them bit for bit.  Every other
+    floating-point operation is the one the vectorized numpy oracle in
+    tests/test_assignment.py performs, in the same order, so both agree.
     """
     n, m = cost.shape
     rows = cost.tolist()
@@ -58,19 +62,31 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
             ui = u[i0]
             delta = math.inf
             j1 = -1
-            for j in free:
-                mj = minv[j] - shift
-                reduced = row[j] - ui - v[j]
-                if reduced < mj:
-                    mj = reduced
-                    way[j] = j0
-                minv[j] = mj
-                if mj < delta:
-                    delta = mj
-                    j1 = j
-            for j in used:
-                u[row_of_col[j]] += delta
-                v[j] -= delta
+            if shift:
+                for j in free:
+                    mj = minv[j] - shift
+                    reduced = row[j] - ui - v[j]
+                    if reduced < mj:
+                        mj = reduced
+                        way[j] = j0
+                    minv[j] = mj
+                    if mj < delta:
+                        delta = mj
+                        j1 = j
+            else:                                # zero shift: minv stands
+                for j in free:
+                    mj = minv[j]
+                    reduced = row[j] - ui - v[j]
+                    if reduced < mj:
+                        minv[j] = mj = reduced
+                        way[j] = j0
+                    if mj < delta:
+                        delta = mj
+                        j1 = j
+            if delta:                            # zero delta: potentials stand
+                for j in used:
+                    u[row_of_col[j]] += delta
+                    v[j] -= delta
             shift = delta
             free.remove(j1)
             j0 = j1

@@ -40,6 +40,7 @@ from .model import (
     db_to_linear,
     dbm_to_watts,
     validate_params,
+    watts_to_dbm,
 )
 from .scenario import build_gain_table, scenario_to_dict
 from .solvers import _P_OPT_MAX_USERS, STRATEGIES, StrategyId, solve
@@ -90,6 +91,11 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
         bad.append("at least one weight mode required")
     if cfg.parallelism < 1:
         bad.append(f"parallelism must be >= 1, got {cfg.parallelism}")
+    sweeps = {"strategies": cfg.strategies, "mu_values": cfg.mu_values,
+              "weight_modes": tuple(m.value for m in cfg.weight_modes)}
+    for key, values in sweeps.items():
+        for dup in dict.fromkeys(x for x in values if values.count(x) > 1):
+            bad.append(f"duplicate entry {dup!r} in {key}")
     return ValidationReport(tuple(bad))
 
 
@@ -440,10 +446,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "num_ul": p.num_ul,
         "num_dl": p.num_dl,
         "num_channels": p.num_channels,
-        "noise_dbm": 10 * np.log10(p.noise_power_w) + 30,
+        "noise_dbm": watts_to_dbm(p.noise_power_w),
         "si_cancellation_db": 10 * np.log10(p.si_cancellation),
-        "p_max_ul_dbm": 10 * np.log10(p.p_max_ul_w) + 30,
-        "p_max_dl_dbm": 10 * np.log10(p.p_max_dl_w) + 30,
+        "p_max_ul_dbm": watts_to_dbm(p.p_max_ul_w),
+        "p_max_dl_dbm": watts_to_dbm(p.p_max_dl_w),
         "min_bs_ue_distance_m": p.min_bs_ue_distance_m,
         "strategies": list(cfg.strategies),
         "mu_values": list(cfg.mu_values),

@@ -256,13 +256,6 @@ class Pairing:
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j in enumerate(self.partner_of_ul) if j is not None]
 
-    def to_matrix(self) -> np.ndarray:
-        """0/1 pairing matrix with row and column sums at most one."""
-        x = np.zeros((len(self.partner_of_ul), len(self.partner_of_dl)))
-        for i, j in self.pairs():
-            x[i, j] = 1.0
-        return x
-
 
 @dataclass(frozen=True)
 class PowerAllocation:

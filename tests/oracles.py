@@ -2,7 +2,8 @@
 against: per-link SINRs, the corner-point evaluation of one pair, the
 stand-alone evaluation of one user, the per-user outcome evaluation of a
 schedule, a brute-force assignment, the padded-square form of the
-solo-aware assignment and the one-candidate-at-a-time UE placement.
+solo-aware assignment, the one-candidate-at-a-time UE placement and the
+0/1 matrix of a pairing.
 
 They are written one user or one permutation at a time, independent of
 the vectorized code they check.
@@ -134,6 +135,14 @@ def reference_outcome_metrics(
         min_se=min_se,
         jain=jain_index(all_se),
     )
+
+
+def pairing_matrix(pairing: Pairing) -> np.ndarray:
+    """0/1 pairing matrix with row and column sums at most one."""
+    x = np.zeros((len(pairing.partner_of_ul), len(pairing.partner_of_dl)))
+    for i, j in pairing.pairs():
+        x[i, j] = 1.0
+    return x
 
 
 def brute_force_assignment(values) -> tuple[dict[int, int], float]:

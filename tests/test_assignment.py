@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from fdsched import assignment
 from fdsched.assignment import _min_cost_assignment, assign_with_solo, hungarian_max
+from fdsched.harness import canned_experiments, config_from_dict, run_experiment
 from fdsched.model import GainTable, ScenarioParams
 from fdsched.radio import corner_tables, make_weights
 from fdsched.scenario import build_gain_table
-from oracles import brute_force_assignment, reference_assign_with_solo
+from oracles import brute_force_assignment, pairing_matrix, reference_assign_with_solo
 
 
 def reference_min_cost_assignment(cost: np.ndarray) -> list[int]:
@@ -203,6 +206,42 @@ class TestMatchesVectorizedReference:
             assert rect.shape == (num_ul, num_dl + num_ul - max(0, num_ul + num_dl - num_channels))
             self.assert_same_decisions(rect.max() - rect)
 
+    @pytest.mark.parametrize("config, solves", [
+        (canned_experiments("fig3", seed=3, iterations=20), 80),
+        (config_from_dict({"num_ul": 40, "num_dl": 80, "num_channels": 96, "seed": 4,
+                           "strategies": ["C-HUN", "C-NINT"], "mu_values": [0.5],
+                           "weight_modes": ["SR", "PL"], "iterations": 3}), 12),
+    ], ids=["fig3", "40+80/96"])
+    def test_scheduler_rectangles(self, monkeypatch, tmp_path, config, solves):
+        # the rectangles C-HUN and C-NINT solve in a run, SR and PL: their
+        # tied benefits make most tree steps zero-slack
+        solved = []
+
+        def recording(values):
+            solved.append(values)
+            return hungarian_max(values)
+
+        monkeypatch.setattr(assignment, "hungarian_max", recording)
+        run_experiment(dataclasses.replace(config, out_dir=str(tmp_path)))
+        assert len(solved) == solves
+        for rect in solved:
+            self.assert_same_decisions(rect.max() - rect)
+
+    def test_signed_zeros(self):
+        # -0.0 - 0.0 stays -0.0, so reduced costs and slacks carry both zeros
+        rng = np.random.default_rng(16)
+        for n, m in ((2, 2), (3, 5), (6, 6), (8, 13), (25, 25), (40, 96)):
+            for levels in ((0.0, -0.0), (0.0, -0.0, 1.0), (-0.0, 1.0, 2.0)):
+                self.assert_same_decisions(rng.choice(levels, size=(n, m)))
+            self.assert_same_decisions(np.full((n, m), -0.0))
+
+    def test_all_equal(self):
+        # a zero cost makes every tree step zero-slack; a nonzero one all
+        # but the first
+        for n, m in ((1, 1), (1, 4), (5, 5), (10, 40), (25, 25), (40, 96)):
+            for level in (0.0, 3.5, -1.25):
+                self.assert_same_decisions(np.full((n, m), level))
+
 
 def random_solo_inputs(rng, num_ul, num_dl, num_channels=None):
     return rng.normal(size=(num_ul, num_dl)), rng.normal(size=num_ul), rng.normal(size=num_dl)
@@ -351,7 +390,7 @@ class TestAssignWithSolo:
             pairing, _ = assign_with_solo(rng.normal(size=(num_ul, num_dl)),
                                           rng.normal(size=num_ul), rng.normal(size=num_dl),
                                           channels)
-            x = pairing.to_matrix()
+            x = pairing_matrix(pairing)
             assert x.sum(axis=0).max(initial=0) <= 1
             assert x.sum(axis=1).max(initial=0) <= 1
             assert pairing.num_pairs >= max(0, num_ul + num_dl - channels)

@@ -70,6 +70,17 @@ class TestValidateConfig:
         cfg = dataclasses.replace(canned_experiments("fig2"), strategies=("BOGUS",))
         assert not validate_config(cfg).ok
 
+    @pytest.mark.parametrize("field, values, message", [
+        ("strategies", ("C-HUN", "P-OPT", "C-HUN"), "duplicate entry 'C-HUN' in strategies"),
+        ("mu_values", (0.5, 0.1, 0.5, 0.5), "duplicate entry 0.5 in mu_values"),
+        ("weight_modes", (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION,
+                          WeightMode.SUM_RATE), "duplicate entry 'SR' in weight_modes"),
+    ], ids=["strategies", "mu_values", "weight_modes"])
+    def test_duplicate_sweep_entry_flagged(self, field, values, message):
+        # a repeated entry would write every record of its combination twice
+        cfg = dataclasses.replace(canned_experiments("fig2"), **{field: values})
+        assert validate_config(cfg).violations == (message,)
+
 
 class TestCannedExperiments:
     def test_fig2_shape(self):
@@ -392,3 +403,14 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"mu_values": [1.7], "iterations": 1}))
         assert main(["run", "--config", str(bad)]) == 1
+
+    def test_exit_code_for_duplicate_sweep_entries(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"strategies": ["C-HUN", "C-HUN"], "mu_values": [0.5, 0.5],
+                                    "iterations": 1, "out_dir": str(tmp_path / "out")}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "duplicate entry 'C-HUN' in strategies" in err
+        assert "duplicate entry 0.5 in mu_values" in err
+        assert not (tmp_path / "out").exists()

@@ -11,6 +11,7 @@ from fdsched.model import (
     validate_params,
     watts_to_dbm,
 )
+from oracles import pairing_matrix
 
 
 class TestUnitConversions:
@@ -76,7 +77,7 @@ class TestPairing:
             partners = []
             for _ in range(num_ul):
                 partners.append(int(dl_pool.pop()) if dl_pool and rng.random() < 0.7 else None)
-            x = Pairing.from_ul_partners(partners, num_dl).to_matrix()
+            x = pairing_matrix(Pairing.from_ul_partners(partners, num_dl))
             assert set(np.unique(x)) <= {0.0, 1.0}
             assert x.sum(axis=0).max(initial=0) <= 1
             assert x.sum(axis=1).max(initial=0) <= 1
