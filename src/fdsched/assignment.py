@@ -31,15 +31,14 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     smallest reduced slack (minv) and its tree attachment point (way).
     Column m is a virtual root holding the row currently being inserted.
 
-    Scalar Python over the matrix rows: at these sizes a per-element loop
-    beats a handful of tiny numpy calls per tree step.  The unreached
-    columns are scanned in index order, so ties go to the lowest column,
-    and the previous step's slack shift (minv -= delta) is applied inside
-    the next scan.  Ties make most steps zero-slack (delta 0.0): such a
-    step skips the tree update (u += delta, v -= delta) and the next scan
-    skips minv - shift.  Neither changes a value: x - 0.0 == x but -0.0
-    turns +0.0, which no comparison sees, and u and v start at +0.0 and
-    never become -0.0, so a zero leaves them bit for bit.  Every other
+    Scalar Python over the matrix rows: at these sizes a per-element loop beats
+    a handful of tiny numpy calls per tree step.  The unreached columns are
+    scanned in index order, so ties go to the lowest column, and the previous
+    step's slack shift (minv -= delta) is applied inside the next scan.  Ties
+    make most steps zero-slack (delta 0.0): such a step skips the tree update
+    (u += delta, v -= delta) and the next scan skips minv - shift.  Neither
+    changes a value: x - 0.0 == x but -0.0 turns +0.0, which no comparison
+    sees, and u and v start at +0.0 and never become -0.0.  Every other
     floating-point operation is the one the vectorized numpy oracle in
     tests/test_assignment.py performs, in the same order, so both agree.
     """

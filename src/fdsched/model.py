@@ -25,8 +25,9 @@ def dbm_to_watts(x_dbm: float) -> float:
 
 
 def watts_to_dbm(p_w: float) -> float:
-    """Convert a power in watts to dBm. Requires p_w > 0."""
-    return 10.0 * math.log10(p_w) + 30.0
+    """Convert a power in watts to dBm. Requires p_w > 0. np.log10, as
+    math.log10 breaks the config.json round trip at 21.8 dBm."""
+    return float(10.0 * np.log10(p_w) + 30.0)
 
 
 def db_to_linear(x_db: float) -> float:

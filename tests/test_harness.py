@@ -326,6 +326,14 @@ class TestJsonConfig:
         assert again.strategies == cfg.strategies
         assert again.mu_values == cfg.mu_values
 
+    def test_round_trip_is_exact_on_a_dbm_grid(self):
+        # config.json must load back to the same powers, or a rerun from it
+        # could differ in the last bit
+        for k in range(1701):
+            dbm = round(-130.0 + 0.1 * k, 1)
+            cfg = config_from_dict({"noise_dbm": dbm, "p_max_ul_dbm": dbm, "iterations": 1})
+            assert config_from_dict(config_to_dict(cfg)).params == cfg.params, dbm
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"iterations": 1, "bogus_knob": 3})

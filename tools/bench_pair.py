@@ -59,8 +59,8 @@ def parse_run(stdout: str) -> dict:
     return {"report": report, "result": json.loads(lines[-1])}
 
 
-def run_bench(tree: Path, args: list[str]) -> dict:
-    done = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=tree,
+def run_bench(tree: Path, run_args: list[str]) -> dict:
+    done = subprocess.run([sys.executable, "perfbench/run.py", *run_args], cwd=tree,
                           capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
         raise RuntimeError(f"benchmark in {tree} exited with {done.returncode}:\n"
@@ -108,7 +108,8 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
                  "gain_met": (won >= 0.9 * len(pairs)
                               and sign * (change_med - base_med) > base_q[2] - base_q[0])}
         if "bound" in spec:
-            entry["worse_beyond_bound"] = -sign * (change_med - base_med) > spec["bound"] * abs(base_med)
+            entry["worse_beyond_bound"] = (-sign * (change_med - base_med)
+                                           > spec["bound"] * abs(base_med))
         out["metrics"][name] = entry
     return out
 
@@ -130,8 +131,11 @@ def main(argv=None) -> int:
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     spec = json.loads((root / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
-    command = (f"python3 perfbench/run.py --workload {args.workload} --seed {{seed}} "
-               f"--seconds {args.seconds:g} --trace {args.trace}")
+
+    def command(seed) -> list[str]:
+        return ["python3", "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
+                "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)]
+
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -140,16 +144,15 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             seed = args.first_seed + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0],
-                    "command": command.format(seed=seed)}
+            pair = {"seed": seed, "first": order[0], "command": " ".join(command(seed))}
             for side in order:
                 print(f"pair {k + 1}/{args.pairs}, seed {seed}: {side}", file=sys.stderr)
-                pair[side] = run_bench(trees[side], pair["command"].split()[2:])
+                pair[side] = run_bench(trees[side], command(seed)[2:])
             pairs.append(pair)
 
     record = {
         "workload": args.workload,
-        "command": command,
+        "command": " ".join(command("{seed}")),
         "note": "each pair: the last two stdout lines of the benchmark at the parent "
                 "revision and with the change, both run from trees exported with git "
                 "archive (so git_revision is null), the first side alternating",
