@@ -236,8 +236,8 @@ class TestMatchesVectorizedReference:
             self.assert_same_decisions(np.full((n, m), -0.0))
 
     def test_all_equal(self):
-        # a zero cost makes every tree step zero-slack; a nonzero one all
-        # but the first
+        # a zero cost makes every tree step zero-slack; a nonzero one every
+        # step but the first of each row
         for n, m in ((1, 1), (1, 4), (5, 5), (10, 40), (25, 25), (40, 96)):
             for level in (0.0, 3.5, -1.25):
                 self.assert_same_decisions(np.full((n, m), level))
