@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -86,8 +88,19 @@ class TestSummarize:
         assert metrics["drops_per_s"]["worse_beyond_bound"]
         assert metrics["cpu_ms_per_drop"]["worse_beyond_bound"]
         within = bench_pair.summarize(make_pairs(parent, [(76.0, 9.9)] * 3), METRICS)["metrics"]
-        assert not within["drops_per_s"]["worse_beyond_bound"]
-        assert not within["cpu_ms_per_drop"]["worse_beyond_bound"]
+        assert within["drops_per_s"]["worse_beyond_bound"] is False
+        assert within["cpu_ms_per_drop"]["worse_beyond_bound"] is False
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        # parent IQR 50 > 0.25 * median 100: the medians alone cannot tell
+        parent = [(50.0, 8.0), (100.0, 8.0), (150.0, 8.0)]
+        overlapping = bench_pair.summarize(make_pairs(parent, [(60.0, 8.0), (100.0, 8.0),
+                                                               (140.0, 8.0)]), METRICS)["metrics"]
+        assert overlapping["drops_per_s"]["worse_beyond_bound"] == "unresolved"
+        assert overlapping["cpu_ms_per_drop"]["worse_beyond_bound"] is False
+        # every change run beats every parent run: resolved despite the spread
+        above = bench_pair.summarize(make_pairs(parent, [(151.0, 8.0)] * 3), METRICS)["metrics"]
+        assert above["drops_per_s"]["worse_beyond_bound"] is False
 
     def test_digest_mismatch_and_failures_counted(self):
         pairs = make_pairs([(100.0, 8.0)] * 2, [(101.0, 8.0)] * 2, change_digests=["d0", "d1"])
@@ -96,3 +109,45 @@ class TestSummarize:
         assert summary["digests_equal"] == 1
         assert not summary["all_correct"]
         assert summary["failed"] == {"parent": 0, "change": 2}
+
+
+@pytest.mark.skipif(shutil.which("git") is None or shutil.which("tar") is None,
+                    reason="needs git and tar")
+def test_export_tree_writes_the_committed_files(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "a.txt").write_text("committed\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one file")
+    (repo / "a.txt").write_text("uncommitted\n")
+    sha = bench_pair.export_tree(repo, "HEAD", tmp_path / "out")
+    assert len(sha) == 40
+    assert (tmp_path / "out" / "a.txt").read_text() == "committed\n"
+
+
+def test_main_runs_the_benchmark_command_alternating_sides(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: str(root).encode())
+    monkeypatch.setattr(bench_pair, "export_tree",
+                        lambda _root, rev, dest: f"sha-{rev}")
+    calls = []
+
+    def fake_run(tree, command):
+        calls.append((tree.name, command))
+        return bench_pair.parse_run(run_lines(100.0, 8.0))
+
+    monkeypatch.setattr(bench_pair, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pair.main(["--base", "v0", "--workload", "fig3-p1", "--first-seed", "7",
+                            "--pairs", "2", "--out", str(out)]) == 0
+    assert [side for side, _ in calls] == ["parent", "change", "change", "parent"]
+    assert calls[0][1] == ["python3", "perfbench/run.py", "--workload", "fig3-p1", "--seed", "7"]
+    record = json.loads(out.read_text())
+    assert record["parent_revision"] == "sha-v0" and record["change_revision"] == "sha-HEAD"
+    assert [p["seed"] for p in record["pairs"]] == [7, 8]

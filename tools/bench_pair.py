@@ -1,34 +1,37 @@
-"""Benchmark a change against a base revision and write the BENCH record.
+"""Benchmark the checked-out commit against a base revision and write the BENCH record.
 
-    python3 tools/bench_pair.py --base <rev> [--change HEAD] --workload fig3-p1 \
-        --first-seed 811 --pairs 10 [--seconds 20] [--trace 0] --out BENCH_8.json
+    python3 tools/bench_pair.py --base <rev> --workload fig3-p1 \
+        --first-seed 811 --pairs 10 --out BENCH_8.json
 
-Run from anywhere inside the repository.  Both revisions are exported with
-``git archive`` into a temporary directory, so uncommitted edits take no
-part and neither tree's ``.bench_out`` lands in the checkout.  For each of
-the seeds first-seed .. first-seed + pairs - 1, the unchanged
-``perfbench/run.py`` of each tree runs once with that seed; the side that
-runs first alternates from pair to pair.
+Run from anywhere inside the repository.  ``HEAD`` and the base revision
+are exported with ``git archive`` into a temporary directory, so
+uncommitted edits take no part and neither tree's ``.bench_out`` lands in
+the checkout.  For each of the seeds first-seed .. first-seed + pairs - 1,
+each tree runs the benchmark command of ``BENCHMARK.json`` once with only
+``--workload`` and ``--seed``, so the run length and tracing are the
+benchmark's own defaults on both sides; the side that runs first
+alternates from pair to pair.
 
 The output holds every pair in the layout of one BENCH_<n>.json pair (the
 last two stdout lines of each run, as ``report`` and ``result``) and, per
 metric, each side's median and quartiles over the pairs, how many pairs
 the change won (ties count for neither), and whether the claim rule is
 met: at least nine tenths of the pairs won and a median gap wider than the
-base's interquartile range.  For end-to-end metrics it also says whether
-the change's median is worse than the base's by more than the bound in
-``BENCHMARK.json``.
+base's interquartile range.  For end-to-end metrics ``worse_beyond_bound``
+says whether the change's median is worse than the base's by more than the
+bound in ``BENCHMARK.json``; it is ``"unresolved"`` when the base's
+interquartile range is wider than that bound and some change run does not
+beat every base run, since such a spread cannot tell a regression from
+noise.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -45,8 +48,7 @@ def export_tree(root: Path, rev: str, dest: Path) -> str:
     """Write revision ``rev`` of the repository into ``dest``; return its hash."""
     sha = _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
     dest.mkdir(parents=True)
-    with tarfile.open(fileobj=io.BytesIO(_git(root, "archive", "--format=tar", sha))) as tar:
-        tar.extractall(dest, filter="data")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=_git(root, "archive", sha), check=True)
     return sha
 
 
@@ -59,9 +61,9 @@ def parse_run(stdout: str) -> dict:
     return {"report": report, "result": json.loads(lines[-1])}
 
 
-def run_bench(tree: Path, run_args: list[str]) -> dict:
-    done = subprocess.run([sys.executable, "perfbench/run.py", *run_args], cwd=tree,
-                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+def run_bench(tree: Path, command: list[str]) -> dict:
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
         raise RuntimeError(f"benchmark in {tree} exited with {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
@@ -108,8 +110,13 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
                  "gain_met": (won >= 0.9 * len(pairs)
                               and sign * (change_med - base_med) > base_q[2] - base_q[0])}
         if "bound" in spec:
-            entry["worse_beyond_bound"] = (-sign * (change_med - base_med)
-                                           > spec["bound"] * abs(base_med))
+            allowed = spec["bound"] * abs(base_med)
+            beats_all = (min(sign * c for c in values["change"])
+                         > max(sign * b for b in values["parent"]))
+            if base_q[2] - base_q[0] > allowed and not beats_all:
+                entry["worse_beyond_bound"] = "unresolved"
+            else:
+                entry["worse_beyond_bound"] = -sign * (change_med - base_med) > allowed
         out["metrics"][name] = entry
     return out
 
@@ -117,12 +124,9 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
-    parser.add_argument("--change", default="HEAD", help="revision with the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -133,21 +137,20 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
     def command(seed) -> list[str]:
-        return ["python3", "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
-                "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)]
+        return [*spec["command"], "--workload", args.workload, "--seed", str(seed)]
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         revs = {side: export_tree(root, rev, trees[side])
-                for side, rev in (("parent", args.base), ("change", args.change))}
+                for side, rev in (("parent", args.base), ("change", "HEAD"))}
         for k in range(args.pairs):
             seed = args.first_seed + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0], "command": " ".join(command(seed))}
             for side in order:
                 print(f"pair {k + 1}/{args.pairs}, seed {seed}: {side}", file=sys.stderr)
-                pair[side] = run_bench(trees[side], command(seed)[2:])
+                pair[side] = run_bench(trees[side], command(seed))
             pairs.append(pair)
 
     record = {
