@@ -4,7 +4,10 @@ One experiment sweeps (strategy, mu, weight mode) combinations over N
 independent network drops.  Every combination of one drop sees the same
 GainTable, so cross-strategy comparisons are paired.  Substream seeds are
 derived from the master seed and the drop index by a counter-based split,
-which makes results independent of scheduling order and parallelism.
+which makes results independent of scheduling order and parallelism.  A
+strategy whose schedule reads neither mu nor the weights
+(solvers.OBJECTIVE_FREE_STRATEGIES: R-EPA) is solved once per drop; its
+other combinations copy that outcome and recompute only the objective.
 
 Outputs per run directory:
   config.json    resolved configuration (deterministic)
@@ -42,8 +45,10 @@ from .model import (
     validate_params,
     watts_to_dbm,
 )
+from .radio import make_weights, objective_value
 from .scenario import build_gain_table, scenario_to_dict
-from .solvers import _P_OPT_MAX_USERS, STRATEGIES, StrategyId, solve
+from .solvers import (_P_OPT_MAX_USERS, OBJECTIVE_FREE_STRATEGIES, STRATEGIES,
+                      StrategyId, solve)
 
 _ROLE_SCENARIO = 0
 _ROLE_STRATEGY = 1
@@ -144,22 +149,6 @@ class RunRecord:
     seed: str
     gain_hash: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "drop": self.drop,
-            "strategy": self.strategy,
-            "mu": self.mu,
-            "weight_mode": self.weight_mode,
-            "objective": self.objective,
-            "sum_se": self.sum_se,
-            "min_se": self.min_se,
-            "jain": self.jain,
-            "se_ul": list(self.se_ul),
-            "se_dl": list(self.se_dl),
-            "seed": self.seed,
-            "gain_hash": self.gain_hash,
-        }
-
 
 def _run_drop(cfg: ExperimentConfig, drop_index: int):
     """Worker: evaluate all requested combinations on one drop."""
@@ -170,10 +159,21 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
     strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
     strategy_state = strategy_rng.bit_generator.state
     records = []
+    weights = {mode: make_weights(mode, gains) for mode in cfg.weight_modes}
+    solved = {}   # objective-free strategy -> (outcome, record) of its one solve
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
             params = dataclasses.replace(cfg.params, mu=mu, weight_mode=mode)
             for name in cfg.strategies:
+                if name in solved:
+                    # Same pairing, powers and SEs as the first solve; only
+                    # the objective depends on mu and the weights.
+                    outcome, record = solved[name]
+                    records.append(dataclasses.replace(
+                        record, mu=mu, weight_mode=mode.value,
+                        objective=objective_value(outcome.se_ul, outcome.se_dl,
+                                                  outcome.min_se, weights[mode], mu)))
+                    continue
                 # Generator rewound per solve: randomized strategies make the
                 # same draw for every (mu, mode) combination of the drop.
                 strategy_rng.bit_generator.state = strategy_state
@@ -192,6 +192,8 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
                     seed=f"{master}:{drop_index}",
                     gain_hash=table_hash,
                 ))
+                if name in OBJECTIVE_FREE_STRATEGIES:
+                    solved[name] = outcome, records[-1]
     elapsed = time.perf_counter() - started
     scenario_doc = scenario_to_dict(gains) if cfg.dump_scenarios else None
     return records, scenario_doc, elapsed
@@ -234,6 +236,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     require_valid_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in (out / "FAILED", *out.glob("cdf_*.csv")):
+        stale.unlink(missing_ok=True)   # left by an earlier run into out_dir
     (out / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=1,
                                                 sort_keys=True) + "\n")
 
@@ -258,8 +262,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                         raise error[0] from _WorkerTraceback(error[1])
                     block_lines.append(f"drops {lo}-{hi - 1}: pid {pid}, {elapsed:.4f} s")
             timings.extend(block_lines)
-    except ConfigError:
-        raise
     except Exception as exc:
         _flush_records(out, records)
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
@@ -288,7 +290,7 @@ def _merge_drop(out: Path, k: int, result, records: list[RunRecord],
 
 
 def _flush_records(out: Path, records: list[RunRecord]) -> None:
-    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in records]
+    lines = [json.dumps(vars(r), sort_keys=True) for r in records]
     (out / "records.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -386,6 +388,17 @@ _CONFIG_KEYS = {
 }
 
 
+def _typed(key: str, value, kind):
+    """value as kind (int, float, bool or list).  An integer is a valid
+    float; any other mismatch, bools included, is an error rather than
+    something for int(), float() or bool() to coerce."""
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
+                          f"got {value!r}")
+    return float(value) if kind is float else value
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from a JSON document in reporting units.
 
@@ -395,29 +408,34 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+
+    def value(key, default, kind):
+        return _typed(key, doc.get(key, default), kind)
+
     try:
         params = ScenarioParams(
-            num_ul=int(doc.get("num_ul", 4)),
-            num_dl=int(doc.get("num_dl", 4)),
-            num_channels=int(doc.get("num_channels", 4)),
-            cell_radius_m=float(doc.get("cell_radius_m", 100.0)),
-            noise_power_w=dbm_to_watts(float(doc.get("noise_dbm", -116.4))),
-            si_cancellation=db_to_linear(float(doc.get("si_cancellation_db", -100.0))),
-            p_max_ul_w=dbm_to_watts(float(doc.get("p_max_ul_dbm", 24.0))),
-            p_max_dl_w=dbm_to_watts(float(doc.get("p_max_dl_dbm", 24.0))),
-            min_bs_ue_distance_m=float(doc.get("min_bs_ue_distance_m", 3.0)),
-            rng_seed=int(doc.get("seed", 0)),
+            num_ul=value("num_ul", 4, int),
+            num_dl=value("num_dl", 4, int),
+            num_channels=value("num_channels", 4, int),
+            cell_radius_m=value("cell_radius_m", 100.0, float),
+            noise_power_w=dbm_to_watts(value("noise_dbm", -116.4, float)),
+            si_cancellation=db_to_linear(value("si_cancellation_db", -100.0, float)),
+            p_max_ul_w=dbm_to_watts(value("p_max_ul_dbm", 24.0, float)),
+            p_max_dl_w=dbm_to_watts(value("p_max_dl_dbm", 24.0, float)),
+            min_bs_ue_distance_m=value("min_bs_ue_distance_m", 3.0, float),
+            rng_seed=value("seed", 0, int),
         )
-        modes = tuple(WeightMode.from_key(k) for k in doc.get("weight_modes", ["SR"]))
+        modes = tuple(WeightMode.from_key(k) for k in value("weight_modes", ["SR"], list))
         cfg = ExperimentConfig(
             params=params,
-            strategies=tuple(doc.get("strategies", [StrategyId.C_HUN.value])),
-            mu_values=tuple(float(m) for m in doc.get("mu_values", [0.5])),
+            strategies=tuple(value("strategies", [StrategyId.C_HUN.value], list)),
+            mu_values=tuple(_typed("mu_values", m, float)
+                            for m in value("mu_values", [0.5], list)),
             weight_modes=modes,
-            iterations=int(doc.get("iterations", 1)),
+            iterations=value("iterations", 1, int),
             out_dir=str(doc.get("out_dir", "results/experiment")),
-            parallelism=int(doc.get("parallelism", 1)),
-            dump_scenarios=bool(doc.get("dump_scenarios", False)),
+            parallelism=value("parallelism", 1, int),
+            dump_scenarios=value("dump_scenarios", False, bool),
             name=str(doc.get("name", "experiment")),
         )
     except (TypeError, ValueError) as exc:

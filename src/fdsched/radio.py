@@ -128,6 +128,13 @@ def corner_tables(gains: GainTable, params: ScenarioParams,
 # Outcome assembly
 # ---------------------------------------------------------------------------
 
+def objective_value(se_ul, se_dl, min_se: float, weights: WeightVector,
+                    mu: float) -> float:
+    """The scalarized objective (1-mu)(alpha . SE) + mu min_se of realized SEs."""
+    weighted = float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl)
+    return (1.0 - mu) * weighted + mu * min_se
+
+
 def outcome_metrics(
     pairing: Pairing,
     powers: PowerAllocation,
@@ -162,15 +169,13 @@ def outcome_metrics(
     se_dl = np.array([math.log2(1.0 + s) for s in sinr_dl])
 
     all_se = np.concatenate([se_ul, se_dl])
-    weighted = float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl)
     min_se = float(all_se.min())
-    objective = (1.0 - params.mu) * weighted + params.mu * min_se
     return ScheduleOutcome(
         pairing=pairing,
         powers=powers,
         se_ul=se_ul,
         se_dl=se_dl,
-        objective=objective,
+        objective=objective_value(se_ul, se_dl, min_se, weights, params.mu),
         sum_se=float(all_se.sum()),
         min_se=min_se,
         jain=jain_index(all_se),

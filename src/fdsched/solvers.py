@@ -48,6 +48,10 @@ class StrategyId(enum.Enum):
     R_EPA = "R-EPA"
 
 
+# Strategies whose pairing and powers read neither mu nor the weights.
+OBJECTIVE_FREE_STRATEGIES = frozenset({StrategyId.R_EPA.value})
+
+
 # ---------------------------------------------------------------------------
 # Hungarian pipeline (shared by C-HUN and C-NINT)
 # ---------------------------------------------------------------------------

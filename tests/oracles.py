@@ -2,13 +2,15 @@
 against: per-link SINRs, the corner-point evaluation of one pair, the
 stand-alone evaluation of one user, the per-user outcome evaluation of a
 schedule, a brute-force assignment, the padded-square form of the
-solo-aware assignment, the one-candidate-at-a-time UE placement and the
-0/1 matrix of a pairing.
+solo-aware assignment, the one-candidate-at-a-time UE placement, the
+0/1 matrix of a pairing and the per-combination drop loop that solves
+every strategy once for each (mu, weight mode).
 
 They are written one user or one permutation at a time, independent of
 the vectorized code they check.
 """
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fdsched.assignment import hungarian_max
+from fdsched.harness import _ROLE_SCENARIO, _ROLE_STRATEGY, RunRecord, _gain_hash, drop_rng
 from fdsched.metrics import jain_index
 from fdsched.model import (
     DropPositions,
@@ -27,7 +30,8 @@ from fdsched.model import (
     WeightVector,
 )
 from fdsched.radio import benefit_value, corner_points
-from fdsched.scenario import _HEX_NORMALS, _MAX_PLACEMENT_ATTEMPTS
+from fdsched.scenario import _HEX_NORMALS, _MAX_PLACEMENT_ATTEMPTS, build_gain_table
+from fdsched.solvers import solve
 
 _BRUTE_FORCE_MAX_SIZE = 9
 
@@ -213,3 +217,34 @@ def reference_drop_users(params: ScenarioParams, rng) -> DropPositions:
                 "against min_bs_ue_distance_m")
     pts = np.array(placed).reshape(-1, 2)
     return DropPositions(bs=np.zeros(2), ul=pts[:params.num_ul], dl=pts[params.num_ul:])
+
+
+def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
+    """harness._run_drop's records with every strategy solved afresh for
+    every (mu, weight mode), its generator rewound before each solve."""
+    master = cfg.params.rng_seed
+    gains = build_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
+    strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
+    strategy_state = strategy_rng.bit_generator.state
+    records = []
+    for mode in cfg.weight_modes:
+        for mu in cfg.mu_values:
+            params = dataclasses.replace(cfg.params, mu=mu, weight_mode=mode)
+            for name in cfg.strategies:
+                strategy_rng.bit_generator.state = strategy_state
+                outcome = solve(name, gains, params, strategy_rng)
+                records.append(RunRecord(
+                    drop=drop_index,
+                    strategy=name,
+                    mu=mu,
+                    weight_mode=mode.value,
+                    objective=outcome.objective,
+                    sum_se=outcome.sum_se,
+                    min_se=outcome.min_se,
+                    jain=outcome.jain,
+                    se_ul=tuple(outcome.se_ul.tolist()),
+                    se_dl=tuple(outcome.se_dl.tolist()),
+                    seed=f"{master}:{drop_index}",
+                    gain_hash=_gain_hash(gains),
+                ))
+    return records

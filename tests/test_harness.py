@@ -1,13 +1,17 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from oracles import reference_drop_records
 
 from fdsched.cli import main
 from fdsched.harness import (
     ConfigError,
     ExperimentConfig,
+    _run_drop,
     canned_experiments,
     config_from_dict,
     config_to_dict,
@@ -240,6 +244,48 @@ class TestRunExperiment:
         assert drops == [k for k in range(3) for _ in range(per_drop)]
 
 
+    def test_rerun_clears_a_stale_failure_marker_and_cdfs(self, tmp_path, monkeypatch):
+        from fdsched import solvers
+
+        def explode(gains, params, rng=None):
+            raise RuntimeError("boom")
+
+        out = tmp_path / "rerun"
+        run_experiment(tiny_config(out))                    # mu 0.1 and 0.9
+        monkeypatch.setitem(solvers.STRATEGIES, "EXPLODE", explode)
+        with pytest.raises(RuntimeError):
+            run_experiment(dataclasses.replace(tiny_config(out), strategies=("EXPLODE",)))
+        (out / "notes.txt").write_text("kept")
+        (out / "old").mkdir()
+        (out / "old" / "cdf_kept.csv").write_text("kept")
+        result = run_experiment(dataclasses.replace(tiny_config(out), mu_values=(0.1,)))
+        assert not (out / "FAILED").exists()
+        assert sorted(p.name for p in out.glob("cdf_*.csv")) == sorted(result["cdf_files"])
+        assert all("_mu0.1_" in name for name in result["cdf_files"])
+        assert (out / "notes.txt").read_text() == "kept"
+        assert (out / "old" / "cdf_kept.csv").read_text() == "kept"
+
+
+class TestObjectiveFreeRescoring:
+    """R-EPA is solved once per drop and rescored for each (mu, mode); the
+    records must equal those of a fresh solve per combination."""
+
+    @pytest.mark.parametrize("num_ul, num_dl, num_channels",
+                             [(4, 4, 4), (25, 25, 25), (3, 5, 6)])
+    @pytest.mark.parametrize("strategies", [("R-EPA", "C-HUN"), ("C-HUN", "R-EPA")])
+    def test_records_equal_the_per_combination_loop(self, tmp_path, num_ul, num_dl,
+                                                    num_channels, strategies):
+        cfg = dataclasses.replace(
+            tiny_config(tmp_path, num_ul=num_ul, num_dl=num_dl, num_channels=num_channels),
+            strategies=strategies, mu_values=(0.1, 0.5, 0.9),
+            weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
+        for k in range(3):
+            got = _run_drop(cfg, k)[0]
+            want = reference_drop_records(cfg, k)
+            assert [vars(r) for r in got] == [vars(r) for r in want]
+        assert len({r.objective for r in got if r.strategy == "R-EPA"}) == 6
+
+
 class TestPoolBlocks:
     """Parallel runs hand out contiguous blocks of drops (4 per worker)."""
 
@@ -342,6 +388,36 @@ class TestJsonConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"num_ul": 9, "num_dl": 2, "num_channels": 2})
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_ul", 4.7), ("iterations", 2.9), ("seed", 1.5), ("num_channels", 4.0),
+        ("parallelism", True), ("seed", "3"),
+        ("p_max_ul_dbm", True), ("noise_dbm", "-116.4"),
+        ("dump_scenarios", "false"), ("dump_scenarios", 0),
+        ("strategies", "C-HUN"), ("mu_values", 0.5), ("weight_modes", "SR"),
+        ("mu_values", [0.5, True]), ("mu_values", ["0.5"]),
+    ])
+    def test_values_are_not_coerced(self, key, value):
+        with pytest.raises(ConfigError, match=repr(key)):
+            config_from_dict({"iterations": 1, key: value})
+
+    def test_integers_are_valid_floats(self):
+        cfg = config_from_dict({"iterations": 1, "cell_radius_m": 100, "p_max_ul_dbm": 24,
+                                "mu_values": [0, 1]})
+        default = config_from_dict({"iterations": 1, "mu_values": [0.0, 1.0]})
+        assert cfg.params == default.params
+        assert cfg.mu_values == (0.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3"])
+    def test_canned_configs_round_trip_through_json(self, name):
+        cfg = canned_experiments(name, seed=5)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_readme_config_round_trips(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Configuration file", 1)[1].split("```json\n", 1)[1]
+        cfg = config_from_dict(json.loads(block.split("```", 1)[0]))
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -411,6 +487,15 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"mu_values": [1.7], "iterations": 1}))
         assert main(["run", "--config", str(bad)]) == 1
+
+    def test_exit_code_for_a_coerced_value(self, tmp_path, capsys):
+        path = tmp_path / "float_users.json"
+        path.write_text(json.dumps({"num_ul": 4.7, "iterations": 1,
+                                    "out_dir": str(tmp_path / "out")}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path)]) == 1
+        assert "'num_ul' must be of type int, got 4.7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_exit_code_for_duplicate_sweep_entries(self, tmp_path, capsys):
         path = tmp_path / "dup.json"

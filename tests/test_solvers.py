@@ -12,6 +12,7 @@ from fdsched.model import GainTable, Pairing, PowerAllocation, ScenarioParams, W
 from fdsched.radio import corner_tables, make_weights, outcome_metrics
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
+    OBJECTIVE_FREE_STRATEGIES,
     STRATEGIES,
     StrategyId,
     _power_candidates,
@@ -400,6 +401,35 @@ class TestREpa:
             chun.append(solve_c_hun(g, params).sum_se)
             repa.append(solve_r_epa(g, params, np.random.default_rng(0)).sum_se)
         assert np.mean(repa) < np.mean(chun)
+
+
+class TestObjectiveFree:
+    """A strategy in OBJECTIVE_FREE_STRATEGIES is solved once per drop and
+    rescored, so its decision must not move with mu or the weights."""
+
+    def test_r_epa_is_objective_free(self):
+        assert StrategyId.R_EPA.value in OBJECTIVE_FREE_STRATEGIES
+        assert OBJECTIVE_FREE_STRATEGIES <= set(STRATEGIES)
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVE_FREE_STRATEGIES))
+    @pytest.mark.parametrize("num_ul, num_dl, num_channels", [(4, 4, 4), (3, 5, 6), (5, 2, 7)])
+    def test_decision_ignores_mu_and_weights(self, name, num_ul, num_dl, num_channels):
+        base = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
+        for seed in range(5):
+            g = random_drop(np.random.default_rng(seed), base)
+            outcomes = []
+            for mode in WeightMode:
+                for mu in (0.0, 0.1, 0.5, 0.9, 1.0):
+                    params = params_with(num_ul=num_ul, num_dl=num_dl,
+                                         num_channels=num_channels, mu=mu, weight_mode=mode)
+                    outcomes.append(solve(name, g, params, np.random.default_rng(100 + seed)))
+            first = outcomes[0]
+            for out in outcomes[1:]:
+                assert out.pairing == first.pairing
+                assert np.array_equal(out.powers.p_ul, first.powers.p_ul)
+                assert np.array_equal(out.powers.p_dl, first.powers.p_dl)
+                assert np.array_equal(out.se_ul, first.se_ul)
+                assert np.array_equal(out.se_dl, first.se_dl)
 
 
 class TestOptimalitySandwich:
