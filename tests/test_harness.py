@@ -5,8 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import reference_drop_records
-
 from fdsched.cli import main
 from fdsched.harness import (
     ConfigError,
@@ -22,6 +20,7 @@ from fdsched.harness import (
 )
 from fdsched.model import ScenarioParams, WeightMode
 from fdsched.scenario import load_scenario
+from oracles import reference_drop_records
 
 
 def tiny_config(out_dir, iterations=4, parallelism=1, **params_kw):
@@ -242,7 +241,6 @@ class TestRunExperiment:
                  for line in (out / "records.jsonl").read_text().splitlines()]
         per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
         assert drops == [k for k in range(3) for _ in range(per_drop)]
-
 
     def test_rerun_clears_a_stale_failure_marker_and_cdfs(self, tmp_path, monkeypatch):
         from fdsched import solvers
