@@ -163,7 +163,6 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
     solved = {}   # objective-free strategy -> (outcome, record) of its one solve
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
-            params = dataclasses.replace(cfg.params, mu=mu, weight_mode=mode)
             for name in cfg.strategies:
                 if name in solved:
                     # Same pairing, powers and SEs as the first solve; only
@@ -177,7 +176,7 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
                 # Generator rewound per solve: randomized strategies make the
                 # same draw for every (mu, mode) combination of the drop.
                 strategy_rng.bit_generator.state = strategy_state
-                outcome = solve(name, gains, params, strategy_rng)
+                outcome = solve(name, gains, cfg.params, mode, mu, strategy_rng)
                 records.append(RunRecord(
                     drop=drop_index,
                     strategy=name,
@@ -389,9 +388,9 @@ _CONFIG_KEYS = {
 
 
 def _typed(key: str, value, kind):
-    """value as kind (int, float, bool or list).  An integer is a valid
+    """value as kind (int, float, bool, str or list).  An integer is a valid
     float; any other mismatch, bools included, is an error rather than
-    something for int(), float() or bool() to coerce."""
+    something for int(), float(), bool() or str() to coerce."""
     allowed = (int, float) if kind is float else kind
     if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
@@ -433,10 +432,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                             for m in value("mu_values", [0.5], list)),
             weight_modes=modes,
             iterations=value("iterations", 1, int),
-            out_dir=str(doc.get("out_dir", "results/experiment")),
+            out_dir=value("out_dir", "results/experiment", str),
             parallelism=value("parallelism", 1, int),
             dump_scenarios=value("dump_scenarios", False, bool),
-            name=str(doc.get("name", "experiment")),
+            name=value("name", "experiment", str),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc

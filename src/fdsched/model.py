@@ -66,6 +66,8 @@ class ScenarioParams:
     the canned experiments: 100 m cell, per-channel noise of -116.4 dBm,
     24 dBm power caps and -100 dB residual self-interference.  The carrier
     (2.5 GHz) is fixed by the path-loss laws of scenario.PropagationModel.
+    The scheduling objective (weights and mu) is not a property of the cell;
+    each solve takes it as arguments (see solvers.solve).
     """
 
     num_ul: int = 4
@@ -76,8 +78,6 @@ class ScenarioParams:
     si_cancellation: float = db_to_linear(-100.0)  # linear residual-SI factor
     p_max_ul_w: float = dbm_to_watts(24.0)
     p_max_dl_w: float = dbm_to_watts(24.0)
-    mu: float = 0.5
-    weight_mode: WeightMode = WeightMode.SUM_RATE
     min_bs_ue_distance_m: float = 3.0
     rng_seed: int = 0
 
@@ -96,7 +96,10 @@ class ValidationReport:
 
 def validate_params(p: ScenarioParams) -> ValidationReport:
     """Check all ScenarioParams invariants and report every violation."""
-    bad: list[str] = []
+    bad = [f"{name} must be finite, got {value}" for name, value in vars(p).items()
+           if isinstance(value, float) and not math.isfinite(value)]
+    if p.rng_seed < 0:
+        bad.append(f"rng_seed must be nonnegative, got {p.rng_seed}")
     if p.num_ul < 0 or p.num_dl < 0:
         bad.append(f"num_ul/num_dl must be nonnegative, got {p.num_ul}/{p.num_dl}")
     if p.num_ul + p.num_dl < 1:
@@ -107,8 +110,6 @@ def validate_params(p: ScenarioParams) -> ValidationReport:
         bad.append(f"num_ul ({p.num_ul}) exceeds num_channels ({p.num_channels})")
     if p.num_dl > p.num_channels:
         bad.append(f"num_dl ({p.num_dl}) exceeds num_channels ({p.num_channels})")
-    if not 0.0 <= p.mu <= 1.0:
-        bad.append(f"mu must lie in [0, 1], got {p.mu}")
     if not p.cell_radius_m > 0:
         bad.append(f"cell_radius_m must be positive, got {p.cell_radius_m}")
     if not p.noise_power_w > 0:
@@ -121,8 +122,6 @@ def validate_params(p: ScenarioParams) -> ValidationReport:
         bad.append(f"min_bs_ue_distance_m must be >= 0, got {p.min_bs_ue_distance_m}")
     elif p.min_bs_ue_distance_m >= p.cell_radius_m * math.sqrt(3) / 2:
         bad.append("min_bs_ue_distance_m leaves no room inside the cell hexagon")
-    if not isinstance(p.weight_mode, WeightMode):
-        bad.append(f"weight_mode must be a WeightMode, got {p.weight_mode!r}")
     return ValidationReport(tuple(bad))
 
 

@@ -9,7 +9,7 @@ cross gain.  Users alone on a channel see neither term.
 The per-pair power choice is restricted to the three corner points
 (Pmax_u, Pmax_d), (Pmax_u, 0) and (0, Pmax_d); binary power control is
 optimal for the weighted-sum part of the objective, and the same corner set
-is applied to the fairness-weighted benefit (see corner_tables).
+is applied to the fairness-weighted benefit (see corner_tables).The objective's weights and mu are arguments, not ScenarioParams fields.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class CornerTables:
 
 
 def corner_tables(gains: GainTable, params: ScenarioParams,
-                  weights: WeightVector) -> CornerTables:
+                  weights: WeightVector, mu: float) -> CornerTables:
     """Evaluate the three power corners of every pair (i, j) at once."""
     noise = params.noise_power_w
     pu, pd = params.p_max_ul_w, params.p_max_dl_w
@@ -111,7 +111,7 @@ def corner_tables(gains: GainTable, params: ScenarioParams,
 
     benefit = benefit_value(se_ul, se_dl,
                             weights.alpha_ul[:, None, None],
-                            weights.alpha_dl[None, :, None], params.mu)
+                            weights.alpha_dl[None, :, None], mu)
     return CornerTables(
         se_ul=se_ul,
         se_dl=se_dl,
@@ -119,8 +119,8 @@ def corner_tables(gains: GainTable, params: ScenarioParams,
         best_corner=benefit.argmax(axis=2),
         solo_se_ul=ul_solo,
         solo_se_dl=dl_solo,
-        solo_contrib_ul=(1.0 - params.mu) * weights.alpha_ul * ul_solo,
-        solo_contrib_dl=(1.0 - params.mu) * weights.alpha_dl * dl_solo,
+        solo_contrib_ul=(1.0 - mu) * weights.alpha_ul * ul_solo,
+        solo_contrib_dl=(1.0 - mu) * weights.alpha_dl * dl_solo,
     )
 
 
@@ -130,7 +130,10 @@ def corner_tables(gains: GainTable, params: ScenarioParams,
 
 def objective_value(se_ul, se_dl, min_se: float, weights: WeightVector,
                     mu: float) -> float:
-    """The scalarized objective (1-mu)(alpha . SE) + mu min_se of realized SEs."""
+    """The scalarized objective (1-mu)(alpha . SE) + mu min_se of realized SEs.
+    Every strategy scores its outcome here, so here a mu outside [0, 1] fails."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must lie in [0, 1], got {mu}")
     weighted = float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl)
     return (1.0 - mu) * weighted + mu * min_se
 
@@ -141,6 +144,7 @@ def outcome_metrics(
     gains: GainTable,
     params: ScenarioParams,
     weights: WeightVector,
+    mu: float,
 ) -> ScheduleOutcome:
     """Evaluate the realized SEs and scalar metrics of a full schedule.
 
@@ -175,7 +179,7 @@ def outcome_metrics(
         powers=powers,
         se_ul=se_ul,
         se_dl=se_dl,
-        objective=objective_value(se_ul, se_dl, min_se, weights, params.mu),
+        objective=objective_value(se_ul, se_dl, min_se, weights, mu),
         sum_se=float(all_se.sum()),
         min_se=min_se,
         jain=jain_index(all_se),

@@ -3,10 +3,11 @@ Hungarian heuristic (C-HUN), its interference-blind variant (C-NINT) and
 the random/equal-power baseline (R-EPA), plus the closed-form solution of
 the dual linear program that motivates the heuristic.
 
-All strategies map one drop (GainTable, ScenarioParams) to a
-ScheduleOutcome whose metrics are computed on the true gains.  Schedules
-must fit the channel budget: a drop with I UL and J DL users and P pairs
-occupies I + J - P channels, so at least I + J - F pairs are forced.
+All strategies map one drop (GainTable, ScenarioParams) and an objective
+(per-user weights, mu) to a ScheduleOutcome whose metrics are computed on
+the true gains.  Schedules must fit the channel budget: a drop with I UL
+and J DL users and P pairs occupies I + J - P channels, so at least
+I + J - F pairs are forced.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .model import (
     PowerAllocation,
     ScenarioParams,
     ScheduleOutcome,
+    WeightMode,
     WeightVector,
     require_valid,
 )
@@ -36,9 +38,6 @@ from .radio import (
 )
 
 _P_OPT_MAX_USERS = 10
-# Most (matching, power combo) cells P-OPT scores in one array: 512 KB per
-# float64 grid.  5+5 users with a 9-point power grid span 7.1 M cells.
-_P_OPT_GRID_CELLS = 1 << 16
 
 
 class StrategyId(enum.Enum):
@@ -60,13 +59,14 @@ def _hungarian_schedule(
     planning_gains: GainTable,
     params: ScenarioParams,
     weights: WeightVector,
+    mu: float,
 ) -> tuple[Pairing, PowerAllocation]:
     """Benefit matrix -> assignment -> per-pair corner powers.
 
     Decisions are taken on planning_gains; the caller chooses which gains
     the outcome is evaluated on.
     """
-    tables = corner_tables(planning_gains, params, weights)
+    tables = corner_tables(planning_gains, params, weights, mu)
     pairing, _ = assign_with_solo(tables.benefit.max(axis=2), tables.solo_contrib_ul,
                                   tables.solo_contrib_dl, params.num_channels)
 
@@ -80,7 +80,8 @@ def _hungarian_schedule(
     return pairing, PowerAllocation(p_ul, p_dl)
 
 
-def solve_c_hun(gains: GainTable, params: ScenarioParams) -> ScheduleOutcome:
+def solve_c_hun(gains: GainTable, params: ScenarioParams, weights: WeightVector,
+                mu: float) -> ScheduleOutcome:
     """Centralized Hungarian heuristic.
 
     Each candidate pair is scored at its best power corner, the assignment
@@ -89,12 +90,12 @@ def solve_c_hun(gains: GainTable, params: ScenarioParams) -> ScheduleOutcome:
     applied.
     """
     require_valid(params)
-    weights = make_weights(params.weight_mode, gains)
-    pairing, powers = _hungarian_schedule(gains, params, weights)
-    return outcome_metrics(pairing, powers, gains, params, weights)
+    pairing, powers = _hungarian_schedule(gains, params, weights, mu)
+    return outcome_metrics(pairing, powers, gains, params, weights, mu)
 
 
-def solve_c_nint(gains: GainTable, params: ScenarioParams) -> ScheduleOutcome:
+def solve_c_nint(gains: GainTable, params: ScenarioParams, weights: WeightVector,
+                 mu: float) -> ScheduleOutcome:
     """C-HUN planned as if UE-to-UE interference did not exist.
 
     The benefit matrix is built with all cross gains zeroed, so the planner
@@ -102,15 +103,14 @@ def solve_c_nint(gains: GainTable, params: ScenarioParams) -> ScheduleOutcome:
     true gains, so planned and realized spectral efficiencies differ.
     """
     require_valid(params)
-    weights = make_weights(params.weight_mode, gains)
     blind = GainTable(
         g_ul=gains.g_ul,
         g_dl=gains.g_dl,
         g_cross=np.zeros_like(gains.g_cross),
         positions=gains.positions,
     )
-    pairing, powers = _hungarian_schedule(blind, params, weights)
-    return outcome_metrics(pairing, powers, gains, params, weights)
+    pairing, powers = _hungarian_schedule(blind, params, weights, mu)
+    return outcome_metrics(pairing, powers, gains, params, weights, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -120,35 +120,22 @@ def solve_c_nint(gains: GainTable, params: ScenarioParams) -> ScheduleOutcome:
 def _power_candidates(
     gains: GainTable,
     params: ScenarioParams,
-    power_levels: int,
-) -> tuple[list[tuple[float, float]], np.ndarray, np.ndarray]:
-    """Candidate (p_u, p_d) pairs and the SE of every (i, j, candidate).
-
-    power_levels = 0 uses the three corner points; power_levels >= 2 spans
-    a uniform grid over [0, Pmax]^2 to quantify how much the corner
-    restriction costs (diagnostic only).
-    """
+    candidates,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The SE of every (i, j, candidate) for candidate (p_u, p_d) pairs."""
     noise = params.noise_power_w
-    if power_levels == 0:
-        candidates = list(corner_points(params))
-    else:
-        if power_levels < 2:
-            raise ValueError("power_levels must be 0 (corners) or >= 2 (grid)")
-        ul_levels = np.linspace(0.0, params.p_max_ul_w, power_levels)
-        dl_levels = np.linspace(0.0, params.p_max_dl_w, power_levels)
-        candidates = [(float(a), float(b)) for a in ul_levels for b in dl_levels]
     p_u = np.array([c[0] for c in candidates])
     p_d = np.array([c[1] for c in candidates])
     se_ul = np.log2(1.0 + sinr(p_u, gains.g_ul[:, None, None], p_d,
                                params.si_cancellation, noise))
     se_dl = np.log2(1.0 + sinr(p_d, gains.g_dl[None, :, None], p_u,
                                gains.g_cross[:, :, None], noise))
-    return candidates, se_ul, se_dl
+    return se_ul, se_dl
 
 
-def _best_in_slice(pair_ws, pair_min, ul_idx, perms, base_ws, base_min, mu,
+def _best_matching(pair_ws, pair_min, ul_idx, perms, base_ws, base_min, mu,
                    combo_shape):
-    """Best (value, DL partners, candidate combo) over a slice of matchings.
+    """Best (value, DL partners, candidate combo) over the given matchings.
 
     perms[p, a] is the DL partner of UL user ul_idx[a] in matching p.  The
     objective of every (matching, combo) cell is built with a leading
@@ -183,27 +170,26 @@ def _best_in_slice(pair_ws, pair_min, ul_idx, perms, base_ws, base_min, mu,
 def solve_p_opt(
     gains: GainTable,
     params: ScenarioParams,
-    power_levels: int = 0,
+    weights: WeightVector,
+    mu: float,
 ) -> ScheduleOutcome:
     """Exhaustive search over all channel-feasible matchings and powers.
 
     Every matching with at least I + J - F pairs is enumerated (at full
     load, I = J = F, that means perfect matchings only); for each, every
-    per-pair power candidate combination is scored against the true
+    per-pair power corner combination is scored against the true
     objective with the global minimum term.  Unpaired users transmit at max
     power, which is optimal for them in a single cell.  The matchings of
-    one (UL subset, DL subset) pair are scored together as one array, in
-    slices of at most _P_OPT_GRID_CELLS cells.  Guarded to I + J <= 10
-    users.
+    one (UL subset, DL subset) pair are scored together as one array of at
+    most 5! * 3^5 cells.  Guarded to I + J <= 10 users.
     """
     require_valid(params)
     num_ul, num_dl = gains.num_ul, gains.num_dl
     if num_ul + num_dl > _P_OPT_MAX_USERS:
         raise ValueError(f"P-OPT is limited to {_P_OPT_MAX_USERS} users, "
                          f"got {num_ul + num_dl}")
-    mu = params.mu
-    weights = make_weights(params.weight_mode, gains)
-    candidates, cand_se_ul, cand_se_dl = _power_candidates(gains, params, power_levels)
+    candidates = corner_points(params)
+    cand_se_ul, cand_se_dl = _power_candidates(gains, params, candidates)
     n_cand = len(candidates)
 
     # Weighted-sum and pair-minimum of every (i, j, candidate).
@@ -211,7 +197,7 @@ def solve_p_opt(
                             + weights.alpha_dl[None, :, None] * cand_se_dl)
     pair_min = np.minimum(cand_se_ul, cand_se_dl)
 
-    tables = corner_tables(gains, params, weights)
+    tables = corner_tables(gains, params, weights, mu)
     solo_ws_ul, solo_ws_dl = tables.solo_contrib_ul, tables.solo_contrib_dl
     solo_se_ul, solo_se_dl = tables.solo_se_ul, tables.solo_se_dl
 
@@ -229,7 +215,6 @@ def solve_p_opt(
         orders = list(itertools.permutations(range(n_pairs)))
         orders = np.array(orders, dtype=np.intp).reshape(len(orders), n_pairs)
         combo_shape = (n_cand,) * n_pairs
-        chunk = max(1, _P_OPT_GRID_CELLS // n_cand ** n_pairs)
         for ul_subset in itertools.combinations(range(num_ul), n_pairs):
             ul_solo = [i for i in range(num_ul) if i not in ul_subset]
             ws_ul_solo = float(solo_ws_ul[ul_solo].sum())
@@ -240,14 +225,12 @@ def solve_p_opt(
                 solo_se = np.concatenate([solo_se_ul[ul_solo], solo_se_dl[dl_solo]])
                 base_min = float(solo_se.min()) if solo_se.size else np.inf
                 perms = np.array(dl_subset, dtype=np.intp)[orders]
-                for start in range(0, len(perms), chunk):
-                    value, perm, combo = _best_in_slice(
-                        pair_ws, pair_min, ul_idx, perms[start:start + chunk],
-                        base_ws, base_min, mu, combo_shape)
-                    if value > best_value:
-                        best_value = value
-                        best_pairs = list(zip(ul_subset, perm))
-                        best_combo = combo
+                value, perm, combo = _best_matching(pair_ws, pair_min, ul_idx, perms,
+                                                    base_ws, base_min, mu, combo_shape)
+                if value > best_value:
+                    best_value = value
+                    best_pairs = list(zip(ul_subset, perm))
+                    best_combo = combo
 
     pairing = Pairing.from_pairs(best_pairs, num_ul, num_dl)
     p_ul = np.full(num_ul, params.p_max_ul_w)
@@ -257,7 +240,7 @@ def solve_p_opt(
         p_ul[i] = p_u
         p_dl[j] = p_d
     powers = PowerAllocation(p_ul, p_dl)
-    return outcome_metrics(pairing, powers, gains, params, weights)
+    return outcome_metrics(pairing, powers, gains, params, weights, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +250,8 @@ def solve_p_opt(
 def solve_r_epa(
     gains: GainTable,
     params: ScenarioParams,
+    weights: WeightVector,
+    mu: float,
     rng: np.random.Generator,
 ) -> ScheduleOutcome:
     """Uniformly random maximal matching with everyone at max power."""
@@ -283,8 +268,7 @@ def solve_r_epa(
                                      num_ul, num_dl)
     powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
                              np.full(num_dl, params.p_max_dl_w))
-    weights = make_weights(params.weight_mode, gains)
-    return outcome_metrics(pairing, powers, gains, params, weights)
+    return outcome_metrics(pairing, powers, gains, params, weights, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +297,22 @@ def dual_multipliers(c, mu: float) -> np.ndarray:
 # Registry
 # ---------------------------------------------------------------------------
 
-Strategy = Callable[[GainTable, ScenarioParams, Optional[np.random.Generator]],
-                    ScheduleOutcome]
+Strategy = Callable[[GainTable, ScenarioParams, WeightVector, float,
+                     Optional[np.random.Generator]], ScheduleOutcome]
 
 STRATEGIES: dict[str, Strategy] = {
-    StrategyId.P_OPT.value: lambda gains, params, rng=None: solve_p_opt(gains, params),
-    StrategyId.C_HUN.value: lambda gains, params, rng=None: solve_c_hun(gains, params),
-    StrategyId.C_NINT.value: lambda gains, params, rng=None: solve_c_nint(gains, params),
-    StrategyId.R_EPA.value: lambda gains, params, rng=None: solve_r_epa(gains, params, rng),
+    StrategyId.P_OPT.value: lambda g, params, w, mu, rng: solve_p_opt(g, params, w, mu),
+    StrategyId.C_HUN.value: lambda g, params, w, mu, rng: solve_c_hun(g, params, w, mu),
+    StrategyId.C_NINT.value: lambda g, params, w, mu, rng: solve_c_nint(g, params, w, mu),
+    StrategyId.R_EPA.value: solve_r_epa,
 }
 
 
-def solve(name: str, gains: GainTable, params: ScenarioParams,
-          rng: np.random.Generator | None = None) -> ScheduleOutcome:
+def solve(name: str, gains: GainTable, params: ScenarioParams, mode: WeightMode,
+          mu: float, rng: np.random.Generator | None = None) -> ScheduleOutcome:
+    """Solve one drop with strategy name, weights made from mode, and mu."""
     try:
         strategy = STRATEGIES[name]
     except KeyError:
         raise KeyError(f"unknown strategy {name!r}; known: {sorted(STRATEGIES)}") from None
-    return strategy(gains, params, rng)
+    return strategy(gains, params, make_weights(mode, gains), mu, rng)

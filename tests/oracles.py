@@ -10,7 +10,6 @@ They are written one user or one permutation at a time, independent of
 the vectorized code they check.
 """
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,6 +66,7 @@ def evaluate_pair(
     gains: GainTable,
     params: ScenarioParams,
     weights: WeightVector,
+    mu: float,
 ) -> PairEvaluation:
     """Evaluate the three power corners of pair (i, j) and keep the argmax.
 
@@ -80,26 +80,26 @@ def evaluate_pair(
     for p_u, p_d in corner_points(params):
         c_u = math.log2(1.0 + sinr_ul(p_u, gains.g_ul[i], p_d, params.si_cancellation, noise))
         c_d = math.log2(1.0 + sinr_dl(p_d, gains.g_dl[j], p_u, gains.g_cross[i, j], noise))
-        s = benefit_value(c_u, c_d, alpha_u, alpha_d, params.mu)
+        s = benefit_value(c_u, c_d, alpha_u, alpha_d, mu)
         if best is None or s > best.benefit:
             best = PairEvaluation(i, j, (p_u, p_d), c_u, c_d, s)
     return best
 
 
 def evaluate_solo_ul(i: int, gains: GainTable, params: ScenarioParams,
-                     weights: WeightVector) -> tuple[float, float]:
+                     weights: WeightVector, mu: float) -> tuple[float, float]:
     """(SE, weighted-sum contribution) of UL user i alone at max power."""
     se = math.log2(1.0 + sinr_ul(params.p_max_ul_w, gains.g_ul[i], 0.0,
                                  params.si_cancellation, params.noise_power_w))
-    return se, (1.0 - params.mu) * weights.alpha_ul[i] * se
+    return se, (1.0 - mu) * weights.alpha_ul[i] * se
 
 
 def evaluate_solo_dl(j: int, gains: GainTable, params: ScenarioParams,
-                     weights: WeightVector) -> tuple[float, float]:
+                     weights: WeightVector, mu: float) -> tuple[float, float]:
     """(SE, weighted-sum contribution) of DL user j alone at max power."""
     se = math.log2(1.0 + sinr_dl(params.p_max_dl_w, gains.g_dl[j], 0.0, 0.0,
                                  params.noise_power_w))
-    return se, (1.0 - params.mu) * weights.alpha_dl[j] * se
+    return se, (1.0 - mu) * weights.alpha_dl[j] * se
 
 
 def reference_outcome_metrics(
@@ -108,6 +108,7 @@ def reference_outcome_metrics(
     gains: GainTable,
     params: ScenarioParams,
     weights: WeightVector,
+    mu: float,
 ) -> ScheduleOutcome:
     """radio.outcome_metrics one user at a time: a paired user's
     interference comes from its partner's power, an unpaired user sees
@@ -134,7 +135,7 @@ def reference_outcome_metrics(
         powers=powers,
         se_ul=se_ul,
         se_dl=se_dl,
-        objective=(1.0 - params.mu) * weighted + params.mu * min_se,
+        objective=(1.0 - mu) * weighted + mu * min_se,
         sum_se=float(all_se.sum()),
         min_se=min_se,
         jain=jain_index(all_se),
@@ -229,10 +230,9 @@ def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
     records = []
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
-            params = dataclasses.replace(cfg.params, mu=mu, weight_mode=mode)
             for name in cfg.strategies:
                 strategy_rng.bit_generator.state = strategy_state
-                outcome = solve(name, gains, params, strategy_rng)
+                outcome = solve(name, gains, cfg.params, mode, mu, strategy_rng)
                 records.append(RunRecord(
                     drop=drop_index,
                     strategy=name,

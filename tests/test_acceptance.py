@@ -8,7 +8,6 @@ wall-clock budget.
 Run with `pytest tests/test_acceptance.py -s` to see every line.
 """
 
-import dataclasses
 import math
 import time
 
@@ -18,7 +17,7 @@ import pytest
 from fdsched.assignment import hungarian_max
 from fdsched.harness import canned_experiments, drop_rng, run_experiment
 from fdsched.metrics import CdfSeries, median_gap, percentile
-from fdsched.model import ScenarioParams
+from fdsched.model import ScenarioParams, WeightMode
 from fdsched.radio import benefit_value, make_weights
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import dual_multipliers, solve_c_hun, solve_p_opt, solve_r_epa
@@ -82,12 +81,12 @@ def test_criterion_2_optimality_sandwich():
     worst = -math.inf
     for k in range(200):
         gains = build_gain_table(base, drop_rng(202, k, 0))
+        weights = make_weights(WeightMode.SUM_RATE, gains)
         for mu in (0.1, 0.5, 0.9):
-            params = dataclasses.replace(base, mu=mu)
-            top = solve_p_opt(gains, params).objective
+            top = solve_p_opt(gains, base, weights, mu).objective
             for challenger in (
-                solve_c_hun(gains, params).objective,
-                solve_r_epa(gains, params, drop_rng(202, k, 1)).objective,
+                solve_c_hun(gains, base, weights, mu).objective,
+                solve_r_epa(gains, base, weights, mu, drop_rng(202, k, 1)).objective,
             ):
                 worst = max(worst, challenger - top)
                 assert challenger <= top + 1e-12
@@ -216,10 +215,9 @@ def test_criterion_7_binary_power_corners():
                        / (base.noise_power_w + pd * base.si_cancellation))
         se_d = np.log2(1.0 + pd * gains.g_dl[0]
                        / (base.noise_power_w + pu * gains.g_cross[0, 0]))
+        weights = make_weights(WeightMode.SUM_RATE, gains)
         for mu in counts:
-            params = dataclasses.replace(base, mu=mu)
-            weights = make_weights(params.weight_mode, gains)
-            corner_best = evaluate_pair(0, 0, gains, params, weights).benefit
+            corner_best = evaluate_pair(0, 0, gains, base, weights, mu).benefit
             grid_best = float(benefit_value(se_u, se_d, 1.0, 1.0, mu).max())
             if grid_best > corner_best + 1e-9:
                 counts[mu] += 1

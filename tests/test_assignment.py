@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from fdsched import assignment
 from fdsched.assignment import _min_cost_assignment, assign_with_solo, hungarian_max
 from fdsched.harness import canned_experiments, config_from_dict, run_experiment
-from fdsched.model import GainTable, ScenarioParams
+from fdsched.model import GainTable, ScenarioParams, WeightMode
 from fdsched.radio import corner_tables, make_weights
 from fdsched.scenario import build_gain_table
 from oracles import brute_force_assignment, pairing_matrix, reference_assign_with_solo
@@ -260,10 +260,10 @@ def blind_planner_inputs(rng, num_ul, num_dl, num_channels=None):
     """What C-NINT plans with: corner benefits with every cross gain zeroed,
     nearly separable in (i, j)."""
     params = ScenarioParams(num_ul=num_ul, num_dl=num_dl,
-                            num_channels=num_channels or num_ul + num_dl, mu=0.5)
+                            num_channels=num_channels or num_ul + num_dl)
     g = build_gain_table(params, rng)
     blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
-    tables = corner_tables(blind, params, make_weights(params.weight_mode, g))
+    tables = corner_tables(blind, params, make_weights(WeightMode.SUM_RATE, g), 0.5)
     return tables.benefit.max(axis=2), tables.solo_contrib_ul, tables.solo_contrib_dl
 
 

@@ -206,7 +206,7 @@ class TestRunExperiment:
     def test_runtime_failure_leaves_marker(self, tmp_path, monkeypatch):
         from fdsched import solvers
 
-        def explode(gains, params, rng=None):
+        def explode(gains, params, weights, mu, rng):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(solvers.STRATEGIES, "EXPLODE", explode)
@@ -245,7 +245,7 @@ class TestRunExperiment:
     def test_rerun_clears_a_stale_failure_marker_and_cdfs(self, tmp_path, monkeypatch):
         from fdsched import solvers
 
-        def explode(gains, params, rng=None):
+        def explode(gains, params, weights, mu, rng):
             raise RuntimeError("boom")
 
         out = tmp_path / "rerun"
@@ -262,6 +262,32 @@ class TestRunExperiment:
         assert all("_mu0.1_" in name for name in result["cdf_files"])
         assert (out / "notes.txt").read_text() == "kept"
         assert (out / "old" / "cdf_kept.csv").read_text() == "kept"
+
+
+# One other valid value per ScenarioParams field, for tiny_config's 2+2 cell.
+CHANGED_PARAMS = {
+    "num_ul": 1, "num_dl": 1, "num_channels": 4, "cell_radius_m": 200.0,
+    "noise_power_w": 1e-13, "si_cancellation": 1e-12, "p_max_ul_w": 0.1,
+    "p_max_dl_w": 0.1, "min_bs_ue_distance_m": 40.0, "rng_seed": 8,
+}
+
+
+class TestEveryParamMatters:
+    """Every ScenarioParams field must change what a run writes."""
+
+    def test_every_field_has_a_changed_value(self):
+        assert set(CHANGED_PARAMS) == {f.name for f in dataclasses.fields(ScenarioParams)}
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ScenarioParams)])
+    def test_field_changes_the_records(self, tmp_path, field):
+        base = tiny_config(tmp_path / "base", iterations=3)
+        changed = tiny_config(tmp_path / "changed", iterations=3,
+                              **{field: CHANGED_PARAMS[field]})
+        assert getattr(changed.params, field) != getattr(base.params, field)
+        run_experiment(base)
+        run_experiment(changed)
+        assert ((tmp_path / "base" / "records.jsonl").read_bytes()
+                != (tmp_path / "changed" / "records.jsonl").read_bytes())
 
 
 class TestObjectiveFreeRescoring:
@@ -393,6 +419,7 @@ class TestJsonConfig:
         ("dump_scenarios", "false"), ("dump_scenarios", 0),
         ("strategies", "C-HUN"), ("mu_values", 0.5), ("weight_modes", "SR"),
         ("mu_values", [0.5, True]), ("mu_values", ["0.5"]),
+        ("name", 5), ("name", ["a"]), ("name", None), ("out_dir", None), ("out_dir", 3),
     ])
     def test_values_are_not_coerced(self, key, value):
         with pytest.raises(ConfigError, match=repr(key)):
@@ -449,6 +476,7 @@ class TestCli:
                                     "strategies": ["C-HUN"], "mu_values": [0.5],
                                     "weight_modes": ["SR"], "iterations": 1}))
         assert main(["validate", "--config", str(good)]) == 0
+        assert capsys.readouterr().out == "OK\n"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"num_ul": 5, "num_dl": 2, "num_channels": 2}))
         assert main(["validate", "--config", str(bad)]) == 1
@@ -493,6 +521,41 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == 1
         assert main(["run", "--config", str(path)]) == 1
         assert "'num_ul' must be of type int, got 4.7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_exit_code_for_a_null_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "null_out.json"
+        path.write_text(json.dumps({"iterations": 1, "out_dir": None}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "'out_dir' must be of type str, got None" in capsys.readouterr().err
+        assert not (tmp_path / "None").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "rng_seed must be nonnegative, got -1"),
+        ("p_max_ul_dbm", float("inf"), "p_max_ul_w must be finite, got inf"),
+        ("cell_radius_m", float("inf"), "cell_radius_m must be finite, got inf"),
+        ("min_bs_ue_distance_m", float("nan"), "min_bs_ue_distance_m must be finite, got nan"),
+        ("noise_dbm", float("inf"), "noise_power_w must be finite, got inf"),
+    ])
+    def test_exit_code_for_an_out_of_range_value(self, tmp_path, capsys, key, value,
+                                                 message):
+        # json writes inf and nan as Infinity and NaN, which json.loads reads
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({key: value, "iterations": 1,
+                                    "out_dir": str(tmp_path / "out")}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--canned", "fig2", "--iters", "1", "--seed", "-3"],
+        ["dump-scenario", "--seed", "-2"],
+    ], ids=["run-canned", "dump-scenario"])
+    def test_exit_code_for_a_negative_seed_flag(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "rng_seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_exit_code_for_duplicate_sweep_entries(self, tmp_path, capsys):

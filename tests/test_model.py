@@ -11,6 +11,8 @@ from fdsched.model import (
     validate_params,
     watts_to_dbm,
 )
+from fdsched.scenario import build_gain_table
+from fdsched.solvers import STRATEGIES, solve
 from oracles import pairing_matrix
 
 
@@ -27,7 +29,7 @@ class TestUnitConversions:
 
 class TestValidateParams:
     def test_defaults_are_valid(self):
-        report = validate_params(ScenarioParams(num_ul=4, num_dl=4, num_channels=4, mu=0.5))
+        report = validate_params(ScenarioParams(num_ul=4, num_dl=4, num_channels=4))
         assert report.ok
         assert str(report) == "OK"
 
@@ -37,14 +39,27 @@ class TestValidateParams:
         assert any("num_ul" in v for v in report.violations)
 
     def test_mu_out_of_range(self):
-        report = validate_params(ScenarioParams(mu=1.2))
-        assert not report.ok
-        assert any("mu" in v for v in report.violations)
+        # mu belongs to the objective of a solve, not to ScenarioParams, so
+        # every strategy's solve rejects it
+        params = ScenarioParams()
+        gains = build_gain_table(params, np.random.default_rng(0))
+        for name in STRATEGIES:
+            for mu in (1.2, -0.1):
+                with pytest.raises(ValueError, match="mu must lie in"):
+                    solve(name, gains, params, WeightMode.SUM_RATE, mu,
+                          np.random.default_rng(0))
 
     def test_multiple_violations_all_reported(self):
-        report = validate_params(ScenarioParams(num_ul=9, num_channels=4, mu=-0.1,
+        report = validate_params(ScenarioParams(num_ul=9, num_channels=4, rng_seed=-1,
                                                 cell_radius_m=-1.0))
         assert len(report.violations) >= 3
+
+    @pytest.mark.parametrize("field", ["cell_radius_m", "noise_power_w", "si_cancellation",
+                                       "p_max_ul_w", "p_max_dl_w", "min_bs_ue_distance_m"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_field_rejected(self, field, value):
+        report = validate_params(ScenarioParams(**{field: value}))
+        assert f"{field} must be finite, got {value}" in report.violations
 
     def test_weight_mode_keys(self):
         assert WeightMode.from_key("SR") is WeightMode.SUM_RATE

@@ -100,10 +100,9 @@ class TestEvaluatePair:
     def test_interference_free_prefers_both_on(self):
         g = table([1e-8], [1e-8], [[1e-30]])
         for mu in (0.0, 1.0):
-            params = params_with(num_ul=1, num_dl=1, num_channels=1,
-                                 si_cancellation=1e-30, mu=mu)
+            params = params_with(num_ul=1, num_dl=1, num_channels=1, si_cancellation=1e-30)
             w = make_weights(WeightMode.SUM_RATE, g)
-            ev = evaluate_pair(0, 0, g, params, w)
+            ev = evaluate_pair(0, 0, g, params, w, mu)
             assert ev.best_powers == (params.p_max_ul_w, params.p_max_dl_w)
             assert ev.benefit > 0
 
@@ -111,38 +110,38 @@ class TestEvaluatePair:
         # both-on keeps a sliver of min SE; one-off corners zero it out, so
         # ties at ~0 benefit resolve to both-on
         g = table([1e-8], [1e-8], [[1.0]])
-        params = params_with(num_ul=1, num_dl=1, num_channels=1, mu=1.0)
+        params = params_with(num_ul=1, num_dl=1, num_channels=1)
         w = make_weights(WeightMode.SUM_RATE, g)
-        ev = evaluate_pair(0, 0, g, params, w)
+        ev = evaluate_pair(0, 0, g, params, w, 1.0)
         assert ev.best_powers == (params.p_max_ul_w, params.p_max_dl_w)
         assert ev.benefit == pytest.approx(0.0, abs=1e-6)
 
     def test_benefit_matches_independent_corner_recomputation(self):
         rng = np.random.default_rng(12)
-        params = params_with(mu=0.4)
+        params = params_with()
         for _ in range(50):
             g = random_table(rng)
             w = make_weights(WeightMode.SUM_RATE, g)
             i, j = rng.integers(0, 4, size=2)
-            ev = evaluate_pair(int(i), int(j), g, params, w)
+            ev = evaluate_pair(int(i), int(j), g, params, w, 0.4)
             best = -np.inf
             for p_u, p_d in corner_points(params):
                 c_u = math.log2(1 + p_u * g.g_ul[i] / (NOISE + p_d * BETA))
                 c_d = math.log2(1 + p_d * g.g_dl[j] / (NOISE + p_u * g.g_cross[i, j]))
-                best = max(best, benefit_value(c_u, c_d, 1.0, 1.0, params.mu))
+                best = max(best, benefit_value(c_u, c_d, 1.0, 1.0, 0.4))
             assert ev.benefit == pytest.approx(best, rel=1e-12)
 
     def test_vectorized_tables_match_scalar_evaluation(self):
         rng = np.random.default_rng(21)
+        params = params_with()
         for mu in (0.0, 0.3, 1.0):
-            params = params_with(mu=mu)
             g = random_table(rng)
             w = make_weights(WeightMode.SUM_RATE, g)
-            tables = corner_tables(g, params, w)
+            tables = corner_tables(g, params, w, mu)
             corners = corner_points(params)
             for i in range(4):
                 for j in range(4):
-                    ev = evaluate_pair(i, j, g, params, w)
+                    ev = evaluate_pair(i, j, g, params, w, mu)
                     k = tables.best_corner[i, j]
                     assert corners[k] == ev.best_powers
                     assert tables.benefit[i, j, k] == pytest.approx(ev.benefit, rel=1e-12)
@@ -153,18 +152,18 @@ class TestEvaluatePair:
 class TestSolo:
     def test_solo_ul_is_interference_free(self):
         g = table([1e-8], [1e-8], [[1e-9]])
-        params = params_with(num_ul=1, num_dl=1, num_channels=2, mu=0.0)
+        params = params_with(num_ul=1, num_dl=1, num_channels=2)
         w = make_weights(WeightMode.SUM_RATE, g)
-        se, contrib = evaluate_solo_ul(0, g, params, w)
+        se, contrib = evaluate_solo_ul(0, g, params, w, 0.0)
         assert se == pytest.approx(math.log2(1 + params.p_max_ul_w * 1e-8 / NOISE))
         assert contrib == pytest.approx(se)
 
     def test_contribution_vanishes_at_mu_one(self):
         g = table([1e-8], [1e-8], [[1e-9]])
-        params = params_with(num_ul=1, num_dl=1, num_channels=2, mu=1.0)
+        params = params_with(num_ul=1, num_dl=1, num_channels=2)
         w = make_weights(WeightMode.SUM_RATE, g)
-        _, contrib_u = evaluate_solo_ul(0, g, params, w)
-        _, contrib_d = evaluate_solo_dl(0, g, params, w)
+        _, contrib_u = evaluate_solo_ul(0, g, params, w, 1.0)
+        _, contrib_d = evaluate_solo_dl(0, g, params, w, 1.0)
         assert contrib_u == 0.0 and contrib_d == 0.0
 
 
@@ -172,12 +171,12 @@ class TestOutcomeMetrics:
     def test_all_solo_at_max_power(self):
         rng = np.random.default_rng(5)
         g = random_table(rng, 2, 2)
-        params = params_with(num_ul=2, num_dl=2, num_channels=4, mu=0.3)
+        params = params_with(num_ul=2, num_dl=2, num_channels=4)
         w = make_weights(WeightMode.SUM_RATE, g)
         pairing = Pairing.from_ul_partners([None, None], 2)
         powers = PowerAllocation(np.full(2, params.p_max_ul_w),
                                  np.full(2, params.p_max_dl_w))
-        out = outcome_metrics(pairing, powers, g, params, w)
+        out = outcome_metrics(pairing, powers, g, params, w, 0.3)
         se = np.log2(1 + params.p_max_ul_w * np.concatenate([g.g_ul, g.g_dl]) / NOISE)
         assert out.all_se() == pytest.approx(se)
         assert out.objective == pytest.approx(0.7 * se.sum() + 0.3 * se.min())
@@ -185,43 +184,43 @@ class TestOutcomeMetrics:
     def test_mu_one_objective_is_min(self):
         rng = np.random.default_rng(6)
         g = random_table(rng)
-        params = params_with(mu=1.0)
+        params = params_with()
         w = make_weights(WeightMode.SUM_RATE, g)
         pairing = Pairing.from_ul_partners([0, 1, 2, 3], 4)
         powers = PowerAllocation(np.full(4, params.p_max_ul_w),
                                  np.full(4, params.p_max_dl_w))
-        out = outcome_metrics(pairing, powers, g, params, w)
+        out = outcome_metrics(pairing, powers, g, params, w, 1.0)
         assert out.objective == pytest.approx(out.min_se, rel=1e-12)
 
     def test_single_pair_matches_evaluate_pair(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             g = random_table(rng, 1, 1)
-            params = params_with(num_ul=1, num_dl=1, num_channels=1,
-                                 mu=float(rng.random()))
+            params = params_with(num_ul=1, num_dl=1, num_channels=1)
+            mu = float(rng.random())
             w = make_weights(WeightMode.SUM_RATE, g)
-            ev = evaluate_pair(0, 0, g, params, w)
+            ev = evaluate_pair(0, 0, g, params, w, mu)
             pairing = Pairing.from_ul_partners([0], 1)
             powers = PowerAllocation(np.array([ev.best_powers[0]]),
                                      np.array([ev.best_powers[1]]))
-            out = outcome_metrics(pairing, powers, g, params, w)
+            out = outcome_metrics(pairing, powers, g, params, w, mu)
             assert out.objective == pytest.approx(ev.benefit, rel=1e-12)
 
     def test_weighted_sum_additivity_at_mu_zero(self):
         # outcome of an assembled schedule = sum of pair benefits + solo parts
         rng = np.random.default_rng(8)
-        params = params_with(num_ul=3, num_dl=3, num_channels=6, mu=0.0)
+        params = params_with(num_ul=3, num_dl=3, num_channels=6)
         for _ in range(20):
             g = random_table(rng, 3, 3)
             w = make_weights(WeightMode.SUM_RATE, g)
-            ev01 = evaluate_pair(0, 1, g, params, w)
-            ev12 = evaluate_pair(1, 2, g, params, w)
-            se_solo_u, contrib_u = evaluate_solo_ul(2, g, params, w)
-            _, contrib_d = evaluate_solo_dl(0, g, params, w)
+            ev01 = evaluate_pair(0, 1, g, params, w, 0.0)
+            ev12 = evaluate_pair(1, 2, g, params, w, 0.0)
+            se_solo_u, contrib_u = evaluate_solo_ul(2, g, params, w, 0.0)
+            _, contrib_d = evaluate_solo_dl(0, g, params, w, 0.0)
             pairing = Pairing.from_ul_partners([1, 2, None], 3)
             p_ul = np.array([ev01.best_powers[0], ev12.best_powers[0], params.p_max_ul_w])
             p_dl = np.array([params.p_max_dl_w, ev01.best_powers[1], ev12.best_powers[1]])
-            out = outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), g, params, w)
+            out = outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), g, params, w, 0.0)
             expected = ev01.benefit + ev12.benefit + contrib_u + contrib_d
             assert out.objective == pytest.approx(expected, rel=1e-9)
 
@@ -229,14 +228,15 @@ class TestOutcomeMetrics:
         rng = np.random.default_rng(9)
         for _ in range(20):
             g = random_table(rng)
-            params = params_with(mu=float(rng.random()))
+            params = params_with()
+            mu = float(rng.random())
             w = make_weights(WeightMode.SUM_RATE, g)
             pairing = Pairing.from_ul_partners(list(rng.permutation(4)), 4)
             powers = PowerAllocation(np.full(4, params.p_max_ul_w),
                                      np.full(4, params.p_max_dl_w))
-            out = outcome_metrics(pairing, powers, g, params, w)
-            recomputed = ((1 - params.mu) * (w.alpha_ul @ out.se_ul + w.alpha_dl @ out.se_dl)
-                          + params.mu * out.all_se().min())
+            out = outcome_metrics(pairing, powers, g, params, w, mu)
+            recomputed = ((1 - mu) * (w.alpha_ul @ out.se_ul + w.alpha_dl @ out.se_dl)
+                          + mu * out.all_se().min())
             assert out.objective == pytest.approx(recomputed, rel=1e-9)
             assert out.min_se == out.all_se().min()
             assert out.sum_se == pytest.approx(out.all_se().sum(), rel=1e-12)
@@ -265,12 +265,9 @@ class TestOutcomeMetrics:
                                            rng.random(num_dl), rng.choice(levels, num_dl)))
             for mode in WeightMode:
                 for mu in (0.0, 0.5, 1.0):
-                    params = params_with(num_ul=num_ul, num_dl=num_dl,
-                                         num_channels=num_channels, mu=mu,
-                                         weight_mode=mode)
                     w = make_weights(mode, g)
-                    got = outcome_metrics(pairing, powers, g, params, w)
-                    want = reference_outcome_metrics(pairing, powers, g, params, w)
+                    got = outcome_metrics(pairing, powers, g, base, w, mu)
+                    want = reference_outcome_metrics(pairing, powers, g, base, w, mu)
                     assert np.array_equal(got.se_ul, want.se_ul)
                     assert np.array_equal(got.se_dl, want.se_dl)
                     assert got.objective == want.objective
@@ -284,4 +281,4 @@ class TestOutcomeMetrics:
         w = make_weights(WeightMode.SUM_RATE, g)
         with pytest.raises(ValueError):
             outcome_metrics(Pairing.from_ul_partners([None, None], 1),
-                            PowerAllocation(np.ones(2), np.ones(1)), g, params, w)
+                            PowerAllocation(np.ones(2), np.ones(1)), g, params, w, 0.5)

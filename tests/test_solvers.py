@@ -2,14 +2,13 @@ import itertools
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fdsched.model import GainTable, Pairing, PowerAllocation, ScenarioParams, WeightMode
-from fdsched.radio import corner_tables, make_weights, outcome_metrics
+from fdsched.radio import corner_points, corner_tables, make_weights, outcome_metrics
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     OBJECTIVE_FREE_STRATEGIES,
@@ -30,9 +29,14 @@ BETA = 1e-10
 
 def params_with(**kw):
     defaults = dict(num_ul=4, num_dl=4, num_channels=4,
-                    noise_power_w=NOISE, si_cancellation=BETA, mu=0.5)
+                    noise_power_w=NOISE, si_cancellation=BETA)
     defaults.update(kw)
     return ScenarioParams(**defaults)
+
+
+def sr(gains):
+    """Unit weights: the sum-rate objective."""
+    return make_weights(WeightMode.SUM_RATE, gains)
 
 
 def random_drop(rng, params):
@@ -44,22 +48,28 @@ def table(g_ul, g_dl, g_cross):
                      g_cross=np.asarray(g_cross, float))
 
 
-def reference_p_opt(gains, params, power_levels=0):
+def reference_p_opt(gains, params, weights, mu, power_levels=0):
     """P-OPT as one power-candidate grid per matching (test oracle).
 
     The former solve_p_opt body: every matching is scored on its own grid
     and kept only if it strictly beats the best so far.  solve_p_opt must
-    take the same decisions bit for bit.
+    take the same decisions bit for bit.  power_levels = 0 uses the three
+    corner points; power_levels >= 2 spans a uniform grid over [0, Pmax]^2,
+    to measure what the corner restriction costs.
     """
     num_ul, num_dl = gains.num_ul, gains.num_dl
-    mu = params.mu
-    weights = make_weights(params.weight_mode, gains)
-    candidates, cand_se_ul, cand_se_dl = _power_candidates(gains, params, power_levels)
+    if power_levels:
+        ul_levels = np.linspace(0.0, params.p_max_ul_w, power_levels)
+        dl_levels = np.linspace(0.0, params.p_max_dl_w, power_levels)
+        candidates = [(float(a), float(b)) for a in ul_levels for b in dl_levels]
+    else:
+        candidates = corner_points(params)
+    cand_se_ul, cand_se_dl = _power_candidates(gains, params, candidates)
     n_cand = len(candidates)
     pair_ws = (1.0 - mu) * (weights.alpha_ul[:, None, None] * cand_se_ul
                             + weights.alpha_dl[None, :, None] * cand_se_dl)
     pair_min = np.minimum(cand_se_ul, cand_se_dl)
-    tables = corner_tables(gains, params, weights)
+    tables = corner_tables(gains, params, weights, mu)
     solo_ws_ul, solo_ws_dl = tables.solo_contrib_ul, tables.solo_contrib_dl
     solo_se_ul, solo_se_dl = tables.solo_se_ul, tables.solo_se_dl
     min_pairs = max(0, num_ul + num_dl - params.num_channels)
@@ -99,7 +109,7 @@ def reference_p_opt(gains, params, power_levels=0):
     p_dl = np.full(num_dl, params.p_max_dl_w)
     for (i, j), cand in zip(best_pairs, best_combo):
         p_ul[i], p_dl[j] = candidates[cand]
-    return outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), gains, params, weights)
+    return outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), gains, params, weights, mu)
 
 
 def assert_same_decisions(got, want):
@@ -113,9 +123,8 @@ def assert_same_decisions(got, want):
 class TestPOpt:
     def test_single_pair_without_interference(self):
         g = table([1e-8], [1e-8], [[1e-30]])
-        params = params_with(num_ul=1, num_dl=1, num_channels=1,
-                             si_cancellation=1e-30, mu=0.0)
-        out = solve_p_opt(g, params)
+        params = params_with(num_ul=1, num_dl=1, num_channels=1, si_cancellation=1e-30)
+        out = solve_p_opt(g, params, sr(g), 0.0)
         assert out.pairing.num_pairs == 1
         assert out.powers.p_ul[0] == params.p_max_ul_w
         assert out.powers.p_dl[0] == params.p_max_dl_w
@@ -124,45 +133,45 @@ class TestPOpt:
         # with two channels available the pair may be split into two
         # interference-free solos; P-OPT must return whichever wins
         g = table([1e-8], [1e-8], [[1.0]])
-        params = params_with(num_ul=1, num_dl=1, num_channels=2, mu=0.0)
-        out = solve_p_opt(g, params)
-        w = make_weights(WeightMode.SUM_RATE, g)
+        params = params_with(num_ul=1, num_dl=1, num_channels=2)
+        w = sr(g)
+        out = solve_p_opt(g, params, w, 0.0)
         candidates = []
         from fdsched.model import Pairing, PowerAllocation
         solo = outcome_metrics(Pairing.from_ul_partners([None], 1),
                                PowerAllocation(np.array([params.p_max_ul_w]),
                                                np.array([params.p_max_dl_w])),
-                               g, params, w)
+                               g, params, w, 0.0)
         paired_off = outcome_metrics(Pairing.from_ul_partners([0], 1),
                                      PowerAllocation(np.array([params.p_max_ul_w]),
                                                      np.array([0.0])),
-                                     g, params, w)
+                                     g, params, w, 0.0)
         expected = max(solo.objective, paired_off.objective)
         assert out.objective >= expected - 1e-12
         assert out.pairing.num_pairs == 0  # two solos dominate here
 
     def test_respects_channel_budget_at_full_load(self):
-        params = params_with(mu=0.1)
+        params = params_with()
         g = random_drop(np.random.default_rng(0), params)
-        out = solve_p_opt(g, params)
+        out = solve_p_opt(g, params, sr(g), 0.1)
         assert out.pairing.num_pairs == 4  # 8 users on 4 channels
 
     def test_size_guard(self):
         params = ScenarioParams(num_ul=6, num_dl=6, num_channels=6)
         g = table(np.full(6, 1e-8), np.full(6, 1e-8), np.full((6, 6), 1e-10))
         with pytest.raises(ValueError):
-            solve_p_opt(g, params)
+            solve_p_opt(g, params, sr(g), 0.5)
 
     def test_beats_exhaustive_reference_on_small_instances(self):
         # independent oracle: enumerate matchings and corners directly
         rng = np.random.default_rng(1)
-        params = params_with(num_ul=2, num_dl=2, num_channels=4, mu=0.7)
+        params = params_with(num_ul=2, num_dl=2, num_channels=4)
         corners = ((params.p_max_ul_w, params.p_max_dl_w),
                    (params.p_max_ul_w, 0.0), (0.0, params.p_max_dl_w))
         from fdsched.model import Pairing, PowerAllocation
         for _ in range(10):
             g = random_drop(rng, params)
-            w = make_weights(WeightMode.SUM_RATE, g)
+            w = sr(g)
             best = -np.inf
             for n_pairs in range(0, 3):
                 for us in itertools.combinations(range(2), n_pairs):
@@ -174,18 +183,18 @@ class TestPOpt:
                             for (i, j), c in zip(zip(us, ds), combo):
                                 p_ul[i], p_dl[j] = corners[c]
                             out = outcome_metrics(pairing, PowerAllocation(p_ul, p_dl),
-                                                  g, params, w)
+                                                  g, params, w, 0.7)
                             best = max(best, out.objective)
-            got = solve_p_opt(g, params)
+            got = solve_p_opt(g, params, w, 0.7)
             assert got.objective == pytest.approx(best, rel=1e-12)
 
     def test_power_grid_refinement_never_loses(self):
         rng = np.random.default_rng(2)
-        params = params_with(num_ul=2, num_dl=2, num_channels=2, mu=0.8)
+        params = params_with(num_ul=2, num_dl=2, num_channels=2)
         for _ in range(5):
             g = random_drop(rng, params)
-            corners = solve_p_opt(g, params).objective
-            refined = solve_p_opt(g, params, power_levels=6).objective
+            corners = solve_p_opt(g, params, sr(g), 0.8).objective
+            refined = reference_p_opt(g, params, sr(g), 0.8, power_levels=6).objective
             assert refined >= corners - 1e-12
 
 
@@ -207,15 +216,14 @@ class TestPOptMatchesLoopReference:
         rng = np.random.default_rng(sum(shape))
         for mode in (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION):
             for mu in (0.0, 0.1, 0.5, 0.9, 1.0):
-                params = params_with(num_ul=num_ul, num_dl=num_dl,
-                                     num_channels=channels, mu=mu, weight_mode=mode)
+                params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=channels)
                 drops = [random_drop(rng, params), tie_heavy_drop(rng, num_ul, num_dl),
                          table(np.full(num_ul, 1e-8), np.full(num_dl, 1e-8),
                                np.full((num_ul, num_dl), 1e-10))]
                 for g in drops:
-                    for levels in (0, 3):
-                        assert_same_decisions(solve_p_opt(g, params, power_levels=levels),
-                                              reference_p_opt(g, params, levels))
+                    w = make_weights(mode, g)
+                    assert_same_decisions(solve_p_opt(g, params, w, mu),
+                                          reference_p_opt(g, params, w, mu))
 
     def test_matchings_with_nan_cells_are_skipped_alike(self):
         # an infinite cross gain makes 0 * inf = NaN at the (0, Pmax) corner
@@ -223,24 +231,11 @@ class TestPOptMatchesLoopReference:
         g_cross = np.full((3, 3), 1e-10)
         g_cross[0, 0] = np.inf
         g = table([1e-8, 2e-8, 3e-8], [3e-8, 2e-8, 1e-8], g_cross)
+        params = params_with(num_ul=3, num_dl=3, num_channels=3)
         for mu in (0.1, 0.9):
-            params = params_with(num_ul=3, num_dl=3, num_channels=3, mu=mu)
             with np.errstate(invalid="ignore"):
-                assert_same_decisions(solve_p_opt(g, params), reference_p_opt(g, params))
-
-    def test_batched_grid_memory_is_bounded(self):
-        # 120 matchings x 9**5 combos = 7.1 M cells, about 57 MB per float64
-        # array if scored at once; sliced, the peak stays far below
-        params = params_with(num_ul=5, num_dl=5, num_channels=5, mu=0.5)
-        g = random_drop(np.random.default_rng(17), params)
-        tracemalloc.start()
-        try:
-            got = solve_p_opt(g, params, power_levels=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
-        assert_same_decisions(got, reference_p_opt(g, params, 3))
+                assert_same_decisions(solve_p_opt(g, params, sr(g), mu),
+                                      reference_p_opt(g, params, sr(g), mu))
 
 
 class TestCHun:
@@ -255,9 +250,9 @@ class TestCHun:
             "import sys\n"
             "import numpy as np\n"
             "import fdsched as fd\n"
-            "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9, mu=0.5)\n"
+            "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9)\n"
             "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
-            "fd.solve_c_hun(gains, params)\n"
+            "fd.solve_c_hun(gains, params, fd.make_weights(fd.WeightMode.SUM_RATE, gains), 0.5)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run([sys.executable, "-c", script], env=env,
@@ -266,38 +261,38 @@ class TestCHun:
         assert result.stdout.strip() == "[]"
 
     def test_matches_p_opt_without_interference(self):
-        params = params_with(si_cancellation=1e-30, mu=0.3)
+        params = params_with(si_cancellation=1e-30)
         rng = np.random.default_rng(3)
         g0 = random_drop(rng, params)
         g = GainTable(g0.g_ul, g0.g_dl, np.full_like(g0.g_cross, 1e-30))
-        assert solve_c_hun(g, params).objective == pytest.approx(
-            solve_p_opt(g, params).objective, rel=1e-9)
+        assert solve_c_hun(g, params, sr(g), 0.3).objective == pytest.approx(
+            solve_p_opt(g, params, sr(g), 0.3).objective, rel=1e-9)
 
     def test_deterministic(self):
-        params = params_with(mu=0.9)
+        params = params_with()
         g = random_drop(np.random.default_rng(4), params)
-        a = solve_c_hun(g, params)
-        b = solve_c_hun(g, params)
+        a = solve_c_hun(g, params, sr(g), 0.9)
+        b = solve_c_hun(g, params, sr(g), 0.9)
         assert a.pairing == b.pairing
         assert np.array_equal(a.powers.p_ul, b.powers.p_ul)
         assert a.objective == b.objective
 
     def test_pairs_fill_the_channel_budget(self):
-        params = params_with(mu=0.1)
+        params = params_with()
         g = random_drop(np.random.default_rng(5), params)
-        assert solve_c_hun(g, params).pairing.num_pairs == 4
+        assert solve_c_hun(g, params, sr(g), 0.1).pairing.num_pairs == 4
 
     def test_solo_users_allowed_with_spare_channels(self):
-        params = params_with(num_ul=2, num_dl=2, num_channels=4, mu=0.0)
+        params = params_with(num_ul=2, num_dl=2, num_channels=4)
         g = table([1e-8, 1e-8], [1e-8, 1e-8], np.full((2, 2), 1e-6))
-        out = solve_c_hun(g, params)
+        out = solve_c_hun(g, params, sr(g), 0.0)
         assert out.pairing.num_pairs == 0  # crushing cross gain, keep apart
 
     def test_one_direction_empty(self):
-        params = params_with(num_ul=1, num_dl=0, num_channels=1, mu=0.2)
+        params = params_with(num_ul=1, num_dl=0, num_channels=1)
         g = GainTable(g_ul=np.array([1e-8]), g_dl=np.zeros(0),
                       g_cross=np.zeros((1, 0)))
-        out = solve_c_hun(g, params)
+        out = solve_c_hun(g, params, sr(g), 0.2)
         assert out.pairing.partner_of_ul == (None,)
         assert out.powers.p_ul[0] == params.p_max_ul_w
         assert out.se_dl.size == 0
@@ -306,9 +301,9 @@ class TestCHun:
     @pytest.mark.parametrize("strategy", [solve_c_hun, solve_c_nint])
     @pytest.mark.parametrize("num_channels", [3, 5])
     def test_no_ul_users_leaves_every_dl_user_solo(self, strategy, num_channels):
-        params = params_with(num_ul=0, num_dl=3, num_channels=num_channels, mu=0.5)
+        params = params_with(num_ul=0, num_dl=3, num_channels=num_channels)
         g = random_drop(np.random.default_rng(9), params)
-        out = strategy(g, params)
+        out = strategy(g, params, sr(g), 0.5)
         assert out.pairing.num_pairs == 0
         assert out.pairing.partner_of_dl == (None, None, None)
         assert np.all(out.powers.p_dl == params.p_max_dl_w)
@@ -324,37 +319,36 @@ class TestCHun:
         g_cross[0, 0] = g_x00
         g = table([1e-8, 2e-8], [g_dl0, 2e-8], g_cross)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            solve_c_hun(g, params)
+            solve_c_hun(g, params, sr(g), 0.5)
 
 
 class TestCNInt:
     def test_identical_to_c_hun_when_cross_gains_are_zero(self):
-        params = params_with(mu=0.5)
+        params = params_with()
         g0 = random_drop(np.random.default_rng(6), params)
         g = GainTable(g0.g_ul, g0.g_dl, np.zeros_like(g0.g_cross))
-        a = solve_c_hun(g, params)
-        b = solve_c_nint(g, params)
+        a = solve_c_hun(g, params, sr(g), 0.5)
+        b = solve_c_nint(g, params, sr(g), 0.5)
         assert a.pairing == b.pairing
         assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
     def test_planned_dl_rates_never_below_realized(self):
-        params = params_with(mu=0.9)
+        params = params_with()
         for seed in range(5):
             g = random_drop(np.random.default_rng(seed), params)
-            out = solve_c_nint(g, params)
+            out = solve_c_nint(g, params, sr(g), 0.9)
             blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
-            w = make_weights(params.weight_mode, g)
-            planned = outcome_metrics(out.pairing, out.powers, blind, params, w)
+            planned = outcome_metrics(out.pairing, out.powers, blind, params, sr(g), 0.9)
             assert np.all(planned.se_dl >= out.se_dl - 1e-12)
 
     def test_realized_objective_not_better_than_c_hun_on_average(self):
-        params = params_with(mu=0.9)
+        params = params_with()
         rng = np.random.default_rng(7)
         chun, cnint = [], []
         for _ in range(40):
             g = random_drop(rng, params)
-            chun.append(solve_c_hun(g, params).objective)
-            cnint.append(solve_c_nint(g, params).objective)
+            chun.append(solve_c_hun(g, params, sr(g), 0.9).objective)
+            cnint.append(solve_c_nint(g, params, sr(g), 0.9).objective)
         assert np.mean(cnint) < np.mean(chun)
 
 
@@ -362,7 +356,7 @@ class TestREpa:
     def test_single_pair_always_formed(self):
         params = params_with(num_ul=1, num_dl=1, num_channels=1)
         g = table([1e-8], [1e-8], [[1e-9]])
-        out = solve_r_epa(g, params, np.random.default_rng(0))
+        out = solve_r_epa(g, params, sr(g), 0.5, np.random.default_rng(0))
         assert out.pairing.pairs() == [(0, 0)]
         assert out.powers.p_ul[0] == params.p_max_ul_w
         assert out.powers.p_dl[0] == params.p_max_dl_w
@@ -370,14 +364,14 @@ class TestREpa:
     def test_fixed_seed_reproducible(self):
         params = params_with()
         g = random_drop(np.random.default_rng(8), params)
-        a = solve_r_epa(g, params, np.random.default_rng(123))
-        b = solve_r_epa(g, params, np.random.default_rng(123))
+        a = solve_r_epa(g, params, sr(g), 0.5, np.random.default_rng(123))
+        b = solve_r_epa(g, params, sr(g), 0.5, np.random.default_rng(123))
         assert a.pairing == b.pairing
 
     def test_pairs_maximally_when_sides_differ(self):
         params = params_with(num_ul=2, num_dl=4, num_channels=4)
         g = random_drop(np.random.default_rng(9), params)
-        out = solve_r_epa(g, params, np.random.default_rng(1))
+        out = solve_r_epa(g, params, sr(g), 0.5, np.random.default_rng(1))
         assert out.pairing.num_pairs == 2
         assert np.all(out.powers.p_ul == params.p_max_ul_w)
         assert np.all(out.powers.p_dl == params.p_max_dl_w)
@@ -388,18 +382,18 @@ class TestREpa:
         rng = np.random.default_rng(11)
         counts = {(0, 1): 0, (1, 0): 0}
         for _ in range(400):
-            out = solve_r_epa(g, params, rng)
+            out = solve_r_epa(g, params, sr(g), 0.5, rng)
             counts[tuple(out.pairing.partner_of_ul)] += 1
         assert abs(counts[(0, 1)] - 200) < 60
 
     def test_average_sum_se_below_c_hun(self):
-        params = params_with(mu=0.9)
+        params = params_with()
         rng = np.random.default_rng(16)
         chun, repa = [], []
         for _ in range(40):
             g = random_drop(rng, params)
-            chun.append(solve_c_hun(g, params).sum_se)
-            repa.append(solve_r_epa(g, params, np.random.default_rng(0)).sum_se)
+            chun.append(solve_c_hun(g, params, sr(g), 0.9).sum_se)
+            repa.append(solve_r_epa(g, params, sr(g), 0.9, np.random.default_rng(0)).sum_se)
         assert np.mean(repa) < np.mean(chun)
 
 
@@ -414,15 +408,14 @@ class TestObjectiveFree:
     @pytest.mark.parametrize("name", sorted(OBJECTIVE_FREE_STRATEGIES))
     @pytest.mark.parametrize("num_ul, num_dl, num_channels", [(4, 4, 4), (3, 5, 6), (5, 2, 7)])
     def test_decision_ignores_mu_and_weights(self, name, num_ul, num_dl, num_channels):
-        base = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
+        params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
         for seed in range(5):
-            g = random_drop(np.random.default_rng(seed), base)
+            g = random_drop(np.random.default_rng(seed), params)
             outcomes = []
             for mode in WeightMode:
                 for mu in (0.0, 0.1, 0.5, 0.9, 1.0):
-                    params = params_with(num_ul=num_ul, num_dl=num_dl,
-                                         num_channels=num_channels, mu=mu, weight_mode=mode)
-                    outcomes.append(solve(name, g, params, np.random.default_rng(100 + seed)))
+                    outcomes.append(solve(name, g, params, mode, mu,
+                                          np.random.default_rng(100 + seed)))
             first = outcomes[0]
             for out in outcomes[1:]:
                 assert out.pairing == first.pairing
@@ -435,14 +428,16 @@ class TestObjectiveFree:
 class TestOptimalitySandwich:
     def test_heuristics_never_beat_exhaustive(self):
         rng = np.random.default_rng(12)
+        params = params_with()
         for mu in (0.1, 0.5, 0.9):
-            params = params_with(mu=mu)
             for _ in range(15):
                 g = random_drop(rng, params)
-                top = solve_p_opt(g, params).objective
-                assert solve_c_hun(g, params).objective <= top + 1e-12
-                assert solve_c_nint(g, params).objective <= top + 1e-12
-                assert solve_r_epa(g, params, np.random.default_rng(0)).objective <= top + 1e-12
+                w = sr(g)
+                top = solve_p_opt(g, params, w, mu).objective
+                assert solve_c_hun(g, params, w, mu).objective <= top + 1e-12
+                assert solve_c_nint(g, params, w, mu).objective <= top + 1e-12
+                assert solve_r_epa(g, params, w, mu,
+                                   np.random.default_rng(0)).objective <= top + 1e-12
 
 
 class TestDualMultipliers:
@@ -487,12 +482,19 @@ class TestRegistry:
     def test_solve_dispatches(self):
         params = params_with()
         g = random_drop(np.random.default_rng(14), params)
-        direct = solve_c_hun(g, params)
-        via_registry = solve(StrategyId.C_HUN.value, g, params)
+        direct = solve_c_hun(g, params, sr(g), 0.5)
+        via_registry = solve(StrategyId.C_HUN.value, g, params, WeightMode.SUM_RATE, 0.5)
         assert via_registry.objective == direct.objective
+
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+        exec(block.split("```", 1)[0], {})
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("[(")
 
     def test_unknown_strategy(self):
         params = params_with()
         g = random_drop(np.random.default_rng(15), params)
         with pytest.raises(KeyError):
-            solve("NOPE", g, params)
+            solve("NOPE", g, params, WeightMode.SUM_RATE, 0.5)
