@@ -1,7 +1,11 @@
-"""Golden digests of the canned studies.
+"""Golden digests of the canned studies and of a rescoring sweep.
 
-sha256 of records.jsonl and summary.json for fig2 and fig3 at 20 drops,
-seed 1.  A change that claims to keep behaviour must keep these digests;
+sha256 of records.jsonl and summary.json at 20 drops, seed 1, for:
+  fig2, fig3     the canned studies;
+  rescoring      25+25 on 25 channels, R-EPA and C-HUN over mu in
+                 {0.1, 0.5, 0.9} x SR/PL, so each R-EPA solve is rescored
+                 across mu values as well as weight modes.
+A change that claims to keep behaviour must keep these digests;
 a change that alters results on purpose updates them and says why.  The
 digests pin floating-point results, so they assume IEEE double arithmetic
 with the numpy build the project is tested with.
@@ -11,7 +15,7 @@ import hashlib
 
 import pytest
 
-from fdsched.harness import canned_experiments, run_experiment
+from fdsched.harness import canned_experiments, config_from_dict, run_experiment
 
 GOLDEN = {
     "fig2": {
@@ -31,3 +35,18 @@ def test_canned_outputs_match_golden_digest(name, tmp_path):
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                for f in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+RESCORING = {
+    "records.jsonl": "0a2833d1cd674a0906c0084ff740b0d76c144bdc10de31ef114aa032dc7373a6",
+    "summary.json": "5bb0f6ab56ba9eb6fc163bc40ad6e342ce8ff2dbf7f042a05f5ef18b4a1ea250",
+}
+
+
+def test_rescoring_sweep_matches_golden_digest(tmp_path):
+    run_experiment(config_from_dict({
+        "num_ul": 25, "num_dl": 25, "num_channels": 25, "strategies": ["R-EPA", "C-HUN"],
+        "mu_values": [0.1, 0.5, 0.9], "weight_modes": ["SR", "PL"], "iterations": 20,
+        "seed": 1, "out_dir": str(tmp_path)}))
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in RESCORING}
+    assert digests == RESCORING
