@@ -9,6 +9,8 @@ from fdsched.cli import main
 from fdsched.harness import (
     ConfigError,
     ExperimentConfig,
+    RunRecord,
+    _rescored_line,
     _run_drop,
     canned_experiments,
     config_from_dict,
@@ -308,6 +310,50 @@ class TestObjectiveFreeRescoring:
             want = reference_drop_records(cfg, k)
             assert [vars(r) for r in got] == [vars(r) for r in want]
         assert len({r.objective for r in got if r.strategy == "R-EPA"}) == 6
+
+
+class TestEncodedLines:
+    """_run_drop encodes each record where it makes it, and a rescored
+    record's line is derived from its solve's line; every written line must
+    equal json.dumps of its record with sorted keys."""
+
+    @pytest.mark.parametrize("strategies", [("R-EPA", "C-HUN"), ("C-HUN", "R-EPA")])
+    @pytest.mark.parametrize("mu_values", [(0.5,), (0.1, 0.5, 0.9)])
+    @pytest.mark.parametrize("weight_modes", [
+        (WeightMode.SUM_RATE,), (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)])
+    def test_lines_equal_json_dumps_of_the_records(self, tmp_path, strategies, mu_values,
+                                                   weight_modes):
+        cfg = dataclasses.replace(tiny_config(tmp_path, num_ul=3, num_dl=4, num_channels=5),
+                                  strategies=strategies, mu_values=mu_values,
+                                  weight_modes=weight_modes)
+        for k in range(2):
+            records, lines = _run_drop(cfg, k)[:2]
+            assert len(records) == len(strategies) * len(mu_values) * len(weight_modes)
+            assert lines == [json.dumps(vars(r), sort_keys=True) for r in records]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_written_file_equals_the_fresh_solve_records(self, tmp_path, parallelism):
+        cfg = dataclasses.replace(
+            tiny_config(tmp_path, iterations=5, parallelism=parallelism),
+            strategies=("R-EPA", "C-HUN"), mu_values=(0.1, 0.5, 0.9),
+            weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
+        run_experiment(cfg)
+        want = [json.dumps(vars(r), sort_keys=True)
+                for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
+        assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
+
+    @pytest.mark.parametrize("mu", [-0.0, 5e-324, 1e22, 0.1 + 0.2, 1.0])
+    @pytest.mark.parametrize("objective", [-0.0, 5e-324, 1e22, 0.1 + 0.2, 1.0,
+                                           float("nan"), float("-inf")])
+    def test_rescored_line_with_tricky_reprs(self, mu, objective):
+        solved = RunRecord(drop=3, strategy="R-EPA", mu=0.5, weight_mode="SR",
+                           objective=2.5, sum_se=4.0, min_se=0.25, jain=0.75,
+                           se_ul=(0.25, 1.5), se_dl=(2.25, -0.0), seed="7:3",
+                           gain_hash="0123abcd")
+        line = json.dumps(vars(solved), sort_keys=True)
+        rescored = dataclasses.replace(solved, mu=mu, objective=objective, weight_mode="PL")
+        assert (_rescored_line(line, mu, objective, "PL")
+                == json.dumps(vars(rescored), sort_keys=True))
 
 
 class TestPoolBlocks:
