@@ -128,12 +128,18 @@ def corner_tables(gains: GainTable, params: ScenarioParams,
 # Outcome assembly
 # ---------------------------------------------------------------------------
 
+def check_mu(mu: float) -> None:
+    """Raise ValueError unless 0 <= mu <= 1 (so NaN fails too)."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+
+
 def objective_value(se_ul, se_dl, min_se: float, weights: WeightVector,
                     mu: float) -> float:
     """The scalarized objective (1-mu)(alpha . SE) + mu min_se of realized SEs.
-    Every strategy scores its outcome here, so here a mu outside [0, 1] fails."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    Every strategy scores its outcome here, so here a mu outside [0, 1] fails
+    even when a strategy function is called directly rather than by solve."""
+    check_mu(mu)
     weighted = float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl)
     return (1.0 - mu) * weighted + mu * min_se
 

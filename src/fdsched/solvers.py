@@ -30,6 +30,7 @@ from .model import (
     require_valid,
 )
 from .radio import (
+    check_mu,
     corner_points,
     corner_tables,
     make_weights,
@@ -310,9 +311,11 @@ STRATEGIES: dict[str, Strategy] = {
 
 def solve(name: str, gains: GainTable, params: ScenarioParams, mode: WeightMode,
           mu: float, rng: np.random.Generator | None = None) -> ScheduleOutcome:
-    """Solve one drop with strategy name, weights made from mode, and mu."""
+    """Solve one drop with strategy name, weights made from mode, and mu.
+    A mu outside [0, 1] fails here, before any schedule is built."""
     try:
         strategy = STRATEGIES[name]
     except KeyError:
         raise KeyError(f"unknown strategy {name!r}; known: {sorted(STRATEGIES)}") from None
+    check_mu(mu)
     return strategy(gains, params, make_weights(mode, gains), mu, rng)

@@ -11,6 +11,7 @@ from fdsched.model import (
     validate_params,
     watts_to_dbm,
 )
+from fdsched import solvers
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import STRATEGIES, solve
 from oracles import pairing_matrix
@@ -48,6 +49,27 @@ class TestValidateParams:
                 with pytest.raises(ValueError, match="mu must lie in"):
                     solve(name, gains, params, WeightMode.SUM_RATE, mu,
                           np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_nan_mu_gets_the_mu_message(self, name):
+        # before the check moved into solve, C-HUN and C-NINT failed inside
+        # the assignment with "non-finite entries"
+        params = ScenarioParams()
+        gains = build_gain_table(params, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="mu must lie in"):
+            solve(name, gains, params, WeightMode.SUM_RATE, float("nan"),
+                  np.random.default_rng(0))
+
+    def test_p_opt_rejects_mu_before_enumerating(self, monkeypatch):
+        def enumerate_matchings(*args):
+            raise AssertionError("P-OPT enumerated matchings for an invalid mu")
+
+        monkeypatch.setattr(solvers, "_best_matching", enumerate_matchings)
+        params = ScenarioParams(num_ul=5, num_dl=5, num_channels=5)
+        gains = build_gain_table(params, np.random.default_rng(0))
+        for mu in (1.2, float("nan")):
+            with pytest.raises(ValueError, match="mu must lie in"):
+                solve("P-OPT", gains, params, WeightMode.SUM_RATE, mu)
 
     def test_multiple_violations_all_reported(self):
         report = validate_params(ScenarioParams(num_ul=9, num_channels=4, rng_seed=-1,
