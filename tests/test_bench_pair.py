@@ -150,4 +150,44 @@ def test_main_runs_the_benchmark_command_alternating_sides(tmp_path, monkeypatch
     assert calls[0][1] == ["python3", "perfbench/run.py", "--workload", "fig3-p1", "--seed", "7"]
     record = json.loads(out.read_text())
     assert record["parent_revision"] == "sha-v0" and record["change_revision"] == "sha-HEAD"
-    assert [p["seed"] for p in record["pairs"]] == [7, 8]
+    assert [p["seed"] for p in record["workloads"]["fig3-p1"]["pairs"]] == [7, 8]
+
+
+def test_main_records_every_workload(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: str(root).encode())
+    monkeypatch.setattr(bench_pair, "export_tree",
+                        lambda _root, rev, dest: f"sha-{rev}")
+    calls = []
+
+    def fake_run(tree, command):
+        calls.append((command[3], tree.name, int(command[5])))
+        drops = 200.0 if command[3] == "mc-epa-p1" else 100.0
+        return bench_pair.parse_run(run_lines(drops + (tree.name == "change"), 8.0))
+
+    monkeypatch.setattr(bench_pair, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pair.main(["--base", "v0", "--workload", "mc-epa-p1", "--workload", "fig3-p1",
+                            "--first-seed", "7", "--pairs", "3", "--out", str(out)]) == 0
+    # one workload after the other, each starting with the parent and alternating
+    sides = ["parent", "change", "change", "parent", "parent", "change"]
+    seeds = [7, 7, 8, 8, 9, 9]
+    assert calls == ([("mc-epa-p1", s, k) for s, k in zip(sides, seeds)]
+                     + [("fig3-p1", s, k) for s, k in zip(sides, seeds)])
+    record = json.loads(out.read_text())
+    assert record["command"] == "python3 perfbench/run.py --workload {workload} --seed {seed}"
+    assert list(record["workloads"]) == ["mc-epa-p1", "fig3-p1"]
+    for workload, base in (("mc-epa-p1", 200.0), ("fig3-p1", 100.0)):
+        entry = record["workloads"][workload]
+        assert [p["seed"] for p in entry["pairs"]] == seeds[::2]
+        assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "parent"]
+        assert all(p["command"].split()[3] == workload for p in entry["pairs"])
+        drops = entry["summary"]["metrics"]["drops_per_s"]
+        assert drops["parent"]["median"] == base and drops["change"]["median"] == base + 1
+        assert drops["change_won"] == 3
+
+
+def test_main_rejects_a_repeated_workload(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pair.main(["--base", "v0", "--workload", "fig3-p1", "--workload", "fig3-p1",
+                         "--first-seed", "7", "--out", str(tmp_path / "bench.json")])

@@ -1,20 +1,23 @@
 """Benchmark the checked-out commit against a base revision and write the BENCH record.
 
-    python3 tools/bench_pair.py --base <rev> --workload fig3-p1 \
-        --first-seed 811 --pairs 10 --out BENCH_8.json
+    python3 tools/bench_pair.py --base <rev> --workload mc-epa-p1 \
+        --workload fig3-p1 --first-seed 811 --pairs 10 --out BENCH_8.json
 
 Run from anywhere inside the repository.  ``HEAD`` and the base revision
 are exported with ``git archive`` into a temporary directory, so
 uncommitted edits take no part and neither tree's ``.bench_out`` lands in
-the checkout.  For each of the seeds first-seed .. first-seed + pairs - 1,
-each tree runs the benchmark command of ``BENCHMARK.json`` once with only
-``--workload`` and ``--seed``, so the run length and tracing are the
-benchmark's own defaults on both sides; the side that runs first
-alternates from pair to pair.
+the checkout.  ``--workload`` may be given several times; the workloads
+run one after another.  For each workload and each of the seeds
+first-seed .. first-seed + pairs - 1, each tree runs the benchmark command
+of ``BENCHMARK.json`` once with only ``--workload`` and ``--seed``, so the
+run length and tracing are the benchmark's own defaults on both sides; the
+side that runs first alternates from pair to pair, starting with the base
+on every workload.
 
-The output holds every pair in the layout of one BENCH_<n>.json pair (the
-last two stdout lines of each run, as ``report`` and ``result``) and, per
-metric, each side's median and quartiles over the pairs, how many pairs
+The output holds, under ``workloads``, one entry per workload with every
+pair (the last two stdout lines of each run, as ``report`` and ``result``)
+and a summary: per metric, each side's median and quartiles over the
+pairs, how many pairs
 the change won (ties count for neither), and whether the claim rule is
 met: at least nine tenths of the pairs won and a median gap wider than the
 base's interquartile range.  For end-to-end metrics ``worse_beyond_bound``
@@ -124,50 +127,57 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="benchmark workload; repeat to run several")
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if len(set(args.workload)) < len(args.workload):
+        parser.error("a --workload is given twice")
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     spec = json.loads((root / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
-    def command(seed) -> list[str]:
-        return [*spec["command"], "--workload", args.workload, "--seed", str(seed)]
+    def command(workload, seed) -> list[str]:
+        return [*spec["command"], "--workload", workload, "--seed", str(seed)]
 
-    pairs = []
+    workloads = {}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         revs = {side: export_tree(root, rev, trees[side])
                 for side, rev in (("parent", args.base), ("change", "HEAD"))}
-        for k in range(args.pairs):
-            seed = args.first_seed + k
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0], "command": " ".join(command(seed))}
-            for side in order:
-                print(f"pair {k + 1}/{args.pairs}, seed {seed}: {side}", file=sys.stderr)
-                pair[side] = run_bench(trees[side], command(seed))
-            pairs.append(pair)
+        for workload in args.workload:
+            pairs = []
+            for k in range(args.pairs):
+                seed = args.first_seed + k
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0],
+                        "command": " ".join(command(workload, seed))}
+                for side in order:
+                    print(f"{workload} pair {k + 1}/{args.pairs}, seed {seed}: {side}",
+                          file=sys.stderr)
+                    pair[side] = run_bench(trees[side], command(workload, seed))
+                pairs.append(pair)
+            workloads[workload] = {"summary": summarize(pairs, metrics), "pairs": pairs}
 
     record = {
-        "workload": args.workload,
-        "command": " ".join(command("{seed}")),
+        "command": " ".join(command("{workload}", "{seed}")),
         "note": "each pair: the last two stdout lines of the benchmark at the parent "
                 "revision and with the change, both run from trees exported with git "
                 "archive (so git_revision is null), the first side alternating",
         "parent_revision": revs["parent"],
         "change_revision": revs["change"],
-        "summary": summarize(pairs, metrics),
-        "pairs": pairs,
+        "workloads": workloads,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    for name, entry in record["summary"]["metrics"].items():
-        print(f"{name}: {entry['parent']['median']:.6g} -> {entry['change']['median']:.6g}"
-              f" (change won {entry['change_won']}/{len(pairs)})")
+    for workload, entry in workloads.items():
+        for name, m in entry["summary"]["metrics"].items():
+            print(f"{workload} {name}: {m['parent']['median']:.6g} -> "
+                  f"{m['change']['median']:.6g} (change won {m['change_won']}/{args.pairs})")
     return 0
 
 
