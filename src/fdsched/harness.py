@@ -7,10 +7,9 @@ derived from the master seed and the drop index by a counter-based split,
 which makes results independent of scheduling order and parallelism.  A
 strategy whose schedule reads neither mu nor the weights
 (solvers.OBJECTIVE_FREE_STRATEGIES: R-EPA) is solved once per drop; its
-other combinations copy that outcome and recompute only the objective.
-Each record is encoded as a records.jsonl line where it is made, and a
-rescored combination reuses its solve's line with only mu, the objective
-and the weight mode re-encoded.
+other combinations copy that outcome and recompute only the objective,
+and their records.jsonl lines reuse the solve's encoded line with only
+mu, the objective and the weight mode encoded afresh.
 
 Outputs per run directory:
   config.json    resolved configuration (deterministic)
@@ -20,8 +19,7 @@ Outputs per run directory:
   timing.log     wall-clock sidecar; the only non-deterministic file
 
 A parallel run hands each worker process a contiguous block of drops and
-merges the blocks back in drop order; the workers encode their blocks'
-lines, and the parent only joins them.
+merges the blocks back in drop order.
 """
 
 from __future__ import annotations
@@ -154,48 +152,28 @@ class RunRecord:
     gain_hash: str
 
 
-# json.dumps(obj, sort_keys=True) without building an encoder per call
-_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def _rescored_line(line: str, mu: float, objective: float, weight_mode: str) -> str:
-    """The records.jsonl line of a solved record, with mu, the objective and
-    the weight mode replaced: the only fields a rescoring changes.  In
-    sorted key order mu and objective are adjacent and weight_mode is last;
-    no encoded number holds ', "', so that marks the key after objective."""
-    head, rest = line.split(', "mu": ', 1)
-    body = rest[rest.index(', "', rest.index('"objective": ')):rest.rindex(', "weight_mode": ')]
-    return (f'{head}, "mu": {_ENCODER.encode(mu)}, "objective": {_ENCODER.encode(objective)}'
-            f'{body}, "weight_mode": {_ENCODER.encode(weight_mode)}}}')
-
-
 def _run_drop(cfg: ExperimentConfig, drop_index: int):
-    """Worker: evaluate all requested combinations on one drop.
-
-    Returns the records, their records.jsonl lines, the scenario document
-    (None unless cfg.dump_scenarios) and the drop's wall time.
-    """
+    """Worker: evaluate all requested combinations on one drop."""
     started = time.perf_counter()
     master = cfg.params.rng_seed
     gains = build_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
     table_hash = _gain_hash(gains)
     strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
     strategy_state = strategy_rng.bit_generator.state
-    records, lines = [], []
+    records = []
     weights = {mode: make_weights(mode, gains) for mode in cfg.weight_modes}
-    solved = {}   # objective-free strategy -> (outcome, record, line) of its one solve
+    solved = {}   # objective-free strategy -> (outcome, record) of its one solve
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
             for name in cfg.strategies:
                 if name in solved:
                     # Same pairing, powers and SEs as the first solve; only
                     # the objective depends on mu and the weights.
-                    outcome, record, line = solved[name]
-                    objective = objective_value(outcome.se_ul, outcome.se_dl,
-                                                outcome.min_se, weights[mode], mu)
+                    outcome, record = solved[name]
                     records.append(dataclasses.replace(
-                        record, mu=mu, weight_mode=mode.value, objective=objective))
-                    lines.append(_rescored_line(line, mu, objective, mode.value))
+                        record, mu=mu, weight_mode=mode.value,
+                        objective=objective_value(outcome.se_ul, outcome.se_dl,
+                                                  outcome.min_se, weights[mode], mu)))
                     continue
                 # Generator rewound per solve: randomized strategies make the
                 # same draw for every (mu, mode) combination of the drop.
@@ -215,12 +193,11 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
                     seed=f"{master}:{drop_index}",
                     gain_hash=table_hash,
                 ))
-                lines.append(_ENCODER.encode(vars(records[-1])))
                 if name in OBJECTIVE_FREE_STRATEGIES:
-                    solved[name] = outcome, records[-1], lines[-1]
+                    solved[name] = outcome, records[-1]
     elapsed = time.perf_counter() - started
     scenario_doc = scenario_to_dict(gains) if cfg.dump_scenarios else None
-    return records, lines, scenario_doc, elapsed
+    return records, scenario_doc, elapsed
 
 
 class _WorkerTraceback(Exception):
@@ -266,12 +243,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                                 sort_keys=True) + "\n")
 
     records: list[RunRecord] = []
-    lines: list[str] = []
     timings: list[str] = []
     try:
         if cfg.parallelism == 1:
             for k in range(cfg.iterations):
-                _merge_drop(out, k, _run_drop(cfg, k), records, lines, timings)
+                _merge_drop(out, k, _run_drop(cfg, k), records, timings)
         else:
             n_blocks = min(cfg.iterations, 4 * cfg.parallelism)
             edges = [cfg.iterations * b // n_blocks for b in range(n_blocks + 1)]
@@ -282,17 +258,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 for (lo, hi), future in zip(blocks, futures):
                     results, error, pid, elapsed = future.result()
                     for k, result in enumerate(results, lo):
-                        _merge_drop(out, k, result, records, lines, timings)
+                        _merge_drop(out, k, result, records, timings)
                     if error is not None:
                         raise error[0] from _WorkerTraceback(error[1])
                     block_lines.append(f"drops {lo}-{hi - 1}: pid {pid}, {elapsed:.4f} s")
             timings.extend(block_lines)
     except Exception as exc:
-        _flush_records(out, lines)
+        _flush_records(out, records)
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         raise
 
-    _flush_records(out, lines)
+    _flush_records(out, records)
     cdf_files, summary = _write_cdfs_and_summary(out, cfg, records)
     (out / "timing.log").write_text(
         time.strftime("run finished %Y-%m-%dT%H:%M:%S\n") + "\n".join(timings) + "\n")
@@ -301,12 +277,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _merge_drop(out: Path, k: int, result, records: list[RunRecord],
-                lines: list[str], timings: list[str]) -> None:
+                timings: list[str]) -> None:
     """Append drop k's results; drops are merged in order as they finish,
     so a later failure keeps every earlier drop."""
-    drop_records, drop_lines, scenario_doc, elapsed = result
+    drop_records, scenario_doc, elapsed = result
     records.extend(drop_records)
-    lines.extend(drop_lines)
     timings.append(f"drop {k}: {elapsed:.4f} s")
     if scenario_doc is not None:
         scen_dir = out / "scenarios"
@@ -315,7 +290,44 @@ def _merge_drop(out: Path, k: int, result, records: list[RunRecord],
             json.dumps(scenario_doc, indent=1, sort_keys=True))
 
 
-def _flush_records(out: Path, lines: list[str]) -> None:
+# json.dumps(obj, sort_keys=True) without building an encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _rescored_line(line: str, mu: float, objective: float, weight_mode: str) -> str:
+    """The records.jsonl line of a solved record, with mu, the objective and
+    the weight mode replaced: the only fields a rescoring changes.  In
+    sorted key order mu and objective are adjacent and weight_mode is last;
+    no encoded number holds ', "', so that marks the key after objective."""
+    head, rest = line.split(', "mu": ', 1)
+    body = rest[rest.index(', "', rest.index('"objective": ')):rest.rindex(', "weight_mode": ')]
+    return (f'{head}, "mu": {_ENCODER.encode(mu)}, "objective": {_ENCODER.encode(objective)}'
+            f'{body}, "weight_mode": {_ENCODER.encode(weight_mode)}}}')
+
+
+def _record_lines(records: list[RunRecord]) -> list[str]:
+    """The records.jsonl lines: json.dumps(vars(r), sort_keys=True) of each.
+
+    _run_drop solves an objective-free strategy once per drop and rescores
+    that record for the drop's other combinations, so the first record of
+    each (drop, objective-free strategy) is encoded and the later ones
+    derive their lines from it.  Encoding each record inside _run_drop,
+    between solves, measured slower than this one loop after the run.
+    """
+    lines, solved = [], {}
+    for r in records:
+        key = r.drop, r.strategy
+        if key in solved:
+            lines.append(_rescored_line(solved[key], r.mu, r.objective, r.weight_mode))
+            continue
+        lines.append(_ENCODER.encode(vars(r)))
+        if r.strategy in OBJECTIVE_FREE_STRATEGIES:
+            solved[key] = lines[-1]
+    return lines
+
+
+def _flush_records(out: Path, records: list[RunRecord]) -> None:
+    lines = _record_lines(records)
     (out / "records.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
