@@ -47,7 +47,7 @@ from .model import (
     validate_params,
     watts_to_dbm,
 )
-from .radio import make_weights, objective_value
+from .radio import check_mu, make_weights, objective_value
 from .scenario import build_gain_table, scenario_to_dict
 from .solvers import (_P_OPT_MAX_USERS, OBJECTIVE_FREE_STRATEGIES, STRATEGIES,
                       StrategyId, solve)
@@ -92,8 +92,10 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
     if not cfg.mu_values:
         bad.append("at least one mu value required")
     for mu in cfg.mu_values:
-        if not 0.0 <= mu <= 1.0:
-            bad.append(f"mu must lie in [0, 1], got {mu}")
+        try:
+            check_mu(mu)
+        except ValueError as exc:
+            bad.append(str(exc))
     if not cfg.weight_modes:
         bad.append("at least one weight mode required")
     if cfg.parallelism < 1:
@@ -292,6 +294,17 @@ def _merge_drop(out: Path, k: int, result, records: list[RunRecord],
 
 # json.dumps(obj, sort_keys=True) without building an encoder per call
 _ENCODER = json.JSONEncoder(sort_keys=True)
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode_float(x: float) -> str:
+    """_ENCODER.encode(x) without its per-call setup: a float's repr, or the
+    encoder's spelling of NaN and the infinities.  Anything but a float goes
+    to the encoder."""
+    if not isinstance(x, float):
+        return _ENCODER.encode(x)
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
 
 
 def _rescored_line(line: str, mu: float, objective: float, weight_mode: str) -> str:
@@ -301,7 +314,7 @@ def _rescored_line(line: str, mu: float, objective: float, weight_mode: str) -> 
     no encoded number holds ', "', so that marks the key after objective."""
     head, rest = line.split(', "mu": ', 1)
     body = rest[rest.index(', "', rest.index('"objective": ')):rest.rindex(', "weight_mode": ')]
-    return (f'{head}, "mu": {_ENCODER.encode(mu)}, "objective": {_ENCODER.encode(objective)}'
+    return (f'{head}, "mu": {_encode_float(mu)}, "objective": {_encode_float(objective)}'
             f'{body}, "weight_mode": {_ENCODER.encode(weight_mode)}}}')
 
 

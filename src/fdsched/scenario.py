@@ -13,6 +13,7 @@ results.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -58,11 +59,11 @@ class PropagationModel:
 
     def path_loss_db(self, d_m, los):
         """Path loss in dB at distance d_m (clamped to >= 1 m)."""
-        d = np.maximum(np.asarray(d_m, dtype=float), 1.0)
+        log_d = np.log10(np.maximum(np.asarray(d_m, dtype=float), 1.0))
         return np.where(
             los,
-            self.los_intercept_db + self.los_slope * np.log10(d),
-            self.nlos_intercept_db + self.nlos_slope * np.log10(d),
+            self.los_intercept_db + self.los_slope * log_d,
+            self.nlos_intercept_db + self.nlos_slope * log_d,
         )
 
     def los_probability(self, d_m):
@@ -84,20 +85,25 @@ def link_gain(model: PropagationModel, d_m, los, shadow_db) -> np.ndarray:
     return 10.0 ** (-(pl + np.asarray(shadow_db, dtype=float)) / 10.0)
 
 
-def draw_link_states(model: PropagationModel, d_m, rng: np.random.Generator):
+def draw_link_states(model: PropagationModel, d_m, rng: np.random.Generator, sizes=None):
     """Draw (los, shadow_db) for an array of link distances.
 
     Consumes one uniform per link (skipped for pinned LOS modes) followed by
-    one standard normal per link, in that order.
+    one standard normal per link, in that order.  With sizes, the links are
+    consecutive groups of those sizes (in C order), drawn group by group:
+    the first group's uniforms and normals, then the next group's.
     """
     d = np.asarray(d_m, dtype=float)
-    if model.los_mode == "los":
-        los = np.ones(d.shape, dtype=bool)
-    elif model.los_mode == "nlos":
-        los = np.zeros(d.shape, dtype=bool)
+    uniforms, normals = [], []
+    for n in sizes or [d.size]:
+        if model.los_mode == "umi":
+            uniforms.append(rng.random(n))
+        normals.append(rng.standard_normal(n))
+    if model.los_mode == "umi":
+        los = np.concatenate(uniforms).reshape(d.shape) < model.los_probability(d)
     else:
-        los = rng.random(d.shape) < model.los_probability(d)
-    shadow_db = rng.standard_normal(d.shape) * model.shadow_std_db(los)
+        los = np.full(d.shape, model.los_mode == "los")
+    shadow_db = np.concatenate(normals).reshape(d.shape) * model.shadow_std_db(los)
     return los, shadow_db
 
 
@@ -106,27 +112,44 @@ def drop_users(params: ScenarioParams, rng: np.random.Generator) -> DropPosition
 
     Candidates from the bounding square are rejected until they fall inside
     the hexagon of circumradius cell_radius_m, min_bs_ue_distance_m or more
-    from the BS; UL users first.  A batch of one candidate per unplaced UE
-    consumes exactly the draws of the one-at-a-time loop.  ValueError if a
-    UE meets _MAX_PLACEMENT_ATTEMPTS consecutive rejections.
+    from the BS; UL users first.  The result and the generator's final
+    position are those of drawing one candidate at a time: one block of
+    candidates, sized from the acceptance ratio with a margin, is drawn
+    (another only if it falls short), the first I + J hits are kept, and
+    the generator is rewound through rng.bit_generator.state and made to
+    redraw exactly the consumed candidates.  So rng must be a numpy
+    Generator (or have its uniform and bit_generator.state).  ValueError if
+    a UE meets _MAX_PLACEMENT_ATTEMPTS consecutive rejections; misses after
+    the last needed hit do not count.
     """
     require_valid(params)
-    r = params.cell_radius_m
-    placed, unplaced, misses = [], params.num_ul + params.num_dl, 0
-    while unplaced:
-        cand = rng.uniform(-r, r, size=(unplaced, 2))
+    r, d_min = params.cell_radius_m, params.min_bs_ue_distance_m
+    need = params.num_ul + params.num_dl
+    # Hexagon minus the excluded disc, over the square; validation keeps the
+    # disc inside the apothem, so this is at least 6%.
+    accept = (1.5 * math.sqrt(3) * r * r - math.pi * d_min * d_min) / (4 * r * r)
+    start = rng.bit_generator.state
+    found_at, drawn, misses = [], 0, 0
+    while need:
+        # About three standard deviations of the hit count to spare.
+        size = int((need + 3 * math.sqrt(need) + 3) / accept)
+        cand = rng.uniform(-r, r, size=(size, 2))
         # A matvec per candidate rounds bit for bit as `_HEX_NORMALS @ point`.
         inside = np.abs(_HEX_NORMALS @ cand[:, :, None]).max(axis=(1, 2)) <= r * math.sqrt(3) / 2
-        hits = np.flatnonzero(inside & (np.hypot(*cand.T) >= params.min_bs_ue_distance_m))
-        # Rejections before each hit and after the last; misses carries the run.
-        gaps = np.diff(hits, prepend=-1 - misses, append=unplaced) - 1
-        if gaps.max() >= _MAX_PLACEMENT_ATTEMPTS:
+        found = np.flatnonzero(inside & (np.hypot(*cand.T) >= d_min))[:need]
+        need -= found.size
+        # Rejections before each hit, and after the last one while UEs remain.
+        bounds = np.concatenate(([-1 - misses], found, [size]))
+        gaps = bounds[1:] - bounds[:-1] - 1
+        if (gaps if need else gaps[:-1]).max() >= _MAX_PLACEMENT_ATTEMPTS:
             raise ValueError("could not place a UE inside the cell; check cell_radius_m "
                              "against min_bs_ue_distance_m")
         misses = int(gaps[-1])
-        placed.append(cand[hits])
-        unplaced -= len(hits)
-    pts = np.concatenate(placed)
+        found_at.append(drawn + found)
+        drawn += size
+    hits = np.concatenate(found_at)
+    rng.bit_generator.state = start
+    pts = rng.uniform(-r, r, size=(hits[-1] + 1, 2))[hits]
     return DropPositions(bs=np.zeros(2), ul=pts[:params.num_ul], dl=pts[params.num_ul:])
 
 
@@ -140,30 +163,31 @@ def build_gain_table(
 
     cross_model, when given, replaces the propagation model for the
     UE-to-UE interference links only; by default they follow the same model
-    as the BS links.  Draw order: positions, then UL link states, DL link
-    states, and cross link states (row-major over UL x DL).
+    as the BS links.  Draw order: positions (see drop_users, so rng must be
+    a numpy Generator), then the UL links' LOS uniforms and shadowing
+    normals, the DL links', and the cross links' (row-major over UL x DL).
+    The link distances are computed once, and each run of links that
+    shares a model (all of them by default) is evaluated in one pass.
     """
     model = model or PropagationModel()
-    cross_model = cross_model or model
     positions = drop_users(params, rng)
-
-    d_ul = np.hypot(positions.ul[:, 0], positions.ul[:, 1])
-    d_dl = np.hypot(positions.dl[:, 0], positions.dl[:, 1])
-    d_cross = np.hypot(
-        positions.ul[:, None, 0] - positions.dl[None, :, 0],
-        positions.ul[:, None, 1] - positions.dl[None, :, 1],
-    )
-
-    los_ul, shadow_ul = draw_link_states(model, d_ul, rng)
-    los_dl, shadow_dl = draw_link_states(model, d_dl, rng)
-    los_x, shadow_x = draw_link_states(cross_model, d_cross, rng)
-
-    return GainTable(
-        g_ul=link_gain(model, d_ul, los_ul, shadow_ul),
-        g_dl=link_gain(model, d_dl, los_dl, shadow_dl),
-        g_cross=link_gain(cross_model, d_cross, los_x, shadow_x),
-        positions=positions,
-    )
+    ul, dl = positions.ul, positions.dl
+    n_ul, n_dl = len(ul), len(dl)
+    d = np.concatenate([
+        np.hypot(ul[:, 0], ul[:, 1]),
+        np.hypot(dl[:, 0], dl[:, 1]),
+        np.hypot(ul[:, None, 0] - dl[None, :, 0], ul[:, None, 1] - dl[None, :, 1]).ravel(),
+    ])
+    links = [(model, n_ul), (model, n_dl), (cross_model or model, n_ul * n_dl)]
+    gains, start = [], 0
+    for link_model, run in itertools.groupby(links, key=lambda link: link[0]):
+        sizes = [n for _, n in run]
+        d_run = d[start:start + sum(sizes)]
+        gains.append(link_gain(link_model, d_run, *draw_link_states(link_model, d_run, rng, sizes)))
+        start += sum(sizes)
+    g = np.concatenate(gains)
+    return GainTable(g_ul=g[:n_ul], g_dl=g[n_ul:n_ul + n_dl],
+                     g_cross=g[n_ul + n_dl:].reshape(n_ul, n_dl), positions=positions)
 
 
 # ---------------------------------------------------------------------------

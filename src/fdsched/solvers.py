@@ -287,8 +287,7 @@ def dual_multipliers(c, mu: float) -> np.ndarray:
         raise ValueError("dual_multipliers needs a nonempty vector")
     if np.any(c < 0):
         raise ValueError("spectral efficiencies must be nonnegative")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    check_mu(mu)
     lam = np.zeros(c.size)
     lam[int(np.argmin(c))] = mu
     return lam

@@ -3,7 +3,7 @@ against: per-link SINRs, the corner-point evaluation of one pair, the
 stand-alone evaluation of one user, the per-user outcome evaluation of a
 schedule, a brute-force assignment, the padded-square form of the
 solo-aware assignment, the one-candidate-at-a-time UE placement, the
-0/1 matrix of a pairing and the per-combination drop loop that solves
+link-group-at-a-time gain table, the 0/1 matrix of a pairing and the per-combination drop loop that solves
 every strategy once for each (mu, weight mode).
 
 They are written one user or one permutation at a time, independent of
@@ -29,7 +29,14 @@ from fdsched.model import (
     WeightVector,
 )
 from fdsched.radio import benefit_value, corner_points
-from fdsched.scenario import _HEX_NORMALS, _MAX_PLACEMENT_ATTEMPTS, build_gain_table
+from fdsched.scenario import (
+    _HEX_NORMALS,
+    _MAX_PLACEMENT_ATTEMPTS,
+    PropagationModel,
+    build_gain_table,
+    draw_link_states,
+    link_gain,
+)
 from fdsched.solvers import solve
 
 _BRUTE_FORCE_MAX_SIZE = 9
@@ -218,6 +225,31 @@ def reference_drop_users(params: ScenarioParams, rng) -> DropPositions:
                 "against min_bs_ue_distance_m")
     pts = np.array(placed).reshape(-1, 2)
     return DropPositions(bs=np.zeros(2), ul=pts[:params.num_ul], dl=pts[params.num_ul:])
+
+
+def reference_build_gain_table(params: ScenarioParams, rng, model=None,
+                               cross_model=None) -> GainTable:
+    """build_gain_table one link group at a time, on reference_drop_users:
+    the UL links' states and gains, then the DL links', then the cross
+    links' (row-major), each group with its own draws and formulas."""
+    model = model or PropagationModel()
+    cross_model = cross_model or model
+    positions = reference_drop_users(params, rng)
+    d_ul = np.hypot(positions.ul[:, 0], positions.ul[:, 1])
+    d_dl = np.hypot(positions.dl[:, 0], positions.dl[:, 1])
+    d_cross = np.hypot(
+        positions.ul[:, None, 0] - positions.dl[None, :, 0],
+        positions.ul[:, None, 1] - positions.dl[None, :, 1],
+    )
+    los_ul, shadow_ul = draw_link_states(model, d_ul, rng)
+    los_dl, shadow_dl = draw_link_states(model, d_dl, rng)
+    los_x, shadow_x = draw_link_states(cross_model, d_cross, rng)
+    return GainTable(
+        g_ul=link_gain(model, d_ul, los_ul, shadow_ul),
+        g_dl=link_gain(model, d_dl, los_dl, shadow_dl),
+        g_cross=link_gain(cross_model, d_cross, los_x, shadow_x),
+        positions=positions,
+    )
 
 
 def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:

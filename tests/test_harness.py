@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from fdsched.harness import (
     ConfigError,
     ExperimentConfig,
     RunRecord,
+    _encode_float,
     _record_lines,
     _rescored_line,
     _run_drop,
@@ -86,6 +88,12 @@ class TestValidateConfig:
         # a repeated entry would write every record of its combination twice
         cfg = dataclasses.replace(canned_experiments("fig2"), **{field: values})
         assert validate_config(cfg).violations == (message,)
+
+    def test_mu_out_of_range_flagged(self):
+        cfg = dataclasses.replace(canned_experiments("fig2"),
+                                  mu_values=(0.5, 1.5, float("nan"), -0.0))
+        assert validate_config(cfg).violations == (
+            "mu must lie in [0, 1], got 1.5", "mu must lie in [0, 1], got nan")
 
 
 class TestCannedExperiments:
@@ -355,6 +363,12 @@ class TestEncodedLines:
                                                weight_mode="PL")
                 assert (_rescored_line(line, mu, objective, "PL")
                         == json.dumps(vars(rescored), sort_keys=True))
+
+    def test_encode_float_matches_json_dumps(self):
+        values = [0.0, -0.0, 1e-320, 1e22, sys.float_info.max, float("nan"),
+                  float("inf"), float("-inf"), np.float64(0.1), 1]
+        for x in values:
+            assert _encode_float(x) == json.dumps(x)
 
 
 class TestPoolBlocks:

@@ -12,7 +12,7 @@ from fdsched.scenario import (
     load_scenario,
     save_scenario,
 )
-from oracles import reference_drop_users
+from oracles import reference_build_gain_table, reference_drop_users
 
 
 def make_params(**kw):
@@ -66,19 +66,24 @@ class TestDropUsers:
 
 class _ScriptedRng:
     """Stands in for a Generator: uniform() replays fixed candidate points
-    in order, whatever batch shape it is asked for."""
+    in order, whatever shape it is asked for, and returns rejected points
+    past the end of the script, so drawing more than is used is legal.
+    bit_generator.state is the read position, so a saved state rewinds."""
 
     def __init__(self, points):
         self.coords = np.asarray(points, dtype=float).ravel()
         self.used = 0
+        self.bit_generator = self
+
+    state = property(lambda self: self.used, lambda self, used: setattr(self, "used", used))
 
     def uniform(self, low, high, size):
         n = int(np.prod(size))
-        if self.used + n > self.coords.size:
-            raise RuntimeError("script exhausted")
-        out = self.coords[self.used:self.used + n].reshape(size)
+        out = np.resize(_misses(2), n)
+        script = self.coords[self.used:self.used + n]
+        out[:script.size] = script
         self.used += n
-        return out
+        return out.reshape(size)
 
 
 def _hits(lo, hi):
@@ -96,14 +101,14 @@ _CAP = _MAX_PLACEMENT_ATTEMPTS
 
 
 @pytest.mark.parametrize("place", [drop_users, reference_drop_users],
-                         ids=["batched", "scalar"])
+                         ids=["one-draw", "scalar"])
 class TestPlacementCap:
     @pytest.mark.parametrize("num_ul,num_dl,script", [
-        # the 9,999th miss and the first hit share a batch of two
+        # each UE is placed on its 10,000th attempt
         (1, 1, _misses(_CAP - 1) + _hits(0, 1) + _misses(_CAP - 1) + _hits(1, 2)),
-        # one batch of three places every UE after 9,999 carried misses
+        # three hits in a row after 9,999 misses
         (2, 1, _misses(_CAP - 1) + _hits(0, 3)),
-    ], ids=["two-ues", "batch-of-three"])
+    ], ids=["two-ues", "three-in-a-row"])
     def test_last_attempt_places_the_ue(self, place, num_ul, num_dl, script):
         params = make_params(num_ul=num_ul, num_dl=num_dl)
         rng = _ScriptedRng(script)
@@ -115,9 +120,9 @@ class TestPlacementCap:
 
     @pytest.mark.parametrize("num_ul,num_dl,script", [
         (1, 0, _misses(_CAP)),
-        # the 10,000th miss and two hits share a batch of three
+        # the 10,000th miss comes just before three hits
         (2, 1, _misses(_CAP) + _hits(0, 3)),
-    ], ids=["alone", "batch-of-three"])
+    ], ids=["alone", "three-in-a-row"])
     def test_first_ue_gives_up_after_cap_misses(self, place, num_ul, num_dl, script):
         with pytest.raises(ValueError, match="could not place a UE inside the cell"):
             place(make_params(num_ul=num_ul, num_dl=num_dl), _ScriptedRng(script))
@@ -126,6 +131,17 @@ class TestPlacementCap:
         script = _hits(0, 1) + _misses(_CAP) + _hits(1, 2)
         with pytest.raises(ValueError, match="could not place a UE inside the cell"):
             place(make_params(num_ul=1, num_dl=1), _ScriptedRng(script))
+
+    def test_misses_after_the_last_hit_do_not_count(self, place):
+        # At 86 m about 7% of candidates are accepted, so the one-draw
+        # block for 1,000 UEs holds more than _CAP candidates past the script.
+        hits = [(87.0 + 0.01 * i, 0.0) for i in range(1000)]
+        params = make_params(num_ul=500, num_dl=500, num_channels=500,
+                             min_bs_ue_distance_m=86.0)
+        rng = _ScriptedRng(hits)
+        pos = place(params, rng)
+        assert np.array_equal(np.vstack([pos.ul, pos.dl]), hits)
+        assert rng.used == rng.coords.size
 
 
 class TestLinkGain:
@@ -228,6 +244,28 @@ class TestBuildGainTable:
         assert np.array_equal(loaded.g_dl, g.g_dl)
         assert np.array_equal(loaded.g_cross, g.g_cross)
         assert np.array_equal(loaded.positions.ul, g.positions.ul)
+
+    @pytest.mark.parametrize("num_ul,num_dl,min_dist", [
+        (4, 4, 3.0), (25, 25, 3.0), (40, 80, 3.0), (0, 5, 3.0), (5, 0, 3.0),
+        (100, 100, 3.0),
+        (25, 25, 86.0),  # about 7% acceptance
+    ])
+    @pytest.mark.parametrize("cross_mode", [None, "nlos", "los"])
+    def test_matches_per_group_reference(self, num_ul, num_dl, min_dist, cross_mode):
+        params = make_params(num_ul=num_ul, num_dl=num_dl,
+                             num_channels=max(num_ul, num_dl),
+                             min_bs_ue_distance_m=min_dist)
+        cross = PropagationModel(los_mode=cross_mode) if cross_mode else None
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = build_gain_table(params, rng, cross_model=cross)
+            ref = reference_build_gain_table(params, ref_rng, cross_model=cross)
+            for name in ("g_ul", "g_dl", "g_cross"):
+                a, b = getattr(g, name), getattr(ref, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert g.positions.ul.tobytes() == ref.positions.ul.tobytes()
+            assert g.positions.dl.tobytes() == ref.positions.dl.tobytes()
+            assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
     @pytest.mark.parametrize("field", ["g_ul", "g_dl", "g_cross"])

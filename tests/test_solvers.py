@@ -471,7 +471,7 @@ class TestDualMultipliers:
             dual_multipliers([], 0.5)
         with pytest.raises(ValueError):
             dual_multipliers([1.0, -0.5], 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\], got 1.5"):
             dual_multipliers([1.0], 1.5)
 
 
