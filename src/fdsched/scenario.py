@@ -135,16 +135,18 @@ def drop_users(params: ScenarioParams, rng: np.random.Generator) -> DropPosition
         size = int((need + 3 * math.sqrt(need) + 3) / accept)
         cand = rng.uniform(-r, r, size=(size, 2))
         # A matvec per candidate rounds bit for bit as `_HEX_NORMALS @ point`.
-        inside = np.abs(_HEX_NORMALS @ cand[:, :, None]).max(axis=(1, 2)) <= r * math.sqrt(3) / 2
+        inside = (np.abs(_HEX_NORMALS @ cand[:, :, None]) <= r * math.sqrt(3) / 2).all(axis=(1, 2))
         found = np.flatnonzero(inside & (np.hypot(*cand.T) >= d_min))[:need]
         need -= found.size
-        # Rejections before each hit, and after the last one while UEs remain.
-        bounds = np.concatenate(([-1 - misses], found, [size]))
-        gaps = bounds[1:] - bounds[:-1] - 1
-        if (gaps if need else gaps[:-1]).max() >= _MAX_PLACEMENT_ATTEMPTS:
-            raise ValueError("could not place a UE inside the cell; check cell_radius_m "
-                             "against min_bs_ue_distance_m")
-        misses = int(gaps[-1])
+        # No run of rejections since the last hit is longer than misses + size.
+        if misses + size >= _MAX_PLACEMENT_ATTEMPTS:
+            # Rejections before each hit, and after the last one while UEs remain.
+            bounds = np.concatenate(([-1 - misses], found, [size]))
+            gaps = bounds[1:] - bounds[:-1] - 1
+            if (gaps if need else gaps[:-1]).max() >= _MAX_PLACEMENT_ATTEMPTS:
+                raise ValueError("could not place a UE inside the cell; check cell_radius_m "
+                                 "against min_bs_ue_distance_m")
+        misses = size - 1 - int(found[-1]) if found.size else misses + size
         found_at.append(drawn + found)
         drawn += size
     hits = np.concatenate(found_at)
