@@ -68,6 +68,8 @@ class _ScriptedRng:
     """Stands in for a Generator: uniform() replays fixed candidate points
     in order, whatever shape it is asked for, and returns rejected points
     past the end of the script, so drawing more than is used is legal.
+    Reading 4 * _CAP candidates past the end fails, so a placement that
+    stops enforcing the miss cap fails instead of hanging.
     bit_generator.state is the read position, so a saved state rewinds."""
 
     def __init__(self, points):
@@ -79,6 +81,8 @@ class _ScriptedRng:
 
     def uniform(self, low, high, size):
         n = int(np.prod(size))
+        if self.used + n > self.coords.size + 8 * _CAP:
+            raise RuntimeError("read far past the end of the script")
         out = np.resize(_misses(2), n)
         script = self.coords[self.used:self.used + n]
         out[:script.size] = script
@@ -101,14 +105,14 @@ _CAP = _MAX_PLACEMENT_ATTEMPTS
 
 
 @pytest.mark.parametrize("place", [drop_users, reference_drop_users],
-                         ids=["one-draw", "scalar"])
+                         ids=["batched", "scalar"])
 class TestPlacementCap:
     @pytest.mark.parametrize("num_ul,num_dl,script", [
         # each UE is placed on its 10,000th attempt
         (1, 1, _misses(_CAP - 1) + _hits(0, 1) + _misses(_CAP - 1) + _hits(1, 2)),
         # three hits in a row after 9,999 misses
         (2, 1, _misses(_CAP - 1) + _hits(0, 3)),
-    ], ids=["two-ues", "three-in-a-row"])
+    ], ids=["two-ues", "batch-of-three"])
     def test_last_attempt_places_the_ue(self, place, num_ul, num_dl, script):
         params = make_params(num_ul=num_ul, num_dl=num_dl)
         rng = _ScriptedRng(script)
@@ -122,7 +126,7 @@ class TestPlacementCap:
         (1, 0, _misses(_CAP)),
         # the 10,000th miss comes just before three hits
         (2, 1, _misses(_CAP) + _hits(0, 3)),
-    ], ids=["alone", "three-in-a-row"])
+    ], ids=["alone", "batch-of-three"])
     def test_first_ue_gives_up_after_cap_misses(self, place, num_ul, num_dl, script):
         with pytest.raises(ValueError, match="could not place a UE inside the cell"):
             place(make_params(num_ul=num_ul, num_dl=num_dl), _ScriptedRng(script))
