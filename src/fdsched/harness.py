@@ -4,12 +4,14 @@ One experiment sweeps (strategy, mu, weight mode) combinations over N
 independent network drops.  Every combination of one drop sees the same
 GainTable, so cross-strategy comparisons are paired.  Substream seeds are
 derived from the master seed and the drop index by a counter-based split,
-which makes results independent of scheduling order and parallelism.  A
-strategy whose schedule reads neither mu nor the weights
-(solvers.OBJECTIVE_FREE_STRATEGIES: R-EPA) is solved once per drop; its
-other combinations copy that outcome and recompute only the objective,
-and their records.jsonl lines reuse the solve's encoded line with only
-mu, the objective and the weight mode encoded afresh.
+which makes results independent of scheduling order and parallelism.
+Each strategy is solved once per drop for all of the drop's (weight mode,
+mu) objectives, its generator rewound first, and the records keep the
+(weight mode, mu, strategy) order.  A strategy whose schedule reads
+neither mu nor the weights (solvers.OBJECTIVE_FREE_STRATEGIES: R-EPA)
+gives every objective the same SEs; its records share one pair of SE
+tuples, and their records.jsonl lines reuse the first one's encoded line
+with only mu, the objective and the weight mode encoded afresh.
 
 Outputs per run directory:
   config.json    resolved configuration (deterministic)
@@ -24,7 +26,6 @@ merges the blocks back in drop order.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -47,7 +48,7 @@ from .model import (
     validate_params,
     watts_to_dbm,
 )
-from .radio import check_mu, make_weights, objective_value
+from .radio import check_mu
 from .scenario import build_gain_table, scenario_to_dict
 from .solvers import (_P_OPT_MAX_USERS, OBJECTIVE_FREE_STRATEGIES, STRATEGIES,
                       StrategyId, solve)
@@ -160,43 +161,29 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
     master = cfg.params.rng_seed
     gains = build_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
     table_hash = _gain_hash(gains)
+    seed = f"{master}:{drop_index}"
     strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
     strategy_state = strategy_rng.bit_generator.state
-    records = []
-    weights = {mode: make_weights(mode, gains) for mode in cfg.weight_modes}
-    solved = {}   # objective-free strategy -> (outcome, record) of its one solve
-    for mode in cfg.weight_modes:
-        for mu in cfg.mu_values:
-            for name in cfg.strategies:
-                if name in solved:
-                    # Same pairing, powers and SEs as the first solve; only
-                    # the objective depends on mu and the weights.
-                    outcome, record = solved[name]
-                    records.append(dataclasses.replace(
-                        record, mu=mu, weight_mode=mode.value,
-                        objective=objective_value(outcome.se_ul, outcome.se_dl,
-                                                  outcome.min_se, weights[mode], mu)))
-                    continue
-                # Generator rewound per solve: randomized strategies make the
-                # same draw for every (mu, mode) combination of the drop.
-                strategy_rng.bit_generator.state = strategy_state
-                outcome = solve(name, gains, cfg.params, mode, mu, strategy_rng)
-                records.append(RunRecord(
-                    drop=drop_index,
-                    strategy=name,
-                    mu=mu,
-                    weight_mode=mode.value,
-                    objective=outcome.objective,
-                    sum_se=outcome.sum_se,
-                    min_se=outcome.min_se,
-                    jain=outcome.jain,
-                    se_ul=tuple(outcome.se_ul.tolist()),
-                    se_dl=tuple(outcome.se_dl.tolist()),
-                    seed=f"{master}:{drop_index}",
-                    gain_hash=table_hash,
-                ))
-                if name in OBJECTIVE_FREE_STRATEGIES:
-                    solved[name] = outcome, records[-1]
+    objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
+    columns = []   # per strategy: its outcomes and their (se_ul, se_dl) tuples
+    for name in cfg.strategies:
+        # Generator rewound per strategy: each makes the draws it would make
+        # alone on the drop.
+        strategy_rng.bit_generator.state = strategy_state
+        outcomes = solve(name, gains, cfg.params, objectives, strategy_rng)
+        # An objective-free strategy's records share one pair of SE tuples.
+        shared = name in OBJECTIVE_FREE_STRATEGIES
+        ses = [(tuple(o.se_ul.tolist()), tuple(o.se_dl.tolist()))
+               for o in (outcomes[:1] if shared else outcomes)]
+        columns.append((name, outcomes, ses * len(outcomes) if shared else ses))
+    records = [
+        RunRecord(drop=drop_index, strategy=name, mu=mu, weight_mode=mode.value,
+                  objective=outcomes[n].objective, sum_se=outcomes[n].sum_se,
+                  min_se=outcomes[n].min_se, jain=outcomes[n].jain,
+                  se_ul=ses[n][0], se_dl=ses[n][1], seed=seed, gain_hash=table_hash)
+        for n, (mode, mu) in enumerate(objectives)
+        for name, outcomes, ses in columns
+    ]
     elapsed = time.perf_counter() - started
     scenario_doc = scenario_to_dict(gains) if cfg.dump_scenarios else None
     return records, scenario_doc, elapsed
@@ -321,10 +308,9 @@ def _rescored_line(line: str, mu: float, objective: float, weight_mode: str) -> 
 def _record_lines(records: list[RunRecord]) -> list[str]:
     """The records.jsonl lines: json.dumps(vars(r), sort_keys=True) of each.
 
-    _run_drop solves an objective-free strategy once per drop and rescores
-    that record for the drop's other combinations, so the first record of
-    each (drop, objective-free strategy) is encoded and the later ones
-    derive their lines from it.  Encoding each record inside _run_drop,
+    The records of one (drop, objective-free strategy) differ only in mu,
+    the objective and the weight mode, so the first is encoded and the
+    later ones derive their lines from it.  Encoding each record inside _run_drop,
     between solves, measured slower than this one loop after the run.
     """
     lines, solved = [], {}

@@ -9,7 +9,10 @@ cross gain.  Users alone on a channel see neither term.
 The per-pair power choice is restricted to the three corner points
 (Pmax_u, Pmax_d), (Pmax_u, 0) and (0, Pmax_d); binary power control is
 optimal for the weighted-sum part of the objective, and the same corner set
-is applied to the fairness-weighted benefit (see corner_tables).The objective's weights and mu are arguments, not ScenarioParams fields.
+is applied to the fairness-weighted benefit (see corner_benefit).  The SEs
+of the corners read no weights (corner_tables), so one table per drop
+serves every objective; the weights and mu are arguments of the scoring
+step, not ScenarioParams fields.
 """
 
 from __future__ import annotations
@@ -70,29 +73,41 @@ def corner_points(params: ScenarioParams) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class CornerTables:
-    """Spectral efficiencies of every (i, j, corner) combination.
+    """Spectral efficiencies of every (i, j, corner) combination, free of
+    any weights or mu, so one table serves every objective of a drop.
 
     se_ul/se_dl have shape (I, J, 3) with the corner axis ordered as
-    corner_points(); benefit has the same shape.  best_corner[i, j] is the
-    argmax corner index with first-wins tie-breaking, so ties resolve toward
-    (Pmax, Pmax), then (Pmax, 0): serve both users when the benefit does not
-    say otherwise.  solo_se_* and solo_contrib_* cover the stand-alone
-    alternative at max power.
+    corner_points(); solo_se_* are the SEs of each user alone at max power.
     """
 
     se_ul: np.ndarray
     se_dl: np.ndarray
-    benefit: np.ndarray
-    best_corner: np.ndarray
     solo_se_ul: np.ndarray
     solo_se_dl: np.ndarray
+
+
+@dataclass(frozen=True)
+class CornerBenefit:
+    """One objective's scores on a CornerTables.
+
+    benefit has the tables' (I, J, 3) shape.  best_corner[i, j] is the
+    argmax corner index with first-wins tie-breaking, so ties resolve toward
+    (Pmax, Pmax), then (Pmax, 0): serve both users when the benefit does not
+    say otherwise.  solo_contrib_* are the stand-alone alternatives'
+    weighted-sum contributions.
+    """
+
+    benefit: np.ndarray
+    best_corner: np.ndarray
     solo_contrib_ul: np.ndarray
     solo_contrib_dl: np.ndarray
 
 
-def corner_tables(gains: GainTable, params: ScenarioParams,
-                  weights: WeightVector, mu: float) -> CornerTables:
-    """Evaluate the three power corners of every pair (i, j) at once."""
+def corner_tables(gains: GainTable, params: ScenarioParams) -> CornerTables:
+    """Evaluate the three power corners of every pair (i, j) at once.
+
+    A user at zero power adds no interference, so a zero-power corner reads
+    the partner's stand-alone SE."""
     noise = params.noise_power_w
     pu, pd = params.p_max_ul_w, params.p_max_dl_w
     num_ul, num_dl = gains.num_ul, gains.num_dl
@@ -108,19 +123,19 @@ def corner_tables(gains: GainTable, params: ScenarioParams,
     se_ul[:, :, 1] = ul_solo[:, None]
     se_dl[:, :, 0] = dl_paired
     se_dl[:, :, 2] = dl_solo[None, :]
+    return CornerTables(se_ul=se_ul, se_dl=se_dl, solo_se_ul=ul_solo, solo_se_dl=dl_solo)
 
-    benefit = benefit_value(se_ul, se_dl,
+
+def corner_benefit(tables: CornerTables, weights: WeightVector, mu: float) -> CornerBenefit:
+    """Score every corner of a CornerTables under the weights and mu."""
+    benefit = benefit_value(tables.se_ul, tables.se_dl,
                             weights.alpha_ul[:, None, None],
                             weights.alpha_dl[None, :, None], mu)
-    return CornerTables(
-        se_ul=se_ul,
-        se_dl=se_dl,
+    return CornerBenefit(
         benefit=benefit,
         best_corner=benefit.argmax(axis=2),
-        solo_se_ul=ul_solo,
-        solo_se_dl=dl_solo,
-        solo_contrib_ul=(1.0 - mu) * weights.alpha_ul * ul_solo,
-        solo_contrib_dl=(1.0 - mu) * weights.alpha_dl * dl_solo,
+        solo_contrib_ul=(1.0 - mu) * weights.alpha_ul * tables.solo_se_ul,
+        solo_contrib_dl=(1.0 - mu) * weights.alpha_dl * tables.solo_se_dl,
     )
 
 

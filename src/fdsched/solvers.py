@@ -3,18 +3,21 @@ Hungarian heuristic (C-HUN), its interference-blind variant (C-NINT) and
 the random/equal-power baseline (R-EPA), plus the closed-form solution of
 the dual linear program that motivates the heuristic.
 
-All strategies map one drop (GainTable, ScenarioParams) and an objective
-(per-user weights, mu) to a ScheduleOutcome whose metrics are computed on
-the true gains.  Schedules must fit the channel budget: a drop with I UL
-and J DL users and P pairs occupies I + J - P channels, so at least
-I + J - F pairs are forced.
+All strategies share one signature: they map one drop (GainTable,
+ScenarioParams), a list of objectives (per-user weights, mu) and a random
+generator to one ScheduleOutcome per objective, in order, with metrics
+computed on the true gains.  Whatever reads no weights (the corner SEs,
+P-OPT's enumeration set-up, R-EPA's draw) is done once per drop.
+Schedules must fit the channel budget: a drop with I UL and J DL users and
+P pairs occupies I + J - P channels, so at least I + J - F pairs are
+forced.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +34,12 @@ from .model import (
 )
 from .radio import (
     check_mu,
+    corner_benefit,
     corner_points,
     corner_tables,
     make_weights,
+    objective_value,
     outcome_metrics,
-    sinr,
 )
 
 _P_OPT_MAX_USERS = 10
@@ -52,37 +56,39 @@ class StrategyId(enum.Enum):
 OBJECTIVE_FREE_STRATEGIES = frozenset({StrategyId.R_EPA.value})
 
 
+Objectives = Sequence[tuple[WeightVector, float]]
+
+
 # ---------------------------------------------------------------------------
 # Hungarian pipeline (shared by C-HUN and C-NINT)
 # ---------------------------------------------------------------------------
 
-def _hungarian_schedule(
-    planning_gains: GainTable,
-    params: ScenarioParams,
-    weights: WeightVector,
-    mu: float,
-) -> tuple[Pairing, PowerAllocation]:
-    """Benefit matrix -> assignment -> per-pair corner powers.
+def _hungarian_schedules(planning_gains: GainTable, gains: GainTable,
+                         params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
+    """Corner tables -> per objective: benefit -> assignment -> per-pair
+    corner powers -> outcome.
 
-    Decisions are taken on planning_gains; the caller chooses which gains
-    the outcome is evaluated on.
+    Decisions are taken on planning_gains; outcomes are evaluated on gains.
     """
-    tables = corner_tables(planning_gains, params, weights, mu)
-    pairing, _ = assign_with_solo(tables.benefit.max(axis=2), tables.solo_contrib_ul,
-                                  tables.solo_contrib_dl, params.num_channels)
-
+    require_valid(params)
+    tables = corner_tables(planning_gains, params)
     corners = corner_points(params)
-    p_ul = np.full(planning_gains.num_ul, params.p_max_ul_w)
-    p_dl = np.full(planning_gains.num_dl, params.p_max_dl_w)
-    for i, j in pairing.pairs():
-        p_u, p_d = corners[tables.best_corner[i, j]]
-        p_ul[i] = p_u
-        p_dl[j] = p_d
-    return pairing, PowerAllocation(p_ul, p_dl)
+    outcomes = []
+    for weights, mu in objectives:
+        scores = corner_benefit(tables, weights, mu)
+        pairing, _ = assign_with_solo(scores.benefit.max(axis=2), scores.solo_contrib_ul,
+                                      scores.solo_contrib_dl, params.num_channels)
+        p_ul = np.full(gains.num_ul, params.p_max_ul_w)
+        p_dl = np.full(gains.num_dl, params.p_max_dl_w)
+        for i, j in pairing.pairs():
+            p_ul[i], p_dl[j] = corners[scores.best_corner[i, j]]
+        outcomes.append(outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), gains,
+                                        params, weights, mu))
+    return outcomes
 
 
-def solve_c_hun(gains: GainTable, params: ScenarioParams, weights: WeightVector,
-                mu: float) -> ScheduleOutcome:
+def solve_c_hun(gains: GainTable, params: ScenarioParams, objectives: Objectives,
+                rng: np.random.Generator | None = None) -> list[ScheduleOutcome]:
     """Centralized Hungarian heuristic.
 
     Each candidate pair is scored at its best power corner, the assignment
@@ -90,49 +96,25 @@ def solve_c_hun(gains: GainTable, params: ScenarioParams, weights: WeightVector,
     budget permits) is solved exactly, and the stored corner powers are
     applied.
     """
-    require_valid(params)
-    pairing, powers = _hungarian_schedule(gains, params, weights, mu)
-    return outcome_metrics(pairing, powers, gains, params, weights, mu)
+    return _hungarian_schedules(gains, gains, params, objectives)
 
 
-def solve_c_nint(gains: GainTable, params: ScenarioParams, weights: WeightVector,
-                 mu: float) -> ScheduleOutcome:
+def solve_c_nint(gains: GainTable, params: ScenarioParams, objectives: Objectives,
+                 rng: np.random.Generator | None = None) -> list[ScheduleOutcome]:
     """C-HUN planned as if UE-to-UE interference did not exist.
 
     The benefit matrix is built with all cross gains zeroed, so the planner
     overestimates every DL SINR; the returned outcome is evaluated on the
     true gains, so planned and realized spectral efficiencies differ.
     """
-    require_valid(params)
-    blind = GainTable(
-        g_ul=gains.g_ul,
-        g_dl=gains.g_dl,
-        g_cross=np.zeros_like(gains.g_cross),
-        positions=gains.positions,
-    )
-    pairing, powers = _hungarian_schedule(blind, params, weights, mu)
-    return outcome_metrics(pairing, powers, gains, params, weights, mu)
+    blind = GainTable(g_ul=gains.g_ul, g_dl=gains.g_dl, g_cross=np.zeros_like(gains.g_cross),
+                      positions=gains.positions)
+    return _hungarian_schedules(blind, gains, params, objectives)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive search
 # ---------------------------------------------------------------------------
-
-def _power_candidates(
-    gains: GainTable,
-    params: ScenarioParams,
-    candidates,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The SE of every (i, j, candidate) for candidate (p_u, p_d) pairs."""
-    noise = params.noise_power_w
-    p_u = np.array([c[0] for c in candidates])
-    p_d = np.array([c[1] for c in candidates])
-    se_ul = np.log2(1.0 + sinr(p_u, gains.g_ul[:, None, None], p_d,
-                               params.si_cancellation, noise))
-    se_dl = np.log2(1.0 + sinr(p_d, gains.g_dl[None, :, None], p_u,
-                               gains.g_cross[:, :, None], noise))
-    return se_ul, se_dl
-
 
 def _best_matching(pair_ws, pair_min, ul_idx, perms, base_ws, base_min, mu,
                    combo_shape):
@@ -168,12 +150,8 @@ def _best_matching(pair_ws, pair_min, ul_idx, perms, base_ws, base_min, mu,
     return float(grid_obj.flat[flat_idx]), perms[perm_idx].tolist(), combo
 
 
-def solve_p_opt(
-    gains: GainTable,
-    params: ScenarioParams,
-    weights: WeightVector,
-    mu: float,
-) -> ScheduleOutcome:
+def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives,
+                rng: np.random.Generator | None = None) -> list[ScheduleOutcome]:
     """Exhaustive search over all channel-feasible matchings and powers.
 
     Every matching with at least I + J - F pairs is enumerated (at full
@@ -182,50 +160,58 @@ def solve_p_opt(
     objective with the global minimum term.  Unpaired users transmit at max
     power, which is optimal for them in a single cell.  The matchings of
     one (UL subset, DL subset) pair are scored together as one array of at
-    most 5! * 3^5 cells.  Guarded to I + J <= 10 users.
+    most 5! * 3^5 cells.  The subsets, their permutations and the solo
+    users' minimum SE read no weights, so they are set up once for all
+    objectives.  Guarded to I + J <= 10 users.
     """
     require_valid(params)
     num_ul, num_dl = gains.num_ul, gains.num_dl
     if num_ul + num_dl > _P_OPT_MAX_USERS:
         raise ValueError(f"P-OPT is limited to {_P_OPT_MAX_USERS} users, "
                          f"got {num_ul + num_dl}")
-    candidates = corner_points(params)
-    cand_se_ul, cand_se_dl = _power_candidates(gains, params, candidates)
-    n_cand = len(candidates)
-
-    # Weighted-sum and pair-minimum of every (i, j, candidate).
-    pair_ws = (1.0 - mu) * (weights.alpha_ul[:, None, None] * cand_se_ul
-                            + weights.alpha_dl[None, :, None] * cand_se_dl)
-    pair_min = np.minimum(cand_se_ul, cand_se_dl)
-
-    tables = corner_tables(gains, params, weights, mu)
-    solo_ws_ul, solo_ws_dl = tables.solo_contrib_ul, tables.solo_contrib_dl
-    solo_se_ul, solo_se_dl = tables.solo_se_ul, tables.solo_se_dl
-
     min_pairs = max(0, num_ul + num_dl - params.num_channels)
     if min_pairs > min(num_ul, num_dl):
         raise ValueError(f"channel budget infeasible: {num_ul}+{num_dl} users on "
                          f"{params.num_channels} channels")
+    candidates = corner_points(params)
+    tables = corner_tables(gains, params)
+    pair_min = np.minimum(tables.se_ul, tables.se_dl)
 
-    best_value = -np.inf
-    best_pairs: list[tuple[int, int]] = []
-    best_combo: tuple[int, ...] = ()
+    # Per UL subset: its solo users and index array, and per DL subset the
+    # DL solo users, the matchings as DL partner arrays and the solo SE floor.
+    plans = []
     for n_pairs in range(min_pairs, min(num_ul, num_dl) + 1):
         # Permutations of subset positions, in itertools order; the
         # permutations of a DL subset are this array mapped through it.
         orders = list(itertools.permutations(range(n_pairs)))
         orders = np.array(orders, dtype=np.intp).reshape(len(orders), n_pairs)
-        combo_shape = (n_cand,) * n_pairs
+        combo_shape = (len(candidates),) * n_pairs
         for ul_subset in itertools.combinations(range(num_ul), n_pairs):
             ul_solo = [i for i in range(num_ul) if i not in ul_subset]
-            ws_ul_solo = float(solo_ws_ul[ul_solo].sum())
-            ul_idx = np.array(ul_subset, dtype=np.intp)
+            dl_plans = []
             for dl_subset in itertools.combinations(range(num_dl), n_pairs):
                 dl_solo = [j for j in range(num_dl) if j not in dl_subset]
-                base_ws = ws_ul_solo + float(solo_ws_dl[dl_solo].sum())
-                solo_se = np.concatenate([solo_se_ul[ul_solo], solo_se_dl[dl_solo]])
+                solo_se = np.concatenate([tables.solo_se_ul[ul_solo],
+                                          tables.solo_se_dl[dl_solo]])
                 base_min = float(solo_se.min()) if solo_se.size else np.inf
-                perms = np.array(dl_subset, dtype=np.intp)[orders]
+                dl_plans.append((dl_solo, np.array(dl_subset, dtype=np.intp)[orders],
+                                 base_min))
+            plans.append((ul_subset, ul_solo, np.array(ul_subset, dtype=np.intp),
+                          combo_shape, dl_plans))
+
+    outcomes = []
+    for weights, mu in objectives:
+        # Weighted-sum part of every (i, j, corner).
+        pair_ws = (1.0 - mu) * (weights.alpha_ul[:, None, None] * tables.se_ul
+                                + weights.alpha_dl[None, :, None] * tables.se_dl)
+        scores = corner_benefit(tables, weights, mu)
+        best_value = -np.inf
+        best_pairs: list[tuple[int, int]] = []
+        best_combo: tuple[int, ...] = ()
+        for ul_subset, ul_solo, ul_idx, combo_shape, dl_plans in plans:
+            ws_ul_solo = float(scores.solo_contrib_ul[ul_solo].sum())
+            for dl_solo, perms, base_min in dl_plans:
+                base_ws = ws_ul_solo + float(scores.solo_contrib_dl[dl_solo].sum())
                 value, perm, combo = _best_matching(pair_ws, pair_min, ul_idx, perms,
                                                     base_ws, base_min, mu, combo_shape)
                 if value > best_value:
@@ -233,29 +219,26 @@ def solve_p_opt(
                     best_pairs = list(zip(ul_subset, perm))
                     best_combo = combo
 
-    pairing = Pairing.from_pairs(best_pairs, num_ul, num_dl)
-    p_ul = np.full(num_ul, params.p_max_ul_w)
-    p_dl = np.full(num_dl, params.p_max_dl_w)
-    for (i, j), cand in zip(best_pairs, best_combo):
-        p_u, p_d = candidates[cand]
-        p_ul[i] = p_u
-        p_dl[j] = p_d
-    powers = PowerAllocation(p_ul, p_dl)
-    return outcome_metrics(pairing, powers, gains, params, weights, mu)
+        pairing = Pairing.from_pairs(best_pairs, num_ul, num_dl)
+        p_ul = np.full(num_ul, params.p_max_ul_w)
+        p_dl = np.full(num_dl, params.p_max_dl_w)
+        for (i, j), cand in zip(best_pairs, best_combo):
+            p_ul[i], p_dl[j] = candidates[cand]
+        outcomes.append(outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), gains,
+                                        params, weights, mu))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
 # Random baseline
 # ---------------------------------------------------------------------------
 
-def solve_r_epa(
-    gains: GainTable,
-    params: ScenarioParams,
-    weights: WeightVector,
-    mu: float,
-    rng: np.random.Generator,
-) -> ScheduleOutcome:
-    """Uniformly random maximal matching with everyone at max power."""
+def solve_r_epa(gains: GainTable, params: ScenarioParams, objectives: Objectives,
+                rng: np.random.Generator) -> list[ScheduleOutcome]:
+    """Uniformly random maximal matching with everyone at max power.
+
+    The schedule reads neither mu nor the weights, so it is drawn and
+    evaluated once; every further objective only rescores its SEs."""
     require_valid(params)
     if rng is None:
         raise ValueError("R-EPA needs a random generator")
@@ -269,7 +252,17 @@ def solve_r_epa(
                                      num_ul, num_dl)
     powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
                              np.full(num_dl, params.p_max_dl_w))
-    return outcome_metrics(pairing, powers, gains, params, weights, mu)
+    outcomes = []
+    for weights, mu in objectives:
+        if not outcomes:
+            outcomes.append(outcome_metrics(pairing, powers, gains, params, weights, mu))
+            continue
+        first = outcomes[0]
+        outcomes.append(ScheduleOutcome(
+            pairing=pairing, powers=powers, se_ul=first.se_ul, se_dl=first.se_dl,
+            objective=objective_value(first.se_ul, first.se_dl, first.min_se, weights, mu),
+            sum_se=first.sum_se, min_se=first.min_se, jain=first.jain))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +290,30 @@ def dual_multipliers(c, mu: float) -> np.ndarray:
 # Registry
 # ---------------------------------------------------------------------------
 
-Strategy = Callable[[GainTable, ScenarioParams, WeightVector, float,
-                     Optional[np.random.Generator]], ScheduleOutcome]
+Strategy = Callable[[GainTable, ScenarioParams, Objectives,
+                     Optional[np.random.Generator]], list[ScheduleOutcome]]
 
 STRATEGIES: dict[str, Strategy] = {
-    StrategyId.P_OPT.value: lambda g, params, w, mu, rng: solve_p_opt(g, params, w, mu),
-    StrategyId.C_HUN.value: lambda g, params, w, mu, rng: solve_c_hun(g, params, w, mu),
-    StrategyId.C_NINT.value: lambda g, params, w, mu, rng: solve_c_nint(g, params, w, mu),
+    StrategyId.P_OPT.value: solve_p_opt,
+    StrategyId.C_HUN.value: solve_c_hun,
+    StrategyId.C_NINT.value: solve_c_nint,
     StrategyId.R_EPA.value: solve_r_epa,
 }
 
 
-def solve(name: str, gains: GainTable, params: ScenarioParams, mode: WeightMode,
-          mu: float, rng: np.random.Generator | None = None) -> ScheduleOutcome:
-    """Solve one drop with strategy name, weights made from mode, and mu.
-    A mu outside [0, 1] fails here, before any schedule is built."""
+def solve(name: str, gains: GainTable, params: ScenarioParams,
+          objectives: Sequence[tuple[WeightMode, float]],
+          rng: np.random.Generator | None = None) -> list[ScheduleOutcome]:
+    """Solve one drop with strategy name for each (weight mode, mu) of
+    objectives: one outcome per pair, in order.  Weights are made once per
+    mode.  A mu outside [0, 1] anywhere in the list fails here, before any
+    weights or schedule are built."""
     try:
         strategy = STRATEGIES[name]
     except KeyError:
         raise KeyError(f"unknown strategy {name!r}; known: {sorted(STRATEGIES)}") from None
-    check_mu(mu)
-    return strategy(gains, params, make_weights(mode, gains), mu, rng)
+    for _, mu in objectives:
+        check_mu(mu)
+    weights = {mode: make_weights(mode, gains)
+               for mode in dict.fromkeys(mode for mode, _ in objectives)}
+    return strategy(gains, params, [(weights[mode], mu) for mode, mu in objectives], rng)

@@ -1,9 +1,10 @@
 """Scalar reference implementations that the tests compare the package
-against: per-link SINRs, the corner-point evaluation of one pair, the
-stand-alone evaluation of one user, the per-user outcome evaluation of a
-schedule, a brute-force assignment, the padded-square form of the
-solo-aware assignment, the one-candidate-at-a-time UE placement, the
-link-group-at-a-time gain table, the 0/1 matrix of a pairing and the per-combination drop loop that solves
+against: per-link SINRs, the SE formula at any (p_u, p_d) candidates, the
+corner-point evaluation of one pair, the stand-alone evaluation of one
+user, the per-user outcome evaluation of a schedule, a brute-force
+assignment, the padded-square form of the solo-aware assignment, the
+one-candidate-at-a-time UE placement, the link-group-at-a-time gain table,
+the 0/1 matrix of a pairing and the per-combination drop loop that solves
 every strategy once for each (mu, weight mode).
 
 They are written one user or one permutation at a time, independent of
@@ -28,7 +29,7 @@ from fdsched.model import (
     ScheduleOutcome,
     WeightVector,
 )
-from fdsched.radio import benefit_value, corner_points
+from fdsched.radio import benefit_value, corner_points, sinr
 from fdsched.scenario import (
     _HEX_NORMALS,
     _MAX_PLACEMENT_ATTEMPTS,
@@ -53,6 +54,21 @@ def sinr_ul(p_u: float, g_ib: float, p_d_paired: float, beta: float, noise: floa
 def sinr_dl(p_d: float, g_bj: float, p_u_paired: float, g_ij: float, noise: float) -> float:
     """DL SINR at the UE: p_d g_bj / (noise + p_u_paired * g_ij)."""
     return p_d * g_bj / (noise + p_u_paired * g_ij)
+
+
+def power_candidates(gains: GainTable, params: ScenarioParams,
+                     candidates) -> tuple[np.ndarray, np.ndarray]:
+    """The SE of every (i, j, candidate) for candidate (p_u, p_d) pairs, as
+    (I, 1, C) UL and (I, J, C) DL arrays: the SINR formula at each
+    candidate, with no special case for a zero power."""
+    noise = params.noise_power_w
+    p_u = np.array([c[0] for c in candidates])
+    p_d = np.array([c[1] for c in candidates])
+    se_ul = np.log2(1.0 + sinr(p_u, gains.g_ul[:, None, None], p_d,
+                               params.si_cancellation, noise))
+    se_dl = np.log2(1.0 + sinr(p_d, gains.g_dl[None, :, None], p_u,
+                               gains.g_cross[:, :, None], noise))
+    return se_ul, se_dl
 
 
 @dataclass(frozen=True)
@@ -253,8 +269,8 @@ def reference_build_gain_table(params: ScenarioParams, rng, model=None,
 
 
 def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
-    """harness._run_drop's records with every strategy solved afresh for
-    every (mu, weight mode), its generator rewound before each solve."""
+    """harness._run_drop's records with every strategy solved afresh, alone,
+    for every (mu, weight mode), its generator rewound before each solve."""
     master = cfg.params.rng_seed
     gains = build_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
     strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
@@ -264,7 +280,7 @@ def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
         for mu in cfg.mu_values:
             for name in cfg.strategies:
                 strategy_rng.bit_generator.state = strategy_state
-                outcome = solve(name, gains, cfg.params, mode, mu, strategy_rng)
+                [outcome] = solve(name, gains, cfg.params, [(mode, mu)], strategy_rng)
                 records.append(RunRecord(
                     drop=drop_index,
                     strategy=name,

@@ -83,10 +83,10 @@ def test_criterion_2_optimality_sandwich():
         gains = build_gain_table(base, drop_rng(202, k, 0))
         weights = make_weights(WeightMode.SUM_RATE, gains)
         for mu in (0.1, 0.5, 0.9):
-            top = solve_p_opt(gains, base, weights, mu).objective
+            top = solve_p_opt(gains, base, [(weights, mu)])[0].objective
             for challenger in (
-                solve_c_hun(gains, base, weights, mu).objective,
-                solve_r_epa(gains, base, weights, mu, drop_rng(202, k, 1)).objective,
+                solve_c_hun(gains, base, [(weights, mu)])[0].objective,
+                solve_r_epa(gains, base, [(weights, mu)], drop_rng(202, k, 1))[0].objective,
             ):
                 worst = max(worst, challenger - top)
                 assert challenger <= top + 1e-12

@@ -8,7 +8,7 @@ from fdsched import assignment
 from fdsched.assignment import _min_cost_assignment, assign_with_solo, hungarian_max
 from fdsched.harness import canned_experiments, config_from_dict, run_experiment
 from fdsched.model import GainTable, ScenarioParams, WeightMode
-from fdsched.radio import corner_tables, make_weights
+from fdsched.radio import corner_benefit, corner_tables, make_weights
 from fdsched.scenario import build_gain_table
 from oracles import brute_force_assignment, pairing_matrix, reference_assign_with_solo
 
@@ -263,8 +263,9 @@ def blind_planner_inputs(rng, num_ul, num_dl, num_channels=None):
                             num_channels=num_channels or num_ul + num_dl)
     g = build_gain_table(params, rng)
     blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
-    tables = corner_tables(blind, params, make_weights(WeightMode.SUM_RATE, g), 0.5)
-    return tables.benefit.max(axis=2), tables.solo_contrib_ul, tables.solo_contrib_dl
+    scores = corner_benefit(corner_tables(blind, params),
+                            make_weights(WeightMode.SUM_RATE, g), 0.5)
+    return scores.benefit.max(axis=2), scores.solo_contrib_ul, scores.solo_contrib_dl
 
 
 SOLO_INPUTS = [random_solo_inputs, separable_solo_inputs, blind_planner_inputs]

@@ -187,6 +187,57 @@ def test_main_records_every_workload(tmp_path, monkeypatch):
         assert drops["change_won"] == 3
 
 
+def test_traced_pairs_run_after_the_pairs_and_land_under_traces(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: str(root).encode())
+    monkeypatch.setattr(bench_pair, "export_tree",
+                        lambda _root, rev, dest: f"sha-{rev}")
+    calls = []
+
+    def fake_run(tree, command):
+        calls.append((command[3], tree.name, int(command[5]), command[6:]))
+        return bench_pair.parse_run(run_lines(100.0, 8.0))
+
+    monkeypatch.setattr(bench_pair, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pair.main(["--base", "v0", "--workload", "mc-epa-p1", "--workload", "fig2-p2",
+                            "--first-seed", "7", "--pairs", "2", "--traced-pairs", "2",
+                            "--out", str(out)]) == 0
+    traced = ["--trace", "1"]
+    per_workload = [("parent", 7, []), ("change", 7, []), ("change", 8, []), ("parent", 8, []),
+                    ("parent", 9, traced), ("change", 9, traced),
+                    ("change", 10, traced), ("parent", 10, traced)]
+    assert calls == [(w, side, seed, extra) for w in ("mc-epa-p1", "fig2-p2")
+                     for side, seed, extra in per_workload]
+    record = json.loads(out.read_text())
+    assert list(record["traces"]) == ["mc-epa-p1", "fig2-p2"]
+    for workload in ("mc-epa-p1", "fig2-p2"):
+        runs = record["traces"][workload]["runs"]
+        assert [(r["side"], r["seed"]) for r in runs] == [
+            ("parent", 9), ("change", 9), ("change", 10), ("parent", 10)]
+        assert all(r["command"] == ["python3", "perfbench/run.py", "--workload", workload,
+                                    "--seed", str(r["seed"]), "--trace", "1"] for r in runs)
+        assert all(set(r) == {"side", "seed", "command", "report", "result"} for r in runs)
+        # the summary covers the untraced pairs only
+        assert record["workloads"][workload]["summary"]["pairs"] == 2
+        assert [p["seed"] for p in record["workloads"][workload]["pairs"]] == [7, 8]
+
+
+def test_no_traces_key_without_traced_pairs(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: str(root).encode())
+    monkeypatch.setattr(bench_pair, "export_tree", lambda _root, rev, dest: f"sha-{rev}")
+    monkeypatch.setattr(bench_pair, "run_bench",
+                        lambda tree, command: bench_pair.parse_run(run_lines(100.0, 8.0)))
+    out = tmp_path / "bench.json"
+    assert bench_pair.main(["--base", "v0", "--workload", "fig3-p1", "--first-seed", "7",
+                            "--pairs", "1", "--out", str(out)]) == 0
+    assert "traces" not in json.loads(out.read_text())
+    with pytest.raises(SystemExit):
+        bench_pair.main(["--base", "v0", "--workload", "fig3-p1", "--first-seed", "7",
+                         "--traced-pairs", "-1", "--out", str(out)])
+
+
 def test_main_rejects_a_repeated_workload(tmp_path):
     with pytest.raises(SystemExit):
         bench_pair.main(["--base", "v0", "--workload", "fig3-p1", "--workload", "fig3-p1",

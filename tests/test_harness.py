@@ -217,7 +217,7 @@ class TestRunExperiment:
     def test_runtime_failure_leaves_marker(self, tmp_path, monkeypatch):
         from fdsched import solvers
 
-        def explode(gains, params, weights, mu, rng):
+        def explode(gains, params, objectives, rng):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(solvers.STRATEGIES, "EXPLODE", explode)
@@ -256,7 +256,7 @@ class TestRunExperiment:
     def test_rerun_clears_a_stale_failure_marker_and_cdfs(self, tmp_path, monkeypatch):
         from fdsched import solvers
 
-        def explode(gains, params, weights, mu, rng):
+        def explode(gains, params, objectives, rng):
             raise RuntimeError("boom")
 
         out = tmp_path / "rerun"
@@ -302,8 +302,9 @@ class TestEveryParamMatters:
 
 
 class TestObjectiveFreeRescoring:
-    """R-EPA is solved once per drop and rescored for each (mu, mode); the
-    records must equal those of a fresh solve per combination."""
+    """Each strategy is solved once per drop for all (mu, mode) objectives,
+    and R-EPA's schedule is rescored for each; the records must equal those
+    of a fresh solve per combination."""
 
     @pytest.mark.parametrize("num_ul, num_dl, num_channels",
                              [(4, 4, 4), (25, 25, 25), (3, 5, 6)])
@@ -319,6 +320,17 @@ class TestObjectiveFreeRescoring:
             want = reference_drop_records(cfg, k)
             assert [vars(r) for r in got] == [vars(r) for r in want]
         assert len({r.objective for r in got if r.strategy == "R-EPA"}) == 6
+
+    def test_objective_free_records_share_their_se_tuples(self, tmp_path):
+        cfg = dataclasses.replace(
+            tiny_config(tmp_path, num_ul=3, num_dl=5, num_channels=6),
+            strategies=("C-HUN", "R-EPA"), mu_values=(0.1, 0.5, 0.9),
+            weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
+        for k in range(3):
+            records = _run_drop(cfg, k)[0]
+            repa = [r for r in records if r.strategy == "R-EPA"]
+            assert len(repa) == 6
+            assert all(r.se_ul is repa[0].se_ul and r.se_dl is repa[0].se_dl for r in repa)
 
 
 class TestEncodedLines:

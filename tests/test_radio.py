@@ -12,6 +12,7 @@ from fdsched.model import (
 )
 from fdsched.radio import (
     benefit_value,
+    corner_benefit,
     corner_points,
     corner_tables,
     make_weights,
@@ -19,7 +20,13 @@ from fdsched.radio import (
     sinr,
 )
 from fdsched.scenario import build_gain_table
-from oracles import evaluate_pair, evaluate_solo_dl, evaluate_solo_ul, reference_outcome_metrics
+from oracles import (
+    evaluate_pair,
+    evaluate_solo_dl,
+    evaluate_solo_ul,
+    power_candidates,
+    reference_outcome_metrics,
+)
 
 P24 = 10 ** (-0.6)           # 24 dBm in watts
 NOISE = 2.291e-15            # -116.4 dBm per channel (rounded)
@@ -137,16 +144,38 @@ class TestEvaluatePair:
         for mu in (0.0, 0.3, 1.0):
             g = random_table(rng)
             w = make_weights(WeightMode.SUM_RATE, g)
-            tables = corner_tables(g, params, w, mu)
+            tables = corner_tables(g, params)
+            scores = corner_benefit(tables, w, mu)
             corners = corner_points(params)
             for i in range(4):
                 for j in range(4):
                     ev = evaluate_pair(i, j, g, params, w, mu)
-                    k = tables.best_corner[i, j]
+                    k = scores.best_corner[i, j]
                     assert corners[k] == ev.best_powers
-                    assert tables.benefit[i, j, k] == pytest.approx(ev.benefit, rel=1e-12)
+                    assert scores.benefit[i, j, k] == pytest.approx(ev.benefit, rel=1e-12)
                     assert tables.se_ul[i, j, k] == pytest.approx(ev.se_ul, rel=1e-12)
                     assert tables.se_dl[i, j, k] == pytest.approx(ev.se_dl, rel=1e-12)
+
+
+class TestCornerTables:
+    """corner_tables builds its weight-free SEs from per-direction vectors;
+    they must equal the SINR formula at the three corners bit for bit."""
+
+    @pytest.mark.parametrize("num_ul, num_dl", [(4, 4), (25, 25), (40, 80), (3, 7)])
+    def test_equals_the_formula_at_the_corners(self, num_ul, num_dl):
+        params = ScenarioParams(num_ul=num_ul, num_dl=num_dl,
+                                num_channels=num_ul + num_dl)
+        rng = np.random.default_rng(num_ul + num_dl)
+        for _ in range(5):
+            g = build_gain_table(params, rng)
+            tables = corner_tables(g, params)
+            want_ul, want_dl = power_candidates(g, params, corner_points(params))
+            shape = (num_ul, num_dl, 3)
+            assert tables.se_ul.tobytes() == np.broadcast_to(want_ul, shape).tobytes()
+            assert tables.se_dl.tobytes() == want_dl.tobytes()
+            # the solo SEs are the corners where the partner is silent
+            assert tables.solo_se_ul.tobytes() == want_ul[:, 0, 1].tobytes()
+            assert tables.solo_se_dl.tobytes() == want_dl[0, :, 2].tobytes()
 
 
 class TestSolo:

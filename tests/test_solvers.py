@@ -8,13 +8,19 @@ import numpy as np
 import pytest
 
 from fdsched.model import GainTable, Pairing, PowerAllocation, ScenarioParams, WeightMode
-from fdsched.radio import corner_points, corner_tables, make_weights, outcome_metrics
+from fdsched import solvers
+from fdsched.radio import (
+    corner_benefit,
+    corner_points,
+    corner_tables,
+    make_weights,
+    outcome_metrics,
+)
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     OBJECTIVE_FREE_STRATEGIES,
     STRATEGIES,
     StrategyId,
-    _power_candidates,
     dual_multipliers,
     solve,
     solve_c_hun,
@@ -22,6 +28,7 @@ from fdsched.solvers import (
     solve_p_opt,
     solve_r_epa,
 )
+from oracles import power_candidates
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10
@@ -54,23 +61,26 @@ def reference_p_opt(gains, params, weights, mu, power_levels=0):
     The former solve_p_opt body: every matching is scored on its own grid
     and kept only if it strictly beats the best so far.  solve_p_opt must
     take the same decisions bit for bit.  power_levels = 0 uses the three
-    corner points; power_levels >= 2 spans a uniform grid over [0, Pmax]^2,
-    to measure what the corner restriction costs.
+    corner points and their corner_tables SEs; power_levels >= 2 spans a
+    uniform grid over [0, Pmax]^2 through the SE formula, to measure what
+    the corner restriction costs.
     """
     num_ul, num_dl = gains.num_ul, gains.num_dl
+    tables = corner_tables(gains, params)
     if power_levels:
         ul_levels = np.linspace(0.0, params.p_max_ul_w, power_levels)
         dl_levels = np.linspace(0.0, params.p_max_dl_w, power_levels)
         candidates = [(float(a), float(b)) for a in ul_levels for b in dl_levels]
+        cand_se_ul, cand_se_dl = power_candidates(gains, params, candidates)
     else:
         candidates = corner_points(params)
-    cand_se_ul, cand_se_dl = _power_candidates(gains, params, candidates)
+        cand_se_ul, cand_se_dl = tables.se_ul, tables.se_dl
     n_cand = len(candidates)
     pair_ws = (1.0 - mu) * (weights.alpha_ul[:, None, None] * cand_se_ul
                             + weights.alpha_dl[None, :, None] * cand_se_dl)
     pair_min = np.minimum(cand_se_ul, cand_se_dl)
-    tables = corner_tables(gains, params, weights, mu)
-    solo_ws_ul, solo_ws_dl = tables.solo_contrib_ul, tables.solo_contrib_dl
+    scores = corner_benefit(tables, weights, mu)
+    solo_ws_ul, solo_ws_dl = scores.solo_contrib_ul, scores.solo_contrib_dl
     solo_se_ul, solo_se_dl = tables.solo_se_ul, tables.solo_se_dl
     min_pairs = max(0, num_ul + num_dl - params.num_channels)
 
@@ -124,7 +134,7 @@ class TestPOpt:
     def test_single_pair_without_interference(self):
         g = table([1e-8], [1e-8], [[1e-30]])
         params = params_with(num_ul=1, num_dl=1, num_channels=1, si_cancellation=1e-30)
-        out = solve_p_opt(g, params, sr(g), 0.0)
+        out = solve_p_opt(g, params, [(sr(g), 0.0)])[0]
         assert out.pairing.num_pairs == 1
         assert out.powers.p_ul[0] == params.p_max_ul_w
         assert out.powers.p_dl[0] == params.p_max_dl_w
@@ -135,7 +145,7 @@ class TestPOpt:
         g = table([1e-8], [1e-8], [[1.0]])
         params = params_with(num_ul=1, num_dl=1, num_channels=2)
         w = sr(g)
-        out = solve_p_opt(g, params, w, 0.0)
+        out = solve_p_opt(g, params, [(w, 0.0)])[0]
         candidates = []
         from fdsched.model import Pairing, PowerAllocation
         solo = outcome_metrics(Pairing.from_ul_partners([None], 1),
@@ -153,14 +163,14 @@ class TestPOpt:
     def test_respects_channel_budget_at_full_load(self):
         params = params_with()
         g = random_drop(np.random.default_rng(0), params)
-        out = solve_p_opt(g, params, sr(g), 0.1)
+        out = solve_p_opt(g, params, [(sr(g), 0.1)])[0]
         assert out.pairing.num_pairs == 4  # 8 users on 4 channels
 
     def test_size_guard(self):
         params = ScenarioParams(num_ul=6, num_dl=6, num_channels=6)
         g = table(np.full(6, 1e-8), np.full(6, 1e-8), np.full((6, 6), 1e-10))
         with pytest.raises(ValueError):
-            solve_p_opt(g, params, sr(g), 0.5)
+            solve_p_opt(g, params, [(sr(g), 0.5)])[0]
 
     def test_beats_exhaustive_reference_on_small_instances(self):
         # independent oracle: enumerate matchings and corners directly
@@ -185,7 +195,7 @@ class TestPOpt:
                             out = outcome_metrics(pairing, PowerAllocation(p_ul, p_dl),
                                                   g, params, w, 0.7)
                             best = max(best, out.objective)
-            got = solve_p_opt(g, params, w, 0.7)
+            got = solve_p_opt(g, params, [(w, 0.7)])[0]
             assert got.objective == pytest.approx(best, rel=1e-12)
 
     def test_power_grid_refinement_never_loses(self):
@@ -193,7 +203,7 @@ class TestPOpt:
         params = params_with(num_ul=2, num_dl=2, num_channels=2)
         for _ in range(5):
             g = random_drop(rng, params)
-            corners = solve_p_opt(g, params, sr(g), 0.8).objective
+            corners = solve_p_opt(g, params, [(sr(g), 0.8)])[0].objective
             refined = reference_p_opt(g, params, sr(g), 0.8, power_levels=6).objective
             assert refined >= corners - 1e-12
 
@@ -222,19 +232,22 @@ class TestPOptMatchesLoopReference:
                                np.full((num_ul, num_dl), 1e-10))]
                 for g in drops:
                     w = make_weights(mode, g)
-                    assert_same_decisions(solve_p_opt(g, params, w, mu),
+                    assert_same_decisions(solve_p_opt(g, params, [(w, mu)])[0],
                                           reference_p_opt(g, params, w, mu))
 
-    def test_matchings_with_nan_cells_are_skipped_alike(self):
-        # an infinite cross gain makes 0 * inf = NaN at the (0, Pmax) corner
-        # of pair (0, 0); the loop reference never keeps such a matching
+    @pytest.mark.parametrize("g_x00", [np.inf, np.nan])
+    def test_matchings_with_nan_cells_are_skipped_alike(self, g_x00):
+        # a NaN cross gain makes pair (0, 0)'s (Pmax, Pmax) corner NaN; the
+        # loop reference never keeps such a matching.  An infinite one zeroes
+        # that corner's DL SE, and its zero-power UL corner reads no
+        # interference, so no cell is NaN.
         g_cross = np.full((3, 3), 1e-10)
-        g_cross[0, 0] = np.inf
+        g_cross[0, 0] = g_x00
         g = table([1e-8, 2e-8, 3e-8], [3e-8, 2e-8, 1e-8], g_cross)
         params = params_with(num_ul=3, num_dl=3, num_channels=3)
         for mu in (0.1, 0.9):
             with np.errstate(invalid="ignore"):
-                assert_same_decisions(solve_p_opt(g, params, sr(g), mu),
+                assert_same_decisions(solve_p_opt(g, params, [(sr(g), mu)])[0],
                                       reference_p_opt(g, params, sr(g), mu))
 
 
@@ -252,7 +265,8 @@ class TestCHun:
             "import fdsched as fd\n"
             "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9)\n"
             "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
-            "fd.solve_c_hun(gains, params, fd.make_weights(fd.WeightMode.SUM_RATE, gains), 0.5)\n"
+            "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
+            "fd.solve_c_hun(gains, params, [(weights, 0.5)])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run([sys.executable, "-c", script], env=env,
@@ -265,14 +279,14 @@ class TestCHun:
         rng = np.random.default_rng(3)
         g0 = random_drop(rng, params)
         g = GainTable(g0.g_ul, g0.g_dl, np.full_like(g0.g_cross, 1e-30))
-        assert solve_c_hun(g, params, sr(g), 0.3).objective == pytest.approx(
-            solve_p_opt(g, params, sr(g), 0.3).objective, rel=1e-9)
+        assert solve_c_hun(g, params, [(sr(g), 0.3)])[0].objective == pytest.approx(
+            solve_p_opt(g, params, [(sr(g), 0.3)])[0].objective, rel=1e-9)
 
     def test_deterministic(self):
         params = params_with()
         g = random_drop(np.random.default_rng(4), params)
-        a = solve_c_hun(g, params, sr(g), 0.9)
-        b = solve_c_hun(g, params, sr(g), 0.9)
+        a = solve_c_hun(g, params, [(sr(g), 0.9)])[0]
+        b = solve_c_hun(g, params, [(sr(g), 0.9)])[0]
         assert a.pairing == b.pairing
         assert np.array_equal(a.powers.p_ul, b.powers.p_ul)
         assert a.objective == b.objective
@@ -280,19 +294,19 @@ class TestCHun:
     def test_pairs_fill_the_channel_budget(self):
         params = params_with()
         g = random_drop(np.random.default_rng(5), params)
-        assert solve_c_hun(g, params, sr(g), 0.1).pairing.num_pairs == 4
+        assert solve_c_hun(g, params, [(sr(g), 0.1)])[0].pairing.num_pairs == 4
 
     def test_solo_users_allowed_with_spare_channels(self):
         params = params_with(num_ul=2, num_dl=2, num_channels=4)
         g = table([1e-8, 1e-8], [1e-8, 1e-8], np.full((2, 2), 1e-6))
-        out = solve_c_hun(g, params, sr(g), 0.0)
+        out = solve_c_hun(g, params, [(sr(g), 0.0)])[0]
         assert out.pairing.num_pairs == 0  # crushing cross gain, keep apart
 
     def test_one_direction_empty(self):
         params = params_with(num_ul=1, num_dl=0, num_channels=1)
         g = GainTable(g_ul=np.array([1e-8]), g_dl=np.zeros(0),
                       g_cross=np.zeros((1, 0)))
-        out = solve_c_hun(g, params, sr(g), 0.2)
+        out = solve_c_hun(g, params, [(sr(g), 0.2)])[0]
         assert out.pairing.partner_of_ul == (None,)
         assert out.powers.p_ul[0] == params.p_max_ul_w
         assert out.se_dl.size == 0
@@ -303,7 +317,7 @@ class TestCHun:
     def test_no_ul_users_leaves_every_dl_user_solo(self, strategy, num_channels):
         params = params_with(num_ul=0, num_dl=3, num_channels=num_channels)
         g = random_drop(np.random.default_rng(9), params)
-        out = strategy(g, params, sr(g), 0.5)
+        out = strategy(g, params, [(sr(g), 0.5)])[0]
         assert out.pairing.num_pairs == 0
         assert out.pairing.partner_of_dl == (None, None, None)
         assert np.all(out.powers.p_dl == params.p_max_dl_w)
@@ -319,7 +333,7 @@ class TestCHun:
         g_cross[0, 0] = g_x00
         g = table([1e-8, 2e-8], [g_dl0, 2e-8], g_cross)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            solve_c_hun(g, params, sr(g), 0.5)
+            solve_c_hun(g, params, [(sr(g), 0.5)])[0]
 
 
 class TestCNInt:
@@ -327,8 +341,8 @@ class TestCNInt:
         params = params_with()
         g0 = random_drop(np.random.default_rng(6), params)
         g = GainTable(g0.g_ul, g0.g_dl, np.zeros_like(g0.g_cross))
-        a = solve_c_hun(g, params, sr(g), 0.5)
-        b = solve_c_nint(g, params, sr(g), 0.5)
+        a = solve_c_hun(g, params, [(sr(g), 0.5)])[0]
+        b = solve_c_nint(g, params, [(sr(g), 0.5)])[0]
         assert a.pairing == b.pairing
         assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
@@ -336,7 +350,7 @@ class TestCNInt:
         params = params_with()
         for seed in range(5):
             g = random_drop(np.random.default_rng(seed), params)
-            out = solve_c_nint(g, params, sr(g), 0.9)
+            out = solve_c_nint(g, params, [(sr(g), 0.9)])[0]
             blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
             planned = outcome_metrics(out.pairing, out.powers, blind, params, sr(g), 0.9)
             assert np.all(planned.se_dl >= out.se_dl - 1e-12)
@@ -347,8 +361,8 @@ class TestCNInt:
         chun, cnint = [], []
         for _ in range(40):
             g = random_drop(rng, params)
-            chun.append(solve_c_hun(g, params, sr(g), 0.9).objective)
-            cnint.append(solve_c_nint(g, params, sr(g), 0.9).objective)
+            chun.append(solve_c_hun(g, params, [(sr(g), 0.9)])[0].objective)
+            cnint.append(solve_c_nint(g, params, [(sr(g), 0.9)])[0].objective)
         assert np.mean(cnint) < np.mean(chun)
 
 
@@ -356,7 +370,7 @@ class TestREpa:
     def test_single_pair_always_formed(self):
         params = params_with(num_ul=1, num_dl=1, num_channels=1)
         g = table([1e-8], [1e-8], [[1e-9]])
-        out = solve_r_epa(g, params, sr(g), 0.5, np.random.default_rng(0))
+        out = solve_r_epa(g, params, [(sr(g), 0.5)], np.random.default_rng(0))[0]
         assert out.pairing.pairs() == [(0, 0)]
         assert out.powers.p_ul[0] == params.p_max_ul_w
         assert out.powers.p_dl[0] == params.p_max_dl_w
@@ -364,14 +378,14 @@ class TestREpa:
     def test_fixed_seed_reproducible(self):
         params = params_with()
         g = random_drop(np.random.default_rng(8), params)
-        a = solve_r_epa(g, params, sr(g), 0.5, np.random.default_rng(123))
-        b = solve_r_epa(g, params, sr(g), 0.5, np.random.default_rng(123))
+        a = solve_r_epa(g, params, [(sr(g), 0.5)], np.random.default_rng(123))[0]
+        b = solve_r_epa(g, params, [(sr(g), 0.5)], np.random.default_rng(123))[0]
         assert a.pairing == b.pairing
 
     def test_pairs_maximally_when_sides_differ(self):
         params = params_with(num_ul=2, num_dl=4, num_channels=4)
         g = random_drop(np.random.default_rng(9), params)
-        out = solve_r_epa(g, params, sr(g), 0.5, np.random.default_rng(1))
+        out = solve_r_epa(g, params, [(sr(g), 0.5)], np.random.default_rng(1))[0]
         assert out.pairing.num_pairs == 2
         assert np.all(out.powers.p_ul == params.p_max_ul_w)
         assert np.all(out.powers.p_dl == params.p_max_dl_w)
@@ -382,7 +396,7 @@ class TestREpa:
         rng = np.random.default_rng(11)
         counts = {(0, 1): 0, (1, 0): 0}
         for _ in range(400):
-            out = solve_r_epa(g, params, sr(g), 0.5, rng)
+            out = solve_r_epa(g, params, [(sr(g), 0.5)], rng)[0]
             counts[tuple(out.pairing.partner_of_ul)] += 1
         assert abs(counts[(0, 1)] - 200) < 60
 
@@ -392,14 +406,15 @@ class TestREpa:
         chun, repa = [], []
         for _ in range(40):
             g = random_drop(rng, params)
-            chun.append(solve_c_hun(g, params, sr(g), 0.9).sum_se)
-            repa.append(solve_r_epa(g, params, sr(g), 0.9, np.random.default_rng(0)).sum_se)
+            chun.append(solve_c_hun(g, params, [(sr(g), 0.9)])[0].sum_se)
+            repa.append(solve_r_epa(g, params, [(sr(g), 0.9)], np.random.default_rng(0))[0].sum_se)
         assert np.mean(repa) < np.mean(chun)
 
 
 class TestObjectiveFree:
-    """A strategy in OBJECTIVE_FREE_STRATEGIES is solved once per drop and
-    rescored, so its decision must not move with mu or the weights."""
+    """A strategy in OBJECTIVE_FREE_STRATEGIES draws and evaluates one
+    schedule per solve and rescores it for each objective, so its decision
+    must not move with mu or the weights."""
 
     def test_r_epa_is_objective_free(self):
         assert StrategyId.R_EPA.value in OBJECTIVE_FREE_STRATEGIES
@@ -414,8 +429,8 @@ class TestObjectiveFree:
             outcomes = []
             for mode in WeightMode:
                 for mu in (0.0, 0.1, 0.5, 0.9, 1.0):
-                    outcomes.append(solve(name, g, params, mode, mu,
-                                          np.random.default_rng(100 + seed)))
+                    outcomes.append(solve(name, g, params, [(mode, mu)],
+                                          np.random.default_rng(100 + seed))[0])
             first = outcomes[0]
             for out in outcomes[1:]:
                 assert out.pairing == first.pairing
@@ -423,6 +438,53 @@ class TestObjectiveFree:
                 assert np.array_equal(out.powers.p_dl, first.powers.p_dl)
                 assert np.array_equal(out.se_ul, first.se_ul)
                 assert np.array_equal(out.se_dl, first.se_dl)
+
+
+MIXED_OBJECTIVES = [(WeightMode.SUM_RATE, 0.0), (WeightMode.SUM_RATE, 0.1),
+                    (WeightMode.PATH_LOSS_COMPENSATION, 0.5), (WeightMode.SUM_RATE, 0.9),
+                    (WeightMode.PATH_LOSS_COMPENSATION, 1.0)]
+
+
+def assert_same_outcome(got, want):
+    assert_same_decisions(got, want)
+    assert got.se_ul.tobytes() == want.se_ul.tobytes()
+    assert got.se_dl.tobytes() == want.se_dl.tobytes()
+    for field in ("sum_se", "min_se", "jain"):
+        assert getattr(got, field) == getattr(want, field)
+
+
+class TestSeveralObjectives:
+    """Solving a drop for several objectives at once shares the corner
+    tables, P-OPT's set-up and R-EPA's draw across them; every outcome must
+    equal that of solving its objective alone, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    @pytest.mark.parametrize("shape", P_OPT_SHAPES, ids=lambda s: "%d+%d/%d" % s)
+    def test_each_outcome_equals_its_own_solve(self, name, shape):
+        num_ul, num_dl, channels = shape
+        params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=channels)
+        rng = np.random.default_rng(100 + sum(shape))
+        for g in (random_drop(rng, params), tie_heavy_drop(rng, num_ul, num_dl)):
+            together = solve(name, g, params, MIXED_OBJECTIVES, np.random.default_rng(5))
+            assert len(together) == len(MIXED_OBJECTIVES)
+            for objective, got in zip(MIXED_OBJECTIVES, together):
+                [alone] = solve(name, g, params, [objective], np.random.default_rng(5))
+                assert_same_outcome(got, alone)
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_out_of_range_mu_anywhere_fails_before_weights(self, name, bad, monkeypatch):
+        def no_weights(*args):
+            raise AssertionError("weights made before every mu was checked")
+
+        params = params_with()
+        g = random_drop(np.random.default_rng(17), params)
+        monkeypatch.setattr(solvers, "make_weights", no_weights)
+        for at in range(3):
+            objectives = [(WeightMode.SUM_RATE, 0.5), (WeightMode.PATH_LOSS_COMPENSATION, 0.1)]
+            objectives.insert(at, (WeightMode.SUM_RATE, bad))
+            with pytest.raises(ValueError, match="mu must lie in"):
+                solve(name, g, params, objectives, np.random.default_rng(0))
 
 
 class TestOptimalitySandwich:
@@ -433,11 +495,11 @@ class TestOptimalitySandwich:
             for _ in range(15):
                 g = random_drop(rng, params)
                 w = sr(g)
-                top = solve_p_opt(g, params, w, mu).objective
-                assert solve_c_hun(g, params, w, mu).objective <= top + 1e-12
-                assert solve_c_nint(g, params, w, mu).objective <= top + 1e-12
-                assert solve_r_epa(g, params, w, mu,
-                                   np.random.default_rng(0)).objective <= top + 1e-12
+                top = solve_p_opt(g, params, [(w, mu)])[0].objective
+                assert solve_c_hun(g, params, [(w, mu)])[0].objective <= top + 1e-12
+                assert solve_c_nint(g, params, [(w, mu)])[0].objective <= top + 1e-12
+                assert solve_r_epa(g, params, [(w, mu)],
+                                   np.random.default_rng(0))[0].objective <= top + 1e-12
 
 
 class TestDualMultipliers:
@@ -479,11 +541,15 @@ class TestRegistry:
     def test_builtin_names(self):
         assert set(STRATEGIES) >= {s.value for s in StrategyId}
 
+    def test_names_map_to_the_strategy_functions(self):
+        assert STRATEGIES == {"P-OPT": solve_p_opt, "C-HUN": solve_c_hun,
+                              "C-NINT": solve_c_nint, "R-EPA": solve_r_epa}
+
     def test_solve_dispatches(self):
         params = params_with()
         g = random_drop(np.random.default_rng(14), params)
-        direct = solve_c_hun(g, params, sr(g), 0.5)
-        via_registry = solve(StrategyId.C_HUN.value, g, params, WeightMode.SUM_RATE, 0.5)
+        direct = solve_c_hun(g, params, [(sr(g), 0.5)])[0]
+        via_registry = solve(StrategyId.C_HUN.value, g, params, [(WeightMode.SUM_RATE, 0.5)])[0]
         assert via_registry.objective == direct.objective
 
     def test_readme_library_example_runs(self, capsys):
@@ -497,4 +563,4 @@ class TestRegistry:
         params = params_with()
         g = random_drop(np.random.default_rng(15), params)
         with pytest.raises(KeyError):
-            solve("NOPE", g, params, WeightMode.SUM_RATE, 0.5)
+            solve("NOPE", g, params, [(WeightMode.SUM_RATE, 0.5)])[0]

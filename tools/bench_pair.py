@@ -1,7 +1,8 @@
 """Benchmark the checked-out commit against a base revision and write the BENCH record.
 
     python3 tools/bench_pair.py --base <rev> --workload mc-epa-p1 \
-        --workload fig3-p1 --first-seed 811 --pairs 10 --out BENCH_8.json
+        --workload fig3-p1 --first-seed 811 --pairs 10 --traced-pairs 2 \
+        --out BENCH_8.json
 
 Run from anywhere inside the repository.  ``HEAD`` and the base revision
 are exported with ``git archive`` into a temporary directory, so
@@ -26,6 +27,12 @@ bound in ``BENCHMARK.json``; it is ``"unresolved"`` when the base's
 interquartile range is wider than that bound and some change run does not
 beat every base run, since such a spread cannot tell a regression from
 noise.
+
+With ``--traced-pairs N``, each workload then runs N more pairs with
+``--trace 1`` added, on the seeds after the untraced ones and alternating
+in the same way.  Their runs are stored under ``traces``, per workload, in
+the order they ran; they give the per-layer metrics that show where a
+change's time went, and take no part in the summary.
 """
 
 from __future__ import annotations
@@ -131,10 +138,14 @@ def main(argv=None) -> int:
                         help="benchmark workload; repeat to run several")
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--traced-pairs", type=int, default=0,
+                        help="extra --trace 1 pairs per workload, stored under traces")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.traced_pairs < 0:
+        parser.error("--traced-pairs must not be negative")
     if len(set(args.workload)) < len(args.workload):
         parser.error("a --workload is given twice")
 
@@ -145,7 +156,7 @@ def main(argv=None) -> int:
     def command(workload, seed) -> list[str]:
         return [*spec["command"], "--workload", workload, "--seed", str(seed)]
 
-    workloads = {}
+    workloads, traces = {}, {}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         revs = {side: export_tree(root, rev, trees[side])
@@ -163,6 +174,19 @@ def main(argv=None) -> int:
                     pair[side] = run_bench(trees[side], command(workload, seed))
                 pairs.append(pair)
             workloads[workload] = {"summary": summarize(pairs, metrics), "pairs": pairs}
+            runs = []
+            for k in range(args.traced_pairs):
+                seed = args.first_seed + args.pairs + k
+                traced = [*command(workload, seed), "--trace", "1"]
+                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                    print(f"{workload} traced pair {k + 1}/{args.traced_pairs}, seed {seed}: "
+                          f"{side}", file=sys.stderr)
+                    runs.append({"side": side, "seed": seed, "command": traced,
+                                 **run_bench(trees[side], traced)})
+            if runs:
+                traces[workload] = {"note": "one --trace 1 run per side per seed, in the "
+                                            "order listed, on the same revisions as the pairs",
+                                    "runs": runs}
 
     record = {
         "command": " ".join(command("{workload}", "{seed}")),
@@ -173,6 +197,8 @@ def main(argv=None) -> int:
         "change_revision": revs["change"],
         "workloads": workloads,
     }
+    if traces:
+        record["traces"] = traces
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, entry in workloads.items():
         for name, m in entry["summary"]["metrics"].items():
