@@ -116,29 +116,34 @@ def solve_c_nint(gains: GainTable, params: ScenarioParams, objectives: Objective
 # Exhaustive search
 # ---------------------------------------------------------------------------
 
-def _best_matching(pair_ws, pair_min, ul_idx, perms, base_ws, base_min, mu,
-                   combo_shape):
-    """Best (value, DL partners, candidate combo) over the given matchings.
+def _matching_grid(pair_values, ul_idx, perms, base, combine):
+    """combine folded over base and the pair values of every matching and
+    candidate combo, in pair order.
 
-    perms[p, a] is the DL partner of UL user ul_idx[a] in matching p.  The
-    objective of every (matching, combo) cell is built with a leading
-    matching axis, adding the pair terms in pair order, and one argmax
-    returns the first maximal cell: the first matching, then the first
-    combo, as a strict-improvement scan over matchings would pick.
+    perms[p, a] is the DL partner of UL user ul_idx[a] in matching p; cell
+    [p, c_1, ..., c_n] of the result has pair a of matching p at candidate
+    c_a.
     """
     n_perm, n_pairs = perms.shape
-    ws = pair_ws[ul_idx, perms]       # (n_perm, n_pairs, n_cand)
-    mins = pair_min[ul_idx, perms]
-    grid_ws = np.full((n_perm,) + (1,) * n_pairs, base_ws)
-    grid_min = np.full((n_perm,) + (1,) * n_pairs, base_min)
+    values = pair_values[ul_idx, perms]       # (n_perm, n_pairs, n_cand)
+    grid = np.full((n_perm,) + (1,) * n_pairs, base)
     for axis in range(n_pairs):
         view = [n_perm] + [1] * n_pairs
         view[axis + 1] = -1
-        grid_ws = grid_ws + ws[:, axis].reshape(view)
-        grid_min = np.minimum(grid_min, mins[:, axis].reshape(view))
-    grid_min *= mu
-    grid_ws += grid_min
-    grid_obj = grid_ws.reshape(n_perm, -1)
+        grid = combine(grid, values[:, axis].reshape(view))
+    return grid
+
+
+def _best_matching(grid_ws, grid_min, mu, perms, combo_shape):
+    """Best (value, DL partners, candidate combo) over the given matchings.
+
+    grid_ws and grid_min are the _matching_grid sums and minima of perms.
+    One argmax over the objective of every (matching, combo) cell returns
+    the first maximal cell: the first matching, then the first combo, as a
+    strict-improvement scan over matchings would pick.
+    """
+    grid_ws += mu * grid_min
+    grid_obj = grid_ws.reshape(len(perms), -1)
     flat_idx = int(np.argmax(grid_obj))
     if np.isnan(grid_obj.flat[flat_idx]):
         # argmax stops at the first NaN; a matching with a NaN cell never
@@ -146,7 +151,7 @@ def _best_matching(pair_ws, pair_min, ul_idx, perms, base_ws, base_min, mu,
         grid_obj[np.isnan(grid_obj).any(axis=1)] = -np.inf
         flat_idx = int(np.argmax(grid_obj))
     perm_idx, combo_idx = divmod(flat_idx, grid_obj.shape[1])
-    combo = np.unravel_index(combo_idx, combo_shape) if n_pairs else ()
+    combo = np.unravel_index(combo_idx, combo_shape) if combo_shape else ()
     return float(grid_obj.flat[flat_idx]), perms[perm_idx].tolist(), combo
 
 
@@ -160,8 +165,8 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
     objective with the global minimum term.  Unpaired users transmit at max
     power, which is optimal for them in a single cell.  The matchings of
     one (UL subset, DL subset) pair are scored together as one array of at
-    most 5! * 3^5 cells.  The subsets, their permutations and the solo
-    users' minimum SE read no weights, so they are set up once for all
+    most 5! * 3^5 cells.  The subsets, their permutations and the minimum
+    SE of every cell read no weights, so they are set up once for all
     objectives.  Guarded to I + J <= 10 users.
     """
     require_valid(params)
@@ -178,7 +183,8 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
     pair_min = np.minimum(tables.se_ul, tables.se_dl)
 
     # Per UL subset: its solo users and index array, and per DL subset the
-    # DL solo users, the matchings as DL partner arrays and the solo SE floor.
+    # DL solo users, the matchings as DL partner arrays and every cell's
+    # minimum SE.
     plans = []
     for n_pairs in range(min_pairs, min(num_ul, num_dl) + 1):
         # Permutations of subset positions, in itertools order; the
@@ -188,16 +194,17 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
         combo_shape = (len(candidates),) * n_pairs
         for ul_subset in itertools.combinations(range(num_ul), n_pairs):
             ul_solo = [i for i in range(num_ul) if i not in ul_subset]
+            ul_idx = np.array(ul_subset, dtype=np.intp)
             dl_plans = []
             for dl_subset in itertools.combinations(range(num_dl), n_pairs):
                 dl_solo = [j for j in range(num_dl) if j not in dl_subset]
                 solo_se = np.concatenate([tables.solo_se_ul[ul_solo],
                                           tables.solo_se_dl[dl_solo]])
                 base_min = float(solo_se.min()) if solo_se.size else np.inf
-                dl_plans.append((dl_solo, np.array(dl_subset, dtype=np.intp)[orders],
-                                 base_min))
-            plans.append((ul_subset, ul_solo, np.array(ul_subset, dtype=np.intp),
-                          combo_shape, dl_plans))
+                perms = np.array(dl_subset, dtype=np.intp)[orders]
+                dl_plans.append((dl_solo, perms, _matching_grid(pair_min, ul_idx, perms,
+                                                                base_min, np.minimum)))
+            plans.append((ul_subset, ul_solo, ul_idx, combo_shape, dl_plans))
 
     outcomes = []
     for weights, mu in objectives:
@@ -210,10 +217,11 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
         best_combo: tuple[int, ...] = ()
         for ul_subset, ul_solo, ul_idx, combo_shape, dl_plans in plans:
             ws_ul_solo = float(scores.solo_contrib_ul[ul_solo].sum())
-            for dl_solo, perms, base_min in dl_plans:
+            for dl_solo, perms, grid_min in dl_plans:
                 base_ws = ws_ul_solo + float(scores.solo_contrib_dl[dl_solo].sum())
-                value, perm, combo = _best_matching(pair_ws, pair_min, ul_idx, perms,
-                                                    base_ws, base_min, mu, combo_shape)
+                grid_ws = _matching_grid(pair_ws, ul_idx, perms, base_ws, np.add)
+                value, perm, combo = _best_matching(grid_ws, grid_min, mu, perms,
+                                                    combo_shape)
                 if value > best_value:
                     best_value = value
                     best_pairs = list(zip(ul_subset, perm))
