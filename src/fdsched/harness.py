@@ -167,8 +167,7 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
     columns = []   # per strategy: its outcomes and their (se_ul, se_dl) tuples
     for name in cfg.strategies:
-        # Generator rewound per strategy: each makes the draws it would make
-        # alone on the drop.
+        # rewound, so each strategy makes the draws it would make alone
         strategy_rng.bit_generator.state = strategy_state
         outcomes = solve(name, gains, cfg.params, objectives, strategy_rng)
         # An objective-free strategy's records share one pair of SE tuples.

@@ -88,14 +88,11 @@ class CornerTables:
 
 @dataclass(frozen=True)
 class CornerBenefit:
-    """One objective's scores on a CornerTables.
-
-    benefit has the tables' (I, J, 3) shape.  best_corner[i, j] is the
-    argmax corner index with first-wins tie-breaking, so ties resolve toward
-    (Pmax, Pmax), then (Pmax, 0): serve both users when the benefit does not
-    say otherwise.  solo_contrib_* are the stand-alone alternatives'
-    weighted-sum contributions.
-    """
+    """One objective's scores on a CornerTables: benefit has the tables'
+    (I, J, 3) shape, and best_corner[i, j] is its argmax corner with
+    first-wins tie-breaking, so ties resolve toward (Pmax, Pmax), then
+    (Pmax, 0): serve both users when the benefit does not say otherwise.
+    solo_contrib_* are the stand-alone alternatives' weighted-sum parts."""
 
     benefit: np.ndarray
     best_corner: np.ndarray
@@ -131,12 +128,9 @@ def corner_benefit(tables: CornerTables, weights: WeightVector, mu: float) -> Co
     benefit = benefit_value(tables.se_ul, tables.se_dl,
                             weights.alpha_ul[:, None, None],
                             weights.alpha_dl[None, :, None], mu)
-    return CornerBenefit(
-        benefit=benefit,
-        best_corner=benefit.argmax(axis=2),
-        solo_contrib_ul=(1.0 - mu) * weights.alpha_ul * tables.solo_se_ul,
-        solo_contrib_dl=(1.0 - mu) * weights.alpha_dl * tables.solo_se_dl,
-    )
+    return CornerBenefit(benefit, benefit.argmax(axis=2),
+                         (1.0 - mu) * weights.alpha_ul * tables.solo_se_ul,
+                         (1.0 - mu) * weights.alpha_dl * tables.solo_se_dl)
 
 
 # ---------------------------------------------------------------------------

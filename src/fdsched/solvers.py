@@ -118,12 +118,9 @@ def solve_c_nint(gains: GainTable, params: ScenarioParams, objectives: Objective
 
 def _matching_grid(pair_values, ul_idx, perms, base, combine):
     """combine folded over base and the pair values of every matching and
-    candidate combo, in pair order.
-
-    perms[p, a] is the DL partner of UL user ul_idx[a] in matching p; cell
-    [p, c_1, ..., c_n] of the result has pair a of matching p at candidate
-    c_a.
-    """
+    candidate combo, in pair order.  perms[p, a] is the DL partner of UL
+    user ul_idx[a] in matching p; cell [p, c_1, ..., c_n] of the result has
+    pair a of matching p at candidate c_a."""
     n_perm, n_pairs = perms.shape
     values = pair_values[ul_idx, perms]       # (n_perm, n_pairs, n_cand)
     grid = np.full((n_perm,) + (1,) * n_pairs, base)
