@@ -309,8 +309,9 @@ def _record_lines(records: list[RunRecord]) -> list[str]:
 
     The records of one (drop, objective-free strategy) differ only in mu,
     the objective and the weight mode, so the first is encoded and the
-    later ones derive their lines from it.  Encoding each record inside _run_drop,
-    between solves, measured slower than this one loop after the run.
+    later ones derive their lines from it.  Encoding each record inside
+    _run_drop, between solves, measured slower than this one loop after the
+    run.
     """
     lines, solved = [], {}
     for r in records:
