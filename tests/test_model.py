@@ -49,7 +49,7 @@ class TestValidateParams:
             for mu in (1.2, -0.1, float("nan")):
                 with pytest.raises(ValueError, match="mu must lie in"):
                     solve(name, gains, params, [(WeightMode.SUM_RATE, mu)],
-                          np.random.default_rng(0))[0]
+                          np.random.default_rng(0))
 
     def test_p_opt_rejects_mu_before_enumerating(self, monkeypatch):
         def enumerate_matchings(*args):
@@ -60,7 +60,7 @@ class TestValidateParams:
         gains = build_gain_table(params, np.random.default_rng(0))
         for mu in (1.2, float("nan")):
             with pytest.raises(ValueError, match="mu must lie in"):
-                solve("P-OPT", gains, params, [(WeightMode.SUM_RATE, mu)])[0]
+                solve("P-OPT", gains, params, [(WeightMode.SUM_RATE, mu)])
 
     def test_multiple_violations_all_reported(self):
         report = validate_params(ScenarioParams(num_ul=9, num_channels=4, rng_seed=-1,

@@ -170,7 +170,7 @@ class TestPOpt:
         params = ScenarioParams(num_ul=6, num_dl=6, num_channels=6)
         g = table(np.full(6, 1e-8), np.full(6, 1e-8), np.full((6, 6), 1e-10))
         with pytest.raises(ValueError):
-            solve_p_opt(g, params, [(sr(g), 0.5)])[0]
+            solve_p_opt(g, params, [(sr(g), 0.5)])
 
     def test_beats_exhaustive_reference_on_small_instances(self):
         # independent oracle: enumerate matchings and corners directly
@@ -333,7 +333,7 @@ class TestCHun:
         g_cross[0, 0] = g_x00
         g = table([1e-8, 2e-8], [g_dl0, 2e-8], g_cross)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            solve_c_hun(g, params, [(sr(g), 0.5)])[0]
+            solve_c_hun(g, params, [(sr(g), 0.5)])
 
 
 class TestCNInt:
@@ -563,4 +563,4 @@ class TestRegistry:
         params = params_with()
         g = random_drop(np.random.default_rng(15), params)
         with pytest.raises(KeyError):
-            solve("NOPE", g, params, [(WeightMode.SUM_RATE, 0.5)])[0]
+            solve("NOPE", g, params, [(WeightMode.SUM_RATE, 0.5)])
