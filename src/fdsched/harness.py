@@ -7,10 +7,10 @@ derived from the master seed and the drop index by a counter-based split,
 which makes results independent of scheduling order and parallelism.
 Each strategy is solved once per drop for all of the drop's (weight mode,
 mu) objectives, its generator rewound first, and the records keep the
-(weight mode, mu, strategy) order.  A strategy whose schedule reads
-neither mu nor the weights (solvers.OBJECTIVE_FREE_STRATEGIES: R-EPA)
-gives every objective the same SEs; its records share one pair of SE
-tuples, and their records.jsonl lines reuse the first one's encoded line
+(weight mode, mu, strategy) order.  Outcomes of one solve that share SE
+arrays (a schedule that several objectives chose, evaluated once and
+rescored, as every R-EPA schedule is) give records that share one pair of
+SE tuples; their records.jsonl lines reuse the first one's encoded line
 with only mu, the objective and the weight mode encoded afresh.
 
 Outputs per run directory:
@@ -50,8 +50,7 @@ from .model import (
 )
 from .radio import check_mu
 from .scenario import build_gain_table, scenario_to_dict
-from .solvers import (_P_OPT_MAX_USERS, OBJECTIVE_FREE_STRATEGIES, STRATEGIES,
-                      StrategyId, solve)
+from .solvers import _P_OPT_MAX_USERS, STRATEGIES, StrategyId, solve
 
 _ROLE_SCENARIO = 0
 _ROLE_STRATEGY = 1
@@ -170,11 +169,12 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
         # rewound, so each strategy makes the draws it would make alone
         strategy_rng.bit_generator.state = strategy_state
         outcomes = solve(name, gains, cfg.params, objectives, strategy_rng)
-        # An objective-free strategy's records share one pair of SE tuples.
-        shared = name in OBJECTIVE_FREE_STRATEGIES
-        ses = [(tuple(o.se_ul.tolist()), tuple(o.se_dl.tolist()))
-               for o in (outcomes[:1] if shared else outcomes)]
-        columns.append((name, outcomes, ses * len(outcomes) if shared else ses))
+        # Rescored outcomes share both SE arrays, and then one pair of tuples.
+        tuples = {}
+        for o in outcomes:
+            if id(o.se_ul) not in tuples:
+                tuples[id(o.se_ul)] = tuple(o.se_ul.tolist()), tuple(o.se_dl.tolist())
+        columns.append((name, outcomes, [tuples[id(o.se_ul)] for o in outcomes]))
     records = [
         RunRecord(drop=drop_index, strategy=name, mu=mu, weight_mode=mode.value,
                   objective=outcomes[n].objective, sum_se=outcomes[n].sum_se,
@@ -307,21 +307,20 @@ def _rescored_line(line: str, mu: float, objective: float, weight_mode: str) -> 
 def _record_lines(records: list[RunRecord]) -> list[str]:
     """The records.jsonl lines: json.dumps(vars(r), sort_keys=True) of each.
 
-    The records of one (drop, objective-free strategy) differ only in mu,
-    the objective and the weight mode, so the first is encoded and the
-    later ones derive their lines from it.  Encoding each record inside
-    _run_drop, between solves, measured slower than this one loop after the
-    run.
+    _run_drop shares SE tuple objects only among the records of one
+    evaluated schedule, so the records of one (drop, strategy) that hold
+    the same tuples differ only in mu, the objective and the weight mode:
+    the first is encoded and the later ones derive their lines from it.
+    Encoding inside _run_drop, between solves, measured slower.
     """
     lines, solved = [], {}
     for r in records:
-        key = r.drop, r.strategy
-        if key in solved:
-            lines.append(_rescored_line(solved[key], r.mu, r.objective, r.weight_mode))
-            continue
-        lines.append(_ENCODER.encode(vars(r)))
-        if r.strategy in OBJECTIVE_FREE_STRATEGIES:
-            solved[key] = lines[-1]
+        key = r.drop, r.strategy, id(r.se_ul), id(r.se_dl)   # () is one object
+        line = solved.get(key)
+        if line is None:
+            lines.append(solved.setdefault(key, _ENCODER.encode(vars(r))))
+        else:
+            lines.append(_rescored_line(line, r.mu, r.objective, r.weight_mode))
     return lines
 
 

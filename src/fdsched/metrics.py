@@ -61,8 +61,8 @@ class CdfSeries:
     def to_csv_lines(self) -> list[str]:
         lines = [f"# {self.metric},{self.strategy},{float(self.mu)!r},{self.weight_mode}",
                  "value,probability"]
-        lines += [f"{float(v)!r},{float(p)!r}"
-                  for v, p in zip(self.values, self.probabilities)]
+        lines += [f"{v!r},{p!r}"
+                  for v, p in zip(self.values.tolist(), self.probabilities.tolist())]
         return lines
 
     def write_csv(self, path) -> None:

@@ -123,12 +123,15 @@ def corner_tables(gains: GainTable, params: ScenarioParams) -> CornerTables:
     return CornerTables(se_ul=se_ul, se_dl=se_dl, solo_se_ul=ul_solo, solo_se_dl=dl_solo)
 
 
-def corner_benefit(tables: CornerTables, weights: WeightVector, mu: float) -> CornerBenefit:
-    """Score every corner of a CornerTables under the weights and mu."""
+def corner_benefit(tables: CornerTables, weights: WeightVector, mu) -> CornerBenefit:
+    """Score every corner of a CornerTables under the weights and mu.  K
+    objectives (weights with (K, I) and (K, J) rows, a (K,) mu) add a
+    leading K axis to every field, each slice equal to its own call."""
+    mu = np.asarray(mu)[..., None]
     benefit = benefit_value(tables.se_ul, tables.se_dl,
-                            weights.alpha_ul[:, None, None],
-                            weights.alpha_dl[None, :, None], mu)
-    return CornerBenefit(benefit, benefit.argmax(axis=2),
+                            weights.alpha_ul[..., :, None, None],
+                            weights.alpha_dl[..., None, :, None], mu[..., None, None])
+    return CornerBenefit(benefit, benefit.argmax(axis=-1),
                          (1.0 - mu) * weights.alpha_ul * tables.solo_se_ul,
                          (1.0 - mu) * weights.alpha_dl * tables.solo_se_dl)
 

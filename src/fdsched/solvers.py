@@ -6,8 +6,8 @@ the dual linear program that motivates the heuristic.
 All strategies share one signature: they map one drop (GainTable,
 ScenarioParams), a list of objectives (per-user weights, mu) and a random
 generator to one ScheduleOutcome per objective, in order, with metrics
-computed on the true gains.  Whatever reads no weights (the corner SEs,
-P-OPT's enumeration set-up, R-EPA's draw) is done once per drop.
+computed on the true gains.  The objectives are one array axis of the
+scoring, and a schedule that several objectives chose is evaluated once.
 Schedules must fit the channel budget: a drop with I UL and J DL users and
 P pairs occupies I + J - P channels, so at least I + J - F pairs are
 forced.
@@ -16,6 +16,7 @@ forced.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -52,11 +53,48 @@ class StrategyId(enum.Enum):
     R_EPA = "R-EPA"
 
 
-# Strategies whose pairing and powers read neither mu nor the weights.
-OBJECTIVE_FREE_STRATEGIES = frozenset({StrategyId.R_EPA.value})
-
-
 Objectives = Sequence[tuple[WeightVector, float]]
+
+
+def _stacked(objectives: Objectives, gains: GainTable) -> tuple[WeightVector, np.ndarray]:
+    """The objectives' weights as (K, I) and (K, J) rows, and their mu
+    values as a (K,) array."""
+    k = len(objectives)
+    return (WeightVector(np.reshape([w.alpha_ul for w, _ in objectives], (k, gains.num_ul)),
+                         np.reshape([w.alpha_dl for w, _ in objectives], (k, gains.num_dl))),
+            np.array([mu for _, mu in objectives]))
+
+
+def _corner_schedule(pairing: Pairing, corners: Sequence[int],
+                     params: ScenarioParams) -> tuple[Pairing, PowerAllocation]:
+    """The pairing with its pairs at the given corner_points indices, in
+    pairs() order, and every other user alone at max power."""
+    points = corner_points(params)
+    p_ul = np.full(len(pairing.partner_of_ul), params.p_max_ul_w)
+    p_dl = np.full(len(pairing.partner_of_dl), params.p_max_dl_w)
+    for (i, j), corner in zip(pairing.pairs(), corners):
+        p_ul[i], p_dl[j] = points[corner]
+    return pairing, PowerAllocation(p_ul, p_dl)
+
+
+def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainTable,
+              params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
+    """The outcome of schedules[k] under objectives[k], for every k.  Each
+    distinct schedule (partner tuple and power bytes) is evaluated once; a
+    repeat shares its SE arrays and metrics and only rescores the objective."""
+    outcomes, evaluated = [], {}
+    for (pairing, powers), (weights, mu) in zip(schedules, objectives):
+        key = pairing.partner_of_ul, powers.p_ul.tobytes(), powers.p_dl.tobytes()
+        first = evaluated.get(key)
+        if first is None:
+            first = evaluated[key] = outcome_metrics(pairing, powers, gains, params, weights, mu)
+            outcomes.append(first)
+        else:
+            outcomes.append(ScheduleOutcome(
+                first.pairing, first.powers, first.se_ul, first.se_dl,
+                objective_value(first.se_ul, first.se_dl, first.min_se, weights, mu),
+                first.sum_se, first.min_se, first.jain))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -65,26 +103,22 @@ Objectives = Sequence[tuple[WeightVector, float]]
 
 def _hungarian_schedules(planning_gains: GainTable, gains: GainTable,
                          params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
-    """Corner tables -> per objective: benefit -> assignment -> per-pair
-    corner powers -> outcome.
+    """Corner tables -> every objective's benefit in one pass -> per
+    objective: assignment -> per-pair corner powers -> outcome.
 
     Decisions are taken on planning_gains; outcomes are evaluated on gains.
     """
     require_valid(params)
-    tables = corner_tables(planning_gains, params)
-    corners = corner_points(params)
-    outcomes = []
-    for weights, mu in objectives:
-        scores = corner_benefit(tables, weights, mu)
-        pairing, _ = assign_with_solo(scores.benefit.max(axis=2), scores.solo_contrib_ul,
-                                      scores.solo_contrib_dl, params.num_channels)
-        p_ul = np.full(gains.num_ul, params.p_max_ul_w)
-        p_dl = np.full(gains.num_dl, params.p_max_dl_w)
-        for i, j in pairing.pairs():
-            p_ul[i], p_dl[j] = corners[scores.best_corner[i, j]]
-        outcomes.append(outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), gains,
-                                        params, weights, mu))
-    return outcomes
+    weights, mus = _stacked(objectives, gains)
+    scores = corner_benefit(corner_tables(planning_gains, params), weights, mus)
+    best_benefit = scores.benefit.max(axis=3)
+    schedules = []
+    for k in range(len(objectives)):
+        pairing, _ = assign_with_solo(best_benefit[k], scores.solo_contrib_ul[k],
+                                      scores.solo_contrib_dl[k], params.num_channels)
+        schedules.append(_corner_schedule(
+            pairing, [scores.best_corner[k, i, j] for i, j in pairing.pairs()], params))
+    return _outcomes(schedules, gains, params, objectives)
 
 
 def solve_c_hun(gains: GainTable, params: ScenarioParams, objectives: Objectives,
@@ -120,36 +154,59 @@ def _matching_grid(pair_values, ul_idx, perms, base, combine):
     """combine folded over base and the pair values of every matching and
     candidate combo, in pair order.  perms[p, a] is the DL partner of UL
     user ul_idx[a] in matching p; cell [p, c_1, ..., c_n] of the result has
-    pair a of matching p at candidate c_a."""
+    pair a of matching p at candidate c_a.  Leading (objective) axes of
+    pair_values and base lead the result."""
     n_perm, n_pairs = perms.shape
-    values = pair_values[ul_idx, perms]       # (n_perm, n_pairs, n_cand)
-    grid = np.full((n_perm,) + (1,) * n_pairs, base)
+    values = pair_values[..., ul_idx, perms, :]   # (..., n_perm, n_pairs, n_cand)
+    lead = values.shape[:-3]
+    grid = np.reshape(base, lead + (1,) * (n_pairs + 1))
     for axis in range(n_pairs):
         view = [n_perm] + [1] * n_pairs
-        view[axis + 1] = -1
-        grid = combine(grid, values[:, axis].reshape(view))
+        view[axis + 1] = values.shape[-1]
+        grid = combine(grid, values[..., axis, :].reshape(lead + tuple(view)))
     return grid
 
 
-def _best_matching(grid_ws, grid_min, mu, perms, combo_shape):
-    """Best (value, DL partners, candidate combo) over the given matchings.
-
-    grid_ws and grid_min are the _matching_grid sums and minima of perms.
-    One argmax over the objective of every (matching, combo) cell returns
-    the first maximal cell: the first matching, then the first combo, as a
-    strict-improvement scan over matchings would pick.
-    """
-    grid_ws += mu * grid_min
-    grid_obj = grid_ws.reshape(len(perms), -1)
-    flat_idx = int(np.argmax(grid_obj))
-    if np.isnan(grid_obj.flat[flat_idx]):
+def _best_matching(grid_ws, grid_min, mus, n_perm):
+    """Per objective k, the value and flat (matching, combo) index of the
+    first maximal cell of grid_ws[k] + mus[k] * grid_min, the _matching_grid
+    sums and minima of n_perm matchings: the first matching, then the first
+    combo, as a strict-improvement scan over matchings would pick."""
+    grid_ws += mus.reshape((-1,) + (1,) * grid_min.ndim) * grid_min
+    grid_obj = grid_ws.reshape(len(mus), grid_min.size)
+    flat_idx = grid_obj.argmax(axis=1)
+    values = grid_obj[np.arange(len(mus)), flat_idx]
+    for k in np.flatnonzero(np.isnan(values)):
         # argmax stops at the first NaN; a matching with a NaN cell never
         # beats the incumbent, so rule those matchings out.
-        grid_obj[np.isnan(grid_obj).any(axis=1)] = -np.inf
-        flat_idx = int(np.argmax(grid_obj))
-    perm_idx, combo_idx = divmod(flat_idx, grid_obj.shape[1])
-    combo = np.unravel_index(combo_idx, combo_shape) if combo_shape else ()
-    return float(grid_obj.flat[flat_idx]), perms[perm_idx].tolist(), combo
+        cells = grid_obj[k].reshape(n_perm, -1)
+        cells[np.isnan(cells).any(axis=1)] = -np.inf
+        flat_idx[k] = cells.argmax()
+        values[k] = cells.flat[flat_idx[k]]
+    return values, flat_idx
+
+
+@functools.lru_cache(maxsize=None)
+def _p_opt_plans(num_ul: int, num_dl: int, min_pairs: int):
+    """P-OPT's enumeration set-up of one shape: per UL subset its users and
+    solo users, and per DL subset its solo users and matchings as DL partner
+    arrays.  All drops of the shape share the arrays, so they are read-only."""
+    def index(values):
+        a = np.array(values, dtype=np.intp)
+        a.setflags(write=False)
+        return a
+
+    plans = []
+    for n_pairs in range(min_pairs, min(num_ul, num_dl) + 1):
+        # Permutations of subset positions, in itertools order; those of a
+        # DL subset are this array mapped through it.
+        orders = index(list(itertools.permutations(range(n_pairs))))
+        dl_plans = tuple((index([j for j in range(num_dl) if j not in dl]),
+                          index(index(dl)[orders]))
+                         for dl in itertools.combinations(range(num_dl), n_pairs))
+        plans += [(ul, index([i for i in range(num_ul) if i not in ul]), index(ul), dl_plans)
+                  for ul in itertools.combinations(range(num_ul), n_pairs)]
+    return tuple(plans)
 
 
 def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives,
@@ -161,10 +218,9 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
     per-pair power corner combination is scored against the true
     objective with the global minimum term.  Unpaired users transmit at max
     power, which is optimal for them in a single cell.  The matchings of
-    one (UL subset, DL subset) pair are scored together as one array of at
-    most 5! * 3^5 cells.  The subsets, their permutations and the minimum
-    SE of every cell read no weights, so they are set up once for all
-    objectives.  Guarded to I + J <= 10 users.
+    one (UL subset, DL subset) pair are scored together, for all K
+    objectives at once, as one array of at most K * 5! * 3^5 cells.
+    Guarded to I + J <= 10 users.
     """
     require_valid(params)
     num_ul, num_dl = gains.num_ul, gains.num_dl
@@ -175,63 +231,31 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
     if min_pairs > min(num_ul, num_dl):
         raise ValueError(f"channel budget infeasible: {num_ul}+{num_dl} users on "
                          f"{params.num_channels} channels")
-    candidates = corner_points(params)
     tables = corner_tables(gains, params)
     pair_min = np.minimum(tables.se_ul, tables.se_dl)
-
-    # Per UL subset: its solo users and index array, and per DL subset the
-    # DL solo users, the matchings as DL partner arrays and every cell's
-    # minimum SE.
-    plans = []
-    for n_pairs in range(min_pairs, min(num_ul, num_dl) + 1):
-        # Permutations of subset positions, in itertools order; the
-        # permutations of a DL subset are this array mapped through it.
-        orders = list(itertools.permutations(range(n_pairs)))
-        orders = np.array(orders, dtype=np.intp).reshape(len(orders), n_pairs)
-        combo_shape = (len(candidates),) * n_pairs
-        for ul_subset in itertools.combinations(range(num_ul), n_pairs):
-            ul_solo = [i for i in range(num_ul) if i not in ul_subset]
-            ul_idx = np.array(ul_subset, dtype=np.intp)
-            dl_plans = []
-            for dl_subset in itertools.combinations(range(num_dl), n_pairs):
-                dl_solo = [j for j in range(num_dl) if j not in dl_subset]
-                solo_se = np.concatenate([tables.solo_se_ul[ul_solo],
-                                          tables.solo_se_dl[dl_solo]])
-                base_min = float(solo_se.min()) if solo_se.size else np.inf
-                perms = np.array(dl_subset, dtype=np.intp)[orders]
-                dl_plans.append((dl_solo, perms, _matching_grid(pair_min, ul_idx, perms,
-                                                                base_min, np.minimum)))
-            plans.append((ul_subset, ul_solo, ul_idx, combo_shape, dl_plans))
-
-    outcomes = []
-    for weights, mu in objectives:
-        # Weighted-sum part of every (i, j, corner).
-        pair_ws = (1.0 - mu) * (weights.alpha_ul[:, None, None] * tables.se_ul
-                                + weights.alpha_dl[None, :, None] * tables.se_dl)
-        scores = corner_benefit(tables, weights, mu)
-        best_value = -np.inf
-        best_pairs: list[tuple[int, int]] = []
-        best_combo: tuple[int, ...] = ()
-        for ul_subset, ul_solo, ul_idx, combo_shape, dl_plans in plans:
-            ws_ul_solo = float(scores.solo_contrib_ul[ul_solo].sum())
-            for dl_solo, perms, grid_min in dl_plans:
-                base_ws = ws_ul_solo + float(scores.solo_contrib_dl[dl_solo].sum())
-                grid_ws = _matching_grid(pair_ws, ul_idx, perms, base_ws, np.add)
-                value, perm, combo = _best_matching(grid_ws, grid_min, mu, perms,
-                                                    combo_shape)
-                if value > best_value:
-                    best_value = value
-                    best_pairs = list(zip(ul_subset, perm))
-                    best_combo = combo
-
-        pairing = Pairing.from_pairs(best_pairs, num_ul, num_dl)
-        p_ul = np.full(num_ul, params.p_max_ul_w)
-        p_dl = np.full(num_dl, params.p_max_dl_w)
-        for (i, j), cand in zip(best_pairs, best_combo):
-            p_ul[i], p_dl[j] = candidates[cand]
-        outcomes.append(outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), gains,
-                                        params, weights, mu))
-    return outcomes
+    # Weighted-sum part of every (objective, i, j, corner).
+    weights, mus = _stacked(objectives, gains)
+    pair_ws = (1.0 - mus)[:, None, None, None] * (
+        weights.alpha_ul[:, :, None, None] * tables.se_ul
+        + weights.alpha_dl[:, None, :, None] * tables.se_dl)
+    scores = corner_benefit(tables, weights, mus)
+    best_value = np.full(len(objectives), -np.inf)
+    best = [((), ())] * len(objectives)   # per objective: pairs, corner combo
+    for ul_subset, ul_solo, ul_idx, dl_plans in _p_opt_plans(num_ul, num_dl, min_pairs):
+        ws_ul_solo = scores.solo_contrib_ul[:, ul_solo].sum(axis=1)
+        for dl_solo, perms in dl_plans:
+            solo_se = np.concatenate([tables.solo_se_ul[ul_solo], tables.solo_se_dl[dl_solo]])
+            base_min = float(solo_se.min()) if solo_se.size else np.inf
+            grid_min = _matching_grid(pair_min, ul_idx, perms, base_min, np.minimum)
+            base_ws = ws_ul_solo + scores.solo_contrib_dl[:, dl_solo].sum(axis=1)
+            grid_ws = _matching_grid(pair_ws, ul_idx, perms, base_ws, np.add)
+            values, flat_idx = _best_matching(grid_ws, grid_min, mus, len(perms))
+            for k in np.flatnonzero(values > best_value):
+                best_value[k] = values[k]
+                perm_idx, *combo = np.unravel_index(flat_idx[k], grid_min.shape)
+                best[k] = tuple(zip(ul_subset, perms[perm_idx].tolist())), combo
+    return _outcomes([_corner_schedule(Pairing.from_pairs(pairs, num_ul, num_dl), combo, params)
+                      for pairs, combo in best], gains, params, objectives)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +266,8 @@ def solve_r_epa(gains: GainTable, params: ScenarioParams, objectives: Objectives
                 rng: np.random.Generator) -> list[ScheduleOutcome]:
     """Uniformly random maximal matching with everyone at max power.
 
-    The schedule reads neither mu nor the weights, so it is drawn and
-    evaluated once; every further objective only rescores its SEs."""
+    The schedule reads neither mu nor the weights, so it is drawn once and
+    every objective after the first is only rescored (_outcomes)."""
     require_valid(params)
     if rng is None:
         raise ValueError("R-EPA needs a random generator")
@@ -255,19 +279,8 @@ def solve_r_epa(gains: GainTable, params: ScenarioParams, objectives: Objectives
         perm = rng.permutation(num_ul)
         pairing = Pairing.from_pairs([(int(perm[j]), j) for j in range(num_dl)],
                                      num_ul, num_dl)
-    powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
-                             np.full(num_dl, params.p_max_dl_w))
-    outcomes = []
-    for weights, mu in objectives:
-        if not outcomes:
-            outcomes.append(outcome_metrics(pairing, powers, gains, params, weights, mu))
-            continue
-        first = outcomes[0]
-        outcomes.append(ScheduleOutcome(
-            pairing=pairing, powers=powers, se_ul=first.se_ul, se_dl=first.se_dl,
-            objective=objective_value(first.se_ul, first.se_dl, first.min_se, weights, mu),
-            sum_se=first.sum_se, min_se=first.min_se, jain=first.jain))
-    return outcomes
+    schedule = _corner_schedule(pairing, [0] * pairing.num_pairs, params)   # all at max
+    return _outcomes([schedule] * len(objectives), gains, params, objectives)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fdsched import harness
 from fdsched.cli import main
 from fdsched.harness import (
     ConfigError,
@@ -331,6 +332,53 @@ class TestObjectiveFreeRescoring:
             repa = [r for r in records if r.strategy == "R-EPA"]
             assert len(repa) == 6
             assert all(r.se_ul is repa[0].se_ul and r.se_dl is repa[0].se_dl for r in repa)
+
+
+class TestRepeatedSchedules:
+    """On fig2 most objectives after a solve's first choose a schedule that
+    an earlier one chose; it is evaluated once, its records share one pair
+    of SE tuples, and their lines derive from the first one's line."""
+
+    def test_records_of_a_repeated_schedule_share_their_se_tuples(self, tmp_path,
+                                                                   monkeypatch):
+        solved = []
+
+        def recorded(*args, _solve=harness.solve):
+            solved.append(_solve(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(harness, "solve", recorded)
+        cfg = canned_experiments("fig2", seed=5, iterations=6, out_dir=str(tmp_path))
+        shared = 0
+        for k in range(cfg.iterations):
+            solved.clear()
+            records = _run_drop(cfg, k)[0]
+            for name, outcomes in zip(cfg.strategies, solved):
+                own = [r for r in records if r.strategy == name]
+                for n, (r, o) in enumerate(zip(own, outcomes)):
+                    for earlier_r, earlier_o in zip(own[:n], outcomes[:n]):
+                        same = earlier_o.se_ul is o.se_ul
+                        assert (earlier_r.se_ul is r.se_ul) == same
+                        assert (earlier_r.se_dl is r.se_dl) == same
+                        shared += same
+        assert shared > 0
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_written_lines_equal_json_dumps(self, tmp_path, parallelism, monkeypatch):
+        derived = []
+
+        def counted(line, *args, _derive=harness._rescored_line):
+            derived.append(line)
+            return _derive(line, *args)
+
+        monkeypatch.setattr(harness, "_rescored_line", counted)
+        cfg = canned_experiments("fig2", seed=5, iterations=6, out_dir=str(tmp_path),
+                                 parallelism=parallelism)
+        run_experiment(cfg)
+        want = [json.dumps(vars(r), sort_keys=True)
+                for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
+        assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
+        assert derived
 
 
 class TestEncodedLines:

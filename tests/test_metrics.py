@@ -117,6 +117,18 @@ class TestCsvRoundTrip:
                           weight_mode="PL")
         assert a.to_csv_lines() == b.to_csv_lines()
 
+    def test_lines_equal_the_per_element_float_form(self):
+        # the rows are written from tolist(); they must equal the repr of
+        # each element as a float, the form of the reference lines below
+        tricky = [-0.0, 5e-324, 1e308, 0.1 + 0.2, float("nan"), -1.5, 0.0, 1e-320]
+        cdf = empirical_cdf(tricky * 3, metric="sum_se", strategy="C-HUN", mu=0.1 + 0.2,
+                            weight_mode="PL")
+        want = [f"# sum_se,C-HUN,{float(cdf.mu)!r},PL", "value,probability"]
+        want += [f"{float(v)!r},{float(p)!r}" for v, p in zip(cdf.values, cdf.probabilities)]
+        assert cdf.to_csv_lines() == want
+        assert {"-0.0", "5e-324", "1e+308", "0.30000000000000004", "nan"} <= {
+            line.split(",")[0] for line in want[2:]}
+
     def test_values_round_trip_exactly(self, tmp_path):
         # repr-based serialization must preserve doubles bit for bit
         samples = np.random.default_rng(4).normal(size=20) * math.pi

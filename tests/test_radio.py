@@ -9,6 +9,7 @@ from fdsched.model import (
     PowerAllocation,
     ScenarioParams,
     WeightMode,
+    WeightVector,
 )
 from fdsched.radio import (
     benefit_value,
@@ -176,6 +177,41 @@ class TestCornerTables:
             # the solo SEs are the corners where the partner is silent
             assert tables.solo_se_ul.tobytes() == want_ul[:, 0, 1].tobytes()
             assert tables.solo_se_dl.tobytes() == want_dl[0, :, 2].tobytes()
+
+
+STACKED_OBJECTIVES = [(WeightMode.SUM_RATE, 0.0), (WeightMode.SUM_RATE, 0.1),
+                      (WeightMode.PATH_LOSS_COMPENSATION, 0.5), (WeightMode.SUM_RATE, 0.9),
+                      (WeightMode.PATH_LOSS_COMPENSATION, 1.0)]
+
+
+class TestStackedBenefit:
+    """corner_benefit scores K objectives as one leading axis; each slice
+    must equal benefit_value and the per-user solo formula of its own
+    objective bit for bit, and the best corner its own argmax."""
+
+    @pytest.mark.parametrize("num_ul, num_dl, num_channels",
+                             [(4, 4, 4), (3, 7, 8), (25, 25, 25), (40, 80, 96)])
+    def test_each_slice_equals_its_own_objective(self, num_ul, num_dl, num_channels):
+        params = ScenarioParams(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
+        rng = np.random.default_rng(7 + num_ul + num_dl)
+        for _ in range(3):
+            g = build_gain_table(params, rng)
+            tables = corner_tables(g, params)
+            objectives = [(make_weights(mode, g), mu) for mode, mu in STACKED_OBJECTIVES]
+            stacked = corner_benefit(
+                tables, WeightVector(np.array([w.alpha_ul for w, _ in objectives]),
+                                     np.array([w.alpha_dl for w, _ in objectives])),
+                np.array([mu for _, mu in objectives]))
+            assert stacked.benefit.shape == (len(objectives), num_ul, num_dl, 3)
+            for k, (w, mu) in enumerate(objectives):
+                want = benefit_value(tables.se_ul, tables.se_dl, w.alpha_ul[:, None, None],
+                                     w.alpha_dl[None, :, None], mu)
+                assert stacked.benefit[k].tobytes() == want.tobytes()
+                assert np.array_equal(stacked.best_corner[k], want.argmax(axis=2))
+                assert (stacked.solo_contrib_ul[k].tobytes()
+                        == ((1.0 - mu) * w.alpha_ul * tables.solo_se_ul).tobytes())
+                assert (stacked.solo_contrib_dl[k].tobytes()
+                        == ((1.0 - mu) * w.alpha_dl * tables.solo_se_dl).tobytes())
 
 
 class TestSolo:

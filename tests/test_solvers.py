@@ -18,7 +18,6 @@ from fdsched.radio import (
 )
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
-    OBJECTIVE_FREE_STRATEGIES,
     STRATEGIES,
     StrategyId,
     dual_multipliers,
@@ -251,28 +250,35 @@ class TestPOptMatchesLoopReference:
                                       reference_p_opt(g, params, sr(g), mu))
 
 
+def scipy_modules_after(script):
+    """The scipy modules loaded once script has run in a fresh interpreter
+    that imports fdsched from this checkout."""
+    import fdsched
+    src = str(Path(fdsched.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    result = subprocess.run([sys.executable, "-c", "import sys\n" + script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 class TestCHun:
+    # scipy is a test-only dependency: importing scipy.optimize would add
+    # about half a second and tens of MB to every run's start-up
+
+    def test_package_import_loads_no_scipy(self):
+        assert scipy_modules_after("import fdsched, fdsched.cli") == "[]"
+
     def test_solve_does_not_import_scipy(self):
-        # scipy is a test-only dependency: importing scipy.optimize would add
-        # about half a second and tens of MB to every run's start-up
-        import fdsched
-        src = str(Path(fdsched.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        script = (
-            "import sys\n"
+        assert scipy_modules_after(
             "import numpy as np\n"
             "import fdsched as fd\n"
             "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9)\n"
             "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
             "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
-            "fd.solve_c_hun(gains, params, [(weights, 0.5)])\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+            "fd.solve_c_hun(gains, params, [(weights, 0.5)])\n") == "[]"
 
     def test_matches_p_opt_without_interference(self):
         params = params_with(si_cancellation=1e-30)
@@ -412,15 +418,10 @@ class TestREpa:
 
 
 class TestObjectiveFree:
-    """A strategy in OBJECTIVE_FREE_STRATEGIES draws and evaluates one
-    schedule per solve and rescores it for each objective, so its decision
-    must not move with mu or the weights."""
+    """R-EPA draws one schedule per solve and rescores it for each
+    objective, so its decision must not move with mu or the weights."""
 
-    def test_r_epa_is_objective_free(self):
-        assert StrategyId.R_EPA.value in OBJECTIVE_FREE_STRATEGIES
-        assert OBJECTIVE_FREE_STRATEGIES <= set(STRATEGIES)
-
-    @pytest.mark.parametrize("name", sorted(OBJECTIVE_FREE_STRATEGIES))
+    @pytest.mark.parametrize("name", ["R-EPA"])
     @pytest.mark.parametrize("num_ul, num_dl, num_channels", [(4, 4, 4), (3, 5, 6), (5, 2, 7)])
     def test_decision_ignores_mu_and_weights(self, name, num_ul, num_dl, num_channels):
         params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
@@ -470,6 +471,27 @@ class TestSeveralObjectives:
             for objective, got in zip(MIXED_OBJECTIVES, together):
                 [alone] = solve(name, g, params, [objective], np.random.default_rng(5))
                 assert_same_outcome(got, alone)
+
+    @pytest.mark.parametrize("name", ["P-OPT", "C-HUN"])
+    def test_rescored_outcomes_equal_a_fresh_evaluation(self, name):
+        # an objective whose schedule an earlier one chose shares that
+        # outcome's SE arrays and is only rescored; every field must equal
+        # outcome_metrics of its own schedule under its own objective
+        fig2 = [(WeightMode.SUM_RATE, mu) for mu in (0.1, 0.5, 0.9)]
+        repeats = 0
+        for shape in P_OPT_SHAPES:
+            num_ul, num_dl, channels = shape
+            params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=channels)
+            rng = np.random.default_rng(300 + sum(shape))
+            for g in (random_drop(rng, params), tie_heavy_drop(rng, num_ul, num_dl)):
+                for objectives in (MIXED_OBJECTIVES, fig2):
+                    outcomes = solve(name, g, params, objectives)
+                    for n, ((mode, mu), got) in enumerate(zip(objectives, outcomes)):
+                        fresh = outcome_metrics(got.pairing, got.powers, g, params,
+                                                make_weights(mode, g), mu)
+                        assert_same_outcome(got, fresh)
+                        repeats += any(got.se_ul is earlier.se_ul for earlier in outcomes[:n])
+        assert repeats > 0
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
