@@ -60,8 +60,8 @@ def _stacked(objectives: Objectives, gains: GainTable) -> tuple[WeightVector, np
     """The objectives' weights as (K, I) and (K, J) rows, and their mu
     values as a (K,) array."""
     k = len(objectives)
-    return (WeightVector(np.reshape([w.alpha_ul for w, _ in objectives], (k, gains.num_ul)),
-                         np.reshape([w.alpha_dl for w, _ in objectives], (k, gains.num_dl))),
+    return (WeightVector(np.array([w.alpha_ul for w, _ in objectives]).reshape(k, gains.num_ul),
+                         np.array([w.alpha_dl for w, _ in objectives]).reshape(k, gains.num_dl)),
             np.array([mu for _, mu in objectives]))
 
 
@@ -111,7 +111,9 @@ def _hungarian_schedules(planning_gains: GainTable, gains: GainTable,
     require_valid(params)
     weights, mus = _stacked(objectives, gains)
     scores = corner_benefit(corner_tables(planning_gains, params), weights, mus)
-    best_benefit = scores.benefit.max(axis=3)
+    # benefit.max(axis=3), which costs one inner loop per (objective, i, j)
+    corner = [scores.benefit[..., c] for c in range(3)]
+    best_benefit = np.maximum(np.maximum(corner[0], corner[1]), corner[2])
     schedules = []
     for k in range(len(objectives)):
         pairing, _ = assign_with_solo(best_benefit[k], scores.solo_contrib_ul[k],
@@ -233,21 +235,22 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
                          f"{params.num_channels} channels")
     tables = corner_tables(gains, params)
     pair_min = np.minimum(tables.se_ul, tables.se_dl)
-    # Weighted-sum part of every (objective, i, j, corner).
+    # Weighted-sum part of every (objective, i, j, corner) and solo user.
     weights, mus = _stacked(objectives, gains)
-    pair_ws = (1.0 - mus)[:, None, None, None] * (
-        weights.alpha_ul[:, :, None, None] * tables.se_ul
-        + weights.alpha_dl[:, None, :, None] * tables.se_dl)
-    scores = corner_benefit(tables, weights, mus)
+    keep = (1.0 - mus)[:, None]
+    pair_ws = keep[:, :, None, None] * (weights.alpha_ul[:, :, None, None] * tables.se_ul
+                                        + weights.alpha_dl[:, None, :, None] * tables.se_dl)
+    solo_ws_ul, solo_ws_dl = (keep * weights.alpha_ul * tables.solo_se_ul,
+                              keep * weights.alpha_dl * tables.solo_se_dl)
     best_value = np.full(len(objectives), -np.inf)
     best = [((), ())] * len(objectives)   # per objective: pairs, corner combo
     for ul_subset, ul_solo, ul_idx, dl_plans in _p_opt_plans(num_ul, num_dl, min_pairs):
-        ws_ul_solo = scores.solo_contrib_ul[:, ul_solo].sum(axis=1)
+        ws_ul_solo = solo_ws_ul[:, ul_solo].sum(axis=1)
         for dl_solo, perms in dl_plans:
             solo_se = np.concatenate([tables.solo_se_ul[ul_solo], tables.solo_se_dl[dl_solo]])
             base_min = float(solo_se.min()) if solo_se.size else np.inf
             grid_min = _matching_grid(pair_min, ul_idx, perms, base_min, np.minimum)
-            base_ws = ws_ul_solo + scores.solo_contrib_dl[:, dl_solo].sum(axis=1)
+            base_ws = ws_ul_solo + solo_ws_dl[:, dl_solo].sum(axis=1)
             grid_ws = _matching_grid(pair_ws, ul_idx, perms, base_ws, np.add)
             values, flat_idx = _best_matching(grid_ws, grid_min, mus, len(perms))
             for k in np.flatnonzero(values > best_value):
@@ -279,8 +282,9 @@ def solve_r_epa(gains: GainTable, params: ScenarioParams, objectives: Objectives
         perm = rng.permutation(num_ul)
         pairing = Pairing.from_pairs([(int(perm[j]), j) for j in range(num_dl)],
                                      num_ul, num_dl)
-    schedule = _corner_schedule(pairing, [0] * pairing.num_pairs, params)   # all at max
-    return _outcomes([schedule] * len(objectives), gains, params, objectives)
+    powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
+                             np.full(num_dl, params.p_max_dl_w))
+    return _outcomes([(pairing, powers)] * len(objectives), gains, params, objectives)
 
 
 # ---------------------------------------------------------------------------
