@@ -124,9 +124,8 @@ def corner_tables(gains: GainTable, params: ScenarioParams) -> CornerTables:
 
 
 def corner_benefit(tables: CornerTables, weights: WeightVector, mu) -> CornerBenefit:
-    """Score every corner of a CornerTables under the weights and mu.  K
-    objectives (weights with (K, I) and (K, J) rows, a (K,) mu) add a
-    leading K axis to every field, each slice equal to its own call."""
+    """Score every corner of a CornerTables under the weights and mu; K objectives
+    ((K, I) and (K, J) weight rows, (K,) mu) add a leading K axis to every field."""
     mu = np.asarray(mu)[..., None]
     benefit = benefit_value(tables.se_ul, tables.se_dl,
                             weights.alpha_ul[..., :, None, None],

@@ -57,8 +57,7 @@ Objectives = Sequence[tuple[WeightVector, float]]
 
 
 def _stacked(objectives: Objectives, gains: GainTable) -> tuple[WeightVector, np.ndarray]:
-    """The objectives' weights as (K, I) and (K, J) rows, and their mu
-    values as a (K,) array."""
+    """The objectives' weights as (K, I) and (K, J) rows, and mu as (K,)."""
     k = len(objectives)
     return (WeightVector(np.array([w.alpha_ul for w, _ in objectives]).reshape(k, gains.num_ul),
                          np.array([w.alpha_dl for w, _ in objectives]).reshape(k, gains.num_dl)),
@@ -67,8 +66,7 @@ def _stacked(objectives: Objectives, gains: GainTable) -> tuple[WeightVector, np
 
 def _corner_schedule(pairing: Pairing, corners: Sequence[int],
                      params: ScenarioParams) -> tuple[Pairing, PowerAllocation]:
-    """The pairing with its pairs at the given corner_points indices, in
-    pairs() order, and every other user alone at max power."""
+    """The pairing, with its pairs() at corners (corner_points indices), all else at max."""
     points = corner_points(params)
     p_ul = np.full(len(pairing.partner_of_ul), params.p_max_ul_w)
     p_dl = np.full(len(pairing.partner_of_dl), params.p_max_dl_w)
@@ -104,16 +102,13 @@ def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainT
 def _hungarian_schedules(planning_gains: GainTable, gains: GainTable,
                          params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
     """Corner tables -> every objective's benefit in one pass -> per
-    objective: assignment -> per-pair corner powers -> outcome.
-
-    Decisions are taken on planning_gains; outcomes are evaluated on gains.
-    """
+    objective: assignment -> per-pair corner powers -> outcome.  Decisions
+    are taken on planning_gains; outcomes are evaluated on gains."""
     require_valid(params)
     weights, mus = _stacked(objectives, gains)
     scores = corner_benefit(corner_tables(planning_gains, params), weights, mus)
-    # benefit.max(axis=3), which costs one inner loop per (objective, i, j)
-    corner = [scores.benefit[..., c] for c in range(3)]
-    best_benefit = np.maximum(np.maximum(corner[0], corner[1]), corner[2])
+    b = scores.benefit   # its max over corners; b.max(axis=3) loops once per cell
+    best_benefit = np.maximum(np.maximum(b[..., 0], b[..., 1]), b[..., 2])
     schedules = []
     for k in range(len(objectives)):
         pairing, _ = assign_with_solo(best_benefit[k], scores.solo_contrib_ul[k],
@@ -190,9 +185,10 @@ def _best_matching(grid_ws, grid_min, mus, n_perm):
 
 @functools.lru_cache(maxsize=None)
 def _p_opt_plans(num_ul: int, num_dl: int, min_pairs: int):
-    """P-OPT's enumeration set-up of one shape: per UL subset its users and
-    solo users, and per DL subset its solo users and matchings as DL partner
-    arrays.  All drops of the shape share the arrays, so they are read-only."""
+    """P-OPT's set-up of one shape: per UL subset its users and solo users,
+    and per DL subset its solo users and matchings as DL partner arrays.
+    Every drop of the shape shares them, so the arrays are read-only; the
+    10-user guard bounds the cache."""
     def index(values):
         a = np.array(values, dtype=np.intp)
         a.setflags(write=False)
@@ -200,8 +196,8 @@ def _p_opt_plans(num_ul: int, num_dl: int, min_pairs: int):
 
     plans = []
     for n_pairs in range(min_pairs, min(num_ul, num_dl) + 1):
-        # Permutations of subset positions, in itertools order; those of a
-        # DL subset are this array mapped through it.
+        # Permutations of subset positions in itertools order, mapped
+        # through each DL subset.
         orders = index(list(itertools.permutations(range(n_pairs))))
         dl_plans = tuple((index([j for j in range(num_dl) if j not in dl]),
                           index(index(dl)[orders]))
