@@ -68,8 +68,8 @@ def _corner_schedule(pairing: Pairing, corners: Sequence[int],
                      params: ScenarioParams) -> tuple[Pairing, PowerAllocation]:
     """The pairing, with its pairs() at corners (corner_points indices), all else at max."""
     points = corner_points(params)
-    p_ul = np.full(len(pairing.partner_of_ul), params.p_max_ul_w)
-    p_dl = np.full(len(pairing.partner_of_dl), params.p_max_dl_w)
+    p_ul = [params.p_max_ul_w] * len(pairing.partner_of_ul)
+    p_dl = [params.p_max_dl_w] * len(pairing.partner_of_dl)
     for (i, j), corner in zip(pairing.pairs(), corners):
         p_ul[i], p_dl[j] = points[corner]
     return pairing, PowerAllocation(p_ul, p_dl)
@@ -252,9 +252,10 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
             for k in np.flatnonzero(values > best_value):
                 best_value[k] = values[k]
                 perm_idx, *combo = np.unravel_index(flat_idx[k], grid_min.shape)
-                best[k] = tuple(zip(ul_subset, perms[perm_idx].tolist())), combo
-    return _outcomes([_corner_schedule(Pairing.from_pairs(pairs, num_ul, num_dl), combo, params)
-                      for pairs, combo in best], gains, params, objectives)
+                best[k] = tuple(zip(ul_subset, perms[perm_idx].tolist())), tuple(combo)
+    made = {b: _corner_schedule(Pairing.from_pairs(b[0], num_ul, num_dl), b[1], params)
+            for b in dict.fromkeys(best)}   # one schedule per distinct winner
+    return _outcomes([made[b] for b in best], gains, params, objectives)
 
 
 # ---------------------------------------------------------------------------
