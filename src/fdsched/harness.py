@@ -306,16 +306,16 @@ def _rescored_line(line: str, mu: float, objective: float, weight_mode: str) -> 
 
 def _record_lines(records: list[RunRecord]) -> list[str]:
     """The records.jsonl lines: json.dumps(vars(r), sort_keys=True) of each.
-
-    _run_drop shares SE tuple objects only among the records of one
-    evaluated schedule, so the records of one (drop, strategy) that hold
-    the same tuples differ only in mu, the objective and the weight mode:
-    the first is encoded and the later ones derive their lines from it.
-    Encoding inside _run_drop, between solves, measured slower.
-    """
-    lines, solved = [], {}
+    _run_drop shares SE tuple objects only among the records of one evaluated
+    schedule, so a drop's records of one strategy with the same tuples differ
+    only in mu, the objective and the weight mode: the first is encoded and
+    the later ones derive their lines from it.  (Encoding in _run_drop,
+    between solves, measured slower.)"""
+    lines, solved, drop = [], {}, None
     for r in records:
-        key = r.drop, r.strategy, id(r.se_ul), id(r.se_dl)   # () is one object
+        if r.drop != drop:   # records come in drop order; hold one drop's lines
+            solved, drop = {}, r.drop
+        key = r.strategy, id(r.se_ul), id(r.se_dl)   # () is one object
         line = solved.get(key)
         if line is None:
             lines.append(solved.setdefault(key, _ENCODER.encode(vars(r))))
