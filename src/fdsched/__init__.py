@@ -17,7 +17,7 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .metrics import CdfSeries, empirical_cdf, jain_index, median_gap, percentile
+from .metrics import CdfSeries, empirical_cdf, jain_index, percentile
 from .model import (
     GainTable,
     Pairing,
@@ -31,10 +31,9 @@ from .model import (
     watts_to_dbm,
 )
 from .radio import make_weights, outcome_metrics, sinr
-from .scenario import PropagationModel, build_gain_table, drop_users, link_gain, load_scenario, save_scenario
+from .scenario import PropagationModel, build_gain_table, drop_users, link_gain
 from .solvers import (
     STRATEGIES,
-    StrategyId,
     dual_multipliers,
     solve,
     solve_c_hun,

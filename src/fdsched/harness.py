@@ -50,14 +50,14 @@ from .model import (
 )
 from .radio import check_mu
 from .scenario import build_gain_table, scenario_to_dict
-from .solvers import _P_OPT_MAX_USERS, STRATEGIES, StrategyId, solve
+from .solvers import _P_OPT_MAX_USERS, STRATEGIES, solve
 
 _ROLE_SCENARIO = 0
 _ROLE_STRATEGY = 1
 
 METRIC_NAMES = ("objective", "sum_se", "min_se", "jain")
 
-CANNED_NAMES = ("fig2", "fig3", "fig4")
+CANNED_NAMES = ("fig2", "fig3")
 
 
 class ConfigError(ValueError):
@@ -87,7 +87,7 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
         if s not in STRATEGIES:
             bad.append(f"unknown strategy {s!r}; known: {sorted(STRATEGIES)}")
     users = cfg.params.num_ul + cfg.params.num_dl
-    if StrategyId.P_OPT.value in cfg.strategies and users > _P_OPT_MAX_USERS:
+    if "P-OPT" in cfg.strategies and users > _P_OPT_MAX_USERS:
         bad.append(f"P-OPT allowed only for up to {_P_OPT_MAX_USERS} users, got {users}")
     if not cfg.mu_values:
         bad.append("at least one mu value required")
@@ -220,13 +220,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Raises ConfigError for invalid configurations; on runtime failure a
     FAILED marker with the error text is left in the output directory,
     records.jsonl holds the records of every drop before the first failed
-    one, and the exception propagates.
+    one, and the exception propagates.  Result files an earlier run left
+    in the directory are deleted first; other files are kept.
     """
     require_valid_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for stale in (out / "FAILED", *out.glob("cdf_*.csv")):
-        stale.unlink(missing_ok=True)   # left by an earlier run into out_dir
+    for stale in (out / "FAILED", out / "summary.json", out / "timing.log",
+                  *out.glob("cdf_*.csv"), *out.glob("scenarios/drop_*.json")):
+        stale.unlink(missing_ok=True)
     (out / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=1,
                                                 sort_keys=True) + "\n")
 
@@ -381,22 +383,21 @@ def canned_experiments(name: str, seed: int = 1, iterations: int = 400,
     weights, mu in {0.1, 0.5, 0.9}; exhaustive search vs the Hungarian
     heuristic (optimality-gap study).
 
-    fig3/fig4: fully loaded system at 25 users per direction, mu = 0.9,
-    both weight modes; Hungarian heuristic vs its interference-blind
-    variant vs the random baseline.  fig3 is read for fairness, fig4 for
-    sum spectral efficiency; both come from the same run.
+    fig3: fully loaded system at 25 users per direction, mu = 0.9, both
+    weight modes; Hungarian heuristic vs its interference-blind variant vs
+    the random baseline.  One run is read both for fairness and for sum
+    spectral efficiency.
     """
     if name not in CANNED_NAMES:
         raise ConfigError(f"unknown canned experiment {name!r}; known: {CANNED_NAMES}")
     if name == "fig2":
         params = ScenarioParams(num_ul=4, num_dl=4, num_channels=4, rng_seed=seed)
-        strategies = (StrategyId.P_OPT.value, StrategyId.C_HUN.value)
+        strategies = ("P-OPT", "C-HUN")
         mu_values = (0.1, 0.5, 0.9)
         weight_modes = (WeightMode.SUM_RATE,)
     else:
         params = ScenarioParams(num_ul=25, num_dl=25, num_channels=25, rng_seed=seed)
-        strategies = (StrategyId.C_HUN.value, StrategyId.C_NINT.value,
-                      StrategyId.R_EPA.value)
+        strategies = ("C-HUN", "C-NINT", "R-EPA")
         mu_values = (0.9,)
         weight_modes = (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)
     return ExperimentConfig(
@@ -463,7 +464,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         modes = tuple(WeightMode.from_key(k) for k in value("weight_modes", ["SR"], list))
         cfg = ExperimentConfig(
             params=params,
-            strategies=tuple(value("strategies", [StrategyId.C_HUN.value], list)),
+            strategies=tuple(value("strategies", ["C-HUN"], list)),
             mu_values=tuple(_typed("mu_values", m, float)
                             for m in value("mu_values", [0.5], list)),
             weight_modes=modes,

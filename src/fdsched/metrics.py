@@ -1,5 +1,5 @@
 """Aggregate statistics across Monte Carlo drops: Jain's fairness index,
-empirical CDFs, nearest-rank percentiles and median-gap summaries."""
+empirical CDFs and nearest-rank percentiles."""
 
 from __future__ import annotations
 
@@ -42,16 +42,6 @@ class CdfSeries:
     mu: float = math.nan
     weight_mode: str = ""
 
-    @classmethod
-    def from_samples(cls, samples, metric="", strategy="", mu=math.nan,
-                     weight_mode="") -> "CdfSeries":
-        v = np.sort(np.asarray(samples, dtype=float))
-        if v.size == 0:
-            raise ValueError("empirical CDF needs at least one sample")
-        p = np.arange(1, v.size + 1) / v.size
-        return cls(values=v, probabilities=p, metric=metric, strategy=strategy,
-                   mu=mu, weight_mode=weight_mode)
-
     def __len__(self) -> int:
         return self.values.size
 
@@ -68,25 +58,16 @@ class CdfSeries:
     def write_csv(self, path) -> None:
         Path(path).write_text("\n".join(self.to_csv_lines()) + "\n")
 
-    @classmethod
-    def read_csv(cls, path) -> "CdfSeries":
-        lines = Path(path).read_text().splitlines()
-        meta = lines[0].lstrip("# ").split(",")
-        rows = [line.split(",") for line in lines[2:] if line]
-        return cls(
-            values=np.array([float(r[0]) for r in rows]),
-            probabilities=np.array([float(r[1]) for r in rows]),
-            metric=meta[0],
-            strategy=meta[1],
-            mu=float(meta[2]),
-            weight_mode=meta[3],
-        )
-
 
 def empirical_cdf(samples, metric="", strategy="", mu=math.nan,
                   weight_mode="") -> CdfSeries:
-    return CdfSeries.from_samples(samples, metric=metric, strategy=strategy,
-                                  mu=mu, weight_mode=weight_mode)
+    """The CDF of samples, labelled with its combination: the sorted
+    samples with probabilities k/N.  ValueError without samples."""
+    v = np.sort(np.asarray(samples, dtype=float))
+    if v.size == 0:
+        raise ValueError("empirical CDF needs at least one sample")
+    return CdfSeries(values=v, probabilities=np.arange(1, v.size + 1) / v.size,
+                     metric=metric, strategy=strategy, mu=mu, weight_mode=weight_mode)
 
 
 def percentile(cdf: CdfSeries, q: float) -> float:
@@ -98,11 +79,3 @@ def percentile(cdf: CdfSeries, q: float) -> float:
         raise ValueError(f"percentile q must lie in [0, 100], got {q}")
     rank = max(1, math.ceil(q / 100.0 * len(cdf)))
     return float(cdf.values[rank - 1])
-
-
-def median_gap(a: CdfSeries, b: CdfSeries) -> float:
-    """Relative difference of medians, (p50(a) - p50(b)) / p50(b)."""
-    pa, pb = percentile(a, 50), percentile(b, 50)
-    if pb == 0.0:
-        raise ZeroDivisionError("median of the baseline series is zero")
-    return (pa - pb) / pb

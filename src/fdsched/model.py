@@ -189,16 +189,6 @@ class GainTable:
         return self.g_dl.size
 
 
-def validate_gain_table(g: GainTable) -> ValidationReport:
-    bad = []
-    for name, arr in (("g_ul", g.g_ul), ("g_dl", g.g_dl), ("g_cross", g.g_cross)):
-        if arr.size and not np.all(np.isfinite(arr)):
-            bad.append(f"{name} has non-finite entries")
-        if arr.size and not np.all(arr > 0):
-            bad.append(f"{name} has non-positive entries")
-    return ValidationReport(tuple(bad))
-
-
 # ---------------------------------------------------------------------------
 # Scheduling decisions
 # ---------------------------------------------------------------------------

@@ -14,14 +14,12 @@ results.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .model import DropPositions, GainTable, ScenarioParams, require_valid, validate_gain_table
+from .model import DropPositions, GainTable, ScenarioParams, require_valid
 
 # Hexagon orientation: vertices on the x axis; edge normals at 30/90/150 deg.
 _HEX_NORMALS = np.array([
@@ -193,10 +191,11 @@ def build_gain_table(
 
 
 # ---------------------------------------------------------------------------
-# Scenario dump/load (golden-scenario regression support)
+# Scenario dump (the dump_scenarios config key)
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(gains: GainTable) -> dict:
+    """The gains (and positions, if any) of one drop as JSON-ready lists."""
     doc = {
         "g_ul": gains.g_ul.tolist(),
         "g_dl": gains.g_dl.tolist(),
@@ -209,34 +208,3 @@ def scenario_to_dict(gains: GainTable) -> dict:
             "dl": gains.positions.dl.tolist(),
         }
     return doc
-
-
-def scenario_from_dict(doc: dict) -> GainTable:
-    """Rebuild a dumped drop; raise ValueError on a gain that is not finite
-    and positive, since the strategies disagree on such a drop."""
-    positions = None
-    if "positions" in doc:
-        positions = DropPositions(
-            bs=np.array(doc["positions"]["bs"]),
-            ul=np.array(doc["positions"]["ul"]).reshape(-1, 2),
-            dl=np.array(doc["positions"]["dl"]).reshape(-1, 2),
-        )
-    gains = GainTable(
-        g_ul=np.array(doc["g_ul"], dtype=float),
-        g_dl=np.array(doc["g_dl"], dtype=float),
-        g_cross=np.array(doc["g_cross"], dtype=float).reshape(
-            len(doc["g_ul"]), len(doc["g_dl"])),
-        positions=positions,
-    )
-    report = validate_gain_table(gains)
-    if not report.ok:
-        raise ValueError(f"invalid gain table: {report}")
-    return gains
-
-
-def save_scenario(gains: GainTable, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(gains), indent=1, sort_keys=True))
-
-
-def load_scenario(path) -> GainTable:
-    return scenario_from_dict(json.loads(Path(path).read_text()))

@@ -15,7 +15,6 @@ forced.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 from typing import Callable, Optional, Sequence
@@ -44,13 +43,6 @@ from .radio import (
 )
 
 _P_OPT_MAX_USERS = 10
-
-
-class StrategyId(enum.Enum):
-    P_OPT = "P-OPT"
-    C_HUN = "C-HUN"
-    C_NINT = "C-NINT"
-    R_EPA = "R-EPA"
 
 
 Objectives = Sequence[tuple[WeightVector, float]]
@@ -313,10 +305,10 @@ Strategy = Callable[[GainTable, ScenarioParams, Objectives,
                      Optional[np.random.Generator]], list[ScheduleOutcome]]
 
 STRATEGIES: dict[str, Strategy] = {
-    StrategyId.P_OPT.value: solve_p_opt,
-    StrategyId.C_HUN.value: solve_c_hun,
-    StrategyId.C_NINT.value: solve_c_nint,
-    StrategyId.R_EPA.value: solve_r_epa,
+    "P-OPT": solve_p_opt,
+    "C-HUN": solve_c_hun,
+    "C-NINT": solve_c_nint,
+    "R-EPA": solve_r_epa,
 }
 
 

@@ -8,18 +8,22 @@ the 0/1 matrix of a pairing and the per-combination drop loop that solves
 every strategy once for each (mu, weight mode).
 
 They are written one user or one permutation at a time, independent of
-the vectorized code they check.
+the vectorized code they check.  The readers of a run's outputs (a CDF
+file, a dumped scenario) and the median gap of two CDFs, which only the
+tests use, are here too.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from fdsched.assignment import hungarian_max
 from fdsched.harness import _ROLE_SCENARIO, _ROLE_STRATEGY, RunRecord, _gain_hash, drop_rng
-from fdsched.metrics import jain_index
+from fdsched.metrics import CdfSeries, jain_index, percentile
 from fdsched.model import (
     DropPositions,
     GainTable,
@@ -27,6 +31,7 @@ from fdsched.model import (
     PowerAllocation,
     ScenarioParams,
     ScheduleOutcome,
+    ValidationReport,
     WeightVector,
 )
 from fdsched.radio import benefit_value, corner_points, sinr
@@ -296,3 +301,65 @@ def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
                     gain_hash=_gain_hash(gains),
                 ))
     return records
+
+
+def read_cdf_csv(path) -> CdfSeries:
+    """A cdf_*.csv file as written by CdfSeries.write_csv."""
+    lines = Path(path).read_text().splitlines()
+    meta = lines[0].lstrip("# ").split(",")
+    rows = [line.split(",") for line in lines[2:] if line]
+    return CdfSeries(
+        values=np.array([float(r[0]) for r in rows]),
+        probabilities=np.array([float(r[1]) for r in rows]),
+        metric=meta[0],
+        strategy=meta[1],
+        mu=float(meta[2]),
+        weight_mode=meta[3],
+    )
+
+
+def median_gap(a: CdfSeries, b: CdfSeries) -> float:
+    """Relative difference of medians, (p50(a) - p50(b)) / p50(b)."""
+    pa, pb = percentile(a, 50), percentile(b, 50)
+    if pb == 0.0:
+        raise ZeroDivisionError("median of the baseline series is zero")
+    return (pa - pb) / pb
+
+
+def validate_gain_table(g: GainTable) -> ValidationReport:
+    """Every gain must be finite and positive."""
+    bad = []
+    for name, arr in (("g_ul", g.g_ul), ("g_dl", g.g_dl), ("g_cross", g.g_cross)):
+        if arr.size and not np.all(np.isfinite(arr)):
+            bad.append(f"{name} has non-finite entries")
+        if arr.size and not np.all(arr > 0):
+            bad.append(f"{name} has non-positive entries")
+    return ValidationReport(tuple(bad))
+
+
+def scenario_from_dict(doc: dict) -> GainTable:
+    """Rebuild a dumped drop; raise ValueError on a gain that is not finite
+    and positive, since the strategies disagree on such a drop."""
+    positions = None
+    if "positions" in doc:
+        positions = DropPositions(
+            bs=np.array(doc["positions"]["bs"]),
+            ul=np.array(doc["positions"]["ul"]).reshape(-1, 2),
+            dl=np.array(doc["positions"]["dl"]).reshape(-1, 2),
+        )
+    gains = GainTable(
+        g_ul=np.array(doc["g_ul"], dtype=float),
+        g_dl=np.array(doc["g_dl"], dtype=float),
+        g_cross=np.array(doc["g_cross"], dtype=float).reshape(
+            len(doc["g_ul"]), len(doc["g_dl"])),
+        positions=positions,
+    )
+    report = validate_gain_table(gains)
+    if not report.ok:
+        raise ValueError(f"invalid gain table: {report}")
+    return gains
+
+
+def load_scenario(path) -> GainTable:
+    """A scenarios/drop_<k>.json file, as written by a dump_scenarios run."""
+    return scenario_from_dict(json.loads(Path(path).read_text()))

@@ -16,12 +16,12 @@ import pytest
 
 from fdsched.assignment import hungarian_max
 from fdsched.harness import canned_experiments, drop_rng, run_experiment
-from fdsched.metrics import CdfSeries, median_gap, percentile
+from fdsched.metrics import percentile
 from fdsched.model import ScenarioParams, WeightMode
 from fdsched.radio import benefit_value, make_weights
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import dual_multipliers, solve_c_hun, solve_p_opt, solve_r_epa
-from oracles import brute_force_assignment, evaluate_pair
+from oracles import brute_force_assignment, evaluate_pair, median_gap, read_cdf_csv
 
 SEED = 1
 
@@ -31,7 +31,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _read_cdf(out_dir, metric, strategy, mu, mode):
-    return CdfSeries.read_csv(out_dir / f"cdf_{metric}_{strategy}_mu{mu}_{mode}.csv")
+    return read_cdf_csv(out_dir / f"cdf_{metric}_{strategy}_mu{mu}_{mode}.csv")
 
 
 @pytest.fixture(scope="module")

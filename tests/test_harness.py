@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -24,9 +25,9 @@ from fdsched.harness import (
     run_experiment,
     validate_config,
 )
-from fdsched.model import ScenarioParams, WeightMode
-from fdsched.scenario import load_scenario
-from oracles import reference_drop_records
+from fdsched.model import ScenarioParams, WeightMode, db_to_linear
+from fdsched.scenario import build_gain_table, scenario_to_dict
+from oracles import load_scenario, median_gap, read_cdf_csv, reference_drop_records
 
 
 def tiny_config(out_dir, iterations=4, parallelism=1, **params_kw):
@@ -57,7 +58,7 @@ def read_deterministic_outputs(out_dir):
 
 class TestValidateConfig:
     def test_canned_configs_are_valid(self):
-        for name in ("fig2", "fig3", "fig4"):
+        for name in ("fig2", "fig3"):
             assert validate_config(canned_experiments(name)).ok
 
     def test_p_opt_user_guard(self):
@@ -114,7 +115,7 @@ class TestCannedExperiments:
         assert cfg.weight_modes == (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)
 
     def test_all_canned_use_reference_constants(self):
-        for name in ("fig2", "fig3", "fig4"):
+        for name in ("fig2", "fig3"):
             p = canned_experiments(name).params
             assert p.si_cancellation == pytest.approx(1e-10)
             assert p.noise_power_w == pytest.approx(10 ** (-14.64))
@@ -210,6 +211,43 @@ class TestRunExperiment:
         gains = load_scenario(dumped[0])
         assert gains.g_cross.shape == (2, 2)
 
+    @pytest.mark.parametrize("seed", [4, 7, 123])
+    @pytest.mark.parametrize("config, params", [
+        ({}, {}),
+        ({"num_ul": 25, "num_dl": 25, "num_channels": 25, "si_cancellation_db": -120.0},
+         {"num_ul": 25, "num_dl": 25, "num_channels": 25,
+          "si_cancellation": db_to_linear(-120.0)}),
+    ], ids=["default", "25+25"])
+    def test_scenario_dump_is_drop_zeros_gain_table(self, tmp_path, seed, config, params):
+        run_experiment(config_from_dict({**config, "iterations": 1, "seed": seed,
+                                         "dump_scenarios": True, "out_dir": str(tmp_path)}))
+        gains = build_gain_table(ScenarioParams(**params, rng_seed=seed),
+                                 drop_rng(seed, 0, 0))
+        path = tmp_path / "scenarios" / "drop_0000.json"
+        assert path.read_text() == json.dumps(scenario_to_dict(gains), indent=1,
+                                              sort_keys=True)
+        loaded = load_scenario(path)
+        for name in ("g_ul", "g_dl", "g_cross"):
+            assert getattr(loaded, name).tobytes() == getattr(gains, name).tobytes()
+        assert loaded.positions.ul.tobytes() == gains.positions.ul.tobytes()
+
+    def test_summary_gaps_equal_the_median_gap_oracle(self, tmp_path):
+        cfg = canned_experiments("fig2", iterations=20, out_dir=str(tmp_path))
+        run_experiment(cfg)
+        want = {}
+        for metric, mu, (a, b) in itertools.product(
+                ("objective", "sum_se", "min_se", "jain"), cfg.mu_values,
+                itertools.permutations(cfg.strategies, 2)):
+            cdf_a, cdf_b = (read_cdf_csv(tmp_path / f"cdf_{metric}_{s}_mu{mu}_SR.csv")
+                            for s in (a, b))
+            try:
+                want[f"{metric}|{a}-vs-{b}|mu={mu}|SR"] = median_gap(cdf_a, cdf_b)
+            except ZeroDivisionError:
+                want[f"{metric}|{a}-vs-{b}|mu={mu}|SR"] = None
+        gaps = json.loads((tmp_path / "summary.json").read_text())["gaps"]
+        assert gaps == want
+        assert None in gaps.values() and any(gaps.values())
+
     def test_invalid_config_rejected(self, tmp_path):
         cfg = dataclasses.replace(tiny_config(tmp_path / "bad"), iterations=0)
         with pytest.raises(ConfigError):
@@ -260,20 +298,35 @@ class TestRunExperiment:
         def explode(gains, params, objectives, rng):
             raise RuntimeError("boom")
 
+        def listing():
+            return sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+
         out = tmp_path / "rerun"
-        run_experiment(tiny_config(out))                    # mu 0.1 and 0.9
-        monkeypatch.setitem(solvers.STRATEGIES, "EXPLODE", explode)
-        with pytest.raises(RuntimeError):
-            run_experiment(dataclasses.replace(tiny_config(out), strategies=("EXPLODE",)))
+        # 4 drops, mu 0.1 and 0.9
+        run_experiment(dataclasses.replace(tiny_config(out), dump_scenarios=True))
         (out / "notes.txt").write_text("kept")
         (out / "old").mkdir()
         (out / "old" / "cdf_kept.csv").write_text("kept")
-        result = run_experiment(dataclasses.replace(tiny_config(out), mu_values=(0.1,)))
+        (out / "scenarios" / "notes.txt").write_text("kept")
+        kept = ["notes.txt", "old/cdf_kept.csv", "scenarios/notes.txt"]
+        monkeypatch.setitem(solvers.STRATEGIES, "EXPLODE", explode)
+        with pytest.raises(RuntimeError):
+            run_experiment(dataclasses.replace(tiny_config(out), strategies=("EXPLODE",)))
+        # nothing of the earlier run's results is left beside the new marker
+        assert listing() == sorted(["FAILED", "config.json", "records.jsonl", *kept])
+        assert (out / "records.jsonl").read_text() == ""
+        result = run_experiment(dataclasses.replace(tiny_config(out, iterations=2),
+                                                    mu_values=(0.1,), dump_scenarios=True))
         assert not (out / "FAILED").exists()
         assert sorted(p.name for p in out.glob("cdf_*.csv")) == sorted(result["cdf_files"])
         assert all("_mu0.1_" in name for name in result["cdf_files"])
-        assert (out / "notes.txt").read_text() == "kept"
-        assert (out / "old" / "cdf_kept.csv").read_text() == "kept"
+        assert listing() == sorted([
+            "config.json", "records.jsonl", "summary.json", "timing.log",
+            "scenarios/drop_0000.json", "scenarios/drop_0001.json",
+            *result["cdf_files"], *kept])
+        assert json.loads((out / "summary.json").read_text())["iterations"] == 2
+        for name in kept:
+            assert (out / name).read_text() == "kept"
 
 
 # One other valid value per ScenarioParams field, for tiny_config's 2+2 cell.
@@ -602,17 +655,6 @@ class TestCli:
         bad.write_text(json.dumps({"num_ul": 5, "num_dl": 2, "num_channels": 2}))
         assert main(["validate", "--config", str(bad)]) == 1
 
-    def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FDSCHED_OUT_DIR", str(tmp_path / "env_out"))
-        assert main(["run", "--canned", "fig2", "--iters", "1"]) == 0
-        assert (tmp_path / "env_out" / "summary.json").exists()
-
-    def test_dump_scenario(self, tmp_path):
-        out = tmp_path / "scenario.json"
-        assert main(["dump-scenario", "--seed", "4", "--out", str(out)]) == 0
-        gains = load_scenario(out)
-        assert gains.g_ul.shape == (4,)
-
     def test_canned_run_rejects_parallelism_zero(self, tmp_path):
         code = main(["run", "--canned", "fig2", "--iters", "1", "--parallelism", "0",
                      "--out", str(tmp_path / "p0")])
@@ -672,8 +714,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--canned", "fig2", "--iters", "1", "--seed", "-3"],
-        ["dump-scenario", "--seed", "-2"],
-    ], ids=["run-canned", "dump-scenario"])
+    ], ids=["run-canned"])
     def test_exit_code_for_a_negative_seed_flag(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert "rng_seed must be nonnegative" in capsys.readouterr().err

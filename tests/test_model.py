@@ -7,14 +7,13 @@ from fdsched.model import (
     ScenarioParams,
     WeightMode,
     dbm_to_watts,
-    validate_gain_table,
     validate_params,
     watts_to_dbm,
 )
 from fdsched import solvers
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import STRATEGIES, solve
-from oracles import pairing_matrix
+from oracles import pairing_matrix, validate_gain_table
 
 
 class TestUnitConversions:

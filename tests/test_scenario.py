@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,20 @@ from fdsched.scenario import (
     draw_link_states,
     drop_users,
     link_gain,
-    load_scenario,
-    save_scenario,
+    scenario_to_dict,
 )
-from oracles import reference_build_gain_table, reference_drop_users
+from oracles import load_scenario, reference_build_gain_table, reference_drop_users
 
 
 def make_params(**kw):
     defaults = dict(num_ul=4, num_dl=4, num_channels=4)
     defaults.update(kw)
     return ScenarioParams(**defaults)
+
+
+def dump_scenario(gains, path):
+    """The file a dump_scenarios run writes for one drop."""
+    path.write_text(json.dumps(scenario_to_dict(gains), indent=1, sort_keys=True))
 
 
 class TestDropUsers:
@@ -242,7 +248,7 @@ class TestBuildGainTable:
     def test_dump_load_round_trip(self, tmp_path):
         g = build_gain_table(make_params(), np.random.default_rng(4))
         path = tmp_path / "scenario.json"
-        save_scenario(g, path)
+        dump_scenario(g, path)
         loaded = load_scenario(path)
         assert np.array_equal(loaded.g_ul, g.g_ul)
         assert np.array_equal(loaded.g_dl, g.g_dl)
@@ -278,6 +284,6 @@ class TestBuildGainTable:
         arrays = {name: getattr(g, name).copy() for name in ("g_ul", "g_dl", "g_cross")}
         arrays[field].flat[1] = bad
         path = tmp_path / "scenario.json"
-        save_scenario(GainTable(positions=g.positions, **arrays), path)
+        dump_scenario(GainTable(positions=g.positions, **arrays), path)
         with pytest.raises(ValueError, match=field):
             load_scenario(path)

@@ -19,7 +19,6 @@ from fdsched.radio import (
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     STRATEGIES,
-    StrategyId,
     dual_multipliers,
     solve,
     solve_c_hun,
@@ -561,7 +560,7 @@ class TestDualMultipliers:
 
 class TestRegistry:
     def test_builtin_names(self):
-        assert set(STRATEGIES) >= {s.value for s in StrategyId}
+        assert set(STRATEGIES) >= {"P-OPT", "C-HUN", "C-NINT", "R-EPA"}
 
     def test_names_map_to_the_strategy_functions(self):
         assert STRATEGIES == {"P-OPT": solve_p_opt, "C-HUN": solve_c_hun,
@@ -571,7 +570,7 @@ class TestRegistry:
         params = params_with()
         g = random_drop(np.random.default_rng(14), params)
         direct = solve_c_hun(g, params, [(sr(g), 0.5)])[0]
-        via_registry = solve(StrategyId.C_HUN.value, g, params, [(WeightMode.SUM_RATE, 0.5)])[0]
+        via_registry = solve("C-HUN", g, params, [(WeightMode.SUM_RATE, 0.5)])[0]
         assert via_registry.objective == direct.objective
 
     def test_readme_library_example_runs(self, capsys):
