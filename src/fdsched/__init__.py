@@ -34,7 +34,6 @@ from .radio import make_weights, outcome_metrics, sinr
 from .scenario import PropagationModel, build_gain_table, drop_users, link_gain
 from .solvers import (
     STRATEGIES,
-    dual_multipliers,
     solve,
     solve_c_hun,
     solve_c_nint,

@@ -306,29 +306,34 @@ def _rescored_line(line: str, mu: float, objective: float, weight_mode: str) -> 
             f'{body}, "weight_mode": {_ENCODER.encode(weight_mode)}}}')
 
 
-def _record_lines(records: list[RunRecord]) -> list[str]:
-    """The records.jsonl lines: json.dumps(vars(r), sort_keys=True) of each.
-    _run_drop shares SE tuple objects only among the records of one evaluated
-    schedule, so a drop's records of one strategy with the same tuples differ
-    only in mu, the objective and the weight mode: the first is encoded and
-    the later ones derive their lines from it.  (Encoding in _run_drop,
-    between solves, measured slower.)"""
-    lines, solved, drop = [], {}, None
+def _record_lines(records: list[RunRecord]):
+    """Yield the records.jsonl lines: json.dumps(vars(r), sort_keys=True) of
+    each.  _run_drop shares SE tuple objects only among the records of one
+    evaluated schedule, so a drop's records of one strategy with the same
+    tuples differ only in mu, the objective and the weight mode: the first is
+    encoded and the later ones derive their lines from it.  Only the current
+    drop's solved lines are held.  (Encoding in _run_drop, between solves,
+    measured slower.)"""
+    solved, drop = {}, None
     for r in records:
         if r.drop != drop:   # records come in drop order; hold one drop's lines
             solved, drop = {}, r.drop
         key = r.strategy, id(r.se_ul), id(r.se_dl)   # () is one object
         line = solved.get(key)
         if line is None:
-            lines.append(solved.setdefault(key, _ENCODER.encode(vars(r))))
+            yield solved.setdefault(key, _ENCODER.encode(vars(r)))
         else:
-            lines.append(_rescored_line(line, r.mu, r.objective, r.weight_mode))
-    return lines
+            yield _rescored_line(line, r.mu, r.objective, r.weight_mode)
 
 
 def _flush_records(out: Path, records: list[RunRecord]) -> None:
-    lines = _record_lines(records)
-    (out / "records.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
+    """Write records.jsonl a line at a time through one open file, so that no
+    more than one line of it is held in memory; no records give an empty
+    file."""
+    with open(out / "records.jsonl", "w") as f:
+        for line in _record_lines(records):
+            f.write(line)
+            f.write("\n")
 
 
 def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,

@@ -1,7 +1,6 @@
 """Scheduling strategies: exhaustive search (P-OPT), the centralized
 Hungarian heuristic (C-HUN), its interference-blind variant (C-NINT) and
-the random/equal-power baseline (R-EPA), plus the closed-form solution of
-the dual linear program that motivates the heuristic.
+the random/equal-power baseline (R-EPA).
 
 All strategies share one signature: they map one drop (GainTable,
 ScenarioParams), a list of objectives (per-user weights, mu) and a random
@@ -67,21 +66,39 @@ def _corner_schedule(pairing: Pairing, corners: Sequence[int],
     return pairing, PowerAllocation(p_ul, p_dl)
 
 
+def _sinr_inputs(pairing: Pairing, powers: PowerAllocation) -> tuple:
+    """What outcome_metrics reads of a schedule: both power vectors, each UL
+    user's interfering DL power and each DL user's interferer.  A partner at
+    zero power adds p_int * g_int = 0.0 to the noise, as no partner does, and
+    a user at zero power has SINR 0.0 whatever its interference; so schedules
+    that differ only in the partner of a silenced user share a key."""
+    p_ul, p_dl = powers.p_ul.tolist(), powers.p_dl.tolist()
+    return (powers.p_ul.tobytes(), powers.p_dl.tobytes(),
+            tuple(0.0 if j is None or p == 0.0 else p_dl[j]
+                  for j, p in zip(pairing.partner_of_ul, p_ul)),
+            tuple(None if i is None or p == 0.0 or p_ul[i] == 0.0 else i
+                  for i, p in zip(pairing.partner_of_dl, p_dl)))
+
+
 def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainTable,
               params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
     """The outcome of schedules[k] under objectives[k], for every k.  Each
-    distinct schedule (partner tuple and power bytes) is evaluated once; a
-    repeat shares its SE arrays and metrics and only rescores the objective."""
-    outcomes, evaluated = [], {}
-    for (pairing, powers), (weights, mu) in zip(schedules, objectives):
-        key = pairing.partner_of_ul, powers.p_ul.tobytes(), powers.p_dl.tobytes()
+    distinct set of SINR inputs (_sinr_inputs) is evaluated once; a repeat
+    keeps its own pairing and powers, shares the SE arrays and metrics and
+    only rescores the objective."""
+    outcomes, evaluated, keys = [], {}, {}
+    for schedule, (weights, mu) in zip(schedules, objectives):
+        key = keys.get(id(schedule))   # R-EPA and P-OPT repeat schedule objects
+        if key is None:
+            key = keys[id(schedule)] = _sinr_inputs(*schedule)
+        pairing, powers = schedule
         first = evaluated.get(key)
         if first is None:
             first = evaluated[key] = outcome_metrics(pairing, powers, gains, params, weights, mu)
             outcomes.append(first)
         else:
             outcomes.append(ScheduleOutcome(
-                first.pairing, first.powers, first.se_ul, first.se_dl,
+                pairing, powers, first.se_ul, first.se_dl,
                 objective_value(first.se_ul, first.se_dl, first.min_se, weights, mu),
                 first.sum_se, first.min_se, first.jain))
     return outcomes
@@ -274,27 +291,6 @@ def solve_r_epa(gains: GainTable, params: ScenarioParams, objectives: Objectives
     powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
                              np.full(num_dl, params.p_max_dl_w))
     return _outcomes([(pairing, powers)] * len(objectives), gains, params, objectives)
-
-
-# ---------------------------------------------------------------------------
-# Dual LP
-# ---------------------------------------------------------------------------
-
-def dual_multipliers(c, mu: float) -> np.ndarray:
-    """Exact solution of: minimize c . lam  s.t.  sum(lam) = mu, lam >= 0.
-
-    All mass goes to the user with minimum spectral efficiency (first index
-    on ties), so the optimum value is mu * min(c).
-    """
-    c = np.asarray(c, dtype=float)
-    if c.size == 0:
-        raise ValueError("dual_multipliers needs a nonempty vector")
-    if np.any(c < 0):
-        raise ValueError("spectral efficiencies must be nonnegative")
-    check_mu(mu)
-    lam = np.zeros(c.size)
-    lam[int(np.argmin(c))] = mu
-    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ corner-point evaluation of one pair, the stand-alone evaluation of one
 user, the per-user outcome evaluation of a schedule, a brute-force
 assignment, the padded-square form of the solo-aware assignment, the
 one-candidate-at-a-time UE placement, the link-group-at-a-time gain table,
-the 0/1 matrix of a pairing and the per-combination drop loop that solves
-every strategy once for each (mu, weight mode).
+the 0/1 matrix of a pairing, the per-combination drop loop that solves
+every strategy once for each (mu, weight mode) and the closed-form solution
+of the dual linear program that motivates the Hungarian heuristic.
 
 They are written one user or one permutation at a time, independent of
 the vectorized code they check.  The readers of a run's outputs (a CDF
@@ -34,7 +35,7 @@ from fdsched.model import (
     ValidationReport,
     WeightVector,
 )
-from fdsched.radio import benefit_value, corner_points, sinr
+from fdsched.radio import benefit_value, check_mu, corner_points, sinr
 from fdsched.scenario import (
     _HEX_NORMALS,
     _MAX_PLACEMENT_ATTEMPTS,
@@ -363,3 +364,20 @@ def scenario_from_dict(doc: dict) -> GainTable:
 def load_scenario(path) -> GainTable:
     """A scenarios/drop_<k>.json file, as written by a dump_scenarios run."""
     return scenario_from_dict(json.loads(Path(path).read_text()))
+
+
+def dual_multipliers(c, mu: float) -> np.ndarray:
+    """Exact solution of: minimize c . lam  s.t.  sum(lam) = mu, lam >= 0.
+
+    All mass goes to the user with minimum spectral efficiency (first index
+    on ties), so the optimum value is mu * min(c).
+    """
+    c = np.asarray(c, dtype=float)
+    if c.size == 0:
+        raise ValueError("dual_multipliers needs a nonempty vector")
+    if np.any(c < 0):
+        raise ValueError("spectral efficiencies must be nonnegative")
+    check_mu(mu)
+    lam = np.zeros(c.size)
+    lam[int(np.argmin(c))] = mu
+    return lam

@@ -20,8 +20,14 @@ from fdsched.metrics import percentile
 from fdsched.model import ScenarioParams, WeightMode
 from fdsched.radio import benefit_value, make_weights
 from fdsched.scenario import build_gain_table
-from fdsched.solvers import dual_multipliers, solve_c_hun, solve_p_opt, solve_r_epa
-from oracles import brute_force_assignment, evaluate_pair, median_gap, read_cdf_csv
+from fdsched.solvers import solve_c_hun, solve_p_opt, solve_r_epa
+from oracles import (
+    brute_force_assignment,
+    dual_multipliers,
+    evaluate_pair,
+    median_gap,
+    read_cdf_csv,
+)
 
 SEED = 1
 

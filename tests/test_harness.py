@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,28 @@ class TestRunExperiment:
         per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
         assert drops == [k for k in range(3) for _ in range(per_drop)]
 
+    @pytest.mark.parametrize("failing", [1, 4])
+    def test_serial_failure_keeps_earlier_drops_byte_for_byte(self, tmp_path, monkeypatch,
+                                                              failing):
+        from fdsched import harness
+
+        cfg = tiny_config(tmp_path / "full", iterations=6)
+        run_experiment(cfg)
+        real_drop_rng = harness.drop_rng
+
+        def failing_drop_rng(master_seed, drop_index, role):
+            if drop_index == failing:
+                raise RuntimeError(f"drop {failing} failed")
+            return real_drop_rng(master_seed, drop_index, role)
+
+        monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
+        with pytest.raises(RuntimeError, match=f"drop {failing} failed"):
+            run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "fail")))
+        per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
+        full = (tmp_path / "full" / "records.jsonl").read_text().splitlines(keepends=True)
+        kept = (tmp_path / "fail" / "records.jsonl").read_text()
+        assert kept == "".join(full[:failing * per_drop])
+
     def test_rerun_clears_a_stale_failure_marker_and_cdfs(self, tmp_path, monkeypatch):
         from fdsched import solvers
 
@@ -448,8 +471,8 @@ class TestEncodedLines:
                                   weight_modes=weight_modes)
         records = [r for k in range(3) for r in _run_drop(cfg, k)[0]]
         assert len(records) == 3 * len(strategies) * len(mu_values) * len(weight_modes)
-        assert _record_lines(records) == [json.dumps(vars(r), sort_keys=True)
-                                          for r in records]
+        assert list(_record_lines(records)) == [json.dumps(vars(r), sort_keys=True)
+                                                for r in records]
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_written_file_equals_the_fresh_solve_records(self, tmp_path, parallelism):
@@ -481,6 +504,32 @@ class TestEncodedLines:
                   float("inf"), float("-inf"), np.float64(0.1), 1]
         for x in values:
             assert _encode_float(x) == json.dumps(x)
+
+
+class TestFlushRecords:
+    """records.jsonl is written a line at a time, never held whole."""
+
+    def test_flush_allocates_a_small_share_of_the_file(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(
+            params=ScenarioParams(num_ul=25, num_dl=25, num_channels=25, rng_seed=3),
+            strategies=("R-EPA",), mu_values=(0.1, 0.5, 0.9),
+            weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION),
+            iterations=100, out_dir=str(tmp_path))
+        peaks = []
+
+        def traced(out, records, _flush=harness._flush_records):
+            tracemalloc.start()
+            try:
+                _flush(out, records)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(harness, "_flush_records", traced)
+        run_experiment(cfg)
+        size = (tmp_path / "records.jsonl").stat().st_size
+        assert len(peaks) == 1 and size > 500_000
+        assert peaks[0] < size / 4
 
 
 class TestPoolBlocks:

@@ -19,14 +19,13 @@ from fdsched.radio import (
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     STRATEGIES,
-    dual_multipliers,
     solve,
     solve_c_hun,
     solve_c_nint,
     solve_p_opt,
     solve_r_epa,
 )
-from oracles import power_candidates
+from oracles import dual_multipliers, power_candidates
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10
@@ -506,6 +505,49 @@ class TestSeveralObjectives:
             objectives.insert(at, (WeightMode.SUM_RATE, bad))
             with pytest.raises(ValueError, match="mu must lie in"):
                 solve(name, g, params, objectives, np.random.default_rng(0))
+
+
+class TestSilencedPartnerRepeats:
+    """Schedules that differ only in the partner of a silenced user give the
+    same SINRs, so _outcomes evaluates them once; each outcome still reports
+    its own schedule."""
+
+    PMAX = ScenarioParams().p_max_ul_w
+
+    def schedules(self, silenced):
+        # 2 UL, 3 DL: the silenced user is paired in the first schedule and
+        # moves to another partner (or none) in the second
+        p_ul, p_dl = [self.PMAX] * 2, [self.PMAX] * 3
+        if silenced == "ul":
+            p_ul[0] = 0.0
+            pairs = [[(0, 0), (1, 2)], [(0, 1), (1, 2)]]
+        elif silenced == "dl":
+            p_dl[0] = 0.0
+            pairs = [[(0, 0)], [(1, 0)]]
+        else:   # an active pair moves: a real change
+            pairs = [[(0, 0), (1, 2)], [(0, 1), (1, 2)]]
+        powers = PowerAllocation(np.array(p_ul), np.array(p_dl))
+        return [(Pairing.from_pairs(p, 2, 3), powers) for p in pairs]
+
+    @pytest.mark.parametrize("silenced, evaluations", [("ul", 1), ("dl", 1), (None, 2)])
+    def test_one_evaluation_and_own_schedules(self, silenced, evaluations, monkeypatch):
+        params = params_with(num_ul=2, num_dl=3, num_channels=5)
+        g = random_drop(np.random.default_rng(23), params)
+        calls = []
+
+        def counted(*args, _metrics=solvers.outcome_metrics):
+            calls.append(args[0])
+            return _metrics(*args)
+
+        monkeypatch.setattr(solvers, "outcome_metrics", counted)
+        schedules = self.schedules(silenced)
+        objectives = [(sr(g), 0.5), (make_weights(WeightMode.PATH_LOSS_COMPENSATION, g), 0.9)]
+        outcomes = solvers._outcomes(schedules, g, params, objectives)
+        assert len(calls) == evaluations
+        assert (outcomes[1].se_ul is outcomes[0].se_ul) == (evaluations == 1)
+        for (pairing, powers), (weights, mu), got in zip(schedules, objectives, outcomes):
+            assert got.pairing is pairing and got.powers is powers
+            assert_same_outcome(got, outcome_metrics(pairing, powers, g, params, weights, mu))
 
 
 class TestOptimalitySandwich:
