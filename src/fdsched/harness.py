@@ -327,9 +327,8 @@ def _record_lines(records: list[RunRecord]):
 
 
 def _flush_records(out: Path, records: list[RunRecord]) -> None:
-    """Write records.jsonl a line at a time through one open file, so that no
-    more than one line of it is held in memory; no records give an empty
-    file."""
+    """Write records.jsonl a line at a time through one open file, so the
+    file is never held in memory whole; no records give an empty file."""
     with open(out / "records.jsonl", "w") as f:
         for line in _record_lines(records):
             f.write(line)

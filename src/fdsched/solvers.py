@@ -66,35 +66,35 @@ def _corner_schedule(pairing: Pairing, corners: Sequence[int],
     return pairing, PowerAllocation(p_ul, p_dl)
 
 
-def _sinr_inputs(pairing: Pairing, powers: PowerAllocation) -> tuple:
-    """What outcome_metrics reads of a schedule: both power vectors, each UL
-    user's interfering DL power and each DL user's interferer.  A partner at
-    zero power adds p_int * g_int = 0.0 to the noise, as no partner does, and
-    a user at zero power has SINR 0.0 whatever its interference; so schedules
-    that differ only in the partner of a silenced user share a key."""
+def _same_sinrs(a: Pairing, b: Pairing, powers: PowerAllocation) -> bool:
+    """Whether pairings a and b give every user the same SINR under powers:
+    the same pairs once those with a silent user are dropped.  A partner at
+    zero power adds p_int * g_int = 0.0 to the noise, as no partner does,
+    and a user at zero power has SINR 0.0 whatever its interference."""
+    if a.partner_of_ul == b.partner_of_ul:
+        return True
     p_ul, p_dl = powers.p_ul.tolist(), powers.p_dl.tolist()
-    return (powers.p_ul.tobytes(), powers.p_dl.tobytes(),
-            tuple(0.0 if j is None or p == 0.0 else p_dl[j]
-                  for j, p in zip(pairing.partner_of_ul, p_ul)),
-            tuple(None if i is None or p == 0.0 or p_ul[i] == 0.0 else i
-                  for i, p in zip(pairing.partner_of_dl, p_dl)))
+
+    def active(pairing):
+        return [j if j is not None and p != 0.0 and p_dl[j] != 0.0 else None
+                for j, p in zip(pairing.partner_of_ul, p_ul)]
+
+    return active(a) == active(b)
 
 
 def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainTable,
               params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
     """The outcome of schedules[k] under objectives[k], for every k.  Each
-    distinct set of SINR inputs (_sinr_inputs) is evaluated once; a repeat
-    keeps its own pairing and powers, shares the SE arrays and metrics and
-    only rescores the objective."""
-    outcomes, evaluated, keys = [], {}, {}
-    for schedule, (weights, mu) in zip(schedules, objectives):
-        key = keys.get(id(schedule))   # R-EPA and P-OPT repeat schedule objects
-        if key is None:
-            key = keys[id(schedule)] = _sinr_inputs(*schedule)
-        pairing, powers = schedule
-        first = evaluated.get(key)
+    distinct set of SINRs (the same power bytes and _same_sinrs) is
+    evaluated once; a repeat keeps its own pairing and powers, shares the SE
+    arrays and metrics and only rescores the objective."""
+    outcomes, evaluated = [], {}   # power bytes -> the outcomes evaluated with them
+    for (pairing, powers), (weights, mu) in zip(schedules, objectives):
+        same_powers = evaluated.setdefault((powers.p_ul.tobytes(), powers.p_dl.tobytes()), [])
+        first = next((o for o in same_powers if _same_sinrs(o.pairing, pairing, powers)), None)
         if first is None:
-            first = evaluated[key] = outcome_metrics(pairing, powers, gains, params, weights, mu)
+            first = outcome_metrics(pairing, powers, gains, params, weights, mu)
+            same_powers.append(first)
             outcomes.append(first)
         else:
             outcomes.append(ScheduleOutcome(
