@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import sys
@@ -670,6 +671,37 @@ class TestJsonConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+# every config key, each off its default and valid on its own
+FULL_CONFIG = {
+    "name": "full", "cell_radius_m": 150.0, "num_ul": 3, "num_dl": 2, "num_channels": 6,
+    "noise_dbm": -110.0, "si_cancellation_db": -90.0, "p_max_ul_dbm": 21.8,
+    "p_max_dl_dbm": 30.0, "min_bs_ue_distance_m": 5.0, "strategies": ["C-NINT", "C-HUN"],
+    "mu_values": [0.25, 0.75], "weight_modes": ["PL", "SR"], "iterations": 1, "seed": 11,
+    "parallelism": 2, "out_dir": "results/full", "dump_scenarios": True,
+}
+
+
+class TestConfigJsonBytes:
+    """sha256 of the config.json a run writes, for the canned studies at
+    their defaults but one iteration, and for a config that sets every key.
+    A relative out_dir keeps the machine's paths out of the file."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: canned_experiments("fig2", iterations=1),
+         "5dda00bba54ec45f5439a11c402e0895aa618ed29facce1ad11458ebae08e2fd"),
+        (lambda: canned_experiments("fig3", iterations=1),
+         "5a87b842e0177b86d28442fb7f6205649b785ec7c2f17ea44d4a16063f645fe5"),
+        (lambda: config_from_dict(FULL_CONFIG),
+         "1ca0416e7551ddcbda211da7940f20b7aa53ad99dd2f75f20eaa186d422ae543"),
+    ], ids=["fig2", "fig3", "full"])
+    def test_config_json_digest(self, tmp_path, monkeypatch, make, digest):
+        monkeypatch.chdir(tmp_path)
+        cfg = make()
+        run_experiment(cfg)
+        written = (tmp_path / cfg.out_dir / "config.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
 
 
 class TestCli:
