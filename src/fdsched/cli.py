@@ -2,18 +2,18 @@
 canned preset, or `validate` a config file.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.  A run's
-output directory comes from the config (or the preset), unless --out
-overrides it.  A config with dump_scenarios set writes each drop's gains
-to scenarios/drop_<k>.json.
+config document comes from the file or the preset; --seed, --iters, --out
+and --parallelism replace its keys before it is validated.  A config with
+dump_scenarios set writes each drop's gains to scenarios/drop_<k>.json.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .harness import CANNED_NAMES, ConfigError, canned_experiments, load_config, run_experiment
+from .harness import (CANNED, CANNED_NAMES, ConfigError, config_with, load_config,
+                      read_document, run_experiment)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,32 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_run_config(args):
-    if args.canned:
-        return canned_experiments(args.canned,
-                                  seed=args.seed if args.seed is not None else 1,
-                                  iterations=args.iters if args.iters is not None else 400,
-                                  out_dir=args.out,
-                                  parallelism=(args.parallelism
-                                               if args.parallelism is not None else 1))
-    cfg = load_config(args.config)
-    params = cfg.params
-    if args.seed is not None:
-        params = dataclasses.replace(params, rng_seed=args.seed)
-    return dataclasses.replace(
-        cfg,
-        params=params,
-        iterations=args.iters if args.iters is not None else cfg.iterations,
-        out_dir=args.out if args.out is not None else cfg.out_dir,
-        parallelism=args.parallelism if args.parallelism is not None else cfg.parallelism,
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _resolve_run_config(args)
+            doc = CANNED[args.canned] if args.canned else read_document(args.config)
+            cfg = config_with(doc, seed=args.seed, iterations=args.iters, out_dir=args.out,
+                              parallelism=args.parallelism)
             result = run_experiment(cfg)
             print(f"wrote {result['records']} records to {result['out_dir']}")
             return 0

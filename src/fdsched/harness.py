@@ -27,12 +27,14 @@ merges the blocks back in drop order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,7 @@ from .model import (
     WeightMode,
     db_to_linear,
     dbm_to_watts,
+    linear_to_db,
     validate_params,
     watts_to_dbm,
 )
@@ -57,8 +60,6 @@ _ROLE_STRATEGY = 1
 
 METRIC_NAMES = ("objective", "sum_se", "min_se", "jain")
 
-CANNED_NAMES = ("fig2", "fig3")
-
 
 class ConfigError(ValueError):
     """Raised for malformed or invalid experiment configurations."""
@@ -66,12 +67,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    params: ScenarioParams
-    strategies: tuple[str, ...]
-    mu_values: tuple[float, ...]
-    weight_modes: tuple[WeightMode, ...]
-    iterations: int
-    out_dir: str
+    params: ScenarioParams = ScenarioParams()
+    strategies: tuple[str, ...] = ("C-HUN",)
+    mu_values: tuple[float, ...] = (0.5,)
+    weight_modes: tuple[WeightMode, ...] = (WeightMode.SUM_RATE,)
+    iterations: int = 1
+    out_dir: str = "results/experiment"
     parallelism: int = 1
     dump_scenarios: bool = False
     name: str = "experiment"
@@ -81,30 +82,26 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
     bad = list(validate_params(cfg.params).violations)
     if cfg.iterations < 1:
         bad.append(f"iterations must be >= 1, got {cfg.iterations}")
-    if not cfg.strategies:
-        bad.append("at least one strategy required")
     for s in cfg.strategies:
         if s not in STRATEGIES:
             bad.append(f"unknown strategy {s!r}; known: {sorted(STRATEGIES)}")
     users = cfg.params.num_ul + cfg.params.num_dl
     if "P-OPT" in cfg.strategies and users > _P_OPT_MAX_USERS:
         bad.append(f"P-OPT allowed only for up to {_P_OPT_MAX_USERS} users, got {users}")
-    if not cfg.mu_values:
-        bad.append("at least one mu value required")
     for mu in cfg.mu_values:
         try:
             check_mu(mu)
         except ValueError as exc:
             bad.append(str(exc))
-    if not cfg.weight_modes:
-        bad.append("at least one weight mode required")
     if cfg.parallelism < 1:
         bad.append(f"parallelism must be >= 1, got {cfg.parallelism}")
-    sweeps = {"strategies": cfg.strategies, "mu_values": cfg.mu_values,
-              "weight_modes": tuple(m.value for m in cfg.weight_modes)}
-    for key, values in sweeps.items():
-        for dup in dict.fromkeys(x for x in values if values.count(x) > 1):
-            bad.append(f"duplicate entry {dup!r} in {key}")
+    for key, (field, kind, (_, dump)) in _KEYS.items():
+        if isinstance(kind, list):   # a sweep: nonempty, each entry once
+            values = [dump(x) for x in getattr(cfg, field)]
+            if not values:
+                bad.append(f"at least one entry required in {key}")
+            for dup in dict.fromkeys(x for x in values if values.count(x) > 1):
+                bad.append(f"duplicate entry {dup!r} in {key}")
     return ValidationReport(tuple(bad))
 
 
@@ -341,8 +338,10 @@ def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
     of their medians and pairwise median gaps."""
     files = []
     medians: dict[str, float] = {}
+    gaps: dict[str, float | None] = {}
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
+            tag = f"mu={mu}|{mode.value}"
             for strategy in cfg.strategies:
                 combo = [r for r in records if r.strategy == strategy
                          and r.mu == mu and r.weight_mode == mode.value]
@@ -354,20 +353,12 @@ def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
                     path = out / f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
                     series.write_csv(path)
                     files.append(path.name)
-                    key = f"{metric}|{strategy}|mu={mu}|{mode.value}"
-                    medians[key] = metrics.percentile(series, 50)
-    gaps: dict[str, float | None] = {}
-    for mode in cfg.weight_modes:
-        for mu in cfg.mu_values:
+                    medians[f"{metric}|{strategy}|{tag}"] = metrics.percentile(series, 50)
             for metric in METRIC_NAMES:
-                for a in cfg.strategies:
-                    for b in cfg.strategies:
-                        if a == b:
-                            continue
-                        pa = medians[f"{metric}|{a}|mu={mu}|{mode.value}"]
-                        pb = medians[f"{metric}|{b}|mu={mu}|{mode.value}"]
-                        key = f"{metric}|{a}-vs-{b}|mu={mu}|{mode.value}"
-                        gaps[key] = (pa - pb) / pb if pb != 0 else None
+                for a, b in itertools.permutations(cfg.strategies, 2):
+                    pa = medians[f"{metric}|{a}|{tag}"]
+                    pb = medians[f"{metric}|{b}|{tag}"]
+                    gaps[f"{metric}|{a}-vs-{b}|{tag}"] = (pa - pb) / pb if pb != 0 else None
     summary = {"name": cfg.name, "iterations": cfg.iterations,
                "master_seed": cfg.params.rng_seed, "medians": medians, "gaps": gaps}
     (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
@@ -375,115 +366,85 @@ def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
 
 
 # ---------------------------------------------------------------------------
-# Canned experiments
-# ---------------------------------------------------------------------------
-
-def canned_experiments(name: str, seed: int = 1, iterations: int = 400,
-                       out_dir: str | None = None,
-                       parallelism: int = 1) -> ExperimentConfig:
-    """Preset experiment configurations.
-
-    fig2: small fully loaded system (4 UL, 4 DL, 4 channels), sum-rate
-    weights, mu in {0.1, 0.5, 0.9}; exhaustive search vs the Hungarian
-    heuristic (optimality-gap study).
-
-    fig3: fully loaded system at 25 users per direction, mu = 0.9, both
-    weight modes; Hungarian heuristic vs its interference-blind variant vs
-    the random baseline.  One run is read both for fairness and for sum
-    spectral efficiency.
-    """
-    if name not in CANNED_NAMES:
-        raise ConfigError(f"unknown canned experiment {name!r}; known: {CANNED_NAMES}")
-    if name == "fig2":
-        params = ScenarioParams(num_ul=4, num_dl=4, num_channels=4, rng_seed=seed)
-        strategies = ("P-OPT", "C-HUN")
-        mu_values = (0.1, 0.5, 0.9)
-        weight_modes = (WeightMode.SUM_RATE,)
-    else:
-        params = ScenarioParams(num_ul=25, num_dl=25, num_channels=25, rng_seed=seed)
-        strategies = ("C-HUN", "C-NINT", "R-EPA")
-        mu_values = (0.9,)
-        weight_modes = (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)
-    return ExperimentConfig(
-        params=params,
-        strategies=strategies,
-        mu_values=mu_values,
-        weight_modes=weight_modes,
-        iterations=iterations,
-        out_dir=out_dir or f"results/{name}",
-        parallelism=parallelism,
-        name=name,
-    )
-
-
-# ---------------------------------------------------------------------------
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "name", "cell_radius_m", "num_ul", "num_dl", "num_channels",
-    "noise_dbm", "si_cancellation_db", "p_max_ul_dbm", "p_max_dl_dbm",
-    "min_bs_ue_distance_m", "strategies", "mu_values", "weight_modes",
-    "iterations", "seed", "parallelism", "out_dir", "dump_scenarios",
+def _same(value):
+    return value
+
+
+_AS_IS = (_same, _same)
+
+# key: (ScenarioParams or ExperimentConfig field, JSON kind, conversions from
+# the key's reporting unit to the field's unit and back).  A kind [k] is a
+# list of k, converted entry by entry.  Physical quantities use the units of
+# the parameter table (m, dBm, dB).
+_KEYS = {
+    "name": ("name", str, _AS_IS),
+    "cell_radius_m": ("cell_radius_m", float, _AS_IS),
+    "num_ul": ("num_ul", int, _AS_IS),
+    "num_dl": ("num_dl", int, _AS_IS),
+    "num_channels": ("num_channels", int, _AS_IS),
+    "noise_dbm": ("noise_power_w", float, (dbm_to_watts, watts_to_dbm)),
+    "si_cancellation_db": ("si_cancellation", float, (db_to_linear, linear_to_db)),
+    "p_max_ul_dbm": ("p_max_ul_w", float, (dbm_to_watts, watts_to_dbm)),
+    "p_max_dl_dbm": ("p_max_dl_w", float, (dbm_to_watts, watts_to_dbm)),
+    "min_bs_ue_distance_m": ("min_bs_ue_distance_m", float, _AS_IS),
+    "strategies": ("strategies", [str], _AS_IS),
+    "mu_values": ("mu_values", [float], _AS_IS),
+    "weight_modes": ("weight_modes", [str], (WeightMode.from_key, attrgetter("value"))),
+    "iterations": ("iterations", int, _AS_IS),
+    "seed": ("rng_seed", int, _AS_IS),
+    "parallelism": ("parallelism", int, _AS_IS),
+    "out_dir": ("out_dir", str, _AS_IS),
+    "dump_scenarios": ("dump_scenarios", bool, _AS_IS),
 }
+_PARAM_FIELDS = {f.name for f in fields(ScenarioParams)}
 
 
-def _typed(key: str, value, kind):
-    """value as kind (int, float, bool, str or list).  An integer is a valid
-    float; any other mismatch, bools included, is an error rather than
-    something for int(), float(), bool() or str() to coerce."""
+def _loaded(key: str, value, kind, load):
+    """load(value), value checked to be of kind (int, float, bool, str, or [k]:
+    a list of k, loaded entry by entry into a tuple).  An integer is a valid
+    float; any other mismatch, bools included, is an error, not a value for
+    int(), float(), bool() or str() to coerce."""
+    if isinstance(kind, list):
+        entries = _loaded(key, value, list, _same)
+        return tuple(_loaded(key, entry, kind[0], load) for entry in entries)
     allowed = (int, float) if kind is float else kind
     if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
                           f"got {value!r}")
-    return float(value) if kind is float else value
+    return load(float(value) if kind is float else value)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from a JSON document in reporting units.
-
-    Physical quantities use the units of the parameter table (m, dBm, dB)
-    and are converted to linear units here.
-    """
-    unknown = set(doc) - _CONFIG_KEYS
+    """Build a validated config from a JSON document in reporting units.  An
+    absent key leaves its field at the dataclass default."""
+    unknown = set(doc) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    def value(key, default, kind):
-        return _typed(key, doc.get(key, default), kind)
-
+    params, top = {}, {}
     try:
-        params = ScenarioParams(
-            num_ul=value("num_ul", 4, int),
-            num_dl=value("num_dl", 4, int),
-            num_channels=value("num_channels", 4, int),
-            cell_radius_m=value("cell_radius_m", 100.0, float),
-            noise_power_w=dbm_to_watts(value("noise_dbm", -116.4, float)),
-            si_cancellation=db_to_linear(value("si_cancellation_db", -100.0, float)),
-            p_max_ul_w=dbm_to_watts(value("p_max_ul_dbm", 24.0, float)),
-            p_max_dl_w=dbm_to_watts(value("p_max_dl_dbm", 24.0, float)),
-            min_bs_ue_distance_m=value("min_bs_ue_distance_m", 3.0, float),
-            rng_seed=value("seed", 0, int),
-        )
-        modes = tuple(WeightMode.from_key(k) for k in value("weight_modes", ["SR"], list))
-        cfg = ExperimentConfig(
-            params=params,
-            strategies=tuple(value("strategies", ["C-HUN"], list)),
-            mu_values=tuple(_typed("mu_values", m, float)
-                            for m in value("mu_values", [0.5], list)),
-            weight_modes=modes,
-            iterations=value("iterations", 1, int),
-            out_dir=value("out_dir", "results/experiment", str),
-            parallelism=value("parallelism", 1, int),
-            dump_scenarios=value("dump_scenarios", False, bool),
-            name=value("name", "experiment", str),
-        )
+        for key, value in doc.items():
+            field, kind, (load, _) = _KEYS[key]
+            (params if field in _PARAM_FIELDS else top)[field] = _loaded(key, value, kind, load)
+        cfg = ExperimentConfig(params=ScenarioParams(**params), **top)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     return require_valid_config(cfg)
 
 
-def load_config(path) -> ExperimentConfig:
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """Inverse of config_from_dict, back in reporting units."""
+    doc = {}
+    for key, (field, kind, (_, dump)) in _KEYS.items():
+        value = getattr(cfg.params if field in _PARAM_FIELDS else cfg, field)
+        doc[key] = list(map(dump, value)) if isinstance(kind, list) else dump(value)
+    return doc
+
+
+def read_document(path) -> dict:
+    """The JSON object a config file holds, its keys not yet checked."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -492,29 +453,46 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return config_from_dict(doc)
+    return doc
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Inverse of config_from_dict, back in reporting units."""
-    p = cfg.params
-    return {
-        "name": cfg.name,
-        "cell_radius_m": p.cell_radius_m,
-        "num_ul": p.num_ul,
-        "num_dl": p.num_dl,
-        "num_channels": p.num_channels,
-        "noise_dbm": watts_to_dbm(p.noise_power_w),
-        "si_cancellation_db": 10 * np.log10(p.si_cancellation),
-        "p_max_ul_dbm": watts_to_dbm(p.p_max_ul_w),
-        "p_max_dl_dbm": watts_to_dbm(p.p_max_dl_w),
-        "min_bs_ue_distance_m": p.min_bs_ue_distance_m,
-        "strategies": list(cfg.strategies),
-        "mu_values": list(cfg.mu_values),
-        "weight_modes": [m.value for m in cfg.weight_modes],
-        "iterations": cfg.iterations,
-        "seed": p.rng_seed,
-        "parallelism": cfg.parallelism,
-        "out_dir": cfg.out_dir,
-        "dump_scenarios": cfg.dump_scenarios,
-    }
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_document(path))
+
+
+def config_with(doc: dict, **overrides) -> ExperimentConfig:
+    """config_from_dict of doc with each override that is not None set as its
+    key: the one path of presets, files and run flags to a config."""
+    return config_from_dict({**doc, **{k: v for k, v in overrides.items() if v is not None}})
+
+
+# ---------------------------------------------------------------------------
+# Canned experiments
+# ---------------------------------------------------------------------------
+
+# fig2: small fully loaded system (4 UL, 4 DL, 4 channels), sum-rate
+# weights, mu in {0.1, 0.5, 0.9}; exhaustive search vs the Hungarian
+# heuristic (optimality-gap study).  Its cell and weights are the defaults.
+#
+# fig3: fully loaded system at 25 users per direction, mu = 0.9, both
+# weight modes; Hungarian heuristic vs its interference-blind variant vs
+# the random baseline.  One run is read both for fairness and for sum
+# spectral efficiency.
+CANNED = {name: {"name": name, "seed": 1, "iterations": 400, "out_dir": f"results/{name}",
+                 **doc} for name, doc in {
+    "fig2": {"strategies": ["P-OPT", "C-HUN"], "mu_values": [0.1, 0.5, 0.9]},
+    "fig3": {"num_ul": 25, "num_dl": 25, "num_channels": 25,
+             "strategies": ["C-HUN", "C-NINT", "R-EPA"], "mu_values": [0.9],
+             "weight_modes": ["SR", "PL"]},
+}.items()}
+CANNED_NAMES = tuple(CANNED)
+
+
+def canned_experiments(name: str, seed: int | None = None, iterations: int | None = None,
+                       out_dir: str | None = None,
+                       parallelism: int | None = None) -> ExperimentConfig:
+    """A preset's validated config; an argument left None keeps the preset's value."""
+    if name not in CANNED:
+        raise ConfigError(f"unknown canned experiment {name!r}; known: {CANNED_NAMES}")
+    return config_with(CANNED[name], seed=seed, iterations=iterations,
+                       out_dir=out_dir, parallelism=parallelism)

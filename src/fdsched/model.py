@@ -34,6 +34,15 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+def linear_to_db(x: float) -> float:
+    """Inverse of db_to_linear for x > 0: 10·log10(x), or the float one ulp
+    below or above it when only that one converts back to x exactly (as at
+    -4.88 dB, which would otherwise fail the config.json round trip)."""
+    x_db = float(10.0 * np.log10(x))
+    near = (x_db, math.nextafter(x_db, -math.inf), math.nextafter(x_db, math.inf))
+    return next((d for d in near if db_to_linear(d) == x), x_db)
+
+
 # ---------------------------------------------------------------------------
 # Scenario parameters
 # ---------------------------------------------------------------------------

@@ -93,6 +93,11 @@ class TestValidateConfig:
         cfg = dataclasses.replace(canned_experiments("fig2"), **{field: values})
         assert validate_config(cfg).violations == (message,)
 
+    @pytest.mark.parametrize("field", ["strategies", "mu_values", "weight_modes"])
+    def test_empty_sweep_flagged(self, field):
+        cfg = dataclasses.replace(canned_experiments("fig2"), **{field: ()})
+        assert validate_config(cfg).violations == (f"at least one entry required in {field}",)
+
     def test_mu_out_of_range_flagged(self):
         cfg = dataclasses.replace(canned_experiments("fig2"),
                                   mu_values=(0.5, 1.5, float("nan"), -0.0))
@@ -627,6 +632,13 @@ class TestJsonConfig:
             cfg = config_from_dict({"noise_dbm": dbm, "p_max_ul_dbm": dbm, "iterations": 1})
             assert config_from_dict(config_to_dict(cfg)).params == cfg.params, dbm
 
+    def test_round_trip_is_exact_on_a_db_grid(self):
+        # 10·log10 alone fails at -4.88, -4.3 and -4.19 dB
+        for k in range(13001):
+            db = round(-130.0 + 0.01 * k, 2)
+            cfg = config_from_dict({"si_cancellation_db": db})
+            assert config_from_dict(config_to_dict(cfg)).params == cfg.params, db
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"iterations": 1, "bogus_knob": 3})
@@ -643,10 +655,21 @@ class TestJsonConfig:
         ("strategies", "C-HUN"), ("mu_values", 0.5), ("weight_modes", "SR"),
         ("mu_values", [0.5, True]), ("mu_values", ["0.5"]),
         ("name", 5), ("name", ["a"]), ("name", None), ("out_dir", None), ("out_dir", 3),
+        ("strategies", [["C-HUN"]]), ("strategies", [{"a": 1}]), ("weight_modes", [5]),
     ])
     def test_values_are_not_coerced(self, key, value):
         with pytest.raises(ConfigError, match=repr(key)):
             config_from_dict({"iterations": 1, key: value})
+
+    @pytest.mark.parametrize("key", sorted(harness._KEYS))
+    def test_every_key_changes_the_config(self, key):
+        # FULL_CONFIG runs one drop, which is the default
+        cfg = config_from_dict({key: {**FULL_CONFIG, "iterations": 2}[key]})
+        assert cfg != config_from_dict({})
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_full_config_sets_every_key(self):
+        assert set(FULL_CONFIG) == set(harness._KEYS)
 
     def test_integers_are_valid_floats(self):
         cfg = config_from_dict({"iterations": 1, "cell_radius_m": 100, "p_max_ul_dbm": 24,
@@ -663,7 +686,9 @@ class TestJsonConfig:
     def test_readme_config_round_trips(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("### Configuration file", 1)[1].split("```json\n", 1)[1]
-        cfg = config_from_dict(json.loads(block.split("```", 1)[0]))
+        doc = json.loads(block.split("```", 1)[0])
+        assert set(doc) == set(harness._KEYS)
+        cfg = config_from_dict(doc)
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     def test_load_config_bad_json(self, tmp_path):
@@ -794,8 +819,12 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--canned", "fig2", "--iters", "1", "--seed", "-3"],
-    ], ids=["run-canned"])
+        ["run", "--config", "{config}", "--seed", "-3"],
+    ], ids=["run-canned", "run-config"])
     def test_exit_code_for_a_negative_seed_flag(self, tmp_path, capsys, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"iterations": 1, "seed": 4}))
+        argv = [arg.format(config=path) for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert "rng_seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -810,3 +839,32 @@ class TestCli:
         assert "duplicate entry 'C-HUN' in strategies" in err
         assert "duplicate entry 0.5 in mu_values" in err
         assert not (tmp_path / "out").exists()
+
+    def test_run_config_writes_every_override_flag(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_ul": 2, "num_dl": 2, "num_channels": 2, "seed": 3,
+                                    "iterations": 5, "parallelism": 1,
+                                    "out_dir": str(tmp_path / "from_file")}))
+        out = tmp_path / "from_flag"
+        assert main(["run", "--config", str(path), "--seed", "9", "--iters", "2",
+                     "--out", str(out), "--parallelism", "2"]) == 0
+        written = json.loads((out / "config.json").read_text())
+        assert (written["seed"], written["iterations"], written["out_dir"],
+                written["parallelism"]) == (9, 2, str(out), 2)
+        assert not (tmp_path / "from_file").exists()
+
+    def test_a_flag_replaces_its_key_before_validation(self, tmp_path):
+        # only the flagged key is invalid, so the run goes ahead
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"iterations": 0, "seed": -1}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--iters", "1", "--seed", "2",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["seed"] == 2
+
+    @pytest.mark.parametrize("entry", [["C-HUN"], {"a": 1}])
+    def test_exit_code_for_a_nested_sweep_entry(self, tmp_path, capsys, entry):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"strategies": [entry], "iterations": 1}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "config key 'strategies' must be of type str" in capsys.readouterr().err
