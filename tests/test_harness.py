@@ -668,9 +668,6 @@ class TestJsonConfig:
         assert cfg != config_from_dict({})
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
-    def test_full_config_sets_every_key(self):
-        assert set(FULL_CONFIG) == set(harness._KEYS)
-
     def test_integers_are_valid_floats(self):
         cfg = config_from_dict({"iterations": 1, "cell_radius_m": 100, "p_max_ul_dbm": 24,
                                 "mu_values": [0, 1]})
