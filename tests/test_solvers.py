@@ -404,6 +404,20 @@ class TestREpa:
             counts[tuple(out.pairing.partner_of_ul)] += 1
         assert abs(counts[(0, 1)] - 200) < 60
 
+    @pytest.mark.parametrize("num_ul, num_dl", [(2, 4), (4, 4), (5, 3)])
+    def test_pairing_follows_one_permutation(self, num_ul, num_dl):
+        # one rng.permutation(max(I, J)): user k of the smaller side pairs
+        # user perm[k] of the larger side, and nothing else is drawn
+        params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=max(num_ul, num_dl))
+        g = random_drop(np.random.default_rng(12), params)
+        rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+        out = solve_r_epa(g, params, [(sr(g), 0.5)], rng)[0]
+        perm = ref_rng.permutation(max(num_ul, num_dl)).tolist()
+        pairs = [(k, perm[k]) if num_ul <= num_dl else (perm[k], k)
+                 for k in range(min(num_ul, num_dl))]
+        assert out.pairing.pairs() == sorted(pairs)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_average_sum_se_below_c_hun(self):
         params = params_with()
         rng = np.random.default_rng(16)
