@@ -27,7 +27,6 @@ from .model import (
     WeightMode,
     WeightVector,
     dbm_to_watts,
-    validate_params,
     watts_to_dbm,
 )
 from .radio import make_weights, outcome_metrics, sinr

@@ -125,6 +125,16 @@ def hungarian_max(values) -> tuple[dict[int, int], float]:
     return assignment, _selected_total(values, assignment)
 
 
+def min_pairs(num_ul: int, num_dl: int, num_channels: int) -> int:
+    """The fewest pairs that fit I UL and J DL users on F channels, I + J - F
+    (or 0); ValueError if even pairing every user of the smaller side cannot."""
+    forced = max(0, num_ul + num_dl - num_channels)
+    if forced > min(num_ul, num_dl):
+        raise ValueError(f"channel budget infeasible: {num_ul}+{num_dl} users on "
+                         f"{num_channels} channels")
+    return forced
+
+
 def assign_with_solo(
     values: np.ndarray,
     solo_ul: np.ndarray,
@@ -145,13 +155,7 @@ def assign_with_solo(
     num_ul, num_dl = len(solo_ul), len(solo_dl)
     if values.shape != (num_ul, num_dl):
         raise ValueError(f"benefit shape {values.shape} does not match ({num_ul}, {num_dl})")
-    forced_pairs = 0
-    if num_channels is not None:
-        forced_pairs = max(0, num_ul + num_dl - num_channels)
-        if forced_pairs > min(num_ul, num_dl):
-            raise ValueError(
-                f"channel budget infeasible: {num_ul}+{num_dl} users on "
-                f"{num_channels} channels")
+    forced_pairs = 0 if num_channels is None else min_pairs(num_ul, num_dl, num_channels)
     if num_ul == 0:
         return Pairing.from_pairs([], 0, num_dl), float(solo_dl.sum())
 

@@ -43,12 +43,10 @@ from . import metrics
 from .model import (
     GainTable,
     ScenarioParams,
-    ValidationReport,
     WeightMode,
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
-    validate_params,
     watts_to_dbm,
 )
 from .radio import check_mu
@@ -78,13 +76,15 @@ class ExperimentConfig:
     name: str = "experiment"
 
 
-def validate_config(cfg: ExperimentConfig) -> ValidationReport:
-    bad = list(validate_params(cfg.params).violations)
+def validate_config(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """Every broken config-level rule (none when valid); the cell's rules
+    were checked when cfg.params was built."""
+    bad = []
     if cfg.iterations < 1:
         bad.append(f"iterations must be >= 1, got {cfg.iterations}")
     for s in cfg.strategies:
         if s not in STRATEGIES:
-            bad.append(f"unknown strategy {s!r}; known: {sorted(STRATEGIES)}")
+            bad.append(f"unknown strategy {s!r} in strategies")
     users = cfg.params.num_ul + cfg.params.num_dl
     if "P-OPT" in cfg.strategies and users > _P_OPT_MAX_USERS:
         bad.append(f"P-OPT allowed only for up to {_P_OPT_MAX_USERS} users, got {users}")
@@ -92,7 +92,7 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
         try:
             check_mu(mu)
         except ValueError as exc:
-            bad.append(str(exc))
+            bad.append(f"mu_values: {exc}")
     if cfg.parallelism < 1:
         bad.append(f"parallelism must be >= 1, got {cfg.parallelism}")
     for key, (field, kind, (_, dump)) in _KEYS.items():
@@ -102,13 +102,13 @@ def validate_config(cfg: ExperimentConfig) -> ValidationReport:
                 bad.append(f"at least one entry required in {key}")
             for dup in dict.fromkeys(x for x in values if values.count(x) > 1):
                 bad.append(f"duplicate entry {dup!r} in {key}")
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 def require_valid_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    report = validate_config(cfg)
-    if not report.ok:
-        raise ConfigError(f"invalid experiment config: {report}")
+    bad = validate_config(cfg)
+    if bad:
+        raise ConfigError(f"invalid experiment config: {'; '.join(bad)}")
     return cfg
 
 
@@ -414,24 +414,29 @@ def _loaded(key: str, value, kind, load):
     if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
                           f"got {value!r}")
-    return load(float(value) if kind is float else value)
+    try:
+        return load(float(value) if kind is float else value)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a validated config from a JSON document in reporting units.  An
-    absent key leaves its field at the dataclass default."""
+    absent key leaves its field at the dataclass default.  ConfigError
+    reports the first failing stage: unknown keys, each key's type and value
+    in document order, the cell's rules, then the config's rules."""
     unknown = set(doc) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     params, top = {}, {}
+    for key, value in doc.items():
+        field, kind, (load, _) = _KEYS[key]
+        (params if field in _PARAM_FIELDS else top)[field] = _loaded(key, value, kind, load)
     try:
-        for key, value in doc.items():
-            field, kind, (load, _) = _KEYS[key]
-            (params if field in _PARAM_FIELDS else top)[field] = _loaded(key, value, kind, load)
-        cfg = ExperimentConfig(params=ScenarioParams(**params), **top)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
-    return require_valid_config(cfg)
+        cell = ScenarioParams(**params)
+    except ValueError as exc:
+        raise ConfigError(f"invalid experiment config: {exc}") from exc
+    return require_valid_config(ExperimentConfig(params=cell, **top))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -90,56 +90,36 @@ class ScenarioParams:
     min_bs_ue_distance_m: float = 3.0
     rng_seed: int = 0
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        return "OK" if self.ok else "; ".join(self.violations)
-
-
-def validate_params(p: ScenarioParams) -> ValidationReport:
-    """Check all ScenarioParams invariants and report every violation."""
-    bad = [f"{name} must be finite, got {value}" for name, value in vars(p).items()
-           if isinstance(value, float) and not math.isfinite(value)]
-    if p.rng_seed < 0:
-        bad.append(f"rng_seed must be nonnegative, got {p.rng_seed}")
-    if p.num_ul < 0 or p.num_dl < 0:
-        bad.append(f"num_ul/num_dl must be nonnegative, got {p.num_ul}/{p.num_dl}")
-    if p.num_ul + p.num_dl < 1:
-        bad.append("at least one user required (num_ul + num_dl >= 1)")
-    if p.num_channels < 1:
-        bad.append(f"num_channels must be >= 1, got {p.num_channels}")
-    if p.num_ul > p.num_channels:
-        bad.append(f"num_ul ({p.num_ul}) exceeds num_channels ({p.num_channels})")
-    if p.num_dl > p.num_channels:
-        bad.append(f"num_dl ({p.num_dl}) exceeds num_channels ({p.num_channels})")
-    if not p.cell_radius_m > 0:
-        bad.append(f"cell_radius_m must be positive, got {p.cell_radius_m}")
-    if not p.noise_power_w > 0:
-        bad.append(f"noise_power_w must be positive, got {p.noise_power_w}")
-    if not 0.0 < p.si_cancellation <= 1.0:
-        bad.append(f"si_cancellation must lie in (0, 1], got {p.si_cancellation}")
-    if not p.p_max_ul_w > 0 or not p.p_max_dl_w > 0:
-        bad.append("power caps p_max_ul_w/p_max_dl_w must be positive")
-    if p.min_bs_ue_distance_m < 0:
-        bad.append(f"min_bs_ue_distance_m must be >= 0, got {p.min_bs_ue_distance_m}")
-    elif p.min_bs_ue_distance_m >= p.cell_radius_m * math.sqrt(3) / 2:
-        bad.append("min_bs_ue_distance_m leaves no room inside the cell hexagon")
-    return ValidationReport(tuple(bad))
-
-
-def require_valid(p: ScenarioParams) -> ScenarioParams:
-    """Raise ValueError if params are invalid; convenient at module entry."""
-    report = validate_params(p)
-    if not report.ok:
-        raise ValueError(f"invalid scenario parameters: {report}")
-    return p
+    def __post_init__(self):
+        """Reject a cell that breaks any rule, with one ValueError listing them all."""
+        bad = [f"{name} must be finite, got {value}" for name, value in vars(self).items()
+               if isinstance(value, float) and not math.isfinite(value)]
+        if self.rng_seed < 0:
+            bad.append(f"rng_seed must be nonnegative, got {self.rng_seed}")
+        if self.num_ul < 0 or self.num_dl < 0:
+            bad.append(f"num_ul/num_dl must be nonnegative, got {self.num_ul}/{self.num_dl}")
+        if self.num_ul + self.num_dl < 1:
+            bad.append("at least one user required (num_ul + num_dl >= 1)")
+        if self.num_channels < 1:
+            bad.append(f"num_channels must be >= 1, got {self.num_channels}")
+        if self.num_ul > self.num_channels:
+            bad.append(f"num_ul ({self.num_ul}) exceeds num_channels ({self.num_channels})")
+        if self.num_dl > self.num_channels:
+            bad.append(f"num_dl ({self.num_dl}) exceeds num_channels ({self.num_channels})")
+        if not self.cell_radius_m > 0:
+            bad.append(f"cell_radius_m must be positive, got {self.cell_radius_m}")
+        if not self.noise_power_w > 0:
+            bad.append(f"noise_power_w must be positive, got {self.noise_power_w}")
+        if not 0.0 < self.si_cancellation <= 1.0:
+            bad.append(f"si_cancellation must lie in (0, 1], got {self.si_cancellation}")
+        if not self.p_max_ul_w > 0 or not self.p_max_dl_w > 0:
+            bad.append("power caps p_max_ul_w/p_max_dl_w must be positive")
+        if self.min_bs_ue_distance_m < 0:
+            bad.append(f"min_bs_ue_distance_m must be >= 0, got {self.min_bs_ue_distance_m}")
+        elif self.min_bs_ue_distance_m >= self.cell_radius_m * math.sqrt(3) / 2:
+            bad.append("min_bs_ue_distance_m leaves no room inside the cell hexagon")
+        if bad:
+            raise ValueError(f"invalid scenario parameters: {'; '.join(bad)}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +208,22 @@ class Pairing:
 
     @classmethod
     def from_ul_partners(cls, partners: Sequence[Optional[int]], num_dl: int) -> "Pairing":
-        dl_view: list[Optional[int]] = [None] * num_dl
-        for i, j in enumerate(partners):
-            if j is None:
-                continue
-            if not 0 <= j < num_dl:
-                raise ValueError(f"DL partner index {j} out of range")
-            if dl_view[j] is not None:
-                raise ValueError(f"DL user {j} paired with more than one UL user")
-            dl_view[j] = i
-        return cls(tuple(partners), tuple(dl_view))
+        return cls.from_pairs([(i, j) for i, j in enumerate(partners) if j is not None],
+                              len(partners), num_dl)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, int]], num_ul: int, num_dl: int) -> "Pairing":
+        """The pairing of (UL, DL) index pairs; ValueError for an index out of
+        range or a user in more than one pair."""
         ul_view: list[Optional[int]] = [None] * num_ul
+        dl_view: list[Optional[int]] = [None] * num_dl
         for i, j in pairs:
-            if ul_view[i] is not None:
-                raise ValueError(f"UL user {i} paired with more than one DL user")
-            ul_view[i] = j
-        return cls.from_ul_partners(ul_view, num_dl)
+            if not (0 <= i < num_ul and 0 <= j < num_dl):
+                raise ValueError(f"pair ({i}, {j}) out of range for {num_ul}+{num_dl} users")
+            if ul_view[i] is not None or dl_view[j] is not None:
+                raise ValueError(f"pair ({i}, {j}) reuses a user of another pair")
+            ul_view[i], dl_view[j] = j, i
+        return cls(tuple(ul_view), tuple(dl_view))
 
     @property
     def num_pairs(self) -> int:

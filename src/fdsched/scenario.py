@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DropPositions, GainTable, ScenarioParams, require_valid
+from .model import DropPositions, GainTable, ScenarioParams
 
 # Hexagon orientation: vertices on the x axis; edge normals at 30/90/150 deg.
 _HEX_NORMALS = np.array([
@@ -120,10 +120,9 @@ def drop_users(params: ScenarioParams, rng: np.random.Generator) -> DropPosition
     a UE meets _MAX_PLACEMENT_ATTEMPTS consecutive rejections; misses after
     the last needed hit do not count.
     """
-    require_valid(params)
     r, d_min = params.cell_radius_m, params.min_bs_ue_distance_m
     need = params.num_ul + params.num_dl
-    # Hexagon minus the excluded disc, over the square; validation keeps the
+    # Hexagon minus the excluded disc, over the square; ScenarioParams keeps the
     # disc inside the apothem, so this is at least 6%.
     accept = (1.5 * math.sqrt(3) * r * r - math.pi * d_min * d_min) / (4 * r * r)
     start = rng.bit_generator.state

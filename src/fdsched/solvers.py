@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assignment import assign_with_solo
+from .assignment import assign_with_solo, min_pairs
 from .model import (
     GainTable,
     Pairing,
@@ -29,7 +29,6 @@ from .model import (
     ScheduleOutcome,
     WeightMode,
     WeightVector,
-    require_valid,
 )
 from .radio import (
     check_mu,
@@ -113,7 +112,6 @@ def _hungarian_schedules(planning_gains: GainTable, gains: GainTable,
     """Corner tables -> every objective's benefit in one pass -> per
     objective: assignment -> per-pair corner powers -> outcome.  Decisions
     are taken on planning_gains; outcomes are evaluated on gains."""
-    require_valid(params)
     weights, mus = _stacked(objectives, gains)
     scores = corner_benefit(corner_tables(planning_gains, params), weights, mus)
     b = scores.benefit   # its max over corners; b.max(axis=3) loops once per cell
@@ -229,15 +227,11 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
     objectives at once, as one array of at most K * 5! * 3^5 cells.
     Guarded to I + J <= 10 users.
     """
-    require_valid(params)
     num_ul, num_dl = gains.num_ul, gains.num_dl
     if num_ul + num_dl > _P_OPT_MAX_USERS:
         raise ValueError(f"P-OPT is limited to {_P_OPT_MAX_USERS} users, "
                          f"got {num_ul + num_dl}")
-    min_pairs = max(0, num_ul + num_dl - params.num_channels)
-    if min_pairs > min(num_ul, num_dl):
-        raise ValueError(f"channel budget infeasible: {num_ul}+{num_dl} users on "
-                         f"{params.num_channels} channels")
+    plans = _p_opt_plans(num_ul, num_dl, min_pairs(num_ul, num_dl, params.num_channels))
     tables = corner_tables(gains, params)
     pair_min = np.minimum(tables.se_ul, tables.se_dl)
     # Weighted-sum part of every (objective, i, j, corner) and solo user.
@@ -249,7 +243,7 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
                               keep * weights.alpha_dl * tables.solo_se_dl)
     best_value = np.full(len(objectives), -np.inf)
     best = [((), ())] * len(objectives)   # per objective: pairs, corner combo
-    for ul_subset, ul_solo, ul_idx, dl_plans in _p_opt_plans(num_ul, num_dl, min_pairs):
+    for ul_subset, ul_solo, ul_idx, dl_plans in plans:
         ws_ul_solo = solo_ws_ul[:, ul_solo].sum(axis=1)
         for dl_solo, perms in dl_plans:
             solo_se = np.concatenate([tables.solo_se_ul[ul_solo], tables.solo_se_dl[dl_solo]])
@@ -276,18 +270,14 @@ def solve_r_epa(gains: GainTable, params: ScenarioParams, objectives: Objectives
     """Uniformly random maximal matching with everyone at max power.
 
     The schedule reads neither mu nor the weights, so it is drawn once and
-    every objective after the first is only rescored (_outcomes)."""
-    require_valid(params)
+    every objective after the first is only rescored (_outcomes).  User k
+    of the smaller side pairs user perm[k] of the larger one."""
     if rng is None:
         raise ValueError("R-EPA needs a random generator")
     num_ul, num_dl = gains.num_ul, gains.num_dl
-    if num_ul <= num_dl:
-        perm = rng.permutation(num_dl)
-        pairing = Pairing.from_ul_partners([int(perm[i]) for i in range(num_ul)], num_dl)
-    else:
-        perm = rng.permutation(num_ul)
-        pairing = Pairing.from_pairs([(int(perm[j]), j) for j in range(num_dl)],
-                                     num_ul, num_dl)
+    perm = rng.permutation(max(num_ul, num_dl)).tolist()
+    pairing = Pairing.from_pairs([(k, perm[k]) if num_ul <= num_dl else (perm[k], k)
+                                  for k in range(min(num_ul, num_dl))], num_ul, num_dl)
     powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
                              np.full(num_dl, params.p_max_dl_w))
     return _outcomes([(pairing, powers)] * len(objectives), gains, params, objectives)

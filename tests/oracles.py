@@ -32,7 +32,6 @@ from fdsched.model import (
     PowerAllocation,
     ScenarioParams,
     ScheduleOutcome,
-    ValidationReport,
     WeightVector,
 )
 from fdsched.radio import benefit_value, check_mu, corner_points, sinr
@@ -327,15 +326,15 @@ def median_gap(a: CdfSeries, b: CdfSeries) -> float:
     return (pa - pb) / pb
 
 
-def validate_gain_table(g: GainTable) -> ValidationReport:
-    """Every gain must be finite and positive."""
+def validate_gain_table(g: GainTable) -> tuple[str, ...]:
+    """Every broken gain rule (none when valid): gains must be finite and positive."""
     bad = []
     for name, arr in (("g_ul", g.g_ul), ("g_dl", g.g_dl), ("g_cross", g.g_cross)):
         if arr.size and not np.all(np.isfinite(arr)):
             bad.append(f"{name} has non-finite entries")
         if arr.size and not np.all(arr > 0):
             bad.append(f"{name} has non-positive entries")
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 def scenario_from_dict(doc: dict) -> GainTable:
@@ -355,9 +354,9 @@ def scenario_from_dict(doc: dict) -> GainTable:
             len(doc["g_ul"]), len(doc["g_dl"])),
         positions=positions,
     )
-    report = validate_gain_table(gains)
-    if not report.ok:
-        raise ValueError(f"invalid gain table: {report}")
+    bad = validate_gain_table(gains)
+    if bad:
+        raise ValueError(f"invalid gain table: {'; '.join(bad)}")
     return gains
 
 

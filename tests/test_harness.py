@@ -61,26 +61,25 @@ def read_deterministic_outputs(out_dir):
 class TestValidateConfig:
     def test_canned_configs_are_valid(self):
         for name in ("fig2", "fig3"):
-            assert validate_config(canned_experiments(name)).ok
+            assert validate_config(canned_experiments(name)) == ()
 
     def test_p_opt_user_guard(self):
         cfg = canned_experiments("fig3")
         cfg = dataclasses.replace(cfg, strategies=("P-OPT",))
-        report = validate_config(cfg)
-        assert any("P-OPT" in v for v in report.violations)
+        assert any("P-OPT" in v for v in validate_config(cfg))
 
     def test_p_opt_user_guard_matches_the_solver_limit(self):
         cfg = canned_experiments("fig2")
         at_limit = dataclasses.replace(cfg, params=dataclasses.replace(
             cfg.params, num_ul=5, num_dl=5, num_channels=5))
-        assert validate_config(at_limit).ok
+        assert validate_config(at_limit) == ()
         over = dataclasses.replace(cfg, params=dataclasses.replace(
             cfg.params, num_ul=6, num_dl=5, num_channels=6))
-        assert not validate_config(over).ok
+        assert validate_config(over) != ()
 
     def test_unknown_strategy_flagged(self):
         cfg = dataclasses.replace(canned_experiments("fig2"), strategies=("BOGUS",))
-        assert not validate_config(cfg).ok
+        assert validate_config(cfg) == ("unknown strategy 'BOGUS' in strategies",)
 
     @pytest.mark.parametrize("field, values, message", [
         ("strategies", ("C-HUN", "P-OPT", "C-HUN"), "duplicate entry 'C-HUN' in strategies"),
@@ -91,18 +90,18 @@ class TestValidateConfig:
     def test_duplicate_sweep_entry_flagged(self, field, values, message):
         # a repeated entry would write every record of its combination twice
         cfg = dataclasses.replace(canned_experiments("fig2"), **{field: values})
-        assert validate_config(cfg).violations == (message,)
+        assert validate_config(cfg) == (message,)
 
     @pytest.mark.parametrize("field", ["strategies", "mu_values", "weight_modes"])
     def test_empty_sweep_flagged(self, field):
         cfg = dataclasses.replace(canned_experiments("fig2"), **{field: ()})
-        assert validate_config(cfg).violations == (f"at least one entry required in {field}",)
+        assert validate_config(cfg) == (f"at least one entry required in {field}",)
 
     def test_mu_out_of_range_flagged(self):
         cfg = dataclasses.replace(canned_experiments("fig2"),
                                   mu_values=(0.5, 1.5, float("nan"), -0.0))
-        assert validate_config(cfg).violations == (
-            "mu must lie in [0, 1], got 1.5", "mu must lie in [0, 1], got nan")
+        assert validate_config(cfg) == ("mu_values: mu must lie in [0, 1], got 1.5",
+                                        "mu_values: mu must lie in [0, 1], got nan")
 
 
 class TestCannedExperiments:
@@ -646,6 +645,23 @@ class TestJsonConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"num_ul": 9, "num_dl": 2, "num_channels": 2})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("weight_modes", ["XX"], "config key 'weight_modes': unknown weight mode 'XX'"),
+        ("strategies", ["X"], "unknown strategy 'X' in strategies"),
+        ("mu_values", [2.0], "mu_values: mu must lie in [0, 1], got 2.0"),
+    ], ids=["weight_modes", "strategies", "mu_values"])
+    def test_a_bad_value_names_its_key(self, key, value, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({key: value})
+        assert message in str(exc.value)
+
+    def test_cell_rules_are_reported_before_config_rules(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({"num_ul": 9, "seed": -1, "iterations": 0})
+        assert str(exc.value) == (
+            "invalid experiment config: invalid scenario parameters: rng_seed must be "
+            "nonnegative, got -1; num_ul (9) exceeds num_channels (4)")
 
     @pytest.mark.parametrize("key, value", [
         ("num_ul", 4.7), ("iterations", 2.9), ("seed", 1.5), ("num_channels", 4.0),

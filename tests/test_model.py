@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from fdsched.model import (
     ScenarioParams,
     WeightMode,
     dbm_to_watts,
-    validate_params,
     watts_to_dbm,
 )
 from fdsched import solvers
@@ -27,16 +28,38 @@ class TestUnitConversions:
             assert watts_to_dbm(dbm_to_watts(x)) == pytest.approx(x, abs=1e-9)
 
 
+# Each case breaks the rule of its message (and maybe others).
+BROKEN_RULES = [
+    (dict(rng_seed=-1), "rng_seed must be nonnegative, got -1"),
+    (dict(num_ul=-1), "num_ul/num_dl must be nonnegative, got -1/4"),
+    (dict(num_ul=0, num_dl=0), "at least one user required (num_ul + num_dl >= 1)"),
+    (dict(num_ul=0, num_channels=0), "num_channels must be >= 1, got 0"),
+    (dict(num_ul=5), "num_ul (5) exceeds num_channels (4)"),
+    (dict(num_dl=5), "num_dl (5) exceeds num_channels (4)"),
+    (dict(cell_radius_m=0.0), "cell_radius_m must be positive, got 0.0"),
+    (dict(noise_power_w=0.0), "noise_power_w must be positive, got 0.0"),
+    (dict(si_cancellation=1.5), "si_cancellation must lie in (0, 1], got 1.5"),
+    (dict(p_max_dl_w=-1.0), "power caps p_max_ul_w/p_max_dl_w must be positive"),
+    (dict(min_bs_ue_distance_m=-1.0), "min_bs_ue_distance_m must be >= 0, got -1.0"),
+    (dict(min_bs_ue_distance_m=87.0), "min_bs_ue_distance_m leaves no room inside the cell hexagon"),
+]
+
+
 class TestValidateParams:
     def test_defaults_are_valid(self):
-        report = validate_params(ScenarioParams(num_ul=4, num_dl=4, num_channels=4))
-        assert report.ok
-        assert str(report) == "OK"
+        ScenarioParams(num_ul=4, num_dl=4, num_channels=4)
 
     def test_too_many_ul_users(self):
-        report = validate_params(ScenarioParams(num_ul=5, num_dl=4, num_channels=4))
-        assert not report.ok
-        assert any("num_ul" in v for v in report.violations)
+        with pytest.raises(ValueError, match="num_ul"):
+            ScenarioParams(num_ul=5, num_dl=4, num_channels=4)
+
+    @pytest.mark.parametrize("kw, message", BROKEN_RULES)
+    def test_every_rule_raises_when_built_and_through_replace(self, kw, message):
+        for build in (lambda: ScenarioParams(**kw),
+                      lambda: dataclasses.replace(ScenarioParams(), **kw)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert message in str(exc.value)
 
     def test_mu_out_of_range(self):
         # mu belongs to the objective of a solve, not to ScenarioParams, so
@@ -62,16 +85,21 @@ class TestValidateParams:
                 solve("P-OPT", gains, params, [(WeightMode.SUM_RATE, mu)])
 
     def test_multiple_violations_all_reported(self):
-        report = validate_params(ScenarioParams(num_ul=9, num_channels=4, rng_seed=-1,
-                                                cell_radius_m=-1.0))
-        assert len(report.violations) >= 3
+        with pytest.raises(ValueError) as exc:
+            ScenarioParams(num_ul=9, num_channels=4, rng_seed=-1, cell_radius_m=-1.0)
+        assert str(exc.value) == (
+            "invalid scenario parameters: rng_seed must be nonnegative, got -1; "
+            "num_ul (9) exceeds num_channels (4); cell_radius_m must be positive, got -1.0; "
+            "min_bs_ue_distance_m leaves no room inside the cell hexagon")
 
     @pytest.mark.parametrize("field", ["cell_radius_m", "noise_power_w", "si_cancellation",
                                        "p_max_ul_w", "p_max_dl_w", "min_bs_ue_distance_m"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_field_rejected(self, field, value):
-        report = validate_params(ScenarioParams(**{field: value}))
-        assert f"{field} must be finite, got {value}" in report.violations
+        with pytest.raises(ValueError) as exc:
+            ScenarioParams(**{field: value})
+        assert f"{field} must be finite, got {value}" in (
+            str(exc.value).removeprefix("invalid scenario parameters: ").split("; "))
 
     def test_weight_mode_keys(self):
         assert WeightMode.from_key("SR") is WeightMode.SUM_RATE
@@ -90,6 +118,17 @@ class TestPairing:
     def test_duplicate_partner_rejected(self):
         with pytest.raises(ValueError):
             Pairing.from_ul_partners([1, 1], num_dl=2)
+
+    @pytest.mark.parametrize("pairs", [[(-1, 0)], [(2, 0)], [(0, -1)], [(0, 2)]])
+    def test_index_out_of_range_rejected(self, pairs):
+        # a negative UL index once paired UL user 1; 2 raised IndexError
+        with pytest.raises(ValueError, match="out of range"):
+            Pairing.from_pairs(pairs, 2, 2)
+
+    def test_user_in_two_pairs_rejected(self):
+        for pairs in ([(0, 0), (0, 1)], [(0, 0), (1, 0)]):
+            with pytest.raises(ValueError, match="another pair"):
+                Pairing.from_pairs(pairs, 2, 2)
 
     def test_inconsistent_views_rejected(self):
         with pytest.raises(ValueError):
@@ -118,9 +157,9 @@ class TestGainTable:
     def test_validation_flags_bad_entries(self):
         g = GainTable(g_ul=np.array([1e-8, 0.0]), g_dl=np.ones(1) * 1e-9,
                       g_cross=np.full((2, 1), np.inf))
-        report = validate_gain_table(g)
-        assert any("g_ul" in v for v in report.violations)
-        assert any("g_cross" in v for v in report.violations)
+        bad = validate_gain_table(g)
+        assert any("g_ul" in v for v in bad)
+        assert any("g_cross" in v for v in bad)
 
     def test_arrays_are_read_only(self):
         g = GainTable(g_ul=np.ones(1), g_dl=np.ones(1), g_cross=np.ones((1, 1)))

@@ -169,6 +169,13 @@ class TestPOpt:
         with pytest.raises(ValueError):
             solve_p_opt(g, params, [(sr(g), 0.5)])
 
+    def test_channel_budget_guard(self):
+        # 5+5 users cannot fit 4 channels: 6 forced pairs, at most 5 possible
+        params = params_with()
+        g = table(np.full(5, 1e-8), np.full(5, 1e-8), np.full((5, 5), 1e-10))
+        with pytest.raises(ValueError, match="channel budget infeasible: 5\\+5 users on 4"):
+            solve_p_opt(g, params, [(sr(g), 0.5)])
+
     def test_beats_exhaustive_reference_on_small_instances(self):
         # independent oracle: enumerate matchings and corners directly
         rng = np.random.default_rng(1)
