@@ -4,7 +4,7 @@ A base station capable of in-band full-duplex can serve one uplink and one
 downlink user on the same frequency channel.  This package simulates such
 a single cell, schedules user pairs and binary transmit powers under a
 tunable efficiency/fairness objective, and benchmarks the Hungarian-based
-heuristic against exhaustive search and random baselines over seeded
+heuristic against the exact optimum and random baselines over seeded
 Monte Carlo drops.
 """
 

@@ -51,7 +51,7 @@ from .model import (
 )
 from .radio import check_mu
 from .scenario import build_gain_table, scenario_to_dict
-from .solvers import _P_OPT_MAX_USERS, STRATEGIES, solve
+from .solvers import STRATEGIES, solve
 
 _ROLE_SCENARIO = 0
 _ROLE_STRATEGY = 1
@@ -85,9 +85,6 @@ def validate_config(cfg: ExperimentConfig) -> tuple[str, ...]:
     for s in cfg.strategies:
         if s not in STRATEGIES:
             bad.append(f"unknown strategy {s!r} in strategies")
-    users = cfg.params.num_ul + cfg.params.num_dl
-    if "P-OPT" in cfg.strategies and users > _P_OPT_MAX_USERS:
-        bad.append(f"P-OPT allowed only for up to {_P_OPT_MAX_USERS} users, got {users}")
     for mu in cfg.mu_values:
         try:
             check_mu(mu)
@@ -416,7 +413,7 @@ def _loaded(key: str, value, kind, load):
                           f"got {value!r}")
     try:
         return load(float(value) if kind is float else value)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
@@ -476,7 +473,7 @@ def config_with(doc: dict, **overrides) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 # fig2: small fully loaded system (4 UL, 4 DL, 4 channels), sum-rate
-# weights, mu in {0.1, 0.5, 0.9}; exhaustive search vs the Hungarian
+# weights, mu in {0.1, 0.5, 0.9}; the exact optimum vs the Hungarian
 # heuristic (optimality-gap study).  Its cell and weights are the defaults.
 #
 # fig3: fully loaded system at 25 users per direction, mu = 0.9, both

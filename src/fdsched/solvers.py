@@ -1,4 +1,4 @@
-"""Scheduling strategies: exhaustive search (P-OPT), the centralized
+"""Scheduling strategies: the exact corner optimum (P-OPT), the centralized
 Hungarian heuristic (C-HUN), its interference-blind variant (C-NINT) and
 the random/equal-power baseline (R-EPA).
 
@@ -14,8 +14,7 @@ forced.
 
 from __future__ import annotations
 
-import functools
-import itertools
+import bisect
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ from .model import (
     WeightVector,
 )
 from .radio import (
+    CornerTables,
     check_mu,
     corner_benefit,
     corner_points,
@@ -39,9 +39,6 @@ from .radio import (
     objective_value,
     outcome_metrics,
 )
-
-_P_OPT_MAX_USERS = 10
-
 
 Objectives = Sequence[tuple[WeightVector, float]]
 
@@ -104,25 +101,34 @@ def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainT
 
 
 # ---------------------------------------------------------------------------
-# Hungarian pipeline (shared by C-HUN and C-NINT)
+# Hungarian pipeline (shared by C-HUN, C-NINT and P-OPT)
 # ---------------------------------------------------------------------------
+
+def _best_corner_assignments(tables: CornerTables, weights: WeightVector, mus: np.ndarray,
+                             num_channels: int) -> list[tuple[Pairing, list[int]]]:
+    """Per stacked objective (_stacked): the exact pair-or-solo assignment
+    over every pair's benefit at its best corner, and the chosen pairs'
+    corners (corner_points indices)."""
+    scores = corner_benefit(tables, weights, mus)
+    b = scores.benefit   # its max over corners; b.max(axis=3) loops once per cell
+    best_benefit = np.maximum(np.maximum(b[..., 0], b[..., 1]), b[..., 2])
+    plans = []
+    for k in range(len(mus)):
+        pairing, _ = assign_with_solo(best_benefit[k], scores.solo_contrib_ul[k],
+                                      scores.solo_contrib_dl[k], num_channels)
+        plans.append((pairing, [scores.best_corner[k, i, j] for i, j in pairing.pairs()]))
+    return plans
+
 
 def _hungarian_schedules(planning_gains: GainTable, gains: GainTable,
                          params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
     """Corner tables -> every objective's benefit in one pass -> per
     objective: assignment -> per-pair corner powers -> outcome.  Decisions
     are taken on planning_gains; outcomes are evaluated on gains."""
-    weights, mus = _stacked(objectives, gains)
-    scores = corner_benefit(corner_tables(planning_gains, params), weights, mus)
-    b = scores.benefit   # its max over corners; b.max(axis=3) loops once per cell
-    best_benefit = np.maximum(np.maximum(b[..., 0], b[..., 1]), b[..., 2])
-    schedules = []
-    for k in range(len(objectives)):
-        pairing, _ = assign_with_solo(best_benefit[k], scores.solo_contrib_ul[k],
-                                      scores.solo_contrib_dl[k], params.num_channels)
-        schedules.append(_corner_schedule(
-            pairing, [scores.best_corner[k, i, j] for i, j in pairing.pairs()], params))
-    return _outcomes(schedules, gains, params, objectives)
+    plans = _best_corner_assignments(corner_tables(planning_gains, params),
+                                     *_stacked(objectives, gains), params.num_channels)
+    return _outcomes([_corner_schedule(pairing, corners, params) for pairing, corners in plans],
+                     gains, params, objectives)
 
 
 def solve_c_hun(gains: GainTable, params: ScenarioParams, objectives: Objectives,
@@ -151,114 +157,93 @@ def solve_c_nint(gains: GainTable, params: ScenarioParams, objectives: Objective
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive search
+# The exact optimum
 # ---------------------------------------------------------------------------
 
-def _matching_grid(pair_values, ul_idx, perms, base, combine):
-    """combine folded over base and the pair values of every matching and
-    candidate combo, in pair order.  perms[p, a] is the DL partner of UL
-    user ul_idx[a] in matching p; cell [p, c_1, ..., c_n] of the result has
-    pair a of matching p at candidate c_a.  Leading (objective) axes of
-    pair_values and base lead the result."""
-    n_perm, n_pairs = perms.shape
-    values = pair_values[..., ul_idx, perms, :]   # (..., n_perm, n_pairs, n_cand)
-    lead = values.shape[:-3]
-    grid = np.reshape(base, lead + (1,) * (n_pairs + 1))
-    for axis in range(n_pairs):
-        view = [n_perm] + [1] * n_pairs
-        view[axis + 1] = values.shape[-1]
-        grid = combine(grid, values[..., axis, :].reshape(lead + tuple(view)))
-    return grid
-
-
-def _best_matching(grid_ws, grid_min, mus, n_perm):
-    """Per objective k, the value and flat (matching, combo) index of the
-    first maximal cell of grid_ws[k] + mus[k] * grid_min, the _matching_grid
-    sums and minima of n_perm matchings: the first matching, then the first
-    combo, as a strict-improvement scan over matchings would pick."""
-    grid_ws += mus.reshape((-1,) + (1,) * grid_min.ndim) * grid_min
-    grid_obj = grid_ws.reshape(len(mus), grid_min.size)
-    flat_idx = grid_obj.argmax(axis=1)
-    values = grid_obj[np.arange(len(mus)), flat_idx]
-    for k in np.flatnonzero(np.isnan(values)):
-        # argmax stops at the first NaN; a matching with a NaN cell never
-        # beats the incumbent, so rule those matchings out.
-        cells = grid_obj[k].reshape(n_perm, -1)
-        cells[np.isnan(cells).any(axis=1)] = -np.inf
-        flat_idx[k] = cells.argmax()
-        values[k] = cells.flat[flat_idx[k]]
-    return values, flat_idx
-
-
-@functools.lru_cache(maxsize=None)
-def _p_opt_plans(num_ul: int, num_dl: int, min_pairs: int):
-    """P-OPT's set-up of one shape: per UL subset its users and solo users,
-    and per DL subset its solo users and matchings as DL partner arrays.
-    Every drop of the shape shares them, so the arrays are read-only; the
-    10-user guard bounds the cache."""
-    def index(values):
-        a = np.array(values, dtype=np.intp)
-        a.setflags(write=False)
-        return a
-
-    plans = []
-    for n_pairs in range(min_pairs, min(num_ul, num_dl) + 1):
-        # Permutations of subset positions in itertools order, mapped
-        # through each DL subset.
-        orders = index(list(itertools.permutations(range(n_pairs))))
-        dl_plans = tuple((index([j for j in range(num_dl) if j not in dl]),
-                          index(index(dl)[orders]))
-                         for dl in itertools.combinations(range(num_dl), n_pairs))
-        plans += [(ul, index([i for i in range(num_ul) if i not in ul]), index(ul), dl_plans)
-                  for ul in itertools.combinations(range(num_ul), n_pairs)]
-    return tuple(plans)
+def _scored(tables: CornerTables, weights: WeightVector, pairing: Pairing, corners):
+    """(pairing, corners, weighted sum, minimum) of a corner schedule's
+    corner-table SEs."""
+    se_ul, se_dl = tables.solo_se_ul.copy(), tables.solo_se_dl.copy()
+    for (i, j), corner in zip(pairing.pairs(), corners):
+        se_ul[i], se_dl[j] = tables.se_ul[i, j, corner], tables.se_dl[i, j, corner]
+    return (pairing, corners, float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl),
+            float(np.concatenate([se_ul, se_dl]).min()))
 
 
 def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives,
                 rng: np.random.Generator | None = None) -> list[ScheduleOutcome]:
-    """Exhaustive search over all channel-feasible matchings and powers.
+    """The exact optimum over every channel-feasible matching and per-pair
+    power corner, unpaired users at max power, from a few pure-sum
+    assignments (sum plus bottleneck: Minoux, Math. Programming 45, 1989;
+    Punnen, Comput. Oper. Res. 21, 1994).
 
-    Every matching with at least I + J - F pairs is enumerated (at full
-    load, I = J = F, that means perfect matchings only); for each, every
-    per-pair power corner combination is scored against the true
-    objective with the global minimum term.  Unpaired users transmit at max
-    power, which is optimal for them in a single cell.  The matchings of
-    one (UL subset, DL subset) pair are scored together, for all K
-    objectives at once, as one array of at most K * 5! * 3^5 cells.
-    Guarded to I + J <= 10 users.
+    If the optimum silences a user, its minimum SE is 0, so the max-sum
+    schedule, C-HUN's at mu = 0, is optimal.  Otherwise every pair is at
+    (Pmax, Pmax) and every solo user at Pmax, and the best sum with every
+    SE >= t is one assign_with_solo call with the pairs below t forbidden.
+    No SE exceeds its user's solo SE, nor, where the channel budget pairs
+    every user of one side, that user's best pair minimum; so t rises over
+    the pair minima up to the smallest of these caps, each step past the
+    minimum SE of the schedule just found (every t up to it gives that
+    schedule's sum).  The scan ends at an infeasible t, or once (1-mu) *
+    (the last sum, at first the max-sum schedule's) + mu * cap cannot beat
+    the incumbent, since no higher t has a larger sum; at mu = 0 no t is
+    tried.
+
+    A forbidden pair scores below -4 times the total absolute benefit, so
+    any assignment of a set of rows that uses one totals less than every
+    one that does not.  The Hungarian solver's inserted rows stay optimal,
+    so it steps onto no forbidden entry while an allowed path remains, and
+    the allowed entries' reduced costs are those of the rectangle without
+    them: an assignment that pairs a forbidden pair means none is feasible.
+    Schedules are ranked on corner-table SEs; a threshold's assignment
+    reads no mu and serves every objective of its weights.
     """
-    num_ul, num_dl = gains.num_ul, gains.num_dl
-    if num_ul + num_dl > _P_OPT_MAX_USERS:
-        raise ValueError(f"P-OPT is limited to {_P_OPT_MAX_USERS} users, "
-                         f"got {num_ul + num_dl}")
-    plans = _p_opt_plans(num_ul, num_dl, min_pairs(num_ul, num_dl, params.num_channels))
     tables = corner_tables(gains, params)
-    pair_min = np.minimum(tables.se_ul, tables.se_dl)
-    # Weighted-sum part of every (objective, i, j, corner) and solo user.
-    weights, mus = _stacked(objectives, gains)
-    keep = (1.0 - mus)[:, None]
-    pair_ws = keep[:, :, None, None] * (weights.alpha_ul[:, :, None, None] * tables.se_ul
-                                        + weights.alpha_dl[:, None, :, None] * tables.se_dl)
-    solo_ws_ul, solo_ws_dl = (keep * weights.alpha_ul * tables.solo_se_ul,
-                              keep * weights.alpha_dl * tables.solo_se_dl)
-    best_value = np.full(len(objectives), -np.inf)
-    best = [((), ())] * len(objectives)   # per objective: pairs, corner combo
-    for ul_subset, ul_solo, ul_idx, dl_plans in plans:
-        ws_ul_solo = solo_ws_ul[:, ul_solo].sum(axis=1)
-        for dl_solo, perms in dl_plans:
-            solo_se = np.concatenate([tables.solo_se_ul[ul_solo], tables.solo_se_dl[dl_solo]])
-            base_min = float(solo_se.min()) if solo_se.size else np.inf
-            grid_min = _matching_grid(pair_min, ul_idx, perms, base_min, np.minimum)
-            base_ws = ws_ul_solo + solo_ws_dl[:, dl_solo].sum(axis=1)
-            grid_ws = _matching_grid(pair_ws, ul_idx, perms, base_ws, np.add)
-            values, flat_idx = _best_matching(grid_ws, grid_min, mus, len(perms))
-            for k in np.flatnonzero(values > best_value):
-                best_value[k] = values[k]
-                perm_idx, *combo = np.unravel_index(flat_idx[k], grid_min.shape)
-                best[k] = tuple(zip(ul_subset, perms[perm_idx].tolist())), tuple(combo)
-    made = {b: _corner_schedule(Pairing.from_pairs(b[0], num_ul, num_dl), b[1], params)
-            for b in dict.fromkeys(best)}   # one schedule per distinct winner
-    return _outcomes([made[b] for b in best], gains, params, objectives)
+    se_ul, se_dl = tables.se_ul[..., 0], tables.se_dl[..., 0]
+    pair_min = np.minimum(se_ul, se_dl)
+    cap = float(np.concatenate([tables.solo_se_ul, tables.solo_se_dl]).min())
+    forced = min_pairs(gains.num_ul, gains.num_dl, params.num_channels)
+    for axis, users in ((1, gains.num_ul), (0, gains.num_dl)):
+        if users and forced == users:   # each of these users pairs
+            cap = min(cap, float(pair_min.max(axis=axis).min()))
+    thresholds = sorted({*pair_min[pair_min <= cap].tolist(), cap})
+    keys = [(w.alpha_ul.tobytes(), w.alpha_dl.tobytes()) for w, _ in objectives]
+    distinct = dict(zip(keys, (w for w, _ in objectives)))   # one weight vector per key
+    stacked, mus = _stacked([(w, 0.0) for w in distinct.values()], gains)
+    max_sum = _best_corner_assignments(tables, stacked, mus, params.num_channels)
+    schedules = [None] * len(objectives)
+    for key, weights, plan in zip(distinct, distinct.values(), max_sum):
+        values = weights.alpha_ul[:, None] * se_ul + weights.alpha_dl * se_dl
+        solo_ul = weights.alpha_ul * tables.solo_se_ul
+        solo_dl = weights.alpha_dl * tables.solo_se_dl
+        penalty = -1.0 - 4.0 * (abs(values).sum() + abs(solo_ul).sum() + abs(solo_dl).sum())
+        first = _scored(tables, weights, *plan)
+        scanned = {}   # threshold -> its scored schedule, or None if none is feasible
+
+        def best_at(t):
+            if t not in scanned:
+                pairing, _ = assign_with_solo(np.where(pair_min < t, penalty, values),
+                                              solo_ul, solo_dl, params.num_channels)
+                scanned[t] = (_scored(tables, weights, pairing, [0] * pairing.num_pairs)
+                              if all(pair_min[i, j] >= t for i, j in pairing.pairs()) else None)
+            return scanned[t]
+
+        for n in (n for n, k in enumerate(keys) if k == key):
+            mu = objectives[n][1]
+            _, _, bound, low = first
+            best, value, k = first, (1.0 - mu) * bound + mu * low, 0
+            while k < len(thresholds) and (1.0 - mu) * bound + mu * cap > value:
+                found = best_at(thresholds[k])
+                if found is None:
+                    break
+                _, _, bound, low = found
+                if (1.0 - mu) * bound + mu * low > value:
+                    best, value = found, (1.0 - mu) * bound + mu * low
+                k = bisect.bisect_right(thresholds, low)
+            schedules[n] = best
+    made = {id(b): _corner_schedule(b[0], b[1], params) for b in schedules}   # once per winner
+    return _outcomes([made[id(b)] for b in schedules], gains, params, objectives)
 
 
 # ---------------------------------------------------------------------------

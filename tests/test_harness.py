@@ -63,19 +63,20 @@ class TestValidateConfig:
         for name in ("fig2", "fig3"):
             assert validate_config(canned_experiments(name)) == ()
 
-    def test_p_opt_user_guard(self):
-        cfg = canned_experiments("fig3")
-        cfg = dataclasses.replace(cfg, strategies=("P-OPT",))
-        assert any("P-OPT" in v for v in validate_config(cfg))
-
-    def test_p_opt_user_guard_matches_the_solver_limit(self):
-        cfg = canned_experiments("fig2")
-        at_limit = dataclasses.replace(cfg, params=dataclasses.replace(
-            cfg.params, num_ul=5, num_dl=5, num_channels=5))
-        assert validate_config(at_limit) == ()
-        over = dataclasses.replace(cfg, params=dataclasses.replace(
-            cfg.params, num_ul=6, num_dl=5, num_channels=6))
-        assert validate_config(over) != ()
+    def test_p_opt_runs_at_the_fig3_cell(self, tmp_path):
+        # P-OPT has no size limit: at 25+25 it validates, runs, and never
+        # scores below C-HUN on a drop
+        cfg = canned_experiments("fig3", iterations=2, out_dir=str(tmp_path))
+        cfg = dataclasses.replace(cfg, strategies=("P-OPT", "C-HUN"))
+        assert validate_config(cfg) == ()
+        run_experiment(cfg)
+        best = {}
+        for line in (tmp_path / "records.jsonl").read_text().splitlines():
+            r = json.loads(line)
+            best.setdefault((r["drop"], r["weight_mode"]), {})[r["strategy"]] = r["objective"]
+        assert len(best) == 4
+        for by_strategy in best.values():
+            assert by_strategy["P-OPT"] >= by_strategy["C-HUN"] * (1 - 1e-12)
 
     def test_unknown_strategy_flagged(self):
         cfg = dataclasses.replace(canned_experiments("fig2"), strategies=("BOGUS",))
@@ -818,6 +819,10 @@ class TestCli:
         ("cell_radius_m", float("inf"), "cell_radius_m must be finite, got inf"),
         ("min_bs_ue_distance_m", float("nan"), "min_bs_ue_distance_m must be finite, got nan"),
         ("noise_dbm", float("inf"), "noise_power_w must be finite, got inf"),
+        # a unit conversion that overflows is a config error naming its key
+        pytest.param("noise_dbm", 1e308, "config key 'noise_dbm'", id="noise_dbm-overflow"),
+        pytest.param("cell_radius_m", 10 ** 400, "config key 'cell_radius_m'",
+                     id="cell_radius_m-overflow"),
     ])
     def test_exit_code_for_an_out_of_range_value(self, tmp_path, capsys, key, value,
                                                  message):

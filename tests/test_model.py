@@ -74,10 +74,11 @@ class TestValidateParams:
                           np.random.default_rng(0))
 
     def test_p_opt_rejects_mu_before_enumerating(self, monkeypatch):
-        def enumerate_matchings(*args):
-            raise AssertionError("P-OPT enumerated matchings for an invalid mu")
+        # P-OPT's first step is the drop's corner tables
+        def build_tables(*args):
+            raise AssertionError("P-OPT built corner tables for an invalid mu")
 
-        monkeypatch.setattr(solvers, "_best_matching", enumerate_matchings)
+        monkeypatch.setattr(solvers, "corner_tables", build_tables)
         params = ScenarioParams(num_ul=5, num_dl=5, num_channels=5)
         gains = build_gain_table(params, np.random.default_rng(0))
         for mu in (1.2, float("nan")):

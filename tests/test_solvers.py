@@ -14,8 +14,10 @@ from fdsched.radio import (
     corner_points,
     corner_tables,
     make_weights,
+    objective_value,
     outcome_metrics,
 )
+from fdsched.harness import drop_rng
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     STRATEGIES,
@@ -53,14 +55,15 @@ def table(g_ul, g_dl, g_cross):
 
 
 def reference_p_opt(gains, params, weights, mu, power_levels=0):
-    """P-OPT as one power-candidate grid per matching (test oracle).
+    """P-OPT by enumeration, one power-candidate grid per matching (test oracle).
 
-    The former solve_p_opt body: every matching is scored on its own grid
-    and kept only if it strictly beats the best so far.  solve_p_opt must
-    take the same decisions bit for bit.  power_levels = 0 uses the three
-    corner points and their corner_tables SEs; power_levels >= 2 spans a
-    uniform grid over [0, Pmax]^2 through the SE formula, to measure what
-    the corner restriction costs.
+    Every matching is scored on its own grid and kept only if it strictly
+    beats the best so far.  solve_p_opt must reach its objective: to the
+    byte, SEs included, where the optimum is unique (assert_same_optimum),
+    and within rounding where optima tie (assert_tied_optimum).
+    power_levels = 0 uses the three corner points and their corner_tables
+    SEs; power_levels >= 2 spans a uniform grid over [0, Pmax]^2 through
+    the SE formula, to measure what the corner restriction costs.
     """
     num_ul, num_dl = gains.num_ul, gains.num_dl
     tables = corner_tables(gains, params)
@@ -119,12 +122,52 @@ def reference_p_opt(gains, params, weights, mu, power_levels=0):
     return outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), gains, params, weights, mu)
 
 
+def assert_same_optimum(got, want):
+    """The same objective and SE bytes: every field a record derives from."""
+    assert got.objective == want.objective
+    assert got.se_ul.tobytes() == want.se_ul.tobytes()
+    assert got.se_dl.tobytes() == want.se_dl.tobytes()
+
+
+def assert_tied_optimum(got, want):
+    """The objective within 1e-12 relative.  Where optima tie, the schedules
+    may hold the same SEs at different users (or differ in the partner of a
+    silenced user), and a sum in another order can read an ulp lower."""
+    assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=0.0)
+
+
+def recorded_assignments(monkeypatch):
+    """The (values, pairing) of every solvers.assign_with_solo call from
+    now on.  P-OPT's scan writes a forbidden pair as a negative entry; every
+    allowed entry is a weighted SE, so it is >= 0."""
+    calls = []
+
+    def recorded(values, *args, _assign=solvers.assign_with_solo):
+        pairing, total = _assign(values, *args)
+        calls.append((values, pairing))
+        return pairing, total
+
+    monkeypatch.setattr(solvers, "assign_with_solo", recorded)
+    return calls
+
+
 def assert_same_decisions(got, want):
     assert got.pairing == want.pairing
     assert got.powers.p_ul.tolist() == want.powers.p_ul.tolist()
     assert got.powers.p_dl.tolist() == want.powers.p_dl.tolist()
     assert got.objective == want.objective or (np.isnan(got.objective)
                                                and np.isnan(want.objective))
+
+
+def tie_heavy_drop(rng, num_ul, num_dl):
+    """Gains drawn from two levels, so many matchings and combos tie."""
+    def levels(*shape):
+        return rng.choice([1e-9, 1e-7], size=shape)
+    return table(levels(num_ul), levels(num_dl), levels(num_ul, num_dl))
+
+
+P_OPT_SHAPES = ((4, 4, 4), (3, 3, 4), (2, 4, 5), (1, 4, 4), (0, 3, 3), (3, 0, 3),
+                (5, 5, 5), (2, 3, 5), (4, 5, 6), (2, 2, 2))
 
 
 class TestPOpt:
@@ -163,18 +206,39 @@ class TestPOpt:
         out = solve_p_opt(g, params, [(sr(g), 0.1)])[0]
         assert out.pairing.num_pairs == 4  # 8 users on 4 channels
 
-    def test_size_guard(self):
-        params = ScenarioParams(num_ul=6, num_dl=6, num_channels=6)
-        g = table(np.full(6, 1e-8), np.full(6, 1e-8), np.full((6, 6), 1e-10))
-        with pytest.raises(ValueError):
-            solve_p_opt(g, params, [(sr(g), 0.5)])
-
     def test_channel_budget_guard(self):
         # 5+5 users cannot fit 4 channels: 6 forced pairs, at most 5 possible
         params = params_with()
         g = table(np.full(5, 1e-8), np.full(5, 1e-8), np.full((5, 5), 1e-10))
         with pytest.raises(ValueError, match="channel budget infeasible: 5\\+5 users on 4"):
             solve_p_opt(g, params, [(sr(g), 0.5)])
+
+    @pytest.mark.parametrize("g_dl0, g_x00", [(np.inf, np.inf), (1e-8, np.nan)])
+    def test_nan_benefit_rejected(self, g_dl0, g_x00):
+        # a NaN SE at pair (0, 0)'s (Pmax, Pmax) corner reaches the max-sum
+        # assignment, which refuses non-finite scores, as C-HUN's does
+        params = params_with(num_ul=2, num_dl=2, num_channels=2)
+        g_cross = np.full((2, 2), 1e-10)
+        g_cross[0, 0] = g_x00
+        g = table([1e-8, 2e-8], [g_dl0, 2e-8], g_cross)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            solve_p_opt(g, params, [(sr(g), 0.5)])
+
+    @pytest.mark.parametrize("shape", P_OPT_SHAPES, ids=lambda s: "%d+%d/%d" % s)
+    def test_mu_zero_takes_c_hun_decisions(self, shape, monkeypatch):
+        # at mu = 0 the max-sum schedule is the optimum and C-HUN's; its sum
+        # bounds every threshold's, so P-OPT solves one assignment
+        num_ul, num_dl, channels = shape
+        params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=channels)
+        rng = np.random.default_rng(40 + sum(shape))
+        calls = recorded_assignments(monkeypatch)
+        for g in (random_drop(rng, params), tie_heavy_drop(rng, num_ul, num_dl)):
+            for mode in WeightMode:
+                w = make_weights(mode, g)
+                calls.clear()
+                got = solve_p_opt(g, params, [(w, 0.0)])[0]
+                assert len(calls) == 1
+                assert_same_decisions(got, solve_c_hun(g, params, [(w, 0.0)])[0])
 
     def test_beats_exhaustive_reference_on_small_instances(self):
         # independent oracle: enumerate matchings and corners directly
@@ -212,20 +276,13 @@ class TestPOpt:
             assert refined >= corners - 1e-12
 
 
-def tie_heavy_drop(rng, num_ul, num_dl):
-    """Gains drawn from two levels, so many matchings and combos tie."""
-    def levels(*shape):
-        return rng.choice([1e-9, 1e-7], size=shape)
-    return table(levels(num_ul), levels(num_dl), levels(num_ul, num_dl))
-
-
-P_OPT_SHAPES = ((4, 4, 4), (3, 3, 4), (2, 4, 5), (1, 4, 4), (0, 3, 3), (3, 0, 3),
-                (5, 5, 5), (2, 3, 5), (4, 5, 6), (2, 2, 2))
-
-
 class TestPOptMatchesLoopReference:
     @pytest.mark.parametrize("shape", P_OPT_SHAPES, ids=lambda s: "%d+%d/%d" % s)
     def test_same_decisions(self, shape):
+        # a random drop at mu < 1 has one optimum, so the outcome is the
+        # reference's to the byte; tie-heavy and flat drops and mu = 1
+        # (max-min alone) have tied optima, whose objective must be reached,
+        # and at mu = 1 with a weighted sum no smaller than the reference's
         num_ul, num_dl, channels = shape
         rng = np.random.default_rng(sum(shape))
         for mode in (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION):
@@ -234,17 +291,82 @@ class TestPOptMatchesLoopReference:
                 drops = [random_drop(rng, params), tie_heavy_drop(rng, num_ul, num_dl),
                          table(np.full(num_ul, 1e-8), np.full(num_dl, 1e-8),
                                np.full((num_ul, num_dl), 1e-10))]
-                for g in drops:
+                for n, g in enumerate(drops):
                     w = make_weights(mode, g)
-                    assert_same_decisions(solve_p_opt(g, params, [(w, mu)])[0],
-                                          reference_p_opt(g, params, w, mu))
+                    got = solve_p_opt(g, params, [(w, mu)])[0]
+                    want = reference_p_opt(g, params, w, mu)
+                    check = assert_same_optimum if n == 0 and mu < 1 else assert_tied_optimum
+                    check(got, want)
+                    if mu == 1.0:
+                        got_sum, want_sum = (w.alpha_ul @ o.se_ul + w.alpha_dl @ o.se_dl
+                                             for o in (got, want))
+                        assert got_sum >= want_sum * (1 - 1e-12)
 
-    @pytest.mark.parametrize("g_x00", [np.inf, np.nan])
+    @pytest.mark.parametrize("shape", P_OPT_SHAPES, ids=lambda s: "%d+%d/%d" % s)
+    def test_same_optimum_at_low_self_interference(self, shape):
+        # at -130 dB full duplex pays, so the optimum often silences no one
+        # and comes from the threshold scan even at small mu
+        num_ul, num_dl, channels = shape
+        params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=channels,
+                             si_cancellation=1e-13)
+        rng = np.random.default_rng(130 + sum(shape))
+        for _ in range(4):
+            g = random_drop(rng, params)
+            for mode in WeightMode:
+                w = make_weights(mode, g)
+                for mu in (0.1, 0.5, 0.9):
+                    assert_same_optimum(solve_p_opt(g, params, [(w, mu)])[0],
+                                        reference_p_opt(g, params, w, mu))
+
+    def test_criterion_2_instances(self):
+        # acceptance criterion 2's 200 drops at mu 0.1, 0.5 and 0.9
+        params = ScenarioParams(num_ul=4, num_dl=4, num_channels=4)
+        mus = (0.1, 0.5, 0.9)
+        for k in range(200):
+            g = build_gain_table(params, drop_rng(202, k, 0))
+            w = sr(g)
+            for mu, got in zip(mus, solve_p_opt(g, params, [(w, mu) for mu in mus])):
+                assert_same_optimum(got, reference_p_opt(g, params, w, mu))
+
+    def test_scan_forbids_pairs_at_path_loss_magnitudes(self, monkeypatch):
+        # -130 dB SI and PL weights (1/g, up to about 1e11) with mu near 1,
+        # where the min term counts: the winning threshold forbids pairs
+        # with a penalty near -1e13, and the winner is still the reference's
+        params = params_with(si_cancellation=1e-13)
+        calls = recorded_assignments(monkeypatch)
+        won = 0
+        for seed in range(40):
+            g = random_drop(np.random.default_rng(seed), params)
+            w = make_weights(WeightMode.PATH_LOSS_COMPENSATION, g)
+            for mu in (1.0 - 1e-12, 1.0 - 1e-11):
+                calls.clear()
+                got = solve_p_opt(g, params, [(w, mu)])[0]
+                assert_same_optimum(got, reference_p_opt(g, params, w, mu))
+                won += any(values.min() < 0 and pairing == got.pairing
+                           and all(values[i, j] >= 0 for i, j in pairing.pairs())
+                           for values, pairing in calls)
+        assert won >= 5
+
+    def test_infeasible_threshold(self, monkeypatch):
+        # at full load every user pairs, so a threshold above the best
+        # bottleneck has no feasible assignment, here although every user
+        # keeps an allowed partner: the one found pairs a forbidden pair,
+        # and the scan ends there
+        params = params_with(si_cancellation=1e-13)
+        g = random_drop(np.random.default_rng(9), params)
+        calls = recorded_assignments(monkeypatch)
+        got = solve_p_opt(g, params, [(sr(g), 0.9)])[0]
+        infeasible = [values for values, pairing in calls
+                      if any(values[i, j] < 0 for i, j in pairing.pairs())]
+        assert len(infeasible) == 1
+        assert (infeasible[0] >= 0).any(axis=0).all() and (infeasible[0] >= 0).any(axis=1).all()
+        assert_same_optimum(got, reference_p_opt(g, params, sr(g), 0.9))
+
+    @pytest.mark.parametrize("g_x00", [np.inf])
     def test_matchings_with_nan_cells_are_skipped_alike(self, g_x00):
-        # a NaN cross gain makes pair (0, 0)'s (Pmax, Pmax) corner NaN; the
-        # loop reference never keeps such a matching.  An infinite one zeroes
-        # that corner's DL SE, and its zero-power UL corner reads no
-        # interference, so no cell is NaN.
+        # an infinite cross gain zeroes pair (0, 0)'s (Pmax, Pmax) DL SE, and
+        # its zero-power UL corner reads no interference, so no cell is NaN
+        # (a NaN cell is rejected: TestPOpt.test_nan_benefit_rejected)
         g_cross = np.full((3, 3), 1e-10)
         g_cross[0, 0] = g_x00
         g = table([1e-8, 2e-8, 3e-8], [3e-8, 2e-8, 1e-8], g_cross)
@@ -253,6 +375,39 @@ class TestPOptMatchesLoopReference:
             with np.errstate(invalid="ignore"):
                 assert_same_decisions(solve_p_opt(g, params, [(sr(g), mu)])[0],
                                       reference_p_opt(g, params, sr(g), mu))
+
+
+class TestPOptAtScale:
+    """Beyond the reference's reach: at 25+25, P-OPT must score at least as
+    well as every heuristic and every sampled corner schedule."""
+
+    @pytest.mark.parametrize("si_db", [-100, -130])
+    @pytest.mark.parametrize("mode", list(WeightMode), ids=lambda m: m.value)
+    def test_no_schedule_beats_it(self, si_db, mode):
+        params = params_with(num_ul=25, num_dl=25, num_channels=25,
+                             si_cancellation=10 ** (si_db / 10))
+        points = corner_points(params)
+        rng = np.random.default_rng(2525)
+        mus = (0.1, 0.5, 0.9, 1.0)
+        for _ in range(2):
+            g = random_drop(rng, params)
+            w = make_weights(mode, g)
+            objectives = [(w, mu) for mu in mus]
+            top = [o.objective for o in solve_p_opt(g, params, objectives)]
+            ceiling = [t + 1e-12 * abs(t) for t in top]
+            for outcomes in (solve_c_hun(g, params, objectives),
+                             solve_c_nint(g, params, objectives),
+                             solve_r_epa(g, params, objectives, rng)):
+                assert all(o.objective <= c for o, c in zip(outcomes, ceiling))
+            for n in range(200):
+                # a random perfect matching, half the samples at (Pmax, Pmax)
+                corners = rng.integers(0, 3, 25) if n % 2 else np.zeros(25, int)
+                powers = np.array([points[c] for c in corners])
+                pairing = Pairing.from_ul_partners(rng.permutation(25).tolist(), 25)
+                sample = outcome_metrics(pairing, PowerAllocation(powers[:, 0], powers[:, 1]),
+                                         g, params, w, 0.0)
+                for mu, c in zip(mus, ceiling):
+                    assert objective_value(sample.se_ul, sample.se_dl, sample.min_se, w, mu) <= c
 
 
 def scipy_modules_after(script):
@@ -283,7 +438,11 @@ class TestCHun:
             "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9)\n"
             "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
             "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
-            "fd.solve_c_hun(gains, params, [(weights, 0.5)])\n") == "[]"
+            "fd.solve_c_hun(gains, params, [(weights, 0.5)])\n"
+            "params = fd.ScenarioParams(num_ul=25, num_dl=25, num_channels=25)\n"
+            "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
+            "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
+            "fd.solve_p_opt(gains, params, [(weights, 0.9)])\n") == "[]"
 
     def test_matches_p_opt_without_interference(self):
         params = params_with(si_cancellation=1e-30)
