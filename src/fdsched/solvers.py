@@ -229,7 +229,7 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
                               if all(pair_min[i, j] >= t for i, j in pairing.pairs()) else None)
             return scanned[t]
 
-        for n in (n for n, k in enumerate(keys) if k == key):
+        for n in (n for n, own in enumerate(keys) if own == key):
             mu = objectives[n][1]
             _, _, bound, low = first
             best, value, k = first, (1.0 - mu) * bound + mu * low, 0
