@@ -31,8 +31,6 @@ import itertools
 import json
 import os
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -200,6 +198,7 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int):
         for k in range(lo, hi):
             results.append(_run_drop(cfg, k))
     except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+        import traceback
         error = exc, traceback.format_exc()
     return results, error, os.getpid(), time.perf_counter() - started
 
@@ -233,6 +232,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             for k in range(cfg.iterations):
                 _merge_drop(out, k, _run_drop(cfg, k), records, timings)
         else:
+            from concurrent.futures import ProcessPoolExecutor   # not loaded by a serial run
             n_blocks = min(cfg.iterations, 4 * cfg.parallelism)
             edges = [cfg.iterations * b // n_blocks for b in range(n_blocks + 1)]
             blocks = list(zip(edges, edges[1:]))
@@ -413,7 +413,9 @@ def _loaded(key: str, value, kind, load):
                           f"got {value!r}")
     try:
         return load(float(value) if kind is float else value)
-    except (ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise ConfigError(f"config key {key!r}: {value!r} is out of range") from exc
+    except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 

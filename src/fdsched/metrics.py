@@ -3,14 +3,12 @@ empirical CDFs and nearest-rank percentiles."""
 
 from __future__ import annotations
 
-import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 def jain_index(se) -> float:
@@ -26,7 +24,7 @@ def jain_index(se) -> float:
         raise ValueError("jain_index needs nonnegative entries")
     denom = x.size * float(x @ x)
     if denom == 0.0:
-        log.warning("jain_index of an all-zero vector, returning 1.0")
+        warnings.warn("jain_index of an all-zero vector, returning 1.0", stacklevel=2)
         return 1.0
     return float(x.sum()) ** 2 / denom
 

@@ -11,12 +11,16 @@ of the dual linear program that motivates the Hungarian heuristic.
 They are written one user or one permutation at a time, independent of
 the vectorized code they check.  The readers of a run's outputs (a CDF
 file, a dumped scenario) and the median gap of two CDFs, which only the
-tests use, are here too.
+tests use, are here too, and so is the list of modules a script loads in a
+fresh interpreter.
 """
 
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -380,3 +384,19 @@ def dual_multipliers(c, mu: float) -> np.ndarray:
     lam = np.zeros(c.size)
     lam[int(np.argmin(c))] = mu
     return lam
+
+
+def modules_after(script: str, *packages: str) -> list[str]:
+    """The modules under the top-level names packages that are loaded once
+    script has run in a fresh interpreter importing fdsched from this
+    checkout, sorted."""
+    import fdsched
+    src = str(Path(fdsched.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script += (f"\nprint(json.dumps(sorted(m for m in sys.modules"
+               f" if m.split('.')[0] in {packages!r})))\n")
+    result = subprocess.run([sys.executable, "-c", "import json, sys\n" + script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])

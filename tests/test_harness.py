@@ -29,7 +29,8 @@ from fdsched.harness import (
 )
 from fdsched.model import ScenarioParams, WeightMode, db_to_linear
 from fdsched.scenario import build_gain_table, scenario_to_dict
-from oracles import load_scenario, median_gap, read_cdf_csv, reference_drop_records
+from oracles import (load_scenario, median_gap, modules_after, read_cdf_csv,
+                     reference_drop_records)
 
 
 def tiny_config(out_dir, iterations=4, parallelism=1, **params_kw):
@@ -590,6 +591,32 @@ class TestPoolBlocks:
         assert all(" pid " in line and line.endswith(" s") for line in lines[9:])
 
 
+# Loaded by the process pool, its traceback capture and logging; a serial
+# run needs none of them, and together they cost about 15 ms and 2 MB of
+# every fresh interpreter's start-up.
+POOL_PACKAGES = ("concurrent", "multiprocessing", "logging", "traceback")
+
+
+def run_script(out_dir, parallelism):
+    return ("from fdsched.harness import ExperimentConfig, run_experiment\n"
+            "from fdsched.model import ScenarioParams\n"
+            "cfg = ExperimentConfig(params=ScenarioParams(num_ul=2, num_dl=2, num_channels=2),\n"
+            f"                       iterations=2, parallelism={parallelism},\n"
+            f"                       out_dir={str(out_dir)!r})\n"
+            "assert run_experiment(cfg)['records'] == 2\n")
+
+
+class TestImportFootprint:
+    def test_package_import_loads_no_pool(self):
+        assert modules_after("import fdsched, fdsched.cli", *POOL_PACKAGES) == []
+
+    def test_serial_run_loads_no_pool(self, tmp_path):
+        assert modules_after(run_script(tmp_path, 1), *POOL_PACKAGES) == []
+
+    def test_parallel_run_loads_the_pool(self, tmp_path):
+        assert "concurrent.futures" in modules_after(run_script(tmp_path, 2), *POOL_PACKAGES)
+
+
 class TestSeeding:
     def test_substreams_are_stable(self):
         a = drop_rng(42, 3, 0).random(4)
@@ -819,9 +846,11 @@ class TestCli:
         ("cell_radius_m", float("inf"), "cell_radius_m must be finite, got inf"),
         ("min_bs_ue_distance_m", float("nan"), "min_bs_ue_distance_m must be finite, got nan"),
         ("noise_dbm", float("inf"), "noise_power_w must be finite, got inf"),
-        # a unit conversion that overflows is a config error naming its key
-        pytest.param("noise_dbm", 1e308, "config key 'noise_dbm'", id="noise_dbm-overflow"),
-        pytest.param("cell_radius_m", 10 ** 400, "config key 'cell_radius_m'",
+        # a value whose unit conversion overflows is out of range, named with its key
+        pytest.param("noise_dbm", 1e308, "config key 'noise_dbm': 1e+308 is out of range",
+                     id="noise_dbm-overflow"),
+        pytest.param("cell_radius_m", 10 ** 400,
+                     f"config key 'cell_radius_m': {10 ** 400} is out of range",
                      id="cell_radius_m-overflow"),
     ])
     def test_exit_code_for_an_out_of_range_value(self, tmp_path, capsys, key, value,

@@ -18,7 +18,8 @@ class TestJainIndex:
         assert jain_index([2.0, 4.0]) == pytest.approx(0.9)
 
     def test_all_zero_defined_as_fair(self):
-        assert jain_index([0.0, 0.0, 0.0]) == 1.0
+        with pytest.warns(UserWarning, match="all-zero vector, returning 1.0"):
+            assert jain_index([0.0, 0.0, 0.0]) == 1.0
 
     def test_bounds_and_scale_invariance(self):
         rng = np.random.default_rng(0)

@@ -1,7 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +24,7 @@ from fdsched.solvers import (
     solve_p_opt,
     solve_r_epa,
 )
-from oracles import dual_multipliers, power_candidates
+from oracles import dual_multipliers, modules_after, power_candidates
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10
@@ -410,29 +407,15 @@ class TestPOptAtScale:
                     assert objective_value(sample.se_ul, sample.se_dl, sample.min_se, w, mu) <= c
 
 
-def scipy_modules_after(script):
-    """The scipy modules loaded once script has run in a fresh interpreter
-    that imports fdsched from this checkout."""
-    import fdsched
-    src = str(Path(fdsched.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    result = subprocess.run([sys.executable, "-c", "import sys\n" + script], env=env,
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
-
-
 class TestCHun:
     # scipy is a test-only dependency: importing scipy.optimize would add
     # about half a second and tens of MB to every run's start-up
 
     def test_package_import_loads_no_scipy(self):
-        assert scipy_modules_after("import fdsched, fdsched.cli") == "[]"
+        assert modules_after("import fdsched, fdsched.cli", "scipy") == []
 
     def test_solve_does_not_import_scipy(self):
-        assert scipy_modules_after(
+        assert modules_after(
             "import numpy as np\n"
             "import fdsched as fd\n"
             "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9)\n"
@@ -442,7 +425,7 @@ class TestCHun:
             "params = fd.ScenarioParams(num_ul=25, num_dl=25, num_channels=25)\n"
             "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
             "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
-            "fd.solve_p_opt(gains, params, [(weights, 0.9)])\n") == "[]"
+            "fd.solve_p_opt(gains, params, [(weights, 0.9)])\n", "scipy") == []
 
     def test_matches_p_opt_without_interference(self):
         params = params_with(si_cancellation=1e-30)
