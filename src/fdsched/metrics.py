@@ -15,7 +15,7 @@ def jain_index(se) -> float:
     """Jain's fairness index (sum x)^2 / (n sum x^2) over per-user SEs.
 
     Ranges from 1/n (one user gets everything) to 1 (perfect equality).
-    An all-zero vector is treated as perfectly fair and returns 1.
+    An all-zero vector is treated as perfectly fair: it returns 1 and warns.
     """
     x = np.asarray(se, dtype=float)
     if x.size == 0:

@@ -591,9 +591,9 @@ class TestPoolBlocks:
         assert all(" pid " in line and line.endswith(" s") for line in lines[9:])
 
 
-# Loaded by the process pool, its traceback capture and logging; a serial
-# run needs none of them, and together they cost about 15 ms and 2 MB of
-# every fresh interpreter's start-up.
+# The process pool's packages, its workers' traceback capture and logging:
+# a serial run needs none of them, so it must not pay for importing them
+# (README, "Runtime dependency").
 POOL_PACKAGES = ("concurrent", "multiprocessing", "logging", "traceback")
 
 
