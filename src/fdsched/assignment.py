@@ -139,23 +139,23 @@ def assign_with_solo(
     values: np.ndarray,
     solo_ul: np.ndarray,
     solo_dl: np.ndarray,
-    num_channels: int | None = None,
+    num_channels: int,
 ) -> tuple[Pairing, float]:
     """Choose pairs or stand-alone users to maximize the separable benefit.
 
     Pairing UL i with DL j scores values[i, j]; a user alone on a channel
     scores solo_ul[i] or solo_dl[j].  With P pairs the schedule occupies
     I + J - P channels, so at least P = I + J - num_channels pairs are
-    forced (none when num_channels is None: unlimited budget).  Solved as
-    an I x (J + I - P) rectangle: row i takes DL column j at
-    values[i, j] - solo_dl[j] or one of I - P solo columns at solo_ul[i],
-    and solo_dl.sum() is added back.  With J = P every DL user pairs, so
-    the shift would only add rounding and is skipped.
+    forced (min_pairs).  Solved as an I x (J + I - P) rectangle: row i
+    takes DL column j at values[i, j] - solo_dl[j] or one of I - P solo
+    columns at solo_ul[i], and solo_dl.sum() is added back.  With J = P
+    every DL user pairs, so the shift would only add rounding and is
+    skipped.
     """
     num_ul, num_dl = len(solo_ul), len(solo_dl)
     if values.shape != (num_ul, num_dl):
         raise ValueError(f"benefit shape {values.shape} does not match ({num_ul}, {num_dl})")
-    forced_pairs = 0 if num_channels is None else min_pairs(num_ul, num_dl, num_channels)
+    forced_pairs = min_pairs(num_ul, num_dl, num_channels)
     if num_ul == 0:
         return Pairing.from_pairs([], 0, num_dl), float(solo_dl.sum())
 

@@ -73,10 +73,14 @@ class ExperimentConfig:
     dump_scenarios: bool = False
     name: str = "experiment"
 
+    def __post_init__(self):
+        """Reject a config that breaks any rule (require_valid_config)."""
+        require_valid_config(self)
 
-def validate_config(cfg: ExperimentConfig) -> tuple[str, ...]:
-    """Every broken config-level rule (none when valid); the cell's rules
-    were checked when cfg.params was built."""
+
+def require_valid_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg, or ConfigError listing every broken config-level rule; the
+    cell's rules were checked when cfg.params was built."""
     bad = []
     if cfg.iterations < 1:
         bad.append(f"iterations must be >= 1, got {cfg.iterations}")
@@ -97,11 +101,6 @@ def validate_config(cfg: ExperimentConfig) -> tuple[str, ...]:
                 bad.append(f"at least one entry required in {key}")
             for dup in dict.fromkeys(x for x in values if values.count(x) > 1):
                 bad.append(f"duplicate entry {dup!r} in {key}")
-    return tuple(bad)
-
-
-def require_valid_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    bad = validate_config(cfg)
     if bad:
         raise ConfigError(f"invalid experiment config: {'; '.join(bad)}")
     return cfg
@@ -210,13 +209,12 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int):
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all drops, write result files, return a small result index.
 
-    Raises ConfigError for invalid configurations; on runtime failure a
-    FAILED marker with the error text is left in the output directory,
-    records.jsonl holds the records of every drop before the first failed
-    one, and the exception propagates.  Result files an earlier run left
-    in the directory are deleted first; other files are kept.
+    On runtime failure a FAILED marker with the error text is left in the
+    output directory, records.jsonl holds the records of every drop before
+    the first failed one, and the exception propagates.  Result files an
+    earlier run left in the directory are deleted first; other files are
+    kept.
     """
-    require_valid_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stale in (out / "FAILED", out / "summary.json", out / "timing.log",
@@ -435,7 +433,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         cell = ScenarioParams(**params)
     except ValueError as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
-    return require_valid_config(ExperimentConfig(params=cell, **top))
+    return ExperimentConfig(params=cell, **top)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -155,20 +155,19 @@ def drop_users(params: ScenarioParams, rng: np.random.Generator) -> DropPosition
 def build_gain_table(
     params: ScenarioParams,
     rng: np.random.Generator,
-    model: PropagationModel | None = None,
     cross_model: PropagationModel | None = None,
 ) -> GainTable:
     """Generate one drop and all its linear path gains.
 
-    cross_model, when given, replaces the propagation model for the
-    UE-to-UE interference links only; by default they follow the same model
-    as the BS links.  Draw order: positions (see drop_users, so rng must be
-    a numpy Generator), then the UL links' LOS uniforms and shadowing
-    normals, the DL links', and the cross links' (row-major over UL x DL).
-    The link distances are computed once, and each run of links that
-    shares a model (all of them by default) is evaluated in one pass.
+    The BS links follow the default PropagationModel.  cross_model, when
+    given, replaces it for the UE-to-UE interference links only.  Draw
+    order: positions (see drop_users, so rng must be a numpy Generator),
+    then the UL links' LOS uniforms and shadowing normals, the DL links',
+    and the cross links' (row-major over UL x DL).  The link distances are
+    computed once, and each run of links that shares a model (all of them
+    by default) is evaluated in one pass.
     """
-    model = model or PropagationModel()
+    model = PropagationModel()
     positions = drop_users(params, rng)
     ul, dl = positions.ul, positions.dl
     n_ul, n_dl = len(ul), len(dl)

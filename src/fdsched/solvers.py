@@ -62,35 +62,18 @@ def _corner_schedule(pairing: Pairing, corners: Sequence[int],
     return pairing, PowerAllocation(p_ul, p_dl)
 
 
-def _same_sinrs(a: Pairing, b: Pairing, powers: PowerAllocation) -> bool:
-    """Whether pairings a and b give every user the same SINR under powers:
-    the same pairs once those with a silent user are dropped.  A partner at
-    zero power adds p_int * g_int = 0.0 to the noise, as no partner does,
-    and a user at zero power has SINR 0.0 whatever its interference."""
-    if a.partner_of_ul == b.partner_of_ul:
-        return True
-    p_ul, p_dl = powers.p_ul.tolist(), powers.p_dl.tolist()
-
-    def active(pairing):
-        return [j if j is not None and p != 0.0 and p_dl[j] != 0.0 else None
-                for j, p in zip(pairing.partner_of_ul, p_ul)]
-
-    return active(a) == active(b)
-
-
 def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainTable,
               params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
     """The outcome of schedules[k] under objectives[k], for every k.  Each
-    distinct set of SINRs (the same power bytes and _same_sinrs) is
-    evaluated once; a repeat keeps its own pairing and powers, shares the SE
-    arrays and metrics and only rescores the objective."""
-    outcomes, evaluated = [], {}   # power bytes -> the outcomes evaluated with them
+    distinct schedule (the same pairing and power bytes) is evaluated once;
+    a repeat keeps its own pairing and powers, shares the SE arrays and
+    metrics and only rescores the objective."""
+    outcomes, evaluated = [], {}   # (UL partners, power bytes) -> its first outcome
     for (pairing, powers), (weights, mu) in zip(schedules, objectives):
-        same_powers = evaluated.setdefault((powers.p_ul.tobytes(), powers.p_dl.tobytes()), [])
-        first = next((o for o in same_powers if _same_sinrs(o.pairing, pairing, powers)), None)
+        key = pairing.partner_of_ul, powers.p_ul.tobytes(), powers.p_dl.tobytes()
+        first = evaluated.get(key)
         if first is None:
-            first = outcome_metrics(pairing, powers, gains, params, weights, mu)
-            same_powers.append(first)
+            first = evaluated[key] = outcome_metrics(pairing, powers, gains, params, weights, mu)
             outcomes.append(first)
         else:
             outcomes.append(ScheduleOutcome(

@@ -1,5 +1,6 @@
 """Scalar reference implementations that the tests compare the package
 against: per-link SINRs, the SE formula at any (p_u, p_d) candidates, the
+log-spaced edge powers and the closed-form max-min powers of one pair, the
 corner-point evaluation of one pair, the stand-alone evaluation of one
 user, the per-user outcome evaluation of a schedule, a brute-force
 assignment, the padded-square form of the solo-aware assignment, the
@@ -78,6 +79,36 @@ def power_candidates(gains: GainTable, params: ScenarioParams,
     se_dl = np.log2(1.0 + sinr(p_d, gains.g_dl[None, :, None], p_u,
                                gains.g_cross[:, :, None], noise))
     return se_ul, se_dl
+
+
+def pair_edge_powers(params: ScenarioParams, points: int = 4001) -> tuple[np.ndarray, np.ndarray]:
+    """(p_u, p_d) arrays on the two edges of a pair's power square where one
+    power is at its cap, the other log-spaced from 1e-14 of its cap up to
+    the cap: first p_u = Pmax_u, then p_d = Pmax_d.  Scaling both powers up
+    raises both SINRs, so an objective that grows in both SEs peaks there."""
+    ramp = np.logspace(-14.0, 0.0, points)
+    p_u, p_d = params.p_max_ul_w, params.p_max_dl_w
+    return (np.concatenate([np.full(points, p_u), p_u * ramp]),
+            np.concatenate([p_d * ramp, np.full(points, p_d)]))
+
+
+def pair_max_min_powers(g_u: float, g_d: float, g_c: float,
+                        params: ScenarioParams) -> tuple[float, float]:
+    """The (p_u, p_d) that maximize the smaller SE of one pair: its two
+    SINRs equal, one power at its cap.  With p_u = Pmax_u, p_d solves
+    beta g_d p_d^2 + N g_d p_d - Pmax_u g_u (N + Pmax_u g_c) = 0; if that
+    root exceeds Pmax_d, p_d = Pmax_d and p_u solves the mirror quadratic
+    g_c g_u p_u^2 + N g_u p_u - Pmax_d g_d (N + Pmax_d beta) = 0."""
+    noise, beta = params.noise_power_w, params.si_cancellation
+    cap_u, cap_d = params.p_max_ul_w, params.p_max_dl_w
+
+    def root(a, b, c):   # a x^2 + b x - c = 0, cancellation-free
+        return 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))
+
+    p_d = root(beta * g_d, noise * g_d, cap_u * g_u * (noise + cap_u * g_c))
+    if p_d <= cap_d:
+        return cap_u, p_d
+    return root(g_c * g_u, noise * g_u, cap_d * g_d * (noise + cap_d * beta)), cap_d
 
 
 @dataclass(frozen=True)
@@ -211,14 +242,14 @@ def brute_force_assignment(values) -> tuple[dict[int, int], float]:
     return assignment, total
 
 
-def reference_assign_with_solo(values, solo_ul, solo_dl, num_channels=None):
+def reference_assign_with_solo(values, solo_ul, solo_dl, num_channels):
     """assign_with_solo as one square problem: UL i meets DL j at
     values[i, j], each UL user's solo score fills I - P dummy columns, each
     DL user's solo score fills J - P dummy rows, zeros where dummies meet.
     P = max(0, I + J - num_channels) pairs are forced.  Solved with the
     package's hungarian_max, so it checks the reduction, not the solver."""
     num_ul, num_dl = len(solo_ul), len(solo_dl)
-    forced_pairs = 0 if num_channels is None else max(0, num_ul + num_dl - num_channels)
+    forced_pairs = max(0, num_ul + num_dl - num_channels)
     size = num_ul + num_dl - forced_pairs
     square = np.zeros((size, size))
     square[:num_ul, :num_dl] = values
@@ -252,12 +283,11 @@ def reference_drop_users(params: ScenarioParams, rng) -> DropPositions:
     return DropPositions(bs=np.zeros(2), ul=pts[:params.num_ul], dl=pts[params.num_ul:])
 
 
-def reference_build_gain_table(params: ScenarioParams, rng, model=None,
-                               cross_model=None) -> GainTable:
+def reference_build_gain_table(params: ScenarioParams, rng, cross_model=None) -> GainTable:
     """build_gain_table one link group at a time, on reference_drop_users:
     the UL links' states and gains, then the DL links', then the cross
     links' (row-major), each group with its own draws and formulas."""
-    model = model or PropagationModel()
+    model = PropagationModel()
     cross_model = cross_model or model
     positions = reference_drop_users(params, rng)
     d_ul = np.hypot(positions.ul[:, 0], positions.ul[:, 1])

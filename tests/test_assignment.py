@@ -201,7 +201,7 @@ class TestMatchesVectorizedReference:
         monkeypatch.setattr(assignment, "hungarian_max", recording)
         rng = np.random.default_rng(15)
         for num_ul, num_dl, num_channels in ((40, 80, 96), (3, 5, 6), (10, 20, 25), (6, 2, 7)):
-            assign_with_solo(*random_solo_inputs(rng, num_ul, num_dl), num_channels)
+            assign_with_solo(*random_solo_inputs(rng, num_ul, num_dl, num_channels), num_channels)
             rect = solved.pop()
             assert rect.shape == (num_ul, num_dl + num_ul - max(0, num_ul + num_dl - num_channels))
             self.assert_same_decisions(rect.max() - rect)
@@ -243,11 +243,11 @@ class TestMatchesVectorizedReference:
                 self.assert_same_decisions(np.full((n, m), level))
 
 
-def random_solo_inputs(rng, num_ul, num_dl, num_channels=None):
+def random_solo_inputs(rng, num_ul, num_dl, num_channels):
     return rng.normal(size=(num_ul, num_dl)), rng.normal(size=num_ul), rng.normal(size=num_dl)
 
 
-def separable_solo_inputs(rng, num_ul, num_dl, num_channels=None):
+def separable_solo_inputs(rng, num_ul, num_dl, num_channels):
     """values[i, j] = a[i] + b[j] in small integers: every matching of a
     given size ties, so only the tie-break decides."""
     a = rng.integers(0, 3, size=num_ul).astype(float)
@@ -256,11 +256,10 @@ def separable_solo_inputs(rng, num_ul, num_dl, num_channels=None):
             b + rng.integers(-1, 2, size=num_dl))
 
 
-def blind_planner_inputs(rng, num_ul, num_dl, num_channels=None):
+def blind_planner_inputs(rng, num_ul, num_dl, num_channels):
     """What C-NINT plans with: corner benefits with every cross gain zeroed,
     nearly separable in (i, j)."""
-    params = ScenarioParams(num_ul=num_ul, num_dl=num_dl,
-                            num_channels=num_channels or num_ul + num_dl)
+    params = ScenarioParams(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
     g = build_gain_table(params, rng)
     blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
     scores = corner_benefit(corner_tables(blind, params),
@@ -277,7 +276,7 @@ class TestRectangleMatchesSquareOracle:
 
     @pytest.mark.parametrize("make_inputs", SOLO_INPUTS)
     @pytest.mark.parametrize("num_ul, num_dl, num_channels", [
-        (40, 80, 96), (3, 5, 6), (5, 3, 5), (0, 3, 3), (0, 3, 5), (3, 0, 3), (4, 6, None)])
+        (40, 80, 96), (3, 5, 6), (5, 3, 5), (0, 3, 3), (0, 3, 5), (3, 0, 3), (4, 6, 10)])
     def test_same_total(self, make_inputs, num_ul, num_dl, num_channels):
         rng = np.random.default_rng(16)
         for _ in range(3 if num_ul == 40 else 20):
@@ -290,8 +289,7 @@ class TestRectangleMatchesSquareOracle:
                         + sum(solo_ul[i] for i, j in enumerate(pairing.partner_of_ul) if j is None)
                         + sum(solo_dl[j] for j, i in enumerate(pairing.partner_of_dl) if i is None))
             assert realized == pytest.approx(total, rel=1e-12, abs=1e-12)
-            if num_channels is not None:
-                assert pairing.num_pairs >= num_ul + num_dl - num_channels
+            assert pairing.num_pairs >= num_ul + num_dl - num_channels
 
     @pytest.mark.parametrize("make_inputs", SOLO_INPUTS)
     @pytest.mark.parametrize("num_ul, num_dl, num_channels", [
@@ -366,12 +364,6 @@ class TestAssignWithSolo:
         assert pairing.num_pairs == 1
         assert pairing.pairs() == [(0, 0)]
         assert total == pytest.approx(21.0)
-
-    def test_unlimited_budget_equals_none(self):
-        rng = np.random.default_rng(6)
-        values = rng.normal(size=(3, 2))
-        benefit = (values, rng.normal(size=3), rng.normal(size=2))
-        assert assign_with_solo(*benefit, None)[1] == assign_with_solo(*benefit, 5)[1]
 
     def test_infeasible_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -169,11 +169,12 @@ def test_main_records_every_workload(tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
     assert bench_pair.main(["--base", "v0", "--workload", "mc-epa-p1", "--workload", "fig3-p1",
                             "--first-seed", "7", "--pairs", "3", "--out", str(out)]) == 0
-    # one workload after the other, each starting with the parent and alternating
-    sides = ["parent", "change", "change", "parent", "parent", "change"]
+    # every workload's pair of a seed before the next seed, each pair starting
+    # with the parent on even pair indices on every workload
+    sides = [("parent", "change"), ("change", "parent"), ("parent", "change")]
     seeds = [7, 7, 8, 8, 9, 9]
-    assert calls == ([("mc-epa-p1", s, k) for s, k in zip(sides, seeds)]
-                     + [("fig3-p1", s, k) for s, k in zip(sides, seeds)])
+    assert calls == [(w, s, 7 + k) for k, order in enumerate(sides)
+                     for w in ("mc-epa-p1", "fig3-p1") for s in order]
     record = json.loads(out.read_text())
     assert record["command"] == "python3 perfbench/run.py --workload {workload} --seed {seed}"
     assert list(record["workloads"]) == ["mc-epa-p1", "fig3-p1"]
@@ -204,11 +205,10 @@ def test_traced_pairs_run_after_the_pairs_and_land_under_traces(tmp_path, monkey
                             "--first-seed", "7", "--pairs", "2", "--traced-pairs", "2",
                             "--out", str(out)]) == 0
     traced = ["--trace", "1"]
-    per_workload = [("parent", 7, []), ("change", 7, []), ("change", 8, []), ("parent", 8, []),
-                    ("parent", 9, traced), ("change", 9, traced),
-                    ("change", 10, traced), ("parent", 10, traced)]
-    assert calls == [(w, side, seed, extra) for w in ("mc-epa-p1", "fig2-p2")
-                     for side, seed, extra in per_workload]
+    per_seed = [(("parent", "change"), 7, []), (("change", "parent"), 8, []),
+                (("parent", "change"), 9, traced), (("change", "parent"), 10, traced)]
+    assert calls == [(w, side, seed, extra) for order, seed, extra in per_seed
+                     for w in ("mc-epa-p1", "fig2-p2") for side in order]
     record = json.loads(out.read_text())
     assert list(record["traces"]) == ["mc-epa-p1", "fig2-p2"]
     for workload in ("mc-epa-p1", "fig2-p2"):

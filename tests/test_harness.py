@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -24,8 +25,8 @@ from fdsched.harness import (
     config_to_dict,
     drop_rng,
     load_config,
+    require_valid_config,
     run_experiment,
-    validate_config,
 )
 from fdsched.model import ScenarioParams, WeightMode, db_to_linear
 from fdsched.scenario import build_gain_table, scenario_to_dict
@@ -59,18 +60,20 @@ def read_deterministic_outputs(out_dir):
     return files
 
 
-class TestValidateConfig:
+class TestConfigChecksItself:
+    """ExperimentConfig checks its config-level rules when it is built, by
+    its constructor or by dataclasses.replace."""
+
     def test_canned_configs_are_valid(self):
         for name in ("fig2", "fig3"):
-            assert validate_config(canned_experiments(name)) == ()
+            cfg = canned_experiments(name)
+            assert require_valid_config(cfg) is cfg
 
     def test_p_opt_runs_at_the_fig3_cell(self, tmp_path):
-        # P-OPT has no size limit: at 25+25 it validates, runs, and never
-        # scores below C-HUN on a drop
+        # P-OPT has no size limit: at 25+25 it is a valid strategy, runs,
+        # and never scores below C-HUN on a drop
         cfg = canned_experiments("fig3", iterations=2, out_dir=str(tmp_path))
-        cfg = dataclasses.replace(cfg, strategies=("P-OPT", "C-HUN"))
-        assert validate_config(cfg) == ()
-        run_experiment(cfg)
+        run_experiment(dataclasses.replace(cfg, strategies=("P-OPT", "C-HUN")))
         best = {}
         for line in (tmp_path / "records.jsonl").read_text().splitlines():
             r = json.loads(line)
@@ -79,9 +82,15 @@ class TestValidateConfig:
         for by_strategy in best.values():
             assert by_strategy["P-OPT"] >= by_strategy["C-HUN"] * (1 - 1e-12)
 
+    @staticmethod
+    def rejected(*messages):
+        """pytest.raises for the ConfigError that lists exactly messages."""
+        return pytest.raises(ConfigError, match="^" + re.escape(
+            f"invalid experiment config: {'; '.join(messages)}") + "$")
+
     def test_unknown_strategy_flagged(self):
-        cfg = dataclasses.replace(canned_experiments("fig2"), strategies=("BOGUS",))
-        assert validate_config(cfg) == ("unknown strategy 'BOGUS' in strategies",)
+        with self.rejected("unknown strategy 'BOGUS' in strategies"):
+            dataclasses.replace(canned_experiments("fig2"), strategies=("BOGUS",))
 
     @pytest.mark.parametrize("field, values, message", [
         ("strategies", ("C-HUN", "P-OPT", "C-HUN"), "duplicate entry 'C-HUN' in strategies"),
@@ -91,19 +100,28 @@ class TestValidateConfig:
     ], ids=["strategies", "mu_values", "weight_modes"])
     def test_duplicate_sweep_entry_flagged(self, field, values, message):
         # a repeated entry would write every record of its combination twice
-        cfg = dataclasses.replace(canned_experiments("fig2"), **{field: values})
-        assert validate_config(cfg) == (message,)
+        with self.rejected(message):
+            dataclasses.replace(canned_experiments("fig2"), **{field: values})
 
     @pytest.mark.parametrize("field", ["strategies", "mu_values", "weight_modes"])
     def test_empty_sweep_flagged(self, field):
-        cfg = dataclasses.replace(canned_experiments("fig2"), **{field: ()})
-        assert validate_config(cfg) == (f"at least one entry required in {field}",)
+        with self.rejected(f"at least one entry required in {field}"):
+            dataclasses.replace(canned_experiments("fig2"), **{field: ()})
 
     def test_mu_out_of_range_flagged(self):
-        cfg = dataclasses.replace(canned_experiments("fig2"),
-                                  mu_values=(0.5, 1.5, float("nan"), -0.0))
-        assert validate_config(cfg) == ("mu_values: mu must lie in [0, 1], got 1.5",
-                                        "mu_values: mu must lie in [0, 1], got nan")
+        with self.rejected("mu_values: mu must lie in [0, 1], got 1.5",
+                           "mu_values: mu must lie in [0, 1], got nan"):
+            dataclasses.replace(canned_experiments("fig2"),
+                                mu_values=(0.5, 1.5, float("nan"), -0.0))
+
+    @pytest.mark.parametrize("build", [
+        lambda: ExperimentConfig(iterations=0, parallelism=0),
+        lambda: dataclasses.replace(ExperimentConfig(), iterations=0, parallelism=0),
+    ], ids=["constructor", "replace"])
+    def test_every_broken_rule_in_one_error(self, build):
+        with self.rejected("iterations must be >= 1, got 0",
+                           "parallelism must be >= 1, got 0"):
+            build()
 
 
 class TestCannedExperiments:
@@ -258,9 +276,9 @@ class TestRunExperiment:
         assert None in gaps.values() and any(gaps.values())
 
     def test_invalid_config_rejected(self, tmp_path):
-        cfg = dataclasses.replace(tiny_config(tmp_path / "bad"), iterations=0)
+        # rejected when built, so no run can start from it
         with pytest.raises(ConfigError):
-            run_experiment(cfg)
+            dataclasses.replace(tiny_config(tmp_path / "bad"), iterations=0)
 
     def test_runtime_failure_leaves_marker(self, tmp_path, monkeypatch):
         from fdsched import solvers

@@ -10,6 +10,7 @@ from fdsched.model import (
     ScenarioParams,
     WeightMode,
     WeightVector,
+    db_to_linear,
 )
 from fdsched.radio import (
     benefit_value,
@@ -25,8 +26,12 @@ from oracles import (
     evaluate_pair,
     evaluate_solo_dl,
     evaluate_solo_ul,
+    pair_edge_powers,
+    pair_max_min_powers,
     power_candidates,
     reference_outcome_metrics,
+    sinr_dl,
+    sinr_ul,
 )
 
 P24 = 10 ** (-0.6)           # 24 dBm in watts
@@ -347,3 +352,53 @@ class TestOutcomeMetrics:
         with pytest.raises(ValueError):
             outcome_metrics(Pairing.from_ul_partners([None, None], 1),
                             PowerAllocation(np.ones(2), np.ones(1)), g, params, w, 0.5)
+
+
+class TestPowerBeyondCorners:
+    """One pair's power square searched along its two edges (one power at
+    its cap, the other log-spaced down to 1e-14 of its cap), against the
+    closed-form max-min powers and against the three corners."""
+
+    DROPS = 500
+
+    @staticmethod
+    def single_pair_drops(si_db, drops):
+        params = ScenarioParams(num_ul=1, num_dl=1, num_channels=1,
+                                si_cancellation=db_to_linear(si_db))
+        rng = np.random.default_rng(int(-si_db))
+        tables = [build_gain_table(params, rng) for _ in range(drops)]
+        return params, [(g.g_ul[0], g.g_dl[0], g.g_cross[0, 0]) for g in tables]
+
+    @staticmethod
+    def pair_ses(params, g_u, g_d, g_c, p_u, p_d):
+        """The pair's UL and DL SEs at powers (p_u, p_d), broadcast."""
+        noise = params.noise_power_w
+        return (np.log2(1.0 + sinr_ul(p_u, g_u, p_d, params.si_cancellation, noise)),
+                np.log2(1.0 + sinr_dl(p_d, g_d, p_u, g_c, noise)))
+
+    @pytest.mark.parametrize("si_db", [-100.0, -120.0, -130.0])
+    def test_closed_form_max_min_is_never_beaten(self, si_db):
+        params, drops = self.single_pair_drops(si_db, self.DROPS)
+        g_u, g_d, g_c = (np.array(g)[:, None] for g in zip(*drops))
+        edge_u, edge_d = pair_edge_powers(params)
+        edge_best = np.minimum(*self.pair_ses(params, g_u, g_d, g_c, edge_u, edge_d)).max(axis=1)
+        for (gu, gd, gc), best in zip(drops, edge_best):
+            p_u, p_d = pair_max_min_powers(gu, gd, gc, params)
+            assert 0.0 < p_u <= params.p_max_ul_w and 0.0 < p_d <= params.p_max_dl_w
+            assert p_u == params.p_max_ul_w or p_d == params.p_max_dl_w
+            se_u, se_d = self.pair_ses(params, gu, gd, gc, p_u, p_d)
+            assert se_u == pytest.approx(se_d, rel=1e-9)
+            assert best <= min(se_u, se_d) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("si_db", [-100.0, -120.0, -130.0])
+    def test_corners_are_optimal_for_equal_weights(self, si_db):
+        # binary power control under SR weights at mu = 0: no edge point
+        # beats the best of the three corners
+        params, drops = self.single_pair_drops(si_db, self.DROPS)
+        g_u, g_d, g_c = (np.array(g)[:, None] for g in zip(*drops))
+        edge_best = np.add(*self.pair_ses(params, g_u, g_d, g_c,
+                                          *pair_edge_powers(params))).max(axis=1)
+        corner_u, corner_d = (np.array(p) for p in zip(*corner_points(params)))
+        corner_best = np.add(*self.pair_ses(params, g_u, g_d, g_c,
+                                            corner_u, corner_d)).max(axis=1)
+        assert np.all(edge_best <= corner_best * (1.0 + 1e-12))

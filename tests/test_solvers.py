@@ -671,8 +671,9 @@ class TestSeveralObjectives:
 
 
 class TestSilencedPartnerRepeats:
-    """Schedules that differ only in the partner of a silenced user give the
-    same SINRs, so _outcomes evaluates them once; each outcome still reports
+    """_outcomes evaluates a schedule once per distinct pairing and power
+    bytes.  Schedules that differ only in the partner of a silenced user give
+    the same SINRs but are evaluated separately; each outcome still reports
     its own schedule."""
 
     PMAX = ScenarioParams().p_max_ul_w
@@ -687,12 +688,16 @@ class TestSilencedPartnerRepeats:
         elif silenced == "dl":
             p_dl[0] = 0.0
             pairs = [[(0, 0)], [(1, 0)]]
+        elif silenced == "same":   # equal pairings and power bytes, distinct objects
+            return [(Pairing.from_pairs([(0, 0), (1, 2)], 2, 3),
+                     PowerAllocation(np.array(p_ul), np.array(p_dl))) for _ in range(2)]
         else:   # an active pair moves: a real change
             pairs = [[(0, 0), (1, 2)], [(0, 1), (1, 2)]]
         powers = PowerAllocation(np.array(p_ul), np.array(p_dl))
         return [(Pairing.from_pairs(p, 2, 3), powers) for p in pairs]
 
-    @pytest.mark.parametrize("silenced, evaluations", [("ul", 1), ("dl", 1), (None, 2)])
+    @pytest.mark.parametrize("silenced, evaluations",
+                             [("ul", 2), ("dl", 2), (None, 2), ("same", 1)])
     def test_one_evaluation_and_own_schedules(self, silenced, evaluations, monkeypatch):
         params = params_with(num_ul=2, num_dl=3, num_channels=5)
         g = random_drop(np.random.default_rng(23), params)

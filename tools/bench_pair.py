@@ -7,13 +7,15 @@
 Run from anywhere inside the repository.  ``HEAD`` and the base revision
 are exported with ``git archive`` into a temporary directory, so
 uncommitted edits take no part and neither tree's ``.bench_out`` lands in
-the checkout.  ``--workload`` may be given several times; the workloads
-run one after another.  For each workload and each of the seeds
-first-seed .. first-seed + pairs - 1, each tree runs the benchmark command
-of ``BENCHMARK.json`` once with only ``--workload`` and ``--seed``, so the
-run length and tracing are the benchmark's own defaults on both sides; the
-side that runs first alternates from pair to pair, starting with the base
-on every workload.
+the checkout.  ``--workload`` may be given several times.  For each of
+the seeds first-seed .. first-seed + pairs - 1 and each workload, each
+tree runs the benchmark command of ``BENCHMARK.json`` once with only
+``--workload`` and ``--seed``, so the run length and tracing are the
+benchmark's own defaults on both sides.  Every workload runs its pair of a
+seed before the next seed starts, so host load drifts alike across the
+workloads and their absolute values stay comparable.  The side that runs
+first alternates from seed to seed, starting with the base, on every
+workload.
 
 The output holds, under ``workloads``, one entry per workload with every
 pair (the last two stdout lines of each run, as ``report`` and ``result``)
@@ -28,11 +30,11 @@ interquartile range is wider than that bound and some change run does not
 beat every base run, since such a spread cannot tell a regression from
 noise.
 
-With ``--traced-pairs N``, each workload then runs N more pairs with
-``--trace 1`` added, on the seeds after the untraced ones and alternating
-in the same way.  Their runs are stored under ``traces``, per workload, in
-the order they ran; they give the per-layer metrics that show where a
-change's time went, and take no part in the summary.
+With ``--traced-pairs N``, N more pairs per workload then run with
+``--trace 1`` added, on the seeds after the untraced ones, interleaved
+and alternating in the same way.  Their runs are stored under ``traces``,
+per workload, in the order they ran; they give the per-layer metrics that
+show where a change's time went, and take no part in the summary.
 """
 
 from __future__ import annotations
@@ -156,37 +158,41 @@ def main(argv=None) -> int:
     def command(workload, seed) -> list[str]:
         return [*spec["command"], "--workload", workload, "--seed", str(seed)]
 
-    workloads, traces = {}, {}
+    def sides(k):   # pair k starts with the parent when k is even
+        return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+    pairs = {workload: [] for workload in args.workload}
+    runs = {workload: [] for workload in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         revs = {side: export_tree(root, rev, trees[side])
                 for side, rev in (("parent", args.base), ("change", "HEAD"))}
-        for workload in args.workload:
-            pairs = []
-            for k in range(args.pairs):
-                seed = args.first_seed + k
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for k in range(args.pairs):
+            seed = args.first_seed + k
+            for workload in args.workload:
+                order = sides(k)
                 pair = {"seed": seed, "first": order[0],
                         "command": " ".join(command(workload, seed))}
                 for side in order:
                     print(f"{workload} pair {k + 1}/{args.pairs}, seed {seed}: {side}",
                           file=sys.stderr)
                     pair[side] = run_bench(trees[side], command(workload, seed))
-                pairs.append(pair)
-            workloads[workload] = {"summary": summarize(pairs, metrics), "pairs": pairs}
-            runs = []
-            for k in range(args.traced_pairs):
-                seed = args.first_seed + args.pairs + k
+                pairs[workload].append(pair)
+        for k in range(args.traced_pairs):
+            seed = args.first_seed + args.pairs + k
+            for workload in args.workload:
                 traced = [*command(workload, seed), "--trace", "1"]
-                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                for side in sides(k):
                     print(f"{workload} traced pair {k + 1}/{args.traced_pairs}, seed {seed}: "
                           f"{side}", file=sys.stderr)
-                    runs.append({"side": side, "seed": seed, "command": traced,
-                                 **run_bench(trees[side], traced)})
-            if runs:
-                traces[workload] = {"note": "one --trace 1 run per side per seed, in the "
-                                            "order listed, on the same revisions as the pairs",
-                                    "runs": runs}
+                    runs[workload].append({"side": side, "seed": seed, "command": traced,
+                                           **run_bench(trees[side], traced)})
+    workloads = {workload: {"summary": summarize(pairs[workload], metrics),
+                            "pairs": pairs[workload]} for workload in args.workload}
+    traces = {workload: {"note": "one --trace 1 run per side per seed, in the order "
+                                 "listed, on the same revisions as the pairs",
+                         "runs": runs[workload]}
+              for workload in args.workload if runs[workload]}
 
     record = {
         "command": " ".join(command("{workload}", "{seed}")),
