@@ -3,12 +3,15 @@ that lets users stand alone.
 
 hungarian_max solves a rectangular benefit matrix without padding it:
 each line of the shorter side gets a distinct partner (Crouse, IEEE TAES
-2016).  assign_with_solo reduces pairing or standing alone to one I-row
-rectangle.
+2016).  On a wide matrix the solver leaves out of its scans every spare
+column that a lower-index spare column dominates, with the same matching
+as the full scan.  assign_with_solo reduces pairing or standing alone to
+one I-row rectangle.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -41,18 +44,46 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     sees, and u and v start at +0.0 and never become -0.0.  Every other
     floating-point operation is the one the vectorized numpy oracle in
     tests/test_assignment.py performs, in the same order, so both agree.
+
+    A wide cost (m > n) leaves out of each scan every unmatched column that
+    an unmatched lower-index column dominates (is <= in every row); the
+    solo columns assign_with_solo builds are copies or shifted copies of
+    one another.  Leaving them out changes nothing:
+    - an unmatched column never joins the tree (picking one ends the
+      insertion), so its potential stays +0.0 for the whole solve, and a
+      matched column stays matched;
+    - for unmatched columns a < b with cost[:, a] <= cost[:, b], every
+      reduced cost and every minv of a is <= b's, because IEEE subtraction
+      is monotone, and ties go to the lower index, so b is never picked as
+      j1 while a is unmatched;
+    - so leaving b out changes no delta, no j1 and no potential; its minv
+      and way are never read, and both are reset at the next insertion.
+    Each insertion scans the sorted `active` list: every matched column
+    and every unmatched one without an unmatched dominator.  A column
+    matched for good releases the columns it dominated, once it was their
+    last unmatched dominator.  A square cost keeps the full scan: every
+    column ends up matched, so pruning would save little and cost its
+    set-up.
     """
     n, m = cost.shape
     rows = cost.tolist()
     u = [0.0] * n                                # row potentials
     v = [0.0] * (m + 1)                          # column potentials
     row_of_col = [-1] * (m + 1)
+    if m > n:
+        below = np.triu(np.ones((m, m), dtype=bool), 1)   # below[a, b]: a dominates b
+        for r in cost:
+            below &= r[:, None] <= r
+        blockers = below.sum(axis=0).tolist()    # unmatched dominators per column
+        active = [j for j in range(m) if not blockers[j]]
+    else:
+        active = list(range(m))
     for i in range(n):
         row_of_col[m] = i
         j0 = m
         minv = [math.inf] * m
         way = [m] * m
-        free = list(range(m))                    # unreached columns, in order
+        free = active.copy()                     # unreached columns, in order
         used = [m]                               # columns in the tree
         shift = 0.0
         while True:
@@ -92,6 +123,11 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
             if row_of_col[j0] < 0:
                 break
             used.append(j0)
+        if m > n:                                # j0 is matched for good
+            for j in np.flatnonzero(below[j0]).tolist():
+                blockers[j] -= 1
+                if not blockers[j]:
+                    bisect.insort(active, j)
         while j0 != m:                           # augment along the tree path
             j_prev = way[j0]
             row_of_col[j0] = row_of_col[j_prev]

@@ -235,6 +235,47 @@ class TestMatchesVectorizedReference:
                 self.assert_same_decisions(rng.choice(levels, size=(n, m)))
             self.assert_same_decisions(np.full((n, m), -0.0))
 
+    def test_shifted_copy_rectangles(self):
+        # cost[:, j] = base + s[j] with repeated shifts, the columns the
+        # solo_dl shift makes wherever the (Pmax, 0) corner wins: each one
+        # dominates every later column of a larger or equal shift
+        rng = np.random.default_rng(17)
+        for n, m in ((1, 3), (2, 5), (4, 9), (8, 13), (13, 25), (40, 96)):
+            for _ in range(4):
+                base = rng.integers(0, 3, size=(n, 1)).astype(float)
+                cost = base + rng.choice([0.0, 0.5, 1.0, 2.0], size=m)
+                self.assert_same_decisions(cost)
+                mixed = rng.random(m) < 0.3           # some columns of their own
+                cost[:, mixed] = rng.integers(0, 4, size=(n, mixed.sum()))
+                self.assert_same_decisions(cost)
+
+    def test_dominance_chains_released_mid_solve(self):
+        # chain columns a < b < c with a <= b <= c in every row, among
+        # costlier columns: row 0 takes the chain's head, which releases the
+        # next link for row 1, and so on down the chain
+        rng = np.random.default_rng(18)
+        for n, m in ((2, 3), (3, 6), (5, 9), (8, 16), (25, 40)):
+            for _ in range(4):
+                links = int(rng.integers(2, n + 2))
+                chain = np.cumsum(rng.integers(0, 2, size=(n, links)), axis=1)
+                chain[0] -= 1                         # row 0 prefers the head
+                cost = rng.integers(1, 5, size=(n, m)).astype(float)
+                cols = np.sort(rng.choice(m, size=min(links, m), replace=False))
+                cost[:, cols] = chain[:, :len(cols)]
+                self.assert_same_decisions(cost)
+
+    def test_identical_spare_columns_all_taken(self):
+        # k identical columns cheaper than the rest: every copy is matched,
+        # each releasing the next
+        rng = np.random.default_rng(19)
+        for n, m, k in ((2, 3, 2), (4, 6, 3), (6, 9, 6), (10, 14, 7), (40, 96, 40)):
+            for _ in range(4):
+                cost = rng.integers(2, 5, size=(n, m)).astype(float)
+                copies = rng.choice(m, size=k, replace=False)
+                cost[:, copies] = rng.integers(0, 2, size=(n, 1))
+                self.assert_same_decisions(cost)
+                assert set(copies) <= set(_min_cost_assignment(cost))
+
     def test_all_equal(self):
         # a zero cost makes every tree step zero-slack; a nonzero one every
         # step but the first of each row

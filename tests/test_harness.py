@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import multiprocessing
 import re
 import sys
 import tracemalloc
@@ -597,6 +598,24 @@ class TestPoolBlocks:
                  for line in (out / "records.jsonl").read_text().splitlines()]
         per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
         assert drops == [k for k in range(failing) for _ in range(per_drop)]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the platform offers no fork")
+    def test_workers_are_forked(self, tmp_path, monkeypatch):
+        # the tests above patch the parent and rely on workers inheriting it;
+        # forkserver (Python 3.14's Linux default) would re-import instead
+        import concurrent.futures
+
+        contexts = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, mp_context=None, **kwargs):
+                contexts.append(mp_context)
+                super().__init__(*args, mp_context=mp_context, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(tiny_config(tmp_path / "f", iterations=2, parallelism=2))
+        assert [ctx.get_start_method() for ctx in contexts] == ["fork"]
 
     def test_timing_log_has_one_line_per_block(self, tmp_path):
         run_experiment(tiny_config(tmp_path / "t", iterations=9, parallelism=2))

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -333,11 +334,15 @@ class TestOutcomeMetrics:
                                            rng.random(num_ul), rng.choice(levels, num_ul)),
                 base.p_max_dl_w * np.where(rng.random(num_dl) < 0.3,
                                            rng.random(num_dl), rng.choice(levels, num_dl)))
+            # every user silent: every SE is zero, and jain_index warns
+            silent = not (powers.p_ul.any() or powers.p_dl.any())
             for mode in WeightMode:
                 for mu in (0.0, 0.5, 1.0):
                     w = make_weights(mode, g)
-                    got = outcome_metrics(pairing, powers, g, base, w, mu)
-                    want = reference_outcome_metrics(pairing, powers, g, base, w, mu)
+                    with (pytest.warns(UserWarning, match="all-zero") if silent
+                          else contextlib.nullcontext()):
+                        got = outcome_metrics(pairing, powers, g, base, w, mu)
+                        want = reference_outcome_metrics(pairing, powers, g, base, w, mu)
                     assert np.array_equal(got.se_ul, want.se_ul)
                     assert np.array_equal(got.se_dl, want.se_dl)
                     assert got.objective == want.objective
