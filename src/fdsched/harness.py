@@ -230,8 +230,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             for k in range(cfg.iterations):
                 _merge_drop(out, k, _run_drop(cfg, k), records, timings)
         else:
-            import multiprocessing                              # neither is loaded
-            from concurrent.futures import ProcessPoolExecutor   # by a serial run
+            # the pool's modules: not loaded by a serial run
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             # forked workers skip re-importing numpy and fdsched (about 0.2 s
             # each under forkserver, Python 3.14's Linux default)
             fork = (multiprocessing.get_context("fork")
