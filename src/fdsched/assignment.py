@@ -3,10 +3,10 @@ that lets users stand alone.
 
 hungarian_max solves a rectangular benefit matrix without padding it:
 each line of the shorter side gets a distinct partner (Crouse, IEEE TAES
-2016).  On a wide matrix the solver leaves out of its scans every spare
-column that a lower-index spare column dominates, with the same matching
-as the full scan.  assign_with_solo reduces pairing or standing alone to
-one I-row rectangle.
+2016).  On a matrix with many spare columns the solver leaves out of its
+scans every spare column that a lower-index spare column dominates, with
+the same matching as the full scan.  assign_with_solo reduces pairing or
+standing alone to one I-row rectangle.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ import math
 import numpy as np
 
 from .model import Pairing
+
+# A cost with fewer than this many entries beyond its square part,
+# n * (m - n), keeps the full scan: below it, building the dominance table
+# cost more than the pruned scan saved (ROADMAP item 6, "Cost vs cell size").
+_PRUNE_MIN_SPARE_ENTRIES = 256
 
 
 def _selected_total(values: np.ndarray, assignment: dict[int, int]) -> float:
@@ -45,10 +50,11 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     floating-point operation is the one the vectorized numpy oracle in
     tests/test_assignment.py performs, in the same order, so both agree.
 
-    A wide cost (m > n) leaves out of each scan every unmatched column that
-    an unmatched lower-index column dominates (is <= in every row); the
-    solo columns assign_with_solo builds are copies or shifted copies of
-    one another.  Leaving them out changes nothing:
+    A wide cost with n * (m - n) >= _PRUNE_MIN_SPARE_ENTRIES leaves out of
+    each scan every unmatched column that an unmatched lower-index column
+    dominates (is <= in every row); the solo columns assign_with_solo
+    builds are copies or shifted copies of one another.  Leaving them out
+    changes nothing:
     - an unmatched column never joins the tree (picking one ends the
       insertion), so its potential stays +0.0 for the whole solve, and a
       matched column stays matched;
@@ -61,16 +67,17 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     Each insertion scans the sorted `active` list: every matched column
     and every unmatched one without an unmatched dominator.  A column
     matched for good releases the columns it dominated, once it was their
-    last unmatched dominator.  A square cost keeps the full scan: every
-    column ends up matched, so pruning would save little and cost its
-    set-up.
+    last unmatched dominator.  A smaller or square cost keeps the full
+    scan: its solve is too short to repay the table, and on a square one
+    every column ends up matched, so few stay pruned for long.
     """
     n, m = cost.shape
     rows = cost.tolist()
     u = [0.0] * n                                # row potentials
     v = [0.0] * (m + 1)                          # column potentials
     row_of_col = [-1] * (m + 1)
-    if m > n:
+    prune = n * (m - n) >= _PRUNE_MIN_SPARE_ENTRIES
+    if prune:
         below = np.triu(np.ones((m, m), dtype=bool), 1)   # below[a, b]: a dominates b
         for r in cost:
             below &= r[:, None] <= r
@@ -123,7 +130,7 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
             if row_of_col[j0] < 0:
                 break
             used.append(j0)
-        if m > n:                                # j0 is matched for good
+        if prune:                                # j0 is matched for good
             for j in np.flatnonzero(below[j0]).tolist():
                 blockers[j] -= 1
                 if not blockers[j]:

@@ -233,16 +233,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             # the pool's modules: not loaded by a serial run
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            # forked workers skip re-importing numpy and fdsched (about 0.2 s
-            # each under forkserver, Python 3.14's Linux default)
-            fork = (multiprocessing.get_context("fork")
-                    if "fork" in multiprocessing.get_all_start_methods() else None)
+            # workers must inherit the parent's state (the pool tests patch
+            # the parent), so a forkserver default, Python 3.14's on Linux,
+            # gives way to fork; a spawn default (macOS, Windows) stays
+            context = multiprocessing.get_context()
+            if context.get_start_method() == "forkserver":
+                context = multiprocessing.get_context("fork")
             n_blocks = min(cfg.iterations, 4 * cfg.parallelism)
             edges = [cfg.iterations * b // n_blocks for b in range(n_blocks + 1)]
             blocks = list(zip(edges, edges[1:]))
             block_lines = []
             with ProcessPoolExecutor(max_workers=min(cfg.parallelism, n_blocks),
-                                     mp_context=fork) as pool:
+                                     mp_context=context) as pool:
                 futures = [pool.submit(_run_block, cfg, lo, hi) for lo, hi in blocks]
                 for (lo, hi), future in zip(blocks, futures):
                     results, error, pid, elapsed = future.result()

@@ -153,7 +153,12 @@ class TestMatchesVectorizedReference:
     different gains, so a different tie choice changes its results."""
 
     def assert_same_decisions(self, cost):
-        assert _min_cost_assignment(cost) == reference_min_cost_assignment(cost)
+        # with the pruning gate as shipped, and with every wide cost pruned
+        want = reference_min_cost_assignment(cost)
+        assert _min_cost_assignment(cost) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assignment, "_PRUNE_MIN_SPARE_ENTRIES", 1)
+            assert _min_cost_assignment(cost) == want
 
     def test_random_floats_sizes_1_to_96(self):
         rng = np.random.default_rng(10)
@@ -275,6 +280,22 @@ class TestMatchesVectorizedReference:
                 cost[:, copies] = rng.integers(0, 2, size=(n, 1))
                 self.assert_same_decisions(cost)
                 assert set(copies) <= set(_min_cost_assignment(cost))
+
+    def test_pruning_gate(self, monkeypatch):
+        # the dominance table is built only from n * (m - n) = 256 entries
+        # beyond the square part on: a smaller solve cannot repay it
+        tables = []
+
+        def recording_triu(*args, **kwargs):
+            tables.append(args[0].shape)
+            return triu(*args, **kwargs)
+
+        triu = np.triu
+        monkeypatch.setattr(np, "triu", recording_triu)
+        rng = np.random.default_rng(20)
+        for n, m in ((4, 8), (6, 9), (25, 25), (25, 30), (15, 32), (16, 32), (40, 96)):
+            _min_cost_assignment(rng.integers(0, 3, size=(n, m)).astype(float))
+        assert tables == [(32, 32), (96, 96)]
 
     def test_all_equal(self):
         # a zero cost makes every tree step zero-slack; a nonzero one every

@@ -599,13 +599,19 @@ class TestPoolBlocks:
         per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
         assert drops == [k for k in range(failing) for _ in range(per_drop)]
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="the platform offers no fork")
-    def test_workers_are_forked(self, tmp_path, monkeypatch):
-        # the tests above patch the parent and rely on workers inheriting it;
-        # forkserver (Python 3.14's Linux default) would re-import instead
+    @pytest.mark.parametrize("default, used", [
+        ("fork", "fork"), ("forkserver", "fork"), ("spawn", "spawn")])
+    def test_start_method(self, tmp_path, monkeypatch, default, used):
+        # the tests above patch the parent and rely on workers inheriting it,
+        # so a forkserver default (Python 3.14's on Linux) is replaced by
+        # fork; a spawn default (macOS, Windows) is kept
         import concurrent.futures
 
+        if used not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"the platform offers no {used}")
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: get_context(method or default))
         contexts = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -615,7 +621,7 @@ class TestPoolBlocks:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         run_experiment(tiny_config(tmp_path / "f", iterations=2, parallelism=2))
-        assert [ctx.get_start_method() for ctx in contexts] == ["fork"]
+        assert [ctx.get_start_method() for ctx in contexts] == [used]
 
     def test_timing_log_has_one_line_per_block(self, tmp_path):
         run_experiment(tiny_config(tmp_path / "t", iterations=9, parallelism=2))
