@@ -74,7 +74,7 @@ class ScenarioParams:
     Defaults correspond to the small fully-loaded urban-micro setup used by
     the canned experiments: 100 m cell, per-channel noise of -116.4 dBm,
     24 dBm power caps and -100 dB residual self-interference.  The carrier
-    (2.5 GHz) is fixed by the path-loss laws of scenario.PropagationModel.
+    (2.5 GHz) is fixed by the path-loss laws of scenario.path_loss_db.
     The scheduling objective (weights and mu) is not a property of the cell;
     each solve takes it as arguments (see solvers.solve).
     """

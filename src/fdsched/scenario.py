@@ -1,9 +1,10 @@
 """Random network drops for a hexagonal single cell.
 
 One drop places the BS at the origin, scatters UL and DL users uniformly
-over the cell hexagon, and derives all linear path gains from an
-urban-micro propagation model: distance-dependent LOS probability, the
-two log-distance path-loss laws and i.i.d. log-normal shadowing.
+over the cell hexagon, and derives all linear path gains from one
+urban-micro propagation law at 2.5 GHz: distance-dependent LOS
+probability, the two log-distance path-loss laws and i.i.d. log-normal
+shadowing, drawn once per link.
 
 Determinism contract: every function here is a pure function of its
 arguments and the supplied numpy Generator, and consumes random draws in a
@@ -13,9 +14,7 @@ results.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,79 +28,41 @@ _HEX_NORMALS = np.array([
 # Consecutive rejections before a UE is given up; signals inconsistent geometry.
 _MAX_PLACEMENT_ATTEMPTS = 10_000
 
-LOS_MODES = ("umi", "los", "nlos")
+
+def path_loss_db(d_m, los):
+    """Path loss in dB: 34.96 + 22.7 log10(d) on LOS links, 33.36 + 38.35
+    log10(d) on NLOS ones.  Distances below 1 m are clamped; the laws are
+    not valid in the near field."""
+    log_d = np.log10(np.maximum(np.asarray(d_m, dtype=float), 1.0))
+    return np.where(los, 34.96 + 22.7 * log_d, 33.36 + 38.35 * log_d)
 
 
-@dataclass(frozen=True)
-class PropagationModel:
-    """Urban-micro path loss at 2.5 GHz: intercept + slope * log10(d).
-
-    los_mode selects how the LOS state of each link is drawn: "umi" applies
-    the distance-dependent urban-micro LOS probability independently per
-    link, "los"/"nlos" pin every link to one state (useful for tests).
-    Distances below 1 m are clamped; the laws are not valid in the near
-    field.
-    """
-
-    los_intercept_db: float = 34.96
-    los_slope: float = 22.7
-    nlos_intercept_db: float = 33.36
-    nlos_slope: float = 38.35
-    shadow_std_los_db: float = 3.0
-    shadow_std_nlos_db: float = 4.0
-    los_mode: str = "umi"
-
-    def __post_init__(self):
-        if self.los_mode not in LOS_MODES:
-            raise ValueError(f"los_mode must be one of {LOS_MODES}, got {self.los_mode!r}")
-
-    def path_loss_db(self, d_m, los):
-        """Path loss in dB at distance d_m (clamped to >= 1 m)."""
-        log_d = np.log10(np.maximum(np.asarray(d_m, dtype=float), 1.0))
-        return np.where(
-            los,
-            self.los_intercept_db + self.los_slope * log_d,
-            self.nlos_intercept_db + self.nlos_slope * log_d,
-        )
-
-    def los_probability(self, d_m):
-        """Urban-micro LOS probability, min(18/d, 1)(1 - e^(-d/36)) + e^(-d/36)."""
-        d = np.maximum(np.asarray(d_m, dtype=float), 1.0)
-        decay = np.exp(-d / 36.0)
-        return np.minimum(18.0 / d, 1.0) * (1.0 - decay) + decay
-
-    def shadow_std_db(self, los):
-        return np.where(los, self.shadow_std_los_db, self.shadow_std_nlos_db)
+def los_probability(d_m):
+    """Urban-micro LOS probability, min(18/d, 1)(1 - e^(-d/36)) + e^(-d/36)."""
+    d = np.maximum(np.asarray(d_m, dtype=float), 1.0)
+    decay = np.exp(-d / 36.0)
+    return np.minimum(18.0 / d, 1.0) * (1.0 - decay) + decay
 
 
-def link_gain(model: PropagationModel, d_m, los, shadow_db) -> np.ndarray:
-    """Linear power gain 10^(-(PL(d) + shadow)/10) of a single link.
-
-    Accepts scalars or arrays; distance is clamped at 1 m.
-    """
-    pl = model.path_loss_db(d_m, los)
-    return 10.0 ** (-(pl + np.asarray(shadow_db, dtype=float)) / 10.0)
+def link_gain(d_m, los, shadow_db) -> np.ndarray:
+    """Linear power gains 10^(-(PL(d) + shadow)/10), element by element over
+    scalars or arrays of distances, LOS states and shadowing in dB."""
+    return 10.0 ** (-(path_loss_db(d_m, los) + np.asarray(shadow_db, dtype=float)) / 10.0)
 
 
-def draw_link_states(model: PropagationModel, d_m, rng: np.random.Generator, sizes=None):
-    """Draw (los, shadow_db) for an array of link distances.
-
-    Consumes one uniform per link (skipped for pinned LOS modes) followed by
-    one standard normal per link, in that order.  With sizes, the links are
-    consecutive groups of those sizes (in C order), drawn group by group:
-    the first group's uniforms and normals, then the next group's.
-    """
+def draw_link_states(d_m, rng: np.random.Generator, sizes):
+    """Draw (los, shadow_db) for links in consecutive groups of the given
+    sizes (C order): a group's uniforms, one per link, then its standard
+    normals, then the next group's.  A link is LOS when its uniform is below
+    los_probability(d); its shadowing is its normal times 3 dB on LOS links
+    and 4 dB on NLOS ones."""
     d = np.asarray(d_m, dtype=float)
     uniforms, normals = [], []
-    for n in sizes or [d.size]:
-        if model.los_mode == "umi":
-            uniforms.append(rng.random(n))
+    for n in sizes:
+        uniforms.append(rng.random(n))
         normals.append(rng.standard_normal(n))
-    if model.los_mode == "umi":
-        los = np.concatenate(uniforms).reshape(d.shape) < model.los_probability(d)
-    else:
-        los = np.full(d.shape, model.los_mode == "los")
-    shadow_db = np.concatenate(normals).reshape(d.shape) * model.shadow_std_db(los)
+    los = np.concatenate(uniforms).reshape(d.shape) < los_probability(d)
+    shadow_db = np.concatenate(normals).reshape(d.shape) * np.where(los, 3.0, 4.0)
     return los, shadow_db
 
 
@@ -152,22 +113,14 @@ def drop_users(params: ScenarioParams, rng: np.random.Generator) -> DropPosition
     return DropPositions(bs=np.zeros(2), ul=pts[:params.num_ul], dl=pts[params.num_ul:])
 
 
-def build_gain_table(
-    params: ScenarioParams,
-    rng: np.random.Generator,
-    cross_model: PropagationModel | None = None,
-) -> GainTable:
+def build_gain_table(params: ScenarioParams, rng: np.random.Generator) -> GainTable:
     """Generate one drop and all its linear path gains.
 
-    The BS links follow the default PropagationModel.  cross_model, when
-    given, replaces it for the UE-to-UE interference links only.  Draw
-    order: positions (see drop_users, so rng must be a numpy Generator),
-    then the UL links' LOS uniforms and shadowing normals, the DL links',
-    and the cross links' (row-major over UL x DL).  The link distances are
-    computed once, and each run of links that shares a model (all of them
-    by default) is evaluated in one pass.
+    Draw order: positions (see drop_users, so rng must be a numpy
+    Generator), then the UL links' LOS uniforms and shadowing normals, the
+    DL links', and the cross links' (row-major over UL x DL).  Every link
+    is drawn and evaluated in one pass.
     """
-    model = PropagationModel()
     positions = drop_users(params, rng)
     ul, dl = positions.ul, positions.dl
     n_ul, n_dl = len(ul), len(dl)
@@ -176,14 +129,7 @@ def build_gain_table(
         np.hypot(dl[:, 0], dl[:, 1]),
         np.hypot(ul[:, None, 0] - dl[None, :, 0], ul[:, None, 1] - dl[None, :, 1]).ravel(),
     ])
-    links = [(model, n_ul), (model, n_dl), (cross_model or model, n_ul * n_dl)]
-    gains, start = [], 0
-    for link_model, run in itertools.groupby(links, key=lambda link: link[0]):
-        sizes = [n for _, n in run]
-        d_run = d[start:start + sum(sizes)]
-        gains.append(link_gain(link_model, d_run, *draw_link_states(link_model, d_run, rng, sizes)))
-        start += sum(sizes)
-    g = np.concatenate(gains)
+    g = link_gain(d, *draw_link_states(d, rng, [n_ul, n_dl, n_ul * n_dl]))
     return GainTable(g_ul=g[:n_ul], g_dl=g[n_ul:n_ul + n_dl],
                      g_cross=g[n_ul + n_dl:].reshape(n_ul, n_dl), positions=positions)
 

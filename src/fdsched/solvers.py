@@ -221,8 +221,9 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
                 if found is None:
                     break
                 _, _, bound, low = found
-                if (1.0 - mu) * bound + mu * low > value:
-                    best, value = found, (1.0 - mu) * bound + mu * low
+                found_value = (1.0 - mu) * bound + mu * low
+                if found_value > value:
+                    best, value = found, found_value
                 k = bisect.bisect_right(thresholds, low)
             schedules[n] = best
     made = {id(b): _corner_schedule(b[0], b[1], params) for b in schedules}   # once per winner

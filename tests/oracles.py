@@ -43,10 +43,9 @@ from fdsched.radio import benefit_value, check_mu, corner_points, sinr
 from fdsched.scenario import (
     _HEX_NORMALS,
     _MAX_PLACEMENT_ATTEMPTS,
-    PropagationModel,
     build_gain_table,
-    draw_link_states,
     link_gain,
+    los_probability,
 )
 from fdsched.solvers import solve
 
@@ -283,12 +282,10 @@ def reference_drop_users(params: ScenarioParams, rng) -> DropPositions:
     return DropPositions(bs=np.zeros(2), ul=pts[:params.num_ul], dl=pts[params.num_ul:])
 
 
-def reference_build_gain_table(params: ScenarioParams, rng, cross_model=None) -> GainTable:
+def reference_build_gain_table(params: ScenarioParams, rng) -> GainTable:
     """build_gain_table one link group at a time, on reference_drop_users:
     the UL links' states and gains, then the DL links', then the cross
     links' (row-major), each group with its own draws and formulas."""
-    model = PropagationModel()
-    cross_model = cross_model or model
     positions = reference_drop_users(params, rng)
     d_ul = np.hypot(positions.ul[:, 0], positions.ul[:, 1])
     d_dl = np.hypot(positions.dl[:, 0], positions.dl[:, 1])
@@ -296,15 +293,13 @@ def reference_build_gain_table(params: ScenarioParams, rng, cross_model=None) ->
         positions.ul[:, None, 0] - positions.dl[None, :, 0],
         positions.ul[:, None, 1] - positions.dl[None, :, 1],
     )
-    los_ul, shadow_ul = draw_link_states(model, d_ul, rng)
-    los_dl, shadow_dl = draw_link_states(model, d_dl, rng)
-    los_x, shadow_x = draw_link_states(cross_model, d_cross, rng)
-    return GainTable(
-        g_ul=link_gain(model, d_ul, los_ul, shadow_ul),
-        g_dl=link_gain(model, d_dl, los_dl, shadow_dl),
-        g_cross=link_gain(cross_model, d_cross, los_x, shadow_x),
-        positions=positions,
-    )
+    gains = []
+    for d in (d_ul, d_dl, d_cross):
+        u = rng.random(d.shape)
+        z = rng.standard_normal(d.shape)
+        los = u < los_probability(d)
+        gains.append(link_gain(d, los, np.where(los, z * 3.0, z * 4.0)))
+    return GainTable(*gains, positions=positions)
 
 
 def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:

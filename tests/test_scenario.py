@@ -6,11 +6,12 @@ import pytest
 from fdsched.model import GainTable, ScenarioParams
 from fdsched.scenario import (
     _MAX_PLACEMENT_ATTEMPTS,
-    PropagationModel,
     build_gain_table,
     draw_link_states,
     drop_users,
     link_gain,
+    los_probability,
+    path_loss_db,
     scenario_to_dict,
 )
 from oracles import load_scenario, reference_build_gain_table, reference_drop_users
@@ -156,64 +157,57 @@ class TestPlacementCap:
 
 class TestLinkGain:
     def test_los_reference_distance(self):
-        model = PropagationModel()
         # 34.96 + 22.7 * log10(100) = 80.36 dB
-        assert link_gain(model, 100.0, True, 0.0) == pytest.approx(10 ** (-8.036), rel=1e-12)
+        assert path_loss_db(100.0, True) == pytest.approx(80.36, rel=1e-12)
+        assert link_gain(100.0, True, 0.0) == pytest.approx(10 ** (-8.036), rel=1e-12)
 
     def test_nlos_reference_distance(self):
-        model = PropagationModel()
         # 33.36 + 38.35 * log10(10) = 71.71 dB
-        assert link_gain(model, 10.0, False, 0.0) == pytest.approx(10 ** (-7.171), rel=1e-12)
+        assert path_loss_db(10.0, False) == pytest.approx(71.71, rel=1e-12)
+        assert link_gain(10.0, False, 0.0) == pytest.approx(10 ** (-7.171), rel=1e-12)
 
     def test_shadowing_is_multiplicative_in_linear_scale(self):
-        model = PropagationModel()
         for d in (2.0, 30.0, 95.0):
-            base = link_gain(model, d, True, 0.0)
-            assert link_gain(model, d, True, -3.0) == pytest.approx(base * 10 ** 0.3, rel=1e-12)
+            base = link_gain(d, True, 0.0)
+            assert link_gain(d, True, -3.0) == pytest.approx(base * 10 ** 0.3, rel=1e-12)
 
     def test_distance_clamped_at_one_meter(self):
-        model = PropagationModel()
-        assert link_gain(model, 0.3, False, 0.0) == link_gain(model, 1.0, False, 0.0)
+        assert link_gain(0.3, False, 0.0) == link_gain(1.0, False, 0.0)
 
     def test_gain_strictly_decreasing_in_distance(self):
-        model = PropagationModel()
         d = np.linspace(1.0, 200.0, 500)
         for los in (True, False):
-            g = link_gain(model, d, los, 0.0)
+            g = link_gain(d, los, 0.0)
             assert np.all(np.diff(g) < 0)
 
 
 class TestLinkStates:
     def test_los_probability_rule(self):
-        model = PropagationModel()
-        assert model.los_probability(5.0) == pytest.approx(1.0)
-        assert model.los_probability(18.0) == pytest.approx(1.0)
+        assert los_probability(5.0) == pytest.approx(1.0)
+        assert los_probability(18.0) == pytest.approx(1.0)
         d = 100.0
         expected = (18.0 / d) * (1 - np.exp(-d / 36.0)) + np.exp(-d / 36.0)
-        assert model.los_probability(d) == pytest.approx(expected, rel=1e-12)
+        assert los_probability(d) == pytest.approx(expected, rel=1e-12)
 
-    def test_forced_modes(self):
-        d = np.full(50, 60.0)
-        rng = np.random.default_rng(0)
-        los, _ = draw_link_states(PropagationModel(los_mode="los"), d, rng)
-        assert los.all()
-        nlos, _ = draw_link_states(PropagationModel(los_mode="nlos"), d, rng)
-        assert not nlos.any()
-        with pytest.raises(ValueError):
-            PropagationModel(los_mode="sometimes")
-
-    def test_shadowing_statistics(self):
-        # zero-mean in dB, std within 5% of the configured value
-        model = PropagationModel(los_mode="nlos")
-        _, shadow = draw_link_states(model, np.full(20_000, 50.0), np.random.default_rng(5))
-        assert abs(shadow.mean()) < 0.1
-        assert abs(shadow.std() - 4.0) < 0.2
+    def test_states_replay_the_draws_group_by_group(self):
+        # 20-200 m: LOS probability 0.93 down to 0.17, so both states occur
+        sizes = [7, 0, 30, 400]
+        d = np.linspace(20.0, 200.0, sum(sizes))
+        los, shadow = draw_link_states(d, np.random.default_rng(5), sizes)
+        assert los.any() and not los.all()
+        replay, start = np.random.default_rng(5), 0
+        for n in sizes:
+            u, z = replay.random(n), replay.standard_normal(n)
+            group = slice(start, start + n)
+            assert np.array_equal(los[group], u < los_probability(d[group]))
+            assert shadow[group][los[group]].tobytes() == (z[los[group]] * 3.0).tobytes()
+            assert shadow[group][~los[group]].tobytes() == (z[~los[group]] * 4.0).tobytes()
+            start += n
 
     def test_los_fraction_tracks_probability(self):
-        model = PropagationModel()
         d = np.full(20_000, 40.0)
-        los, _ = draw_link_states(model, d, np.random.default_rng(11))
-        assert los.mean() == pytest.approx(model.los_probability(40.0), abs=0.02)
+        los, _ = draw_link_states(d, np.random.default_rng(11), [d.size])
+        assert los.mean() == pytest.approx(los_probability(40.0), abs=0.02)
 
 
 class TestBuildGainTable:
@@ -235,16 +229,6 @@ class TestBuildGainTable:
         assert np.array_equal(a.g_dl, b.g_dl)
         assert np.array_equal(a.g_cross, b.g_cross)
 
-    def test_cross_model_override(self):
-        params = make_params()
-        nlos = PropagationModel(los_mode="nlos", shadow_std_nlos_db=0.0)
-        g = build_gain_table(params, np.random.default_rng(2), cross_model=nlos)
-        # with shadowing off, cross gains must match the NLOS law exactly
-        d = np.hypot(g.positions.ul[:, None, 0] - g.positions.dl[None, :, 0],
-                     g.positions.ul[:, None, 1] - g.positions.dl[None, :, 1])
-        expected = link_gain(nlos, d, False, 0.0)
-        assert np.allclose(g.g_cross, expected, rtol=1e-12)
-
     def test_dump_load_round_trip(self, tmp_path):
         g = build_gain_table(make_params(), np.random.default_rng(4))
         path = tmp_path / "scenario.json"
@@ -260,16 +244,14 @@ class TestBuildGainTable:
         (100, 100, 3.0),
         (25, 25, 86.0),  # about 7% acceptance
     ])
-    @pytest.mark.parametrize("cross_mode", [None, "nlos", "los"])
-    def test_matches_per_group_reference(self, num_ul, num_dl, min_dist, cross_mode):
+    def test_matches_per_group_reference(self, num_ul, num_dl, min_dist):
         params = make_params(num_ul=num_ul, num_dl=num_dl,
                              num_channels=max(num_ul, num_dl),
                              min_bs_ue_distance_m=min_dist)
-        cross = PropagationModel(los_mode=cross_mode) if cross_mode else None
         for seed in range(20):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            g = build_gain_table(params, rng, cross_model=cross)
-            ref = reference_build_gain_table(params, ref_rng, cross_model=cross)
+            g = build_gain_table(params, rng)
+            ref = reference_build_gain_table(params, ref_rng)
             for name in ("g_ul", "g_dl", "g_cross"):
                 a, b = getattr(g, name), getattr(ref, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
