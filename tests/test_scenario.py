@@ -204,6 +204,30 @@ class TestLinkStates:
             assert shadow[group][~los[group]].tobytes() == (z[~los[group]] * 4.0).tobytes()
             start += n
 
+    def test_links_within_18_m_are_always_los(self):
+        # min(18/d, 1) = 1 up to 18 m, so the LOS probability is 1 there
+        d = np.linspace(0.5, 18.0, 500)
+        los, shadow = draw_link_states(d, np.random.default_rng(2), [d.size])
+        replay = np.random.default_rng(2)
+        replay.random(d.size)
+        assert los.all()
+        assert shadow.tobytes() == (replay.standard_normal(d.size) * 3.0).tobytes()
+
+    def test_shadowing_statistics(self):
+        # zero-mean in dB; std within 5% of 3 dB on LOS links, 4 dB on NLOS
+        d = np.full(40_000, 50.0)
+        los, shadow = draw_link_states(d, np.random.default_rng(5), [d.size])
+        for state, std in ((los, 3.0), (~los, 4.0)):
+            assert state.sum() > 10_000
+            assert abs(shadow[state].mean()) < 0.1
+            assert abs(shadow[state].std() - std) < 0.05 * std
+
+    def test_sizes_must_cover_every_link(self):
+        d = np.full(10, 50.0)
+        for sizes in ([4, 5], [4, 7], []):
+            with pytest.raises(ValueError):
+                draw_link_states(d, np.random.default_rng(0), sizes)
+
     def test_los_fraction_tracks_probability(self):
         d = np.full(20_000, 40.0)
         los, _ = draw_link_states(d, np.random.default_rng(11), [d.size])
@@ -244,10 +268,15 @@ class TestBuildGainTable:
         (100, 100, 3.0),
         (25, 25, 86.0),  # about 7% acceptance
     ])
-    def test_matches_per_group_reference(self, num_ul, num_dl, min_dist):
+    # 9 m: every link, cross links too, is within 18 m and so LOS;
+    # 2,000 m: LOS probability below 2%, so nearly every link is NLOS
+    @pytest.mark.parametrize("radius", [100.0, 9.0, 2000.0])
+    def test_matches_per_group_reference(self, num_ul, num_dl, min_dist, radius):
+        # min_dist is given for the 100 m cell and scales with the radius
         params = make_params(num_ul=num_ul, num_dl=num_dl,
                              num_channels=max(num_ul, num_dl),
-                             min_bs_ue_distance_m=min_dist)
+                             cell_radius_m=radius,
+                             min_bs_ue_distance_m=min_dist * radius / 100.0)
         for seed in range(20):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             g = build_gain_table(params, rng)
