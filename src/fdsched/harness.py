@@ -6,12 +6,13 @@ GainTable, so cross-strategy comparisons are paired.  Substream seeds are
 derived from the master seed and the drop index by a counter-based split,
 which makes results independent of scheduling order and parallelism.
 Each strategy is solved once per drop for all of the drop's (weight mode,
-mu) objectives, its generator rewound first, and the records keep the
-(weight mode, mu, strategy) order.  Outcomes of one solve that share SE
-arrays (a schedule that several objectives chose, evaluated once and
-rescored, as every R-EPA schedule is) give records that share one pair of
-SE tuples; their records.jsonl lines reuse the first one's encoded line
-with only mu, the objective and the weight mode encoded afresh.
+mu) objectives, each after the first from the generator state the first
+began with, and the records keep the (weight mode, mu, strategy) order.
+Outcomes of one solve that share SE arrays (a schedule that several
+objectives chose, evaluated once and rescored, as every R-EPA schedule is)
+give records derived from the first one, sharing its pair of SE tuples;
+their records.jsonl lines are filled into the first one's encoded line,
+cut once around mu, the objective and the weight mode.
 
 Outputs per run directory:
   config.json    resolved configuration (deterministic)
@@ -144,6 +145,13 @@ class RunRecord:
     seed: str
     gain_hash: str
 
+    def rescored(self, mu: float, weight_mode: str, objective: float) -> "RunRecord":
+        """This record of an evaluated schedule under another objective: the
+        same SE tuples and metrics, without running __init__ again."""
+        repeat = object.__new__(RunRecord)
+        repeat.__dict__.update(vars(self), mu=mu, weight_mode=weight_mode, objective=objective)
+        return repeat
+
 
 def _run_drop(cfg: ExperimentConfig, drop_index: int):
     """Worker: evaluate all requested combinations on one drop."""
@@ -153,27 +161,28 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
     table_hash = _gain_hash(gains)
     seed = f"{master}:{drop_index}"
     strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
-    strategy_state = strategy_rng.bit_generator.state
+    strategy_state = strategy_rng.bit_generator.state if len(cfg.strategies) > 1 else None
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
-    columns = []   # per strategy: its outcomes and their (se_ul, se_dl) tuples
+    columns = []   # per strategy: its records, one per objective
     for name in cfg.strategies:
-        # rewound, so each strategy makes the draws it would make alone
-        strategy_rng.bit_generator.state = strategy_state
+        if columns:   # rewound, so each strategy makes the draws it would make alone
+            strategy_rng.bit_generator.state = strategy_state
         outcomes = solve(name, gains, cfg.params, objectives, strategy_rng)
-        # Rescored outcomes share both SE arrays, and then one pair of tuples.
-        tuples = {}
-        for o in outcomes:
-            if id(o.se_ul) not in tuples:
-                tuples[id(o.se_ul)] = tuple(o.se_ul.tolist()), tuple(o.se_dl.tolist())
-        columns.append((name, outcomes, [tuples[id(o.se_ul)] for o in outcomes]))
-    records = [
-        RunRecord(drop=drop_index, strategy=name, mu=mu, weight_mode=mode.value,
-                  objective=outcomes[n].objective, sum_se=outcomes[n].sum_se,
-                  min_se=outcomes[n].min_se, jain=outcomes[n].jain,
-                  se_ul=ses[n][0], se_dl=ses[n][1], seed=seed, gain_hash=table_hash)
-        for n, (mode, mu) in enumerate(objectives)
-        for name, outcomes, ses in columns
-    ]
+        # Rescored outcomes share both SE arrays; their records derive from the
+        # first one and so share its pair of SE tuples.
+        firsts, column = {}, []
+        for (mode, mu), o in zip(objectives, outcomes):
+            first = firsts.get(id(o.se_ul))
+            if first is None:
+                column.append(firsts.setdefault(id(o.se_ul), RunRecord(
+                    drop=drop_index, strategy=name, mu=mu, weight_mode=mode.value,
+                    objective=o.objective, sum_se=o.sum_se, min_se=o.min_se, jain=o.jain,
+                    se_ul=tuple(o.se_ul.tolist()), se_dl=tuple(o.se_dl.tolist()),
+                    seed=seed, gain_hash=table_hash)))
+            else:
+                column.append(first.rescored(mu, mode.value, o.objective))
+        columns.append(column)
+    records = [r for objective_records in zip(*columns) for r in objective_records]
     elapsed = time.perf_counter() - started
     scenario_doc = scenario_to_dict(gains) if cfg.dump_scenarios else None
     return records, scenario_doc, elapsed
@@ -296,15 +305,14 @@ def _encode_float(x: float) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-def _rescored_line(line: str, mu: float, objective: float, weight_mode: str) -> str:
-    """The records.jsonl line of a solved record, with mu, the objective and
-    the weight mode replaced: the only fields a rescoring changes.  In
-    sorted key order mu and objective are adjacent and weight_mode is last;
-    no encoded number holds ', "', so that marks the key after objective."""
+def _line_template(line: str) -> tuple[str, str]:
+    """A solved record's records.jsonl line cut around the only fields a
+    rescoring changes: the text before mu, and the text from the key after
+    the objective up to weight_mode.  In sorted key order mu and objective
+    are adjacent and weight_mode is last; no encoded number holds ', "', so
+    that marks the key after objective."""
     head, rest = line.split(', "mu": ', 1)
-    body = rest[rest.index(', "', rest.index('"objective": ')):rest.rindex(', "weight_mode": ')]
-    return (f'{head}, "mu": {_encode_float(mu)}, "objective": {_encode_float(objective)}'
-            f'{body}, "weight_mode": {_ENCODER.encode(weight_mode)}}}')
+    return head, rest[rest.index(', "', rest.index('"objective": ')):rest.rindex(', "weight_mode": ')]
 
 
 def _record_lines(records: list[RunRecord]):
@@ -312,19 +320,28 @@ def _record_lines(records: list[RunRecord]):
     each.  _run_drop shares SE tuple objects only among the records of one
     evaluated schedule, so a drop's records of one strategy with the same
     tuples differ only in mu, the objective and the weight mode: the first is
-    encoded and the later ones derive their lines from it.  Only the current
-    drop's solved lines are held.  (Encoding in _run_drop, between solves,
-    measured slower.)"""
+    encoded and cut once (_line_template), and the later ones are filled in.
+    Only the current drop's templates are held.  Each weight mode is spelled
+    once; mu is spelled per line, since 0.0 and -0.0 are one dict key.
+    (Encoding in _run_drop, between solves, measured slower.)"""
     solved, drop = {}, None
+    tails = {}   # weight mode -> its encoded last field
     for r in records:
-        if r.drop != drop:   # records come in drop order; hold one drop's lines
+        if r.drop != drop:   # records come in drop order; hold one drop's templates
             solved, drop = {}, r.drop
         key = r.strategy, id(r.se_ul), id(r.se_dl)   # () is one object
-        line = solved.get(key)
-        if line is None:
-            yield solved.setdefault(key, _ENCODER.encode(vars(r)))
-        else:
-            yield _rescored_line(line, r.mu, r.objective, r.weight_mode)
+        template = solved.get(key)
+        if template is None:
+            line = _ENCODER.encode(vars(r))
+            solved[key] = _line_template(line)
+            yield line
+            continue
+        tail = tails.get(r.weight_mode)
+        if tail is None:
+            tail = tails[r.weight_mode] = f', "weight_mode": {_ENCODER.encode(r.weight_mode)}}}'
+        head, body = template
+        yield (f'{head}, "mu": {_encode_float(r.mu)}, "objective": '
+               f'{_encode_float(r.objective)}{body}{tail}')
 
 
 def _flush_records(out: Path, records: list[RunRecord]) -> None:
@@ -343,19 +360,27 @@ def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
     files = []
     medians: dict[str, float] = {}
     gaps: dict[str, float | None] = {}
+    combos: dict[tuple, list[tuple]] = {}   # (strategy, mu, weight mode) -> metric rows
+    row = attrgetter(*METRIC_NAMES)
+    for r in records:
+        key = r.strategy, r.mu, r.weight_mode
+        rows = combos.get(key)
+        if rows is None:
+            rows = combos[key] = []
+        rows.append(row(r))
+    formatted = {}   # CSV rows shared by this run's CDF files (CdfSeries.to_csv_lines)
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
             tag = f"mu={mu}|{mode.value}"
             for strategy in cfg.strategies:
-                combo = [r for r in records if r.strategy == strategy
-                         and r.mu == mu and r.weight_mode == mode.value]
+                rows = combos.get((strategy, mu, mode.value), [])
+                columns = dict(zip(METRIC_NAMES, zip(*rows)))   # empty without records
                 for metric in METRIC_NAMES:
                     series = metrics.empirical_cdf(
-                        [getattr(r, metric) for r in combo],
-                        metric=metric, strategy=strategy, mu=mu,
+                        columns.get(metric, ()), metric=metric, strategy=strategy, mu=mu,
                         weight_mode=mode.value)
                     path = out / f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
-                    series.write_csv(path)
+                    series.write_csv(path, formatted)
                     files.append(path.name)
                     medians[f"{metric}|{strategy}|{tag}"] = metrics.percentile(series, 50)
             for metric in METRIC_NAMES:

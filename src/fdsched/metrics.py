@@ -46,15 +46,25 @@ class CdfSeries:
     # CSV layout: one metadata comment line (metric, strategy, mu,
     # weight_mode), a column header, then value,probability rows.  Floats
     # use repr so files are byte-reproducible.
-    def to_csv_lines(self) -> list[str]:
-        lines = [f"# {self.metric},{self.strategy},{float(self.mu)!r},{self.weight_mode}",
-                 "value,probability"]
-        lines += [f"{v!r},{p!r}"
-                  for v, p in zip(self.values.tolist(), self.probabilities.tolist())]
-        return lines
+    def to_csv_lines(self, formatted: dict | None = None) -> list[str]:
+        """The CSV lines.  formatted, when the series of one output stage
+        share it, keeps the spellings of each probability column and the rows
+        of each (value, probability) column pair, keyed by dtype and bytes,
+        so each is formatted once."""
+        formatted = {} if formatted is None else formatted
+        probabilities = self.probabilities.dtype.str, self.probabilities.tobytes()
+        key = self.values.dtype.str, self.values.tobytes(), probabilities
+        rows = formatted.get(key)
+        if rows is None:
+            spelled = formatted.get(probabilities)
+            if spelled is None:
+                spelled = formatted[probabilities] = list(map(repr, self.probabilities.tolist()))
+            rows = formatted[key] = [f"{v!r},{p}" for v, p in zip(self.values.tolist(), spelled)]
+        return [f"# {self.metric},{self.strategy},{float(self.mu)!r},{self.weight_mode}",
+                "value,probability", *rows]
 
-    def write_csv(self, path) -> None:
-        Path(path).write_text("\n".join(self.to_csv_lines()) + "\n")
+    def write_csv(self, path, formatted: dict | None = None) -> None:
+        Path(path).write_text("\n".join(self.to_csv_lines(formatted)) + "\n")
 
 
 def empirical_cdf(samples, metric="", strategy="", mu=math.nan,

@@ -280,3 +280,12 @@ class ScheduleOutcome:
 
     def all_se(self) -> np.ndarray:
         return np.concatenate([self.se_ul, self.se_dl])
+
+    def rescored(self, pairing: Pairing, powers: PowerAllocation,
+                 objective: float) -> "ScheduleOutcome":
+        """This outcome's SE arrays and metrics under another objective, for
+        a schedule with the same SEs.  The arrays are already read-only, so
+        __post_init__ does not run again."""
+        repeat = object.__new__(ScheduleOutcome)
+        repeat.__dict__.update(vars(self), pairing=pairing, powers=powers, objective=objective)
+        return repeat

@@ -76,10 +76,9 @@ def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainT
             first = evaluated[key] = outcome_metrics(pairing, powers, gains, params, weights, mu)
             outcomes.append(first)
         else:
-            outcomes.append(ScheduleOutcome(
-                pairing, powers, first.se_ul, first.se_dl,
-                objective_value(first.se_ul, first.se_dl, first.min_se, weights, mu),
-                first.sum_se, first.min_se, first.jain))
+            outcomes.append(first.rescored(
+                pairing, powers,
+                objective_value(first.se_ul, first.se_dl, first.min_se, weights, mu)))
     return outcomes
 
 
@@ -226,7 +225,8 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
                     best, value = found, found_value
                 k = bisect.bisect_right(thresholds, low)
             schedules[n] = best
-    made = {id(b): _corner_schedule(b[0], b[1], params) for b in schedules}   # once per winner
+    winners = {id(b): b for b in schedules}   # each winner's schedule is built once
+    made = {k: _corner_schedule(b[0], b[1], params) for k, b in winners.items()}
     return _outcomes([made[id(b)] for b in schedules], gains, params, objectives)
 
 

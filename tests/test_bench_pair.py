@@ -102,6 +102,21 @@ class TestSummarize:
         above = bench_pair.summarize(make_pairs(parent, [(151.0, 8.0)] * 3), METRICS)["metrics"]
         assert above["drops_per_s"]["worse_beyond_bound"] is False
 
+    def test_console_line_shows_the_claim_and_the_bound(self):
+        parent = [(100.0 + k, 8.0) for k in range(10)]
+        metrics = bench_pair.summarize(make_pairs(parent, [(120.0 + k, 8.0) for k in range(10)]),
+                                       METRICS)["metrics"]
+        assert bench_pair.summary_line("mc-epa-p1", "drops_per_s", metrics["drops_per_s"], 10) == (
+            "mc-epa-p1 drops_per_s: 104.5 -> 124.5 (change won 10/10; parent IQR 102.25..106.75; "
+            "gain_met true; worse_beyond_bound false)")
+        # a per-layer metric has no bound; an unresolved bound is spelled as such
+        entry = dict(metrics["drops_per_s"], gain_met=False)
+        del entry["worse_beyond_bound"]
+        assert bench_pair.summary_line("w", "m", entry, 10).endswith("gain_met false)")
+        entry["worse_beyond_bound"] = "unresolved"
+        assert bench_pair.summary_line("w", "m", entry, 10).endswith(
+            "gain_met false; worse_beyond_bound unresolved)")
+
     def test_digest_mismatch_and_failures_counted(self):
         pairs = make_pairs([(100.0, 8.0)] * 2, [(101.0, 8.0)] * 2, change_digests=["d0", "d1"])
         pairs[1]["change"]["result"].update(correct=False, failed=2)
@@ -153,7 +168,7 @@ def test_main_runs_the_benchmark_command_alternating_sides(tmp_path, monkeypatch
     assert [p["seed"] for p in record["workloads"]["fig3-p1"]["pairs"]] == [7, 8]
 
 
-def test_main_records_every_workload(tmp_path, monkeypatch):
+def test_main_records_every_workload(tmp_path, monkeypatch, capsys):
     root = Path(__file__).resolve().parent.parent
     monkeypatch.setattr(bench_pair, "_git", lambda *args: str(root).encode())
     monkeypatch.setattr(bench_pair, "export_tree",
@@ -186,6 +201,16 @@ def test_main_records_every_workload(tmp_path, monkeypatch):
         drops = entry["summary"]["metrics"]["drops_per_s"]
         assert drops["parent"]["median"] == base and drops["change"]["median"] == base + 1
         assert drops["change_won"] == 3
+    # one console line per workload and metric, with the claim and bound fields
+    assert capsys.readouterr().out.splitlines() == [
+        "mc-epa-p1 drops_per_s: 200 -> 201 (change won 3/3; parent IQR 200..200; "
+        "gain_met true; worse_beyond_bound false)",
+        "mc-epa-p1 cpu_ms_per_drop: 8 -> 8 (change won 0/3; parent IQR 8..8; "
+        "gain_met false; worse_beyond_bound false)",
+        "fig3-p1 drops_per_s: 100 -> 101 (change won 3/3; parent IQR 100..100; "
+        "gain_met true; worse_beyond_bound false)",
+        "fig3-p1 cpu_ms_per_drop: 8 -> 8 (change won 0/3; parent IQR 8..8; "
+        "gain_met false; worse_beyond_bound false)"]
 
 
 def test_traced_pairs_run_after_the_pairs_and_land_under_traces(tmp_path, monkeypatch):

@@ -18,8 +18,8 @@ from fdsched.harness import (
     ExperimentConfig,
     RunRecord,
     _encode_float,
+    _line_template,
     _record_lines,
-    _rescored_line,
     _run_drop,
     canned_experiments,
     config_from_dict,
@@ -466,20 +466,21 @@ class TestRepeatedSchedules:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_written_lines_equal_json_dumps(self, tmp_path, parallelism, monkeypatch):
-        derived = []
+        templates = []
 
-        def counted(line, *args, _derive=harness._rescored_line):
-            derived.append(line)
-            return _derive(line, *args)
+        def counted(line, _cut=harness._line_template):
+            templates.append(line)
+            return _cut(line)
 
-        monkeypatch.setattr(harness, "_rescored_line", counted)
+        monkeypatch.setattr(harness, "_line_template", counted)
         cfg = canned_experiments("fig2", seed=5, iterations=6, out_dir=str(tmp_path),
                                  parallelism=parallelism)
         run_experiment(cfg)
         want = [json.dumps(vars(r), sort_keys=True)
                 for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
         assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
-        assert derived
+        # one template per evaluated schedule; every other line is derived
+        assert 0 < len(templates) < len(want)
 
 
 class TestEncodedLines:
@@ -511,19 +512,39 @@ class TestEncodedLines:
                 for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
         assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
 
-    def test_rescored_line_with_tricky_reprs(self):
+    def test_rescored_line_with_tricky_reprs(self, monkeypatch):
+        templates = []
+
+        def counted(line, _cut=harness._line_template):
+            templates.append(line)
+            return _cut(line)
+
+        monkeypatch.setattr(harness, "_line_template", counted)
         solved = RunRecord(drop=3, strategy="R-EPA", mu=0.5, weight_mode="SR",
                            objective=2.5, sum_se=4.0, min_se=0.25, jain=0.75,
                            se_ul=(0.25, 1.5), se_dl=(2.25, -0.0), seed="7:3",
                            gain_hash="0123abcd")
-        line = json.dumps(vars(solved), sort_keys=True)
         tricky = [-0.0, 5e-324, 1e22, 0.1 + 0.2, 1.0]
-        for mu in tricky:
-            for objective in tricky + [float("nan"), float("-inf")]:
-                rescored = dataclasses.replace(solved, mu=mu, objective=objective,
-                                               weight_mode="PL")
-                assert (_rescored_line(line, mu, objective, "PL")
-                        == json.dumps(vars(rescored), sort_keys=True))
+        # every repeat shares the solved record's SE tuples, so all derive from
+        # its one template, with the two modes' spellings alternating
+        records = [solved] + [
+            dataclasses.replace(solved, mu=mu, objective=objective, weight_mode=mode)
+            for mu in tricky for objective in tricky + [float("nan"), float("-inf")]
+            for mode in ("PL", "SR")]
+        assert list(_record_lines(records)) == [json.dumps(vars(r), sort_keys=True)
+                                                for r in records]
+        assert templates == [json.dumps(vars(solved), sort_keys=True)]
+
+    def test_line_template_cuts_around_the_rescored_fields(self):
+        solved = RunRecord(drop=3, strategy="R-EPA", mu=-0.0, weight_mode="SR",
+                           objective=float("nan"), sum_se=4.0, min_se=5e-324, jain=0.75,
+                           se_ul=(1e22,), se_dl=(), seed="7:3", gain_hash="0123abcd")
+        line = json.dumps(vars(solved), sort_keys=True)
+        head, body = _line_template(line)
+        assert head == '{"drop": 3, "gain_hash": "0123abcd", "jain": 0.75, "min_se": 5e-324'
+        assert body == ', "se_dl": [], "se_ul": [1e+22], "seed": "7:3", "strategy": "R-EPA", ' \
+                       '"sum_se": 4.0'
+        assert line == f'{head}, "mu": -0.0, "objective": NaN{body}, "weight_mode": "SR"}}'
 
     def test_encode_float_matches_json_dumps(self):
         values = [0.0, -0.0, 1e-320, 1e22, sys.float_info.max, float("nan"),

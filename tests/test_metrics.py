@@ -121,15 +121,25 @@ class TestCsvRoundTrip:
 
     def test_lines_equal_the_per_element_float_form(self):
         # the rows are written from tolist(); they must equal the repr of
-        # each element as a float, the form of the reference lines below
+        # each element as a float, the form of the reference lines below,
+        # also when the series of one output stage share their formatted
+        # rows: two series with one value column, two sample counts, and
+        # columns that differ only in the sign of zero
         tricky = [-0.0, 5e-324, 1e308, 0.1 + 0.2, float("nan"), -1.5, 0.0, 1e-320]
-        cdf = empirical_cdf(tricky * 3, metric="sum_se", strategy="C-HUN", mu=0.1 + 0.2,
-                            weight_mode="PL")
-        want = [f"# sum_se,C-HUN,{float(cdf.mu)!r},PL", "value,probability"]
-        want += [f"{float(v)!r},{float(p)!r}" for v, p in zip(cdf.values, cdf.probabilities)]
-        assert cdf.to_csv_lines() == want
+        formatted = {}
+        for samples, metric, mu in [(tricky * 3, "sum_se", 0.1 + 0.2), (tricky * 3, "jain", 0.5),
+                                    (tricky * 2, "sum_se", 0.5), ([0.0] * 16, "min_se", 0.1),
+                                    ([-0.0] * 16, "min_se", 0.1), (tricky * 3, "sum_se", 0.9)]:
+            cdf = empirical_cdf(samples, metric=metric, strategy="C-HUN", mu=mu,
+                                weight_mode="PL")
+            want = [f"# {metric},C-HUN,{float(mu)!r},PL", "value,probability"]
+            want += [f"{float(v)!r},{float(p)!r}"
+                     for v, p in zip(cdf.values, cdf.probabilities)]
+            assert cdf.to_csv_lines() == want
+            assert cdf.to_csv_lines(formatted) == want
+        assert len(formatted) == 2 + 4   # two probability columns, four row sets
         assert {"-0.0", "5e-324", "1e+308", "0.30000000000000004", "nan"} <= {
-            line.split(",")[0] for line in want[2:]}
+            line.split(",")[0] for line in empirical_cdf(tricky).to_csv_lines()[2:]}
 
     def test_values_round_trip_exactly(self, tmp_path):
         # repr-based serialization must preserve doubles bit for bit

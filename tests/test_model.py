@@ -6,7 +6,9 @@ import pytest
 from fdsched.model import (
     GainTable,
     Pairing,
+    PowerAllocation,
     ScenarioParams,
+    ScheduleOutcome,
     WeightMode,
     dbm_to_watts,
     watts_to_dbm,
@@ -166,3 +168,23 @@ class TestGainTable:
         g = GainTable(g_ul=np.ones(1), g_dl=np.ones(1), g_cross=np.ones((1, 1)))
         with pytest.raises(ValueError):
             g.g_ul[0] = 2.0
+
+
+class TestScheduleOutcome:
+    def test_rescored_keeps_the_ses_and_metrics_and_takes_the_rest(self):
+        first = ScheduleOutcome(Pairing.from_pairs([(0, 1)], 1, 2),
+                                PowerAllocation(np.ones(1), np.ones(2)),
+                                se_ul=[1.5], se_dl=[0.5, 2.0], objective=3.0, sum_se=4.0,
+                                min_se=0.5, jain=0.8)
+        pairing, powers = Pairing.from_pairs([(0, 0)], 1, 2), PowerAllocation([1.0], [0.0, 1.0])
+        repeat = first.rescored(pairing, powers, -0.25)
+        assert type(repeat) is ScheduleOutcome
+        assert repeat.pairing is pairing and repeat.powers is powers
+        assert repeat.objective == -0.25
+        assert repeat.se_ul is first.se_ul and repeat.se_dl is first.se_dl
+        assert (repeat.sum_se, repeat.min_se, repeat.jain) == (4.0, 0.5, 0.8)
+        assert first.objective == 3.0 and first.pairing.partner_of_ul == (1,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            repeat.objective = 1.0
+        with pytest.raises(ValueError):
+            repeat.se_ul[0] = 2.0

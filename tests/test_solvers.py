@@ -654,6 +654,26 @@ class TestSeveralObjectives:
                         repeats += any(got.se_ul is earlier.se_ul for earlier in outcomes[:n])
         assert repeats > 0
 
+    def test_p_opt_builds_each_winners_schedule_once(self, monkeypatch):
+        made = []
+
+        def counted(*args, _make=solvers._corner_schedule):
+            made.append(_make(*args))
+            return made[-1]
+
+        monkeypatch.setattr(solvers, "_corner_schedule", counted)
+        fig2 = [(WeightMode.SUM_RATE, mu) for mu in (0.1, 0.5, 0.9)]
+        params = params_with()
+        rng = np.random.default_rng(41)
+        shared = 0
+        for _ in range(20):
+            made.clear()
+            outcomes = solve("P-OPT", random_drop(rng, params), params, fig2)
+            # objectives with one winner share its pairing object
+            assert len(made) == len({id(o.pairing) for o in outcomes})
+            shared += len(made) < len(fig2)
+        assert shared > 0
+
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
     def test_out_of_range_mu_anywhere_fails_before_weights(self, name, bad, monkeypatch):

@@ -30,6 +30,10 @@ interquartile range is wider than that bound and some change run does not
 beat every base run, since such a spread cannot tell a regression from
 noise.
 
+The console gets one line per workload and metric: both medians, the
+pairs the change won, the base's interquartile range, ``gain_met`` and, for
+end-to-end metrics, ``worse_beyond_bound``.
+
 With ``--traced-pairs N``, N more pairs per workload then run with
 ``--trace 1`` added, on the seeds after the untraced ones, interleaved
 and alternating in the same way.  Their runs are stored under ``traces``,
@@ -133,6 +137,19 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def summary_line(workload: str, name: str, entry: dict, pairs: int) -> str:
+    """The console line of one metric's summary entry: both medians, the
+    pairs won, the parent's interquartile range, whether the claim rule is
+    met and, for an end-to-end metric, whether it is worse beyond its bound."""
+    q1, _, q3 = entry["parent"]["quartiles"]
+    line = (f"{workload} {name}: {entry['parent']['median']:.6g} -> "
+            f"{entry['change']['median']:.6g} (change won {entry['change_won']}/{pairs}; "
+            f"parent IQR {q1:.6g}..{q3:.6g}; gain_met {str(entry['gain_met']).lower()}")
+    if "worse_beyond_bound" in entry:
+        line += f"; worse_beyond_bound {str(entry['worse_beyond_bound']).lower()}"
+    return line + ")"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
@@ -208,8 +225,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, entry in workloads.items():
         for name, m in entry["summary"]["metrics"].items():
-            print(f"{workload} {name}: {m['parent']['median']:.6g} -> "
-                  f"{m['change']['median']:.6g} (change won {m['change_won']}/{args.pairs})")
+            print(summary_line(workload, name, m, args.pairs))
     return 0
 
 
