@@ -360,21 +360,17 @@ def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
     files = []
     medians: dict[str, float] = {}
     gaps: dict[str, float | None] = {}
-    combos: dict[tuple, list[tuple]] = {}   # (strategy, mu, weight mode) -> metric rows
-    row = attrgetter(*METRIC_NAMES)
+    combos: dict[tuple, list[RunRecord]] = {}   # (strategy, mu, weight mode) -> records
     for r in records:
-        key = r.strategy, r.mu, r.weight_mode
-        rows = combos.get(key)
-        if rows is None:
-            rows = combos[key] = []
-        rows.append(row(r))
+        combos.setdefault((r.strategy, r.mu, r.weight_mode), []).append(r)
+    row = attrgetter(*METRIC_NAMES)
     formatted = {}   # CSV rows shared by this run's CDF files (CdfSeries.to_csv_lines)
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
             tag = f"mu={mu}|{mode.value}"
             for strategy in cfg.strategies:
-                rows = combos.get((strategy, mu, mode.value), [])
-                columns = dict(zip(METRIC_NAMES, zip(*rows)))   # empty without records
+                combo = combos.get((strategy, mu, mode.value), ())
+                columns = dict(zip(METRIC_NAMES, zip(*map(row, combo))))   # {} if no records
                 for metric in METRIC_NAMES:
                     series = metrics.empirical_cdf(
                         columns.get(metric, ()), metric=metric, strategy=strategy, mu=mu,

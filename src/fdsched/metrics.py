@@ -48,9 +48,10 @@ class CdfSeries:
     # use repr so files are byte-reproducible.
     def to_csv_lines(self, formatted: dict | None = None) -> list[str]:
         """The CSV lines.  formatted, when the series of one output stage
-        share it, keeps the spellings of each probability column and the rows
-        of each (value, probability) column pair, keyed by dtype and bytes,
-        so each is formatted once."""
+        share it, keeps the spellings of each probability column, and the
+        rows of each (value, probability) column pair from its second use
+        on, keyed by dtype and bytes: a column is spelled once or twice, and
+        the rows of a column used once are not held."""
         formatted = {} if formatted is None else formatted
         probabilities = self.probabilities.dtype.str, self.probabilities.tobytes()
         key = self.values.dtype.str, self.values.tobytes(), probabilities
@@ -59,7 +60,8 @@ class CdfSeries:
             spelled = formatted.get(probabilities)
             if spelled is None:
                 spelled = formatted[probabilities] = list(map(repr, self.probabilities.tolist()))
-            rows = formatted[key] = [f"{v!r},{p}" for v, p in zip(self.values.tolist(), spelled)]
+            rows = [f"{v!r},{p}" for v, p in zip(self.values.tolist(), spelled)]
+            formatted[key] = rows if key in formatted else None
         return [f"# {self.metric},{self.strategy},{float(self.mu)!r},{self.weight_mode}",
                 "value,probability", *rows]
 

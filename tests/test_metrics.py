@@ -137,7 +137,10 @@ class TestCsvRoundTrip:
                      for v, p in zip(cdf.values, cdf.probabilities)]
             assert cdf.to_csv_lines() == want
             assert cdf.to_csv_lines(formatted) == want
-        assert len(formatted) == 2 + 4   # two probability columns, four row sets
+        # two probability columns and four value columns; rows are kept for
+        # the one value column used more than once
+        assert len(formatted) == 2 + 4
+        assert sum(rows is not None for rows in formatted.values()) == 2 + 1
         assert {"-0.0", "5e-324", "1e+308", "0.30000000000000004", "nan"} <= {
             line.split(",")[0] for line in empirical_cdf(tricky).to_csv_lines()[2:]}
 
