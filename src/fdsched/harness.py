@@ -174,11 +174,12 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
         for (mode, mu), o in zip(objectives, outcomes):
             first = firsts.get(id(o.se_ul))
             if first is None:
-                column.append(firsts.setdefault(id(o.se_ul), RunRecord(
+                first = firsts[id(o.se_ul)] = RunRecord(
                     drop=drop_index, strategy=name, mu=mu, weight_mode=mode.value,
                     objective=o.objective, sum_se=o.sum_se, min_se=o.min_se, jain=o.jain,
                     se_ul=tuple(o.se_ul.tolist()), se_dl=tuple(o.se_dl.tolist()),
-                    seed=seed, gain_hash=table_hash)))
+                    seed=seed, gain_hash=table_hash)
+                column.append(first)
             else:
                 column.append(first.rescored(mu, mode.value, o.objective))
         columns.append(column)
