@@ -313,7 +313,8 @@ def _line_template(line: str) -> tuple[str, str]:
     are adjacent and weight_mode is last; no encoded number holds ', "', so
     that marks the key after objective."""
     head, rest = line.split(', "mu": ', 1)
-    return head, rest[rest.index(', "', rest.index('"objective": ')):rest.rindex(', "weight_mode": ')]
+    body = rest[rest.index(', "', rest.index('"objective": ')):rest.rindex(', "weight_mode": ')]
+    return head, body
 
 
 def _record_lines(records: list[RunRecord]):

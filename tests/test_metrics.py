@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +142,10 @@ class TestCsvRoundTrip:
         # the one value column used more than once
         assert len(formatted) == 2 + 4
         assert sum(rows is not None for rows in formatted.values()) == 2 + 1
+        # a hand-built series whose probabilities are not k/N shares nothing
+        halved = dataclasses.replace(cdf, probabilities=cdf.probabilities / 2)
+        assert halved.to_csv_lines(formatted)[2:] == [
+            f"{float(v)!r},{float(p)!r}" for v, p in zip(halved.values, halved.probabilities)]
         assert {"-0.0", "5e-324", "1e+308", "0.30000000000000004", "nan"} <= {
             line.split(",")[0] for line in empirical_cdf(tricky).to_csv_lines()[2:]}
 
