@@ -35,6 +35,19 @@ from oracles import (load_scenario, median_gap, modules_after, read_cdf_csv,
                      reference_drop_records)
 
 
+@pytest.fixture
+def templates(monkeypatch):
+    """The lines harness._line_template cuts, in order."""
+    cut = []
+
+    def counted(line, _cut=harness._line_template):
+        cut.append(line)
+        return _cut(line)
+
+    monkeypatch.setattr(harness, "_line_template", counted)
+    return cut
+
+
 def tiny_config(out_dir, iterations=4, parallelism=1, **params_kw):
     defaults = dict(num_ul=2, num_dl=2, num_channels=2, rng_seed=7)
     defaults.update(params_kw)
@@ -465,14 +478,7 @@ class TestRepeatedSchedules:
         assert shared > 0
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_written_lines_equal_json_dumps(self, tmp_path, parallelism, monkeypatch):
-        templates = []
-
-        def counted(line, _cut=harness._line_template):
-            templates.append(line)
-            return _cut(line)
-
-        monkeypatch.setattr(harness, "_line_template", counted)
+    def test_written_lines_equal_json_dumps(self, tmp_path, parallelism, templates):
         cfg = canned_experiments("fig2", seed=5, iterations=6, out_dir=str(tmp_path),
                                  parallelism=parallelism)
         run_experiment(cfg)
@@ -512,14 +518,7 @@ class TestEncodedLines:
                 for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
         assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
 
-    def test_rescored_line_with_tricky_reprs(self, monkeypatch):
-        templates = []
-
-        def counted(line, _cut=harness._line_template):
-            templates.append(line)
-            return _cut(line)
-
-        monkeypatch.setattr(harness, "_line_template", counted)
+    def test_rescored_line_with_tricky_reprs(self, templates):
         solved = RunRecord(drop=3, strategy="R-EPA", mu=0.5, weight_mode="SR",
                            objective=2.5, sum_se=4.0, min_se=0.25, jain=0.75,
                            se_ul=(0.25, 1.5), se_dl=(2.25, -0.0), seed="7:3",
