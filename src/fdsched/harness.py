@@ -21,8 +21,10 @@ Outputs per run directory:
   summary.json   medians and pairwise median gaps
   timing.log     wall-clock sidecar; the only non-deterministic file
 
-A parallel run hands each worker process a contiguous block of drops and
-merges the blocks back in drop order.
+A parallel run forks one child per contiguous block of drops, at most
+parallelism of them, and merges the blocks back in drop order.  Each child
+pickles its block's result into its own pipe.  Where os.fork is missing
+(Windows) a parallel run is a serial one.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import time
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -190,15 +193,15 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
 
 
 class _WorkerTraceback(Exception):
-    """Traceback text of an exception raised in a pool worker."""
+    """Traceback text of an exception raised in a forked worker."""
 
 
 def _run_block(cfg: ExperimentConfig, lo: int, hi: int):
     """Worker: drops lo..hi-1 in order, stopping at the first failure.
 
     Returns the finished drops' results, the exception that stopped the
-    block with its traceback text (None if all finished), the worker pid
-    and the block's wall time.
+    block with its traceback text (None if all finished) and the block's
+    wall time.
     """
     started = time.perf_counter()
     results = []
@@ -209,7 +212,75 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int):
     except Exception as exc:  # noqa: BLE001 - re-raised by the parent
         import traceback
         error = exc, traceback.format_exc()
-    return results, error, os.getpid(), time.perf_counter() - started
+    return results, error, time.perf_counter() - started
+
+
+def _block_child(write_end: int, cfg: ExperimentConfig, lo: int, hi: int):
+    """In a forked child: pickle _run_block's result into the pipe and exit,
+    with status 0 once the whole result is written and 1 on any failure.
+    Never returns, so the child never runs the parent's code after fork."""
+    status = 1
+    try:
+        with open(write_end, "wb") as pipe:
+            pickle.dump(_run_block(cfg, lo, hi), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(cfg: ExperimentConfig, out: Path, records: list[RunRecord],
+                timings: list[str]) -> list[str]:
+    """Run the drops in min(iterations, parallelism) contiguous blocks, one
+    forked child each, and merge the blocks with _merge_drop in drop order.
+    Returns one timing line per block.
+
+    On an early exit (a failed block, a child that died without a result,
+    KeyboardInterrupt) every child whose result was not read is killed;
+    closing its pipe would not stop it, since later children hold the read
+    ends of earlier pipes.  Every child is reaped before this returns or
+    raises.
+    """
+    n_blocks = min(cfg.iterations, cfg.parallelism)
+    edges = [cfg.iterations * b // n_blocks for b in range(n_blocks + 1)]
+    children = []   # (pid, read end of its pipe, lo, hi) of each child not yet reaped
+    try:
+        for lo, hi in zip(edges, edges[1:]):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _block_child(write_end, cfg, lo, hi)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb"), lo, hi))
+        block_lines = []
+        while children:
+            pid, pipe, lo, hi = children[0]
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status != 0:
+                raise RuntimeError(f"the worker of drops {lo}-{hi - 1} ended without "
+                                   f"a result (wait status {status})")
+            results, error, elapsed = pickle.loads(data)
+            for k, result in enumerate(results, lo):
+                _merge_drop(out, k, result, records, timings)
+            if error is not None:
+                raise error[0] from _WorkerTraceback(error[1])
+            block_lines.append(f"drops {lo}-{hi - 1}: pid {pid}, {elapsed:.4f} s")
+        return block_lines
+    finally:
+        if children:   # an early exit; signal is imported only here
+            import signal
+            for pid, pipe, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                pipe.close()
+            for pid, *_ in children:
+                os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,34 +307,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     records: list[RunRecord] = []
     timings: list[str] = []
     try:
-        if cfg.parallelism == 1:
+        if cfg.parallelism > 1 and hasattr(os, "fork"):
+            timings.extend(_run_forked(cfg, out, records, timings))
+        else:
             for k in range(cfg.iterations):
                 _merge_drop(out, k, _run_drop(cfg, k), records, timings)
-        else:
-            # the pool's modules: not loaded by a serial run
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            # workers must inherit the parent's state (the pool tests patch
-            # the parent), so a forkserver default, Python 3.14's on Linux,
-            # gives way to fork; a spawn default (macOS, Windows) stays
-            context = multiprocessing.get_context()
-            if context.get_start_method() == "forkserver":
-                context = multiprocessing.get_context("fork")
-            n_blocks = min(cfg.iterations, 4 * cfg.parallelism)
-            edges = [cfg.iterations * b // n_blocks for b in range(n_blocks + 1)]
-            blocks = list(zip(edges, edges[1:]))
-            block_lines = []
-            with ProcessPoolExecutor(max_workers=min(cfg.parallelism, n_blocks),
-                                     mp_context=context) as pool:
-                futures = [pool.submit(_run_block, cfg, lo, hi) for lo, hi in blocks]
-                for (lo, hi), future in zip(blocks, futures):
-                    results, error, pid, elapsed = future.result()
-                    for k, result in enumerate(results, lo):
-                        _merge_drop(out, k, result, records, timings)
-                    if error is not None:
-                        raise error[0] from _WorkerTraceback(error[1])
-                    block_lines.append(f"drops {lo}-{hi - 1}: pid {pid}, {elapsed:.4f} s")
-            timings.extend(block_lines)
     except Exception as exc:
         _flush_records(out, records)
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")

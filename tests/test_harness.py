@@ -2,9 +2,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import multiprocessing
+import os
 import re
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -579,7 +580,7 @@ class TestFlushRecords:
 
 
 class TestPoolBlocks:
-    """Parallel runs hand out contiguous blocks of drops (4 per worker)."""
+    """Parallel runs fork one worker per contiguous block of drops."""
 
     @pytest.mark.parametrize("iterations", [7, 1])
     def test_outputs_identical_across_parallelism(self, tmp_path, iterations):
@@ -619,44 +620,100 @@ class TestPoolBlocks:
         per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
         assert drops == [k for k in range(failing) for _ in range(per_drop)]
 
-    @pytest.mark.parametrize("default, used", [
-        ("fork", "fork"), ("forkserver", "fork"), ("spawn", "spawn")])
-    def test_start_method(self, tmp_path, monkeypatch, default, used):
-        # the tests above patch the parent and rely on workers inheriting it,
-        # so a forkserver default (Python 3.14's on Linux) is replaced by
-        # fork; a spawn default (macOS, Windows) is kept
-        import concurrent.futures
-
-        if used not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"the platform offers no {used}")
-        get_context = multiprocessing.get_context
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method=None: get_context(method or default))
-        contexts = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, mp_context=None, **kwargs):
-                contexts.append(mp_context)
-                super().__init__(*args, mp_context=mp_context, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        run_experiment(tiny_config(tmp_path / "f", iterations=2, parallelism=2))
-        assert [ctx.get_start_method() for ctx in contexts] == [used]
-
     def test_timing_log_has_one_line_per_block(self, tmp_path):
         run_experiment(tiny_config(tmp_path / "t", iterations=9, parallelism=2))
         lines = (tmp_path / "t" / "timing.log").read_text().splitlines()[1:]
         assert [line.split(":")[0] for line in lines[:9]] == [f"drop {k}" for k in range(9)]
         blocks = [line.split(":")[0] for line in lines[9:]]
-        # 9 drops in 8 blocks: edges at 9 * b // 8
-        assert blocks == ["drops 0-0", "drops 1-1", "drops 2-2", "drops 3-3",
-                          "drops 4-4", "drops 5-5", "drops 6-6", "drops 7-8"]
+        # 9 drops in 2 blocks, one per worker: edges at 9 * b // 2
+        assert blocks == ["drops 0-3", "drops 4-8"]
         assert all(" pid " in line and line.endswith(" s") for line in lines[9:])
 
+    @pytest.mark.parametrize("second_block, status", [
+        (lambda: os._exit(3), 3 << 8),                       # exits inside the block
+        (lambda: ([], None, lambda: None), 1 << 8),          # a result pickle refuses
+    ], ids=["exit", "unpicklable"])
+    def test_worker_without_a_result_keeps_earlier_blocks(self, tmp_path, monkeypatch,
+                                                           second_block, status):
+        real_run_block = harness._run_block
 
-# The process pool's packages, its workers' traceback capture and logging:
-# a serial run needs none of them, so it must not pay for importing them
-# (README, "Runtime dependency").
+        def run_block(cfg, lo, hi):
+            return real_run_block(cfg, lo, hi) if lo == 0 else second_block()
+
+        monkeypatch.setattr(harness, "_run_block", run_block)
+        cfg = tiny_config(tmp_path / "fail", iterations=6, parallelism=2)
+        pid = os.getpid()
+        message = f"worker of drops 3-5 ended without a result (wait status {status})"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            run_experiment(cfg)
+        assert os.getpid() == pid   # the worker never returned into this stack
+        out = tmp_path / "fail"
+        assert (out / "FAILED").read_text() == f"RuntimeError: the {message}\n"
+        drops = [json.loads(line)["drop"]
+                 for line in (out / "records.jsonl").read_text().splitlines()]
+        per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
+        assert drops == [k for k in range(3) for _ in range(per_drop)]
+
+    @pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
+    def test_an_early_exit_kills_and_reaps_every_worker(self, tmp_path, monkeypatch, stop):
+        # drop 1 fails in block 0's worker, or the parent is interrupted while
+        # it merges block 0; the workers of blocks 1 and 2 would sleep far
+        # past the run
+        real_run_block, real_drop_rng = harness._run_block, harness.drop_rng
+
+        def run_block(cfg, lo, hi):
+            if lo > 0:
+                time.sleep(60)
+            return real_run_block(cfg, lo, hi)
+
+        def failing_drop_rng(master_seed, drop_index, role):
+            if drop_index == 1:
+                raise RuntimeError("drop 1 failed")
+            return real_drop_rng(master_seed, drop_index, role)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "_run_block", run_block)
+        if stop is RuntimeError:
+            monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
+        else:
+            monkeypatch.setattr(harness, "_merge_drop", interrupted)
+        started = time.monotonic()
+        with pytest.raises(stop) as excinfo:
+            run_experiment(tiny_config(tmp_path / "stop", iterations=6, parallelism=3))
+        if stop is RuntimeError:
+            assert "in _run_drop" in str(excinfo.value.__cause__)   # a failed block
+        assert time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_workers_cpu_time_counts_as_reaped_children(self, tmp_path):
+        import resource
+
+        def children_cpu_s():
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return usage.ru_utime + usage.ru_stime
+
+        before = children_cpu_s()
+        run_experiment(tiny_config(tmp_path / "cpu", iterations=40, parallelism=2))
+        assert children_cpu_s() > before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_a_parallel_run_is_serial(self, tmp_path, monkeypatch):
+        run_experiment(tiny_config(tmp_path / "p1", iterations=5))
+        monkeypatch.delattr(os, "fork")
+        run_experiment(tiny_config(tmp_path / "p2", iterations=5, parallelism=2))
+        assert (read_deterministic_outputs(tmp_path / "p2")
+                == read_deterministic_outputs(tmp_path / "p1"))
+        lines = (tmp_path / "p2" / "timing.log").read_text().splitlines()[1:]
+        assert [line.split(":")[0] for line in lines] == [f"drop {k}" for k in range(5)]
+
+
+# A process pool's packages, a worker's traceback capture and logging: a
+# run's parent process needs none of them, serial or parallel, so it must
+# not pay for importing them (README, "Runtime dependency").
 POOL_PACKAGES = ("concurrent", "multiprocessing", "logging", "traceback")
 
 
@@ -676,8 +733,8 @@ class TestImportFootprint:
     def test_serial_run_loads_no_pool(self, tmp_path):
         assert modules_after(run_script(tmp_path, 1), *POOL_PACKAGES) == []
 
-    def test_parallel_run_loads_the_pool(self, tmp_path):
-        assert "concurrent.futures" in modules_after(run_script(tmp_path, 2), *POOL_PACKAGES)
+    def test_parallel_run_loads_no_pool(self, tmp_path):
+        assert modules_after(run_script(tmp_path, 2), *POOL_PACKAGES) == []
 
 
 class TestSeeding:
