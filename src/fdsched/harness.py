@@ -10,9 +10,9 @@ mu) objectives, each after the first from the generator state the first
 began with, and the records keep the (weight mode, mu, strategy) order.
 Outcomes of one solve that share SE arrays (a schedule that several
 objectives chose, evaluated once and rescored, as every R-EPA schedule is)
-give records derived from the first one, sharing its pair of SE tuples;
-their records.jsonl lines are filled into the first one's encoded line,
-cut once around mu, the objective and the weight mode.
+give records derived from the first one, sharing its pair of SE tuples.
+One records.jsonl line per schedule is encoded with a hole in each field a
+rescoring changes (_RESCORED), and each of its lines fills in the holes.
 
 Outputs per run directory:
   config.json    resolved configuration (deterministic)
@@ -131,6 +131,10 @@ def _gain_hash(gains: GainTable) -> str:
 # Records
 # ---------------------------------------------------------------------------
 
+# The fields in which the records of one evaluated schedule differ, sorted
+_RESCORED = ("mu", "objective", "weight_mode")
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """Metrics of one (drop, strategy, mu, weight mode) evaluation."""
@@ -148,11 +152,11 @@ class RunRecord:
     seed: str
     gain_hash: str
 
-    def rescored(self, mu: float, weight_mode: str, objective: float) -> "RunRecord":
-        """This record of an evaluated schedule under another objective: the
-        same SE tuples and metrics, without running __init__ again."""
+    def rescored(self, mu: float, objective: float, weight_mode: str) -> "RunRecord":
+        """This record of an evaluated schedule with other _RESCORED fields:
+        the same SE tuples and metrics, without running __init__ again."""
         repeat = object.__new__(RunRecord)
-        repeat.__dict__.update(vars(self), mu=mu, weight_mode=weight_mode, objective=objective)
+        repeat.__dict__.update(vars(self), mu=mu, objective=objective, weight_mode=weight_mode)
         return repeat
 
 
@@ -184,7 +188,7 @@ def _run_drop(cfg: ExperimentConfig, drop_index: int):
                     seed=seed, gain_hash=table_hash)
                 column.append(first)
             else:
-                column.append(first.rescored(mu, mode.value, o.objective))
+                column.append(first.rescored(mu, o.objective, mode.value))
         columns.append(column)
     records = [r for objective_records in zip(*columns) for r in objective_records]
     elapsed = time.perf_counter() - started
@@ -354,44 +358,37 @@ def _encode_float(x: float) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-def _line_template(line: str) -> tuple[str, str]:
-    """A solved record's records.jsonl line cut around the only fields a
-    rescoring changes: the text before mu, and the text from the key after
-    the objective up to weight_mode.  In sorted key order mu and objective
-    are adjacent and weight_mode is last; no encoded number holds ', "', so
-    that marks the key after objective."""
-    head, rest = line.split(', "mu": ', 1)
-    body = rest[rest.index(', "', rest.index('"objective": ')):rest.rindex(', "weight_mode": ')]
-    return head, body
+def _hole_template(r: RunRecord) -> list:
+    """r's records.jsonl line cut at a hole in each _RESCORED field (encoded
+    "\x00", which no other field's text holds), with a slot for each field's
+    value between the pieces; sorted keys keep the fields in _RESCORED order."""
+    pieces = _ENCODER.encode({**vars(r), **dict.fromkeys(_RESCORED, "\x00")}).split(
+        _ENCODER.encode("\x00"))
+    template = [None] * (2 * len(pieces) - 1)
+    template[::2] = pieces
+    return template
+
+
+_rescored_values = attrgetter(*_RESCORED)
 
 
 def _record_lines(records: list[RunRecord]):
     """Yield the records.jsonl lines: json.dumps(vars(r), sort_keys=True) of
     each.  _run_drop shares SE tuple objects only among the records of one
-    evaluated schedule, so a drop's records of one strategy with the same
-    tuples differ only in mu, the objective and the weight mode: the first is
-    encoded and cut once (_line_template), and the later ones are filled in.
-    Only the current drop's templates are held.  Each weight mode is spelled
-    once; mu is spelled per line, since 0.0 and -0.0 are one dict key.
-    (Encoding in _run_drop, between solves, measured slower.)"""
-    solved, drop = {}, None
-    tails = {}   # weight mode -> its encoded last field
+    evaluated schedule, so those differ only in their _RESCORED fields: each
+    schedule's line is cut once (_hole_template), and every line of it is
+    filled in.  Only the current drop's templates are held.  (Encoding in
+    _run_drop, between solves, measured slower.)"""
+    templates, drop = {}, None
     for r in records:
         if r.drop != drop:   # records come in drop order; hold one drop's templates
-            solved, drop = {}, r.drop
+            templates, drop = {}, r.drop
         key = r.strategy, id(r.se_ul), id(r.se_dl)   # () is one object
-        template = solved.get(key)
+        template = templates.get(key)
         if template is None:
-            line = _ENCODER.encode(vars(r))
-            solved[key] = _line_template(line)
-            yield line
-            continue
-        tail = tails.get(r.weight_mode)
-        if tail is None:
-            tail = tails[r.weight_mode] = f', "weight_mode": {_ENCODER.encode(r.weight_mode)}}}'
-        head, body = template
-        yield (f'{head}, "mu": {_encode_float(r.mu)}, "objective": '
-               f'{_encode_float(r.objective)}{body}{tail}')
+            template = templates[key] = _hole_template(r)
+        template[1::2] = map(_encode_float, _rescored_values(r))
+        yield "".join(template)
 
 
 def _flush_records(out: Path, records: list[RunRecord]) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -15,11 +16,11 @@ import pytest
 from fdsched import harness
 from fdsched.cli import main
 from fdsched.harness import (
+    _RESCORED,
     ConfigError,
     ExperimentConfig,
     RunRecord,
     _encode_float,
-    _line_template,
     _record_lines,
     _run_drop,
     canned_experiments,
@@ -38,15 +39,15 @@ from oracles import (load_scenario, median_gap, modules_after, read_cdf_csv,
 
 @pytest.fixture
 def templates(monkeypatch):
-    """The lines harness._line_template cuts, in order."""
-    cut = []
+    """The records harness._hole_template builds a line template of, in order."""
+    built = []
 
-    def counted(line, _cut=harness._line_template):
-        cut.append(line)
-        return _cut(line)
+    def counted(r, _build=harness._hole_template):
+        built.append(r)
+        return _build(r)
 
-    monkeypatch.setattr(harness, "_line_template", counted)
-    return cut
+    monkeypatch.setattr(harness, "_hole_template", counted)
+    return built
 
 
 def tiny_config(out_dir, iterations=4, parallelism=1, **params_kw):
@@ -533,18 +534,27 @@ class TestEncodedLines:
             for mode in ("PL", "SR")]
         assert list(_record_lines(records)) == [json.dumps(vars(r), sort_keys=True)
                                                 for r in records]
-        assert templates == [json.dumps(vars(solved), sort_keys=True)]
+        assert len(templates) == 1 and templates[0] is solved
 
-    def test_line_template_cuts_around_the_rescored_fields(self):
-        solved = RunRecord(drop=3, strategy="R-EPA", mu=-0.0, weight_mode="SR",
-                           objective=float("nan"), sum_se=4.0, min_se=5e-324, jain=0.75,
-                           se_ul=(1e22,), se_dl=(), seed="7:3", gain_hash="0123abcd")
-        line = json.dumps(vars(solved), sort_keys=True)
-        head, body = _line_template(line)
-        assert head == '{"drop": 3, "gain_hash": "0123abcd", "jain": 0.75, "min_se": 5e-324'
-        assert body == ', "se_dl": [], "se_ul": [1e+22], "seed": "7:3", "strategy": "R-EPA", ' \
-                       '"sum_se": 4.0'
-        assert line == f'{head}, "mu": -0.0, "objective": NaN{body}, "weight_mode": "SR"}}'
+    def test_a_field_that_sorts_between_the_rescored_ones_is_kept(self):
+        @dataclasses.dataclass(frozen=True)
+        class PairCountRecord(RunRecord):
+            n_pairs: int = 0   # sorts between mu and objective
+
+        solved = [PairCountRecord(drop=0, strategy="R-EPA", mu=0.1, weight_mode="SR",
+                                  objective=1.5, sum_se=4.0, min_se=0.25, jain=0.75,
+                                  se_ul=(0.25 * n, 1.5), se_dl=(2.25,), seed="1:0",
+                                  gain_hash="0123abcd", n_pairs=n) for n in (1, 2)]
+        records = [dataclasses.replace(first, mu=mu, objective=objective, weight_mode=mode)
+                   for first in solved for mode in ("SR", "PL") for mu in (0.1, 0.9)
+                   for objective in (first.objective, -0.0)]
+        assert all(r.se_ul is solved[r.n_pairs - 1].se_ul for r in records)
+        assert list(_record_lines(records)) == [json.dumps(vars(r), sort_keys=True)
+                                                for r in records]
+
+    def test_rescored_fields_are_sorted_and_are_what_rescored_takes(self):
+        assert list(_RESCORED) == sorted(_RESCORED)
+        assert tuple(inspect.signature(RunRecord.rescored).parameters)[1:] == _RESCORED
 
     def test_encode_float_matches_json_dumps(self):
         values = [0.0, -0.0, 1e-320, 1e22, sys.float_info.max, float("nan"),
