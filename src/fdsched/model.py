@@ -207,11 +207,6 @@ class Pairing:
                 raise ValueError("pairing views are inconsistent")
 
     @classmethod
-    def from_ul_partners(cls, partners: Sequence[Optional[int]], num_dl: int) -> "Pairing":
-        return cls.from_pairs([(i, j) for i, j in enumerate(partners) if j is not None],
-                              len(partners), num_dl)
-
-    @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, int]], num_ul: int, num_dl: int) -> "Pairing":
         """The pairing of (UL, DL) index pairs; ValueError for an index out of
         range or a user in more than one pair."""
@@ -277,9 +272,6 @@ class ScheduleOutcome:
     def __post_init__(self):
         object.__setattr__(self, "se_ul", _readonly(self.se_ul))
         object.__setattr__(self, "se_dl", _readonly(self.se_dl))
-
-    def all_se(self) -> np.ndarray:
-        return np.concatenate([self.se_ul, self.se_dl])
 
     def rescored(self, pairing: Pairing, powers: PowerAllocation,
                  objective: float) -> "ScheduleOutcome":

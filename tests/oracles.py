@@ -204,6 +204,17 @@ def reference_outcome_metrics(
     )
 
 
+def pairing_from_ul_partners(partners, num_dl: int) -> Pairing:
+    """The pairing of UL user i with DL user partners[i]; None leaves it solo."""
+    return Pairing.from_pairs([(i, j) for i, j in enumerate(partners) if j is not None],
+                              len(partners), num_dl)
+
+
+def all_se(outcome: ScheduleOutcome) -> np.ndarray:
+    """Every user's SE of an outcome, UL users first."""
+    return np.concatenate([outcome.se_ul, outcome.se_dl])
+
+
 def pairing_matrix(pairing: Pairing) -> np.ndarray:
     """0/1 pairing matrix with row and column sums at most one."""
     x = np.zeros((len(pairing.partner_of_ul), len(pairing.partner_of_dl)))

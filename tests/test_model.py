@@ -16,7 +16,7 @@ from fdsched.model import (
 from fdsched import solvers
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import STRATEGIES, solve
-from oracles import pairing_matrix, validate_gain_table
+from oracles import pairing_from_ul_partners, pairing_matrix, validate_gain_table
 
 
 class TestUnitConversions:
@@ -113,14 +113,14 @@ class TestValidateParams:
 
 class TestPairing:
     def test_views_are_symmetric(self):
-        p = Pairing.from_ul_partners([2, None, 0], num_dl=3)
+        p = pairing_from_ul_partners([2, None, 0], num_dl=3)
         assert p.partner_of_dl == (2, None, 0)
         assert p.num_pairs == 2
         assert p.pairs() == [(0, 2), (2, 0)]
 
     def test_duplicate_partner_rejected(self):
         with pytest.raises(ValueError):
-            Pairing.from_ul_partners([1, 1], num_dl=2)
+            pairing_from_ul_partners([1, 1], num_dl=2)
 
     @pytest.mark.parametrize("pairs", [[(-1, 0)], [(2, 0)], [(0, -1)], [(0, 2)]])
     def test_index_out_of_range_rejected(self, pairs):
@@ -146,7 +146,7 @@ class TestPairing:
             partners = []
             for _ in range(num_ul):
                 partners.append(int(dl_pool.pop()) if dl_pool and rng.random() < 0.7 else None)
-            x = pairing_matrix(Pairing.from_ul_partners(partners, num_dl))
+            x = pairing_matrix(pairing_from_ul_partners(partners, num_dl))
             assert set(np.unique(x)) <= {0.0, 1.0}
             assert x.sum(axis=0).max(initial=0) <= 1
             assert x.sum(axis=1).max(initial=0) <= 1

@@ -24,11 +24,13 @@ from fdsched.radio import (
 )
 from fdsched.scenario import build_gain_table
 from oracles import (
+    all_se,
     evaluate_pair,
     evaluate_solo_dl,
     evaluate_solo_ul,
     pair_edge_powers,
     pair_max_min_powers,
+    pairing_from_ul_partners,
     power_candidates,
     reference_outcome_metrics,
     sinr_dl,
@@ -244,12 +246,12 @@ class TestOutcomeMetrics:
         g = random_table(rng, 2, 2)
         params = params_with(num_ul=2, num_dl=2, num_channels=4)
         w = make_weights(WeightMode.SUM_RATE, g)
-        pairing = Pairing.from_ul_partners([None, None], 2)
+        pairing = pairing_from_ul_partners([None, None], 2)
         powers = PowerAllocation(np.full(2, params.p_max_ul_w),
                                  np.full(2, params.p_max_dl_w))
         out = outcome_metrics(pairing, powers, g, params, w, 0.3)
         se = np.log2(1 + params.p_max_ul_w * np.concatenate([g.g_ul, g.g_dl]) / NOISE)
-        assert out.all_se() == pytest.approx(se)
+        assert all_se(out) == pytest.approx(se)
         assert out.objective == pytest.approx(0.7 * se.sum() + 0.3 * se.min())
 
     def test_mu_one_objective_is_min(self):
@@ -257,7 +259,7 @@ class TestOutcomeMetrics:
         g = random_table(rng)
         params = params_with()
         w = make_weights(WeightMode.SUM_RATE, g)
-        pairing = Pairing.from_ul_partners([0, 1, 2, 3], 4)
+        pairing = pairing_from_ul_partners([0, 1, 2, 3], 4)
         powers = PowerAllocation(np.full(4, params.p_max_ul_w),
                                  np.full(4, params.p_max_dl_w))
         out = outcome_metrics(pairing, powers, g, params, w, 1.0)
@@ -271,7 +273,7 @@ class TestOutcomeMetrics:
             mu = float(rng.random())
             w = make_weights(WeightMode.SUM_RATE, g)
             ev = evaluate_pair(0, 0, g, params, w, mu)
-            pairing = Pairing.from_ul_partners([0], 1)
+            pairing = pairing_from_ul_partners([0], 1)
             powers = PowerAllocation(np.array([ev.best_powers[0]]),
                                      np.array([ev.best_powers[1]]))
             out = outcome_metrics(pairing, powers, g, params, w, mu)
@@ -288,7 +290,7 @@ class TestOutcomeMetrics:
             ev12 = evaluate_pair(1, 2, g, params, w, 0.0)
             se_solo_u, contrib_u = evaluate_solo_ul(2, g, params, w, 0.0)
             _, contrib_d = evaluate_solo_dl(0, g, params, w, 0.0)
-            pairing = Pairing.from_ul_partners([1, 2, None], 3)
+            pairing = pairing_from_ul_partners([1, 2, None], 3)
             p_ul = np.array([ev01.best_powers[0], ev12.best_powers[0], params.p_max_ul_w])
             p_dl = np.array([params.p_max_dl_w, ev01.best_powers[1], ev12.best_powers[1]])
             out = outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), g, params, w, 0.0)
@@ -302,15 +304,15 @@ class TestOutcomeMetrics:
             params = params_with()
             mu = float(rng.random())
             w = make_weights(WeightMode.SUM_RATE, g)
-            pairing = Pairing.from_ul_partners(list(rng.permutation(4)), 4)
+            pairing = pairing_from_ul_partners(list(rng.permutation(4)), 4)
             powers = PowerAllocation(np.full(4, params.p_max_ul_w),
                                      np.full(4, params.p_max_dl_w))
             out = outcome_metrics(pairing, powers, g, params, w, mu)
             recomputed = ((1 - mu) * (w.alpha_ul @ out.se_ul + w.alpha_dl @ out.se_dl)
-                          + mu * out.all_se().min())
+                          + mu * all_se(out).min())
             assert out.objective == pytest.approx(recomputed, rel=1e-9)
-            assert out.min_se == out.all_se().min()
-            assert out.sum_se == pytest.approx(out.all_se().sum(), rel=1e-12)
+            assert out.min_se == all_se(out).min()
+            assert out.sum_se == pytest.approx(all_se(out).sum(), rel=1e-12)
 
     @pytest.mark.parametrize("num_ul, num_dl, num_channels",
                              [(4, 4, 4), (3, 5, 8), (5, 2, 6), (6, 6, 9), (0, 3, 3),
@@ -355,7 +357,7 @@ class TestOutcomeMetrics:
         params = params_with(num_ul=1, num_dl=1, num_channels=1)
         w = make_weights(WeightMode.SUM_RATE, g)
         with pytest.raises(ValueError):
-            outcome_metrics(Pairing.from_ul_partners([None, None], 1),
+            outcome_metrics(pairing_from_ul_partners([None, None], 1),
                             PowerAllocation(np.ones(2), np.ones(1)), g, params, w, 0.5)
 
 

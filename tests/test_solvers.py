@@ -24,7 +24,8 @@ from fdsched.solvers import (
     solve_p_opt,
     solve_r_epa,
 )
-from oracles import dual_multipliers, modules_after, power_candidates
+from oracles import (dual_multipliers, modules_after, pairing_from_ul_partners,
+                     power_candidates)
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10
@@ -184,12 +185,11 @@ class TestPOpt:
         w = sr(g)
         out = solve_p_opt(g, params, [(w, 0.0)])[0]
         candidates = []
-        from fdsched.model import Pairing, PowerAllocation
-        solo = outcome_metrics(Pairing.from_ul_partners([None], 1),
+        solo = outcome_metrics(pairing_from_ul_partners([None], 1),
                                PowerAllocation(np.array([params.p_max_ul_w]),
                                                np.array([params.p_max_dl_w])),
                                g, params, w, 0.0)
-        paired_off = outcome_metrics(Pairing.from_ul_partners([0], 1),
+        paired_off = outcome_metrics(pairing_from_ul_partners([0], 1),
                                      PowerAllocation(np.array([params.p_max_ul_w]),
                                                      np.array([0.0])),
                                      g, params, w, 0.0)
@@ -400,7 +400,7 @@ class TestPOptAtScale:
                 # a random perfect matching, half the samples at (Pmax, Pmax)
                 corners = rng.integers(0, 3, 25) if n % 2 else np.zeros(25, int)
                 powers = np.array([points[c] for c in corners])
-                pairing = Pairing.from_ul_partners(rng.permutation(25).tolist(), 25)
+                pairing = pairing_from_ul_partners(rng.permutation(25).tolist(), 25)
                 sample = outcome_metrics(pairing, PowerAllocation(powers[:, 0], powers[:, 1]),
                                          g, params, w, 0.0)
                 for mu, c in zip(mus, ceiling):
