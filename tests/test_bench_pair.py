@@ -125,6 +125,15 @@ class TestSummarize:
         assert not summary["all_correct"]
         assert summary["failed"] == {"parent": 0, "change": 2}
 
+    def test_console_line_shows_whether_the_outputs_moved(self):
+        pairs = make_pairs([(100.0, 8.0)] * 3, [(101.0, 8.0)] * 3,
+                           change_digests=["d0", "d1", "d0"])
+        pairs[0]["parent"]["result"].update(correct=False, failed=1)
+        pairs[2]["change"]["result"].update(correct=False, failed=4)
+        summary = bench_pair.summarize(pairs, METRICS)
+        assert bench_pair.outputs_line("fig2-p2", summary) == (
+            "fig2-p2: digests_equal 2/3; failed parent 1, change 4")
+
 
 @pytest.mark.skipif(shutil.which("git") is None or shutil.which("tar") is None,
                     reason="needs git and tar")
@@ -201,12 +210,15 @@ def test_main_records_every_workload(tmp_path, monkeypatch, capsys):
         drops = entry["summary"]["metrics"]["drops_per_s"]
         assert drops["parent"]["median"] == base and drops["change"]["median"] == base + 1
         assert drops["change_won"] == 3
-    # one console line per workload and metric, with the claim and bound fields
+    # per workload, one console line on its outputs and one per metric, with
+    # the claim and bound fields
     assert capsys.readouterr().out.splitlines() == [
+        "mc-epa-p1: digests_equal 3/3; failed parent 0, change 0",
         "mc-epa-p1 drops_per_s: 200 -> 201 (change won 3/3; parent IQR 200..200; "
         "gain_met true; worse_beyond_bound false)",
         "mc-epa-p1 cpu_ms_per_drop: 8 -> 8 (change won 0/3; parent IQR 8..8; "
         "gain_met false; worse_beyond_bound false)",
+        "fig3-p1: digests_equal 3/3; failed parent 0, change 0",
         "fig3-p1 drops_per_s: 100 -> 101 (change won 3/3; parent IQR 100..100; "
         "gain_met true; worse_beyond_bound false)",
         "fig3-p1 cpu_ms_per_drop: 8 -> 8 (change won 0/3; parent IQR 8..8; "

@@ -30,9 +30,10 @@ interquartile range is wider than that bound and some change run does not
 beat every base run, since such a spread cannot tell a regression from
 noise.
 
-The console gets one line per workload and metric: both medians, the
-pairs the change won, the base's interquartile range, ``gain_met`` and, for
-end-to-end metrics, ``worse_beyond_bound``.
+The console gets, per workload, one line with the pairs whose output
+digests were equal and each side's failed operations, then one line per
+metric: both medians, the pairs the change won, the base's interquartile
+range, ``gain_met`` and, for end-to-end metrics, ``worse_beyond_bound``.
 
 With ``--traced-pairs N``, N more pairs per workload then run with
 ``--trace 1`` added, on the seeds after the untraced ones, interleaved
@@ -150,6 +151,14 @@ def summary_line(workload: str, name: str, entry: dict, pairs: int) -> str:
     return line + ")"
 
 
+def outputs_line(workload: str, summary: dict) -> str:
+    """The console line of whether a workload's outputs moved: the pairs
+    with equal digests and the failed operations of each side."""
+    failed = summary["failed"]
+    return (f"{workload}: digests_equal {summary['digests_equal']}/{summary['pairs']}; "
+            f"failed parent {failed['parent']}, change {failed['change']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
@@ -224,6 +233,7 @@ def main(argv=None) -> int:
         record["traces"] = traces
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, entry in workloads.items():
+        print(outputs_line(workload, entry["summary"]))
         for name, m in entry["summary"]["metrics"].items():
             print(summary_line(workload, name, m, args.pairs))
     return 0
