@@ -23,6 +23,13 @@ from .model import Pairing
 # cost more than the pruned scan saved (ROADMAP item 6, "Cost vs cell size").
 _PRUNE_MIN_SPARE_ENTRIES = 256
 
+# A stack of fewer problems than this goes to the scalar solver one matrix
+# at a time: below it the lockstep rounds' fixed numpy cost outweighs the
+# scalar loops they replace (measured break-even near 30 problems at
+# 25 x 25; at 4 x 4 near 100 for the solve alone, and below 90 once the
+# per-matrix calls it saves are counted).
+_LOCKSTEP_MIN_PROBLEMS = 50
+
 
 def _selected_total(values: np.ndarray, assignment: dict[int, int]) -> float:
     rows = sorted(assignment)
@@ -146,6 +153,104 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     return col_of_row
 
 
+def _min_cost_assignments(costs: np.ndarray, tops: np.ndarray | None = None) -> np.ndarray:
+    """_min_cost_assignment of every cost of a (B, n, m) stack, n <= m, in
+    lockstep: the (B, n) columns of each problem's rows.  With tops, (B,),
+    costs[b] holds benefits and problem b's cost is tops[b] - costs[b],
+    computed a row at a time as the search reads it, so the stack's costs
+    are never held whole.
+
+    One round does, for every problem still searching, one tree step of the
+    scalar solver as a few numpy calls over the stack: the scan of its
+    unreached columns, the argmin and the potential update.  A problem
+    whose step reaches an unmatched column augments its path and starts
+    its next row in the next round while the others go on searching, so
+    each problem inserts its rows at its own pace.  A finished problem
+    leaves the stack.
+
+    The floats are the scalar solver's: minv - shift on the unreached
+    columns, reduced = cost - u - v, u += delta and v -= delta on the tree,
+    and ties go to the lowest column (argmin).  A column that joins the
+    tree gets minv = +inf and adds +inf to its reduced cost, so the scan
+    and the argmin pass over it unmasked, and the masked updates multiply
+    delta by a 0/1 mask.  Adding 0.0 or delta * 0.0 and applying a zero
+    delta rather than skipping it change no value but the sign of a zero,
+    so no decision.  Nothing is pruned: assign_with_solo sends wide costs
+    to the scalar solver.
+    """
+    b, n, m = costs.shape
+    rows = costs.reshape(b * n, m)
+    matched = np.empty((b, n), dtype=np.intp)
+    live = np.arange(b)                          # the problems still searching
+    u = np.zeros((b, n))                         # row potentials
+    v = np.zeros((b, m))                         # column potentials
+    row_of_col = np.full((b, m + 1), -1)         # column m: the row being inserted
+    row_of_col[:, m] = 0
+    minv = np.full((b, m), math.inf)             # +inf on the tree's columns
+    way = np.full((b, m), m)
+    in_tree = np.zeros((b, m))                   # 1.0 on the tree's columns
+    blocked = np.zeros((b, m))                   # +inf on the tree's columns
+    tree_rows = np.zeros((b, n))                 # 1.0 on the tree's rows
+    j0 = np.full(b, m)
+    while live.size:
+        at = np.arange(live.size)
+        at_n, at_m, at_root = at * n, at * m, at * (m + 1)
+        while True:
+            i0 = row_of_col.ravel()[at_root + j0]
+            tree_rows.ravel()[at_n + i0] = 1.0
+            reduced = rows[live * n + i0]
+            if tops is not None:
+                np.subtract(tops[live][:, None], reduced, out=reduced)
+            reduced -= u.ravel()[at_n + i0][:, None]
+            reduced -= v
+            reduced += blocked
+            way = np.where(reduced < minv, j0[:, None], way)
+            np.minimum(minv, reduced, out=minv)
+            j0 = minv.argmin(axis=1)
+            picked = at_m + j0
+            delta = minv.ravel()[picked][:, None]
+            u += delta * tree_rows
+            v -= delta * in_tree
+            minv -= delta
+            minv.ravel()[picked] = math.inf
+            blocked.ravel()[picked] = math.inf
+            in_tree.ravel()[picked] = 1.0
+            ends = np.flatnonzero(row_of_col.ravel()[at_root + j0] < 0)
+            if not ends.size:
+                continue
+            at_way, at_col, j = at_m[ends], at_root[ends], j0[ends]
+            while True:                          # augment along each tree path
+                j_prev = way.ravel()[at_way + j]
+                row_of_col.ravel()[at_col + j] = row_of_col.ravel()[at_col + j_prev]
+                going = j_prev != m
+                if not going.any():
+                    break
+                at_way, at_col, j = at_way[going], at_col[going], j_prev[going]
+            row_of_col[ends, m] += 1             # the next row starts at the root
+            j0[ends] = m
+            minv[ends] = math.inf
+            for a in (blocked, in_tree, tree_rows):
+                a[ends] = 0.0
+            done = ends[row_of_col[ends, m] == n]
+            if done.size:
+                break
+        rows_of = row_of_col[done, :m]
+        k, cols = np.nonzero(rows_of >= 0)
+        matched[live[done][k], rows_of[k, cols]] = cols
+        keep = np.ones(live.size, dtype=bool)
+        keep[done] = False
+        live, j0 = live[keep], j0[keep]
+        u = u[keep]                              # one state array at a time
+        v = v[keep]
+        row_of_col = row_of_col[keep]
+        minv = minv[keep]
+        way = way[keep]
+        in_tree = in_tree[keep]
+        blocked = blocked[keep]
+        tree_rows = tree_rows[keep]
+    return matched
+
+
 def hungarian_max(values) -> tuple[dict[int, int], float]:
     """Maximum-total assignment of a rectangular benefit matrix.
 
@@ -178,13 +283,34 @@ def min_pairs(num_ul: int, num_dl: int, num_channels: int) -> int:
     return forced
 
 
+def _max_assignments(rects: np.ndarray) -> list[tuple[list[int], float]]:
+    """(column of each row, total benefit) of the maximum-total assignment
+    of every n x m benefit matrix of a (B, n, m) stack, n <= m.
+
+    A stack of at least _LOCKSTEP_MIN_PROBLEMS matrices too narrow to be
+    pruned is solved in lockstep (_min_cost_assignments); any other goes
+    through hungarian_max one matrix at a time.  Both pick the same
+    matching and add up the same floats.
+    """
+    count, n, m = rects.shape
+    if count < _LOCKSTEP_MIN_PROBLEMS or n * (m - n) >= _PRUNE_MIN_SPARE_ENTRIES:
+        return [(list(mapping.values()), total)
+                for mapping, total in map(hungarian_max, rects)]
+    if not np.all(np.isfinite(rects)):
+        raise ValueError("assignment matrix has non-finite entries")
+    cols = _min_cost_assignments(rects, rects.max(axis=(1, 2)))
+    totals = np.take_along_axis(rects, cols[..., None], axis=2)[..., 0].sum(axis=1)
+    return list(zip(cols.tolist(), totals.tolist()))
+
+
 def assign_with_solo(
     values: np.ndarray,
     solo_ul: np.ndarray,
     solo_dl: np.ndarray,
     num_channels: int,
-) -> tuple[Pairing, float]:
-    """Choose pairs or stand-alone users to maximize the separable benefit.
+):
+    """Choose pairs or stand-alone users to maximize the separable benefit;
+    returns (pairing, total benefit).
 
     Pairing UL i with DL j scores values[i, j]; a user alone on a channel
     scores solo_ul[i] or solo_dl[j].  With P pairs the schedule occupies
@@ -193,20 +319,37 @@ def assign_with_solo(
     takes DL column j at values[i, j] - solo_dl[j] or one of I - P solo
     columns at solo_ul[i], and solo_dl.sum() is added back.  With J = P
     every DL user pairs, so the shift would only add rounding and is
-    skipped.
+    skipped; with I = J = P the rectangle is values itself.
+
+    A leading problem axis, (B, I, J) values with (B, I) and (B, J) solo
+    rows, solves B problems of one cell in one _max_assignments call and
+    returns the list of their B (pairing, total).
     """
-    num_ul, num_dl = len(solo_ul), len(solo_dl)
-    if values.shape != (num_ul, num_dl):
-        raise ValueError(f"benefit shape {values.shape} does not match ({num_ul}, {num_dl})")
+    stacked = values.ndim == 3
+    shape = solo_ul.shape[:-1] + (solo_ul.shape[-1], solo_dl.shape[-1])
+    if values.shape != shape or solo_dl.shape[:-1] != solo_ul.shape[:-1]:
+        raise ValueError(f"benefit shape {values.shape} does not match {shape}")
+    if not stacked:
+        values, solo_ul, solo_dl = values[None], solo_ul[None], solo_dl[None]
+    count, num_ul, num_dl = values.shape
     forced_pairs = min_pairs(num_ul, num_dl, num_channels)
     if num_ul == 0:
-        return Pairing.from_pairs([], 0, num_dl), float(solo_dl.sum())
+        solved = [(Pairing.from_pairs([], 0, num_dl), float(dl.sum())) for dl in solo_dl]
+        return solved if stacked else solved[0]
 
-    shift = solo_dl if num_dl > forced_pairs else np.zeros(num_dl)
-    rect = np.empty((num_ul, num_dl + num_ul - forced_pairs))
-    rect[:, :num_dl] = values - shift
-    rect[:, num_dl:] = solo_ul[:, None]
-
-    mapping, total = hungarian_max(rect)
-    pairs = [(r, c) for r, c in mapping.items() if c < num_dl]
-    return Pairing.from_pairs(pairs, num_ul, num_dl), total + float(shift.sum())
+    width = num_dl + num_ul - forced_pairs
+    shifts = [0.0] * count
+    if num_dl > forced_pairs:                    # some DL user may stand alone
+        rect = np.empty((count, num_ul, width))
+        np.subtract(values, solo_dl[:, None, :], out=rect[..., :num_dl])
+        shifts = [float(dl.sum()) for dl in solo_dl]
+    elif width == num_dl:
+        rect = np.asarray(values, dtype=float)
+    else:
+        rect = np.empty((count, num_ul, width))
+        rect[..., :num_dl] = values
+    rect[..., num_dl:] = solo_ul[..., None]
+    solved = [(Pairing.from_pairs([(r, c) for r, c in enumerate(cols) if c < num_dl],
+                                  num_ul, num_dl), total + shift)
+              for (cols, total), shift in zip(_max_assignments(rect), shifts)]
+    return solved if stacked else solved[0]

@@ -53,7 +53,7 @@ from .model import (
 )
 from .radio import check_mu
 from .scenario import build_gain_table, scenario_to_dict
-from .solvers import STRATEGIES, solve
+from .solvers import STRATEGIES, solve, stacked_problems
 
 _ROLE_SCENARIO = 0
 _ROLE_STRATEGY = 1
@@ -160,40 +160,80 @@ class RunRecord:
         return repeat
 
 
-def _run_drop(cfg: ExperimentConfig, drop_index: int):
-    """Worker: evaluate all requested combinations on one drop."""
+# A chunk holds about this many assignment problems (stacked_problems):
+# fig3's two Hungarian strategies stack 60 each, above the lockstep
+# solver's gate, and a stack's float64 benefits stay near 0.3 MB at
+# 25 x 25.  Chunks of 240 ran 8% faster but raised fig3's peak RSS by
+# 1.75 MB (4.8%) against 0.7 MB.
+_CHUNK_PROBLEMS = 120
+
+
+def _chunk_drops(cfg: ExperimentConfig) -> int:
+    """Drops per chunk: _CHUNK_PROBLEMS over the problems one drop stacks,
+    and one drop where no strategy stacks any."""
+    objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
+    per_drop = sum(stacked_problems(name, objectives) for name in cfg.strategies)
+    return max(1, _CHUNK_PROBLEMS // per_drop) if per_drop else 1
+
+
+def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
+    """Evaluate all requested combinations on drops lo..hi-1: each strategy
+    is solved once over all of them, its generators rewound, and its
+    records are built per drop.  Returns (lo, hi, one (records, scenario
+    document) per drop, the chunk's wall time)."""
     started = time.perf_counter()
     master = cfg.params.rng_seed
-    gains = build_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
-    table_hash = _gain_hash(gains)
-    seed = f"{master}:{drop_index}"
-    strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
-    strategy_state = strategy_rng.bit_generator.state if len(cfg.strategies) > 1 else None
+    drops, states = [], []
+    for k in range(lo, hi):
+        gains = build_gain_table(cfg.params, drop_rng(master, k, _ROLE_SCENARIO))
+        rng = drop_rng(master, k, _ROLE_STRATEGY)
+        drops.append((gains, rng))
+        states.append(rng.bit_generator.state if len(cfg.strategies) > 1 else None)
+    tags = [(f"{master}:{k}", _gain_hash(gains)) for k, (gains, _) in enumerate(drops, lo)]
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
-    columns = []   # per strategy: its records, one per objective
-    for name in cfg.strategies:
-        if columns:   # rewound, so each strategy makes the draws it would make alone
-            strategy_rng.bit_generator.state = strategy_state
-        outcomes = solve(name, gains, cfg.params, objectives, strategy_rng)
-        # Rescored outcomes share both SE arrays; their records derive from the
-        # first one and so share its pair of SE tuples.
-        firsts, column = {}, []
-        for (mode, mu), o in zip(objectives, outcomes):
-            first = firsts.get(id(o.se_ul))
-            if first is None:
-                first = firsts[id(o.se_ul)] = RunRecord(
-                    drop=drop_index, strategy=name, mu=mu, weight_mode=mode.value,
-                    objective=o.objective, sum_se=o.sum_se, min_se=o.min_se, jain=o.jain,
-                    se_ul=tuple(o.se_ul.tolist()), se_dl=tuple(o.se_dl.tolist()),
-                    seed=seed, gain_hash=table_hash)
-                column.append(first)
-            else:
-                column.append(first.rescored(mu, o.objective, mode.value))
-        columns.append(column)
-    records = [r for objective_records in zip(*columns) for r in objective_records]
-    elapsed = time.perf_counter() - started
-    scenario_doc = scenario_to_dict(gains) if cfg.dump_scenarios else None
-    return records, scenario_doc, elapsed
+    columns = [[] for _ in drops]   # per drop, per strategy: its records, one per objective
+    for n, name in enumerate(cfg.strategies):
+        if n:   # rewound, so each strategy makes the draws it would make alone
+            for (_, rng), state in zip(drops, states):
+                rng.bit_generator.state = state
+        for k, (column, outcomes, (seed, table_hash)) in enumerate(
+                zip(columns, solve(name, drops, cfg.params, objectives), tags), lo):
+            # Rescored outcomes share both SE arrays; their records derive from
+            # the first one and so share its pair of SE tuples.
+            firsts, records = {}, []
+            for (mode, mu), o in zip(objectives, outcomes):
+                first = firsts.get(id(o.se_ul))
+                if first is None:
+                    first = firsts[id(o.se_ul)] = RunRecord(
+                        drop=k, strategy=name, mu=mu, weight_mode=mode.value,
+                        objective=o.objective, sum_se=o.sum_se, min_se=o.min_se, jain=o.jain,
+                        se_ul=tuple(o.se_ul.tolist()), se_dl=tuple(o.se_dl.tolist()),
+                        seed=seed, gain_hash=table_hash)
+                    records.append(first)
+                else:
+                    records.append(first.rescored(mu, o.objective, mode.value))
+            column.append(records)
+    results = [([r for objective_records in zip(*column) for r in objective_records],
+                scenario_to_dict(gains) if cfg.dump_scenarios else None)
+               for column, (gains, _) in zip(columns, drops)]
+    return lo, hi, results, time.perf_counter() - started
+
+
+def _solved_chunks(cfg: ExperimentConfig, lo: int, hi: int):
+    """Yield _run_chunk's result for drops lo..hi-1, _chunk_drops at a time,
+    in drop order.  A chunk that fails is solved again one drop per chunk,
+    so every drop before the failing one is yielded and that drop's
+    exception propagates."""
+    size = _chunk_drops(cfg)
+    for start in range(lo, hi, size):
+        stop = min(start + size, hi)
+        try:
+            chunks = [_run_chunk(cfg, start, stop)]
+        except Exception:
+            if stop - start == 1:
+                raise
+            chunks = (_run_chunk(cfg, k, k + 1) for k in range(start, stop))
+        yield from chunks
 
 
 class _WorkerTraceback(Exception):
@@ -201,9 +241,10 @@ class _WorkerTraceback(Exception):
 
 
 def _run_block(cfg: ExperimentConfig, lo: int, hi: int):
-    """Worker: drops lo..hi-1 in order, stopping at the first failure.
+    """Worker: drops lo..hi-1 in chunks (_solved_chunks), stopping at the
+    first failure.
 
-    Returns the finished drops' results, the exception that stopped the
+    Returns the finished chunks' results, the exception that stopped the
     block with its traceback text (None if all finished) and the block's
     wall time.
     """
@@ -211,8 +252,7 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int):
     results = []
     error = None
     try:
-        for k in range(lo, hi):
-            results.append(_run_drop(cfg, k))
+        results.extend(_solved_chunks(cfg, lo, hi))
     except Exception as exc:  # noqa: BLE001 - re-raised by the parent
         import traceback
         error = exc, traceback.format_exc()
@@ -235,7 +275,8 @@ def _block_child(write_end: int, cfg: ExperimentConfig, lo: int, hi: int):
 def _run_forked(cfg: ExperimentConfig, out: Path, records: list[RunRecord],
                 timings: list[str]) -> list[str]:
     """Run the drops in min(iterations, parallelism) contiguous blocks, one
-    forked child each, and merge the blocks with _merge_drop in drop order.
+    forked child each, and merge the blocks' chunks with _merge_chunk in
+    drop order.
     Returns one timing line per block.
 
     On an early exit (a failed block, a child that died without a result,
@@ -270,9 +311,9 @@ def _run_forked(cfg: ExperimentConfig, out: Path, records: list[RunRecord],
             if status != 0:
                 raise RuntimeError(f"the worker of drops {lo}-{hi - 1} ended without "
                                    f"a result (wait status {status})")
-            results, error, elapsed = pickle.loads(data)
-            for k, result in enumerate(results, lo):
-                _merge_drop(out, k, result, records, timings)
+            chunks, error, elapsed = pickle.loads(data)
+            for chunk in chunks:
+                _merge_chunk(out, chunk, records, timings)
             if error is not None:
                 raise error[0] from _WorkerTraceback(error[1])
             block_lines.append(f"drops {lo}-{hi - 1}: pid {pid}, {elapsed:.4f} s")
@@ -314,8 +355,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if cfg.parallelism > 1 and hasattr(os, "fork"):
             timings.extend(_run_forked(cfg, out, records, timings))
         else:
-            for k in range(cfg.iterations):
-                _merge_drop(out, k, _run_drop(cfg, k), records, timings)
+            for chunk in _solved_chunks(cfg, 0, cfg.iterations):
+                _merge_chunk(out, chunk, records, timings)
     except Exception as exc:
         _flush_records(out, records)
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
@@ -329,18 +370,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "cdf_files": cdf_files, "summary": summary}
 
 
-def _merge_drop(out: Path, k: int, result, records: list[RunRecord],
-                timings: list[str]) -> None:
-    """Append drop k's results; drops are merged in order as they finish,
-    so a later failure keeps every earlier drop."""
-    drop_records, scenario_doc, elapsed = result
-    records.extend(drop_records)
-    timings.append(f"drop {k}: {elapsed:.4f} s")
-    if scenario_doc is not None:
-        scen_dir = out / "scenarios"
-        scen_dir.mkdir(exist_ok=True)
-        (scen_dir / f"drop_{k:04d}.json").write_text(
-            json.dumps(scenario_doc, indent=1, sort_keys=True))
+def _merge_chunk(out: Path, chunk, records: list[RunRecord], timings: list[str]) -> None:
+    """Append a chunk's results (_run_chunk); chunks are merged in drop
+    order as they finish, so a later failure keeps every earlier drop."""
+    lo, hi, results, elapsed = chunk
+    timings.append(f"chunk {lo}-{hi - 1}: {elapsed:.4f} s")
+    for k, (drop_records, scenario_doc) in enumerate(results, lo):
+        records.extend(drop_records)
+        if scenario_doc is not None:
+            scen_dir = out / "scenarios"
+            scen_dir.mkdir(exist_ok=True)
+            (scen_dir / f"drop_{k:04d}.json").write_text(
+                json.dumps(scenario_doc, indent=1, sort_keys=True))
 
 
 # json.dumps(obj, sort_keys=True) without building an encoder per call
@@ -374,11 +415,11 @@ _rescored_values = attrgetter(*_RESCORED)
 
 def _record_lines(records: list[RunRecord]):
     """Yield the records.jsonl lines: json.dumps(vars(r), sort_keys=True) of
-    each.  _run_drop shares SE tuple objects only among the records of one
+    each.  _run_chunk shares SE tuple objects only among the records of one
     evaluated schedule, so those differ only in their _RESCORED fields: each
     schedule's line is cut once (_hole_template), and every line of it is
     filled in.  Only the current drop's templates are held.  (Encoding in
-    _run_drop, between solves, measured slower.)"""
+    _run_chunk, between solves, measured slower.)"""
     templates, drop = {}, None
     for r in records:
         if r.drop != drop:   # records come in drop order; hold one drop's templates

@@ -2,20 +2,24 @@
 Hungarian heuristic (C-HUN), its interference-blind variant (C-NINT) and
 the random/equal-power baseline (R-EPA).
 
-All strategies share one signature: they map one drop (GainTable,
-ScenarioParams), a list of objectives (per-user weights, mu) and a random
-generator to one ScheduleOutcome per objective, in order, with metrics
-computed on the true gains.  The objectives are one array axis of the
-scoring, and a schedule that several objectives chose is evaluated once.
-Schedules must fit the channel budget: a drop with I UL and J DL users and
-P pairs occupies I + J - P channels, so at least I + J - F pairs are
-forced.
+All strategies share one signature: they map a sequence of drops ((GainTable,
+generator) pairs), the ScenarioParams and each drop's list of objectives
+(per-user weights, mu) to one list of ScheduleOutcomes per drop, one per
+objective, in order, with metrics computed on the true gains.  The drops
+are the leading axis of the assignments: every drop's Hungarian problems
+of one strategy go to one assign_with_solo call, which solves a large
+enough stack in lockstep.  The objectives are one array axis of the
+scoring, and a schedule that several objectives of a drop chose is
+evaluated once.  Schedules must fit the channel budget: a drop with I UL
+and J DL users and P pairs occupies I + J - P channels, so at least
+I + J - F pairs are forced.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Optional, Sequence
+import itertools
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .radio import (
 )
 
 Objectives = Sequence[tuple[WeightVector, float]]
+Drops = Sequence[tuple[GainTable, Optional[np.random.Generator]]]
 
 
 def _stacked(objectives: Objectives, gains: GainTable) -> tuple[WeightVector, np.ndarray]:
@@ -86,35 +91,60 @@ def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainT
 # Hungarian pipeline (shared by C-HUN, C-NINT and P-OPT)
 # ---------------------------------------------------------------------------
 
-def _best_corner_assignments(tables: CornerTables, weights: WeightVector, mus: np.ndarray,
-                             num_channels: int) -> list[tuple[Pairing, list[int]]]:
-    """Per stacked objective (_stacked): the exact pair-or-solo assignment
-    over every pair's benefit at its best corner, and the chosen pairs'
-    corners (corner_points indices)."""
-    scores = corner_benefit(tables, weights, mus)
-    b = scores.benefit   # its max over corners; b.max(axis=3) loops once per cell
-    best_benefit = np.maximum(np.maximum(b[..., 0], b[..., 1]), b[..., 2])
+def _best_corner_assignments(tables: Iterable[CornerTables],
+                             objectives: Sequence[tuple[WeightVector, np.ndarray]],
+                             num_channels: int) -> list[list[tuple[Pairing, list[int]]]]:
+    """Per drop (its corner tables and _stacked objectives), per objective:
+    the exact pair-or-solo assignment over every pair's benefit at its best
+    corner, and the chosen pairs' corners (corner_points indices).  Each
+    drop's tables are scored in turn and only its best benefits and corners
+    are kept; every drop's assignments go to one assign_with_solo call."""
+    if not objectives:
+        return []
+    count = sum(len(mus) for _, mus in objectives)
+    num_ul, num_dl = objectives[0][0].alpha_ul.shape[1], objectives[0][0].alpha_dl.shape[1]
+    best = np.empty((count, num_ul, num_dl))
+    corners = np.empty(best.shape, dtype=np.int8)
+    solo_ul, solo_dl = np.empty((count, num_ul)), np.empty((count, num_dl))
+    at = 0
+    for drop_tables, (weights, mus) in zip(tables, objectives):
+        scores = corner_benefit(drop_tables, weights, mus)
+        b = scores.benefit   # its max over corners; b.max(axis=3) loops once per cell
+        rows = slice(at, at + len(mus))
+        np.maximum(np.maximum(b[..., 0], b[..., 1]), b[..., 2], out=best[rows])
+        corners[rows] = scores.best_corner
+        solo_ul[rows] = scores.solo_contrib_ul
+        solo_dl[rows] = scores.solo_contrib_dl
+        at += len(mus)
+    solved = iter(zip(assign_with_solo(best, solo_ul, solo_dl, num_channels), corners))
     plans = []
-    for k in range(len(mus)):
-        pairing, _ = assign_with_solo(best_benefit[k], scores.solo_contrib_ul[k],
-                                      scores.solo_contrib_dl[k], num_channels)
-        plans.append((pairing, [scores.best_corner[k, i, j] for i, j in pairing.pairs()]))
+    for _, mus in objectives:
+        plans.append([])
+        for (pairing, _), corner in itertools.islice(solved, len(mus)):
+            pairs = pairing.pairs()
+            plans[-1].append((pairing, corner[[i for i, _ in pairs],
+                                              [j for _, j in pairs]].tolist()))
     return plans
 
 
-def _hungarian_schedules(planning_gains: GainTable, gains: GainTable,
-                         params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
-    """Corner tables -> every objective's benefit in one pass -> per
-    objective: assignment -> per-pair corner powers -> outcome.  Decisions
-    are taken on planning_gains; outcomes are evaluated on gains."""
-    plans = _best_corner_assignments(corner_tables(planning_gains, params),
-                                     *_stacked(objectives, gains), params.num_channels)
-    return _outcomes([_corner_schedule(pairing, corners, params) for pairing, corners in plans],
-                     gains, params, objectives)
+def _hungarian_schedules(planning_gains: Iterable[GainTable], drops: Drops,
+                         params: ScenarioParams,
+                         objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
+    """Per drop: corner tables -> every objective's benefit in one pass;
+    then every drop's assignments at once; then per drop and objective:
+    per-pair corner powers -> outcome.  Decisions are taken on
+    planning_gains (one per drop); outcomes are evaluated on the drops'
+    gains."""
+    plans = _best_corner_assignments(
+        (corner_tables(g, params) for g in planning_gains),
+        [_stacked(o, gains) for (gains, _), o in zip(drops, objectives)], params.num_channels)
+    return [_outcomes([_corner_schedule(pairing, corners, params)
+                       for pairing, corners in drop_plans], gains, params, o)
+            for drop_plans, (gains, _), o in zip(plans, drops, objectives)]
 
 
-def solve_c_hun(gains: GainTable, params: ScenarioParams, objectives: Objectives,
-                rng: np.random.Generator | None = None) -> list[ScheduleOutcome]:
+def solve_c_hun(drops: Drops, params: ScenarioParams,
+                objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
     """Centralized Hungarian heuristic.
 
     Each candidate pair is scored at its best power corner, the assignment
@@ -122,20 +152,20 @@ def solve_c_hun(gains: GainTable, params: ScenarioParams, objectives: Objectives
     budget permits) is solved exactly, and the stored corner powers are
     applied.
     """
-    return _hungarian_schedules(gains, gains, params, objectives)
+    return _hungarian_schedules((gains for gains, _ in drops), drops, params, objectives)
 
 
-def solve_c_nint(gains: GainTable, params: ScenarioParams, objectives: Objectives,
-                 rng: np.random.Generator | None = None) -> list[ScheduleOutcome]:
+def solve_c_nint(drops: Drops, params: ScenarioParams,
+                 objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
     """C-HUN planned as if UE-to-UE interference did not exist.
 
     The benefit matrix is built with all cross gains zeroed, so the planner
     overestimates every DL SINR; the returned outcome is evaluated on the
     true gains, so planned and realized spectral efficiencies differ.
     """
-    blind = GainTable(g_ul=gains.g_ul, g_dl=gains.g_dl, g_cross=np.zeros_like(gains.g_cross),
-                      positions=gains.positions)
-    return _hungarian_schedules(blind, gains, params, objectives)
+    blind = (GainTable(g_ul=gains.g_ul, g_dl=gains.g_dl, g_cross=np.zeros_like(gains.g_cross),
+                       positions=gains.positions) for gains, _ in drops)
+    return _hungarian_schedules(blind, drops, params, objectives)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +182,8 @@ def _scored(tables: CornerTables, weights: WeightVector, pairing: Pairing, corne
             float(np.concatenate([se_ul, se_dl]).min()))
 
 
-def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives,
-                rng: np.random.Generator | None = None) -> list[ScheduleOutcome]:
+def solve_p_opt(drops: Drops, params: ScenarioParams,
+                objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
     """The exact optimum over every channel-feasible matching and per-pair
     power corner, unpaired users at max power, from a few pure-sum
     assignments (sum plus bottleneck: Minoux, Math. Programming 45, 1989;
@@ -179,9 +209,30 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
     the allowed entries' reduced costs are those of the rectangle without
     them: an assignment that pairs a forbidden pair means none is feasible.
     Schedules are ranked on corner-table SEs; a threshold's assignment
-    reads no mu and serves every objective of its weights.
+    reads no mu and serves every objective of its weights.  Every drop's
+    max-sum assignments are solved at once; each drop's threshold scan
+    runs on its own (_optimum).
     """
-    tables = corner_tables(gains, params)
+    tables = [corner_tables(gains, params) for gains, _ in drops]
+    max_sum = _best_corner_assignments(
+        tables, [_stacked([(w, 0.0) for w in _by_weights(o)[1].values()], gains)
+                 for (gains, _), o in zip(drops, objectives)], params.num_channels)
+    return [_optimum(gains, drop_tables, params, o, plans) for (gains, _), drop_tables, o, plans
+            in zip(drops, tables, objectives, max_sum)]
+
+
+def _by_weights(objectives: Objectives) -> tuple[list, dict]:
+    """Each objective's weight key (its weights' bytes), and one weight
+    vector per distinct key."""
+    keys = [(w.alpha_ul.tobytes(), w.alpha_dl.tobytes()) for w, _ in objectives]
+    return keys, dict(zip(keys, (w for w, _ in objectives)))
+
+
+def _optimum(gains: GainTable, tables: CornerTables, params: ScenarioParams,
+             objectives: Objectives, max_sum: list) -> list[ScheduleOutcome]:
+    """One drop's P-OPT outcomes (solve_p_opt): the threshold scan from the
+    max-sum plan of each distinct weight vector (_by_weights)."""
+    keys, distinct = _by_weights(objectives)
     se_ul, se_dl = tables.se_ul[..., 0], tables.se_dl[..., 0]
     pair_min = np.minimum(se_ul, se_dl)
     cap = float(np.concatenate([tables.solo_se_ul, tables.solo_se_dl]).min())
@@ -190,10 +241,6 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
         if users and forced == users:   # each of these users pairs
             cap = min(cap, float(pair_min.max(axis=axis).min()))
     thresholds = sorted({*pair_min[pair_min <= cap].tolist(), cap})
-    keys = [(w.alpha_ul.tobytes(), w.alpha_dl.tobytes()) for w, _ in objectives]
-    distinct = dict(zip(keys, (w for w, _ in objectives)))   # one weight vector per key
-    stacked, mus = _stacked([(w, 0.0) for w in distinct.values()], gains)
-    max_sum = _best_corner_assignments(tables, stacked, mus, params.num_channels)
     schedules = [None] * len(objectives)
     for key, weights, plan in zip(distinct, distinct.values(), max_sum):
         values = weights.alpha_ul[:, None] * se_ul + weights.alpha_dl * se_dl
@@ -234,30 +281,35 @@ def solve_p_opt(gains: GainTable, params: ScenarioParams, objectives: Objectives
 # Random baseline
 # ---------------------------------------------------------------------------
 
-def solve_r_epa(gains: GainTable, params: ScenarioParams, objectives: Objectives,
-                rng: np.random.Generator) -> list[ScheduleOutcome]:
-    """Uniformly random maximal matching with everyone at max power.
+def solve_r_epa(drops: Drops, params: ScenarioParams,
+                objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
+    """Uniformly random maximal matching with everyone at max power, drawn
+    from each drop's generator.
 
-    The schedule reads neither mu nor the weights, so it is drawn once and
-    every objective after the first is only rescored (_outcomes).  User k
-    of the smaller side pairs user perm[k] of the larger one."""
-    if rng is None:
+    The schedule reads neither mu nor the weights, so it is drawn once per
+    drop and every objective after the first is only rescored (_outcomes).
+    User k of the smaller side pairs user perm[k] of the larger one."""
+    if any(rng is None for _, rng in drops):
         raise ValueError("R-EPA needs a random generator")
-    num_ul, num_dl = gains.num_ul, gains.num_dl
-    perm = rng.permutation(max(num_ul, num_dl)).tolist()
-    pairing = Pairing.from_pairs([(k, perm[k]) if num_ul <= num_dl else (perm[k], k)
-                                  for k in range(min(num_ul, num_dl))], num_ul, num_dl)
-    powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
-                             np.full(num_dl, params.p_max_dl_w))
-    return _outcomes([(pairing, powers)] * len(objectives), gains, params, objectives)
+    outcomes = []
+    for (gains, rng), drop_objectives in zip(drops, objectives):
+        num_ul, num_dl = gains.num_ul, gains.num_dl
+        perm = rng.permutation(max(num_ul, num_dl)).tolist()
+        pairing = Pairing.from_pairs([(k, perm[k]) if num_ul <= num_dl else (perm[k], k)
+                                      for k in range(min(num_ul, num_dl))], num_ul, num_dl)
+        powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
+                                 np.full(num_dl, params.p_max_dl_w))
+        outcomes.append(_outcomes([(pairing, powers)] * len(drop_objectives), gains, params,
+                                  drop_objectives))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-Strategy = Callable[[GainTable, ScenarioParams, Objectives,
-                     Optional[np.random.Generator]], list[ScheduleOutcome]]
+Strategy = Callable[[Drops, ScenarioParams, Sequence[Objectives]],
+                    list[list[ScheduleOutcome]]]
 
 STRATEGIES: dict[str, Strategy] = {
     "P-OPT": solve_p_opt,
@@ -267,12 +319,24 @@ STRATEGIES: dict[str, Strategy] = {
 }
 
 
-def solve(name: str, gains: GainTable, params: ScenarioParams,
-          objectives: Sequence[tuple[WeightMode, float]],
-          rng: np.random.Generator | None = None) -> list[ScheduleOutcome]:
-    """Solve one drop with strategy name for each (weight mode, mu) of
-    objectives: one outcome per pair, in order.  Weights are made once per
-    mode.  A mu outside [0, 1] anywhere in the list fails here, before any
+def stacked_problems(name: str, objectives: Sequence[tuple[WeightMode, float]]) -> int:
+    """How many assignment problems strategy name stacks per drop for
+    objectives ((weight mode, mu) pairs): one per objective for C-HUN and
+    C-NINT, one per weight mode for P-OPT's max-sum schedules (its
+    threshold scans run per drop) and none for R-EPA."""
+    if name == "R-EPA":
+        return 0
+    if name == "P-OPT":
+        return len({mode for mode, _ in objectives})
+    return len(objectives)
+
+
+def solve(name: str, drops: Drops, params: ScenarioParams,
+          objectives: Sequence[tuple[WeightMode, float]]) -> list[list[ScheduleOutcome]]:
+    """Solve every drop of drops ((gain table, generator) pairs) with
+    strategy name for each (weight mode, mu) of objectives: per drop, one
+    outcome per pair, in order.  Weights are made once per drop and mode.
+    A mu outside [0, 1] anywhere in the list fails here, before any
     weights or schedule are built."""
     try:
         strategy = STRATEGIES[name]
@@ -280,6 +344,9 @@ def solve(name: str, gains: GainTable, params: ScenarioParams,
         raise KeyError(f"unknown strategy {name!r}; known: {sorted(STRATEGIES)}") from None
     for _, mu in objectives:
         check_mu(mu)
-    weights = {mode: make_weights(mode, gains)
-               for mode in dict.fromkeys(mode for mode, _ in objectives)}
-    return strategy(gains, params, [(weights[mode], mu) for mode, mu in objectives], rng)
+    modes = dict.fromkeys(mode for mode, _ in objectives)
+    per_drop = []
+    for gains, _ in drops:
+        weights = {mode: make_weights(mode, gains) for mode in modes}
+        per_drop.append([(weights[mode], mu) for mode, mu in objectives])
+    return strategy(drops, params, per_drop)

@@ -12,8 +12,8 @@ of the dual linear program that motivates the Hungarian heuristic.
 They are written one user or one permutation at a time, independent of
 the vectorized code they check.  The readers of a run's outputs (a CDF
 file, a dumped scenario) and the median gap of two CDFs, which only the
-tests use, are here too, and so is the list of modules a script loads in a
-fresh interpreter.
+tests use, are here too, and so are the list of modules a script loads in
+a fresh interpreter and the one-drop forms of the strategies' calls.
 """
 
 import itertools
@@ -50,6 +50,19 @@ from fdsched.scenario import (
 from fdsched.solvers import solve
 
 _BRUTE_FORCE_MAX_SIZE = 9
+
+
+def solve_drop(name, gains, params, objectives, rng=None):
+    """solvers.solve on the one drop (gains, rng): its outcome list."""
+    [outcomes] = solve(name, [(gains, rng)], params, objectives)
+    return outcomes
+
+
+def one_drop(strategy, gains, params, objectives, rng=None):
+    """A strategy function on the one drop (gains, rng) with its list of
+    (weights, mu) objectives: its outcome list."""
+    [outcomes] = strategy([(gains, rng)], params, [objectives])
+    return outcomes
 
 
 def sinr_ul(p_u: float, g_ib: float, p_d_paired: float, beta: float, noise: float) -> float:
@@ -314,8 +327,9 @@ def reference_build_gain_table(params: ScenarioParams, rng) -> GainTable:
 
 
 def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
-    """harness._run_drop's records with every strategy solved afresh, alone,
-    for every (mu, weight mode), its generator rewound before each solve."""
+    """harness._run_chunk's records of one drop with every strategy solved
+    afresh, alone, for every (mu, weight mode), its generator rewound before
+    each solve."""
     master = cfg.params.rng_seed
     gains = build_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
     strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
@@ -325,7 +339,7 @@ def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
         for mu in cfg.mu_values:
             for name in cfg.strategies:
                 strategy_rng.bit_generator.state = strategy_state
-                [outcome] = solve(name, gains, cfg.params, [(mode, mu)], strategy_rng)
+                [outcome] = solve_drop(name, gains, cfg.params, [(mode, mu)], strategy_rng)
                 records.append(RunRecord(
                     drop=drop_index,
                     strategy=name,

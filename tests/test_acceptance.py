@@ -26,6 +26,7 @@ from oracles import (
     dual_multipliers,
     evaluate_pair,
     median_gap,
+    one_drop,
     read_cdf_csv,
 )
 
@@ -89,10 +90,11 @@ def test_criterion_2_optimality_sandwich():
         gains = build_gain_table(base, drop_rng(202, k, 0))
         weights = make_weights(WeightMode.SUM_RATE, gains)
         for mu in (0.1, 0.5, 0.9):
-            top = solve_p_opt(gains, base, [(weights, mu)])[0].objective
+            top = one_drop(solve_p_opt, gains, base, [(weights, mu)])[0].objective
             for challenger in (
-                solve_c_hun(gains, base, [(weights, mu)])[0].objective,
-                solve_r_epa(gains, base, [(weights, mu)], drop_rng(202, k, 1))[0].objective,
+                one_drop(solve_c_hun, gains, base, [(weights, mu)])[0].objective,
+                one_drop(solve_r_epa, gains, base, [(weights, mu)],
+                         drop_rng(202, k, 1))[0].objective,
             ):
                 worst = max(worst, challenger - top)
                 assert challenger <= top + 1e-12

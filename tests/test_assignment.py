@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from fdsched import assignment
-from fdsched.assignment import _min_cost_assignment, assign_with_solo, hungarian_max
+from fdsched.assignment import (_min_cost_assignment, _min_cost_assignments, assign_with_solo,
+                                hungarian_max)
 from fdsched.harness import canned_experiments, config_from_dict, run_experiment
 from fdsched.model import GainTable, ScenarioParams, WeightMode
 from fdsched.radio import corner_benefit, corner_tables, make_weights
@@ -148,9 +149,19 @@ class TestHungarianMax:
 
 
 class TestMatchesVectorizedReference:
-    """The solver must pick the same matching as the vectorized reference,
+    """The solvers must pick the same matching as the vectorized reference,
     not just one of equal total: C-NINT realizes the planned matching on
-    different gains, so a different tie choice changes its results."""
+    different gains, so a different tie choice changes its results.  Every
+    cost a test checks is also solved in lockstep, as one stack with the
+    test's other costs of its shape."""
+
+    @pytest.fixture(autouse=True)
+    def also_as_one_stack(self):
+        self.stacks = {}   # shape -> [(cost, its reference matching)]
+        yield
+        for shape, solved in self.stacks.items():
+            got = _min_cost_assignments(np.stack([cost for cost, _ in solved]))
+            assert got.tolist() == [want for _, want in solved], f"stack of {shape} costs"
 
     def assert_same_decisions(self, cost):
         # with the pruning gate as shipped, and with every wide cost pruned
@@ -159,6 +170,7 @@ class TestMatchesVectorizedReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assignment, "_PRUNE_MIN_SPARE_ENTRIES", 1)
             assert _min_cost_assignment(cost) == want
+        self.stacks.setdefault(cost.shape, []).append((cost.copy(), want))
 
     def test_random_floats_sizes_1_to_96(self):
         rng = np.random.default_rng(10)
@@ -297,6 +309,25 @@ class TestMatchesVectorizedReference:
             _min_cost_assignment(rng.integers(0, 3, size=(n, m)).astype(float))
         assert tables == [(32, 32), (96, 96)]
 
+    def test_stack_whose_problems_finish_in_different_rounds(self):
+        # an all-equal cost inserts each row in one step and leaves the stack
+        # after n rounds; the tied and random ones search on, each at its own
+        # pace, and the benefit form (tops - benefits) reads the same costs
+        rng = np.random.default_rng(21)
+        for n, m in ((3, 3), (8, 8), (6, 11), (25, 25)):
+            costs = np.stack([np.zeros((n, m)), rng.normal(0.0, 5.0, size=(n, m)),
+                              rng.integers(0, 3, size=(n, m)).astype(float),
+                              np.full((n, m), 2.5), rng.normal(0.0, 1e-3, size=(n, m)),
+                              rng.choice([0.0, -0.0, 1.0], size=(n, m))])
+            want = [reference_min_cost_assignment(c) for c in costs]
+            assert _min_cost_assignments(costs).tolist() == want
+            for cost in costs:
+                self.assert_same_decisions(cost)
+            tops = rng.integers(0, 4, size=len(costs)).astype(float)
+            benefits = tops[:, None, None] - costs
+            assert _min_cost_assignments(benefits, tops).tolist() == [
+                reference_min_cost_assignment(t - b) for t, b in zip(tops, benefits)]
+
     def test_all_equal(self):
         # a zero cost makes every tree step zero-slack; a nonzero one every
         # step but the first of each row
@@ -363,6 +394,87 @@ class TestRectangleMatchesSquareOracle:
             inputs = make_inputs(rng, num_ul, num_dl, num_channels)
             assert (assign_with_solo(*inputs, num_channels)
                     == reference_assign_with_solo(*inputs, num_channels))
+
+
+class TestStackedAssignWithSolo:
+    """A leading problem axis solves a stack of problems in one call, in
+    lockstep where the stack is large enough and the rectangle too narrow
+    to prune; each result must equal the problem's own call."""
+
+    @pytest.mark.parametrize("make_inputs", SOLO_INPUTS)
+    @pytest.mark.parametrize("num_ul, num_dl, num_channels, lockstep", [
+        (0, 3, 3, False), (0, 3, 5, False),                    # no UL user: no problem
+        (25, 25, 25, True), (5, 3, 5, True), (4, 4, 4, True),  # J = P: no shift
+        (3, 5, 6, True), (6, 2, 7, True), (10, 20, 25, True),  # spare channels, unpruned
+        (40, 80, 96, False)])                                  # pruned: one matrix at a time
+    def test_stack_equals_the_per_problem_calls(self, monkeypatch, make_inputs, num_ul,
+                                                num_dl, num_channels, lockstep):
+        rng = np.random.default_rng(30 + num_ul + num_dl)
+        count = assignment._LOCKSTEP_MIN_PROBLEMS + 10
+        inputs = [make_inputs(rng, num_ul, num_dl, num_channels) for _ in range(count)]
+        want = [assign_with_solo(*one, num_channels) for one in inputs]
+        stacks = []
+
+        def counted(rects):
+            stacks.append(rects.shape)
+            return max_assignments(rects)
+
+        max_assignments = assignment._max_assignments
+        lockstep_runs = []
+        monkeypatch.setattr(assignment, "_max_assignments", counted)
+        monkeypatch.setattr(assignment, "_min_cost_assignments",
+                            lambda *args, _solve=assignment._min_cost_assignments:
+                            lockstep_runs.append(args[0].shape) or _solve(*args))
+        got = assign_with_solo(*map(np.stack, zip(*inputs)), num_channels)
+        assert got == want
+        assert stacks == ([] if num_ul == 0 else [(count, num_ul, num_dl + num_ul - max(
+            0, num_ul + num_dl - num_channels))])
+        assert lockstep_runs == (stacks if lockstep else [])
+
+    def test_stack_below_the_gate_goes_one_matrix_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        count = assignment._LOCKSTEP_MIN_PROBLEMS - 1
+        inputs = [random_solo_inputs(rng, 5, 5, 5) for _ in range(count)]
+        solved = []
+        monkeypatch.setattr(assignment, "hungarian_max",
+                            lambda values, _solve=hungarian_max:
+                            solved.append(values) or _solve(values))
+        got = assign_with_solo(*map(np.stack, zip(*inputs)), 5)
+        assert len(solved) == count
+        assert got == [assign_with_solo(*one, 5) for one in inputs]
+
+    def test_rejects_mismatched_stacks(self):
+        with pytest.raises(ValueError):
+            assign_with_solo(np.ones((2, 3, 3)), np.ones((3, 3)), np.ones((3, 3)), 3)
+        with pytest.raises(ValueError):
+            assign_with_solo(np.ones((2, 3, 3)), np.ones((2, 3)), np.ones((1, 3)), 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            values = np.ones((assignment._LOCKSTEP_MIN_PROBLEMS, 3, 3))
+            values[1, 2, 0] = np.nan
+            assign_with_solo(values, np.ones(values.shape[:2]), np.ones(values.shape[:2]), 3)
+
+
+def test_every_stacked_problem_of_a_fig3_run_is_optimal(monkeypatch, tmp_path):
+    # the benchmark's assignment oracle sees hungarian_max only; re-solve
+    # every problem of fig3's lockstep stacks (square, so no padding) with
+    # scipy and compare totals
+    stacks = []
+
+    def recorded(rects, _solve=assignment._max_assignments):
+        solved = _solve(rects)
+        stacks.append((rects.copy(), solved))
+        return solved
+
+    monkeypatch.setattr(assignment, "_max_assignments", recorded)
+    monkeypatch.setattr(assignment, "hungarian_max", lambda values: pytest.fail(
+        "a fig3 stack above the gate went one matrix at a time"))
+    run_experiment(canned_experiments("fig3", seed=9, iterations=30, out_dir=str(tmp_path)))
+    assert [rects.shape for rects, _ in stacks] == [(60, 25, 25)] * 2   # C-HUN, C-NINT
+    for rects, solved in stacks:
+        for rect, (cols, total) in zip(rects, solved):
+            rows, picked = linear_sum_assignment(rect, maximize=True)
+            assert total == pytest.approx(float(rect[rows, picked].sum()), rel=1e-9, abs=0.0)
+            assert sorted(cols) == list(range(25))   # a full matching
 
 
 class TestBruteForce:

@@ -108,7 +108,7 @@ class TestSummarize:
                                        METRICS)["metrics"]
         assert bench_pair.summary_line("mc-epa-p1", "drops_per_s", metrics["drops_per_s"], 10) == (
             "mc-epa-p1 drops_per_s: 104.5 -> 124.5 (change won 10/10; parent IQR 102.25..106.75; "
-            "gain_met true; worse_beyond_bound false)")
+            "median gap +19.1%; gain_met true; worse_beyond_bound false)")
         # a per-layer metric has no bound; an unresolved bound is spelled as such
         entry = dict(metrics["drops_per_s"], gain_met=False)
         del entry["worse_beyond_bound"]
@@ -116,6 +116,29 @@ class TestSummarize:
         entry["worse_beyond_bound"] = "unresolved"
         assert bench_pair.summary_line("w", "m", entry, 10).endswith(
             "gain_met false; worse_beyond_bound unresolved)")
+
+    def test_relative_median_gap_shows_how_small_a_met_claim_is(self):
+        # peak RSS barely spreads: a 0.1% lower median, won in 9 of 10 pairs,
+        # meets the claim rule, and the gap says how small it is
+        metrics = dict(METRICS, peak_rss_mb={"name": "peak_rss_mb", "better": "lower",
+                                             "bound": 0.05})
+        pairs = make_pairs([(100.0, 8.0)] * 10, [(100.0, 8.0)] * 10)
+        for k, pair in enumerate(pairs):
+            for side, mb in (("parent", 37.035 + 0.001 * (k % 3)), ("change", 37.0)):
+                pair[side]["result"]["metrics"]["peak_rss_mb"] = {"value": mb, "unit": "MB"}
+        pairs[0]["change"]["result"]["metrics"]["peak_rss_mb"]["value"] = 37.04
+        rss = bench_pair.summarize(pairs, metrics)["metrics"]["peak_rss_mb"]
+        assert rss["gain_met"] and rss["change_won"] == 9
+        assert rss["median_gap"] == pytest.approx(37.0 / 37.036 - 1.0)
+        assert "median gap -0.1%; gain_met true;" in bench_pair.summary_line(
+            "fig3-p1", "peak_rss_mb", rss, 10)
+        # the gap is change / parent - 1 whichever way is better, and there is
+        # none against a zero parent median
+        drops = bench_pair.summarize(make_pairs([(100.0, 8.0)] * 3, [(80.0, 8.0)] * 3),
+                                     METRICS)["metrics"]["drops_per_s"]
+        assert drops["median_gap"] == pytest.approx(-0.2)
+        zero = dict(drops, median_gap=None)
+        assert "median gap n/a;" in bench_pair.summary_line("w", "m", zero, 3)
 
     def test_digest_mismatch_and_failures_counted(self):
         pairs = make_pairs([(100.0, 8.0)] * 2, [(101.0, 8.0)] * 2, change_digests=["d0", "d1"])
@@ -215,14 +238,14 @@ def test_main_records_every_workload(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "mc-epa-p1: digests_equal 3/3; failed parent 0, change 0",
         "mc-epa-p1 drops_per_s: 200 -> 201 (change won 3/3; parent IQR 200..200; "
-        "gain_met true; worse_beyond_bound false)",
+        "median gap +0.5%; gain_met true; worse_beyond_bound false)",
         "mc-epa-p1 cpu_ms_per_drop: 8 -> 8 (change won 0/3; parent IQR 8..8; "
-        "gain_met false; worse_beyond_bound false)",
+        "median gap +0.0%; gain_met false; worse_beyond_bound false)",
         "fig3-p1: digests_equal 3/3; failed parent 0, change 0",
         "fig3-p1 drops_per_s: 100 -> 101 (change won 3/3; parent IQR 100..100; "
-        "gain_met true; worse_beyond_bound false)",
+        "median gap +1.0%; gain_met true; worse_beyond_bound false)",
         "fig3-p1 cpu_ms_per_drop: 8 -> 8 (change won 0/3; parent IQR 8..8; "
-        "gain_met false; worse_beyond_bound false)"]
+        "median gap +0.0%; gain_met false; worse_beyond_bound false)"]
 
 
 def test_traced_pairs_run_after_the_pairs_and_land_under_traces(tmp_path, monkeypatch):

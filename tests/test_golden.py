@@ -6,8 +6,10 @@ over each file's name and bytes, in name order) at 20 drops, seed 1, for:
   rescoring      25+25 on 25 channels, R-EPA and C-HUN over mu in
                  {0.1, 0.5, 0.9} x SR/PL, so each R-EPA solve is rescored
                  across mu values as well as weight modes.
-A change that claims to keep behaviour must keep these digests;
-a change that alters results on purpose updates them and says why.  The
+The canned studies must give the same digests with every stack of
+assignment problems solved in lockstep.  A change that claims to keep
+behaviour must keep these digests; a change that alters results on
+purpose updates them and says why.  The
 digests pin floating-point results, so they assume IEEE double arithmetic
 with the numpy build the project is tested with.
 """
@@ -52,6 +54,22 @@ def _digests(out: Path, names) -> dict:
 def test_canned_outputs_match_golden_digest(name, tmp_path):
     run_experiment(canned_experiments(name, seed=1, iterations=20, out_dir=str(tmp_path)))
     assert _digests(tmp_path, GOLDEN[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_canned_outputs_match_golden_digest_in_lockstep(name, tmp_path, monkeypatch):
+    # every stack of assignment problems, P-OPT's one-matrix threshold scans
+    # included, goes to the lockstep solver: the same digests
+    from fdsched import assignment
+
+    stacks = []
+    monkeypatch.setattr(assignment, "_LOCKSTEP_MIN_PROBLEMS", 1)
+    monkeypatch.setattr(assignment, "_min_cost_assignments",
+                        lambda *args, _solve=assignment._min_cost_assignments:
+                        stacks.append(len(args[0])) or _solve(*args))
+    test_canned_outputs_match_golden_digest(name, tmp_path)
+    cfg = canned_experiments(name)   # C-HUN stacks one problem per objective and drop
+    assert max(stacks) == 20 * len(cfg.mu_values) * len(cfg.weight_modes)
 
 
 RESCORING = {

@@ -22,7 +22,6 @@ from fdsched.harness import (
     RunRecord,
     _encode_float,
     _record_lines,
-    _run_drop,
     canned_experiments,
     config_from_dict,
     config_to_dict,
@@ -48,6 +47,12 @@ def templates(monkeypatch):
 
     monkeypatch.setattr(harness, "_hole_template", counted)
     return built
+
+
+def drop_records(cfg, k):
+    """The records harness._run_chunk makes of drop k alone."""
+    [(records, _)] = harness._run_chunk(cfg, k, k + 1)[2]
+    return records
 
 
 def tiny_config(out_dir, iterations=4, parallelism=1, **params_kw):
@@ -299,7 +304,7 @@ class TestRunExperiment:
     def test_runtime_failure_leaves_marker(self, tmp_path, monkeypatch):
         from fdsched import solvers
 
-        def explode(gains, params, objectives, rng):
+        def explode(drops, params, objectives):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(solvers.STRATEGIES, "EXPLODE", explode)
@@ -360,7 +365,7 @@ class TestRunExperiment:
     def test_rerun_clears_a_stale_failure_marker_and_cdfs(self, tmp_path, monkeypatch):
         from fdsched import solvers
 
-        def explode(gains, params, objectives, rng):
+        def explode(drops, params, objectives):
             raise RuntimeError("boom")
 
         def listing():
@@ -433,7 +438,7 @@ class TestObjectiveFreeRescoring:
             strategies=strategies, mu_values=(0.1, 0.5, 0.9),
             weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
         for k in range(3):
-            got = _run_drop(cfg, k)[0]
+            got = drop_records(cfg, k)
             want = reference_drop_records(cfg, k)
             assert [vars(r) for r in got] == [vars(r) for r in want]
         assert len({r.objective for r in got if r.strategy == "R-EPA"}) == 6
@@ -444,7 +449,7 @@ class TestObjectiveFreeRescoring:
             strategies=("C-HUN", "R-EPA"), mu_values=(0.1, 0.5, 0.9),
             weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
         for k in range(3):
-            records = _run_drop(cfg, k)[0]
+            records = drop_records(cfg, k)
             repa = [r for r in records if r.strategy == "R-EPA"]
             assert len(repa) == 6
             assert all(r.se_ul is repa[0].se_ul and r.se_dl is repa[0].se_dl for r in repa)
@@ -468,8 +473,8 @@ class TestRepeatedSchedules:
         shared = 0
         for k in range(cfg.iterations):
             solved.clear()
-            records = _run_drop(cfg, k)[0]
-            for name, outcomes in zip(cfg.strategies, solved):
+            records = drop_records(cfg, k)
+            for name, [outcomes] in zip(cfg.strategies, solved):
                 own = [r for r in records if r.strategy == name]
                 for n, (r, o) in enumerate(zip(own, outcomes)):
                     for earlier_r, earlier_o in zip(own[:n], outcomes[:n]):
@@ -504,7 +509,7 @@ class TestEncodedLines:
         cfg = dataclasses.replace(tiny_config(tmp_path, num_ul=3, num_dl=4, num_channels=5),
                                   strategies=strategies, mu_values=mu_values,
                                   weight_modes=weight_modes)
-        records = [r for k in range(3) for r in _run_drop(cfg, k)[0]]
+        records = [r for k in range(3) for r in drop_records(cfg, k)]
         assert len(records) == 3 * len(strategies) * len(mu_values) * len(weight_modes)
         assert list(_record_lines(records)) == [json.dumps(vars(r), sort_keys=True)
                                                 for r in records]
@@ -606,10 +611,15 @@ class TestPoolBlocks:
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("shape", ["tiny", "fig3-lockstep"])
     @pytest.mark.parametrize("failing", [1, 3, 11])
     def test_failure_inside_a_block_keeps_earlier_drops(self, tmp_path, monkeypatch,
-                                                        failing):
-        from fdsched import harness
+                                                        failing, shape, parallelism):
+        # every block runs as one chunk, so the failing drop fails its chunk,
+        # which is solved again one drop at a time; fig3-lockstep's chunks
+        # are lockstep stacks of 20 or 40 problems
+        from fdsched import assignment
 
         real_drop_rng = harness.drop_rng
 
@@ -618,26 +628,59 @@ class TestPoolBlocks:
                 raise RuntimeError(f"drop {failing} failed")
             return real_drop_rng(master_seed, drop_index, role)
 
+        out = tmp_path / "fail"
+        if shape == "tiny":
+            cfg = tiny_config(out, iterations=20, parallelism=parallelism)
+        else:
+            monkeypatch.setattr(assignment, "_LOCKSTEP_MIN_PROBLEMS", 2)
+            cfg = canned_experiments("fig3", seed=4, iterations=20, out_dir=str(out),
+                                     parallelism=parallelism)
+        assert harness._chunk_drops(cfg) >= cfg.iterations
+        run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "full")))
         monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
-        cfg = tiny_config(tmp_path / "fail", iterations=20, parallelism=2)
         with pytest.raises(RuntimeError, match=f"drop {failing} failed") as excinfo:
             run_experiment(cfg)
-        assert "in _run_drop" in str(excinfo.value.__cause__)  # worker traceback
-        out = tmp_path / "fail"
+        if parallelism > 1:
+            assert "in _run_chunk" in str(excinfo.value.__cause__)  # worker traceback
         assert (out / "FAILED").read_text() == f"RuntimeError: drop {failing} failed\n"
-        drops = [json.loads(line)["drop"]
-                 for line in (out / "records.jsonl").read_text().splitlines()]
+        kept = (out / "records.jsonl").read_text().splitlines()
         per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
-        assert drops == [k for k in range(failing) for _ in range(per_drop)]
+        assert [json.loads(line)["drop"] for line in kept] == [
+            k for k in range(failing) for _ in range(per_drop)]
+        full = (tmp_path / "full" / "records.jsonl").read_text().splitlines()
+        assert kept == full[:failing * per_drop]
 
-    def test_timing_log_has_one_line_per_block(self, tmp_path):
+    def test_lockstep_fig3_outputs_identical_across_parallelism(self, tmp_path, monkeypatch):
+        # 90 drops: serial chunks of 30 and parallel blocks of 45 (a chunk
+        # of 30 and one of 15) or 30, so stacks of 60 go to the lockstep
+        # solver and stacks of 30 one matrix at a time
+        from fdsched import assignment
+
+        lockstep = []
+        monkeypatch.setattr(assignment, "_min_cost_assignments",
+                            lambda *args, _solve=assignment._min_cost_assignments:
+                            lockstep.append(len(args[0])) or _solve(*args))
+        outputs = {}
+        for parallelism in (1, 2, 3):
+            out = tmp_path / f"p{parallelism}"
+            run_experiment(canned_experiments("fig3", seed=12, iterations=90, out_dir=str(out),
+                                              parallelism=parallelism))
+            outputs[parallelism] = {name: text.encode() for name, text
+                                    in read_deterministic_outputs(out).items()}
+        assert lockstep == [60] * 6   # the serial run's; workers count in their copies
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+
+    def test_timing_log_has_one_line_per_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_CHUNK_PROBLEMS", 6)   # 3 drops of 2 problems
         run_experiment(tiny_config(tmp_path / "t", iterations=9, parallelism=2))
         lines = (tmp_path / "t" / "timing.log").read_text().splitlines()[1:]
-        assert [line.split(":")[0] for line in lines[:9]] == [f"drop {k}" for k in range(9)]
-        blocks = [line.split(":")[0] for line in lines[9:]]
-        # 9 drops in 2 blocks, one per worker: edges at 9 * b // 2
-        assert blocks == ["drops 0-3", "drops 4-8"]
-        assert all(" pid " in line and line.endswith(" s") for line in lines[9:])
+        # 9 drops in 2 blocks, one per worker: edges at 9 * b // 2; each
+        # block in chunks of up to 3 drops
+        chunks = [line.split(":")[0] for line in lines[:4]]
+        assert chunks == ["chunk 0-2", "chunk 3-3", "chunk 4-6", "chunk 7-8"]
+        assert [line.split(":")[0] for line in lines[4:]] == ["drops 0-3", "drops 4-8"]
+        assert all(" pid " in line and line.endswith(" s") for line in lines[4:])
 
     @pytest.mark.parametrize("second_block, status", [
         (lambda: os._exit(3), 3 << 8),                       # exits inside the block
@@ -688,12 +731,12 @@ class TestPoolBlocks:
         if stop is RuntimeError:
             monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
         else:
-            monkeypatch.setattr(harness, "_merge_drop", interrupted)
+            monkeypatch.setattr(harness, "_merge_chunk", interrupted)
         started = time.monotonic()
         with pytest.raises(stop) as excinfo:
             run_experiment(tiny_config(tmp_path / "stop", iterations=6, parallelism=3))
         if stop is RuntimeError:
-            assert "in _run_drop" in str(excinfo.value.__cause__)   # a failed block
+            assert "in _run_chunk" in str(excinfo.value.__cause__)   # a failed block
         assert time.monotonic() - started < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -718,7 +761,7 @@ class TestPoolBlocks:
         assert (read_deterministic_outputs(tmp_path / "p2")
                 == read_deterministic_outputs(tmp_path / "p1"))
         lines = (tmp_path / "p2" / "timing.log").read_text().splitlines()[1:]
-        assert [line.split(":")[0] for line in lines] == [f"drop {k}" for k in range(5)]
+        assert [line.split(":")[0] for line in lines] == ["chunk 0-4"]
 
 
 # A process pool's packages, a worker's traceback capture and logging: a

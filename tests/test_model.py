@@ -15,8 +15,8 @@ from fdsched.model import (
 )
 from fdsched import solvers
 from fdsched.scenario import build_gain_table
-from fdsched.solvers import STRATEGIES, solve
-from oracles import pairing_from_ul_partners, pairing_matrix, validate_gain_table
+from fdsched.solvers import STRATEGIES
+from oracles import pairing_from_ul_partners, pairing_matrix, solve_drop, validate_gain_table
 
 
 class TestUnitConversions:
@@ -72,7 +72,7 @@ class TestValidateParams:
         for name in STRATEGIES:
             for mu in (1.2, -0.1, float("nan")):
                 with pytest.raises(ValueError, match="mu must lie in"):
-                    solve(name, gains, params, [(WeightMode.SUM_RATE, mu)],
+                    solve_drop(name, gains, params, [(WeightMode.SUM_RATE, mu)],
                           np.random.default_rng(0))
 
     def test_p_opt_rejects_mu_before_enumerating(self, monkeypatch):
@@ -85,7 +85,7 @@ class TestValidateParams:
         gains = build_gain_table(params, np.random.default_rng(0))
         for mu in (1.2, float("nan")):
             with pytest.raises(ValueError, match="mu must lie in"):
-                solve("P-OPT", gains, params, [(WeightMode.SUM_RATE, mu)])
+                solve_drop("P-OPT", gains, params, [(WeightMode.SUM_RATE, mu)])
 
     def test_multiple_violations_all_reported(self):
         with pytest.raises(ValueError) as exc:

@@ -18,14 +18,13 @@ from fdsched.harness import drop_rng
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     STRATEGIES,
-    solve,
     solve_c_hun,
     solve_c_nint,
     solve_p_opt,
     solve_r_epa,
 )
-from oracles import (dual_multipliers, modules_after, pairing_from_ul_partners,
-                     power_candidates)
+from oracles import (dual_multipliers, modules_after, one_drop, pairing_from_ul_partners,
+                     power_candidates, solve_drop)
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10
@@ -135,15 +134,19 @@ def assert_tied_optimum(got, want):
 
 
 def recorded_assignments(monkeypatch):
-    """The (values, pairing) of every solvers.assign_with_solo call from
-    now on.  P-OPT's scan writes a forbidden pair as a negative entry; every
-    allowed entry is a weighted SE, so it is >= 0."""
+    """The (values, pairing) of every problem that solvers.assign_with_solo
+    solves from now on, each of a stacked call's problems on its own.
+    P-OPT's scan writes a forbidden pair as a negative entry; every allowed
+    entry is a weighted SE, so it is >= 0."""
     calls = []
 
     def recorded(values, *args, _assign=solvers.assign_with_solo):
-        pairing, total = _assign(values, *args)
-        calls.append((values, pairing))
-        return pairing, total
+        solved = _assign(values, *args)
+        if values.ndim == 3:
+            calls.extend((v, pairing) for v, (pairing, _) in zip(values, solved))
+        else:
+            calls.append((values, solved[0]))
+        return solved
 
     monkeypatch.setattr(solvers, "assign_with_solo", recorded)
     return calls
@@ -172,7 +175,7 @@ class TestPOpt:
     def test_single_pair_without_interference(self):
         g = table([1e-8], [1e-8], [[1e-30]])
         params = params_with(num_ul=1, num_dl=1, num_channels=1, si_cancellation=1e-30)
-        out = solve_p_opt(g, params, [(sr(g), 0.0)])[0]
+        out = one_drop(solve_p_opt, g, params, [(sr(g), 0.0)])[0]
         assert out.pairing.num_pairs == 1
         assert out.powers.p_ul[0] == params.p_max_ul_w
         assert out.powers.p_dl[0] == params.p_max_dl_w
@@ -183,7 +186,7 @@ class TestPOpt:
         g = table([1e-8], [1e-8], [[1.0]])
         params = params_with(num_ul=1, num_dl=1, num_channels=2)
         w = sr(g)
-        out = solve_p_opt(g, params, [(w, 0.0)])[0]
+        out = one_drop(solve_p_opt, g, params, [(w, 0.0)])[0]
         candidates = []
         solo = outcome_metrics(pairing_from_ul_partners([None], 1),
                                PowerAllocation(np.array([params.p_max_ul_w]),
@@ -200,7 +203,7 @@ class TestPOpt:
     def test_respects_channel_budget_at_full_load(self):
         params = params_with()
         g = random_drop(np.random.default_rng(0), params)
-        out = solve_p_opt(g, params, [(sr(g), 0.1)])[0]
+        out = one_drop(solve_p_opt, g, params, [(sr(g), 0.1)])[0]
         assert out.pairing.num_pairs == 4  # 8 users on 4 channels
 
     def test_channel_budget_guard(self):
@@ -208,7 +211,7 @@ class TestPOpt:
         params = params_with()
         g = table(np.full(5, 1e-8), np.full(5, 1e-8), np.full((5, 5), 1e-10))
         with pytest.raises(ValueError, match="channel budget infeasible: 5\\+5 users on 4"):
-            solve_p_opt(g, params, [(sr(g), 0.5)])
+            one_drop(solve_p_opt, g, params, [(sr(g), 0.5)])
 
     @pytest.mark.parametrize("g_dl0, g_x00", [(np.inf, np.inf), (1e-8, np.nan)])
     def test_nan_benefit_rejected(self, g_dl0, g_x00):
@@ -219,7 +222,7 @@ class TestPOpt:
         g_cross[0, 0] = g_x00
         g = table([1e-8, 2e-8], [g_dl0, 2e-8], g_cross)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            solve_p_opt(g, params, [(sr(g), 0.5)])
+            one_drop(solve_p_opt, g, params, [(sr(g), 0.5)])
 
     @pytest.mark.parametrize("shape", P_OPT_SHAPES, ids=lambda s: "%d+%d/%d" % s)
     def test_mu_zero_takes_c_hun_decisions(self, shape, monkeypatch):
@@ -233,9 +236,9 @@ class TestPOpt:
             for mode in WeightMode:
                 w = make_weights(mode, g)
                 calls.clear()
-                got = solve_p_opt(g, params, [(w, 0.0)])[0]
+                got = one_drop(solve_p_opt, g, params, [(w, 0.0)])[0]
                 assert len(calls) == 1
-                assert_same_decisions(got, solve_c_hun(g, params, [(w, 0.0)])[0])
+                assert_same_decisions(got, one_drop(solve_c_hun, g, params, [(w, 0.0)])[0])
 
     def test_beats_exhaustive_reference_on_small_instances(self):
         # independent oracle: enumerate matchings and corners directly
@@ -260,7 +263,7 @@ class TestPOpt:
                             out = outcome_metrics(pairing, PowerAllocation(p_ul, p_dl),
                                                   g, params, w, 0.7)
                             best = max(best, out.objective)
-            got = solve_p_opt(g, params, [(w, 0.7)])[0]
+            got = one_drop(solve_p_opt, g, params, [(w, 0.7)])[0]
             assert got.objective == pytest.approx(best, rel=1e-12)
 
     def test_power_grid_refinement_never_loses(self):
@@ -268,7 +271,7 @@ class TestPOpt:
         params = params_with(num_ul=2, num_dl=2, num_channels=2)
         for _ in range(5):
             g = random_drop(rng, params)
-            corners = solve_p_opt(g, params, [(sr(g), 0.8)])[0].objective
+            corners = one_drop(solve_p_opt, g, params, [(sr(g), 0.8)])[0].objective
             refined = reference_p_opt(g, params, sr(g), 0.8, power_levels=6).objective
             assert refined >= corners - 1e-12
 
@@ -290,7 +293,7 @@ class TestPOptMatchesLoopReference:
                                np.full((num_ul, num_dl), 1e-10))]
                 for n, g in enumerate(drops):
                     w = make_weights(mode, g)
-                    got = solve_p_opt(g, params, [(w, mu)])[0]
+                    got = one_drop(solve_p_opt, g, params, [(w, mu)])[0]
                     want = reference_p_opt(g, params, w, mu)
                     check = assert_same_optimum if n == 0 and mu < 1 else assert_tied_optimum
                     check(got, want)
@@ -312,7 +315,7 @@ class TestPOptMatchesLoopReference:
             for mode in WeightMode:
                 w = make_weights(mode, g)
                 for mu in (0.1, 0.5, 0.9):
-                    assert_same_optimum(solve_p_opt(g, params, [(w, mu)])[0],
+                    assert_same_optimum(one_drop(solve_p_opt, g, params, [(w, mu)])[0],
                                         reference_p_opt(g, params, w, mu))
 
     def test_criterion_2_instances(self):
@@ -322,7 +325,7 @@ class TestPOptMatchesLoopReference:
         for k in range(200):
             g = build_gain_table(params, drop_rng(202, k, 0))
             w = sr(g)
-            for mu, got in zip(mus, solve_p_opt(g, params, [(w, mu) for mu in mus])):
+            for mu, got in zip(mus, one_drop(solve_p_opt, g, params, [(w, mu) for mu in mus])):
                 assert_same_optimum(got, reference_p_opt(g, params, w, mu))
 
     def test_scan_forbids_pairs_at_path_loss_magnitudes(self, monkeypatch):
@@ -337,7 +340,7 @@ class TestPOptMatchesLoopReference:
             w = make_weights(WeightMode.PATH_LOSS_COMPENSATION, g)
             for mu in (1.0 - 1e-12, 1.0 - 1e-11):
                 calls.clear()
-                got = solve_p_opt(g, params, [(w, mu)])[0]
+                got = one_drop(solve_p_opt, g, params, [(w, mu)])[0]
                 assert_same_optimum(got, reference_p_opt(g, params, w, mu))
                 won += any(values.min() < 0 and pairing == got.pairing
                            and all(values[i, j] >= 0 for i, j in pairing.pairs())
@@ -352,7 +355,7 @@ class TestPOptMatchesLoopReference:
         params = params_with(si_cancellation=1e-13)
         g = random_drop(np.random.default_rng(9), params)
         calls = recorded_assignments(monkeypatch)
-        got = solve_p_opt(g, params, [(sr(g), 0.9)])[0]
+        got = one_drop(solve_p_opt, g, params, [(sr(g), 0.9)])[0]
         infeasible = [values for values, pairing in calls
                       if any(values[i, j] < 0 for i, j in pairing.pairs())]
         assert len(infeasible) == 1
@@ -370,7 +373,7 @@ class TestPOptMatchesLoopReference:
         params = params_with(num_ul=3, num_dl=3, num_channels=3)
         for mu in (0.1, 0.9):
             with np.errstate(invalid="ignore"):
-                assert_same_decisions(solve_p_opt(g, params, [(sr(g), mu)])[0],
+                assert_same_decisions(one_drop(solve_p_opt, g, params, [(sr(g), mu)])[0],
                                       reference_p_opt(g, params, sr(g), mu))
 
 
@@ -390,11 +393,11 @@ class TestPOptAtScale:
             g = random_drop(rng, params)
             w = make_weights(mode, g)
             objectives = [(w, mu) for mu in mus]
-            top = [o.objective for o in solve_p_opt(g, params, objectives)]
+            top = [o.objective for o in one_drop(solve_p_opt, g, params, objectives)]
             ceiling = [t + 1e-12 * abs(t) for t in top]
-            for outcomes in (solve_c_hun(g, params, objectives),
-                             solve_c_nint(g, params, objectives),
-                             solve_r_epa(g, params, objectives, rng)):
+            for outcomes in (one_drop(solve_c_hun, g, params, objectives),
+                             one_drop(solve_c_nint, g, params, objectives),
+                             one_drop(solve_r_epa, g, params, objectives, rng)):
                 assert all(o.objective <= c for o, c in zip(outcomes, ceiling))
             for n in range(200):
                 # a random perfect matching, half the samples at (Pmax, Pmax)
@@ -421,25 +424,25 @@ class TestCHun:
             "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9)\n"
             "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
             "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
-            "fd.solve_c_hun(gains, params, [(weights, 0.5)])\n"
+            "fd.solve_c_hun([(gains, None)], params, [[(weights, 0.5)]])\n"
             "params = fd.ScenarioParams(num_ul=25, num_dl=25, num_channels=25)\n"
             "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
             "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
-            "fd.solve_p_opt(gains, params, [(weights, 0.9)])\n", "scipy") == []
+            "fd.solve_p_opt([(gains, None)], params, [[(weights, 0.9)]])\n", "scipy") == []
 
     def test_matches_p_opt_without_interference(self):
         params = params_with(si_cancellation=1e-30)
         rng = np.random.default_rng(3)
         g0 = random_drop(rng, params)
         g = GainTable(g0.g_ul, g0.g_dl, np.full_like(g0.g_cross, 1e-30))
-        assert solve_c_hun(g, params, [(sr(g), 0.3)])[0].objective == pytest.approx(
-            solve_p_opt(g, params, [(sr(g), 0.3)])[0].objective, rel=1e-9)
+        assert one_drop(solve_c_hun, g, params, [(sr(g), 0.3)])[0].objective == pytest.approx(
+            one_drop(solve_p_opt, g, params, [(sr(g), 0.3)])[0].objective, rel=1e-9)
 
     def test_deterministic(self):
         params = params_with()
         g = random_drop(np.random.default_rng(4), params)
-        a = solve_c_hun(g, params, [(sr(g), 0.9)])[0]
-        b = solve_c_hun(g, params, [(sr(g), 0.9)])[0]
+        a = one_drop(solve_c_hun, g, params, [(sr(g), 0.9)])[0]
+        b = one_drop(solve_c_hun, g, params, [(sr(g), 0.9)])[0]
         assert a.pairing == b.pairing
         assert np.array_equal(a.powers.p_ul, b.powers.p_ul)
         assert a.objective == b.objective
@@ -447,19 +450,19 @@ class TestCHun:
     def test_pairs_fill_the_channel_budget(self):
         params = params_with()
         g = random_drop(np.random.default_rng(5), params)
-        assert solve_c_hun(g, params, [(sr(g), 0.1)])[0].pairing.num_pairs == 4
+        assert one_drop(solve_c_hun, g, params, [(sr(g), 0.1)])[0].pairing.num_pairs == 4
 
     def test_solo_users_allowed_with_spare_channels(self):
         params = params_with(num_ul=2, num_dl=2, num_channels=4)
         g = table([1e-8, 1e-8], [1e-8, 1e-8], np.full((2, 2), 1e-6))
-        out = solve_c_hun(g, params, [(sr(g), 0.0)])[0]
+        out = one_drop(solve_c_hun, g, params, [(sr(g), 0.0)])[0]
         assert out.pairing.num_pairs == 0  # crushing cross gain, keep apart
 
     def test_one_direction_empty(self):
         params = params_with(num_ul=1, num_dl=0, num_channels=1)
         g = GainTable(g_ul=np.array([1e-8]), g_dl=np.zeros(0),
                       g_cross=np.zeros((1, 0)))
-        out = solve_c_hun(g, params, [(sr(g), 0.2)])[0]
+        out = one_drop(solve_c_hun, g, params, [(sr(g), 0.2)])[0]
         assert out.pairing.partner_of_ul == (None,)
         assert out.powers.p_ul[0] == params.p_max_ul_w
         assert out.se_dl.size == 0
@@ -470,7 +473,7 @@ class TestCHun:
     def test_no_ul_users_leaves_every_dl_user_solo(self, strategy, num_channels):
         params = params_with(num_ul=0, num_dl=3, num_channels=num_channels)
         g = random_drop(np.random.default_rng(9), params)
-        out = strategy(g, params, [(sr(g), 0.5)])[0]
+        out = one_drop(strategy, g, params, [(sr(g), 0.5)])[0]
         assert out.pairing.num_pairs == 0
         assert out.pairing.partner_of_dl == (None, None, None)
         assert np.all(out.powers.p_dl == params.p_max_dl_w)
@@ -486,7 +489,7 @@ class TestCHun:
         g_cross[0, 0] = g_x00
         g = table([1e-8, 2e-8], [g_dl0, 2e-8], g_cross)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            solve_c_hun(g, params, [(sr(g), 0.5)])
+            one_drop(solve_c_hun, g, params, [(sr(g), 0.5)])
 
 
 class TestCNInt:
@@ -494,8 +497,8 @@ class TestCNInt:
         params = params_with()
         g0 = random_drop(np.random.default_rng(6), params)
         g = GainTable(g0.g_ul, g0.g_dl, np.zeros_like(g0.g_cross))
-        a = solve_c_hun(g, params, [(sr(g), 0.5)])[0]
-        b = solve_c_nint(g, params, [(sr(g), 0.5)])[0]
+        a = one_drop(solve_c_hun, g, params, [(sr(g), 0.5)])[0]
+        b = one_drop(solve_c_nint, g, params, [(sr(g), 0.5)])[0]
         assert a.pairing == b.pairing
         assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
@@ -503,7 +506,7 @@ class TestCNInt:
         params = params_with()
         for seed in range(5):
             g = random_drop(np.random.default_rng(seed), params)
-            out = solve_c_nint(g, params, [(sr(g), 0.9)])[0]
+            out = one_drop(solve_c_nint, g, params, [(sr(g), 0.9)])[0]
             blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
             planned = outcome_metrics(out.pairing, out.powers, blind, params, sr(g), 0.9)
             assert np.all(planned.se_dl >= out.se_dl - 1e-12)
@@ -514,8 +517,8 @@ class TestCNInt:
         chun, cnint = [], []
         for _ in range(40):
             g = random_drop(rng, params)
-            chun.append(solve_c_hun(g, params, [(sr(g), 0.9)])[0].objective)
-            cnint.append(solve_c_nint(g, params, [(sr(g), 0.9)])[0].objective)
+            chun.append(one_drop(solve_c_hun, g, params, [(sr(g), 0.9)])[0].objective)
+            cnint.append(one_drop(solve_c_nint, g, params, [(sr(g), 0.9)])[0].objective)
         assert np.mean(cnint) < np.mean(chun)
 
 
@@ -523,7 +526,7 @@ class TestREpa:
     def test_single_pair_always_formed(self):
         params = params_with(num_ul=1, num_dl=1, num_channels=1)
         g = table([1e-8], [1e-8], [[1e-9]])
-        out = solve_r_epa(g, params, [(sr(g), 0.5)], np.random.default_rng(0))[0]
+        out = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], np.random.default_rng(0))[0]
         assert out.pairing.pairs() == [(0, 0)]
         assert out.powers.p_ul[0] == params.p_max_ul_w
         assert out.powers.p_dl[0] == params.p_max_dl_w
@@ -531,14 +534,14 @@ class TestREpa:
     def test_fixed_seed_reproducible(self):
         params = params_with()
         g = random_drop(np.random.default_rng(8), params)
-        a = solve_r_epa(g, params, [(sr(g), 0.5)], np.random.default_rng(123))[0]
-        b = solve_r_epa(g, params, [(sr(g), 0.5)], np.random.default_rng(123))[0]
+        a = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], np.random.default_rng(123))[0]
+        b = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], np.random.default_rng(123))[0]
         assert a.pairing == b.pairing
 
     def test_pairs_maximally_when_sides_differ(self):
         params = params_with(num_ul=2, num_dl=4, num_channels=4)
         g = random_drop(np.random.default_rng(9), params)
-        out = solve_r_epa(g, params, [(sr(g), 0.5)], np.random.default_rng(1))[0]
+        out = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], np.random.default_rng(1))[0]
         assert out.pairing.num_pairs == 2
         assert np.all(out.powers.p_ul == params.p_max_ul_w)
         assert np.all(out.powers.p_dl == params.p_max_dl_w)
@@ -549,7 +552,7 @@ class TestREpa:
         rng = np.random.default_rng(11)
         counts = {(0, 1): 0, (1, 0): 0}
         for _ in range(400):
-            out = solve_r_epa(g, params, [(sr(g), 0.5)], rng)[0]
+            out = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], rng)[0]
             counts[tuple(out.pairing.partner_of_ul)] += 1
         assert abs(counts[(0, 1)] - 200) < 60
 
@@ -560,7 +563,7 @@ class TestREpa:
         params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=max(num_ul, num_dl))
         g = random_drop(np.random.default_rng(12), params)
         rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
-        out = solve_r_epa(g, params, [(sr(g), 0.5)], rng)[0]
+        out = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], rng)[0]
         perm = ref_rng.permutation(max(num_ul, num_dl)).tolist()
         pairs = [(k, perm[k]) if num_ul <= num_dl else (perm[k], k)
                  for k in range(min(num_ul, num_dl))]
@@ -573,8 +576,9 @@ class TestREpa:
         chun, repa = [], []
         for _ in range(40):
             g = random_drop(rng, params)
-            chun.append(solve_c_hun(g, params, [(sr(g), 0.9)])[0].sum_se)
-            repa.append(solve_r_epa(g, params, [(sr(g), 0.9)], np.random.default_rng(0))[0].sum_se)
+            chun.append(one_drop(solve_c_hun, g, params, [(sr(g), 0.9)])[0].sum_se)
+            repa.append(one_drop(solve_r_epa, g, params, [(sr(g), 0.9)],
+                                 np.random.default_rng(0))[0].sum_se)
         assert np.mean(repa) < np.mean(chun)
 
 
@@ -591,8 +595,8 @@ class TestObjectiveFree:
             outcomes = []
             for mode in WeightMode:
                 for mu in (0.0, 0.1, 0.5, 0.9, 1.0):
-                    outcomes.append(solve(name, g, params, [(mode, mu)],
-                                          np.random.default_rng(100 + seed))[0])
+                    outcomes.append(solve_drop(name, g, params, [(mode, mu)],
+                                               np.random.default_rng(100 + seed))[0])
             first = outcomes[0]
             for out in outcomes[1:]:
                 assert out.pairing == first.pairing
@@ -627,10 +631,10 @@ class TestSeveralObjectives:
         params = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=channels)
         rng = np.random.default_rng(100 + sum(shape))
         for g in (random_drop(rng, params), tie_heavy_drop(rng, num_ul, num_dl)):
-            together = solve(name, g, params, MIXED_OBJECTIVES, np.random.default_rng(5))
+            together = solve_drop(name, g, params, MIXED_OBJECTIVES, np.random.default_rng(5))
             assert len(together) == len(MIXED_OBJECTIVES)
             for objective, got in zip(MIXED_OBJECTIVES, together):
-                [alone] = solve(name, g, params, [objective], np.random.default_rng(5))
+                [alone] = solve_drop(name, g, params, [objective], np.random.default_rng(5))
                 assert_same_outcome(got, alone)
 
     @pytest.mark.parametrize("name", ["P-OPT", "C-HUN"])
@@ -646,7 +650,7 @@ class TestSeveralObjectives:
             rng = np.random.default_rng(300 + sum(shape))
             for g in (random_drop(rng, params), tie_heavy_drop(rng, num_ul, num_dl)):
                 for objectives in (MIXED_OBJECTIVES, fig2):
-                    outcomes = solve(name, g, params, objectives)
+                    outcomes = solve_drop(name, g, params, objectives)
                     for n, ((mode, mu), got) in enumerate(zip(objectives, outcomes)):
                         fresh = outcome_metrics(got.pairing, got.powers, g, params,
                                                 make_weights(mode, g), mu)
@@ -668,7 +672,7 @@ class TestSeveralObjectives:
         shared = 0
         for _ in range(20):
             made.clear()
-            outcomes = solve("P-OPT", random_drop(rng, params), params, fig2)
+            outcomes = solve_drop("P-OPT", random_drop(rng, params), params, fig2)
             # objectives with one winner share its pairing object
             assert len(made) == len({id(o.pairing) for o in outcomes})
             shared += len(made) < len(fig2)
@@ -687,7 +691,7 @@ class TestSeveralObjectives:
             objectives = [(WeightMode.SUM_RATE, 0.5), (WeightMode.PATH_LOSS_COMPENSATION, 0.1)]
             objectives.insert(at, (WeightMode.SUM_RATE, bad))
             with pytest.raises(ValueError, match="mu must lie in"):
-                solve(name, g, params, objectives, np.random.default_rng(0))
+                solve_drop(name, g, params, objectives, np.random.default_rng(0))
 
 
 class TestSilencedPartnerRepeats:
@@ -746,11 +750,11 @@ class TestOptimalitySandwich:
             for _ in range(15):
                 g = random_drop(rng, params)
                 w = sr(g)
-                top = solve_p_opt(g, params, [(w, mu)])[0].objective
-                assert solve_c_hun(g, params, [(w, mu)])[0].objective <= top + 1e-12
-                assert solve_c_nint(g, params, [(w, mu)])[0].objective <= top + 1e-12
-                assert solve_r_epa(g, params, [(w, mu)],
-                                   np.random.default_rng(0))[0].objective <= top + 1e-12
+                top = one_drop(solve_p_opt, g, params, [(w, mu)])[0].objective
+                assert one_drop(solve_c_hun, g, params, [(w, mu)])[0].objective <= top + 1e-12
+                assert one_drop(solve_c_nint, g, params, [(w, mu)])[0].objective <= top + 1e-12
+                assert one_drop(solve_r_epa, g, params, [(w, mu)],
+                                np.random.default_rng(0))[0].objective <= top + 1e-12
 
 
 class TestDualMultipliers:
@@ -799,8 +803,8 @@ class TestRegistry:
     def test_solve_dispatches(self):
         params = params_with()
         g = random_drop(np.random.default_rng(14), params)
-        direct = solve_c_hun(g, params, [(sr(g), 0.5)])[0]
-        via_registry = solve("C-HUN", g, params, [(WeightMode.SUM_RATE, 0.5)])[0]
+        direct = one_drop(solve_c_hun, g, params, [(sr(g), 0.5)])[0]
+        via_registry = solve_drop("C-HUN", g, params, [(WeightMode.SUM_RATE, 0.5)])[0]
         assert via_registry.objective == direct.objective
 
     def test_readme_library_example_runs(self, capsys):
@@ -814,4 +818,4 @@ class TestRegistry:
         params = params_with()
         g = random_drop(np.random.default_rng(15), params)
         with pytest.raises(KeyError):
-            solve("NOPE", g, params, [(WeightMode.SUM_RATE, 0.5)])
+            solve_drop("NOPE", g, params, [(WeightMode.SUM_RATE, 0.5)])

@@ -20,10 +20,10 @@ workload.
 The output holds, under ``workloads``, one entry per workload with every
 pair (the last two stdout lines of each run, as ``report`` and ``result``)
 and a summary: per metric, each side's median and quartiles over the
-pairs, how many pairs
-the change won (ties count for neither), and whether the claim rule is
-met: at least nine tenths of the pairs won and a median gap wider than the
-base's interquartile range.  For end-to-end metrics ``worse_beyond_bound``
+pairs, the relative median gap (change / parent - 1, ``median_gap``), how
+many pairs the change won (ties count for neither), and whether the claim
+rule is met: at least nine tenths of the pairs won and a median gap wider
+than the base's interquartile range.  For end-to-end metrics ``worse_beyond_bound``
 says whether the change's median is worse than the base's by more than the
 bound in ``BENCHMARK.json``; it is ``"unresolved"`` when the base's
 interquartile range is wider than that bound and some change run does not
@@ -33,7 +33,9 @@ noise.
 The console gets, per workload, one line with the pairs whose output
 digests were equal and each side's failed operations, then one line per
 metric: both medians, the pairs the change won, the base's interquartile
-range, ``gain_met`` and, for end-to-end metrics, ``worse_beyond_bound``.
+range, the relative median gap, ``gain_met`` and, for end-to-end metrics,
+``worse_beyond_bound``.  The gap shows how large a met claim is: a 0.1%
+gap on a metric that barely spreads can meet the rule.
 
 With ``--traced-pairs N``, N more pairs per workload then run with
 ``--trace 1`` added, on the seeds after the untraced ones, interleaved
@@ -123,6 +125,7 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
                  "parent": {"median": base_med, "quartiles": base_q},
                  "change": {"median": change_med, "quartiles": _quartiles(values["change"])},
                  "ratio": change_med / base_med if base_med else None,
+                 "median_gap": change_med / base_med - 1.0 if base_med else None,
                  "change_won": won,
                  "gain_met": (won >= 0.9 * len(pairs)
                               and sign * (change_med - base_med) > base_q[2] - base_q[0])}
@@ -140,12 +143,16 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
 
 def summary_line(workload: str, name: str, entry: dict, pairs: int) -> str:
     """The console line of one metric's summary entry: both medians, the
-    pairs won, the parent's interquartile range, whether the claim rule is
-    met and, for an end-to-end metric, whether it is worse beyond its bound."""
+    pairs won, the parent's interquartile range, the relative median gap
+    next to whether the claim rule is met and, for an end-to-end metric,
+    whether it is worse beyond its bound."""
     q1, _, q3 = entry["parent"]["quartiles"]
+    gap = entry["median_gap"]
     line = (f"{workload} {name}: {entry['parent']['median']:.6g} -> "
             f"{entry['change']['median']:.6g} (change won {entry['change_won']}/{pairs}; "
-            f"parent IQR {q1:.6g}..{q3:.6g}; gain_met {str(entry['gain_met']).lower()}")
+            f"parent IQR {q1:.6g}..{q3:.6g}; "
+            f"median gap {'n/a' if gap is None else format(gap, '+.1%')}; "
+            f"gain_met {str(entry['gain_met']).lower()}")
     if "worse_beyond_bound" in entry:
         line += f"; worse_beyond_bound {str(entry['worse_beyond_bound']).lower()}"
     return line + ")"
