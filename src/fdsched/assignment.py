@@ -6,7 +6,12 @@ each line of the shorter side gets a distinct partner (Crouse, IEEE TAES
 2016).  On a matrix with many spare columns the solver leaves out of its
 scans every spare column that a lower-index spare column dominates, with
 the same matching as the full scan.  assign_with_solo reduces pairing or
-standing alone to one I-row rectangle.
+standing alone to one I-row rectangle, for one problem or for a stack of
+them along a leading axis.  A stack of at least _LOCKSTEP_MIN_PROBLEMS
+rectangles too narrow to prune is solved in lockstep by numpy, every
+problem's tree steps in one round of array calls, with the scalar
+solver's floats and tie-breaks and so its matchings; any other stack goes
+through hungarian_max one matrix at a time.
 """
 
 from __future__ import annotations
@@ -154,8 +159,8 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
 
 
 def _min_cost_assignments(costs: np.ndarray, tops: np.ndarray | None = None) -> np.ndarray:
-    """_min_cost_assignment of every cost of a (B, n, m) stack, n <= m, in
-    lockstep: the (B, n) columns of each problem's rows.  With tops, (B,),
+    """_min_cost_assignment of every cost of a (B, n, m) stack, 1 <= n <= m,
+    in lockstep: the (B, n) columns of each problem's rows.  With tops, (B,),
     costs[b] holds benefits and problem b's cost is tops[b] - costs[b],
     computed a row at a time as the search reads it, so the stack's costs
     are never held whole.
@@ -175,8 +180,9 @@ def _min_cost_assignments(costs: np.ndarray, tops: np.ndarray | None = None) -> 
     and the argmin pass over it unmasked, and the masked updates multiply
     delta by a 0/1 mask.  Adding 0.0 or delta * 0.0 and applying a zero
     delta rather than skipping it change no value but the sign of a zero,
-    so no decision.  Nothing is pruned: assign_with_solo sends wide costs
-    to the scalar solver.
+    so no decision.  tops[b] - costs[b] is the scalar path's benefit.max()
+    - benefit, entry by entry.  Nothing is pruned: _max_assignments sends
+    wide costs to the scalar solver.
     """
     b, n, m = costs.shape
     rows = costs.reshape(b * n, m)

@@ -5,9 +5,13 @@ independent network drops.  Every combination of one drop sees the same
 GainTable, so cross-strategy comparisons are paired.  Substream seeds are
 derived from the master seed and the drop index by a counter-based split,
 which makes results independent of scheduling order and parallelism.
-Each strategy is solved once per drop for all of the drop's (weight mode,
-mu) objectives, each after the first from the generator state the first
-began with, and the records keep the (weight mode, mu, strategy) order.
+The drops run in chunks of about _CHUNK_PROBLEMS assignment problems.
+Each strategy is solved once per chunk, for all of its drops' (weight
+mode, mu) objectives, so its assignments go to the solver as one stack;
+each strategy after the first starts from the generator states the first
+began with.  The records are built per drop, in drop order, and keep the
+(weight mode, mu, strategy) order.  A chunk that fails is solved again
+one drop at a time, so a failure keeps every drop before the failing one.
 Outcomes of one solve that share SE arrays (a schedule that several
 objectives chose, evaluated once and rescored, as every R-EPA schedule is)
 give records derived from the first one, sharing its pair of SE tuples.
@@ -19,12 +23,13 @@ Outputs per run directory:
   records.jsonl  one record per (drop, strategy, mu, weight mode)
   cdf_*.csv      empirical CDF per metric and combination
   summary.json   medians and pairwise median gaps
-  timing.log     wall-clock sidecar; the only non-deterministic file
+  timing.log     wall-clock sidecar, one line per chunk and, in a parallel
+                 run, per block; the only non-deterministic file
 
 A parallel run forks one child per contiguous block of drops, at most
 parallelism of them, and merges the blocks back in drop order.  Each child
-pickles its block's result into its own pipe.  Where os.fork is missing
-(Windows) a parallel run is a serial one.
+runs its block in chunks and pickles their results into its own pipe.
+Where os.fork is missing (Windows) a parallel run is a serial one.
 """
 
 from __future__ import annotations
