@@ -25,13 +25,13 @@ from .model import Pairing
 
 # A cost with fewer than this many entries beyond its square part,
 # n * (m - n), keeps the full scan: below it, building the dominance table
-# cost more than the pruned scan saved (ROADMAP item 6, "Cost vs cell size").
+# cost more than the pruned scan saved (ROADMAP item 8, "Ruled out").
 _PRUNE_MIN_SPARE_ENTRIES = 256
 
 # A stack of fewer problems than this goes to the scalar solver one matrix
 # at a time: below it the lockstep rounds' fixed numpy cost outweighs the
-# scalar loops they replace (measured break-even near 30 problems at
-# 25 x 25; at 4 x 4 near 100 for the solve alone, and below 90 once the
+# scalar loops they replace (measured break-even near 20 problems at
+# 25 x 25; at 4 x 4 near 60 for the solve alone, and near 30 once the
 # per-matrix calls it saves are counted).
 _LOCKSTEP_MIN_PROBLEMS = 50
 
@@ -170,8 +170,9 @@ def _min_cost_assignments(costs: np.ndarray, tops: np.ndarray | None = None) -> 
     unreached columns, the argmin and the potential update.  A problem
     whose step reaches an unmatched column augments its path and starts
     its next row in the next round while the others go on searching, so
-    each problem inserts its rows at its own pace.  A finished problem
-    leaves the stack.
+    each problem inserts its rows at its own pace.  A round's paths are
+    walked in plain Python and written back in one flat assignment.  A
+    finished problem leaves the stack, which remakes its flat views.
 
     The floats are the scalar solver's: minv - shift on the unreached
     columns, reduced = cost - u - v, u += delta and v -= delta on the tree,
@@ -198,47 +199,54 @@ def _min_cost_assignments(costs: np.ndarray, tops: np.ndarray | None = None) -> 
     blocked = np.zeros((b, m))                   # +inf on the tree's columns
     tree_rows = np.zeros((b, n))                 # 1.0 on the tree's rows
     j0 = np.full(b, m)
-    while live.size:
+    while live.size:                             # per stack: its invariants and flat views
         at = np.arange(live.size)
         at_n, at_m, at_root = at * n, at * m, at * (m + 1)
+        first_row = live * n
+        top = None if tops is None else np.repeat(tops[live][:, None], m, axis=1)
+        flat_cols, flat_u, flat_rows = row_of_col.ravel(), u.ravel(), tree_rows.ravel()
+        flat_minv, flat_blocked, flat_in = minv.ravel(), blocked.ravel(), in_tree.ravel()
         while True:
-            i0 = row_of_col.ravel()[at_root + j0]
-            tree_rows.ravel()[at_n + i0] = 1.0
-            reduced = rows[live * n + i0]
-            if tops is not None:
-                np.subtract(tops[live][:, None], reduced, out=reduced)
-            reduced -= u.ravel()[at_n + i0][:, None]
+            i0 = flat_cols[at_root + j0]
+            at_row = at_n + i0
+            flat_rows[at_row] = 1.0
+            reduced = rows[first_row + i0]
+            if top is not None:
+                np.subtract(top, reduced, out=reduced)
+            reduced -= flat_u[at_row][:, None]
             reduced -= v
             reduced += blocked
             way = np.where(reduced < minv, j0[:, None], way)
             np.minimum(minv, reduced, out=minv)
             j0 = minv.argmin(axis=1)
             picked = at_m + j0
-            delta = minv.ravel()[picked][:, None]
+            delta = flat_minv[picked][:, None]
             u += delta * tree_rows
             v -= delta * in_tree
             minv -= delta
-            minv.ravel()[picked] = math.inf
-            blocked.ravel()[picked] = math.inf
-            in_tree.ravel()[picked] = 1.0
-            ends = np.flatnonzero(row_of_col.ravel()[at_root + j0] < 0)
+            flat_minv[picked] = math.inf
+            flat_blocked[picked] = math.inf
+            flat_in[picked] = 1.0
+            ends = np.flatnonzero(flat_cols[at_root + j0] < 0)
             if not ends.size:
                 continue
-            at_way, at_col, j = at_m[ends], at_root[ends], j0[ends]
-            while True:                          # augment along each tree path
-                j_prev = way.ravel()[at_way + j]
-                row_of_col.ravel()[at_col + j] = row_of_col.ravel()[at_col + j_prev]
-                going = j_prev != m
-                if not going.any():
-                    break
-                at_way, at_col, j = at_way[going], at_col[going], j_prev[going]
-            row_of_col[ends, m] += 1             # the next row starts at the root
+            at_col, moved, done = [], [], []
+            for e, w, r, j in zip(ends.tolist(), way[ends].tolist(),
+                                  row_of_col[ends].tolist(), j0[ends].tolist()):
+                while j != m:                    # augment along the tree path
+                    at_col.append(e * (m + 1) + j)
+                    j = w[j]
+                    moved.append(r[j])
+                at_col.append(e * (m + 1) + m)   # the next row starts at the root
+                moved.append(r[m] + 1)
+                if r[m] + 1 == n:
+                    done.append(e)
+            flat_cols[at_col] = moved
             j0[ends] = m
             minv[ends] = math.inf
             for a in (blocked, in_tree, tree_rows):
                 a[ends] = 0.0
-            done = ends[row_of_col[ends, m] == n]
-            if done.size:
+            if done:
                 break
         rows_of = row_of_col[done, :m]
         k, cols = np.nonzero(rows_of >= 0)

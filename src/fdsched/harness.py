@@ -5,7 +5,8 @@ independent network drops.  Every combination of one drop sees the same
 GainTable, so cross-strategy comparisons are paired.  Substream seeds are
 derived from the master seed and the drop index by a counter-based split,
 which makes results independent of scheduling order and parallelism.
-The drops run in chunks of about _CHUNK_PROBLEMS assignment problems.
+The drops run in chunks of about _CHUNK_BYTES of gain tables and benefits
+(but enough for a stack to reach the lockstep gate).
 Each strategy is solved once per chunk, for all of its drops' (weight
 mode, mu) objectives, so its assignments go to the solver as one stack;
 each strategy after the first starts from the generator states the first
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
+from . import assignment, metrics
 from .model import (
     GainTable,
     ScenarioParams,
@@ -165,20 +166,26 @@ class RunRecord:
         return repeat
 
 
-# A chunk holds about this many assignment problems (stacked_problems):
-# fig3's two Hungarian strategies stack 60 each, above the lockstep
-# solver's gate, and a stack's float64 benefits stay near 0.3 MB at
-# 25 x 25.  Chunks of 240 ran 8% faster but raised fig3's peak RSS by
-# 1.75 MB (4.8%) against 0.7 MB.
-_CHUNK_PROBLEMS = 120
+# A chunk holds about this many bytes at once: its gain tables (I * J + 3 *
+# (I + J) float64s with the positions) and its largest strategy's stacked
+# benefits (I x (J + I - P) float64s a problem).  A lockstep problem costs
+# 0.32 ms at 25 x 25 in a stack of 60, 0.23 ms in one of 120 and 0.18 ms
+# in one of 240; 1 MiB is 64 fig3 drops, stacks of 128, and raised a
+# 60-drop fig3 run's peak RSS by about 1 MB (3%) over stacks of 60.
+_CHUNK_BYTES = 1 << 20
 
 
 def _chunk_drops(cfg: ExperimentConfig) -> int:
-    """Drops per chunk: _CHUNK_PROBLEMS over the problems one drop stacks,
-    and one drop where no strategy stacks any."""
+    """Drops per chunk: as many as _CHUNK_BYTES holds, but enough for one
+    stack to reach the lockstep gate, and one drop where no strategy
+    stacks a problem."""
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
-    per_drop = sum(stacked_problems(name, objectives) for name in cfg.strategies)
-    return max(1, _CHUNK_PROBLEMS // per_drop) if per_drop else 1
+    stacked = max(stacked_problems(name, objectives) for name in cfg.strategies)
+    ul, dl = cfg.params.num_ul, cfg.params.num_dl
+    width = dl + ul - assignment.min_pairs(ul, dl, cfg.params.num_channels)
+    drop_bytes = 8 * (stacked * ul * width + ul * dl + 3 * (ul + dl))
+    return max(_CHUNK_BYTES // drop_bytes,
+               -(-assignment._LOCKSTEP_MIN_PROBLEMS // stacked)) if stacked else 1
 
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,16 +15,18 @@ from fdsched.scenario import build_gain_table
 from oracles import brute_force_assignment, pairing_matrix, reference_assign_with_solo
 
 
-def reference_min_cost_assignment(cost: np.ndarray) -> list[int]:
+def reference_min_cost_assignment(cost: np.ndarray, ends: list | None = None) -> list[int]:
     """The vectorized form of the package's Hungarian solver on an n x m
     cost matrix, n <= m: the same potentials, the same minv/way tree and
     the same floating-point operations, written as a few numpy calls per
     tree step.  Kept as an oracle for the decisions of the scalar solver,
-    ties included."""
+    ties included.  With ends, each insertion appends (tree steps so far,
+    its path's length): a lockstep solve ends it in that round."""
     n, m = cost.shape
     u = np.zeros(n)                              # row potentials
     v = np.zeros(m + 1)                          # column potentials
     row_of_col = np.full(m + 1, -1, dtype=int)
+    steps = 0
     for i in range(n):
         row_of_col[m] = i
         j0 = m
@@ -31,6 +34,7 @@ def reference_min_cost_assignment(cost: np.ndarray) -> list[int]:
         way = np.full(m, m, dtype=int)
         used = np.zeros(m + 1, dtype=bool)
         while True:
+            steps += 1
             used[j0] = True
             i0 = row_of_col[j0]
             reduced = cost[i0, :] - u[i0] - v[:m]
@@ -47,10 +51,14 @@ def reference_min_cost_assignment(cost: np.ndarray) -> list[int]:
             j0 = j1
             if row_of_col[j0] < 0:
                 break
+        length = 0
         while j0 != m:                           # augment along the tree path
             j_prev = way[j0]
             row_of_col[j0] = row_of_col[j_prev]
             j0 = j_prev
+            length += 1
+        if ends is not None:
+            ends.append((steps, length))
     matched = np.flatnonzero(row_of_col[:m] >= 0)
     col_of_row = np.empty(n, dtype=int)
     col_of_row[row_of_col[matched]] = matched
@@ -328,6 +336,28 @@ class TestMatchesVectorizedReference:
             assert _min_cost_assignments(benefits, tops).tolist() == [
                 reference_min_cost_assignment(t - b) for t, b in zip(tops, benefits)]
 
+    def test_tied_stacks_that_end_insertions_in_one_round(self):
+        # the -100 dB shape b[i, j] = max(A_i, C_j), a user alone beating
+        # every pair, with a few larger full-duplex pairs: several problems
+        # end an insertion in the same round, on paths of different lengths
+        rng = np.random.default_rng(22)
+        for n, count in ((4, 60), (8, 30), (25, 8)):
+            benefits = np.maximum(rng.normal(size=(count, n, 1)), rng.normal(size=(count, 1, n)))
+            duplex = rng.random(benefits.shape) < 0.1
+            benefits[duplex] += rng.random(duplex.sum())
+            tops = benefits.max(axis=(1, 2))
+            costs = tops[:, None, None] - benefits
+            ends = [[] for _ in costs]
+            want = [reference_min_cost_assignment(c, e) for c, e in zip(costs, ends)]
+            assert _min_cost_assignments(benefits, tops).tolist() == want
+            assert [_min_cost_assignment(c) for c in costs] == want
+            lengths = {}   # round -> the path lengths of the insertions it ends
+            for steps, length in itertools.chain.from_iterable(ends):
+                lengths.setdefault(steps, set()).add(length)
+            assert any(len(ended) > 1 for ended in lengths.values())
+            for cost in costs:
+                self.assert_same_decisions(cost)
+
     def test_all_equal(self):
         # a zero cost makes every tree step zero-slack; a nonzero one every
         # step but the first of each row
@@ -454,27 +484,46 @@ class TestStackedAssignWithSolo:
             assign_with_solo(values, np.ones(values.shape[:2]), np.ones(values.shape[:2]), 3)
 
 
-def test_every_stacked_problem_of_a_fig3_run_is_optimal(monkeypatch, tmp_path):
+def assert_lockstep_stacks_optimal(monkeypatch, cfg, shapes):
     # the benchmark's assignment oracle sees hungarian_max only; re-solve
-    # every problem of fig3's lockstep stacks (square, so no padding) with
+    # every problem of a run's lockstep stacks (square, so no padding) with
     # scipy and compare totals
-    stacks = []
+    stacks, lockstep = [], []
 
     def recorded(rects, _solve=assignment._max_assignments):
         solved = _solve(rects)
-        stacks.append((rects.copy(), solved))
+        if len(rects) >= assignment._LOCKSTEP_MIN_PROBLEMS:
+            stacks.append((rects.copy(), solved))
         return solved
 
     monkeypatch.setattr(assignment, "_max_assignments", recorded)
-    monkeypatch.setattr(assignment, "hungarian_max", lambda values: pytest.fail(
-        "a fig3 stack above the gate went one matrix at a time"))
-    run_experiment(canned_experiments("fig3", seed=9, iterations=30, out_dir=str(tmp_path)))
-    assert [rects.shape for rects, _ in stacks] == [(60, 25, 25)] * 2   # C-HUN, C-NINT
+    monkeypatch.setattr(assignment, "_min_cost_assignments",
+                        lambda *args, _solve=assignment._min_cost_assignments:
+                        lockstep.append(args[0].shape) or _solve(*args))
+    run_experiment(cfg)
+    assert [rects.shape for rects, _ in stacks] == lockstep == shapes
     for rects, solved in stacks:
         for rect, (cols, total) in zip(rects, solved):
             rows, picked = linear_sum_assignment(rect, maximize=True)
             assert total == pytest.approx(float(rect[rows, picked].sum()), rel=1e-9, abs=0.0)
-            assert sorted(cols) == list(range(25))   # a full matching
+            assert sorted(cols) == list(range(rect.shape[0]))   # a full matching
+
+
+def test_every_stacked_problem_of_a_fig3_run_is_optimal(monkeypatch, tmp_path):
+    monkeypatch.setattr(assignment, "hungarian_max", lambda values: pytest.fail(
+        "a fig3 stack above the gate went one matrix at a time"))
+    assert_lockstep_stacks_optimal(
+        monkeypatch, canned_experiments("fig3", seed=9, iterations=30, out_dir=str(tmp_path)),
+        [(60, 25, 25)] * 2)   # C-HUN, C-NINT
+
+
+def test_every_stacked_problem_of_a_fig2_run_is_optimal(monkeypatch, tmp_path):
+    # P-OPT's max-sum assignments, one a drop, reach the gate in one chunk;
+    # its threshold scans still go one matrix at a time
+    drops = assignment._LOCKSTEP_MIN_PROBLEMS + 10
+    assert_lockstep_stacks_optimal(
+        monkeypatch, canned_experiments("fig2", seed=9, iterations=drops, out_dir=str(tmp_path)),
+        [(drops, 4, 4), (3 * drops, 4, 4)])   # P-OPT, C-HUN at 3 mu
 
 
 class TestBruteForce:

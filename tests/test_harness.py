@@ -651,29 +651,38 @@ class TestPoolBlocks:
         assert kept == full[:failing * per_drop]
 
     def test_lockstep_fig3_outputs_identical_across_parallelism(self, tmp_path, monkeypatch):
-        # 90 drops: serial chunks of 30 and parallel blocks of 45 (a chunk
-        # of 30 and one of 15) or 30, so stacks of 60 go to the lockstep
-        # solver and stacks of 30 one matrix at a time
+        # one chunk's drops and 20 more: the serial run's stacks of two
+        # chunks' worth go to the lockstep solver and its stacks of 40 one
+        # matrix at a time; the parallel blocks of half or a third of the
+        # drops are one chunk each, all in lockstep
         from fdsched import assignment
 
         lockstep = []
         monkeypatch.setattr(assignment, "_min_cost_assignments",
                             lambda *args, _solve=assignment._min_cost_assignments:
                             lockstep.append(len(args[0])) or _solve(*args))
+        size = harness._chunk_drops(canned_experiments("fig3"))
+        assert 2 * (size + 20) // 3 >= assignment._LOCKSTEP_MIN_PROBLEMS > 40
         outputs = {}
         for parallelism in (1, 2, 3):
             out = tmp_path / f"p{parallelism}"
-            run_experiment(canned_experiments("fig3", seed=12, iterations=90, out_dir=str(out),
-                                              parallelism=parallelism))
+            run_experiment(canned_experiments("fig3", seed=12, iterations=size + 20,
+                                              out_dir=str(out), parallelism=parallelism))
             outputs[parallelism] = {name: text.encode() for name, text
                                     in read_deterministic_outputs(out).items()}
-        assert lockstep == [60] * 6   # the serial run's; workers count in their copies
+        assert lockstep == [2 * size] * 2   # the serial run's; workers count in their copies
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
 
     def test_timing_log_has_one_line_per_block(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_CHUNK_PROBLEMS", 6)   # 3 drops of 2 problems
-        run_experiment(tiny_config(tmp_path / "t", iterations=9, parallelism=2))
+        from fdsched import assignment
+
+        cfg = tiny_config(tmp_path / "t", iterations=9, parallelism=2)
+        # 3 drops of 2 stacked 2 x 2 benefits and a 2 + 2 user gain table
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 3 * 8 * (2 * 4 + 4 + 3 * 4))
+        monkeypatch.setattr(assignment, "_LOCKSTEP_MIN_PROBLEMS", 2)
+        assert harness._chunk_drops(cfg) == 3
+        run_experiment(cfg)
         lines = (tmp_path / "t" / "timing.log").read_text().splitlines()[1:]
         # 9 drops in 2 blocks, one per worker: edges at 9 * b // 2; each
         # block in chunks of up to 3 drops
@@ -768,6 +777,54 @@ class TestPoolBlocks:
 # run's parent process needs none of them, serial or parallel, so it must
 # not pay for importing them (README, "Runtime dependency").
 POOL_PACKAGES = ("concurrent", "multiprocessing", "logging", "traceback")
+
+
+class TestChunkSizes:
+    """A chunk holds about harness._CHUNK_BYTES of gain tables and stacked
+    benefits, but enough drops for a stack to reach the lockstep gate."""
+
+    @pytest.mark.parametrize("doc, at_gate", [
+        ({"num_ul": 25, "num_dl": 25, "num_channels": 25, "strategies": ["C-HUN", "C-NINT", "R-EPA"],
+          "mu_values": [0.9], "weight_modes": ["SR", "PL"]}, False),          # canned fig3's cell
+        ({"num_ul": 10, "num_dl": 14, "num_channels": 20, "strategies": ["P-OPT", "C-HUN"],
+          "mu_values": [0.5, 0.9], "weight_modes": ["SR", "PL"]}, False),     # spare channels
+        ({"num_ul": 100, "num_dl": 100, "num_channels": 100, "strategies": ["C-HUN"]}, True),
+    ], ids=["25+25", "10+14/20", "100+100"])
+    def test_a_chunk_fits_its_byte_budget_or_reaches_the_gate(self, monkeypatch, doc, at_gate):
+        # one drop's arrays as a run builds them: its gain table and its
+        # largest stack of benefits
+        from fdsched import assignment
+
+        stacks, tables = [], []
+        monkeypatch.setattr(assignment, "_max_assignments",
+                            lambda rects, _solve=assignment._max_assignments:
+                            stacks.append(rects) or _solve(rects))
+        monkeypatch.setattr(harness, "build_gain_table",
+                            lambda *args, _build=harness.build_gain_table:
+                            tables.append(_build(*args)) or tables[-1])
+        cfg = config_from_dict(doc)
+        harness._run_chunk(cfg, 0, 1)
+        (gains,) = tables
+        drop_bytes = max(rects.nbytes for rects in stacks) + sum(
+            a.nbytes for a in (gains.g_ul, gains.g_dl, gains.g_cross, gains.positions.bs,
+                               gains.positions.ul, gains.positions.dl))
+        floor = -(-assignment._LOCKSTEP_MIN_PROBLEMS // max(len(rects) for rects in stacks))
+        drops = harness._chunk_drops(cfg)
+        if at_gate:
+            assert drops == floor and drops * drop_bytes > harness._CHUNK_BYTES
+        else:
+            assert drops * drop_bytes <= harness._CHUNK_BYTES < (drops + 1) * drop_bytes
+            assert drops > floor
+
+    def test_a_run_without_stacked_problems_goes_one_drop_at_a_time(self, tmp_path):
+        cfg = config_from_dict({"num_ul": 25, "num_dl": 25, "num_channels": 25,
+                                "strategies": ["R-EPA"], "mu_values": [0.1, 0.5, 0.9],
+                                "weight_modes": ["SR", "PL"], "iterations": 3,
+                                "out_dir": str(tmp_path)})
+        assert harness._chunk_drops(cfg) == 1
+        run_experiment(cfg)
+        lines = (tmp_path / "timing.log").read_text().splitlines()[1:]
+        assert [line.split(":")[0] for line in lines] == [f"chunk {k}-{k}" for k in range(3)]
 
 
 def run_script(out_dir, parallelism):
