@@ -169,9 +169,9 @@ class RunRecord:
 # A chunk holds about this many bytes at once: its gain tables (I * J + 3 *
 # (I + J) float64s with the positions) and its largest strategy's stacked
 # benefits (I x (J + I - P) float64s a problem).  A lockstep problem costs
-# 0.32 ms at 25 x 25 in a stack of 60, 0.23 ms in one of 120 and 0.18 ms
-# in one of 240; 1 MiB is 64 fig3 drops, stacks of 128, and raised a
-# 60-drop fig3 run's peak RSS by about 1 MB (3%) over stacks of 60.
+# 0.25 ms at 25 x 25 in a stack of 60, 0.18 ms in one of 120 and 0.15 ms
+# in one of 240 (ROADMAP item 2); 1 MiB is 64 fig3 drops, stacks of 128,
+# and raised a 60-drop fig3 run's peak RSS by 1.2 MB (3%) over stacks of 60.
 _CHUNK_BYTES = 1 << 20
 
 

@@ -784,8 +784,9 @@ class TestChunkSizes:
     benefits, but enough drops for a stack to reach the lockstep gate."""
 
     @pytest.mark.parametrize("doc, at_gate", [
-        ({"num_ul": 25, "num_dl": 25, "num_channels": 25, "strategies": ["C-HUN", "C-NINT", "R-EPA"],
-          "mu_values": [0.9], "weight_modes": ["SR", "PL"]}, False),          # canned fig3's cell
+        ({"num_ul": 25, "num_dl": 25, "num_channels": 25,
+          "strategies": ["C-HUN", "C-NINT", "R-EPA"], "mu_values": [0.9],
+          "weight_modes": ["SR", "PL"]}, False),                             # canned fig3's cell
         ({"num_ul": 10, "num_dl": 14, "num_channels": 20, "strategies": ["P-OPT", "C-HUN"],
           "mu_values": [0.5, 0.9], "weight_modes": ["SR", "PL"]}, False),     # spare channels
         ({"num_ul": 100, "num_dl": 100, "num_channels": 100, "strategies": ["C-HUN"]}, True),
