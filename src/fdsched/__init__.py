@@ -30,7 +30,7 @@ from .model import (
     watts_to_dbm,
 )
 from .radio import make_weights, outcome_metrics, sinr
-from .scenario import build_gain_table, drop_users, link_gain
+from .scenario import build_gain_table, link_gain
 from .solvers import (
     STRATEGIES,
     solve,

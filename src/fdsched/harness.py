@@ -5,10 +5,12 @@ independent network drops.  Every combination of one drop sees the same
 GainTable, so cross-strategy comparisons are paired.  Substream seeds are
 derived from the master seed and the drop index by a counter-based split,
 which makes results independent of scheduling order and parallelism.
-The drops run in chunks of about _CHUNK_BYTES of gain tables and benefits
-(but enough for a stack to reach the lockstep gate).
-Each strategy is solved once per chunk, for all of its drops' (weight
-mode, mu) objectives, so its assignments go to the solver as one stack;
+The drops run in near-equal chunks of at most about _CHUNK_BYTES of gain
+tables and of what a strategy holds per drop (but enough for a stack to
+reach the lockstep gate where the stacks are solved in lockstep).  A
+chunk's gain tables are made in one build_gain_table call, and each
+strategy is solved once per chunk, for all of its drops' (weight mode,
+mu) objectives, so its assignments go to the solver as one stack;
 each strategy after the first starts from the generator states the first
 began with.  The records are built per drop, in drop order, and keep the
 (weight mode, mu, strategy) order.  A chunk that fails is solved again
@@ -167,25 +169,31 @@ class RunRecord:
 
 
 # A chunk holds about this many bytes at once: its gain tables (I * J + 3 *
-# (I + J) float64s with the positions) and its largest strategy's stacked
-# benefits (I x (J + I - P) float64s a problem).  A lockstep problem costs
-# 0.25 ms at 25 x 25 in a stack of 60, 0.18 ms in one of 120 and 0.15 ms
-# in one of 240 (ROADMAP item 2); 1 MiB is 64 fig3 drops, stacks of 128,
-# and raised a 60-drop fig3 run's peak RSS by 1.2 MB (3%) over stacks of 60.
+# (I + J) + 2 float64s with the positions) and what its costliest strategy
+# holds per drop: the stacked benefits (I x (J + I - P) float64s a problem)
+# and, for P-OPT, the corner tables (6 * I * J float64s) it keeps until the
+# chunk is solved.  A lockstep problem costs 0.25 ms at 25 x 25 in a stack
+# of 60, 0.18 ms in one of 120 and 0.15 ms in one of 240 (ROADMAP item 2);
+# 1 MiB is 64 fig3 drops, stacks of 128, and raised a 60-drop fig3 run's
+# peak RSS by 1.2 MB (3%) over stacks of 60.  The gain-table builder's
+# temporaries are not counted: they are gone before any strategy runs.
 _CHUNK_BYTES = 1 << 20
 
 
 def _chunk_drops(cfg: ExperimentConfig) -> int:
-    """Drops per chunk: as many as _CHUNK_BYTES holds, but enough for one
-    stack to reach the lockstep gate, and one drop where no strategy
-    stacks a problem."""
+    """Drops per chunk: as many as _CHUNK_BYTES holds, but where the stacks
+    go to the lockstep solver (too narrow to prune), enough for one stack to
+    reach its gate."""
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
-    stacked = max(stacked_problems(name, objectives) for name in cfg.strategies)
     ul, dl = cfg.params.num_ul, cfg.params.num_dl
     width = dl + ul - assignment.min_pairs(ul, dl, cfg.params.num_channels)
-    drop_bytes = 8 * (stacked * ul * width + ul * dl + 3 * (ul + dl))
-    return max(_CHUNK_BYTES // drop_bytes,
-               -(-assignment._LOCKSTEP_MIN_PROBLEMS // stacked)) if stacked else 1
+    stacks = [stacked_problems(name, objectives) for name in cfg.strategies]
+    held = max(n * ul * width + (6 * ul * dl if name == "P-OPT" else 0)
+               for name, n in zip(cfg.strategies, stacks))
+    drops = max(_CHUNK_BYTES // (8 * (held + ul * dl + 3 * (ul + dl) + 2)), 1)
+    if max(stacks) and ul * (width - ul) < assignment._PRUNE_MIN_SPARE_ENTRIES:
+        drops = max(drops, -(-assignment._LOCKSTEP_MIN_PROBLEMS // max(stacks)))
+    return drops
 
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
@@ -195,12 +203,10 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     document) per drop, the chunk's wall time)."""
     started = time.perf_counter()
     master = cfg.params.rng_seed
-    drops, states = [], []
-    for k in range(lo, hi):
-        gains = build_gain_table(cfg.params, drop_rng(master, k, _ROLE_SCENARIO))
-        rng = drop_rng(master, k, _ROLE_STRATEGY)
-        drops.append((gains, rng))
-        states.append(rng.bit_generator.state if len(cfg.strategies) > 1 else None)
+    tables = build_gain_table(cfg.params, [drop_rng(master, k, _ROLE_SCENARIO)
+                                           for k in range(lo, hi)])
+    drops = [(gains, drop_rng(master, k, _ROLE_STRATEGY)) for k, gains in enumerate(tables, lo)]
+    states = [rng.bit_generator.state for _, rng in drops] if len(cfg.strategies) > 1 else []
     tags = [(f"{master}:{k}", _gain_hash(gains)) for k, (gains, _) in enumerate(drops, lo)]
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
     columns = [[] for _ in drops]   # per drop, per strategy: its records, one per objective
@@ -232,13 +238,14 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
 
 
 def _solved_chunks(cfg: ExperimentConfig, lo: int, hi: int):
-    """Yield _run_chunk's result for drops lo..hi-1, _chunk_drops at a time,
-    in drop order.  A chunk that fails is solved again one drop per chunk,
-    so every drop before the failing one is yielded and that drop's
-    exception propagates."""
-    size = _chunk_drops(cfg)
-    for start in range(lo, hi, size):
-        stop = min(start + size, hi)
+    """Yield _run_chunk's result for drops lo..hi-1 in drop order, in the
+    fewest near-equal chunks of at most _chunk_drops drops, so that no short
+    tail falls below the lockstep gate.  A chunk that fails is solved again
+    one drop per chunk, so every drop before the failing one is yielded and
+    that drop's exception propagates."""
+    count = -(-(hi - lo) // _chunk_drops(cfg))
+    for c in range(count):
+        start, stop = lo + (hi - lo) * c // count, lo + (hi - lo) * (c + 1) // count
         try:
             chunks = [_run_chunk(cfg, start, stop)]
         except Exception:

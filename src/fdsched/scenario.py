@@ -6,15 +6,22 @@ urban-micro propagation law at 2.5 GHz: distance-dependent LOS
 probability, the two log-distance path-loss laws and i.i.d. log-normal
 shadowing, drawn once per link.
 
+build_gain_table makes a batch of drops, one per generator.  Each
+generator makes its own draws in a fixed documented order: its candidate
+positions, rewound past the last one its drop uses, then its links' LOS
+uniforms and shadowing normals, group by group.  The hexagon test and the
+propagation law are evaluated over arrays with a leading drop axis.
+
 Determinism contract: every function here is a pure function of its
-arguments and the supplied numpy Generator, and consumes random draws in a
-fixed documented order, so identical (params, seed) give bit-identical
-results.
+arguments and the supplied numpy Generators, and consumes random draws in
+a fixed documented order, so identical (params, seed) give bit-identical
+results, whatever batch a drop is made in.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,6 +34,14 @@ _HEX_NORMALS = np.array([
 
 # Consecutive rejections before a UE is given up; signals inconsistent geometry.
 _MAX_PLACEMENT_ATTEMPTS = 10_000
+
+# build_gain_table evaluates the propagation law over blocks of drops with
+# about this many links (64 KB a float64 array), so its temporaries stay
+# small and in cache however many drops a batch holds.  At 25+25 in
+# batches of 64-168 drops on a shared 2-core x86 host, blocks of 4,096 /
+# 8,192 / 16,384 / 32,768 links took about 90 / 72 / 78 / 80 us a drop, and
+# one block per batch about 110 us.
+_BLOCK_LINKS = 8192
 
 
 def path_loss_db(d_m, los):
@@ -50,88 +65,129 @@ def link_gain(d_m, los, shadow_db) -> np.ndarray:
     return 10.0 ** (-(path_loss_db(d_m, los) + np.asarray(shadow_db, dtype=float)) / 10.0)
 
 
-def draw_link_states(d_m, rng: np.random.Generator, sizes):
-    """Draw (los, shadow_db) for links in consecutive groups of the given
-    sizes (C order): a group's uniforms, one per link, then its standard
+def draw_link_states(d_m, rngs: Sequence[np.random.Generator], sizes):
+    """Draw (los, shadow_db) for d_m's links, one row of links (C order) per
+    generator of rngs: each generator draws its row in consecutive groups of
+    the given sizes, a group's uniforms, one per link, then its standard
     normals, then the next group's.  A link is LOS when its uniform is below
     los_probability(d); its shadowing is its normal times 3 dB on LOS links
-    and 4 dB on NLOS ones."""
+    and 4 dB on NLOS ones.  ValueError unless the groups cover every row."""
     d = np.asarray(d_m, dtype=float)
-    uniforms, normals = [], []
-    for n in sizes:
-        uniforms.append(rng.random(n))
-        normals.append(rng.standard_normal(n))
-    los = np.concatenate(uniforms).reshape(d.shape) < los_probability(d)
-    shadow_db = np.concatenate(normals).reshape(d.shape) * np.where(los, 3.0, 4.0)
-    return los, shadow_db
+    uniforms, normals = np.empty((2, len(rngs), sum(sizes)))
+    if uniforms.size != d.size:
+        raise ValueError(f"link groups {list(sizes)} for {len(rngs)} generators do not "
+                         f"cover {d.size} links")
+    for rng, u, z in zip(rngs, uniforms, normals):
+        start = 0
+        for n in sizes:
+            rng.random(out=u[start:start + n])
+            rng.standard_normal(out=z[start:start + n])
+            start += n
+    los = uniforms.reshape(d.shape) < los_probability(d)
+    return los, normals.reshape(d.shape) * np.where(los, 3.0, 4.0)
 
 
-def drop_users(params: ScenarioParams, rng: np.random.Generator) -> DropPositions:
-    """Place the BS at the origin and all UEs uniformly over the hexagon.
+def _placed_users(params: ScenarioParams, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(drops, I + J, 2) UE positions, one drop per generator, UL users
+    first: each UE is the first of its generator's candidates, uniform over
+    the bounding square, to fall inside the hexagon of circumradius
+    cell_radius_m and min_bs_ue_distance_m or more from the BS.
 
-    Candidates from the bounding square are rejected until they fall inside
-    the hexagon of circumradius cell_radius_m, min_bs_ue_distance_m or more
-    from the BS; UL users first.  The result and the generator's final
-    position are those of drawing one candidate at a time: one block of
-    candidates, sized from the acceptance ratio with a margin, is drawn
-    (another only if it falls short), the first I + J hits are kept, and
-    the generator is rewound through rng.bit_generator.state and made to
-    redraw exactly the consumed candidates.  So rng must be a numpy
-    Generator (or have its uniform and bit_generator.state).  ValueError if
-    a UE meets _MAX_PLACEMENT_ATTEMPTS consecutive rejections; misses after
-    the last needed hit do not count.
+    The positions and every generator's final position are those of drawing
+    one candidate at a time.  Each round draws one block of candidates per
+    drop still short of UEs, sized from the acceptance ratio with a margin
+    for the largest number missing, and tests all the blocks at once; a
+    drop whose block falls short goes on to the next round.  A drop that is
+    placed is rewound past its unused candidates with
+    bit_generator.advance, so the generators must be PCG64-backed (numpy's
+    default_rng).  ValueError if a UE meets _MAX_PLACEMENT_ATTEMPTS
+    consecutive rejections; misses after the last needed hit do not count.
     """
     r, d_min = params.cell_radius_m, params.min_bs_ue_distance_m
-    need = params.num_ul + params.num_dl
+    users = params.num_ul + params.num_dl
     # Hexagon minus the excluded disc, over the square; ScenarioParams keeps the
     # disc inside the apothem, so this is at least 6%.
     accept = (1.5 * math.sqrt(3) * r * r - math.pi * d_min * d_min) / (4 * r * r)
-    start = rng.bit_generator.state
-    found_at, drawn, misses = [], 0, 0
-    while need:
+    pts = np.empty((len(rngs), users, 2))
+    placed = np.zeros(len(rngs), dtype=np.intp)   # UEs placed so far, per drop
+    misses = np.zeros(len(rngs), dtype=np.intp)   # rejections since each drop's last hit
+    short = np.arange(len(rngs) if users else 0)  # the drops with UEs left to place
+    while short.size:
+        need = users - placed[short]
+        most = int(need.max())
         # About three standard deviations of the hit count to spare.
-        size = int((need + 3 * math.sqrt(need) + 3) / accept)
-        cand = rng.uniform(-r, r, size=(size, 2))
+        size = int((most + 3 * math.sqrt(most) + 3) / accept)
+        cand = np.empty((short.size, size, 2))
+        for block, b in zip(cand, short.tolist()):
+            rngs[b].random(out=block)
+        cand *= 2 * r   # rng.uniform(-r, r) bit for bit
+        cand -= r
         # A matvec per candidate rounds bit for bit as `_HEX_NORMALS @ point`.
-        inside = (np.abs(_HEX_NORMALS @ cand[:, :, None]) <= r * math.sqrt(3) / 2).all(axis=(1, 2))
-        found = np.flatnonzero(inside & (np.hypot(*cand.T) >= d_min))[:need]
-        need -= found.size
+        inside = (np.abs(_HEX_NORMALS @ cand.reshape(-1, 2, 1))
+                  <= r * math.sqrt(3) / 2).all(axis=(1, 2)).reshape(short.size, size)
+        hit = inside & (np.hypot(cand[..., 0], cand[..., 1]) >= d_min)
+        rank = hit.cumsum(axis=1)   # hits up to and including each candidate
+        kept = hit & (rank <= need[:, None])
+        rows, cols = np.nonzero(kept)
+        pts[short[rows], placed[short[rows]] + rank[rows, cols] - 1] = cand[rows, cols]
+        got = np.minimum(rank[:, -1], need)
+        last = (rank >= got[:, None]).argmax(axis=1)   # each block's last kept hit
+        trailing = np.where(got > 0, size - 1 - last, misses[short] + size)
         # No run of rejections since the last hit is longer than misses + size.
-        if misses + size >= _MAX_PLACEMENT_ATTEMPTS:
+        for k in np.flatnonzero(misses[short] + size >= _MAX_PLACEMENT_ATTEMPTS):
             # Rejections before each hit, and after the last one while UEs remain.
-            bounds = np.concatenate(([-1 - misses], found, [size]))
+            bounds = np.concatenate(([-1 - misses[short[k]]], np.flatnonzero(kept[k]), [size]))
             gaps = bounds[1:] - bounds[:-1] - 1
-            if (gaps if need else gaps[:-1]).max() >= _MAX_PLACEMENT_ATTEMPTS:
+            if (gaps if got[k] < need[k] else gaps[:-1]).max() >= _MAX_PLACEMENT_ATTEMPTS:
                 raise ValueError("could not place a UE inside the cell; check cell_radius_m "
                                  "against min_bs_ue_distance_m")
-        misses = size - 1 - int(found[-1]) if found.size else misses + size
-        found_at.append(drawn + found)
-        drawn += size
-    hits = np.concatenate(found_at)
-    rng.bit_generator.state = start
-    pts = rng.uniform(-r, r, size=(hits[-1] + 1, 2))[hits]
-    return DropPositions(bs=np.zeros(2), ul=pts[:params.num_ul], dl=pts[params.num_ul:])
+        done = got == need
+        for b, unused in zip(short[done].tolist(), trailing[done].tolist()):
+            rngs[b].bit_generator.advance(-2 * unused)   # two draws a candidate
+        placed[short] += got
+        misses[short] = trailing
+        short = short[~done]
+    return pts
 
 
-def build_gain_table(params: ScenarioParams, rng: np.random.Generator) -> GainTable:
-    """Generate one drop and all its linear path gains.
+def build_gain_table(params: ScenarioParams,
+                     rngs: Sequence[np.random.Generator]) -> list[GainTable]:
+    """Generate one drop per generator of rngs, with all its linear path
+    gains: one GainTable per generator, in order.
 
-    Draw order: positions (see drop_users, so rng must be a numpy
-    Generator), then the UL links' LOS uniforms and shadowing normals, the
-    DL links', and the cross links' (row-major over UL x DL).  Every link
-    is drawn and evaluated in one pass.
+    Each generator draws, in this order: its UE positions (_placed_users:
+    blocks of candidates, then a rewind with bit_generator.advance past the
+    last one used, so it must be PCG64-backed), then its UL links' LOS
+    uniforms and shadowing normals, its DL links', and its cross links'
+    (row-major over UL x DL).  So a drop's gains and its generator's end
+    state do not depend on the batch it is made in, and a generator may
+    make only one drop of a batch (ValueError otherwise).  The distances
+    and the propagation law are evaluated over (drops, links) arrays, in
+    blocks of about _BLOCK_LINKS links; the gain tables are views of one
+    such array, and their positions of one (drops, I + J, 2) array.
     """
-    positions = drop_users(params, rng)
-    ul, dl = positions.ul, positions.dl
-    n_ul, n_dl = len(ul), len(dl)
-    d = np.concatenate([
-        np.hypot(ul[:, 0], ul[:, 1]),
-        np.hypot(dl[:, 0], dl[:, 1]),
-        np.hypot(ul[:, None, 0] - dl[None, :, 0], ul[:, None, 1] - dl[None, :, 1]).ravel(),
-    ])
-    g = link_gain(d, *draw_link_states(d, rng, [n_ul, n_dl, n_ul * n_dl]))
-    return GainTable(g_ul=g[:n_ul], g_dl=g[n_ul:n_ul + n_dl],
-                     g_cross=g[n_ul + n_dl:].reshape(n_ul, n_dl), positions=positions)
+    num_ul, num_dl = params.num_ul, params.num_dl
+    users, drops = num_ul + num_dl, len(rngs)
+    if len({id(rng) for rng in rngs}) < drops:
+        raise ValueError("build_gain_table makes one drop per generator; a generator "
+                         "appears twice in the batch")
+    pts = _placed_users(params, rngs)
+    links = users + num_ul * num_dl   # per drop: UL, DL, then cross links
+    g = np.empty((drops, links))
+    step = max(_BLOCK_LINKS // links, 1)
+    for lo in range(0, drops, step):
+        x, y = pts[lo:lo + step, :, 0], pts[lo:lo + step, :, 1]
+        d = np.empty((len(x), links))
+        np.hypot(x, y, out=d[:, :users])
+        cross = d[:, users:].reshape(len(x), num_ul, num_dl)   # a view of d
+        np.subtract(x[:, :num_ul, None], x[:, None, num_ul:], out=cross)
+        np.hypot(cross, y[:, :num_ul, None] - y[:, None, num_ul:], out=cross)
+        g[lo:lo + step] = link_gain(d, *draw_link_states(d, rngs[lo:lo + step],
+                                                         (num_ul, num_dl, num_ul * num_dl)))
+    return [GainTable(g_ul=row[:num_ul], g_dl=row[num_ul:users],
+                      g_cross=row[users:].reshape(num_ul, num_dl),
+                      positions=DropPositions(bs=np.zeros(2), ul=p[:num_ul], dl=p[num_ul:]))
+            for row, p in zip(g, pts)]
 
 
 # ---------------------------------------------------------------------------

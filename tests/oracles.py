@@ -58,6 +58,12 @@ def solve_drop(name, gains, params, objectives, rng=None):
     return outcomes
 
 
+def drop_gain_table(params, rng) -> GainTable:
+    """build_gain_table on the one generator rng: its gain table."""
+    [gains] = build_gain_table(params, [rng])
+    return gains
+
+
 def one_drop(strategy, gains, params, objectives, rng=None):
     """A strategy function on the one drop (gains, rng) with its list of
     (weights, mu) objectives: its outcome list."""
@@ -331,7 +337,7 @@ def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
     afresh, alone, for every (mu, weight mode), its generator rewound before
     each solve."""
     master = cfg.params.rng_seed
-    gains = build_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
+    gains = drop_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
     strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
     strategy_state = strategy_rng.bit_generator.state
     records = []

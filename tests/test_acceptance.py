@@ -19,10 +19,10 @@ from fdsched.harness import canned_experiments, drop_rng, run_experiment
 from fdsched.metrics import percentile
 from fdsched.model import ScenarioParams, WeightMode
 from fdsched.radio import benefit_value, make_weights
-from fdsched.scenario import build_gain_table
 from fdsched.solvers import solve_c_hun, solve_p_opt, solve_r_epa
 from oracles import (
     brute_force_assignment,
+    drop_gain_table,
     dual_multipliers,
     evaluate_pair,
     median_gap,
@@ -87,7 +87,7 @@ def test_criterion_2_optimality_sandwich():
     started = time.perf_counter()
     worst = -math.inf
     for k in range(200):
-        gains = build_gain_table(base, drop_rng(202, k, 0))
+        gains = drop_gain_table(base, drop_rng(202, k, 0))
         weights = make_weights(WeightMode.SUM_RATE, gains)
         for mu in (0.1, 0.5, 0.9):
             top = one_drop(solve_p_opt, gains, base, [(weights, mu)])[0].objective
@@ -218,7 +218,7 @@ def test_criterion_7_binary_power_corners():
     counts = {0.0: 0, 0.5: 0, 1.0: 0}
     worst_excess = {0.0: 0.0, 0.5: 0.0, 1.0: 0.0}
     for k in range(500):
-        gains = build_gain_table(base, drop_rng(707, k, 0))
+        gains = drop_gain_table(base, drop_rng(707, k, 0))
         se_u = np.log2(1.0 + pu * gains.g_ul[0]
                        / (base.noise_power_w + pd * base.si_cancellation))
         se_d = np.log2(1.0 + pd * gains.g_dl[0]

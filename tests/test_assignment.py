@@ -11,8 +11,8 @@ from fdsched.assignment import (_min_cost_assignment, _min_cost_assignments, ass
 from fdsched.harness import canned_experiments, config_from_dict, run_experiment
 from fdsched.model import GainTable, ScenarioParams, WeightMode
 from fdsched.radio import corner_benefit, corner_tables, make_weights
-from fdsched.scenario import build_gain_table
-from oracles import brute_force_assignment, pairing_matrix, reference_assign_with_solo
+from oracles import (brute_force_assignment, drop_gain_table, pairing_matrix,
+                     reference_assign_with_solo)
 
 
 def reference_min_cost_assignment(cost: np.ndarray, ends: list | None = None) -> list[int]:
@@ -383,7 +383,7 @@ def blind_planner_inputs(rng, num_ul, num_dl, num_channels):
     """What C-NINT plans with: corner benefits with every cross gain zeroed,
     nearly separable in (i, j)."""
     params = ScenarioParams(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
-    g = build_gain_table(params, rng)
+    g = drop_gain_table(params, rng)
     blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
     scores = corner_benefit(corner_tables(blind, params),
                             make_weights(WeightMode.SUM_RATE, g), 0.5)

@@ -31,9 +31,9 @@ from fdsched.harness import (
     run_experiment,
 )
 from fdsched.model import ScenarioParams, WeightMode, db_to_linear
-from fdsched.scenario import build_gain_table, scenario_to_dict
-from oracles import (load_scenario, median_gap, modules_after, read_cdf_csv,
-                     reference_drop_records)
+from fdsched.scenario import scenario_to_dict
+from oracles import (drop_gain_table, load_scenario, median_gap, modules_after,
+                     read_cdf_csv, reference_drop_records)
 
 
 @pytest.fixture
@@ -268,8 +268,7 @@ class TestRunExperiment:
     def test_scenario_dump_is_drop_zeros_gain_table(self, tmp_path, seed, config, params):
         run_experiment(config_from_dict({**config, "iterations": 1, "seed": seed,
                                          "dump_scenarios": True, "out_dir": str(tmp_path)}))
-        gains = build_gain_table(ScenarioParams(**params, rng_seed=seed),
-                                 drop_rng(seed, 0, 0))
+        gains = drop_gain_table(ScenarioParams(**params, rng_seed=seed), drop_rng(seed, 0, 0))
         path = tmp_path / "scenarios" / "drop_0000.json"
         assert path.read_text() == json.dumps(scenario_to_dict(gains), indent=1,
                                               sort_keys=True)
@@ -651,10 +650,10 @@ class TestPoolBlocks:
         assert kept == full[:failing * per_drop]
 
     def test_lockstep_fig3_outputs_identical_across_parallelism(self, tmp_path, monkeypatch):
-        # one chunk's drops and 20 more: the serial run's stacks of two
-        # chunks' worth go to the lockstep solver and its stacks of 40 one
-        # matrix at a time; the parallel blocks of half or a third of the
-        # drops are one chunk each, all in lockstep
+        # one chunk's drops and 20 more: the serial run goes in two even
+        # chunks, whose stacks (two problems a drop) all go to the lockstep
+        # solver; the parallel blocks of half or a third of the drops are
+        # one chunk each, all in lockstep too
         from fdsched import assignment
 
         lockstep = []
@@ -662,15 +661,17 @@ class TestPoolBlocks:
                             lambda *args, _solve=assignment._min_cost_assignments:
                             lockstep.append(len(args[0])) or _solve(*args))
         size = harness._chunk_drops(canned_experiments("fig3"))
-        assert 2 * (size + 20) // 3 >= assignment._LOCKSTEP_MIN_PROBLEMS > 40
+        half = (size + 20) // 2
+        assert 2 * (2 * half // 3) >= assignment._LOCKSTEP_MIN_PROBLEMS and half <= size
         outputs = {}
         for parallelism in (1, 2, 3):
             out = tmp_path / f"p{parallelism}"
-            run_experiment(canned_experiments("fig3", seed=12, iterations=size + 20,
+            run_experiment(canned_experiments("fig3", seed=12, iterations=2 * half,
                                               out_dir=str(out), parallelism=parallelism))
             outputs[parallelism] = {name: text.encode() for name, text
                                     in read_deterministic_outputs(out).items()}
-        assert lockstep == [2 * size] * 2   # the serial run's; workers count in their copies
+        # the serial run's C-HUN and C-NINT stacks; workers count in their copies
+        assert lockstep == [2 * half] * 4
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
 
@@ -679,15 +680,15 @@ class TestPoolBlocks:
 
         cfg = tiny_config(tmp_path / "t", iterations=9, parallelism=2)
         # 3 drops of 2 stacked 2 x 2 benefits and a 2 + 2 user gain table
-        monkeypatch.setattr(harness, "_CHUNK_BYTES", 3 * 8 * (2 * 4 + 4 + 3 * 4))
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 3 * 8 * (2 * 4 + 4 + 3 * 4 + 2))
         monkeypatch.setattr(assignment, "_LOCKSTEP_MIN_PROBLEMS", 2)
         assert harness._chunk_drops(cfg) == 3
         run_experiment(cfg)
         lines = (tmp_path / "t" / "timing.log").read_text().splitlines()[1:]
         # 9 drops in 2 blocks, one per worker: edges at 9 * b // 2; each
-        # block in chunks of up to 3 drops
+        # block in the fewest near-equal chunks of up to 3 drops
         chunks = [line.split(":")[0] for line in lines[:4]]
-        assert chunks == ["chunk 0-2", "chunk 3-3", "chunk 4-6", "chunk 7-8"]
+        assert chunks == ["chunk 0-1", "chunk 2-3", "chunk 4-5", "chunk 6-8"]
         assert [line.split(":")[0] for line in lines[4:]] == ["drops 0-3", "drops 4-8"]
         assert all(" pid " in line and line.endswith(" s") for line in lines[4:])
 
@@ -780,52 +781,143 @@ POOL_PACKAGES = ("concurrent", "multiprocessing", "logging", "traceback")
 
 
 class TestChunkSizes:
-    """A chunk holds about harness._CHUNK_BYTES of gain tables and stacked
-    benefits, but enough drops for a stack to reach the lockstep gate."""
+    """A chunk holds about harness._CHUNK_BYTES of gain tables and what its
+    costliest strategy holds per drop (stacked benefits, and P-OPT's corner
+    tables), but where the stacks go to the lockstep solver, enough drops
+    for a stack to reach the lockstep gate."""
 
-    @pytest.mark.parametrize("doc, at_gate", [
+    @pytest.mark.parametrize("doc, expect", [
         ({"num_ul": 25, "num_dl": 25, "num_channels": 25,
           "strategies": ["C-HUN", "C-NINT", "R-EPA"], "mu_values": [0.9],
-          "weight_modes": ["SR", "PL"]}, False),                             # canned fig3's cell
+          "weight_modes": ["SR", "PL"]}, "budget"),                         # canned fig3's cell
         ({"num_ul": 10, "num_dl": 14, "num_channels": 20, "strategies": ["P-OPT", "C-HUN"],
-          "mu_values": [0.5, 0.9], "weight_modes": ["SR", "PL"]}, False),     # spare channels
-        ({"num_ul": 100, "num_dl": 100, "num_channels": 100, "strategies": ["C-HUN"]}, True),
-    ], ids=["25+25", "10+14/20", "100+100"])
-    def test_a_chunk_fits_its_byte_budget_or_reaches_the_gate(self, monkeypatch, doc, at_gate):
-        # one drop's arrays as a run builds them: its gain table and its
-        # largest stack of benefits
-        from fdsched import assignment
+          "mu_values": [0.5, 0.9], "weight_modes": ["SR", "PL"]}, "budget"),  # spare channels
+        ({"num_ul": 40, "num_dl": 80, "num_channels": 96,
+          "strategies": ["C-HUN", "C-NINT", "R-EPA"]}, "pruned"),
+        ({"num_ul": 25, "num_dl": 25, "num_channels": 25, "strategies": ["R-EPA"],
+          "mu_values": [0.1, 0.5, 0.9], "weight_modes": ["SR", "PL"]}, "unstacked"),
+        ({"num_ul": 100, "num_dl": 100, "num_channels": 100, "strategies": ["C-HUN"]}, "gate"),
+    ], ids=["25+25", "10+14/20", "40+80/96", "R-EPA", "100+100"])
+    def test_a_chunk_fits_its_byte_budget_or_reaches_the_gate(self, monkeypatch, doc, expect):
+        # one drop's arrays as a run builds them: its gain table and, per
+        # strategy, its largest stack of benefits and P-OPT's corner tables
+        from fdsched import assignment, solvers
 
-        stacks, tables = [], []
+        stacks, tables, corners = [], [], []
         monkeypatch.setattr(assignment, "_max_assignments",
                             lambda rects, _solve=assignment._max_assignments:
                             stacks.append(rects) or _solve(rects))
         monkeypatch.setattr(harness, "build_gain_table",
                             lambda *args, _build=harness.build_gain_table:
-                            tables.append(_build(*args)) or tables[-1])
+                            tables.extend(_build(*args)) or tables[-1:])
+        monkeypatch.setattr(solvers, "corner_tables",
+                            lambda *args, _make=solvers.corner_tables:
+                            corners.append(_make(*args)) or corners[-1])
         cfg = config_from_dict(doc)
-        harness._run_chunk(cfg, 0, 1)
-        (gains,) = tables
-        drop_bytes = max(rects.nbytes for rects in stacks) + sum(
+        held, counts = [], []
+        for name in cfg.strategies:
+            stacks.clear()
+            corners.clear()
+            harness._run_chunk(dataclasses.replace(cfg, strategies=(name,)), 0, 1)
+            held.append(max((rects.nbytes for rects in stacks), default=0) + sum(
+                t.se_ul.nbytes + t.se_dl.nbytes for t in corners if name == "P-OPT"))
+            counts.extend(len(rects) for rects in stacks)
+        gains = tables[0]
+        drop_bytes = max(held) + sum(
             a.nbytes for a in (gains.g_ul, gains.g_dl, gains.g_cross, gains.positions.bs,
                                gains.positions.ul, gains.positions.dl))
-        floor = -(-assignment._LOCKSTEP_MIN_PROBLEMS // max(len(rects) for rects in stacks))
         drops = harness._chunk_drops(cfg)
-        if at_gate:
+        if expect == "gate":
+            floor = -(-assignment._LOCKSTEP_MIN_PROBLEMS // max(counts))
             assert drops == floor and drops * drop_bytes > harness._CHUNK_BYTES
+            return
+        assert drops * drop_bytes <= harness._CHUNK_BYTES < (drops + 1) * drop_bytes
+        if expect == "budget":
+            assert drops * max(counts) >= assignment._LOCKSTEP_MIN_PROBLEMS
+        elif expect == "pruned":   # no stack is solved in lockstep, so the gate sets no floor
+            assert drops * max(counts) < assignment._LOCKSTEP_MIN_PROBLEMS
         else:
-            assert drops * drop_bytes <= harness._CHUNK_BYTES < (drops + 1) * drop_bytes
-            assert drops > floor
+            assert counts == []
 
-    def test_a_run_without_stacked_problems_goes_one_drop_at_a_time(self, tmp_path):
+    def test_a_fig2_chunk_covers_a_worker_block(self):
+        # P-OPT's corner tables count, but a 240-drop run at parallelism 2
+        # still solves each worker's 120 drops as one chunk
+        assert harness._chunk_drops(canned_experiments("fig2")) >= 120
+
+    @pytest.mark.parametrize("iterations, chunks", [(84, [42, 42]), (60, [60]),
+                                                    (130, [43, 43, 44])])
+    def test_a_block_goes_in_the_fewest_near_equal_chunks(self, monkeypatch, iterations, chunks):
+        # fig3's chunks hold 64 drops at most, so 84 drops are two chunks of
+        # 42: a 20-drop tail's stacks of 40 would fall below the lockstep gate
+        cfg = canned_experiments("fig3", iterations=iterations)
+        assert harness._chunk_drops(cfg) == 64
+        monkeypatch.setattr(harness, "_run_chunk", lambda cfg, lo, hi: hi - lo)
+        assert list(harness._solved_chunks(cfg, 0, iterations)) == chunks
+        assert list(harness._solved_chunks(cfg, 7, 7)) == []
+
+    def test_a_run_without_stacked_problems_is_chunked_by_bytes(self, tmp_path):
         cfg = config_from_dict({"num_ul": 25, "num_dl": 25, "num_channels": 25,
                                 "strategies": ["R-EPA"], "mu_values": [0.1, 0.5, 0.9],
                                 "weight_modes": ["SR", "PL"], "iterations": 3,
                                 "out_dir": str(tmp_path)})
-        assert harness._chunk_drops(cfg) == 1
+        assert harness._chunk_drops(cfg) == harness._CHUNK_BYTES // (8 * (25 * 25 + 3 * 50 + 2))
         run_experiment(cfg)
         lines = (tmp_path / "timing.log").read_text().splitlines()[1:]
-        assert [line.split(":")[0] for line in lines] == [f"chunk {k}-{k}" for k in range(3)]
+        assert [line.split(":")[0] for line in lines] == ["chunk 0-2"]
+
+
+class TestUnstackedChunks:
+    """A run whose strategies stack no assignment (R-EPA only) goes in
+    chunks of drops too, with the same outputs."""
+
+    @staticmethod
+    def config(out, parallelism=1):
+        return config_from_dict({"num_ul": 25, "num_dl": 25, "num_channels": 25,
+                                 "strategies": ["R-EPA"], "mu_values": [0.1, 0.9],
+                                 "weight_modes": ["SR", "PL"], "iterations": 10, "seed": 3,
+                                 "out_dir": str(out), "parallelism": parallelism})
+
+    def test_outputs_identical_across_parallelism_and_chunk_sizes(self, tmp_path, monkeypatch):
+        assert harness._chunk_drops(self.config(tmp_path)) >= 10   # one chunk a block
+        outputs = []
+        for parallelism in (1, 2, 3):
+            out = tmp_path / f"p{parallelism}"
+            run_experiment(self.config(out, parallelism))
+            outputs.append(read_deterministic_outputs(out))
+        for size, chunks in ((1, 10), (3, 4), (4, 3)):
+            monkeypatch.setattr(harness, "_chunk_drops", lambda cfg, size=size: size)
+            out = tmp_path / f"c{size}"
+            run_experiment(self.config(out))
+            outputs.append(read_deterministic_outputs(out))
+            assert len((out / "timing.log").read_text().splitlines()) == 1 + chunks
+        assert "records.jsonl" in outputs[0]
+        assert all(output == outputs[0] for output in outputs[1:])
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_drop_that_cannot_be_placed_keeps_every_earlier_drop(self, tmp_path, monkeypatch,
+                                                                   parallelism):
+        # drop 6's scenario generator puts every candidate at (99, 99) m,
+        # outside the hexagon; its chunk fails in the gain-table builder and
+        # is solved again one drop at a time
+        class Outside:
+            def random(self, size=None, out=None):
+                out.fill(0.995)
+                return out
+
+        run_experiment(self.config(tmp_path / "full"))
+        real_drop_rng = harness.drop_rng
+        monkeypatch.setattr(harness, "drop_rng", lambda master_seed, k, role: (
+            Outside() if (k, role) == (6, harness._ROLE_SCENARIO)
+            else real_drop_rng(master_seed, k, role)))
+        out = tmp_path / "fail"
+        with pytest.raises(ValueError, match="could not place a UE inside the cell"):
+            run_experiment(self.config(out, parallelism))
+        assert (out / "FAILED").read_text().startswith("ValueError: could not place a UE")
+        kept = (out / "records.jsonl").read_text().splitlines()
+        assert [json.loads(line)["drop"] for line in kept] == [k for k in range(6)
+                                                                for _ in range(4)]
+        full = (tmp_path / "full" / "records.jsonl").read_text().splitlines()
+        assert kept == full[:len(kept)]
 
 
 def run_script(out_dir, parallelism):

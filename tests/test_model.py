@@ -14,9 +14,9 @@ from fdsched.model import (
     watts_to_dbm,
 )
 from fdsched import solvers
-from fdsched.scenario import build_gain_table
 from fdsched.solvers import STRATEGIES
-from oracles import pairing_from_ul_partners, pairing_matrix, solve_drop, validate_gain_table
+from oracles import (drop_gain_table, pairing_from_ul_partners, pairing_matrix, solve_drop,
+                     validate_gain_table)
 
 
 class TestUnitConversions:
@@ -68,7 +68,7 @@ class TestValidateParams:
         # every strategy's solve rejects it, NaN included, before it builds
         # a schedule (a NaN once reached C-HUN's assignment as a cost)
         params = ScenarioParams()
-        gains = build_gain_table(params, np.random.default_rng(0))
+        gains = drop_gain_table(params, np.random.default_rng(0))
         for name in STRATEGIES:
             for mu in (1.2, -0.1, float("nan")):
                 with pytest.raises(ValueError, match="mu must lie in"):
@@ -82,7 +82,7 @@ class TestValidateParams:
 
         monkeypatch.setattr(solvers, "corner_tables", build_tables)
         params = ScenarioParams(num_ul=5, num_dl=5, num_channels=5)
-        gains = build_gain_table(params, np.random.default_rng(0))
+        gains = drop_gain_table(params, np.random.default_rng(0))
         for mu in (1.2, float("nan")):
             with pytest.raises(ValueError, match="mu must lie in"):
                 solve_drop("P-OPT", gains, params, [(WeightMode.SUM_RATE, mu)])

@@ -22,9 +22,9 @@ from fdsched.radio import (
     outcome_metrics,
     sinr,
 )
-from fdsched.scenario import build_gain_table
 from oracles import (
     all_se,
+    drop_gain_table,
     evaluate_pair,
     evaluate_solo_dl,
     evaluate_solo_ul,
@@ -57,7 +57,7 @@ def table(g_ul, g_dl, g_cross):
 def random_table(rng, num_ul=4, num_dl=4):
     params = ScenarioParams(num_ul=num_ul, num_dl=num_dl,
                             num_channels=num_ul + num_dl)
-    return build_gain_table(params, rng)
+    return drop_gain_table(params, rng)
 
 
 class TestSinr:
@@ -176,7 +176,7 @@ class TestCornerTables:
                                 num_channels=num_ul + num_dl)
         rng = np.random.default_rng(num_ul + num_dl)
         for _ in range(5):
-            g = build_gain_table(params, rng)
+            g = drop_gain_table(params, rng)
             tables = corner_tables(g, params)
             want_ul, want_dl = power_candidates(g, params, corner_points(params))
             shape = (num_ul, num_dl, 3)
@@ -203,7 +203,7 @@ class TestStackedBenefit:
         params = ScenarioParams(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
         rng = np.random.default_rng(7 + num_ul + num_dl)
         for _ in range(3):
-            g = build_gain_table(params, rng)
+            g = drop_gain_table(params, rng)
             tables = corner_tables(g, params)
             objectives = [(make_weights(mode, g), mu) for mode, mu in STACKED_OBJECTIVES]
             stacked = corner_benefit(
@@ -324,7 +324,7 @@ class TestOutcomeMetrics:
         rng = np.random.default_rng(100 * num_ul + num_dl)
         base = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
         for _ in range(100):
-            g = build_gain_table(base, rng)
+            g = drop_gain_table(base, rng)
             min_pairs = max(0, num_ul + num_dl - num_channels)
             n_pairs = int(rng.integers(min_pairs, min(num_ul, num_dl) + 1))
             pairs = zip(rng.permutation(num_ul)[:n_pairs].tolist(),
@@ -373,7 +373,7 @@ class TestPowerBeyondCorners:
         params = ScenarioParams(num_ul=1, num_dl=1, num_channels=1,
                                 si_cancellation=db_to_linear(si_db))
         rng = np.random.default_rng(int(-si_db))
-        tables = [build_gain_table(params, rng) for _ in range(drops)]
+        tables = [drop_gain_table(params, rng) for _ in range(drops)]
         return params, [(g.g_ul[0], g.g_dl[0], g.g_cross[0, 0]) for g in tables]
 
     @staticmethod

@@ -15,7 +15,6 @@ from fdsched.radio import (
     outcome_metrics,
 )
 from fdsched.harness import drop_rng
-from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     STRATEGIES,
     solve_c_hun,
@@ -23,8 +22,8 @@ from fdsched.solvers import (
     solve_p_opt,
     solve_r_epa,
 )
-from oracles import (dual_multipliers, modules_after, one_drop, pairing_from_ul_partners,
-                     power_candidates, solve_drop)
+from oracles import (drop_gain_table, dual_multipliers, modules_after, one_drop,
+                     pairing_from_ul_partners, power_candidates, solve_drop)
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10
@@ -43,7 +42,7 @@ def sr(gains):
 
 
 def random_drop(rng, params):
-    return build_gain_table(params, rng)
+    return drop_gain_table(params, rng)
 
 
 def table(g_ul, g_dl, g_cross):
@@ -323,7 +322,7 @@ class TestPOptMatchesLoopReference:
         params = ScenarioParams(num_ul=4, num_dl=4, num_channels=4)
         mus = (0.1, 0.5, 0.9)
         for k in range(200):
-            g = build_gain_table(params, drop_rng(202, k, 0))
+            g = drop_gain_table(params, drop_rng(202, k, 0))
             w = sr(g)
             for mu, got in zip(mus, one_drop(solve_p_opt, g, params, [(w, mu) for mu in mus])):
                 assert_same_optimum(got, reference_p_opt(g, params, w, mu))
@@ -422,11 +421,11 @@ class TestCHun:
             "import numpy as np\n"
             "import fdsched as fd\n"
             "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9)\n"
-            "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
+            "[gains] = fd.build_gain_table(params, [np.random.default_rng(1)])\n"
             "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
             "fd.solve_c_hun([(gains, None)], params, [[(weights, 0.5)]])\n"
             "params = fd.ScenarioParams(num_ul=25, num_dl=25, num_channels=25)\n"
-            "gains = fd.build_gain_table(params, np.random.default_rng(1))\n"
+            "[gains] = fd.build_gain_table(params, [np.random.default_rng(1)])\n"
             "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
             "fd.solve_p_opt([(gains, None)], params, [[(weights, 0.9)]])\n", "scipy") == []
 
