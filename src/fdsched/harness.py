@@ -180,20 +180,20 @@ class RunRecord:
 _CHUNK_BYTES = 1 << 20
 
 
-def _chunk_drops(cfg: ExperimentConfig) -> int:
-    """Drops per chunk: as many as _CHUNK_BYTES holds, but where the stacks
-    go to the lockstep solver (too narrow to prune), enough for one stack to
-    reach its gate."""
+def _chunk_drops(cfg: ExperimentConfig) -> tuple[int, int]:
+    """(most, least): as many drops as _CHUNK_BYTES holds (at least one),
+    and where the stacks go to the lockstep solver (too narrow to prune),
+    enough drops for one stack to reach its gate (1 elsewhere)."""
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
     ul, dl = cfg.params.num_ul, cfg.params.num_dl
     width = dl + ul - assignment.min_pairs(ul, dl, cfg.params.num_channels)
     stacks = [stacked_problems(name, objectives) for name in cfg.strategies]
     held = max(n * ul * width + (6 * ul * dl if name == "P-OPT" else 0)
                for name, n in zip(cfg.strategies, stacks))
-    drops = max(_CHUNK_BYTES // (8 * (held + ul * dl + 3 * (ul + dl) + 2)), 1)
-    if max(stacks) and ul * (width - ul) < assignment._PRUNE_MIN_SPARE_ENTRIES:
-        drops = max(drops, -(-assignment._LOCKSTEP_MIN_PROBLEMS // max(stacks)))
-    return drops
+    most = max(_CHUNK_BYTES // (8 * (held + ul * dl + 3 * (ul + dl) + 2)), 1)
+    lockstep = max(stacks) and ul * (width - ul) < assignment._PRUNE_MIN_SPARE_ENTRIES
+    least = -(-assignment._LOCKSTEP_MIN_PROBLEMS // max(stacks)) if lockstep else 1
+    return most, least
 
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
@@ -238,12 +238,16 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
 
 
 def _solved_chunks(cfg: ExperimentConfig, lo: int, hi: int):
-    """Yield _run_chunk's result for drops lo..hi-1 in drop order, in the
-    fewest near-equal chunks of at most _chunk_drops drops, so that no short
-    tail falls below the lockstep gate.  A chunk that fails is solved again
-    one drop per chunk, so every drop before the failing one is yielded and
-    that drop's exception propagates."""
-    count = -(-(hi - lo) // _chunk_drops(cfg))
+    """Yield _run_chunk's result for drops lo..hi-1 in drop order, in
+    near-equal chunks: the fewest of at most `most` drops (_chunk_drops),
+    unless that leaves a chunk below `least`, whose stacks would miss the
+    lockstep gate; then as many of at least `least` drops as fit.  So where
+    the gate sets the size, a chunk holds up to 2 * least - 1 drops.  A
+    chunk that fails is solved again one drop per chunk, so every drop
+    before the failing one is yielded and that drop's exception
+    propagates."""
+    most, least = _chunk_drops(cfg)
+    count = min(-(-(hi - lo) // most), max((hi - lo) // least, 1))
     for c in range(count):
         start, stop = lo + (hi - lo) * c // count, lo + (hi - lo) * (c + 1) // count
         try:

@@ -13,7 +13,8 @@ They are written one user or one permutation at a time, independent of
 the vectorized code they check.  The readers of a run's outputs (a CDF
 file, a dumped scenario) and the median gap of two CDFs, which only the
 tests use, are here too, and so are the list of modules a script loads in
-a fresh interpreter and the one-drop forms of the strategies' calls.
+a fresh interpreter and the one-drop forms of build_gain_table's and the
+strategies' calls.
 """
 
 import itertools

@@ -634,7 +634,7 @@ class TestPoolBlocks:
             monkeypatch.setattr(assignment, "_LOCKSTEP_MIN_PROBLEMS", 2)
             cfg = canned_experiments("fig3", seed=4, iterations=20, out_dir=str(out),
                                      parallelism=parallelism)
-        assert harness._chunk_drops(cfg) >= cfg.iterations
+        assert harness._chunk_drops(cfg)[0] >= cfg.iterations
         run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "full")))
         monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
         with pytest.raises(RuntimeError, match=f"drop {failing} failed") as excinfo:
@@ -660,7 +660,7 @@ class TestPoolBlocks:
         monkeypatch.setattr(assignment, "_min_cost_assignments",
                             lambda *args, _solve=assignment._min_cost_assignments:
                             lockstep.append(len(args[0])) or _solve(*args))
-        size = harness._chunk_drops(canned_experiments("fig3"))
+        size, _ = harness._chunk_drops(canned_experiments("fig3"))
         half = (size + 20) // 2
         assert 2 * (2 * half // 3) >= assignment._LOCKSTEP_MIN_PROBLEMS and half <= size
         outputs = {}
@@ -682,7 +682,7 @@ class TestPoolBlocks:
         # 3 drops of 2 stacked 2 x 2 benefits and a 2 + 2 user gain table
         monkeypatch.setattr(harness, "_CHUNK_BYTES", 3 * 8 * (2 * 4 + 4 + 3 * 4 + 2))
         monkeypatch.setattr(assignment, "_LOCKSTEP_MIN_PROBLEMS", 2)
-        assert harness._chunk_drops(cfg) == 3
+        assert harness._chunk_drops(cfg) == (3, 1)
         run_experiment(cfg)
         lines = (tmp_path / "t" / "timing.log").read_text().splitlines()[1:]
         # 9 drops in 2 blocks, one per worker: edges at 9 * b // 2; each
@@ -826,33 +826,43 @@ class TestChunkSizes:
         drop_bytes = max(held) + sum(
             a.nbytes for a in (gains.g_ul, gains.g_dl, gains.g_cross, gains.positions.bs,
                                gains.positions.ul, gains.positions.dl))
-        drops = harness._chunk_drops(cfg)
-        if expect == "gate":
-            floor = -(-assignment._LOCKSTEP_MIN_PROBLEMS // max(counts))
-            assert drops == floor and drops * drop_bytes > harness._CHUNK_BYTES
-            return
-        assert drops * drop_bytes <= harness._CHUNK_BYTES < (drops + 1) * drop_bytes
-        if expect == "budget":
-            assert drops * max(counts) >= assignment._LOCKSTEP_MIN_PROBLEMS
+        most, least = harness._chunk_drops(cfg)
+        assert most * drop_bytes <= harness._CHUNK_BYTES < (most + 1) * drop_bytes
+        if expect in ("budget", "gate"):
+            assert least == -(-assignment._LOCKSTEP_MIN_PROBLEMS // max(counts))
+            assert (most >= least) == (expect == "budget")
         elif expect == "pruned":   # no stack is solved in lockstep, so the gate sets no floor
-            assert drops * max(counts) < assignment._LOCKSTEP_MIN_PROBLEMS
+            assert least == 1 and most * max(counts) < assignment._LOCKSTEP_MIN_PROBLEMS
         else:
-            assert counts == []
+            assert least == 1 and counts == []
 
     def test_a_fig2_chunk_covers_a_worker_block(self):
         # P-OPT's corner tables count, but a 240-drop run at parallelism 2
         # still solves each worker's 120 drops as one chunk
-        assert harness._chunk_drops(canned_experiments("fig2")) >= 120
+        assert harness._chunk_drops(canned_experiments("fig2"))[0] >= 120
 
-    @pytest.mark.parametrize("iterations, chunks", [(84, [42, 42]), (60, [60]),
-                                                    (130, [43, 43, 44])])
-    def test_a_block_goes_in_the_fewest_near_equal_chunks(self, monkeypatch, iterations, chunks):
-        # fig3's chunks hold 64 drops at most, so 84 drops are two chunks of
-        # 42: a 20-drop tail's stacks of 40 would fall below the lockstep gate
-        cfg = canned_experiments("fig3", iterations=iterations)
-        assert harness._chunk_drops(cfg) == 64
+    @pytest.mark.parametrize("doc, sizes, drops, chunks", [
+        # fig3's chunks hold 64 drops at most and need 25 for the gate, so
+        # 84 drops are two chunks of 42: a 20-drop tail's stacks of 40
+        # would fall below the lockstep gate
+        ({}, (64, 25), 84, [42, 42]),
+        ({}, (64, 25), 60, [60]),
+        ({}, (64, 25), 130, [43, 43, 44]),
+        # a one-objective 100+100 C-HUN chunk needs 50 drops for the gate,
+        # more than the byte budget's 6
+        ({"num_ul": 100, "num_dl": 100, "num_channels": 100, "strategies": ["C-HUN"],
+          "weight_modes": ["SR"]}, (6, 50), 60, [60]),
+        ({"num_ul": 100, "num_dl": 100, "num_channels": 100, "strategies": ["C-HUN"],
+          "weight_modes": ["SR"]}, (6, 50), 149, [74, 75]),
+        ({"num_ul": 100, "num_dl": 100, "num_channels": 100, "strategies": ["C-HUN"],
+          "weight_modes": ["SR"]}, (6, 50), 20, [20]),
+    ], ids=["fig3-84", "fig3-60", "fig3-130", "100+100-60", "100+100-149", "100+100-20"])
+    def test_a_block_goes_in_near_equal_chunks_that_keep_the_gate(self, monkeypatch, doc,
+                                                                  sizes, drops, chunks):
+        cfg = config_from_dict({**harness.CANNED["fig3"], **doc, "iterations": drops})
+        assert harness._chunk_drops(cfg) == sizes
         monkeypatch.setattr(harness, "_run_chunk", lambda cfg, lo, hi: hi - lo)
-        assert list(harness._solved_chunks(cfg, 0, iterations)) == chunks
+        assert list(harness._solved_chunks(cfg, 0, drops)) == chunks
         assert list(harness._solved_chunks(cfg, 7, 7)) == []
 
     def test_a_run_without_stacked_problems_is_chunked_by_bytes(self, tmp_path):
@@ -860,7 +870,7 @@ class TestChunkSizes:
                                 "strategies": ["R-EPA"], "mu_values": [0.1, 0.5, 0.9],
                                 "weight_modes": ["SR", "PL"], "iterations": 3,
                                 "out_dir": str(tmp_path)})
-        assert harness._chunk_drops(cfg) == harness._CHUNK_BYTES // (8 * (25 * 25 + 3 * 50 + 2))
+        assert harness._chunk_drops(cfg) == (harness._CHUNK_BYTES // (8 * (25 * 25 + 3 * 50 + 2)), 1)
         run_experiment(cfg)
         lines = (tmp_path / "timing.log").read_text().splitlines()[1:]
         assert [line.split(":")[0] for line in lines] == ["chunk 0-2"]
@@ -878,14 +888,14 @@ class TestUnstackedChunks:
                                  "out_dir": str(out), "parallelism": parallelism})
 
     def test_outputs_identical_across_parallelism_and_chunk_sizes(self, tmp_path, monkeypatch):
-        assert harness._chunk_drops(self.config(tmp_path)) >= 10   # one chunk a block
+        assert harness._chunk_drops(self.config(tmp_path))[0] >= 10   # one chunk a block
         outputs = []
         for parallelism in (1, 2, 3):
             out = tmp_path / f"p{parallelism}"
             run_experiment(self.config(out, parallelism))
             outputs.append(read_deterministic_outputs(out))
         for size, chunks in ((1, 10), (3, 4), (4, 3)):
-            monkeypatch.setattr(harness, "_chunk_drops", lambda cfg, size=size: size)
+            monkeypatch.setattr(harness, "_chunk_drops", lambda cfg, size=size: (size, 1))
             out = tmp_path / f"c{size}"
             run_experiment(self.config(out))
             outputs.append(read_deterministic_outputs(out))
