@@ -158,12 +158,11 @@ def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     return col_of_row
 
 
-def _min_cost_assignments(costs: np.ndarray, tops: np.ndarray | None = None) -> np.ndarray:
-    """_min_cost_assignment of every cost of a (B, n, m) stack, 1 <= n <= m,
-    in lockstep: the (B, n) columns of each problem's rows.  With tops, (B,),
-    costs[b] holds benefits and problem b's cost is tops[b] - costs[b],
-    computed a row at a time as the search reads it, so the stack's costs
-    are never held whole.
+def _min_cost_assignments(benefits: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """_min_cost_assignment of every cost tops[b] - benefits[b] of a
+    (B, n, m) stack, 1 <= n <= m, in lockstep: the (B, n) columns of each
+    problem's rows.  A cost is computed a row at a time as the search reads
+    it, so the stack's costs are never held whole.
 
     One round does, for every problem still searching, one tree step of the
     scalar solver as a few numpy calls over the stack: the scan of its
@@ -181,12 +180,12 @@ def _min_cost_assignments(costs: np.ndarray, tops: np.ndarray | None = None) -> 
     and the argmin pass over it unmasked, and the masked updates multiply
     delta by a 0/1 mask.  Adding 0.0 or delta * 0.0 and applying a zero
     delta rather than skipping it change no value but the sign of a zero,
-    so no decision.  tops[b] - costs[b] is the scalar path's benefit.max()
-    - benefit, entry by entry.  Nothing is pruned: _max_assignments sends
+    so no decision.  tops[b] - benefits[b] is the scalar path's
+    benefit.max() - benefit, entry by entry.  Nothing is pruned: _max_assignments sends
     wide costs to the scalar solver.
     """
-    b, n, m = costs.shape
-    rows = costs.reshape(b * n, m)
+    b, n, m = benefits.shape
+    rows = benefits.reshape(b * n, m)
     matched = np.empty((b, n), dtype=np.intp)
     live = np.arange(b)                          # the problems still searching
     u = np.zeros((b, n))                         # row potentials
@@ -203,7 +202,7 @@ def _min_cost_assignments(costs: np.ndarray, tops: np.ndarray | None = None) -> 
         at = np.arange(live.size)
         at_n, at_m, at_root = at * n, at * m, at * (m + 1)
         first_row = live * n
-        top = None if tops is None else np.repeat(tops[live][:, None], m, axis=1)
+        top = np.repeat(tops[live][:, None], m, axis=1)
         flat_cols, flat_u, flat_rows = row_of_col.ravel(), u.ravel(), tree_rows.ravel()
         flat_minv, flat_blocked, flat_in = minv.ravel(), blocked.ravel(), in_tree.ravel()
         while True:
@@ -211,8 +210,7 @@ def _min_cost_assignments(costs: np.ndarray, tops: np.ndarray | None = None) -> 
             at_row = at_n + i0
             flat_rows[at_row] = 1.0
             reduced = rows[first_row + i0]
-            if top is not None:
-                np.subtract(top, reduced, out=reduced)
+            np.subtract(top, reduced, out=reduced)
             reduced -= flat_u[at_row][:, None]
             reduced -= v
             reduced += blocked

@@ -10,11 +10,10 @@ tables and of what a strategy holds per drop (but enough for a stack to
 reach the lockstep gate where the stacks are solved in lockstep).  A
 chunk's gain tables are made in one build_gain_table call, and each
 strategy is solved once per chunk, for all of its drops' (weight mode,
-mu) objectives, so its assignments go to the solver as one stack;
-each strategy after the first starts from the generator states the first
-began with.  The records are built per drop, in drop order, and keep the
-(weight mode, mu, strategy) order.  A chunk that fails is solved again
-one drop at a time, so a failure keeps every drop before the failing one.
+mu) objectives, so its assignments go to the solver as one stack.  The
+records are built per drop, in drop order, and keep the (weight mode, mu,
+strategy) order.  A chunk that fails is solved again one drop at a time,
+so a failure keeps every drop before the failing one.
 Outcomes of one solve that share SE arrays (a schedule that several
 objectives chose, evaluated once and rescored, as every R-EPA schedule is)
 give records derived from the first one, sharing its pair of SE tuples.
@@ -171,8 +170,8 @@ class RunRecord:
 # A chunk holds about this many bytes at once: its gain tables (I * J + 3 *
 # (I + J) + 2 float64s with the positions) and what its costliest strategy
 # holds per drop: the stacked benefits (I x (J + I - P) float64s a problem)
-# and, for P-OPT, the corner tables (6 * I * J float64s) it keeps until the
-# chunk is solved.  A lockstep problem costs 0.25 ms at 25 x 25 in a stack
+# and, for P-OPT, the corner tables (I * J + 2 * I + J float64s) it keeps
+# until the chunk is solved.  A lockstep problem costs 0.25 ms at 25 x 25 in a stack
 # of 60, 0.18 ms in one of 120 and 0.15 ms in one of 240 (ROADMAP item 2);
 # 1 MiB is 64 fig3 drops, stacks of 128, and raised a 60-drop fig3 run's
 # peak RSS by 1.2 MB (3%) over stacks of 60.  The gain-table builder's
@@ -188,7 +187,7 @@ def _chunk_drops(cfg: ExperimentConfig) -> tuple[int, int]:
     ul, dl = cfg.params.num_ul, cfg.params.num_dl
     width = dl + ul - assignment.min_pairs(ul, dl, cfg.params.num_channels)
     stacks = [stacked_problems(name, objectives) for name in cfg.strategies]
-    held = max(n * ul * width + (6 * ul * dl if name == "P-OPT" else 0)
+    held = max(n * ul * width + (ul * dl + 2 * ul + dl if name == "P-OPT" else 0)
                for name, n in zip(cfg.strategies, stacks))
     most = max(_CHUNK_BYTES // (8 * (held + ul * dl + 3 * (ul + dl) + 2)), 1)
     lockstep = max(stacks) and ul * (width - ul) < assignment._PRUNE_MIN_SPARE_ENTRIES
@@ -198,22 +197,18 @@ def _chunk_drops(cfg: ExperimentConfig) -> tuple[int, int]:
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     """Evaluate all requested combinations on drops lo..hi-1: each strategy
-    is solved once over all of them, its generators rewound, and its
-    records are built per drop.  Returns (lo, hi, one (records, scenario
-    document) per drop, the chunk's wall time)."""
+    is solved once over all of them, and its records are built per drop.
+    Returns (lo, hi, one (records, scenario document) per drop, the chunk's
+    wall time)."""
     started = time.perf_counter()
     master = cfg.params.rng_seed
     tables = build_gain_table(cfg.params, [drop_rng(master, k, _ROLE_SCENARIO)
                                            for k in range(lo, hi)])
     drops = [(gains, drop_rng(master, k, _ROLE_STRATEGY)) for k, gains in enumerate(tables, lo)]
-    states = [rng.bit_generator.state for _, rng in drops] if len(cfg.strategies) > 1 else []
     tags = [(f"{master}:{k}", _gain_hash(gains)) for k, (gains, _) in enumerate(drops, lo)]
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
     columns = [[] for _ in drops]   # per drop, per strategy: its records, one per objective
-    for n, name in enumerate(cfg.strategies):
-        if n:   # rewound, so each strategy makes the draws it would make alone
-            for (_, rng), state in zip(drops, states):
-                rng.bit_generator.state = state
+    for name in cfg.strategies:
         for k, (column, outcomes, (seed, table_hash)) in enumerate(
                 zip(columns, solve(name, drops, cfg.params, objectives), tags), lo):
             # Rescored outcomes share both SE arrays; their records derive from

@@ -13,9 +13,10 @@ Gesbert, Øien, Kiani, IEEE Trans. Wireless Commun. 7(8), 2008), not for
 every weighted sum: under PL weights a pair's best power lies off the
 corners in 0.6-12% of fig3 pairs, even at mu = 0.  The same corner set is
 applied to every weighting and to the fairness term (see corner_benefit).
-The SEs of the corners read no weights (corner_tables), so one table per
-drop serves every objective; the weights and mu are arguments of the
-scoring step, not ScenarioParams fields.
+The corners' SEs form four arrays (corner_tables): UL paired (I,), DL
+paired (I, J), UL solo (I,) and DL solo (J,).  They read no weights, so
+one table per drop serves every objective; the weights and mu are
+arguments of the scoring step, not ScenarioParams fields.
 """
 
 from __future__ import annotations
@@ -76,66 +77,58 @@ def corner_points(params: ScenarioParams) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class CornerTables:
-    """Spectral efficiencies of every (i, j, corner) combination, free of
+    """Spectral efficiencies of the three corners of every pair, free of
     any weights or mu, so one table serves every objective of a drop.
 
-    se_ul/se_dl have shape (I, J, 3) with the corner axis ordered as
-    corner_points(); solo_se_* are the SEs of each user alone at max power.
+    At (Pmax, Pmax) UL user i reads paired_se_ul[i], whatever its partner
+    (the self-interference does not depend on it), and DL user j paired
+    with i reads paired_se_dl[i, j].  At a one-user corner the served user
+    reads its SE alone at max power, solo_se_ul (I,) or solo_se_dl (J,),
+    and the silent one reads 0.
     """
 
-    se_ul: np.ndarray
-    se_dl: np.ndarray
+    paired_se_ul: np.ndarray
+    paired_se_dl: np.ndarray
     solo_se_ul: np.ndarray
     solo_se_dl: np.ndarray
 
 
-@dataclass(frozen=True)
-class CornerBenefit:
-    """One objective's scores on a CornerTables: benefit has the tables'
-    (I, J, 3) shape, and best_corner[i, j] is its argmax corner with
-    first-wins tie-breaking, so ties resolve toward (Pmax, Pmax), then
-    (Pmax, 0): serve both users when the benefit does not say otherwise.
-    solo_contrib_* are the stand-alone alternatives' weighted-sum parts."""
-
-    benefit: np.ndarray
-    best_corner: np.ndarray
-    solo_contrib_ul: np.ndarray
-    solo_contrib_dl: np.ndarray
-
-
 def corner_tables(gains: GainTable, params: ScenarioParams) -> CornerTables:
-    """Evaluate the three power corners of every pair (i, j) at once.
+    """Evaluate the corner SEs of every user and pair (i, j) at once.
 
     A user at zero power adds no interference, so a zero-power corner reads
     the partner's stand-alone SE."""
     noise = params.noise_power_w
     pu, pd = params.p_max_ul_w, params.p_max_dl_w
-    num_ul, num_dl = gains.num_ul, gains.num_dl
-
-    ul_paired = np.log2(1.0 + sinr(pu, gains.g_ul, pd, params.si_cancellation, noise))
-    ul_solo = np.log2(1.0 + sinr(pu, gains.g_ul, 0.0, 0.0, noise))
-    dl_solo = np.log2(1.0 + sinr(pd, gains.g_dl, 0.0, 0.0, noise))
-    dl_paired = np.log2(1.0 + sinr(pd, gains.g_dl[None, :], pu, gains.g_cross, noise))
-
-    se_ul = np.zeros((num_ul, num_dl, 3))
-    se_dl = np.zeros((num_ul, num_dl, 3))
-    se_ul[:, :, 0] = ul_paired[:, None]
-    se_ul[:, :, 1] = ul_solo[:, None]
-    se_dl[:, :, 0] = dl_paired
-    se_dl[:, :, 2] = dl_solo[None, :]
-    return CornerTables(se_ul=se_ul, se_dl=se_dl, solo_se_ul=ul_solo, solo_se_dl=dl_solo)
+    return CornerTables(
+        paired_se_ul=np.log2(1.0 + sinr(pu, gains.g_ul, pd, params.si_cancellation, noise)),
+        paired_se_dl=np.log2(1.0 + sinr(pd, gains.g_dl[None, :], pu, gains.g_cross, noise)),
+        solo_se_ul=np.log2(1.0 + sinr(pu, gains.g_ul, 0.0, 0.0, noise)),
+        solo_se_dl=np.log2(1.0 + sinr(pd, gains.g_dl, 0.0, 0.0, noise)))
 
 
-def corner_benefit(tables: CornerTables, weights: WeightVector, mu) -> CornerBenefit:
-    """Score every corner of a CornerTables under the weights and mu; K objectives
-    ((K, I) and (K, J) weight rows, (K,) mu) add a leading K axis to every field."""
+def corner_benefit(tables: CornerTables, weights: WeightVector, mu):
+    """Score a CornerTables under the weights and mu: (best, corner,
+    solo_contrib_ul, solo_contrib_dl), where best[i, j] is pair (i, j)'s
+    benefit_value at its best corner and corner[i, j] that corner's
+    corner_points index, the first of tied maxima, so ties resolve toward
+    (Pmax, Pmax), then (Pmax, 0): serve both users when the benefit does not
+    say otherwise.  A NaN benefit at (Pmax, Pmax) gives a NaN best.  The
+    one-user corners score (1 - mu) alpha SE, benefit_value at a silent
+    partner; solo_contrib_* are the stand-alone alternatives' weighted-sum
+    parts.  K objectives ((K, I) and (K, J) weight rows, (K,) mu) add a
+    leading K axis to every array."""
     mu = np.asarray(mu)[..., None]
-    benefit = benefit_value(tables.se_ul, tables.se_dl,
-                            weights.alpha_ul[..., :, None, None],
-                            weights.alpha_dl[..., None, :, None], mu[..., None, None])
-    return CornerBenefit(benefit, benefit.argmax(axis=-1),
-                         (1.0 - mu) * weights.alpha_ul * tables.solo_se_ul,
-                         (1.0 - mu) * weights.alpha_dl * tables.solo_se_dl)
+    scale = 1.0 - mu
+    paired = benefit_value(tables.paired_se_ul[:, None], tables.paired_se_dl,
+                           weights.alpha_ul[..., :, None], weights.alpha_dl[..., None, :],
+                           mu[..., None])
+    ul_only = (scale * (weights.alpha_ul * tables.solo_se_ul))[..., :, None]
+    dl_only = (scale * (weights.alpha_dl * tables.solo_se_dl))[..., None, :]
+    best = np.maximum(np.maximum(paired, ul_only), dl_only)
+    return (best, (paired < best) * ((ul_only < best) + np.int8(1)),
+            scale * weights.alpha_ul * tables.solo_se_ul,
+            scale * weights.alpha_dl * tables.solo_se_dl)
 
 
 # ---------------------------------------------------------------------------

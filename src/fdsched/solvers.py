@@ -108,13 +108,9 @@ def _best_corner_assignments(tables: Iterable[CornerTables],
     solo_ul, solo_dl = np.empty((count, num_ul)), np.empty((count, num_dl))
     at = 0
     for drop_tables, (weights, mus) in zip(tables, objectives):
-        scores = corner_benefit(drop_tables, weights, mus)
-        b = scores.benefit   # its max over corners; b.max(axis=3) loops once per cell
         rows = slice(at, at + len(mus))
-        np.maximum(np.maximum(b[..., 0], b[..., 1]), b[..., 2], out=best[rows])
-        corners[rows] = scores.best_corner
-        solo_ul[rows] = scores.solo_contrib_ul
-        solo_dl[rows] = scores.solo_contrib_dl
+        best[rows], corners[rows], solo_ul[rows], solo_dl[rows] = corner_benefit(
+            drop_tables, weights, mus)
         at += len(mus)
     solved = iter(zip(assign_with_solo(best, solo_ul, solo_dl, num_channels), corners))
     plans = []
@@ -177,7 +173,12 @@ def _scored(tables: CornerTables, weights: WeightVector, pairing: Pairing, corne
     corner-table SEs."""
     se_ul, se_dl = tables.solo_se_ul.copy(), tables.solo_se_dl.copy()
     for (i, j), corner in zip(pairing.pairs(), corners):
-        se_ul[i], se_dl[j] = tables.se_ul[i, j, corner], tables.se_dl[i, j, corner]
+        if corner == 0:
+            se_ul[i], se_dl[j] = tables.paired_se_ul[i], tables.paired_se_dl[i, j]
+        elif corner == 1:   # (Pmax, 0): the UL user keeps its solo SE
+            se_dl[j] = 0.0
+        else:               # (0, Pmax)
+            se_ul[i] = 0.0
     return (pairing, corners, float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl),
             float(np.concatenate([se_ul, se_dl]).min()))
 
@@ -233,8 +234,8 @@ def _optimum(gains: GainTable, tables: CornerTables, params: ScenarioParams,
     """One drop's P-OPT outcomes (solve_p_opt): the threshold scan from the
     max-sum plan of each distinct weight vector (_by_weights)."""
     keys, distinct = _by_weights(objectives)
-    se_ul, se_dl = tables.se_ul[..., 0], tables.se_dl[..., 0]
-    pair_min = np.minimum(se_ul, se_dl)
+    se_ul, se_dl = tables.paired_se_ul, tables.paired_se_dl
+    pair_min = np.minimum(se_ul[:, None], se_dl)
     cap = float(np.concatenate([tables.solo_se_ul, tables.solo_se_dl]).min())
     forced = min_pairs(gains.num_ul, gains.num_dl, params.num_channels)
     for axis, users in ((1, gains.num_ul), (0, gains.num_dl)):
@@ -243,7 +244,7 @@ def _optimum(gains: GainTable, tables: CornerTables, params: ScenarioParams,
     thresholds = sorted({*pair_min[pair_min <= cap].tolist(), cap})
     schedules = [None] * len(objectives)
     for key, weights, plan in zip(distinct, distinct.values(), max_sum):
-        values = weights.alpha_ul[:, None] * se_ul + weights.alpha_dl * se_dl
+        values = (weights.alpha_ul * se_ul)[:, None] + weights.alpha_dl * se_dl
         solo_ul = weights.alpha_ul * tables.solo_se_ul
         solo_dl = weights.alpha_dl * tables.solo_se_dl
         penalty = -1.0 - 4.0 * (abs(values).sum() + abs(solo_ul).sum() + abs(solo_dl).sum())

@@ -40,7 +40,7 @@ from fdsched.model import (
     ScheduleOutcome,
     WeightVector,
 )
-from fdsched.radio import benefit_value, check_mu, corner_points, sinr
+from fdsched.radio import CornerTables, benefit_value, check_mu, corner_points, sinr
 from fdsched.scenario import (
     _HEX_NORMALS,
     _MAX_PLACEMENT_ATTEMPTS,
@@ -97,6 +97,19 @@ def power_candidates(gains: GainTable, params: ScenarioParams,
                                params.si_cancellation, noise))
     se_dl = np.log2(1.0 + sinr(p_d, gains.g_dl[None, :, None], p_u,
                                gains.g_cross[:, :, None], noise))
+    return se_ul, se_dl
+
+
+def corner_se(tables: CornerTables) -> tuple[np.ndarray, np.ndarray]:
+    """The UL and DL SE of every (i, j, corner) as two (I, J, 3) arrays, the
+    corner axis in corner_points order, rebuilt from a CornerTables: UL reads
+    (paired, solo, 0) and DL (paired, 0, solo)."""
+    shape = (*tables.paired_se_dl.shape, 3)
+    se_ul, se_dl = np.zeros(shape), np.zeros(shape)
+    se_ul[:, :, 0] = tables.paired_se_ul[:, None]
+    se_ul[:, :, 1] = tables.solo_se_ul[:, None]
+    se_dl[:, :, 0] = tables.paired_se_dl
+    se_dl[:, :, 2] = tables.solo_se_dl
     return se_ul, se_dl
 
 

@@ -168,7 +168,8 @@ class TestMatchesVectorizedReference:
         self.stacks = {}   # shape -> [(cost, its reference matching)]
         yield
         for shape, solved in self.stacks.items():
-            got = _min_cost_assignments(np.stack([cost for cost, _ in solved]))
+            costs = np.stack([cost for cost, _ in solved])
+            got = _min_cost_assignments(-costs, np.zeros(len(costs)))
             assert got.tolist() == [want for _, want in solved], f"stack of {shape} costs"
 
     def assert_same_decisions(self, cost):
@@ -320,7 +321,8 @@ class TestMatchesVectorizedReference:
     def test_stack_whose_problems_finish_in_different_rounds(self):
         # an all-equal cost inserts each row in one step and leaves the stack
         # after n rounds; the tied and random ones search on, each at its own
-        # pace, and the benefit form (tops - benefits) reads the same costs
+        # pace; the costs go in as benefits under zero tops (0.0 - (-c) is c),
+        # and under nonzero tops (tops - benefits) the stack reads the same costs
         rng = np.random.default_rng(21)
         for n, m in ((3, 3), (8, 8), (6, 11), (25, 25)):
             costs = np.stack([np.zeros((n, m)), rng.normal(0.0, 5.0, size=(n, m)),
@@ -328,7 +330,7 @@ class TestMatchesVectorizedReference:
                               np.full((n, m), 2.5), rng.normal(0.0, 1e-3, size=(n, m)),
                               rng.choice([0.0, -0.0, 1.0], size=(n, m))])
             want = [reference_min_cost_assignment(c) for c in costs]
-            assert _min_cost_assignments(costs).tolist() == want
+            assert _min_cost_assignments(-costs, np.zeros(len(costs))).tolist() == want
             for cost in costs:
                 self.assert_same_decisions(cost)
             tops = rng.integers(0, 4, size=len(costs)).astype(float)
@@ -385,9 +387,9 @@ def blind_planner_inputs(rng, num_ul, num_dl, num_channels):
     params = ScenarioParams(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
     g = drop_gain_table(params, rng)
     blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
-    scores = corner_benefit(corner_tables(blind, params),
-                            make_weights(WeightMode.SUM_RATE, g), 0.5)
-    return scores.benefit.max(axis=2), scores.solo_contrib_ul, scores.solo_contrib_dl
+    best, _, solo_ul, solo_dl = corner_benefit(corner_tables(blind, params),
+                                               make_weights(WeightMode.SUM_RATE, g), 0.5)
+    return best, solo_ul, solo_dl
 
 
 SOLO_INPUTS = [random_solo_inputs, separable_solo_inputs, blind_planner_inputs]

@@ -820,7 +820,8 @@ class TestChunkSizes:
             corners.clear()
             harness._run_chunk(dataclasses.replace(cfg, strategies=(name,)), 0, 1)
             held.append(max((rects.nbytes for rects in stacks), default=0) + sum(
-                t.se_ul.nbytes + t.se_dl.nbytes for t in corners if name == "P-OPT"))
+                a.nbytes for t in corners if name == "P-OPT"
+                for a in (t.paired_se_ul, t.paired_se_dl, t.solo_se_ul, t.solo_se_dl)))
             counts.extend(len(rects) for rects in stacks)
         gains = tables[0]
         drop_bytes = max(held) + sum(

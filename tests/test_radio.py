@@ -14,6 +14,7 @@ from fdsched.model import (
     db_to_linear,
 )
 from fdsched.radio import (
+    CornerTables,
     benefit_value,
     corner_benefit,
     corner_points,
@@ -24,6 +25,7 @@ from fdsched.radio import (
 )
 from oracles import (
     all_se,
+    corner_se,
     drop_gain_table,
     evaluate_pair,
     evaluate_solo_dl,
@@ -154,37 +156,48 @@ class TestEvaluatePair:
             g = random_table(rng)
             w = make_weights(WeightMode.SUM_RATE, g)
             tables = corner_tables(g, params)
-            scores = corner_benefit(tables, w, mu)
+            best, best_corner, _, _ = corner_benefit(tables, w, mu)
+            se_ul, se_dl = corner_se(tables)
             corners = corner_points(params)
             for i in range(4):
                 for j in range(4):
                     ev = evaluate_pair(i, j, g, params, w, mu)
-                    k = scores.best_corner[i, j]
+                    k = best_corner[i, j]
                     assert corners[k] == ev.best_powers
-                    assert scores.benefit[i, j, k] == pytest.approx(ev.benefit, rel=1e-12)
-                    assert tables.se_ul[i, j, k] == pytest.approx(ev.se_ul, rel=1e-12)
-                    assert tables.se_dl[i, j, k] == pytest.approx(ev.se_dl, rel=1e-12)
+                    assert best[i, j] == pytest.approx(ev.benefit, rel=1e-12)
+                    assert se_ul[i, j, k] == pytest.approx(ev.se_ul, rel=1e-12)
+                    assert se_dl[i, j, k] == pytest.approx(ev.se_dl, rel=1e-12)
 
 
 class TestCornerTables:
     """corner_tables builds its weight-free SEs from per-direction vectors;
-    they must equal the SINR formula at the three corners bit for bit."""
+    each of its four arrays must equal the SINR formula at its corner bit
+    for bit, and so must the (I, J, 3) SEs they stand for (corner_se)."""
 
-    @pytest.mark.parametrize("num_ul, num_dl", [(4, 4), (25, 25), (40, 80), (3, 7)])
+    @pytest.mark.parametrize("num_ul, num_dl",
+                             [(4, 4), (25, 25), (40, 80), (3, 7), (0, 5), (5, 0)])
     def test_equals_the_formula_at_the_corners(self, num_ul, num_dl):
         params = ScenarioParams(num_ul=num_ul, num_dl=num_dl,
                                 num_channels=num_ul + num_dl)
+        points = corner_points(params)
         rng = np.random.default_rng(num_ul + num_dl)
         for _ in range(5):
             g = drop_gain_table(params, rng)
             tables = corner_tables(g, params)
-            want_ul, want_dl = power_candidates(g, params, corner_points(params))
-            shape = (num_ul, num_dl, 3)
-            assert tables.se_ul.tobytes() == np.broadcast_to(want_ul, shape).tobytes()
-            assert tables.se_dl.tobytes() == want_dl.tobytes()
-            # the solo SEs are the corners where the partner is silent
+            want_ul, want_dl = power_candidates(g, params, points)
+            assert tables.paired_se_ul.tobytes() == want_ul[:, 0, 0].tobytes()
+            assert tables.paired_se_dl.tobytes() == want_dl[:, :, 0].tobytes()
+            # the solo SEs are the corners where the partner is silent, for
+            # every partner, and for a stand-in one where the other side is empty
             assert tables.solo_se_ul.tobytes() == want_ul[:, 0, 1].tobytes()
-            assert tables.solo_se_dl.tobytes() == want_dl[0, :, 2].tobytes()
+            assert want_dl[:, :, 2].tobytes() == np.broadcast_to(
+                tables.solo_se_dl, (num_ul, num_dl)).tobytes()
+            _, lone_dl = power_candidates(table([1.0], g.g_dl, np.ones((1, num_dl))),
+                                          params, points)
+            assert tables.solo_se_dl.tobytes() == lone_dl[0, :, 2].tobytes()
+            se_ul, se_dl = corner_se(tables)
+            assert se_ul.tobytes() == np.broadcast_to(want_ul, se_ul.shape).tobytes()
+            assert se_dl.tobytes() == want_dl.tobytes()
 
 
 STACKED_OBJECTIVES = [(WeightMode.SUM_RATE, 0.0), (WeightMode.SUM_RATE, 0.1),
@@ -192,10 +205,34 @@ STACKED_OBJECTIVES = [(WeightMode.SUM_RATE, 0.0), (WeightMode.SUM_RATE, 0.1),
                       (WeightMode.PATH_LOSS_COMPENSATION, 1.0)]
 
 
+def two_level_table(rng, num_ul, num_dl, direct, cross):
+    """A gain table whose direct gains take the two values of direct and
+    whose cross gains take the two of cross: equal powers then give equal
+    SEs at many pairs and users, and so many tied corners."""
+    return table(rng.choice(direct, size=num_ul), rng.choice(direct, size=num_dl),
+                 rng.choice(cross, size=(num_ul, num_dl)))
+
+
 class TestStackedBenefit:
-    """corner_benefit scores K objectives as one leading axis; each slice
-    must equal benefit_value and the per-user solo formula of its own
-    objective bit for bit, and the best corner its own argmax."""
+    """corner_benefit scores K objectives as one leading axis; each slice's
+    best benefit and corner must equal the max and argmax of benefit_value
+    over the three corners of its own objective bit for bit, and its solo
+    parts the per-user solo formula."""
+
+    def assert_each_slice_equals_its_own_objective(self, tables, objectives):
+        best, corner, solo_ul, solo_dl = corner_benefit(
+            tables, WeightVector(np.array([w.alpha_ul for w, _ in objectives]),
+                                 np.array([w.alpha_dl for w, _ in objectives])),
+            np.array([mu for _, mu in objectives]))
+        se_ul, se_dl = corner_se(tables)
+        assert best.shape == corner.shape == (len(objectives), *se_ul.shape[:2])
+        for k, (w, mu) in enumerate(objectives):
+            want = benefit_value(se_ul, se_dl, w.alpha_ul[:, None, None],
+                                 w.alpha_dl[None, :, None], mu)
+            assert best[k].tobytes() == want.max(axis=2).tobytes()
+            assert np.array_equal(corner[k], want.argmax(axis=2))
+            assert solo_ul[k].tobytes() == ((1.0 - mu) * w.alpha_ul * tables.solo_se_ul).tobytes()
+            assert solo_dl[k].tobytes() == ((1.0 - mu) * w.alpha_dl * tables.solo_se_dl).tobytes()
 
     @pytest.mark.parametrize("num_ul, num_dl, num_channels",
                              [(4, 4, 4), (3, 7, 8), (25, 25, 25), (40, 80, 96)])
@@ -204,22 +241,45 @@ class TestStackedBenefit:
         rng = np.random.default_rng(7 + num_ul + num_dl)
         for _ in range(3):
             g = drop_gain_table(params, rng)
+            self.assert_each_slice_equals_its_own_objective(
+                corner_tables(g, params),
+                [(make_weights(mode, g), mu) for mode, mu in STACKED_OBJECTIVES])
+
+    @pytest.mark.parametrize("direct, cross, modes", [
+        ((1e-9, 1e-7), (1e-12, 1e-6), (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)),
+        # a zero direct gain gives a zero SE, which ties (Pmax, Pmax) at mu = 1
+        ((0.0, 1e-9), (0.0, 1e-9), (WeightMode.SUM_RATE,)),
+        ((0.0, 1e-7), (1e-12, 1e-6), (WeightMode.SUM_RATE,)),
+    ], ids=["positive", "zero-or-one-level", "zero-or-far"])
+    def test_tied_corners_resolve_to_the_first(self, direct, cross, modes):
+        # equal UL and DL powers and a shared direct gain level tie the two
+        # one-user corners above (Pmax, Pmax), at mu = 1 both score 0
+        params = ScenarioParams(num_ul=6, num_dl=6, num_channels=6)
+        rng = np.random.default_rng(31)
+        ties = {"one-user corners above the paired one": 0, "paired corner among ties": 0}
+        for _ in range(20):
+            g = two_level_table(rng, 6, 6, direct, cross)
             tables = corner_tables(g, params)
-            objectives = [(make_weights(mode, g), mu) for mode, mu in STACKED_OBJECTIVES]
-            stacked = corner_benefit(
-                tables, WeightVector(np.array([w.alpha_ul for w, _ in objectives]),
-                                     np.array([w.alpha_dl for w, _ in objectives])),
-                np.array([mu for _, mu in objectives]))
-            assert stacked.benefit.shape == (len(objectives), num_ul, num_dl, 3)
-            for k, (w, mu) in enumerate(objectives):
-                want = benefit_value(tables.se_ul, tables.se_dl, w.alpha_ul[:, None, None],
-                                     w.alpha_dl[None, :, None], mu)
-                assert stacked.benefit[k].tobytes() == want.tobytes()
-                assert np.array_equal(stacked.best_corner[k], want.argmax(axis=2))
-                assert (stacked.solo_contrib_ul[k].tobytes()
-                        == ((1.0 - mu) * w.alpha_ul * tables.solo_se_ul).tobytes())
-                assert (stacked.solo_contrib_dl[k].tobytes()
-                        == ((1.0 - mu) * w.alpha_dl * tables.solo_se_dl).tobytes())
+            objectives = [(make_weights(mode, g), mu) for mode in modes for mu in (0.0, 0.5, 1.0)]
+            self.assert_each_slice_equals_its_own_objective(tables, objectives)
+            se_ul, se_dl = corner_se(tables)
+            for w, mu in objectives:
+                b = benefit_value(se_ul, se_dl, w.alpha_ul[:, None, None],
+                                  w.alpha_dl[None, :, None], mu)
+                top = b == b.max(axis=2)[..., None]
+                ties["one-user corners above the paired one"] += int(
+                    (~top[..., 0] & top[..., 1] & top[..., 2]).sum())
+                ties["paired corner among ties"] += int(
+                    (top[..., 0] & (top[..., 1] | top[..., 2])).sum())
+        assert ties["one-user corners above the paired one"] > 0
+        assert (ties["paired corner among ties"] > 0) == (0.0 in direct)
+
+    def test_a_nan_pair_benefit_gives_a_nan_best(self):
+        tables = CornerTables(paired_se_ul=np.array([1.0, np.nan]),
+                              paired_se_dl=np.array([[1.0, 2.0], [3.0, 4.0]]),
+                              solo_se_ul=np.array([5.0, 6.0]), solo_se_dl=np.array([7.0, 8.0]))
+        best, _, _, _ = corner_benefit(tables, WeightVector(np.ones(2), np.ones(2)), 0.5)
+        assert np.isnan(best).tolist() == [[False, False], [True, True]]
 
 
 class TestSolo:

@@ -22,7 +22,7 @@ from fdsched.solvers import (
     solve_p_opt,
     solve_r_epa,
 )
-from oracles import (drop_gain_table, dual_multipliers, modules_after, one_drop,
+from oracles import (corner_se, drop_gain_table, dual_multipliers, modules_after, one_drop,
                      pairing_from_ul_partners, power_candidates, solve_drop)
 
 NOISE = 2.29086765276777e-15
@@ -70,13 +70,12 @@ def reference_p_opt(gains, params, weights, mu, power_levels=0):
         cand_se_ul, cand_se_dl = power_candidates(gains, params, candidates)
     else:
         candidates = corner_points(params)
-        cand_se_ul, cand_se_dl = tables.se_ul, tables.se_dl
+        cand_se_ul, cand_se_dl = corner_se(tables)
     n_cand = len(candidates)
     pair_ws = (1.0 - mu) * (weights.alpha_ul[:, None, None] * cand_se_ul
                             + weights.alpha_dl[None, :, None] * cand_se_dl)
     pair_min = np.minimum(cand_se_ul, cand_se_dl)
-    scores = corner_benefit(tables, weights, mu)
-    solo_ws_ul, solo_ws_dl = scores.solo_contrib_ul, scores.solo_contrib_dl
+    _, _, solo_ws_ul, solo_ws_dl = corner_benefit(tables, weights, mu)
     solo_se_ul, solo_se_dl = tables.solo_se_ul, tables.solo_se_dl
     min_pairs = max(0, num_ul + num_dl - params.num_channels)
 
