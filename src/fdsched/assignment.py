@@ -181,8 +181,8 @@ def _min_cost_assignments(benefits: np.ndarray, tops: np.ndarray) -> np.ndarray:
     delta by a 0/1 mask.  Adding 0.0 or delta * 0.0 and applying a zero
     delta rather than skipping it change no value but the sign of a zero,
     so no decision.  tops[b] - benefits[b] is the scalar path's
-    benefit.max() - benefit, entry by entry.  Nothing is pruned: _max_assignments sends
-    wide costs to the scalar solver.
+    benefit.max() - benefit, entry by entry.  Nothing is pruned:
+    _max_assignments sends wide costs to the scalar solver.
     """
     b, n, m = benefits.shape
     rows = benefits.reshape(b * n, m)

@@ -171,10 +171,10 @@ class RunRecord:
 # (I + J) + 2 float64s with the positions) and what its costliest strategy
 # holds per drop: the stacked benefits (I x (J + I - P) float64s a problem)
 # and, for P-OPT, the corner tables (I * J + 2 * I + J float64s) it keeps
-# until the chunk is solved.  A lockstep problem costs 0.25 ms at 25 x 25 in a stack
-# of 60, 0.18 ms in one of 120 and 0.15 ms in one of 240 (ROADMAP item 2);
-# 1 MiB is 64 fig3 drops, stacks of 128, and raised a 60-drop fig3 run's
-# peak RSS by 1.2 MB (3%) over stacks of 60.  The gain-table builder's
+# until the chunk is solved.  A lockstep problem costs 0.25 ms at 25 x 25 in
+# a stack of 60, 0.18 ms in one of 120 and 0.15 ms in one of 240 (ROADMAP
+# item 2); 1 MiB is 64 fig3 drops, stacks of 128, and raised a 60-drop fig3
+# run's peak RSS by 1.2 MB (3%) over stacks of 60.  The gain-table builder's
 # temporaries are not counted: they are gone before any strategy runs.
 _CHUNK_BYTES = 1 << 20
 

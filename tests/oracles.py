@@ -100,6 +100,14 @@ def power_candidates(gains: GainTable, params: ScenarioParams,
     return se_ul, se_dl
 
 
+def tie_heavy_drop(rng, num_ul: int, num_dl: int, direct=(1e-9, 1e-7),
+                   cross=(1e-9, 1e-7)) -> GainTable:
+    """Direct gains drawn from the two levels of direct and cross gains from
+    those of cross, so many matchings, combos and corners tie."""
+    return GainTable(g_ul=rng.choice(direct, size=num_ul), g_dl=rng.choice(direct, size=num_dl),
+                     g_cross=rng.choice(cross, size=(num_ul, num_dl)))
+
+
 def corner_se(tables: CornerTables) -> tuple[np.ndarray, np.ndarray]:
     """The UL and DL SE of every (i, j, corner) as two (I, J, 3) arrays, the
     corner axis in corner_points order, rebuilt from a CornerTables: UL reads

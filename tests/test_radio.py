@@ -14,7 +14,6 @@ from fdsched.model import (
     db_to_linear,
 )
 from fdsched.radio import (
-    CornerTables,
     benefit_value,
     corner_benefit,
     corner_points,
@@ -37,6 +36,7 @@ from oracles import (
     reference_outcome_metrics,
     sinr_dl,
     sinr_ul,
+    tie_heavy_drop,
 )
 
 P24 = 10 ** (-0.6)           # 24 dBm in watts
@@ -205,14 +205,6 @@ STACKED_OBJECTIVES = [(WeightMode.SUM_RATE, 0.0), (WeightMode.SUM_RATE, 0.1),
                       (WeightMode.PATH_LOSS_COMPENSATION, 1.0)]
 
 
-def two_level_table(rng, num_ul, num_dl, direct, cross):
-    """A gain table whose direct gains take the two values of direct and
-    whose cross gains take the two of cross: equal powers then give equal
-    SEs at many pairs and users, and so many tied corners."""
-    return table(rng.choice(direct, size=num_ul), rng.choice(direct, size=num_dl),
-                 rng.choice(cross, size=(num_ul, num_dl)))
-
-
 class TestStackedBenefit:
     """corner_benefit scores K objectives as one leading axis; each slice's
     best benefit and corner must equal the max and argmax of benefit_value
@@ -258,7 +250,7 @@ class TestStackedBenefit:
         rng = np.random.default_rng(31)
         ties = {"one-user corners above the paired one": 0, "paired corner among ties": 0}
         for _ in range(20):
-            g = two_level_table(rng, 6, 6, direct, cross)
+            g = tie_heavy_drop(rng, 6, 6, direct, cross)
             tables = corner_tables(g, params)
             objectives = [(make_weights(mode, g), mu) for mode in modes for mu in (0.0, 0.5, 1.0)]
             self.assert_each_slice_equals_its_own_objective(tables, objectives)
@@ -273,13 +265,6 @@ class TestStackedBenefit:
                     (top[..., 0] & (top[..., 1] | top[..., 2])).sum())
         assert ties["one-user corners above the paired one"] > 0
         assert (ties["paired corner among ties"] > 0) == (0.0 in direct)
-
-    def test_a_nan_pair_benefit_gives_a_nan_best(self):
-        tables = CornerTables(paired_se_ul=np.array([1.0, np.nan]),
-                              paired_se_dl=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                              solo_se_ul=np.array([5.0, 6.0]), solo_se_dl=np.array([7.0, 8.0]))
-        best, _, _, _ = corner_benefit(tables, WeightVector(np.ones(2), np.ones(2)), 0.5)
-        assert np.isnan(best).tolist() == [[False, False], [True, True]]
 
 
 class TestSolo:

@@ -23,7 +23,7 @@ from fdsched.solvers import (
     solve_r_epa,
 )
 from oracles import (corner_se, drop_gain_table, dual_multipliers, modules_after, one_drop,
-                     pairing_from_ul_partners, power_candidates, solve_drop)
+                     pairing_from_ul_partners, power_candidates, solve_drop, tie_heavy_drop)
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10
@@ -156,13 +156,6 @@ def assert_same_decisions(got, want):
     assert got.powers.p_dl.tolist() == want.powers.p_dl.tolist()
     assert got.objective == want.objective or (np.isnan(got.objective)
                                                and np.isnan(want.objective))
-
-
-def tie_heavy_drop(rng, num_ul, num_dl):
-    """Gains drawn from two levels, so many matchings and combos tie."""
-    def levels(*shape):
-        return rng.choice([1e-9, 1e-7], size=shape)
-    return table(levels(num_ul), levels(num_dl), levels(num_ul, num_dl))
 
 
 P_OPT_SHAPES = ((4, 4, 4), (3, 3, 4), (2, 4, 5), (1, 4, 4), (0, 3, 3), (3, 0, 3),
