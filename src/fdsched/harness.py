@@ -202,15 +202,15 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     wall time)."""
     started = time.perf_counter()
     master = cfg.params.rng_seed
-    tables = build_gain_table(cfg.params, [drop_rng(master, k, _ROLE_SCENARIO)
-                                           for k in range(lo, hi)])
-    drops = [(gains, drop_rng(master, k, _ROLE_STRATEGY)) for k, gains in enumerate(tables, lo)]
-    tags = [(f"{master}:{k}", _gain_hash(gains)) for k, (gains, _) in enumerate(drops, lo)]
+    gains = build_gain_table(cfg.params, [drop_rng(master, k, _ROLE_SCENARIO)
+                                          for k in range(lo, hi)])
+    rngs = [drop_rng(master, k, _ROLE_STRATEGY) for k in range(lo, hi)]
+    tags = [(f"{master}:{k}", _gain_hash(gains.drop(k - lo))) for k in range(lo, hi)]
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
-    columns = [[] for _ in drops]   # per drop, per strategy: its records, one per objective
+    columns = [[] for _ in rngs]   # per drop, per strategy: its records, one per objective
     for name in cfg.strategies:
         for k, (column, outcomes, (seed, table_hash)) in enumerate(
-                zip(columns, solve(name, drops, cfg.params, objectives), tags), lo):
+                zip(columns, solve(name, gains, rngs, cfg.params, objectives), tags), lo):
             # Rescored outcomes share both SE arrays; their records derive from
             # the first one and so share its pair of SE tuples.
             firsts, records = {}, []
@@ -227,8 +227,8 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
                     records.append(first.rescored(mu, o.objective, mode.value))
             column.append(records)
     results = [([r for objective_records in zip(*column) for r in objective_records],
-                scenario_to_dict(gains) if cfg.dump_scenarios else None)
-               for column, (gains, _) in zip(columns, drops)]
+                scenario_to_dict(gains.drop(d)) if cfg.dump_scenarios else None)
+               for d, column in enumerate(columns)]
     return lo, hi, results, time.perf_counter() - started
 
 

@@ -134,48 +134,52 @@ def _readonly(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DropPositions:
-    """BS and UE coordinates of one network drop, in meters (audit data)."""
+    """BS and UE coordinates in meters (audit data), with its GainTable's leading axes."""
 
-    bs: np.ndarray   # shape (2,)
-    ul: np.ndarray   # shape (I, 2)
-    dl: np.ndarray   # shape (J, 2)
+    bs: np.ndarray   # shape (..., 2)
+    ul: np.ndarray   # shape (..., I, 2)
+    dl: np.ndarray   # shape (..., J, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "bs", _readonly(self.bs))
-        object.__setattr__(self, "ul", _readonly(self.ul).reshape(-1, 2))
-        object.__setattr__(self, "dl", _readonly(self.dl).reshape(-1, 2))
+        for name in ("bs", "ul", "dl"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class GainTable:
-    """Linear-scale path gains of one network drop.
+    """Linear-scale path gains of one drop, or of a chunk along a leading axis.
 
-    g_ul[i] is the gain from UL user i to the BS, g_dl[j] from the BS to DL
-    user j, and g_cross[i, j] the interfering gain from UL user i to DL user
-    j.  Arrays are read-only after construction.
+    g_ul[..., i] is the gain from UL user i to the BS, g_dl[..., j] from the
+    BS to DL user j, and g_cross[..., i, j] the interfering gain from UL
+    user i to DL user j.  Arrays are read-only after construction.
     """
 
-    g_ul: np.ndarray       # shape (I,)
-    g_dl: np.ndarray       # shape (J,)
-    g_cross: np.ndarray    # shape (I, J)
+    g_ul: np.ndarray       # shape (..., I)
+    g_dl: np.ndarray       # shape (..., J)
+    g_cross: np.ndarray    # shape (..., I, J)
     positions: Optional[DropPositions] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "g_ul", _readonly(self.g_ul))
-        object.__setattr__(self, "g_dl", _readonly(self.g_dl))
-        g = _readonly(self.g_cross)
-        if g.ndim != 2 or g.shape != (self.g_ul.size, self.g_dl.size):
-            raise ValueError(f"g_cross shape {g.shape} does not match "
-                             f"({self.g_ul.size}, {self.g_dl.size})")
-        object.__setattr__(self, "g_cross", g)
+        for name in ("g_ul", "g_dl", "g_cross"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        if self.g_cross.shape != self.g_ul.shape + self.g_dl.shape[-1:]:
+            raise ValueError(f"g_cross shape {self.g_cross.shape} does not match "
+                             f"{self.g_ul.shape + self.g_dl.shape[-1:]}")
 
     @property
     def num_ul(self) -> int:
-        return self.g_ul.size
+        return self.g_ul.shape[-1]
 
     @property
     def num_dl(self) -> int:
-        return self.g_dl.size
+        return self.g_dl.shape[-1]
+
+    def drop(self, d: int) -> "GainTable":
+        """Drop d of a chunk: views of its rows, read-only already, so not re-wrapped."""
+        view, at = object.__new__(GainTable), self.positions
+        view.__dict__.update(g_ul=self.g_ul[d], g_dl=self.g_dl[d], g_cross=self.g_cross[d],
+                             positions=at and DropPositions(at.bs[d], at.ul[d], at.dl[d]))
+        return view
 
 
 # ---------------------------------------------------------------------------

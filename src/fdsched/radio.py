@@ -14,9 +14,10 @@ every weighted sum: under PL weights a pair's best power lies off the
 corners in 0.6-12% of fig3 pairs, even at mu = 0.  The same corner set is
 applied to every weighting and to the fairness term (see corner_benefit).
 The corners' SEs form four arrays (corner_tables): UL paired (I,), DL
-paired (I, J), UL solo (I,) and DL solo (J,).  They read no weights, so
-one table per drop serves every objective; the weights and mu are
-arguments of the scoring step, not ScenarioParams fields.
+paired (I, J), UL solo (I,) and DL solo (J,), after any leading drop
+axis.  They read no weights, so one table serves every objective; the
+weights and mu are arguments of the scoring step, not ScenarioParams
+fields.
 """
 
 from __future__ import annotations
@@ -49,20 +50,15 @@ def sinr(p_tx, g_tx, p_int, g_int, noise):
 
 
 def make_weights(mode: WeightMode, gains: GainTable) -> WeightVector:
-    """Unit weights for SUM_RATE; reciprocal direct gains for PL compensation."""
+    """Unit weights for SUM_RATE; reciprocal direct gains for PL (any leading axes)."""
     if mode is WeightMode.SUM_RATE:
-        return WeightVector(np.ones(gains.num_ul), np.ones(gains.num_dl))
+        return WeightVector(np.ones(gains.g_ul.shape), np.ones(gains.g_dl.shape))
     if mode is WeightMode.PATH_LOSS_COMPENSATION:
         if (gains.g_ul.size and gains.g_ul.min() <= 0) or \
            (gains.g_dl.size and gains.g_dl.min() <= 0):
             raise ValueError("path-loss compensation needs strictly positive direct gains")
         return WeightVector(1.0 / gains.g_ul, 1.0 / gains.g_dl)
     raise ValueError(f"unknown weight mode {mode!r}")
-
-
-def benefit_value(c_u, c_d, alpha_u, alpha_d, mu):
-    """Pair benefit (1-mu)(a_u c_u + a_d c_d) + mu min(c_u, c_d)."""
-    return (1.0 - mu) * (alpha_u * c_u + alpha_d * c_d) + mu * np.minimum(c_u, c_d)
 
 
 def corner_points(params: ScenarioParams) -> tuple[tuple[float, float], ...]:
@@ -94,7 +90,7 @@ class CornerTables:
 
 
 def corner_tables(gains: GainTable, params: ScenarioParams) -> CornerTables:
-    """Evaluate the corner SEs of every user and pair (i, j) at once.
+    """Evaluate the corner SEs of every user and pair (i, j) of every drop at once.
 
     A user at zero power adds no interference, so a zero-power corner reads
     the partner's stand-alone SE."""
@@ -102,7 +98,7 @@ def corner_tables(gains: GainTable, params: ScenarioParams) -> CornerTables:
     pu, pd = params.p_max_ul_w, params.p_max_dl_w
     return CornerTables(
         paired_se_ul=np.log2(1.0 + sinr(pu, gains.g_ul, pd, params.si_cancellation, noise)),
-        paired_se_dl=np.log2(1.0 + sinr(pd, gains.g_dl[None, :], pu, gains.g_cross, noise)),
+        paired_se_dl=np.log2(1.0 + sinr(pd, gains.g_dl[..., None, :], pu, gains.g_cross, noise)),
         solo_se_ul=np.log2(1.0 + sinr(pu, gains.g_ul, 0.0, 0.0, noise)),
         solo_se_dl=np.log2(1.0 + sinr(pd, gains.g_dl, 0.0, 0.0, noise)))
 
@@ -110,24 +106,38 @@ def corner_tables(gains: GainTable, params: ScenarioParams) -> CornerTables:
 def corner_benefit(tables: CornerTables, weights: WeightVector, mu):
     """Score a CornerTables under the weights and mu: (best, corner,
     solo_contrib_ul, solo_contrib_dl), where best[i, j] is pair (i, j)'s
-    benefit_value at its best corner and corner[i, j] that corner's
-    corner_points index, the first of tied maxima, so ties resolve toward
-    (Pmax, Pmax), then (Pmax, 0): serve both users when the benefit does not
-    say otherwise.  A NaN benefit at (Pmax, Pmax) gives a NaN best.  The
-    one-user corners score (1 - mu) alpha SE, benefit_value at a silent
-    partner; solo_contrib_* are the stand-alone alternatives' weighted-sum
-    parts.  K objectives ((K, I) and (K, J) weight rows, (K,) mu) add a
-    leading K axis to every array."""
+    benefit (1-mu)(a_u c_u + a_d c_d) + mu min(c_u, c_d) at its best corner
+    and corner[i, j] that corner's corner_points index, the first of tied
+    maxima, so ties resolve toward (Pmax, Pmax), then (Pmax, 0): serve both
+    users when the benefit does not say otherwise.  A NaN benefit gives a
+    NaN best, which the assignment rejects.  The one-user corners score
+    (1 - mu) alpha SE, the benefit at a silent partner; solo_contrib_* are
+    the stand-alone alternatives' weighted-sum parts.  Leading axes
+    broadcast, the weights carrying all of them: (K, I) and (K, J) weights
+    with (K,) mu score K objectives, and (K, D, I) and (K, D, J) ones with
+    (K, 1) mu a chunk's (D, ...) tables."""
     mu = np.asarray(mu)[..., None]
     scale = 1.0 - mu
-    paired = benefit_value(tables.paired_se_ul[:, None], tables.paired_se_dl,
-                           weights.alpha_ul[..., :, None], weights.alpha_dl[..., None, :],
-                           mu[..., None])
+    se_ul, se_dl = tables.paired_se_ul[..., :, None], tables.paired_se_dl
     ul_only = (scale * (weights.alpha_ul * tables.solo_se_ul))[..., :, None]
     dl_only = (scale * (weights.alpha_dl * tables.solo_se_dl))[..., None, :]
-    best = np.maximum(np.maximum(paired, ul_only), dl_only)
-    return (best, (paired < best) * ((ul_only < best) + np.int8(1)),
-            scale * weights.alpha_ul * tables.solo_se_ul,
+    # the (Pmax, Pmax) benefit, rounded as (1-mu) * (a_u c_u + a_d c_d) + mu * min(c_u, c_d)
+    # but written in place, its mu * min term one objective at a time
+    best = weights.alpha_dl[..., None, :] * se_dl
+    best += weights.alpha_ul[..., :, None] * se_ul
+    best *= scale[..., None]
+    low = np.empty(se_dl.shape)
+    lead = best.shape[:best.ndim - low.ndim]
+    mus = np.broadcast_to(mu[..., None], lead + (1,) * low.ndim)
+    for at in np.ndindex(lead):
+        best[at] += np.multiply(mus[at], np.minimum(se_ul, se_dl, out=low), out=low)
+    del low   # so the corner masks below add to two full-size float arrays only
+    # the first best corner: a one-user corner only where it beats (Pmax, Pmax)
+    corner = (ul_only < dl_only) + np.int8(1)
+    corner *= (best < ul_only) | (best < dl_only)
+    np.maximum(best, ul_only, out=best)
+    np.maximum(best, dl_only, out=best)
+    return (best, corner, scale * weights.alpha_ul * tables.solo_se_ul,
             scale * weights.alpha_dl * tables.solo_se_dl)
 
 

@@ -6,11 +6,11 @@ urban-micro propagation law at 2.5 GHz: distance-dependent LOS
 probability, the two log-distance path-loss laws and i.i.d. log-normal
 shadowing, drawn once per link.
 
-build_gain_table makes a batch of drops, one per generator.  Each
-generator makes its own draws in a fixed documented order: its candidate
-positions, rewound past the last one its drop uses, then its links' LOS
-uniforms and shadowing normals, group by group.  The hexagon test and the
-propagation law are evaluated over arrays with a leading drop axis.
+build_gain_table makes a chunk of drops, one per generator, as one
+GainTable with a leading drop axis.  Each generator makes its own draws in
+a fixed documented order: its candidate positions, rewound past the last
+one its drop uses, then its links' LOS uniforms and shadowing normals,
+group by group, and every step is evaluated over the whole chunk.
 
 Determinism contract: every function here is a pure function of its
 arguments and the supplied numpy Generators, and consumes random draws in
@@ -151,9 +151,9 @@ def _placed_users(params: ScenarioParams, rngs: Sequence[np.random.Generator]) -
 
 
 def build_gain_table(params: ScenarioParams,
-                     rngs: Sequence[np.random.Generator]) -> list[GainTable]:
+                     rngs: Sequence[np.random.Generator]) -> GainTable:
     """Generate one drop per generator of rngs, with all its linear path
-    gains: one GainTable per generator, in order.
+    gains: one GainTable whose leading axis is the drops, in order.
 
     Each generator draws, in this order: its UE positions (_placed_users:
     blocks of candidates, then a rewind with bit_generator.advance past the
@@ -163,8 +163,9 @@ def build_gain_table(params: ScenarioParams,
     state do not depend on the batch it is made in, and a generator may
     make only one drop of a batch (ValueError otherwise).  The distances
     and the propagation law are evaluated over (drops, links) arrays, in
-    blocks of about _BLOCK_LINKS links; the gain tables are views of one
-    such array, and their positions of one (drops, I + J, 2) array.
+    blocks of about _BLOCK_LINKS links; the gains are (D, I), (D, J) and
+    (D, I, J) views of one such array, and the positions of one
+    (D, I + J, 2) array.
     """
     num_ul, num_dl = params.num_ul, params.num_dl
     users, drops = num_ul + num_dl, len(rngs)
@@ -184,10 +185,9 @@ def build_gain_table(params: ScenarioParams,
         np.hypot(cross, y[:, :num_ul, None] - y[:, None, num_ul:], out=cross)
         g[lo:lo + step] = link_gain(d, *draw_link_states(d, rngs[lo:lo + step],
                                                          (num_ul, num_dl, num_ul * num_dl)))
-    return [GainTable(g_ul=row[:num_ul], g_dl=row[num_ul:users],
-                      g_cross=row[users:].reshape(num_ul, num_dl),
-                      positions=DropPositions(bs=np.zeros(2), ul=p[:num_ul], dl=p[num_ul:]))
-            for row, p in zip(g, pts)]
+    return GainTable(g[:, :num_ul], g[:, num_ul:users],
+                     g[:, users:].reshape(drops, num_ul, num_dl),
+                     DropPositions(np.zeros((drops, 2)), pts[:, :num_ul], pts[:, num_ul:]))
 
 
 # ---------------------------------------------------------------------------

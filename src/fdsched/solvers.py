@@ -2,24 +2,23 @@
 Hungarian heuristic (C-HUN), its interference-blind variant (C-NINT) and
 the random/equal-power baseline (R-EPA).
 
-All strategies share one signature: they map a sequence of drops ((GainTable,
-generator) pairs), the ScenarioParams and each drop's list of objectives
-(per-user weights, mu) to one list of ScheduleOutcomes per drop, one per
-objective, in order, with metrics computed on the true gains.  The drops
-are the leading axis of the assignments: every drop's Hungarian problems
-of one strategy go to one assign_with_solo call, which solves a large
-enough stack in lockstep.  The objectives are one array axis of the
-scoring, and a schedule that several objectives of a drop chose is
-evaluated once.  Schedules must fit the channel budget: a drop with I UL
-and J DL users and P pairs occupies I + J - P channels, so at least
-I + J - F pairs are forced.
+All strategies share one signature: they map a chunk of drops (a
+GainTable with a leading drop axis), its generators (or None; only R-EPA
+reads them), the ScenarioParams and one list of objectives (weights with
+the same drop axis, mu) to one list of ScheduleOutcomes per drop, one per
+objective, in order, with metrics computed on the true gains.  Weights,
+corner tables and pair benefits are array passes over the whole chunk,
+and every drop's Hungarian problems of one strategy go to one
+assign_with_solo call, which solves a large enough stack in lockstep.  A
+schedule that several objectives of a drop chose is evaluated once.
+Schedules must fit the channel budget: a drop with I UL and J DL users and
+P pairs occupies I + J - P channels, so at least I + J - F pairs are forced.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,15 +44,14 @@ from .radio import (
 )
 
 Objectives = Sequence[tuple[WeightVector, float]]
-Drops = Sequence[tuple[GainTable, Optional[np.random.Generator]]]
+Generators = Optional[Sequence[np.random.Generator]]
 
 
-def _stacked(objectives: Objectives, gains: GainTable) -> tuple[WeightVector, np.ndarray]:
-    """The objectives' weights as (K, I) and (K, J) rows, and mu as (K,)."""
-    k = len(objectives)
-    return (WeightVector(np.array([w.alpha_ul for w, _ in objectives]).reshape(k, gains.num_ul),
-                         np.array([w.alpha_dl for w, _ in objectives]).reshape(k, gains.num_dl)),
-            np.array([mu for _, mu in objectives]))
+def _drop_objectives(objectives: Objectives, d: int) -> Objectives:
+    """Drop d's (weights, mu) list: views of its weight rows, one per
+    distinct weight vector, so objectives that share weights still do."""
+    rows = {id(w): WeightVector(w.alpha_ul[d], w.alpha_dl[d]) for w, _ in objectives}
+    return [(rows[id(w)], mu) for w, mu in objectives]
 
 
 def _corner_schedule(pairing: Pairing, corners: Sequence[int],
@@ -91,56 +89,46 @@ def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainT
 # Hungarian pipeline (shared by C-HUN, C-NINT and P-OPT)
 # ---------------------------------------------------------------------------
 
-def _best_corner_assignments(tables: Iterable[CornerTables],
-                             objectives: Sequence[tuple[WeightVector, np.ndarray]],
+def _best_corner_assignments(tables: CornerTables, objectives: Objectives,
                              num_channels: int) -> list[list[tuple[Pairing, list[int]]]]:
-    """Per drop (its corner tables and _stacked objectives), per objective:
-    the exact pair-or-solo assignment over every pair's benefit at its best
-    corner, and the chosen pairs' corners (corner_points indices).  Each
-    drop's tables are scored in turn and only its best benefits and corners
-    are kept; every drop's assignments go to one assign_with_solo call."""
-    if not objectives:
-        return []
-    count = sum(len(mus) for _, mus in objectives)
-    num_ul, num_dl = objectives[0][0].alpha_ul.shape[1], objectives[0][0].alpha_dl.shape[1]
-    best = np.empty((count, num_ul, num_dl))
-    corners = np.empty(best.shape, dtype=np.int8)
-    solo_ul, solo_dl = np.empty((count, num_ul)), np.empty((count, num_dl))
-    at = 0
-    for drop_tables, (weights, mus) in zip(tables, objectives):
-        rows = slice(at, at + len(mus))
-        best[rows], corners[rows], solo_ul[rows], solo_dl[rows] = corner_benefit(
-            drop_tables, weights, mus)
-        at += len(mus)
-    solved = iter(zip(assign_with_solo(best, solo_ul, solo_dl, num_channels), corners))
+    """Per drop of the chunk's corner tables, per objective: the exact
+    pair-or-solo assignment over every pair's benefit at its best corner,
+    and the chosen pairs' corners (corner_points indices).  One corner_benefit
+    pass scores all of them as (K, D, I, J) arrays, and the K * D problems,
+    objective-major, go to one assign_with_solo call."""
+    weights = WeightVector(np.array([w.alpha_ul for w, _ in objectives]),
+                           np.array([w.alpha_dl for w, _ in objectives]))
+    best, corners, solo_ul, solo_dl = corner_benefit(
+        tables, weights, np.array([mu for _, mu in objectives])[:, None])
+    drops, num_ul, num_dl = tables.paired_se_dl.shape
+    del tables   # C-HUN's tables go before the assignment's own arrays are made
+    count = len(objectives) * drops
     plans = []
-    for _, mus in objectives:
-        plans.append([])
-        for (pairing, _), corner in itertools.islice(solved, len(mus)):
-            pairs = pairing.pairs()
-            plans[-1].append((pairing, corner[[i for i, _ in pairs],
-                                              [j for _, j in pairs]].tolist()))
-    return plans
+    for (pairing, _), corner in zip(
+            assign_with_solo(best.reshape(count, num_ul, num_dl), solo_ul.reshape(count, num_ul),
+                             solo_dl.reshape(count, num_dl), num_channels),
+            corners.reshape(count, num_ul, num_dl)):
+        pairs = pairing.pairs()
+        plans.append((pairing, corner[[i for i, _ in pairs], [j for _, j in pairs]].tolist()))
+    return [plans[d::drops] for d in range(drops)]
 
 
-def _hungarian_schedules(planning_gains: Iterable[GainTable], drops: Drops,
-                         params: ScenarioParams,
-                         objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
-    """Per drop: corner tables -> every objective's benefit in one pass;
-    then every drop's assignments at once; then per drop and objective:
-    per-pair corner powers -> outcome.  Decisions are taken on
-    planning_gains (one per drop); outcomes are evaluated on the drops'
-    gains."""
-    plans = _best_corner_assignments(
-        (corner_tables(g, params) for g in planning_gains),
-        [_stacked(o, gains) for (gains, _), o in zip(drops, objectives)], params.num_channels)
+def _hungarian_schedules(planning_gains: GainTable, gains: GainTable, params: ScenarioParams,
+                         objectives: Objectives) -> list[list[ScheduleOutcome]]:
+    """Corner tables -> every objective's benefit -> every assignment, each
+    in one pass over the chunk; then per drop and objective: per-pair corner
+    powers -> outcome.  Decisions are taken on planning_gains; outcomes are
+    evaluated on gains."""
+    plans = _best_corner_assignments(corner_tables(planning_gains, params), objectives,
+                                     params.num_channels)
     return [_outcomes([_corner_schedule(pairing, corners, params)
-                       for pairing, corners in drop_plans], gains, params, o)
-            for drop_plans, (gains, _), o in zip(plans, drops, objectives)]
+                       for pairing, corners in drop_plans], gains.drop(d), params,
+                      _drop_objectives(objectives, d))
+            for d, drop_plans in enumerate(plans)]
 
 
-def solve_c_hun(drops: Drops, params: ScenarioParams,
-                objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
+def solve_c_hun(gains: GainTable, rngs: Generators, params: ScenarioParams,
+                objectives: Objectives) -> list[list[ScheduleOutcome]]:
     """Centralized Hungarian heuristic.
 
     Each candidate pair is scored at its best power corner, the assignment
@@ -148,20 +136,20 @@ def solve_c_hun(drops: Drops, params: ScenarioParams,
     budget permits) is solved exactly, and the stored corner powers are
     applied.
     """
-    return _hungarian_schedules((gains for gains, _ in drops), drops, params, objectives)
+    return _hungarian_schedules(gains, gains, params, objectives)
 
 
-def solve_c_nint(drops: Drops, params: ScenarioParams,
-                 objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
+def solve_c_nint(gains: GainTable, rngs: Generators, params: ScenarioParams,
+                 objectives: Objectives) -> list[list[ScheduleOutcome]]:
     """C-HUN planned as if UE-to-UE interference did not exist.
 
     The benefit matrix is built with all cross gains zeroed, so the planner
     overestimates every DL SINR; the returned outcome is evaluated on the
     true gains, so planned and realized spectral efficiencies differ.
     """
-    blind = (GainTable(g_ul=gains.g_ul, g_dl=gains.g_dl, g_cross=np.zeros_like(gains.g_cross),
-                       positions=gains.positions) for gains, _ in drops)
-    return _hungarian_schedules(blind, drops, params, objectives)
+    blind = GainTable(g_ul=gains.g_ul, g_dl=gains.g_dl,
+                      g_cross=np.broadcast_to(0.0, gains.g_cross.shape))
+    return _hungarian_schedules(blind, gains, params, objectives)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +171,8 @@ def _scored(tables: CornerTables, weights: WeightVector, pairing: Pairing, corne
             float(np.concatenate([se_ul, se_dl]).min()))
 
 
-def solve_p_opt(drops: Drops, params: ScenarioParams,
-                objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
+def solve_p_opt(gains: GainTable, rngs: Generators, params: ScenarioParams,
+                objectives: Objectives) -> list[list[ScheduleOutcome]]:
     """The exact optimum over every channel-feasible matching and per-pair
     power corner, unpaired users at max power, from a few pure-sum
     assignments (sum plus bottleneck: Minoux, Math. Programming 45, 1989;
@@ -210,30 +198,30 @@ def solve_p_opt(drops: Drops, params: ScenarioParams,
     the allowed entries' reduced costs are those of the rectangle without
     them: an assignment that pairs a forbidden pair means none is feasible.
     Schedules are ranked on corner-table SEs; a threshold's assignment
-    reads no mu and serves every objective of its weights.  Every drop's
-    max-sum assignments are solved at once; each drop's threshold scan
-    runs on its own (_optimum).
+    reads no mu and serves every objective of its weights.  The chunk's
+    corner tables are made at once, and so is the max-sum assignment of
+    every drop and distinct weight vector (_distinct); each drop's
+    threshold scan runs on its own (_optimum).
     """
-    tables = [corner_tables(gains, params) for gains, _ in drops]
+    tables = corner_tables(gains, params)
     max_sum = _best_corner_assignments(
-        tables, [_stacked([(w, 0.0) for w in _by_weights(o)[1].values()], gains)
-                 for (gains, _), o in zip(drops, objectives)], params.num_channels)
-    return [_optimum(gains, drop_tables, params, o, plans) for (gains, _), drop_tables, o, plans
-            in zip(drops, tables, objectives, max_sum)]
+        tables, [(w, 0.0) for w in _distinct(objectives)], params.num_channels)
+    return [_optimum(gains.drop(d), CornerTables(*(a[d] for a in vars(tables).values())),
+                     params, _drop_objectives(objectives, d), plans)
+            for d, plans in enumerate(max_sum)]
 
 
-def _by_weights(objectives: Objectives) -> tuple[list, dict]:
-    """Each objective's weight key (its weights' bytes), and one weight
-    vector per distinct key."""
-    keys = [(w.alpha_ul.tobytes(), w.alpha_dl.tobytes()) for w, _ in objectives]
-    return keys, dict(zip(keys, (w for w, _ in objectives)))
+def _distinct(objectives: Objectives) -> list[WeightVector]:
+    """The objectives' distinct weight vectors, in order of first use.
+    Objectives share a weight vector when they share its object, as solve's
+    objectives of one weight mode do (and _drop_objectives keeps)."""
+    return list({id(w): w for w, _ in objectives}.values())
 
 
 def _optimum(gains: GainTable, tables: CornerTables, params: ScenarioParams,
              objectives: Objectives, max_sum: list) -> list[ScheduleOutcome]:
     """One drop's P-OPT outcomes (solve_p_opt): the threshold scan from the
-    max-sum plan of each distinct weight vector (_by_weights)."""
-    keys, distinct = _by_weights(objectives)
+    max-sum plan of each distinct weight vector (_distinct)."""
     se_ul, se_dl = tables.paired_se_ul, tables.paired_se_dl
     pair_min = np.minimum(se_ul[:, None], se_dl)
     cap = float(np.concatenate([tables.solo_se_ul, tables.solo_se_dl]).min())
@@ -243,7 +231,7 @@ def _optimum(gains: GainTable, tables: CornerTables, params: ScenarioParams,
             cap = min(cap, float(pair_min.max(axis=axis).min()))
     thresholds = sorted({*pair_min[pair_min <= cap].tolist(), cap})
     schedules = [None] * len(objectives)
-    for key, weights, plan in zip(distinct, distinct.values(), max_sum):
+    for weights, plan in zip(_distinct(objectives), max_sum):
         values = (weights.alpha_ul * se_ul)[:, None] + weights.alpha_dl * se_dl
         solo_ul = weights.alpha_ul * tables.solo_se_ul
         solo_dl = weights.alpha_dl * tables.solo_se_dl
@@ -259,8 +247,9 @@ def _optimum(gains: GainTable, tables: CornerTables, params: ScenarioParams,
                               if all(pair_min[i, j] >= t for i, j in pairing.pairs()) else None)
             return scanned[t]
 
-        for n in (n for n, own in enumerate(keys) if own == key):
-            mu = objectives[n][1]
+        for n, (own, mu) in enumerate(objectives):
+            if own is not weights:
+                continue
             _, _, bound, low = first
             best, value, k = first, (1.0 - mu) * bound + mu * low, 0
             while k < len(thresholds) and (1.0 - mu) * bound + mu * cap > value:
@@ -282,26 +271,26 @@ def _optimum(gains: GainTable, tables: CornerTables, params: ScenarioParams,
 # Random baseline
 # ---------------------------------------------------------------------------
 
-def solve_r_epa(drops: Drops, params: ScenarioParams,
-                objectives: Sequence[Objectives]) -> list[list[ScheduleOutcome]]:
+def solve_r_epa(gains: GainTable, rngs: Generators, params: ScenarioParams,
+                objectives: Objectives) -> list[list[ScheduleOutcome]]:
     """Uniformly random maximal matching with everyone at max power, drawn
     from each drop's generator.
 
     The schedule reads neither mu nor the weights, so it is drawn once per
     drop and every objective after the first is only rescored (_outcomes).
     User k of the smaller side pairs user perm[k] of the larger one."""
-    if any(rng is None for _, rng in drops):
+    if rngs is None or any(rng is None for rng in rngs):
         raise ValueError("R-EPA needs a random generator")
+    num_ul, num_dl = gains.num_ul, gains.num_dl
+    powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
+                             np.full(num_dl, params.p_max_dl_w))
     outcomes = []
-    for (gains, rng), drop_objectives in zip(drops, objectives):
-        num_ul, num_dl = gains.num_ul, gains.num_dl
+    for d, rng in enumerate(rngs):
         perm = rng.permutation(max(num_ul, num_dl)).tolist()
         pairing = Pairing.from_pairs([(k, perm[k]) if num_ul <= num_dl else (perm[k], k)
                                       for k in range(min(num_ul, num_dl))], num_ul, num_dl)
-        powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
-                                 np.full(num_dl, params.p_max_dl_w))
-        outcomes.append(_outcomes([(pairing, powers)] * len(drop_objectives), gains, params,
-                                  drop_objectives))
+        outcomes.append(_outcomes([(pairing, powers)] * len(objectives), gains.drop(d), params,
+                                  _drop_objectives(objectives, d)))
     return outcomes
 
 
@@ -309,7 +298,7 @@ def solve_r_epa(drops: Drops, params: ScenarioParams,
 # Registry
 # ---------------------------------------------------------------------------
 
-Strategy = Callable[[Drops, ScenarioParams, Sequence[Objectives]],
+Strategy = Callable[[GainTable, Generators, ScenarioParams, Objectives],
                     list[list[ScheduleOutcome]]]
 
 STRATEGIES: dict[str, Strategy] = {
@@ -332,22 +321,18 @@ def stacked_problems(name: str, objectives: Sequence[tuple[WeightMode, float]]) 
     return len(objectives)
 
 
-def solve(name: str, drops: Drops, params: ScenarioParams,
+def solve(name: str, gains: GainTable, rngs: Generators, params: ScenarioParams,
           objectives: Sequence[tuple[WeightMode, float]]) -> list[list[ScheduleOutcome]]:
-    """Solve every drop of drops ((gain table, generator) pairs) with
-    strategy name for each (weight mode, mu) of objectives: per drop, one
-    outcome per pair, in order.  Weights are made once per drop and mode.
-    A mu outside [0, 1] anywhere in the list fails here, before any
-    weights or schedule are built."""
+    """Solve every drop of the chunk gains (its generators rngs, or None)
+    with strategy name for each (weight mode, mu) of objectives: per drop,
+    one outcome per pair, in order.  Weights are made once per mode, for
+    the whole chunk.  A mu outside [0, 1] anywhere in the list fails here,
+    before any weights or schedule are built."""
     try:
         strategy = STRATEGIES[name]
     except KeyError:
         raise KeyError(f"unknown strategy {name!r}; known: {sorted(STRATEGIES)}") from None
     for _, mu in objectives:
         check_mu(mu)
-    modes = dict.fromkeys(mode for mode, _ in objectives)
-    per_drop = []
-    for gains, _ in drops:
-        weights = {mode: make_weights(mode, gains) for mode in modes}
-        per_drop.append([(weights[mode], mu) for mode, mu in objectives])
-    return strategy(drops, params, per_drop)
+    weights = {mode: make_weights(mode, gains) for mode in dict.fromkeys(m for m, _ in objectives)}
+    return strategy(gains, rngs, params, [(weights[mode], mu) for mode, mu in objectives])

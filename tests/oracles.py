@@ -14,7 +14,7 @@ the vectorized code they check.  The readers of a run's outputs (a CDF
 file, a dumped scenario) and the median gap of two CDFs, which only the
 tests use, are here too, and so are the list of modules a script loads in
 a fresh interpreter and the one-drop forms of build_gain_table's and the
-strategies' calls.
+strategies' calls (chunk_of, drop_views).
 """
 
 import itertools
@@ -40,7 +40,7 @@ from fdsched.model import (
     ScheduleOutcome,
     WeightVector,
 )
-from fdsched.radio import CornerTables, benefit_value, check_mu, corner_points, sinr
+from fdsched.radio import CornerTables, check_mu, corner_points, sinr
 from fdsched.scenario import (
     _HEX_NORMALS,
     _MAX_PLACEMENT_ATTEMPTS,
@@ -53,23 +53,41 @@ from fdsched.solvers import solve
 _BRUTE_FORCE_MAX_SIZE = 9
 
 
+def chunk_of(gains: GainTable) -> GainTable:
+    """A one-drop chunk of the drop gains (its arrays with a leading axis of 1)."""
+    return GainTable(gains.g_ul[None], gains.g_dl[None], gains.g_cross[None])
+
+
+def drop_views(chunk: GainTable) -> list[GainTable]:
+    """Every drop of a chunk (build_gain_table's result), in order."""
+    return [chunk.drop(d) for d in range(len(chunk.g_ul))]
+
+
 def solve_drop(name, gains, params, objectives, rng=None):
     """solvers.solve on the one drop (gains, rng): its outcome list."""
-    [outcomes] = solve(name, [(gains, rng)], params, objectives)
+    [outcomes] = solve(name, chunk_of(gains), None if rng is None else [rng], params, objectives)
     return outcomes
 
 
 def drop_gain_table(params, rng) -> GainTable:
     """build_gain_table on the one generator rng: its gain table."""
-    [gains] = build_gain_table(params, [rng])
-    return gains
+    return build_gain_table(params, [rng]).drop(0)
 
 
 def one_drop(strategy, gains, params, objectives, rng=None):
     """A strategy function on the one drop (gains, rng) with its list of
-    (weights, mu) objectives: its outcome list."""
-    [outcomes] = strategy([(gains, rng)], params, [objectives])
+    (weights, mu) objectives: its outcome list.  Objectives that share a
+    weight vector share its one-drop chunk form too."""
+    chunked = {id(w): WeightVector(w.alpha_ul[None], w.alpha_dl[None]) for w, _ in objectives}
+    [outcomes] = strategy(chunk_of(gains), None if rng is None else [rng], params,
+                          [(chunked[id(w)], mu) for w, mu in objectives])
     return outcomes
+
+
+def benefit_value(c_u, c_d, alpha_u, alpha_d, mu):
+    """Pair benefit (1-mu)(a_u c_u + a_d c_d) + mu min(c_u, c_d), the formula
+    that radio.corner_benefit evaluates in place."""
+    return (1.0 - mu) * (alpha_u * c_u + alpha_d * c_d) + mu * np.minimum(c_u, c_d)
 
 
 def sinr_ul(p_u: float, g_ib: float, p_d_paired: float, beta: float, noise: float) -> float:

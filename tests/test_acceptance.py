@@ -18,9 +18,10 @@ from fdsched.assignment import hungarian_max
 from fdsched.harness import canned_experiments, drop_rng, run_experiment
 from fdsched.metrics import percentile
 from fdsched.model import ScenarioParams, WeightMode
-from fdsched.radio import benefit_value, make_weights
+from fdsched.radio import make_weights
 from fdsched.solvers import solve_c_hun, solve_p_opt, solve_r_epa
 from oracles import (
+    benefit_value,
     brute_force_assignment,
     drop_gain_table,
     dual_multipliers,

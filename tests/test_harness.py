@@ -303,7 +303,7 @@ class TestRunExperiment:
     def test_runtime_failure_leaves_marker(self, tmp_path, monkeypatch):
         from fdsched import solvers
 
-        def explode(drops, params, objectives):
+        def explode(gains, rngs, params, objectives):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(solvers.STRATEGIES, "EXPLODE", explode)
@@ -364,7 +364,7 @@ class TestRunExperiment:
     def test_rerun_clears_a_stale_failure_marker_and_cdfs(self, tmp_path, monkeypatch):
         from fdsched import solvers
 
-        def explode(drops, params, objectives):
+        def explode(gains, rngs, params, objectives):
             raise RuntimeError("boom")
 
         def listing():
@@ -452,6 +452,52 @@ class TestObjectiveFreeRescoring:
             repa = [r for r in records if r.strategy == "R-EPA"]
             assert len(repa) == 6
             assert all(r.se_ul is repa[0].se_ul and r.se_dl is repa[0].se_dl for r in repa)
+
+
+class TestChunkEqualsItsDrops:
+    """A chunk's weights, corner tables and pair scores are array passes over
+    all of its drops; its records must equal those of each drop solved alone,
+    for every strategy, at the edge shapes: I != J, spare channels, an empty
+    side, stacks wide enough to prune and extreme self-interference."""
+
+    @pytest.mark.parametrize("params", [
+        dict(num_ul=4, num_dl=4, num_channels=4),
+        dict(num_ul=3, num_dl=5, num_channels=6),
+        dict(num_ul=0, num_dl=3, num_channels=3),
+        dict(num_ul=3, num_dl=0, num_channels=3),
+        # 10 x 36 rectangles, 10 * 26 spare entries: past the pruning gate
+        dict(num_ul=10, num_dl=30, num_channels=36),
+        dict(num_ul=4, num_dl=4, num_channels=4, si_cancellation=db_to_linear(-130.0)),
+    ], ids=["4+4/4", "3+5/6", "0+3/3", "3+0/3", "10+30/36", "4+4@-130dB"])
+    def test_records_equal_each_drop_solved_alone(self, tmp_path, params):
+        cfg = dataclasses.replace(
+            tiny_config(tmp_path, **params), strategies=("P-OPT", "C-HUN", "C-NINT", "R-EPA"),
+            mu_values=(0.1, 0.5, 0.9),
+            weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
+        _, _, results, _ = harness._run_chunk(cfg, 0, 4)
+        assert len(results) == 4
+        for k, (records, _) in enumerate(results):
+            assert [vars(r) for r in records] == [vars(r) for r in reference_drop_records(cfg, k)]
+
+    @pytest.mark.parametrize("iterations", [10, 30])
+    def test_weights_and_corner_tables_are_made_once_per_chunk(self, tmp_path, monkeypatch,
+                                                               iterations):
+        # counting wrappers installed as the benchmark's tracer installs its
+        # timing ones; canned fig3 runs of one chunk: 3 strategies x 2 weight
+        # modes, and corner tables for C-HUN and C-NINT, however many drops
+        from fdsched import solvers
+
+        calls = dict.fromkeys(("make_weights", "corner_tables"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(solvers, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(solvers, name, counted)
+        cfg = canned_experiments("fig3", iterations=iterations, out_dir=str(tmp_path))
+        run_experiment(cfg)
+        assert len((tmp_path / "timing.log").read_text().splitlines()) == 2   # one chunk
+        assert calls == {"make_weights": 6, "corner_tables": 2}
 
 
 class TestRepeatedSchedules:
@@ -809,7 +855,7 @@ class TestChunkSizes:
                             stacks.append(rects) or _solve(rects))
         monkeypatch.setattr(harness, "build_gain_table",
                             lambda *args, _build=harness.build_gain_table:
-                            tables.extend(_build(*args)) or tables[-1:])
+                            tables.append(_build(*args)) or tables[-1])
         monkeypatch.setattr(solvers, "corner_tables",
                             lambda *args, _make=solvers.corner_tables:
                             corners.append(_make(*args)) or corners[-1])

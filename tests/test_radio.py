@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from fdsched.model import (
     db_to_linear,
 )
 from fdsched.radio import (
-    benefit_value,
     corner_benefit,
     corner_points,
     corner_tables,
@@ -22,8 +22,10 @@ from fdsched.radio import (
     outcome_metrics,
     sinr,
 )
+from fdsched.scenario import build_gain_table
 from oracles import (
     all_se,
+    benefit_value,
     corner_se,
     drop_gain_table,
     evaluate_pair,
@@ -54,6 +56,16 @@ def params_with(**kw):
 def table(g_ul, g_dl, g_cross):
     return GainTable(g_ul=np.asarray(g_ul, float), g_dl=np.asarray(g_dl, float),
                      g_cross=np.asarray(g_cross, float))
+
+
+def successive_drops(params, rng, count):
+    """The chunk (build_gain_table) of the count drops that drop_gain_table
+    makes from rng one after another."""
+    starts = []
+    for _ in range(count):
+        starts.append(copy.deepcopy(rng))
+        drop_gain_table(params, rng)
+    return build_gain_table(params, starts)
 
 
 def random_table(rng, num_ul=4, num_dl=4):
@@ -172,7 +184,8 @@ class TestEvaluatePair:
 class TestCornerTables:
     """corner_tables builds its weight-free SEs from per-direction vectors;
     each of its four arrays must equal the SINR formula at its corner bit
-    for bit, and so must the (I, J, 3) SEs they stand for (corner_se)."""
+    for bit, and so must the (I, J, 3) SEs they stand for (corner_se).  One
+    pass over a chunk must give each drop's four arrays bit for bit."""
 
     @pytest.mark.parametrize("num_ul, num_dl",
                              [(4, 4), (25, 25), (40, 80), (3, 7), (0, 5), (5, 0)])
@@ -180,10 +193,13 @@ class TestCornerTables:
         params = ScenarioParams(num_ul=num_ul, num_dl=num_dl,
                                 num_channels=num_ul + num_dl)
         points = corner_points(params)
-        rng = np.random.default_rng(num_ul + num_dl)
-        for _ in range(5):
-            g = drop_gain_table(params, rng)
+        chunk = successive_drops(params, np.random.default_rng(num_ul + num_dl), 5)
+        chunk_tables = corner_tables(chunk, params)
+        for d in range(5):
+            g = chunk.drop(d)
             tables = corner_tables(g, params)
+            for name, arr in vars(tables).items():
+                assert getattr(chunk_tables, name)[d].tobytes() == arr.tobytes(), name
             want_ul, want_dl = power_candidates(g, params, points)
             assert tables.paired_se_ul.tobytes() == want_ul[:, 0, 0].tobytes()
             assert tables.paired_se_dl.tobytes() == want_dl[:, :, 0].tobytes()
@@ -209,13 +225,15 @@ class TestStackedBenefit:
     """corner_benefit scores K objectives as one leading axis; each slice's
     best benefit and corner must equal the max and argmax of benefit_value
     over the three corners of its own objective bit for bit, and its solo
-    parts the per-user solo formula."""
+    parts the per-user solo formula.  Scored with a leading drop axis, a
+    chunk's outputs must equal each drop's bit for bit."""
 
     def assert_each_slice_equals_its_own_objective(self, tables, objectives):
         best, corner, solo_ul, solo_dl = corner_benefit(
             tables, WeightVector(np.array([w.alpha_ul for w, _ in objectives]),
                                  np.array([w.alpha_dl for w, _ in objectives])),
             np.array([mu for _, mu in objectives]))
+        scores = best, corner, solo_ul, solo_dl
         se_ul, se_dl = corner_se(tables)
         assert best.shape == corner.shape == (len(objectives), *se_ul.shape[:2])
         for k, (w, mu) in enumerate(objectives):
@@ -225,17 +243,26 @@ class TestStackedBenefit:
             assert np.array_equal(corner[k], want.argmax(axis=2))
             assert solo_ul[k].tobytes() == ((1.0 - mu) * w.alpha_ul * tables.solo_se_ul).tobytes()
             assert solo_dl[k].tobytes() == ((1.0 - mu) * w.alpha_dl * tables.solo_se_dl).tobytes()
+        return scores
 
     @pytest.mark.parametrize("num_ul, num_dl, num_channels",
                              [(4, 4, 4), (3, 7, 8), (25, 25, 25), (40, 80, 96)])
     def test_each_slice_equals_its_own_objective(self, num_ul, num_dl, num_channels):
         params = ScenarioParams(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
-        rng = np.random.default_rng(7 + num_ul + num_dl)
-        for _ in range(3):
-            g = drop_gain_table(params, rng)
-            self.assert_each_slice_equals_its_own_objective(
+        chunk = successive_drops(params, np.random.default_rng(7 + num_ul + num_dl), 3)
+        weights = {mode: make_weights(mode, chunk) for mode, _ in STACKED_OBJECTIVES}
+        chunk_scores = corner_benefit(
+            corner_tables(chunk, params),
+            WeightVector(np.array([weights[mode].alpha_ul for mode, _ in STACKED_OBJECTIVES]),
+                         np.array([weights[mode].alpha_dl for mode, _ in STACKED_OBJECTIVES])),
+            np.array([[mu] for _, mu in STACKED_OBJECTIVES]))
+        for d in range(3):
+            g = chunk.drop(d)
+            scores = self.assert_each_slice_equals_its_own_objective(
                 corner_tables(g, params),
                 [(make_weights(mode, g), mu) for mode, mu in STACKED_OBJECTIVES])
+            for chunked, alone in zip(chunk_scores, scores):
+                assert chunked[:, d].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("direct, cross, modes", [
         ((1e-9, 1e-7), (1e-12, 1e-6), (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)),

@@ -13,7 +13,8 @@ from fdsched.scenario import (
     path_loss_db,
     scenario_to_dict,
 )
-from oracles import drop_gain_table, load_scenario, reference_build_gain_table, reference_drop_users
+from oracles import (drop_gain_table, drop_views, load_scenario, reference_build_gain_table,
+                     reference_drop_users)
 
 
 def make_params(**kw):
@@ -40,7 +41,8 @@ class TestDropUsers:
 
     def test_minimum_bs_distance_respected(self):
         params = make_params(min_bs_ue_distance_m=3.0)
-        for table in build_gain_table(params, [np.random.default_rng(s) for s in range(20)]):
+        rngs = [np.random.default_rng(s) for s in range(20)]
+        for table in drop_views(build_gain_table(params, rngs)):
             all_pts = np.vstack([table.positions.ul, table.positions.dl])
             assert np.hypot(all_pts[:, 0], all_pts[:, 1]).min() >= 3.0
 
@@ -69,7 +71,8 @@ class TestDropUsers:
                              num_channels=max(num_ul, num_dl),
                              min_bs_ue_distance_m=min_dist)
         for seeds in np.arange(50).reshape(5, 10).tolist():
-            tables = build_gain_table(params, [np.random.default_rng(s) for s in seeds])
+            rngs = [np.random.default_rng(s) for s in seeds]
+            tables = drop_views(build_gain_table(params, rngs))
             for seed, table in zip(seeds, tables):
                 ref = reference_drop_users(params, np.random.default_rng(seed))
                 assert np.array_equal(table.positions.ul, ref.ul)
@@ -150,7 +153,7 @@ def _placed_in_a_batch(params, rng):
     between two numpy generators; their drops must be those they make
     alone, their end states too."""
     first, last = np.random.default_rng(1), np.random.default_rng(2)
-    tables = build_gain_table(params, [first, rng, last])
+    tables = drop_views(build_gain_table(params, [first, rng, last]))
     for seed, other, table in ((1, first, tables[0]), (2, last, tables[2])):
         ref_rng = np.random.default_rng(seed)
         ref = reference_build_gain_table(params, ref_rng)
@@ -327,7 +330,8 @@ class TestBuildGainTable:
         assert g.g_ul.shape == (1,) and g.g_dl.shape == (1,) and g.g_cross.shape == (1, 1)
 
     def test_gains_positive_and_finite(self):
-        for g in build_gain_table(make_params(), [np.random.default_rng(s) for s in range(5)]):
+        for g in drop_views(build_gain_table(make_params(),
+                                             [np.random.default_rng(s) for s in range(5)])):
             for arr in (g.g_ul, g.g_dl, g.g_cross):
                 assert np.all(np.isfinite(arr)) and np.all(arr > 0)
 
@@ -340,12 +344,13 @@ class TestBuildGainTable:
         assert np.array_equal(a.g_cross, b.g_cross)
 
     def test_no_generators_make_no_drops(self):
-        assert build_gain_table(make_params(), []) == []
+        assert drop_views(build_gain_table(make_params(), [])) == []
 
     def test_a_drop_does_not_depend_on_its_batch(self):
         params = make_params(num_ul=3, num_dl=7, num_channels=7)
         rngs = [np.random.default_rng(s) for s in range(12)]
-        tables = build_gain_table(params, rngs[:5]) + build_gain_table(params, rngs[5:])
+        tables = (drop_views(build_gain_table(params, rngs[:5]))
+                  + drop_views(build_gain_table(params, rngs[5:])))
         assert_drops_match_reference(params, tables, rngs, range(12))
 
     def test_dump_load_round_trip(self, tmp_path):
@@ -373,7 +378,8 @@ class TestBuildGainTable:
                              cell_radius_m=radius,
                              min_bs_ue_distance_m=min_dist * radius / 100.0)
         rngs = [np.random.default_rng(seed) for seed in range(20)]
-        assert_drops_match_reference(params, build_gain_table(params, rngs), rngs, range(20))
+        assert_drops_match_reference(params, drop_views(build_gain_table(params, rngs)), rngs,
+                                     range(20))
 
     def test_a_drop_whose_first_block_falls_short_draws_another(self):
         # at 60 m about 37% of candidates are accepted; seed 671's first block
@@ -381,7 +387,7 @@ class TestBuildGainTable:
         params = make_params(num_ul=2, num_dl=3, num_channels=3, min_bs_ue_distance_m=60.0)
         seeds = range(660, 680)
         rngs = [_CountedRng(seed) for seed in seeds]
-        tables = build_gain_table(params, rngs)
+        tables = drop_views(build_gain_table(params, rngs))
         assert [seed for seed, rng in zip(seeds, rngs) if rng.blocks > 1] == [671]
         assert_drops_match_reference(params, tables, rngs, seeds)
 

@@ -413,13 +413,13 @@ class TestCHun:
             "import numpy as np\n"
             "import fdsched as fd\n"
             "params = fd.ScenarioParams(num_ul=5, num_dl=7, num_channels=9)\n"
-            "[gains] = fd.build_gain_table(params, [np.random.default_rng(1)])\n"
+            "gains = fd.build_gain_table(params, [np.random.default_rng(1)])\n"
             "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
-            "fd.solve_c_hun([(gains, None)], params, [[(weights, 0.5)]])\n"
+            "fd.solve_c_hun(gains, None, params, [(weights, 0.5)])\n"
             "params = fd.ScenarioParams(num_ul=25, num_dl=25, num_channels=25)\n"
-            "[gains] = fd.build_gain_table(params, [np.random.default_rng(1)])\n"
+            "gains = fd.build_gain_table(params, [np.random.default_rng(1)])\n"
             "weights = fd.make_weights(fd.WeightMode.SUM_RATE, gains)\n"
-            "fd.solve_p_opt([(gains, None)], params, [[(weights, 0.9)]])\n", "scipy") == []
+            "fd.solve_p_opt(gains, None, params, [(weights, 0.9)])\n", "scipy") == []
 
     def test_matches_p_opt_without_interference(self):
         params = params_with(si_cancellation=1e-30)
