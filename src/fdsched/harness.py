@@ -6,14 +6,14 @@ GainTable, so cross-strategy comparisons are paired.  Substream seeds are
 derived from the master seed and the drop index by a counter-based split,
 which makes results independent of scheduling order and parallelism.
 The drops run in near-equal chunks of at most about _CHUNK_BYTES of gain
-tables and of what a strategy holds per drop (but enough for a stack to
-reach the lockstep gate where the stacks are solved in lockstep).  A
-chunk's gain tables are made in one build_gain_table call, and each
-strategy is solved once per chunk, for all of its drops' (weight mode,
-mu) objectives, so its assignments go to the solver as one stack.  The
-records are built per drop, in drop order, and keep the (weight mode, mu,
-strategy) order.  A chunk that fails is solved again one drop at a time,
-so a failure keeps every drop before the failing one.
+tables and of what a strategy holds per drop (but enough for a stack to reach
+the lockstep gate where the stacks are solved in lockstep).  A chunk's gains
+are one GainTable with a leading drop axis, made in one build_gain_table
+call, and each strategy is solved once per chunk, for all of its drops'
+(weight mode, mu) objectives, so its assignments go to the solver as one
+stack.  The records are built per drop, in drop order, and keep the (weight
+mode, mu, strategy) order.  A chunk that fails is solved again one drop at a
+time, so a failure keeps every drop before the failing one.
 Outcomes of one solve that share SE arrays (a schedule that several
 objectives chose, evaluated once and rescored, as every R-EPA schedule is)
 give records derived from the first one, sharing its pair of SE tuples.

@@ -123,7 +123,7 @@ class ScenarioParams:
 
 
 # ---------------------------------------------------------------------------
-# Per-drop state
+# Gains of a drop, or of a chunk of drops
 # ---------------------------------------------------------------------------
 
 def _readonly(a) -> np.ndarray:

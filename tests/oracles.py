@@ -1,13 +1,14 @@
 """Scalar reference implementations that the tests compare the package
-against: per-link SINRs, the SE formula at any (p_u, p_d) candidates, the
-log-spaced edge powers and the closed-form max-min powers of one pair, the
-corner-point evaluation of one pair, the stand-alone evaluation of one
-user, the per-user outcome evaluation of a schedule, a brute-force
-assignment, the padded-square form of the solo-aware assignment, the
-one-candidate-at-a-time UE placement, the link-group-at-a-time gain table,
-the 0/1 matrix of a pairing, the per-combination drop loop that solves
-every strategy once for each (mu, weight mode) and the closed-form solution
-of the dual linear program that motivates the Hungarian heuristic.
+against: per-link SINRs, the pair benefit formula, the SE formula at any
+(p_u, p_d) candidates, the log-spaced edge powers and the closed-form
+max-min powers of one pair, the corner-point evaluation of one pair, the
+stand-alone evaluation of one user, the per-user outcome evaluation of a
+schedule, a brute-force assignment, the padded-square form of the
+solo-aware assignment, the one-candidate-at-a-time UE placement, the
+link-group-at-a-time gain table, the 0/1 matrix of a pairing, the
+per-combination drop loop that solves every strategy once for each (mu,
+weight mode) and the closed-form solution of the dual linear program that
+motivates the Hungarian heuristic.
 
 They are written one user or one permutation at a time, independent of
 the vectorized code they check.  The readers of a run's outputs (a CDF
