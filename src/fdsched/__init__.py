@@ -20,8 +20,6 @@ from .harness import (
 from .metrics import CdfSeries, empirical_cdf, jain_index, percentile
 from .model import (
     GainTable,
-    Pairing,
-    PowerAllocation,
     ScenarioParams,
     ScheduleOutcome,
     WeightMode,

@@ -7,7 +7,8 @@ each line of the shorter side gets a distinct partner (Crouse, IEEE TAES
 scans every spare column that a lower-index spare column dominates, with
 the same matching as the full scan.  assign_with_solo reduces pairing or
 standing alone to one I-row rectangle, for one problem or for a stack of
-them along a leading axis.  A stack of at least _LOCKSTEP_MIN_PROBLEMS
+them along a leading axis, and returns each problem's row of UL partners
+(-1 for a user alone).  A stack of at least _LOCKSTEP_MIN_PROBLEMS
 rectangles too narrow to prune is solved in lockstep by numpy, every
 problem's tree steps in one round of array calls, with the scalar
 solver's floats and tie-breaks and so its matchings; any other stack goes
@@ -20,8 +21,6 @@ import bisect
 import math
 
 import numpy as np
-
-from .model import Pairing
 
 # A cost with fewer than this many entries beyond its square part,
 # n * (m - n), keeps the full scan: below it, building the dominance table
@@ -295,9 +294,10 @@ def min_pairs(num_ul: int, num_dl: int, num_channels: int) -> int:
     return forced
 
 
-def _max_assignments(rects: np.ndarray) -> list[tuple[list[int], float]]:
-    """(column of each row, total benefit) of the maximum-total assignment
-    of every n x m benefit matrix of a (B, n, m) stack, n <= m.
+def _max_assignments(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n) column of each row and the (B,) total benefit of the
+    maximum-total assignment of every n x m benefit matrix of a (B, n, m)
+    stack, n <= m.
 
     A stack of at least _LOCKSTEP_MIN_PROBLEMS matrices too narrow to be
     pruned is solved in lockstep (_min_cost_assignments); any other goes
@@ -306,13 +306,14 @@ def _max_assignments(rects: np.ndarray) -> list[tuple[list[int], float]]:
     """
     count, n, m = rects.shape
     if count < _LOCKSTEP_MIN_PROBLEMS or n * (m - n) >= _PRUNE_MIN_SPARE_ENTRIES:
-        return [(list(mapping.values()), total)
-                for mapping, total in map(hungarian_max, rects)]
+        solved = [hungarian_max(rect) for rect in rects]
+        return (np.array([list(mapping.values()) for mapping, _ in solved],
+                         dtype=np.intp).reshape(count, n),
+                np.array([total for _, total in solved]))
     if not np.all(np.isfinite(rects)):
         raise ValueError("assignment matrix has non-finite entries")
     cols = _min_cost_assignments(rects, rects.max(axis=(1, 2)))
-    totals = np.take_along_axis(rects, cols[..., None], axis=2)[..., 0].sum(axis=1)
-    return list(zip(cols.tolist(), totals.tolist()))
+    return cols, np.take_along_axis(rects, cols[..., None], axis=2)[..., 0].sum(axis=1)
 
 
 def assign_with_solo(
@@ -322,7 +323,8 @@ def assign_with_solo(
     num_channels: int,
 ):
     """Choose pairs or stand-alone users to maximize the separable benefit;
-    returns (pairing, total benefit).
+    returns (partner_ul, total benefit): partner_ul[i] is UL user i's DL
+    partner, or -1 where it stands alone.
 
     Pairing UL i with DL j scores values[i, j]; a user alone on a channel
     scores solo_ul[i] or solo_dl[j].  With P pairs the schedule occupies
@@ -335,7 +337,7 @@ def assign_with_solo(
 
     A leading problem axis, (B, I, J) values with (B, I) and (B, J) solo
     rows, solves B problems of one cell in one _max_assignments call and
-    returns the list of their B (pairing, total).
+    returns their (B, I) partner rows and (B,) totals.
     """
     stacked = values.ndim == 3
     shape = solo_ul.shape[:-1] + (solo_ul.shape[-1], solo_dl.shape[-1])
@@ -345,23 +347,23 @@ def assign_with_solo(
         values, solo_ul, solo_dl = values[None], solo_ul[None], solo_dl[None]
     count, num_ul, num_dl = values.shape
     forced_pairs = min_pairs(num_ul, num_dl, num_channels)
-    if num_ul == 0:
-        solved = [(Pairing.from_pairs([], 0, num_dl), float(dl.sum())) for dl in solo_dl]
-        return solved if stacked else solved[0]
-
     width = num_dl + num_ul - forced_pairs
-    shifts = [0.0] * count
-    if num_dl > forced_pairs:                    # some DL user may stand alone
-        rect = np.empty((count, num_ul, width))
-        np.subtract(values, solo_dl[:, None, :], out=rect[..., :num_dl])
-        shifts = [float(dl.sum()) for dl in solo_dl]
-    elif width == num_dl:
-        rect = np.asarray(values, dtype=float)
+    shifts = 0.0
+    if num_ul == 0:
+        partners, totals = np.empty((count, 0), dtype=np.intp), np.zeros(count)
+        shifts = solo_dl.sum(axis=1)
     else:
-        rect = np.empty((count, num_ul, width))
-        rect[..., :num_dl] = values
-    rect[..., num_dl:] = solo_ul[..., None]
-    solved = [(Pairing.from_pairs([(r, c) for r, c in enumerate(cols) if c < num_dl],
-                                  num_ul, num_dl), total + shift)
-              for (cols, total), shift in zip(_max_assignments(rect), shifts)]
-    return solved if stacked else solved[0]
+        if num_dl > forced_pairs:                # some DL user may stand alone
+            rect = np.empty((count, num_ul, width))
+            np.subtract(values, solo_dl[:, None, :], out=rect[..., :num_dl])
+            shifts = solo_dl.sum(axis=1)
+        elif width == num_dl:
+            rect = np.asarray(values, dtype=float)
+        else:
+            rect = np.empty((count, num_ul, width))
+            rect[..., :num_dl] = values
+        rect[..., num_dl:] = solo_ul[..., None]
+        partners, totals = _max_assignments(rect)
+        partners[partners >= num_dl] = -1
+    totals = totals + shifts
+    return (partners, totals) if stacked else (partners[0], float(totals[0]))

@@ -11,22 +11,29 @@ from pathlib import Path
 import numpy as np
 
 
-def jain_index(se) -> float:
-    """Jain's fairness index (sum x)^2 / (n sum x^2) over per-user SEs.
+def jain_index(se):
+    """Jain's fairness index (sum x)^2 / (n sum x^2) over per-user SEs: a
+    float for one vector, an (S,) array for the rows of an (S, n) matrix.
 
     Ranges from 1/n (one user gets everything) to 1 (perfect equality).
-    An all-zero vector is treated as perfectly fair: it returns 1 and warns.
+    An all-zero vector is treated as perfectly fair: it gives 1 and warns.
+    Each row's floats are one vector's: its sum is squared by float ** 2
+    (libm pow; numpy's array ** 2 is x * x, an ulp off on some rows) and
+    x . x is a batched matmul, which is the vector @ of every row.
     """
     x = np.asarray(se, dtype=float)
     if x.size == 0:
         raise ValueError("jain_index needs a nonempty vector")
     if np.any(x < 0):
         raise ValueError("jain_index needs nonnegative entries")
-    denom = x.size * float(x @ x)
-    if denom == 0.0:
+    rows = x.reshape(-1, x.shape[-1])
+    denom = rows.shape[1] * np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+    fair = denom == 0.0
+    if fair.any():
         warnings.warn("jain_index of an all-zero vector, returning 1.0", stacklevel=2)
-        return 1.0
-    return float(x.sum()) ** 2 / denom
+    squares = np.array([s ** 2 for s in rows.sum(axis=1).tolist()])
+    jain = np.divide(squares, denom, out=np.ones(len(rows)), where=~fair)
+    return float(jain[0]) if x.ndim == 1 else jain.reshape(x.shape[:-1])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Shared domain types, unit conversions and parameter validation.
 
+A schedule is a row of UL partners (the DL user each UL user pairs, -1
+for one alone on its channel) with its UL and DL powers; ScheduleOutcome
+holds one with its SEs and metrics.
+
 Everything downstream computes in linear units: watts for powers and
 dimensionless linear factors for path gains.  dB and dBm appear only at the
 configuration and reporting boundaries.
@@ -10,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -126,8 +130,8 @@ class ScenarioParams:
 # Gains of a drop, or of a chunk of drops
 # ---------------------------------------------------------------------------
 
-def _readonly(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+def _readonly(a, dtype=float) -> np.ndarray:
+    arr = np.asarray(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -183,66 +187,8 @@ class GainTable:
 
 
 # ---------------------------------------------------------------------------
-# Scheduling decisions
+# Objectives and outcomes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Pairing:
-    """Partial matching between UL and DL users.
-
-    partner_of_ul[i] is the DL index paired with UL user i, or None when the
-    user holds a frequency channel alone; partner_of_dl is the symmetric
-    view.  Both views are kept consistent by construction.
-    """
-
-    partner_of_ul: tuple
-    partner_of_dl: tuple
-
-    def __post_init__(self):
-        for j, i in enumerate(self.partner_of_dl):
-            if i is None:
-                continue
-            if not 0 <= i < len(self.partner_of_ul) or self.partner_of_ul[i] != j:
-                raise ValueError("pairing views are inconsistent")
-        for i, j in enumerate(self.partner_of_ul):
-            if j is None:
-                continue
-            if not 0 <= j < len(self.partner_of_dl) or self.partner_of_dl[j] != i:
-                raise ValueError("pairing views are inconsistent")
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[int, int]], num_ul: int, num_dl: int) -> "Pairing":
-        """The pairing of (UL, DL) index pairs; ValueError for an index out of
-        range or a user in more than one pair."""
-        ul_view: list[Optional[int]] = [None] * num_ul
-        dl_view: list[Optional[int]] = [None] * num_dl
-        for i, j in pairs:
-            if not (0 <= i < num_ul and 0 <= j < num_dl):
-                raise ValueError(f"pair ({i}, {j}) out of range for {num_ul}+{num_dl} users")
-            if ul_view[i] is not None or dl_view[j] is not None:
-                raise ValueError(f"pair ({i}, {j}) reuses a user of another pair")
-            ul_view[i], dl_view[j] = j, i
-        return cls(tuple(ul_view), tuple(dl_view))
-
-    @property
-    def num_pairs(self) -> int:
-        return sum(1 for j in self.partner_of_ul if j is not None)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in enumerate(self.partner_of_ul) if j is not None]
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Transmit powers in watts: p_ul per UL user, p_dl per DL channel."""
-
-    p_ul: np.ndarray
-    p_dl: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_ul", _readonly(self.p_ul))
-        object.__setattr__(self, "p_dl", _readonly(self.p_dl))
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -260,12 +206,16 @@ class WeightVector:
 class ScheduleOutcome:
     """Full result of one scheduling decision on one drop.
 
-    objective is the scalarized value (1-mu) * sum(alpha * SE) + mu * min(SE)
-    with the minimum ranging over all UL and DL users together.
+    partner_ul[i] is the DL user paired with UL user i, or -1 when it holds
+    a frequency channel alone; p_ul and p_dl are the transmit powers in
+    watts.  objective is the scalarized value (1-mu) * sum(alpha * SE) +
+    mu * min(SE) with the minimum ranging over all UL and DL users
+    together.  Outcomes of one evaluated schedule share its arrays.
     """
 
-    pairing: Pairing
-    powers: PowerAllocation
+    partner_ul: np.ndarray
+    p_ul: np.ndarray
+    p_dl: np.ndarray
     se_ul: np.ndarray      # bit/s/Hz per UL user
     se_dl: np.ndarray      # bit/s/Hz per DL user
     objective: float
@@ -274,14 +224,6 @@ class ScheduleOutcome:
     jain: float
 
     def __post_init__(self):
-        object.__setattr__(self, "se_ul", _readonly(self.se_ul))
-        object.__setattr__(self, "se_dl", _readonly(self.se_dl))
-
-    def rescored(self, pairing: Pairing, powers: PowerAllocation,
-                 objective: float) -> "ScheduleOutcome":
-        """This outcome's SE arrays and metrics under another objective, for
-        a schedule with the same SEs.  The arrays are already read-only, so
-        __post_init__ does not run again."""
-        repeat = object.__new__(ScheduleOutcome)
-        repeat.__dict__.update(vars(self), pairing=pairing, powers=powers, objective=objective)
-        return repeat
+        object.__setattr__(self, "partner_ul", _readonly(self.partner_ul, np.intp))
+        for name in ("p_ul", "p_dl", "se_ul", "se_dl"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))

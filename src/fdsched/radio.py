@@ -1,5 +1,6 @@
 """Physical-layer math: the SINR kernel, weights, the corner-point tables
-of every UL/DL pair and the evaluation of a realized schedule.
+of every UL/DL pair and the evaluation of realized schedules, a chunk's
+at once: each a row of UL partners (-1 for a user alone) and powers.
 
 A pair sharing a frequency channel interacts two ways: the DL transmission
 leaks into the BS receiver through the residual self-interference factor,
@@ -28,15 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import jain_index
-from .model import (
-    GainTable,
-    Pairing,
-    PowerAllocation,
-    ScenarioParams,
-    ScheduleOutcome,
-    WeightMode,
-    WeightVector,
-)
+from .model import GainTable, ScenarioParams, WeightMode, WeightVector
 
 
 def sinr(p_tx, g_tx, p_int, g_int, noise):
@@ -151,59 +144,55 @@ def check_mu(mu: float) -> None:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
 
 
-def objective_value(se_ul, se_dl, min_se: float, weights: WeightVector,
-                    mu: float) -> float:
-    """The scalarized objective (1-mu)(alpha . SE) + mu min_se of realized SEs.
-    Every strategy scores its outcome here, so here a mu outside [0, 1] fails
-    even when a strategy function is called directly rather than by solve."""
-    check_mu(mu)
-    weighted = float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl)
+def objective_value(se_ul, se_dl, min_se, weights: WeightVector, mu):
+    """The scalarized objective (1-mu)(alpha . SE) + mu min_se of realized
+    SEs, for every row at once: (..., I) and (..., J) SEs and weights with
+    (...) minima and mu.  Every strategy scores its outcomes here, so here a
+    mu outside [0, 1] fails even when a strategy function is called directly
+    rather than by solve.  alpha . SE is a batched matmul, each row's vector @."""
+    mu = np.asarray(mu, dtype=float)
+    for bad in mu[~((mu >= 0.0) & (mu <= 1.0))].tolist()[:1]:
+        check_mu(bad)
+    weighted = (np.matmul(weights.alpha_ul[..., None, :], se_ul[..., :, None])
+                + np.matmul(weights.alpha_dl[..., None, :], se_dl[..., :, None]))[..., 0, 0]
     return (1.0 - mu) * weighted + mu * min_se
 
 
-def outcome_metrics(
-    pairing: Pairing,
-    powers: PowerAllocation,
-    gains: GainTable,
-    params: ScenarioParams,
-    weights: WeightVector,
-    mu: float,
-) -> ScheduleOutcome:
-    """Evaluate the realized SEs and scalar metrics of a full schedule.
+def outcome_metrics(gains: GainTable, params: ScenarioParams, drops, partner_ul, p_ul, p_dl):
+    """Evaluate S schedules of a chunk at once: schedule s runs on drop
+    drops[s] of gains (a GainTable with a leading drop axis), pairs UL user
+    i with DL user partner_ul[s, i] (-1: alone on its channel) and transmits
+    at p_ul[s] and p_dl[s] watts.  Returns the (S, I) UL and (S, J) DL SEs
+    and each schedule's sum, minimum and Jain index over all its users.
 
-    Every user's SINR follows from the actual pairing and power state: the
-    interference term of a paired user comes from its partner's power, an
-    unpaired user sees noise only.
+    A paired user's interference comes from its partner's power, a user
+    alone sees noise only.  ValueError for shapes that do not match the
+    gains, a partner outside [-1, J) or a DL user in two pairs.
     """
-    num_ul, num_dl = gains.num_ul, gains.num_dl
-    if len(pairing.partner_of_ul) != num_ul or len(pairing.partner_of_dl) != num_dl:
-        raise ValueError("pairing dimensions do not match the gain table")
-    if powers.p_ul.size != num_ul or powers.p_dl.size != num_dl:
-        raise ValueError("power dimensions do not match the gain table")
+    drops, partner_ul = np.asarray(drops), np.asarray(partner_ul)
+    p_ul, p_dl = np.asarray(p_ul, dtype=float), np.asarray(p_dl, dtype=float)
+    count, num_ul, num_dl = len(drops), gains.num_ul, gains.num_dl
+    if (drops.shape != (count,) or partner_ul.shape != (count, num_ul)
+            or p_ul.shape != (count, num_ul) or p_dl.shape != (count, num_dl)):
+        raise ValueError(f"schedule shapes {partner_ul.shape}, {p_ul.shape} and {p_dl.shape} "
+                         f"do not match {count} schedules of {num_ul}+{num_dl} users")
+    if partner_ul.size and not (-1 <= partner_ul.min() and partner_ul.max() < num_dl):
+        raise ValueError(f"a UL partner is out of range for {num_dl} DL users")
+    ordered = np.sort(partner_ul, axis=1)
+    if ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any():
+        raise ValueError("a DL user is paired twice: a pair reuses a user of another pair")
 
+    # the interference each user sees: 0.0 W across a 0.0 gain when alone
+    s, i = np.nonzero(partner_ul >= 0)
+    j = partner_ul[s, i]
+    ul_from, dl_from, dl_gain = np.zeros(p_ul.shape), np.zeros(p_dl.shape), np.zeros(p_dl.shape)
+    ul_from[s, i], dl_from[s, j] = p_dl[s, j], p_ul[s, i]
+    dl_gain[s, j] = gains.g_cross[drops[s], i, j]
     noise = params.noise_power_w
-    p_ul, p_dl = powers.p_ul.tolist(), powers.p_dl.tolist()
-    g_ul, g_dl = gains.g_ul.tolist(), gains.g_dl.tolist()
-    sinr_ul = [sinr(p_ul[i], g_ul[i], 0.0 if j is None else p_dl[j],
-                    params.si_cancellation, noise)
-               for i, j in enumerate(pairing.partner_of_ul)]
-    sinr_dl = [sinr(p_dl[j], g_dl[j], 0.0 if i is None else p_ul[i],
-                    0.0 if i is None else gains.g_cross[i, j], noise)
-               for j, i in enumerate(pairing.partner_of_dl)]
+    ul = 1.0 + sinr(p_ul, gains.g_ul[drops], ul_from, params.si_cancellation, noise)
+    dl = 1.0 + sinr(p_dl, gains.g_dl[drops], dl_from, dl_gain, noise)
     # math.log2, not np.log2: the golden digests pin libm's log2 for reported
     # SEs, and numpy's SIMD log2 differs from it in the last bit on some inputs.
-    se_ul = np.array([math.log2(1.0 + s) for s in sinr_ul])
-    se_dl = np.array([math.log2(1.0 + s) for s in sinr_dl])
-
-    all_se = np.concatenate([se_ul, se_dl])
-    min_se = float(all_se.min())
-    return ScheduleOutcome(
-        pairing=pairing,
-        powers=powers,
-        se_ul=se_ul,
-        se_dl=se_dl,
-        objective=objective_value(se_ul, se_dl, min_se, weights, mu),
-        sum_se=float(all_se.sum()),
-        min_se=min_se,
-        jain=jain_index(all_se),
-    )
+    se = np.array([math.log2(x) for x in np.concatenate([ul, dl], axis=1).ravel().tolist()])
+    se = se.reshape(count, num_ul + num_dl)
+    return se[:, :num_ul], se[:, num_ul:], se.sum(axis=1), se.min(axis=1), jain_index(se)

@@ -10,7 +10,12 @@ objective, in order, with metrics computed on the true gains.  Weights,
 corner tables and pair benefits are array passes over the whole chunk,
 and every drop's Hungarian problems of one strategy go to one
 assign_with_solo call, which solves a large enough stack in lockstep.  A
-schedule that several objectives of a drop chose is evaluated once.
+strategy's schedules for the chunk are two (D, K, I) arrays, the UL
+partners (-1 for a user alone) and the pairs' corner_points indices;
+_outcomes evaluates each drop's distinct schedules in one outcome_metrics
+call for the whole chunk and scores every (drop, objective) in one
+objective_value call, so a schedule that several objectives of a drop
+chose is evaluated once.
 Schedules must fit the channel budget: a drop with I UL and J DL users and
 P pairs occupies I + J - P channels, so at least I + J - F pairs are forced.
 """
@@ -23,15 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .assignment import assign_with_solo, min_pairs
-from .model import (
-    GainTable,
-    Pairing,
-    PowerAllocation,
-    ScenarioParams,
-    ScheduleOutcome,
-    WeightMode,
-    WeightVector,
-)
+from .model import GainTable, ScenarioParams, ScheduleOutcome, WeightMode, WeightVector
 from .radio import (
     CornerTables,
     check_mu,
@@ -47,42 +44,41 @@ Objectives = Sequence[tuple[WeightVector, float]]
 Generators = Optional[Sequence[np.random.Generator]]
 
 
-def _drop_objectives(objectives: Objectives, d: int) -> Objectives:
-    """Drop d's (weights, mu) list: views of its weight rows, one per
-    distinct weight vector, so objectives that share weights still do."""
-    rows = {id(w): WeightVector(w.alpha_ul[d], w.alpha_dl[d]) for w, _ in objectives}
-    return [(rows[id(w)], mu) for w, mu in objectives]
-
-
-def _corner_schedule(pairing: Pairing, corners: Sequence[int],
-                     params: ScenarioParams) -> tuple[Pairing, PowerAllocation]:
-    """The pairing, with its pairs() at corners (corner_points indices), all else at max."""
-    points = corner_points(params)
-    p_ul = [params.p_max_ul_w] * len(pairing.partner_of_ul)
-    p_dl = [params.p_max_dl_w] * len(pairing.partner_of_dl)
-    for (i, j), corner in zip(pairing.pairs(), corners):
-        p_ul[i], p_dl[j] = points[corner]
-    return pairing, PowerAllocation(p_ul, p_dl)
-
-
-def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainTable,
-              params: ScenarioParams, objectives: Objectives) -> list[ScheduleOutcome]:
-    """The outcome of schedules[k] under objectives[k], for every k.  Each
-    distinct schedule (the same pairing and power bytes) is evaluated once;
-    a repeat keeps its own pairing and powers, shares the SE arrays and
-    metrics and only rescores the objective."""
-    outcomes, evaluated = [], {}   # (UL partners, power bytes) -> its first outcome
-    for (pairing, powers), (weights, mu) in zip(schedules, objectives):
-        key = pairing.partner_of_ul, powers.p_ul.tobytes(), powers.p_dl.tobytes()
-        first = evaluated.get(key)
-        if first is None:
-            first = evaluated[key] = outcome_metrics(pairing, powers, gains, params, weights, mu)
-            outcomes.append(first)
-        else:
-            outcomes.append(first.rescored(
-                pairing, powers,
-                objective_value(first.se_ul, first.se_dl, first.min_se, weights, mu)))
-    return outcomes
+def _outcomes(gains: GainTable, params: ScenarioParams, objectives: Objectives,
+              partner_ul: np.ndarray, corners: np.ndarray) -> list[list[ScheduleOutcome]]:
+    """The outcome of every drop d and objective k of the chunk gains for the
+    schedule that pairs UL user i with DL user partner_ul[d, k, i] (-1:
+    alone) at the corner_points index corners[d, k, i], every user not in a
+    pair at max power.  Each drop's distinct schedules (their own partner
+    and power bytes) go to one outcome_metrics call for the whole chunk,
+    and one objective_value call scores every (drop, objective) row; the
+    outcomes of one schedule share its arrays, so a repeat is known by its
+    SE arrays."""
+    drops, count, num_ul = partner_ul.shape
+    points = np.array(corner_points(params))
+    paired = partner_ul >= 0
+    p_ul = np.where(paired, points[corners, 0], params.p_max_ul_w)
+    p_dl = np.full((drops, count, gains.num_dl), params.p_max_dl_w)
+    d, k, i = np.nonzero(paired)
+    p_dl[d, k, partner_ul[d, k, i]] = points[corners[d, k, i], 1]
+    rows = [a.reshape(drops * count, a.shape[-1]) for a in (partner_ul, p_ul, p_dl)]
+    schedules, index = {}, []   # (drop, partner and power bytes) -> its distinct schedule
+    for n, key in enumerate(zip(*(map(np.ndarray.tobytes, a) for a in rows))):
+        index.append(schedules.setdefault((n // count, key), len(schedules)))
+    firsts = np.unique(index, return_index=True)[1]
+    se_ul, se_dl, sums, minima, jain = outcome_metrics(gains, params, firsts // count,
+                                                       *(a[firsts] for a in rows))
+    alpha_ul, alpha_dl = (np.stack(a, axis=1) for a in zip(*((w.alpha_ul, w.alpha_dl)
+                                                             for w, _ in objectives)))
+    weights = WeightVector(alpha_ul.reshape(drops * count, num_ul),
+                           alpha_dl.reshape(drops * count, gains.num_dl))
+    values = objective_value(se_ul[index], se_dl[index], minima[index], weights,
+                             np.tile([mu for _, mu in objectives], drops))
+    shared = list(zip(*(a[firsts] for a in rows), se_ul, se_dl))   # one row object each
+    metrics = list(zip(sums.tolist(), minima.tolist(), jain.tolist()))
+    outcomes = [ScheduleOutcome(*shared[s], value, *metrics[s])
+                for s, value in zip(index, values.tolist())]
+    return [outcomes[n:n + count] for n in range(0, drops * count, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +86,12 @@ def _outcomes(schedules: Sequence[tuple[Pairing, PowerAllocation]], gains: GainT
 # ---------------------------------------------------------------------------
 
 def _best_corner_assignments(tables: CornerTables, objectives: Objectives,
-                             num_channels: int) -> list[list[tuple[Pairing, list[int]]]]:
-    """Per drop of the chunk's corner tables, per objective: the exact
-    pair-or-solo assignment over every pair's benefit at its best corner,
-    and the chosen pairs' corners (corner_points indices).  One corner_benefit
-    pass scores all of them as (K, D, I, J) arrays, and the K * D problems,
+                             num_channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, K, I) UL partners and corners (corner_points indices, 0 for a
+    user alone) of the exact pair-or-solo assignment over every pair's
+    benefit at its best corner, for each of the D drops of the chunk's
+    corner tables and each of the K objectives.  One corner_benefit pass
+    scores all of them as (K, D, I, J) arrays, and the K * D problems,
     objective-major, go to one assign_with_solo call."""
     weights = WeightVector(np.array([w.alpha_ul for w, _ in objectives]),
                            np.array([w.alpha_dl for w, _ in objectives]))
@@ -103,28 +100,23 @@ def _best_corner_assignments(tables: CornerTables, objectives: Objectives,
     drops, num_ul, num_dl = tables.paired_se_dl.shape
     del tables   # C-HUN's tables go before the assignment's own arrays are made
     count = len(objectives) * drops
-    plans = []
-    for (pairing, _), corner in zip(
-            assign_with_solo(best.reshape(count, num_ul, num_dl), solo_ul.reshape(count, num_ul),
-                             solo_dl.reshape(count, num_dl), num_channels),
-            corners.reshape(count, num_ul, num_dl)):
-        pairs = pairing.pairs()
-        plans.append((pairing, corner[[i for i, _ in pairs], [j for _, j in pairs]].tolist()))
-    return [plans[d::drops] for d in range(drops)]
+    partners, _ = assign_with_solo(best.reshape(count, num_ul, num_dl),
+                                   solo_ul.reshape(count, num_ul),
+                                   solo_dl.reshape(count, num_dl), num_channels)
+    chosen = np.zeros(partners.shape, dtype=corners.dtype)
+    n, i = np.nonzero(partners >= 0)
+    chosen[n, i] = corners.reshape(count, num_ul, num_dl)[n, i, partners[n, i]]
+    return tuple(a.reshape(len(objectives), drops, num_ul).swapaxes(0, 1)
+                 for a in (partners, chosen))
 
 
 def _hungarian_schedules(planning_gains: GainTable, gains: GainTable, params: ScenarioParams,
                          objectives: Objectives) -> list[list[ScheduleOutcome]]:
-    """Corner tables -> every objective's benefit -> every assignment, each
-    in one pass over the chunk; then per drop and objective: per-pair corner
-    powers -> outcome.  Decisions are taken on planning_gains; outcomes are
-    evaluated on gains."""
-    plans = _best_corner_assignments(corner_tables(planning_gains, params), objectives,
-                                     params.num_channels)
-    return [_outcomes([_corner_schedule(pairing, corners, params)
-                       for pairing, corners in drop_plans], gains.drop(d), params,
-                      _drop_objectives(objectives, d))
-            for d, drop_plans in enumerate(plans)]
+    """Corner tables -> every objective's benefit -> every assignment ->
+    every outcome, each in one pass over the chunk.  Decisions are taken on
+    planning_gains; outcomes are evaluated on gains."""
+    return _outcomes(gains, params, objectives, *_best_corner_assignments(
+        corner_tables(planning_gains, params), objectives, params.num_channels))
 
 
 def solve_c_hun(gains: GainTable, rngs: Generators, params: ScenarioParams,
@@ -156,18 +148,18 @@ def solve_c_nint(gains: GainTable, rngs: Generators, params: ScenarioParams,
 # The exact optimum
 # ---------------------------------------------------------------------------
 
-def _scored(tables: CornerTables, weights: WeightVector, pairing: Pairing, corners):
-    """(pairing, corners, weighted sum, minimum) of a corner schedule's
+def _scored(tables: CornerTables, weights: WeightVector, partner_ul: np.ndarray,
+            corners: np.ndarray):
+    """(partner_ul, corners, weighted sum, minimum) of a corner schedule's
     corner-table SEs."""
     se_ul, se_dl = tables.solo_se_ul.copy(), tables.solo_se_dl.copy()
-    for (i, j), corner in zip(pairing.pairs(), corners):
-        if corner == 0:
-            se_ul[i], se_dl[j] = tables.paired_se_ul[i], tables.paired_se_dl[i, j]
-        elif corner == 1:   # (Pmax, 0): the UL user keeps its solo SE
-            se_dl[j] = 0.0
-        else:               # (0, Pmax)
-            se_ul[i] = 0.0
-    return (pairing, corners, float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl),
+    i = np.flatnonzero(partner_ul >= 0)
+    j, corner = partner_ul[i], corners[i]
+    # (Pmax, Pmax) reads the paired SEs; at (Pmax, 0) the UL user keeps its
+    # solo SE and the DL user reads 0, at (0, Pmax) the other way round
+    se_ul[i] = np.where(corner == 0, tables.paired_se_ul[i], np.where(corner == 1, se_ul[i], 0.0))
+    se_dl[j] = np.where(corner == 0, tables.paired_se_dl[i, j], np.where(corner == 1, 0.0, se_dl[j]))
+    return (partner_ul, corners, float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl),
             float(np.concatenate([se_ul, se_dl]).min()))
 
 
@@ -201,54 +193,68 @@ def solve_p_opt(gains: GainTable, rngs: Generators, params: ScenarioParams,
     reads no mu and serves every objective of its weights.  The chunk's
     corner tables are made at once, and so is the max-sum assignment of
     every drop and distinct weight vector (_distinct); each drop's
-    threshold scan runs on its own (_optimum).
+    threshold scan runs on its own (_optimum), and the winners of the
+    whole chunk are evaluated together (_outcomes).
     """
     tables = corner_tables(gains, params)
-    max_sum = _best_corner_assignments(
-        tables, [(w, 0.0) for w in _distinct(objectives)], params.num_channels)
-    return [_optimum(gains.drop(d), CornerTables(*(a[d] for a in vars(tables).values())),
-                     params, _drop_objectives(objectives, d), plans)
-            for d, plans in enumerate(max_sum)]
+    distinct, plan_of = _distinct(objectives)
+    max_sum = _best_corner_assignments(tables, [(w, 0.0) for w in distinct],
+                                       params.num_channels)
+    mus = [mu for _, mu in objectives]
+    plans = [_optimum(CornerTables(*(a[d] for a in vars(tables).values())), params,
+                      [WeightVector(w.alpha_ul[d], w.alpha_dl[d]) for w in distinct],
+                      [a[d] for a in max_sum], plan_of, mus)
+             for d in range(len(tables.paired_se_dl))]
+    return _outcomes(gains, params, objectives,
+                     np.array([[partner for partner, _ in drop] for drop in plans]),
+                     np.array([[corners for _, corners in drop] for drop in plans]))
 
 
-def _distinct(objectives: Objectives) -> list[WeightVector]:
-    """The objectives' distinct weight vectors, in order of first use.
-    Objectives share a weight vector when they share its object, as solve's
-    objectives of one weight mode do (and _drop_objectives keeps)."""
-    return list({id(w): w for w, _ in objectives}.values())
+def _distinct(objectives: Objectives) -> tuple[list[WeightVector], list[int]]:
+    """The objectives' distinct weight vectors, in order of first use, and
+    the index among them of each objective's.  Objectives share a weight
+    vector when they share its object, as solve's objectives of one weight
+    mode do."""
+    index = {}
+    plan_of = [index.setdefault(id(w), len(index)) for w, _ in objectives]
+    return list({id(w): w for w, _ in objectives}.values()), plan_of
 
 
-def _optimum(gains: GainTable, tables: CornerTables, params: ScenarioParams,
-             objectives: Objectives, max_sum: list) -> list[ScheduleOutcome]:
-    """One drop's P-OPT outcomes (solve_p_opt): the threshold scan from the
-    max-sum plan of each distinct weight vector (_distinct)."""
+def _optimum(tables: CornerTables, params: ScenarioParams, weights: list[WeightVector],
+             max_sum: list[np.ndarray], plan_of: list[int], mus: list[float]) -> list[tuple]:
+    """One drop's P-OPT schedules (solve_p_opt), a (UL partners, corners)
+    pair per objective: objective n's threshold scan runs on the distinct
+    weight vector weights[plan_of[n]] from its max-sum plan, row
+    plan_of[n] of max_sum's UL partners and corners."""
     se_ul, se_dl = tables.paired_se_ul, tables.paired_se_dl
+    num_ul, num_dl = se_dl.shape
     pair_min = np.minimum(se_ul[:, None], se_dl)
     cap = float(np.concatenate([tables.solo_se_ul, tables.solo_se_dl]).min())
-    forced = min_pairs(gains.num_ul, gains.num_dl, params.num_channels)
-    for axis, users in ((1, gains.num_ul), (0, gains.num_dl)):
+    forced = min_pairs(num_ul, num_dl, params.num_channels)
+    for axis, users in ((1, num_ul), (0, num_dl)):
         if users and forced == users:   # each of these users pairs
             cap = min(cap, float(pair_min.max(axis=axis).min()))
     thresholds = sorted({*pair_min[pair_min <= cap].tolist(), cap})
-    schedules = [None] * len(objectives)
-    for weights, plan in zip(_distinct(objectives), max_sum):
-        values = (weights.alpha_ul * se_ul)[:, None] + weights.alpha_dl * se_dl
-        solo_ul = weights.alpha_ul * tables.solo_se_ul
-        solo_dl = weights.alpha_dl * tables.solo_se_dl
+    schedules = [None] * len(mus)
+    for plan, w in enumerate(weights):
+        values = (w.alpha_ul * se_ul)[:, None] + w.alpha_dl * se_dl
+        solo_ul = w.alpha_ul * tables.solo_se_ul
+        solo_dl = w.alpha_dl * tables.solo_se_dl
         penalty = -1.0 - 4.0 * (abs(values).sum() + abs(solo_ul).sum() + abs(solo_dl).sum())
-        first = _scored(tables, weights, *plan)
+        first = _scored(tables, w, *(a[plan] for a in max_sum))
         scanned = {}   # threshold -> its scored schedule, or None if none is feasible
 
         def best_at(t):
             if t not in scanned:
-                pairing, _ = assign_with_solo(np.where(pair_min < t, penalty, values),
+                partner, _ = assign_with_solo(np.where(pair_min < t, penalty, values),
                                               solo_ul, solo_dl, params.num_channels)
-                scanned[t] = (_scored(tables, weights, pairing, [0] * pairing.num_pairs)
-                              if all(pair_min[i, j] >= t for i, j in pairing.pairs()) else None)
+                i = np.flatnonzero(partner >= 0)
+                scanned[t] = (_scored(tables, w, partner, np.zeros(num_ul, np.int8))
+                              if (pair_min[i, partner[i]] >= t).all() else None)
             return scanned[t]
 
-        for n, (own, mu) in enumerate(objectives):
-            if own is not weights:
+        for n, mu in enumerate(mus):
+            if plan_of[n] != plan:
                 continue
             _, _, bound, low = first
             best, value, k = first, (1.0 - mu) * bound + mu * low, 0
@@ -261,10 +267,8 @@ def _optimum(gains: GainTable, tables: CornerTables, params: ScenarioParams,
                 if found_value > value:
                     best, value = found, found_value
                 k = bisect.bisect_right(thresholds, low)
-            schedules[n] = best
-    winners = {id(b): b for b in schedules}   # each winner's schedule is built once
-    made = {k: _corner_schedule(b[0], b[1], params) for k, b in winners.items()}
-    return _outcomes([made[id(b)] for b in schedules], gains, params, objectives)
+            schedules[n] = best[:2]
+    return schedules
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +281,21 @@ def solve_r_epa(gains: GainTable, rngs: Generators, params: ScenarioParams,
     from each drop's generator.
 
     The schedule reads neither mu nor the weights, so it is drawn once per
-    drop and every objective after the first is only rescored (_outcomes).
+    drop and shared by every objective (_outcomes evaluates it once).
     User k of the smaller side pairs user perm[k] of the larger one."""
     if rngs is None or any(rng is None for rng in rngs):
         raise ValueError("R-EPA needs a random generator")
     num_ul, num_dl = gains.num_ul, gains.num_dl
-    powers = PowerAllocation(np.full(num_ul, params.p_max_ul_w),
-                             np.full(num_dl, params.p_max_dl_w))
-    outcomes = []
-    for d, rng in enumerate(rngs):
-        perm = rng.permutation(max(num_ul, num_dl)).tolist()
-        pairing = Pairing.from_pairs([(k, perm[k]) if num_ul <= num_dl else (perm[k], k)
-                                      for k in range(min(num_ul, num_dl))], num_ul, num_dl)
-        outcomes.append(_outcomes([(pairing, powers)] * len(objectives), gains.drop(d), params,
-                                  _drop_objectives(objectives, d)))
-    return outcomes
+    partner_ul = np.full((len(rngs), num_ul), -1)
+    for row, rng in zip(partner_ul, rngs):
+        perm = rng.permutation(max(num_ul, num_dl))
+        if num_ul <= num_dl:
+            row[:] = perm[:num_ul]
+        else:
+            row[perm[:num_dl]] = np.arange(num_dl)
+    shape = (len(rngs), len(objectives), num_ul)
+    return _outcomes(gains, params, objectives,
+                     np.broadcast_to(partner_ul[:, None], shape), np.zeros(shape, np.int8))
 
 
 # ---------------------------------------------------------------------------

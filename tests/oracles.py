@@ -5,17 +5,18 @@ max-min powers of one pair, the corner-point evaluation of one pair, the
 stand-alone evaluation of one user, the per-user outcome evaluation of a
 schedule, a brute-force assignment, the padded-square form of the
 solo-aware assignment, the one-candidate-at-a-time UE placement, the
-link-group-at-a-time gain table, the 0/1 matrix of a pairing, the
-per-combination drop loop that solves every strategy once for each (mu,
-weight mode) and the closed-form solution of the dual linear program that
-motivates the Hungarian heuristic.
+link-group-at-a-time gain table, the pairs and 0/1 matrix of a row of UL
+partners, the per-combination drop loop that solves every strategy once
+for each (mu, weight mode) and the closed-form solution of the dual
+linear program that motivates the Hungarian heuristic.
 
 They are written one user or one permutation at a time, independent of
 the vectorized code they check.  The readers of a run's outputs (a CDF
 file, a dumped scenario) and the median gap of two CDFs, which only the
 tests use, are here too, and so are the list of modules a script loads in
-a fresh interpreter and the one-drop forms of build_gain_table's and the
-strategies' calls (chunk_of, drop_views).
+a fresh interpreter, the one-drop forms of build_gain_table's and the
+strategies' calls (chunk_of, drop_views) and the one-schedule form of the
+evaluator's (evaluate_schedule).
 """
 
 import itertools
@@ -32,16 +33,9 @@ import numpy as np
 from fdsched.assignment import hungarian_max
 from fdsched.harness import _ROLE_SCENARIO, _ROLE_STRATEGY, RunRecord, _gain_hash, drop_rng
 from fdsched.metrics import CdfSeries, jain_index, percentile
-from fdsched.model import (
-    DropPositions,
-    GainTable,
-    Pairing,
-    PowerAllocation,
-    ScenarioParams,
-    ScheduleOutcome,
-    WeightVector,
-)
-from fdsched.radio import CornerTables, check_mu, corner_points, sinr
+from fdsched.model import DropPositions, GainTable, ScenarioParams, ScheduleOutcome, WeightVector
+from fdsched.radio import (CornerTables, check_mu, corner_points, objective_value,
+                           outcome_metrics, sinr)
 from fdsched.scenario import (
     _HEX_NORMALS,
     _MAX_PLACEMENT_ATTEMPTS,
@@ -224,37 +218,38 @@ def evaluate_solo_dl(j: int, gains: GainTable, params: ScenarioParams,
     return se, (1.0 - mu) * weights.alpha_dl[j] * se
 
 
-def reference_outcome_metrics(
-    pairing: Pairing,
-    powers: PowerAllocation,
-    gains: GainTable,
-    params: ScenarioParams,
-    weights: WeightVector,
-    mu: float,
-) -> ScheduleOutcome:
-    """radio.outcome_metrics one user at a time: a paired user's
-    interference comes from its partner's power, an unpaired user sees
-    noise only."""
+def reference_outcome_metrics(partner_ul, p_ul, p_dl, gains: GainTable,
+                              params: ScenarioParams, weights: WeightVector,
+                              mu: float) -> ScheduleOutcome:
+    """radio.outcome_metrics and objective_value on one schedule of one
+    drop, one user at a time: UL user i pairs DL user partner_ul[i] (-1:
+    alone), a paired user's interference comes from its partner's power,
+    an unpaired user sees noise only."""
     noise = params.noise_power_w
+    partner_dl = [-1] * gains.num_dl
+    for i, j in enumerate(partner_ul):
+        if j >= 0:
+            partner_dl[j] = i
     se_ul = np.zeros(gains.num_ul)
     se_dl = np.zeros(gains.num_dl)
     for i in range(gains.num_ul):
-        j = pairing.partner_of_ul[i]
-        p_d = powers.p_dl[j] if j is not None else 0.0
-        se_ul[i] = math.log2(1.0 + sinr_ul(powers.p_ul[i], gains.g_ul[i], p_d,
+        j = partner_ul[i]
+        p_d = p_dl[j] if j >= 0 else 0.0
+        se_ul[i] = math.log2(1.0 + sinr_ul(p_ul[i], gains.g_ul[i], p_d,
                                            params.si_cancellation, noise))
     for j in range(gains.num_dl):
-        i = pairing.partner_of_dl[j]
-        p_u = powers.p_ul[i] if i is not None else 0.0
-        g_x = gains.g_cross[i, j] if i is not None else 0.0
-        se_dl[j] = math.log2(1.0 + sinr_dl(powers.p_dl[j], gains.g_dl[j], p_u, g_x, noise))
+        i = partner_dl[j]
+        p_u = p_ul[i] if i >= 0 else 0.0
+        g_x = gains.g_cross[i, j] if i >= 0 else 0.0
+        se_dl[j] = math.log2(1.0 + sinr_dl(p_dl[j], gains.g_dl[j], p_u, g_x, noise))
 
     all_se = np.concatenate([se_ul, se_dl])
     weighted = float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl)
     min_se = float(all_se.min())
     return ScheduleOutcome(
-        pairing=pairing,
-        powers=powers,
+        partner_ul=partner_ul,
+        p_ul=p_ul,
+        p_dl=p_dl,
         se_ul=se_ul,
         se_dl=se_dl,
         objective=(1.0 - mu) * weighted + mu * min_se,
@@ -264,10 +259,15 @@ def reference_outcome_metrics(
     )
 
 
-def pairing_from_ul_partners(partners, num_dl: int) -> Pairing:
-    """The pairing of UL user i with DL user partners[i]; None leaves it solo."""
-    return Pairing.from_pairs([(i, j) for i, j in enumerate(partners) if j is not None],
-                              len(partners), num_dl)
+def evaluate_schedule(partner_ul, p_ul, p_dl, gains: GainTable, params: ScenarioParams,
+                      weights: WeightVector, mu: float) -> ScheduleOutcome:
+    """radio.outcome_metrics and objective_value on the one schedule
+    (partner_ul, p_ul, p_dl) of the one drop gains: its outcome."""
+    [se_ul], [se_dl], [sum_se], [min_se], [jain] = outcome_metrics(
+        chunk_of(gains), params, [0], [partner_ul], [p_ul], [p_dl])
+    return ScheduleOutcome(partner_ul, p_ul, p_dl, se_ul, se_dl,
+                           float(objective_value(se_ul, se_dl, min_se, weights, mu)),
+                           float(sum_se), float(min_se), float(jain))
 
 
 def all_se(outcome: ScheduleOutcome) -> np.ndarray:
@@ -275,11 +275,16 @@ def all_se(outcome: ScheduleOutcome) -> np.ndarray:
     return np.concatenate([outcome.se_ul, outcome.se_dl])
 
 
-def pairing_matrix(pairing: Pairing) -> np.ndarray:
-    """0/1 pairing matrix with row and column sums at most one."""
-    x = np.zeros((len(pairing.partner_of_ul), len(pairing.partner_of_dl)))
-    for i, j in pairing.pairs():
-        x[i, j] = 1.0
+def pairs_of(partner_ul) -> list[tuple[int, int]]:
+    """The (UL, DL) pairs of a row of UL partners, in UL order."""
+    return [(i, j) for i, j in enumerate(np.asarray(partner_ul).tolist()) if j >= 0]
+
+
+def pairing_matrix(partner_ul, num_dl: int) -> np.ndarray:
+    """0/1 matrix of the pairs of a row of UL partners."""
+    x = np.zeros((len(partner_ul), num_dl))
+    for i, j in pairs_of(partner_ul):
+        x[i, j] += 1.0
     return x
 
 
@@ -326,8 +331,11 @@ def reference_assign_with_solo(values, solo_ul, solo_dl, num_channels):
     square[:num_ul, num_dl:] = solo_ul[:, None]
     square[num_ul:, :num_dl] = solo_dl[None, :]
     mapping, total = hungarian_max(square)
-    pairs = [(r, c) for r, c in mapping.items() if r < num_ul and c < num_dl]
-    return Pairing.from_pairs(pairs, num_ul, num_dl), total
+    partner_ul = np.full(num_ul, -1)
+    for r, c in mapping.items():
+        if r < num_ul and c < num_dl:
+            partner_ul[r] = c
+    return partner_ul, total
 
 
 def reference_drop_users(params: ScenarioParams, rng) -> DropPositions:

@@ -36,6 +36,25 @@ class TestJainIndex:
             jain_index([])
         with pytest.raises(ValueError):
             jain_index([1.0, -2.0])
+        with pytest.raises(ValueError):
+            jain_index([[1.0, 2.0], [1.0, -2.0]])
+
+    @pytest.mark.parametrize("n", [8, 50, 120])
+    def test_rows_equal_each_vector_bit_for_bit(self, n):
+        # the rows of a matrix against one vector's floats, float(sum) ** 2
+        # (libm pow) over n * (x @ x): numpy's array ** 2 (x * x) and einsum
+        # each differ from them in some of these rows
+        rows = np.random.default_rng(n).uniform(0.0, 10.0, size=(20_000, n))
+        got = jain_index(rows)
+        assert got.shape == (len(rows),)
+        want = [float(x.sum()) ** 2 / (n * float(x @ x)) for x in rows]
+        assert got.tolist() == want
+        assert [jain_index(x) for x in rows[:500]] == want[:500]
+
+    def test_all_zero_rows_defined_as_fair(self):
+        rows = np.array([[2.0, 4.0], [0.0, 0.0], [5.0, 0.0]])
+        with pytest.warns(UserWarning, match="all-zero vector, returning 1.0"):
+            assert jain_index(rows).tolist() == [jain_index([2.0, 4.0]), 1.0, 0.5]
 
 
 class TestEmpiricalCdf:

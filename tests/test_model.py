@@ -5,8 +5,6 @@ import pytest
 
 from fdsched.model import (
     GainTable,
-    Pairing,
-    PowerAllocation,
     ScenarioParams,
     ScheduleOutcome,
     WeightMode,
@@ -15,8 +13,7 @@ from fdsched.model import (
 )
 from fdsched import solvers
 from fdsched.solvers import STRATEGIES
-from oracles import (drop_gain_table, pairing_from_ul_partners, pairing_matrix, solve_drop,
-                     validate_gain_table)
+from oracles import drop_gain_table, pairing_matrix, solve_drop, validate_gain_table
 
 
 class TestUnitConversions:
@@ -111,32 +108,7 @@ class TestValidateParams:
             WeightMode.from_key("XX")
 
 
-class TestPairing:
-    def test_views_are_symmetric(self):
-        p = pairing_from_ul_partners([2, None, 0], num_dl=3)
-        assert p.partner_of_dl == (2, None, 0)
-        assert p.num_pairs == 2
-        assert p.pairs() == [(0, 2), (2, 0)]
-
-    def test_duplicate_partner_rejected(self):
-        with pytest.raises(ValueError):
-            pairing_from_ul_partners([1, 1], num_dl=2)
-
-    @pytest.mark.parametrize("pairs", [[(-1, 0)], [(2, 0)], [(0, -1)], [(0, 2)]])
-    def test_index_out_of_range_rejected(self, pairs):
-        # a negative UL index once paired UL user 1; 2 raised IndexError
-        with pytest.raises(ValueError, match="out of range"):
-            Pairing.from_pairs(pairs, 2, 2)
-
-    def test_user_in_two_pairs_rejected(self):
-        for pairs in ([(0, 0), (0, 1)], [(0, 0), (1, 0)]):
-            with pytest.raises(ValueError, match="another pair"):
-                Pairing.from_pairs(pairs, 2, 2)
-
-    def test_inconsistent_views_rejected(self):
-        with pytest.raises(ValueError):
-            Pairing(partner_of_ul=(0,), partner_of_dl=(None,))
-
+class TestPartnerRows:
     def test_matrix_row_and_column_sums(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -145,8 +117,8 @@ class TestPairing:
             dl_pool = list(rng.permutation(num_dl))
             partners = []
             for _ in range(num_ul):
-                partners.append(int(dl_pool.pop()) if dl_pool and rng.random() < 0.7 else None)
-            x = pairing_matrix(pairing_from_ul_partners(partners, num_dl))
+                partners.append(int(dl_pool.pop()) if dl_pool and rng.random() < 0.7 else -1)
+            x = pairing_matrix(partners, num_dl)
             assert set(np.unique(x)) <= {0.0, 1.0}
             assert x.sum(axis=0).max(initial=0) <= 1
             assert x.sum(axis=1).max(initial=0) <= 1
@@ -171,20 +143,23 @@ class TestGainTable:
 
 
 class TestScheduleOutcome:
-    def test_rescored_keeps_the_ses_and_metrics_and_takes_the_rest(self):
-        first = ScheduleOutcome(Pairing.from_pairs([(0, 1)], 1, 2),
-                                PowerAllocation(np.ones(1), np.ones(2)),
-                                se_ul=[1.5], se_dl=[0.5, 2.0], objective=3.0, sum_se=4.0,
-                                min_se=0.5, jain=0.8)
-        pairing, powers = Pairing.from_pairs([(0, 0)], 1, 2), PowerAllocation([1.0], [0.0, 1.0])
-        repeat = first.rescored(pairing, powers, -0.25)
-        assert type(repeat) is ScheduleOutcome
-        assert repeat.pairing is pairing and repeat.powers is powers
-        assert repeat.objective == -0.25
-        assert repeat.se_ul is first.se_ul and repeat.se_dl is first.se_dl
-        assert (repeat.sum_se, repeat.min_se, repeat.jain) == (4.0, 0.5, 0.8)
-        assert first.objective == 3.0 and first.pairing.partner_of_ul == (1,)
+    def test_fields_are_read_only_arrays(self):
+        out = ScheduleOutcome([1, -1], [1.0, 0.5], [0.0, 1.0], se_ul=[1.5, 0.25],
+                              se_dl=[0.5, 2.0], objective=3.0, sum_se=4.25, min_se=0.25,
+                              jain=0.8)
+        assert out.partner_ul.dtype == np.intp and out.partner_ul.tolist() == [1, -1]
+        for name in ("partner_ul", "p_ul", "p_dl", "se_ul", "se_dl"):
+            with pytest.raises(ValueError):
+                getattr(out, name)[0] = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
-            repeat.objective = 1.0
-        with pytest.raises(ValueError):
-            repeat.se_ul[0] = 2.0
+            out.objective = 1.0
+
+    def test_an_outcome_keeps_the_rows_it_is_given(self):
+        # the outcomes of one evaluated schedule share its rows, which the
+        # harness reads as one schedule
+        se, partners = np.array([[1.0, 2.0]]), np.array([[0]])
+        se_ul, se_dl, partner_ul = se[0, :1], se[0, 1:], partners[0]
+        outcomes = [ScheduleOutcome(partner_ul, [1.0], [1.0], se_ul, se_dl, objective, 3.0, 1.0,
+                                    0.9) for objective in (1.0, 2.0)]
+        for out in outcomes:
+            assert out.se_ul is se_ul and out.se_dl is se_dl and out.partner_ul is partner_ul

@@ -7,8 +7,6 @@ import pytest
 
 from fdsched.model import (
     GainTable,
-    Pairing,
-    PowerAllocation,
     ScenarioParams,
     WeightMode,
     WeightVector,
@@ -19,6 +17,7 @@ from fdsched.radio import (
     corner_points,
     corner_tables,
     make_weights,
+    objective_value,
     outcome_metrics,
     sinr,
 )
@@ -30,10 +29,10 @@ from oracles import (
     drop_gain_table,
     evaluate_pair,
     evaluate_solo_dl,
+    evaluate_schedule,
     evaluate_solo_ul,
     pair_edge_powers,
     pair_max_min_powers,
-    pairing_from_ul_partners,
     power_candidates,
     reference_outcome_metrics,
     sinr_dl,
@@ -318,10 +317,8 @@ class TestOutcomeMetrics:
         g = random_table(rng, 2, 2)
         params = params_with(num_ul=2, num_dl=2, num_channels=4)
         w = make_weights(WeightMode.SUM_RATE, g)
-        pairing = pairing_from_ul_partners([None, None], 2)
-        powers = PowerAllocation(np.full(2, params.p_max_ul_w),
-                                 np.full(2, params.p_max_dl_w))
-        out = outcome_metrics(pairing, powers, g, params, w, 0.3)
+        out = evaluate_schedule([-1, -1], np.full(2, params.p_max_ul_w),
+                                np.full(2, params.p_max_dl_w), g, params, w, 0.3)
         se = np.log2(1 + params.p_max_ul_w * np.concatenate([g.g_ul, g.g_dl]) / NOISE)
         assert all_se(out) == pytest.approx(se)
         assert out.objective == pytest.approx(0.7 * se.sum() + 0.3 * se.min())
@@ -331,10 +328,8 @@ class TestOutcomeMetrics:
         g = random_table(rng)
         params = params_with()
         w = make_weights(WeightMode.SUM_RATE, g)
-        pairing = pairing_from_ul_partners([0, 1, 2, 3], 4)
-        powers = PowerAllocation(np.full(4, params.p_max_ul_w),
-                                 np.full(4, params.p_max_dl_w))
-        out = outcome_metrics(pairing, powers, g, params, w, 1.0)
+        out = evaluate_schedule([0, 1, 2, 3], np.full(4, params.p_max_ul_w),
+                                np.full(4, params.p_max_dl_w), g, params, w, 1.0)
         assert out.objective == pytest.approx(out.min_se, rel=1e-12)
 
     def test_single_pair_matches_evaluate_pair(self):
@@ -345,10 +340,8 @@ class TestOutcomeMetrics:
             mu = float(rng.random())
             w = make_weights(WeightMode.SUM_RATE, g)
             ev = evaluate_pair(0, 0, g, params, w, mu)
-            pairing = pairing_from_ul_partners([0], 1)
-            powers = PowerAllocation(np.array([ev.best_powers[0]]),
-                                     np.array([ev.best_powers[1]]))
-            out = outcome_metrics(pairing, powers, g, params, w, mu)
+            out = evaluate_schedule([0], np.array([ev.best_powers[0]]),
+                                    np.array([ev.best_powers[1]]), g, params, w, mu)
             assert out.objective == pytest.approx(ev.benefit, rel=1e-12)
 
     def test_weighted_sum_additivity_at_mu_zero(self):
@@ -362,10 +355,9 @@ class TestOutcomeMetrics:
             ev12 = evaluate_pair(1, 2, g, params, w, 0.0)
             se_solo_u, contrib_u = evaluate_solo_ul(2, g, params, w, 0.0)
             _, contrib_d = evaluate_solo_dl(0, g, params, w, 0.0)
-            pairing = pairing_from_ul_partners([1, 2, None], 3)
             p_ul = np.array([ev01.best_powers[0], ev12.best_powers[0], params.p_max_ul_w])
             p_dl = np.array([params.p_max_dl_w, ev01.best_powers[1], ev12.best_powers[1]])
-            out = outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), g, params, w, 0.0)
+            out = evaluate_schedule([1, 2, -1], p_ul, p_dl, g, params, w, 0.0)
             expected = ev01.benefit + ev12.benefit + contrib_u + contrib_d
             assert out.objective == pytest.approx(expected, rel=1e-9)
 
@@ -376,10 +368,8 @@ class TestOutcomeMetrics:
             params = params_with()
             mu = float(rng.random())
             w = make_weights(WeightMode.SUM_RATE, g)
-            pairing = pairing_from_ul_partners(list(rng.permutation(4)), 4)
-            powers = PowerAllocation(np.full(4, params.p_max_ul_w),
-                                     np.full(4, params.p_max_dl_w))
-            out = outcome_metrics(pairing, powers, g, params, w, mu)
+            out = evaluate_schedule(rng.permutation(4), np.full(4, params.p_max_ul_w),
+                                    np.full(4, params.p_max_dl_w), g, params, w, mu)
             recomputed = ((1 - mu) * (w.alpha_ul @ out.se_ul + w.alpha_dl @ out.se_dl)
                           + mu * all_se(out).min())
             assert out.objective == pytest.approx(recomputed, rel=1e-9)
@@ -391,46 +381,100 @@ class TestOutcomeMetrics:
                               (3, 0, 4), (1, 1, 2), (25, 25, 25)])
     def test_matches_per_user_reference(self, num_ul, num_dl, num_channels):
         # random partial matchings (solo users wherever the budget allows)
-        # with powers at the corners and in between, on every objective;
-        # enough SEs that a log2 off in the last bit on ~0.1% of inputs shows
+        # with powers at the corners and in between, on a chunk of drops,
+        # all evaluated in one call and scored on every objective in one
+        # call each; enough SEs that a log2 off in the last bit on ~0.1% of
+        # inputs shows
         rng = np.random.default_rng(100 * num_ul + num_dl)
         base = params_with(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
-        for _ in range(100):
-            g = drop_gain_table(base, rng)
+        chunk = build_gain_table(base, [np.random.default_rng([num_ul, num_dl, d])
+                                        for d in range(5)])
+        count = 100
+        drops = rng.integers(0, 5, count)
+        partners = np.full((count, num_ul), -1)
+        levels = np.array([0.0, 0.5, 1.0])
+        p_ul, p_dl = np.empty((count, num_ul)), np.empty((count, num_dl))
+        for s in range(count):
             min_pairs = max(0, num_ul + num_dl - num_channels)
             n_pairs = int(rng.integers(min_pairs, min(num_ul, num_dl) + 1))
-            pairs = zip(rng.permutation(num_ul)[:n_pairs].tolist(),
-                        rng.permutation(num_dl)[:n_pairs].tolist())
-            pairing = Pairing.from_pairs(list(pairs), num_ul, num_dl)
-            levels = np.array([0.0, 0.5, 1.0])
-            powers = PowerAllocation(
-                base.p_max_ul_w * np.where(rng.random(num_ul) < 0.3,
-                                           rng.random(num_ul), rng.choice(levels, num_ul)),
-                base.p_max_dl_w * np.where(rng.random(num_dl) < 0.3,
-                                           rng.random(num_dl), rng.choice(levels, num_dl)))
-            # every user silent: every SE is zero, and jain_index warns
-            silent = not (powers.p_ul.any() or powers.p_dl.any())
-            for mode in WeightMode:
-                for mu in (0.0, 0.5, 1.0):
-                    w = make_weights(mode, g)
-                    with (pytest.warns(UserWarning, match="all-zero") if silent
-                          else contextlib.nullcontext()):
-                        got = outcome_metrics(pairing, powers, g, base, w, mu)
-                        want = reference_outcome_metrics(pairing, powers, g, base, w, mu)
-                    assert np.array_equal(got.se_ul, want.se_ul)
-                    assert np.array_equal(got.se_dl, want.se_dl)
-                    assert got.objective == want.objective
-                    assert got.sum_se == want.sum_se
-                    assert got.min_se == want.min_se
-                    assert got.jain == want.jain
+            partners[s, rng.permutation(num_ul)[:n_pairs]] = rng.permutation(num_dl)[:n_pairs]
+            p_ul[s] = base.p_max_ul_w * np.where(rng.random(num_ul) < 0.3, rng.random(num_ul),
+                                                 rng.choice(levels, num_ul))
+            p_dl[s] = base.p_max_dl_w * np.where(rng.random(num_dl) < 0.3, rng.random(num_dl),
+                                                 rng.choice(levels, num_dl))
+        # every user silent: every SE is zero, and jain_index warns
+        silent = [not (u.any() or d.any()) for u, d in zip(p_ul, p_dl)]
 
-    def test_dimension_mismatch_rejected(self):
-        g = table([1e-8], [1e-8], [[1e-9]])
-        params = params_with(num_ul=1, num_dl=1, num_channels=1)
-        w = make_weights(WeightMode.SUM_RATE, g)
-        with pytest.raises(ValueError):
-            outcome_metrics(pairing_from_ul_partners([None, None], 1),
-                            PowerAllocation(np.ones(2), np.ones(1)), g, params, w, 0.5)
+        def warns(quiet):
+            return pytest.warns(UserWarning, match="all-zero") if quiet else contextlib.nullcontext()
+
+        with warns(any(silent)):
+            se_ul, se_dl, sums, minima, jain = outcome_metrics(chunk, base, drops, partners,
+                                                               p_ul, p_dl)
+        for mode in WeightMode:
+            w = make_weights(mode, chunk)
+            rows = WeightVector(w.alpha_ul[drops], w.alpha_dl[drops])
+            for mu in (0.0, 0.5, 1.0):
+                objectives = objective_value(se_ul, se_dl, minima, rows, np.full(count, mu))
+                for s, d in enumerate(drops.tolist()):
+                    g = chunk.drop(d)
+                    with warns(silent[s]):
+                        want = reference_outcome_metrics(partners[s], p_ul[s], p_dl[s], g,
+                                                         base, make_weights(mode, g), mu)
+                    assert np.array_equal(se_ul[s], want.se_ul)
+                    assert np.array_equal(se_dl[s], want.se_dl)
+                    assert objectives[s] == want.objective
+                    assert sums[s] == want.sum_se
+                    assert minima[s] == want.min_se
+                    assert jain[s] == want.jain
+
+
+class TestOutcomeMetricsRejects:
+    """outcome_metrics checks the schedules it is given, one row each:
+    shapes that match the chunk's gains, partners in [-1, J) and no DL
+    user in two pairs, in any row of the stack."""
+
+    PARAMS = params_with(num_ul=2, num_dl=2, num_channels=4)
+    CHUNK = GainTable(np.full((2, 2), 1e-8), np.full((2, 2), 1e-8), np.full((2, 2, 2), 1e-9))
+
+    def evaluate(self, partners, drops=None, p_ul=None, p_dl=None):
+        partners = np.asarray(partners)
+        count = len(partners)
+        return outcome_metrics(
+            self.CHUNK, self.PARAMS, np.zeros(count, int) if drops is None else drops, partners,
+            np.ones((count, 2)) if p_ul is None else p_ul,
+            np.ones((count, 2)) if p_dl is None else p_dl)
+
+    def test_valid_rows_pass(self):
+        # several users alone share the partner -1, which is no reuse
+        se_ul, se_dl, *_ = self.evaluate([[-1, -1], [0, 1], [1, 0], [-1, 1], [0, -1]],
+                                         drops=[0, 1, 0, 1, 1])
+        assert se_ul.shape == se_dl.shape == (5, 2)
+
+    @pytest.mark.parametrize("partners, drops, p_ul, p_dl", [
+        ([[-1, -1, 0]], None, None, None),              # a third UL user
+        ([[0]], None, None, None),                      # a missing UL user
+        ([[0, 1]], None, np.ones((1, 3)), None),        # a UL power too many
+        ([[0, 1]], None, None, np.ones((1, 1))),        # a DL power missing
+        ([[0, 1]], None, np.ones((2, 2)), None),        # powers of another schedule
+        ([[0, 1]], [0, 1], None, None),                 # two drops for one schedule
+    ])
+    def test_shape_mismatch_rejected(self, partners, drops, p_ul, p_dl):
+        with pytest.raises(ValueError, match="do not match"):
+            self.evaluate(partners, drops, p_ul, p_dl)
+
+    @pytest.mark.parametrize("partners", [[[-2, -1]], [[2, -1]], [[-1, 5]],
+                                          [[0, 1], [1, 0], [0, 2]]])
+    def test_partner_out_of_range_rejected(self, partners):
+        # unchecked, -2 would read DL user J - 2's power and 2 would raise IndexError
+        with pytest.raises(ValueError, match="out of range"):
+            self.evaluate(partners)
+
+    @pytest.mark.parametrize("partners", [[[1, 1]], [[0, 0]],
+                                          [[0, 1], [-1, -1], [1, 1], [1, 0]]])
+    def test_dl_user_in_two_pairs_rejected(self, partners):
+        with pytest.raises(ValueError, match="another pair"):
+            self.evaluate(partners)
 
 
 class TestPowerBeyondCorners:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdsched.model import GainTable, Pairing, PowerAllocation, ScenarioParams, WeightMode
+from fdsched.model import GainTable, ScenarioParams, WeightMode, WeightVector
 from fdsched import solvers
 from fdsched.radio import (
     corner_benefit,
@@ -12,7 +12,6 @@ from fdsched.radio import (
     corner_tables,
     make_weights,
     objective_value,
-    outcome_metrics,
 )
 from fdsched.harness import drop_rng
 from fdsched.solvers import (
@@ -22,8 +21,9 @@ from fdsched.solvers import (
     solve_p_opt,
     solve_r_epa,
 )
-from oracles import (corner_se, drop_gain_table, dual_multipliers, modules_after, one_drop,
-                     pairing_from_ul_partners, power_candidates, solve_drop, tie_heavy_drop)
+from oracles import (chunk_of, corner_se, drop_gain_table, dual_multipliers, evaluate_schedule,
+                     modules_after, one_drop, pairs_of, power_candidates, solve_drop,
+                     tie_heavy_drop)
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10
@@ -109,12 +109,13 @@ def reference_p_opt(gains, params, weights, mu, power_levels=0):
                         best_pairs = pairs
                         best_combo = np.unravel_index(flat_idx, shape) if n_pairs else ()
 
-    pairing = Pairing.from_pairs(best_pairs, num_ul, num_dl)
+    partner_ul = np.full(num_ul, -1)
     p_ul = np.full(num_ul, params.p_max_ul_w)
     p_dl = np.full(num_dl, params.p_max_dl_w)
     for (i, j), cand in zip(best_pairs, best_combo):
+        partner_ul[i] = j
         p_ul[i], p_dl[j] = candidates[cand]
-    return outcome_metrics(pairing, PowerAllocation(p_ul, p_dl), gains, params, weights, mu)
+    return evaluate_schedule(partner_ul, p_ul, p_dl, gains, params, weights, mu)
 
 
 def assert_same_optimum(got, want):
@@ -132,7 +133,7 @@ def assert_tied_optimum(got, want):
 
 
 def recorded_assignments(monkeypatch):
-    """The (values, pairing) of every problem that solvers.assign_with_solo
+    """The (values, UL partners) of every problem that solvers.assign_with_solo
     solves from now on, each of a stacked call's problems on its own.
     P-OPT's scan writes a forbidden pair as a negative entry; every allowed
     entry is a weighted SE, so it is >= 0."""
@@ -141,7 +142,7 @@ def recorded_assignments(monkeypatch):
     def recorded(values, *args, _assign=solvers.assign_with_solo):
         solved = _assign(values, *args)
         if values.ndim == 3:
-            calls.extend((v, pairing) for v, (pairing, _) in zip(values, solved))
+            calls.extend(zip(values, solved[0]))
         else:
             calls.append((values, solved[0]))
         return solved
@@ -151,9 +152,9 @@ def recorded_assignments(monkeypatch):
 
 
 def assert_same_decisions(got, want):
-    assert got.pairing == want.pairing
-    assert got.powers.p_ul.tolist() == want.powers.p_ul.tolist()
-    assert got.powers.p_dl.tolist() == want.powers.p_dl.tolist()
+    assert got.partner_ul.tolist() == want.partner_ul.tolist()
+    assert got.p_ul.tolist() == want.p_ul.tolist()
+    assert got.p_dl.tolist() == want.p_dl.tolist()
     assert got.objective == want.objective or (np.isnan(got.objective)
                                                and np.isnan(want.objective))
 
@@ -167,9 +168,9 @@ class TestPOpt:
         g = table([1e-8], [1e-8], [[1e-30]])
         params = params_with(num_ul=1, num_dl=1, num_channels=1, si_cancellation=1e-30)
         out = one_drop(solve_p_opt, g, params, [(sr(g), 0.0)])[0]
-        assert out.pairing.num_pairs == 1
-        assert out.powers.p_ul[0] == params.p_max_ul_w
-        assert out.powers.p_dl[0] == params.p_max_dl_w
+        assert out.partner_ul.tolist() == [0]
+        assert out.p_ul[0] == params.p_max_ul_w
+        assert out.p_dl[0] == params.p_max_dl_w
 
     def test_huge_cross_gain_prefers_the_better_configuration(self):
         # with two channels available the pair may be split into two
@@ -179,23 +180,19 @@ class TestPOpt:
         w = sr(g)
         out = one_drop(solve_p_opt, g, params, [(w, 0.0)])[0]
         candidates = []
-        solo = outcome_metrics(pairing_from_ul_partners([None], 1),
-                               PowerAllocation(np.array([params.p_max_ul_w]),
-                                               np.array([params.p_max_dl_w])),
-                               g, params, w, 0.0)
-        paired_off = outcome_metrics(pairing_from_ul_partners([0], 1),
-                                     PowerAllocation(np.array([params.p_max_ul_w]),
-                                                     np.array([0.0])),
-                                     g, params, w, 0.0)
+        solo = evaluate_schedule([-1], np.array([params.p_max_ul_w]),
+                                 np.array([params.p_max_dl_w]), g, params, w, 0.0)
+        paired_off = evaluate_schedule([0], np.array([params.p_max_ul_w]), np.array([0.0]),
+                                       g, params, w, 0.0)
         expected = max(solo.objective, paired_off.objective)
         assert out.objective >= expected - 1e-12
-        assert out.pairing.num_pairs == 0  # two solos dominate here
+        assert out.partner_ul.tolist() == [-1]  # two solos dominate here
 
     def test_respects_channel_budget_at_full_load(self):
         params = params_with()
         g = random_drop(np.random.default_rng(0), params)
         out = one_drop(solve_p_opt, g, params, [(sr(g), 0.1)])[0]
-        assert out.pairing.num_pairs == 4  # 8 users on 4 channels
+        assert len(pairs_of(out.partner_ul)) == 4  # 8 users on 4 channels
 
     def test_channel_budget_guard(self):
         # 5+5 users cannot fit 4 channels: 6 forced pairs, at most 5 possible
@@ -237,7 +234,6 @@ class TestPOpt:
         params = params_with(num_ul=2, num_dl=2, num_channels=4)
         corners = ((params.p_max_ul_w, params.p_max_dl_w),
                    (params.p_max_ul_w, 0.0), (0.0, params.p_max_dl_w))
-        from fdsched.model import Pairing, PowerAllocation
         for _ in range(10):
             g = random_drop(rng, params)
             w = sr(g)
@@ -245,14 +241,14 @@ class TestPOpt:
             for n_pairs in range(0, 3):
                 for us in itertools.combinations(range(2), n_pairs):
                     for ds in itertools.permutations(range(2), n_pairs):
-                        pairing = Pairing.from_pairs(list(zip(us, ds)), 2, 2)
+                        partner_ul = np.full(2, -1)
+                        partner_ul[list(us)] = ds
                         for combo in itertools.product(range(3), repeat=n_pairs):
                             p_ul = np.full(2, params.p_max_ul_w)
                             p_dl = np.full(2, params.p_max_dl_w)
                             for (i, j), c in zip(zip(us, ds), combo):
                                 p_ul[i], p_dl[j] = corners[c]
-                            out = outcome_metrics(pairing, PowerAllocation(p_ul, p_dl),
-                                                  g, params, w, 0.7)
+                            out = evaluate_schedule(partner_ul, p_ul, p_dl, g, params, w, 0.7)
                             best = max(best, out.objective)
             got = one_drop(solve_p_opt, g, params, [(w, 0.7)])[0]
             assert got.objective == pytest.approx(best, rel=1e-12)
@@ -333,9 +329,9 @@ class TestPOptMatchesLoopReference:
                 calls.clear()
                 got = one_drop(solve_p_opt, g, params, [(w, mu)])[0]
                 assert_same_optimum(got, reference_p_opt(g, params, w, mu))
-                won += any(values.min() < 0 and pairing == got.pairing
-                           and all(values[i, j] >= 0 for i, j in pairing.pairs())
-                           for values, pairing in calls)
+                won += any(values.min() < 0 and partner.tolist() == got.partner_ul.tolist()
+                           and all(values[i, j] >= 0 for i, j in pairs_of(partner))
+                           for values, partner in calls)
         assert won >= 5
 
     def test_infeasible_threshold(self, monkeypatch):
@@ -347,8 +343,8 @@ class TestPOptMatchesLoopReference:
         g = random_drop(np.random.default_rng(9), params)
         calls = recorded_assignments(monkeypatch)
         got = one_drop(solve_p_opt, g, params, [(sr(g), 0.9)])[0]
-        infeasible = [values for values, pairing in calls
-                      if any(values[i, j] < 0 for i, j in pairing.pairs())]
+        infeasible = [values for values, partner in calls
+                      if any(values[i, j] < 0 for i, j in pairs_of(partner))]
         assert len(infeasible) == 1
         assert (infeasible[0] >= 0).any(axis=0).all() and (infeasible[0] >= 0).any(axis=1).all()
         assert_same_optimum(got, reference_p_opt(g, params, sr(g), 0.9))
@@ -394,9 +390,10 @@ class TestPOptAtScale:
                 # a random perfect matching, half the samples at (Pmax, Pmax)
                 corners = rng.integers(0, 3, 25) if n % 2 else np.zeros(25, int)
                 powers = np.array([points[c] for c in corners])
-                pairing = pairing_from_ul_partners(rng.permutation(25).tolist(), 25)
-                sample = outcome_metrics(pairing, PowerAllocation(powers[:, 0], powers[:, 1]),
-                                         g, params, w, 0.0)
+                partner_ul = rng.permutation(25)
+                p_dl = np.empty(25)
+                p_dl[partner_ul] = powers[:, 1]
+                sample = evaluate_schedule(partner_ul, powers[:, 0], p_dl, g, params, w, 0.0)
                 for mu, c in zip(mus, ceiling):
                     assert objective_value(sample.se_ul, sample.se_dl, sample.min_se, w, mu) <= c
 
@@ -434,28 +431,28 @@ class TestCHun:
         g = random_drop(np.random.default_rng(4), params)
         a = one_drop(solve_c_hun, g, params, [(sr(g), 0.9)])[0]
         b = one_drop(solve_c_hun, g, params, [(sr(g), 0.9)])[0]
-        assert a.pairing == b.pairing
-        assert np.array_equal(a.powers.p_ul, b.powers.p_ul)
+        assert np.array_equal(a.partner_ul, b.partner_ul)
+        assert np.array_equal(a.p_ul, b.p_ul)
         assert a.objective == b.objective
 
     def test_pairs_fill_the_channel_budget(self):
         params = params_with()
         g = random_drop(np.random.default_rng(5), params)
-        assert one_drop(solve_c_hun, g, params, [(sr(g), 0.1)])[0].pairing.num_pairs == 4
+        assert len(pairs_of(one_drop(solve_c_hun, g, params, [(sr(g), 0.1)])[0].partner_ul)) == 4
 
     def test_solo_users_allowed_with_spare_channels(self):
         params = params_with(num_ul=2, num_dl=2, num_channels=4)
         g = table([1e-8, 1e-8], [1e-8, 1e-8], np.full((2, 2), 1e-6))
         out = one_drop(solve_c_hun, g, params, [(sr(g), 0.0)])[0]
-        assert out.pairing.num_pairs == 0  # crushing cross gain, keep apart
+        assert out.partner_ul.tolist() == [-1, -1]  # crushing cross gain, keep apart
 
     def test_one_direction_empty(self):
         params = params_with(num_ul=1, num_dl=0, num_channels=1)
         g = GainTable(g_ul=np.array([1e-8]), g_dl=np.zeros(0),
                       g_cross=np.zeros((1, 0)))
         out = one_drop(solve_c_hun, g, params, [(sr(g), 0.2)])[0]
-        assert out.pairing.partner_of_ul == (None,)
-        assert out.powers.p_ul[0] == params.p_max_ul_w
+        assert out.partner_ul.tolist() == [-1]
+        assert out.p_ul[0] == params.p_max_ul_w
         assert out.se_dl.size == 0
         assert out.min_se == out.se_ul[0]
 
@@ -465,9 +462,8 @@ class TestCHun:
         params = params_with(num_ul=0, num_dl=3, num_channels=num_channels)
         g = random_drop(np.random.default_rng(9), params)
         out = one_drop(strategy, g, params, [(sr(g), 0.5)])[0]
-        assert out.pairing.num_pairs == 0
-        assert out.pairing.partner_of_dl == (None, None, None)
-        assert np.all(out.powers.p_dl == params.p_max_dl_w)
+        assert out.partner_ul.shape == (0,)   # no UL user, so no pair
+        assert np.all(out.p_dl == params.p_max_dl_w)
         assert out.se_ul.size == 0
         assert np.all(out.se_dl > 0)
 
@@ -490,7 +486,7 @@ class TestCNInt:
         g = GainTable(g0.g_ul, g0.g_dl, np.zeros_like(g0.g_cross))
         a = one_drop(solve_c_hun, g, params, [(sr(g), 0.5)])[0]
         b = one_drop(solve_c_nint, g, params, [(sr(g), 0.5)])[0]
-        assert a.pairing == b.pairing
+        assert np.array_equal(a.partner_ul, b.partner_ul)
         assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
     def test_planned_dl_rates_never_below_realized(self):
@@ -499,7 +495,8 @@ class TestCNInt:
             g = random_drop(np.random.default_rng(seed), params)
             out = one_drop(solve_c_nint, g, params, [(sr(g), 0.9)])[0]
             blind = GainTable(g.g_ul, g.g_dl, np.zeros_like(g.g_cross))
-            planned = outcome_metrics(out.pairing, out.powers, blind, params, sr(g), 0.9)
+            planned = evaluate_schedule(out.partner_ul, out.p_ul, out.p_dl, blind, params,
+                                        sr(g), 0.9)
             assert np.all(planned.se_dl >= out.se_dl - 1e-12)
 
     def test_realized_objective_not_better_than_c_hun_on_average(self):
@@ -518,24 +515,24 @@ class TestREpa:
         params = params_with(num_ul=1, num_dl=1, num_channels=1)
         g = table([1e-8], [1e-8], [[1e-9]])
         out = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], np.random.default_rng(0))[0]
-        assert out.pairing.pairs() == [(0, 0)]
-        assert out.powers.p_ul[0] == params.p_max_ul_w
-        assert out.powers.p_dl[0] == params.p_max_dl_w
+        assert pairs_of(out.partner_ul) == [(0, 0)]
+        assert out.p_ul[0] == params.p_max_ul_w
+        assert out.p_dl[0] == params.p_max_dl_w
 
     def test_fixed_seed_reproducible(self):
         params = params_with()
         g = random_drop(np.random.default_rng(8), params)
         a = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], np.random.default_rng(123))[0]
         b = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], np.random.default_rng(123))[0]
-        assert a.pairing == b.pairing
+        assert np.array_equal(a.partner_ul, b.partner_ul)
 
     def test_pairs_maximally_when_sides_differ(self):
         params = params_with(num_ul=2, num_dl=4, num_channels=4)
         g = random_drop(np.random.default_rng(9), params)
         out = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], np.random.default_rng(1))[0]
-        assert out.pairing.num_pairs == 2
-        assert np.all(out.powers.p_ul == params.p_max_ul_w)
-        assert np.all(out.powers.p_dl == params.p_max_dl_w)
+        assert len(pairs_of(out.partner_ul)) == 2
+        assert np.all(out.p_ul == params.p_max_ul_w)
+        assert np.all(out.p_dl == params.p_max_dl_w)
 
     def test_matchings_are_roughly_uniform(self):
         params = params_with(num_ul=2, num_dl=2, num_channels=2)
@@ -544,7 +541,7 @@ class TestREpa:
         counts = {(0, 1): 0, (1, 0): 0}
         for _ in range(400):
             out = one_drop(solve_r_epa, g, params, [(sr(g), 0.5)], rng)[0]
-            counts[tuple(out.pairing.partner_of_ul)] += 1
+            counts[tuple(out.partner_ul.tolist())] += 1
         assert abs(counts[(0, 1)] - 200) < 60
 
     @pytest.mark.parametrize("num_ul, num_dl", [(2, 4), (4, 4), (5, 3)])
@@ -558,7 +555,7 @@ class TestREpa:
         perm = ref_rng.permutation(max(num_ul, num_dl)).tolist()
         pairs = [(k, perm[k]) if num_ul <= num_dl else (perm[k], k)
                  for k in range(min(num_ul, num_dl))]
-        assert out.pairing.pairs() == sorted(pairs)
+        assert pairs_of(out.partner_ul) == sorted(pairs)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_average_sum_se_below_c_hun(self):
@@ -590,9 +587,9 @@ class TestObjectiveFree:
                                                np.random.default_rng(100 + seed))[0])
             first = outcomes[0]
             for out in outcomes[1:]:
-                assert out.pairing == first.pairing
-                assert np.array_equal(out.powers.p_ul, first.powers.p_ul)
-                assert np.array_equal(out.powers.p_dl, first.powers.p_dl)
+                assert np.array_equal(out.partner_ul, first.partner_ul)
+                assert np.array_equal(out.p_ul, first.p_ul)
+                assert np.array_equal(out.p_dl, first.p_dl)
                 assert np.array_equal(out.se_ul, first.se_ul)
                 assert np.array_equal(out.se_dl, first.se_dl)
 
@@ -632,7 +629,7 @@ class TestSeveralObjectives:
     def test_rescored_outcomes_equal_a_fresh_evaluation(self, name):
         # an objective whose schedule an earlier one chose shares that
         # outcome's SE arrays and is only rescored; every field must equal
-        # outcome_metrics of its own schedule under its own objective
+        # the evaluation of its own schedule under its own objective
         fig2 = [(WeightMode.SUM_RATE, mu) for mu in (0.1, 0.5, 0.9)]
         repeats = 0
         for shape in P_OPT_SHAPES:
@@ -643,30 +640,31 @@ class TestSeveralObjectives:
                 for objectives in (MIXED_OBJECTIVES, fig2):
                     outcomes = solve_drop(name, g, params, objectives)
                     for n, ((mode, mu), got) in enumerate(zip(objectives, outcomes)):
-                        fresh = outcome_metrics(got.pairing, got.powers, g, params,
-                                                make_weights(mode, g), mu)
+                        fresh = evaluate_schedule(got.partner_ul, got.p_ul, got.p_dl, g,
+                                                  params, make_weights(mode, g), mu)
                         assert_same_outcome(got, fresh)
                         repeats += any(got.se_ul is earlier.se_ul for earlier in outcomes[:n])
         assert repeats > 0
 
-    def test_p_opt_builds_each_winners_schedule_once(self, monkeypatch):
-        made = []
+    def test_p_opt_evaluates_each_winners_schedule_once(self, monkeypatch):
+        rows = []
 
-        def counted(*args, _make=solvers._corner_schedule):
-            made.append(_make(*args))
-            return made[-1]
+        def counted(gains, params, drops, *schedules, _metrics=solvers.outcome_metrics):
+            rows.append(len(drops))
+            return _metrics(gains, params, drops, *schedules)
 
-        monkeypatch.setattr(solvers, "_corner_schedule", counted)
+        monkeypatch.setattr(solvers, "outcome_metrics", counted)
         fig2 = [(WeightMode.SUM_RATE, mu) for mu in (0.1, 0.5, 0.9)]
         params = params_with()
         rng = np.random.default_rng(41)
         shared = 0
         for _ in range(20):
-            made.clear()
+            rows.clear()
             outcomes = solve_drop("P-OPT", random_drop(rng, params), params, fig2)
-            # objectives with one winner share its pairing object
-            assert len(made) == len({id(o.pairing) for o in outcomes})
-            shared += len(made) < len(fig2)
+            # objectives with one winner share its evaluated arrays
+            assert rows == [len({id(o.partner_ul) for o in outcomes})]
+            assert len({id(o.se_ul) for o in outcomes}) == rows[0]
+            shared += rows[0] < len(fig2)
         assert shared > 0
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
@@ -686,51 +684,54 @@ class TestSeveralObjectives:
 
 
 class TestSilencedPartnerRepeats:
-    """_outcomes evaluates a schedule once per distinct pairing and power
-    bytes.  Schedules that differ only in the partner of a silenced user give
-    the same SINRs but are evaluated separately; each outcome still reports
-    its own schedule."""
+    """_outcomes evaluates a schedule once per distinct partner and power
+    bytes of a drop.  Schedules that differ only in the partner of a
+    silenced user give the same SINRs but are evaluated separately; each
+    outcome still reports its own schedule."""
 
     PMAX = ScenarioParams().p_max_ul_w
 
     def schedules(self, silenced):
         # 2 UL, 3 DL: the silenced user is paired in the first schedule and
-        # moves to another partner (or none) in the second
-        p_ul, p_dl = [self.PMAX] * 2, [self.PMAX] * 3
+        # moves to another partner (or none) in the second; corners index
+        # corner_points: 1 silences the DL user of a pair, 2 the UL user
         if silenced == "ul":
-            p_ul[0] = 0.0
-            pairs = [[(0, 0), (1, 2)], [(0, 1), (1, 2)]]
-        elif silenced == "dl":
-            p_dl[0] = 0.0
-            pairs = [[(0, 0)], [(1, 0)]]
-        elif silenced == "same":   # equal pairings and power bytes, distinct objects
-            return [(Pairing.from_pairs([(0, 0), (1, 2)], 2, 3),
-                     PowerAllocation(np.array(p_ul), np.array(p_dl))) for _ in range(2)]
-        else:   # an active pair moves: a real change
-            pairs = [[(0, 0), (1, 2)], [(0, 1), (1, 2)]]
-        powers = PowerAllocation(np.array(p_ul), np.array(p_dl))
-        return [(Pairing.from_pairs(p, 2, 3), powers) for p in pairs]
+            return [[0, 2], [1, 2]], [[2, 0], [2, 0]]
+        if silenced == "dl":
+            return [[0, -1], [-1, 0]], [[1, 0], [0, 1]]
+        if silenced == "same":   # equal partners and powers
+            return [[0, 2], [0, 2]], [[0, 0], [0, 0]]
+        return [[0, 2], [1, 2]], [[0, 0], [0, 0]]   # an active pair moves: a real change
 
     @pytest.mark.parametrize("silenced, evaluations",
                              [("ul", 2), ("dl", 2), (None, 2), ("same", 1)])
     def test_one_evaluation_and_own_schedules(self, silenced, evaluations, monkeypatch):
         params = params_with(num_ul=2, num_dl=3, num_channels=5)
         g = random_drop(np.random.default_rng(23), params)
-        calls = []
+        rows = []
 
-        def counted(*args, _metrics=solvers.outcome_metrics):
-            calls.append(args[0])
-            return _metrics(*args)
+        def counted(gains, params, drops, *schedules, _metrics=solvers.outcome_metrics):
+            rows.append(len(drops))
+            return _metrics(gains, params, drops, *schedules)
 
         monkeypatch.setattr(solvers, "outcome_metrics", counted)
-        schedules = self.schedules(silenced)
-        objectives = [(sr(g), 0.5), (make_weights(WeightMode.PATH_LOSS_COMPENSATION, g), 0.9)]
-        outcomes = solvers._outcomes(schedules, g, params, objectives)
-        assert len(calls) == evaluations
+        partners, corners = self.schedules(silenced)
+        weights = [sr(g), make_weights(WeightMode.PATH_LOSS_COMPENSATION, g)]
+        objectives = [(w, mu) for w, mu in zip(weights, (0.5, 0.9))]
+        chunked = [(WeightVector(w.alpha_ul[None], w.alpha_dl[None]), mu) for w, mu in objectives]
+        outcomes, = solvers._outcomes(chunk_of(g), params, chunked, np.array([partners]),
+                                      np.array([corners], dtype=np.int8))
+        assert rows == [evaluations]
         assert (outcomes[1].se_ul is outcomes[0].se_ul) == (evaluations == 1)
-        for (pairing, powers), (weights, mu), got in zip(schedules, objectives, outcomes):
-            assert got.pairing is pairing and got.powers is powers
-            assert_same_outcome(got, outcome_metrics(pairing, powers, g, params, weights, mu))
+        points = corner_points(params)
+        for partner, corner, (w, mu), got in zip(partners, corners, objectives, outcomes):
+            p_ul, p_dl = [self.PMAX] * 2, [self.PMAX] * 3
+            for (i, j), c in zip(pairs_of(partner), [c for j, c in zip(partner, corner) if j >= 0]):
+                p_ul[i], p_dl[j] = points[c]
+            assert got.partner_ul.tolist() == partner
+            assert got.p_ul.tolist() == p_ul and got.p_dl.tolist() == p_dl
+            assert_same_outcome(got, evaluate_schedule(partner, np.array(p_ul), np.array(p_dl),
+                                                       g, params, w, mu))
 
 
 class TestOptimalitySandwich:
@@ -803,7 +804,7 @@ class TestRegistry:
         block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
         exec(block.split("```", 1)[0], {})
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 2 and lines[0].startswith("[(")
+        assert len(lines) == 2 and lines[0].startswith("[")
 
     def test_unknown_strategy(self):
         params = params_with()
