@@ -151,8 +151,9 @@ def objective_value(se_ul, se_dl, min_se, weights: WeightVector, mu):
     mu outside [0, 1] fails even when a strategy function is called directly
     rather than by solve.  alpha . SE is a batched matmul, each row's vector @."""
     mu = np.asarray(mu, dtype=float)
-    for bad in mu[~((mu >= 0.0) & (mu <= 1.0))].tolist()[:1]:
-        check_mu(bad)
+    bad = mu[~((mu >= 0.0) & (mu <= 1.0))]
+    if bad.size:
+        check_mu(float(bad.flat[0]))
     weighted = (np.matmul(weights.alpha_ul[..., None, :], se_ul[..., :, None])
                 + np.matmul(weights.alpha_dl[..., None, :], se_dl[..., :, None]))[..., 0, 0]
     return (1.0 - mu) * weighted + mu * min_se
