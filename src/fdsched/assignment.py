@@ -35,12 +35,6 @@ _PRUNE_MIN_SPARE_ENTRIES = 256
 _LOCKSTEP_MIN_PROBLEMS = 50
 
 
-def _selected_total(values: np.ndarray, assignment: dict[int, int]) -> float:
-    rows = sorted(assignment)
-    cols = [assignment[r] for r in rows]
-    return float(values[rows, cols].sum()) if rows else 0.0
-
-
 def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     """Exact minimum-cost assignment of the rows of an n x m cost, n <= m.
 
@@ -281,7 +275,8 @@ def hungarian_max(values) -> tuple[dict[int, int], float]:
         assignment = {r: c for c, r in enumerate(matched)}
     else:
         assignment = dict(enumerate(matched))
-    return assignment, _selected_total(values, assignment)
+    rows = sorted(assignment)
+    return assignment, float(values[rows, [assignment[r] for r in rows]].sum())
 
 
 def min_pairs(num_ul: int, num_dl: int, num_channels: int) -> int:
@@ -294,26 +289,22 @@ def min_pairs(num_ul: int, num_dl: int, num_channels: int) -> int:
     return forced
 
 
-def _max_assignments(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, n) column of each row and the (B,) total benefit of the
-    maximum-total assignment of every n x m benefit matrix of a (B, n, m)
-    stack, n <= m.
+def _max_assignments(rects: np.ndarray) -> np.ndarray:
+    """The (B, n) column of each row of the maximum-total assignment of
+    every n x m benefit matrix of a (B, n, m) stack, n <= m.
 
     A stack of at least _LOCKSTEP_MIN_PROBLEMS matrices too narrow to be
     pruned is solved in lockstep (_min_cost_assignments); any other goes
     through hungarian_max one matrix at a time.  Both pick the same
-    matching and add up the same floats.
+    matching.
     """
     count, n, m = rects.shape
     if count < _LOCKSTEP_MIN_PROBLEMS or n * (m - n) >= _PRUNE_MIN_SPARE_ENTRIES:
-        solved = [hungarian_max(rect) for rect in rects]
-        return (np.array([list(mapping.values()) for mapping, _ in solved],
-                         dtype=np.intp).reshape(count, n),
-                np.array([total for _, total in solved]))
+        return np.array([list(hungarian_max(rect)[0].values()) for rect in rects],
+                        dtype=np.intp).reshape(count, n)
     if not np.all(np.isfinite(rects)):
         raise ValueError("assignment matrix has non-finite entries")
-    cols = _min_cost_assignments(rects, rects.max(axis=(1, 2)))
-    return cols, np.take_along_axis(rects, cols[..., None], axis=2)[..., 0].sum(axis=1)
+    return _min_cost_assignments(rects, rects.max(axis=(1, 2)))
 
 
 def assign_with_solo(
@@ -323,21 +314,22 @@ def assign_with_solo(
     num_channels: int,
 ):
     """Choose pairs or stand-alone users to maximize the separable benefit;
-    returns (partner_ul, total benefit): partner_ul[i] is UL user i's DL
-    partner, or -1 where it stands alone.
+    returns partner_ul: partner_ul[i] is UL user i's DL partner, or -1
+    where it stands alone.
 
     Pairing UL i with DL j scores values[i, j]; a user alone on a channel
     scores solo_ul[i] or solo_dl[j].  With P pairs the schedule occupies
     I + J - P channels, so at least P = I + J - num_channels pairs are
     forced (min_pairs).  Solved as an I x (J + I - P) rectangle: row i
     takes DL column j at values[i, j] - solo_dl[j] or one of I - P solo
-    columns at solo_ul[i], and solo_dl.sum() is added back.  With J = P
-    every DL user pairs, so the shift would only add rounding and is
-    skipped; with I = J = P the rectangle is values itself.
+    columns at solo_ul[i]; every schedule's total is its rectangle total
+    plus solo_dl.sum().  With J = P every DL user pairs, so the shift would
+    only add rounding and is skipped; with I = J = P the rectangle is
+    values itself.
 
     A leading problem axis, (B, I, J) values with (B, I) and (B, J) solo
     rows, solves B problems of one cell in one _max_assignments call and
-    returns their (B, I) partner rows and (B,) totals.
+    returns their (B, I) partner rows.
     """
     stacked = values.ndim == 3
     shape = solo_ul.shape[:-1] + (solo_ul.shape[-1], solo_dl.shape[-1])
@@ -348,22 +340,18 @@ def assign_with_solo(
     count, num_ul, num_dl = values.shape
     forced_pairs = min_pairs(num_ul, num_dl, num_channels)
     width = num_dl + num_ul - forced_pairs
-    shifts = 0.0
     if num_ul == 0:
-        partners, totals = np.empty((count, 0), dtype=np.intp), np.zeros(count)
-        shifts = solo_dl.sum(axis=1)
+        partners = np.empty((count, 0), dtype=np.intp)
     else:
         if num_dl > forced_pairs:                # some DL user may stand alone
             rect = np.empty((count, num_ul, width))
             np.subtract(values, solo_dl[:, None, :], out=rect[..., :num_dl])
-            shifts = solo_dl.sum(axis=1)
         elif width == num_dl:
             rect = np.asarray(values, dtype=float)
         else:
             rect = np.empty((count, num_ul, width))
             rect[..., :num_dl] = values
         rect[..., num_dl:] = solo_ul[..., None]
-        partners, totals = _max_assignments(rect)
+        partners = _max_assignments(rect)
         partners[partners >= num_dl] = -1
-    totals = totals + shifts
-    return (partners, totals) if stacked else (partners[0], float(totals[0]))
+    return partners if stacked else partners[0]

@@ -170,8 +170,9 @@ class RunRecord:
 # A chunk holds about this many bytes at once: its gain tables (I * J + 3 *
 # (I + J) + 2 float64s with the positions) and what its costliest strategy
 # holds per drop: the stacked benefits (I x (J + I - P) float64s a problem)
-# and, for P-OPT, the corner tables (I * J + 2 * I + J float64s) it keeps
-# until the chunk is solved.  A lockstep problem costs 0.25 ms at 25 x 25 in
+# and, for P-OPT, the corner tables and pair minima (2 * I * J + 2 * I + J
+# float64s) it keeps until the chunk is solved; a threshold round stacks at
+# most one problem per drop and weight vector, as the max-sum stack does.  A lockstep problem costs 0.25 ms at 25 x 25 in
 # a stack of 60, 0.18 ms in one of 120 and 0.15 ms in one of 240 (ROADMAP
 # item 2); 1 MiB is 64 fig3 drops, stacks of 128, and raised a 60-drop fig3
 # run's peak RSS by 1.2 MB (3%) over stacks of 60.  The gain-table builder's
@@ -187,7 +188,7 @@ def _chunk_drops(cfg: ExperimentConfig) -> tuple[int, int]:
     ul, dl = cfg.params.num_ul, cfg.params.num_dl
     width = dl + ul - assignment.min_pairs(ul, dl, cfg.params.num_channels)
     stacks = [stacked_problems(name, objectives) for name in cfg.strategies]
-    held = max(n * ul * width + (ul * dl + 2 * ul + dl if name == "P-OPT" else 0)
+    held = max(n * ul * width + (2 * ul * dl + 2 * ul + dl if name == "P-OPT" else 0)
                for name, n in zip(cfg.strategies, stacks))
     most = max(_CHUNK_BYTES // (8 * (held + ul * dl + 3 * (ul + dl) + 2)), 1)
     lockstep = max(stacks) and ul * (width - ul) < assignment._PRUNE_MIN_SPARE_ENTRIES

@@ -8,8 +8,8 @@ reads them), the ScenarioParams and one list of objectives (weights with
 the same drop axis, mu) to one list of ScheduleOutcomes per drop, one per
 objective, in order, with metrics computed on the true gains.  Weights,
 corner tables and pair benefits are array passes over the whole chunk,
-and every drop's Hungarian problems of one strategy go to one
-assign_with_solo call, which solves a large enough stack in lockstep.  A
+and the Hungarian problems of every drop go to one assign_with_solo call
+per strategy (or per P-OPT round), which solves a large stack in lockstep.  A
 strategy's schedules for the chunk are two (D, K, I) arrays, the UL
 partners (-1 for a user alone) and the pairs' corner_points indices;
 _outcomes evaluates each drop's distinct schedules in one outcome_metrics
@@ -22,7 +22,6 @@ P pairs occupies I + J - P channels, so at least I + J - F pairs are forced.
 
 from __future__ import annotations
 
-import bisect
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ from .radio import (
 )
 
 Objectives = Sequence[tuple[WeightVector, float]]
+_BLOCK_ENTRIES = 1 << 16   # pair entries a threshold round gathers at once
 Generators = Optional[Sequence[np.random.Generator]]
 
 
@@ -100,9 +100,9 @@ def _best_corner_assignments(tables: CornerTables, objectives: Objectives,
     drops, num_ul, num_dl = tables.paired_se_dl.shape
     del tables   # C-HUN's tables go before the assignment's own arrays are made
     count = len(objectives) * drops
-    partners, _ = assign_with_solo(best.reshape(count, num_ul, num_dl),
-                                   solo_ul.reshape(count, num_ul),
-                                   solo_dl.reshape(count, num_dl), num_channels)
+    partners = assign_with_solo(best.reshape(count, num_ul, num_dl),
+                                solo_ul.reshape(count, num_ul),
+                                solo_dl.reshape(count, num_dl), num_channels)
     chosen = np.zeros(partners.shape, dtype=corners.dtype)
     n, i = np.nonzero(partners >= 0)
     chosen[n, i] = corners.reshape(count, num_ul, num_dl)[n, i, partners[n, i]]
@@ -148,19 +148,31 @@ def solve_c_nint(gains: GainTable, rngs: Generators, params: ScenarioParams,
 # The exact optimum
 # ---------------------------------------------------------------------------
 
-def _scored(tables: CornerTables, weights: WeightVector, partner_ul: np.ndarray,
-            corners: np.ndarray):
-    """(partner_ul, corners, weighted sum, minimum) of a corner schedule's
-    corner-table SEs."""
-    se_ul, se_dl = tables.solo_se_ul.copy(), tables.solo_se_dl.copy()
-    i = np.flatnonzero(partner_ul >= 0)
-    j, corner = partner_ul[i], corners[i]
+def _scored(tables: CornerTables, drops: np.ndarray, alpha_ul: np.ndarray,
+            alpha_dl: np.ndarray, partner_ul: np.ndarray, corners: np.ndarray):
+    """The (R,) weighted sums and minima of the corner-table SEs of R corner
+    schedules: row r schedules drop drops[r] under weights alpha_ul[r] and
+    alpha_dl[r], with UL partners partner_ul[r] at corners corners[r]."""
+    se_ul, se_dl = tables.solo_se_ul[drops], tables.solo_se_dl[drops]
+    r, i = np.nonzero(partner_ul >= 0)
+    d, j, corner = drops[r], partner_ul[r, i], corners[r, i]
     # (Pmax, Pmax) reads the paired SEs; at (Pmax, 0) the UL user keeps its
     # solo SE and the DL user reads 0, at (0, Pmax) the other way round
-    se_ul[i] = np.where(corner == 0, tables.paired_se_ul[i], np.where(corner == 1, se_ul[i], 0.0))
-    se_dl[j] = np.where(corner == 0, tables.paired_se_dl[i, j], np.where(corner == 1, 0.0, se_dl[j]))
-    return (partner_ul, corners, float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl),
-            float(np.concatenate([se_ul, se_dl]).min()))
+    se_ul[r, i] = np.where(corner == 0, tables.paired_se_ul[d, i],
+                           np.where(corner == 1, se_ul[r, i], 0.0))
+    se_dl[r, j] = np.where(corner == 0, tables.paired_se_dl[d, i, j],
+                           np.where(corner == 1, 0.0, se_dl[r, j]))
+    # a batched matmul sums each row as the vector @ does; einsum would not
+    sums = alpha_ul[:, None] @ se_ul[..., None] + alpha_dl[:, None] @ se_dl[..., None]
+    return sums[:, 0, 0], np.concatenate([se_ul, se_dl], axis=1).min(axis=1)
+
+
+def _next_thresholds(pair_min: np.ndarray, cap: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Per row of (R, I, J) pair minima: min(cap, the smallest one above
+    low), the scan's next threshold, or NaN (none) once low >= cap."""
+    above = np.where(pair_min > low[:, None, None], pair_min, np.inf)
+    t = np.minimum(cap, above.reshape(len(low), -1).min(axis=1, initial=np.inf))
+    return np.where(low < cap, t, np.nan)
 
 
 def solve_p_opt(gains: GainTable, rngs: Generators, params: ScenarioParams,
@@ -173,14 +185,14 @@ def solve_p_opt(gains: GainTable, rngs: Generators, params: ScenarioParams,
     If the optimum silences a user, its minimum SE is 0, so the max-sum
     schedule, C-HUN's at mu = 0, is optimal.  Otherwise every pair is at
     (Pmax, Pmax) and every solo user at Pmax, and the best sum with every
-    SE >= t is one assign_with_solo call with the pairs below t forbidden.
-    No SE exceeds its user's solo SE, nor, where the channel budget pairs
-    every user of one side, that user's best pair minimum; so t rises over
-    the pair minima up to the smallest of these caps, each step past the
+    SE >= t is one assignment with the pairs below t forbidden.  No SE
+    exceeds its user's solo SE, nor, where the channel budget pairs every
+    user of one side, that user's best pair minimum; so t rises over the
+    pair minima up to the smallest of these caps, each step past the
     minimum SE of the schedule just found (every t up to it gives that
-    schedule's sum).  The scan ends at an infeasible t, or once (1-mu) *
+    schedule's sum).  A scan ends at an infeasible t, or once (1-mu) *
     (the last sum, at first the max-sum schedule's) + mu * cap cannot beat
-    the incumbent, since no higher t has a larger sum; at mu = 0 no t is
+    its incumbent, since no higher t has a larger sum; at mu = 0 no t is
     tried.
 
     A forbidden pair scores below -4 times the total absolute benefit, so
@@ -189,86 +201,84 @@ def solve_p_opt(gains: GainTable, rngs: Generators, params: ScenarioParams,
     so it steps onto no forbidden entry while an allowed path remains, and
     the allowed entries' reduced costs are those of the rectangle without
     them: an assignment that pairs a forbidden pair means none is feasible.
-    Schedules are ranked on corner-table SEs; a threshold's assignment
-    reads no mu and serves every objective of its weights.  The chunk's
-    corner tables are made at once, and so is the max-sum assignment of
-    every drop and distinct weight vector (_distinct); each drop's
-    threshold scan runs on its own (_optimum), and the winners of the
-    whole chunk are evaluated together (_outcomes).
+    Schedules are ranked on corner-table SEs.  The whole chunk is scanned
+    at once (_optimum), and its winners are evaluated together (_outcomes).
     """
-    tables = corner_tables(gains, params)
-    distinct, plan_of = _distinct(objectives)
-    max_sum = _best_corner_assignments(tables, [(w, 0.0) for w in distinct],
-                                       params.num_channels)
-    mus = [mu for _, mu in objectives]
-    plans = [_optimum(CornerTables(*(a[d] for a in vars(tables).values())), params,
-                      [WeightVector(w.alpha_ul[d], w.alpha_dl[d]) for w in distinct],
-                      [a[d] for a in max_sum], plan_of, mus)
-             for d in range(len(tables.paired_se_dl))]
     return _outcomes(gains, params, objectives,
-                     np.array([[partner for partner, _ in drop] for drop in plans]),
-                     np.array([[corners for _, corners in drop] for drop in plans]))
+                     *_optimum(corner_tables(gains, params), params, objectives))
 
 
-def _distinct(objectives: Objectives) -> tuple[list[WeightVector], list[int]]:
-    """The objectives' distinct weight vectors, in order of first use, and
-    the index among them of each objective's.  Objectives share a weight
-    vector when they share its object, as solve's objectives of one weight
-    mode do."""
-    index = {}
-    plan_of = [index.setdefault(id(w), len(index)) for w, _ in objectives]
-    return list({id(w): w for w, _ in objectives}.values()), plan_of
+def _optimum(tables: CornerTables, params: ScenarioParams,
+             objectives: Objectives) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, K, I) UL partners and corners of P-OPT's schedules for the
+    chunk's corner tables and the K objectives (solve_p_opt).
 
-
-def _optimum(tables: CornerTables, params: ScenarioParams, weights: list[WeightVector],
-             max_sum: list[np.ndarray], plan_of: list[int], mus: list[float]) -> list[tuple]:
-    """One drop's P-OPT schedules (solve_p_opt), a (UL partners, corners)
-    pair per objective: objective n's threshold scan runs on the distinct
-    weight vector weights[plan_of[n]] from its max-sum plan, row
-    plan_of[n] of max_sum's UL partners and corners."""
-    se_ul, se_dl = tables.paired_se_ul, tables.paired_se_dl
-    num_ul, num_dl = se_dl.shape
-    pair_min = np.minimum(se_ul[:, None], se_dl)
-    cap = float(np.concatenate([tables.solo_se_ul, tables.solo_se_dl]).min())
+    A plan is a drop and one of the W distinct weight vectors, row d * W +
+    w (objectives share a weight vector when they share its object, as
+    solve's objectives of one weight mode do); its max-sum schedule is solved for all plans in one
+    stack.  Scan d * K + k, objective k's on drop d, keeps its incumbent
+    and that one's value.  Every scan of a plan reads the same schedule at
+    each threshold and so steps to the same next one, which the plan
+    keeps.  Each round solves the threshold matrix of every plan with a
+    live scan in one assign_with_solo stack, built in place from gathered
+    SE and weight rows a block at a time, and that one assignment serves
+    every mu of the plan."""
+    distinct = list({id(w): w for w, _ in objectives}.values())
+    plan_of = [[id(v) for v in distinct].index(id(w)) for w, _ in objectives]
+    drops, num_ul, num_dl = tables.paired_se_dl.shape
+    plans = drops * len(distinct)
+    partner, corner = (a.reshape(plans, num_ul) for a in _best_corner_assignments(
+        tables, [(w, 0.0) for w in distinct], params.num_channels))
+    alpha_ul, alpha_dl = (np.stack(a, axis=1).reshape(plans, -1) for a in zip(
+        *((w.alpha_ul, w.alpha_dl) for w in distinct)))
+    plan_drop = np.repeat(np.arange(drops), len(distinct))
+    sums, lows = _scored(tables, plan_drop, alpha_ul, alpha_dl, partner, corner)
+    pair_min = np.minimum(tables.paired_se_ul[..., None], tables.paired_se_dl)
+    cap = np.concatenate([tables.solo_se_ul, tables.solo_se_dl], axis=1).min(axis=1)
     forced = min_pairs(num_ul, num_dl, params.num_channels)
-    for axis, users in ((1, num_ul), (0, num_dl)):
+    for axis, users in ((2, num_ul), (1, num_dl)):
         if users and forced == users:   # each of these users pairs
-            cap = min(cap, float(pair_min.max(axis=axis).min()))
-    thresholds = sorted({*pair_min[pair_min <= cap].tolist(), cap})
-    schedules = [None] * len(mus)
-    for plan, w in enumerate(weights):
-        values = (w.alpha_ul * se_ul)[:, None] + w.alpha_dl * se_dl
-        solo_ul = w.alpha_ul * tables.solo_se_ul
-        solo_dl = w.alpha_dl * tables.solo_se_dl
-        penalty = -1.0 - 4.0 * (abs(values).sum() + abs(solo_ul).sum() + abs(solo_dl).sum())
-        first = _scored(tables, w, *(a[plan] for a in max_sum))
-        scanned = {}   # threshold -> its scored schedule, or None if none is feasible
-
-        def best_at(t):
-            if t not in scanned:
-                partner, _ = assign_with_solo(np.where(pair_min < t, penalty, values),
-                                              solo_ul, solo_dl, params.num_channels)
-                i = np.flatnonzero(partner >= 0)
-                scanned[t] = (_scored(tables, w, partner, np.zeros(num_ul, np.int8))
-                              if (pair_min[i, partner[i]] >= t).all() else None)
-            return scanned[t]
-
-        for n, mu in enumerate(mus):
-            if plan_of[n] != plan:
-                continue
-            _, _, bound, low = first
-            best, value, k = first, (1.0 - mu) * bound + mu * low, 0
-            while k < len(thresholds) and (1.0 - mu) * bound + mu * cap > value:
-                found = best_at(thresholds[k])
-                if found is None:
-                    break
-                _, _, bound, low = found
-                found_value = (1.0 - mu) * bound + mu * low
-                if found_value > value:
-                    best, value = found, found_value
-                k = bisect.bisect_right(thresholds, low)
-            schedules[n] = best[:2]
-    return schedules
+            cap = np.minimum(cap, pair_min.max(axis=axis).min(axis=1))
+    t = _next_thresholds(pair_min, cap, np.full(drops, -np.inf))[plan_drop]
+    plan = (np.arange(drops)[:, None] * len(distinct) + plan_of).ravel()
+    best = plan.copy()
+    mu, scan_cap = np.tile([m for _, m in objectives], drops), cap[plan_drop[plan]]
+    value = (1.0 - mu) * sums[plan] + mu * lows[plan]
+    live = (1.0 - mu) * sums[plan] + mu * scan_cap > value
+    partners, corners = [partner], [corner]
+    step = max(_BLOCK_ENTRIES // max(num_ul * num_dl, 1), 1)
+    while live.any():
+        s = np.flatnonzero(live)
+        rows, ask = np.unique(plan[s], return_inverse=True)
+        d, ts, blocks = plan_drop[rows], t[rows], range(0, len(rows), step)
+        solo_ul, solo_dl = alpha_ul[rows] * tables.solo_se_ul[d], alpha_dl[rows] * tables.solo_se_dl[d]
+        stack = np.empty((len(rows), num_ul, num_dl))
+        for b in (slice(lo, lo + step) for lo in blocks):
+            values = np.multiply(tables.paired_se_dl[d[b]], alpha_dl[rows[b], None], out=stack[b])
+            values += (alpha_ul[rows[b]] * tables.paired_se_ul[d[b]])[..., None]
+            penalty = -1.0 - 4.0 * (abs(values).reshape(len(values), -1).sum(axis=1)
+                                    + abs(solo_ul[b]).sum(axis=1) + abs(solo_dl[b]).sum(axis=1))
+            np.copyto(values, penalty[:, None, None], where=pair_min[d[b]] < ts[b, None, None])
+        found = assign_with_solo(stack, solo_ul, solo_dl, params.num_channels)
+        del stack, values
+        r, i = np.nonzero(found >= 0)
+        feasible = np.ones(len(rows), dtype=bool)
+        feasible[r[~(pair_min[d[r], i, found[r, i]] >= ts[r])]] = False
+        partners.append(found)
+        corners.append(np.zeros(found.shape, corner.dtype))
+        found_sums, found_lows = _scored(tables, d, alpha_ul[rows], alpha_dl[rows], found, corners[-1])
+        t[rows] = np.concatenate([_next_thresholds(pair_min[d[lo:lo + step]], cap[d[lo:lo + step]],
+                                                   found_lows[lo:lo + step]) for lo in blocks])
+        live[s[~feasible[ask]]] = False
+        s, ask = s[feasible[ask]], ask[feasible[ask]]
+        found_value = (1.0 - mu[s]) * found_sums[ask] + mu[s] * found_lows[ask]
+        better = found_value > value[s]
+        best[s[better]] = sum(map(len, partners[:-1])) + ask[better]
+        value[s[better]] = found_value[better]
+        live[s] = ~np.isnan(t[plan[s]]) & ((1.0 - mu[s]) * found_sums[ask]
+                                           + mu[s] * scan_cap[s] > value[s])
+    return tuple(np.concatenate(a)[best].reshape(drops, len(objectives), num_ul)
+                 for a in (partners, corners))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +326,8 @@ STRATEGIES: dict[str, Strategy] = {
 def stacked_problems(name: str, objectives: Sequence[tuple[WeightMode, float]]) -> int:
     """How many assignment problems strategy name stacks per drop for
     objectives ((weight mode, mu) pairs): one per objective for C-HUN and
-    C-NINT, one per weight mode for P-OPT's max-sum schedules (its
-    threshold scans run per drop) and none for R-EPA."""
+    C-NINT, one per weight mode for P-OPT (its max-sum stack; a threshold
+    round holds at most as many) and none for R-EPA."""
     if name == "R-EPA":
         return 0
     if name == "P-OPT":

@@ -4,9 +4,11 @@ against: per-link SINRs, the pair benefit formula, the SE formula at any
 max-min powers of one pair, the corner-point evaluation of one pair, the
 stand-alone evaluation of one user, the per-user outcome evaluation of a
 schedule, a brute-force assignment, the padded-square form of the
-solo-aware assignment, the one-candidate-at-a-time UE placement, the
-link-group-at-a-time gain table, the pairs and 0/1 matrix of a row of UL
-partners, the per-combination drop loop that solves every strategy once
+solo-aware assignment and a schedule's total under its scores, P-OPT's
+threshold scans one drop and one threshold at a time, the
+one-candidate-at-a-time UE placement, the link-group-at-a-time gain
+table, the pairs and 0/1 matrix of a row of UL partners, the
+per-combination drop loop that solves every strategy once
 for each (mu, weight mode) and the closed-form solution of the dual
 linear program that motivates the Hungarian heuristic.
 
@@ -19,6 +21,7 @@ strategies' calls (chunk_of, drop_views) and the one-schedule form of the
 evaluator's (evaluate_schedule).
 """
 
+import bisect
 import itertools
 import json
 import math
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fdsched.assignment import hungarian_max
+from fdsched.assignment import assign_with_solo, hungarian_max, min_pairs
 from fdsched.harness import _ROLE_SCENARIO, _ROLE_STRATEGY, RunRecord, _gain_hash, drop_rng
 from fdsched.metrics import CdfSeries, jain_index, percentile
 from fdsched.model import DropPositions, GainTable, ScenarioParams, ScheduleOutcome, WeightVector
@@ -43,7 +46,7 @@ from fdsched.scenario import (
     link_gain,
     los_probability,
 )
-from fdsched.solvers import solve
+from fdsched.solvers import _best_corner_assignments, solve
 
 _BRUTE_FORCE_MAX_SIZE = 9
 
@@ -288,6 +291,18 @@ def pairing_matrix(partner_ul, num_dl: int) -> np.ndarray:
     return x
 
 
+def solo_total(values, solo_ul, solo_dl, partner_ul) -> float:
+    """The total benefit of the schedule partner_ul under assign_with_solo's
+    scores: values[i, j] for each pair (i, j), solo_ul[i] and solo_dl[j]
+    for each user alone."""
+    partner_ul = np.asarray(partner_ul)
+    paired = partner_ul >= 0
+    alone_dl = np.ones(len(solo_dl), dtype=bool)
+    alone_dl[partner_ul[paired]] = False
+    return float(values[np.flatnonzero(paired), partner_ul[paired]].sum()
+                 + solo_ul[~paired].sum() + solo_dl[alone_dl].sum())
+
+
 def brute_force_assignment(values) -> tuple[dict[int, int], float]:
     """Exact maximum-total assignment by enumerating all permutations of the
     zero-padded square, with hungarian_max's contract: only assignments
@@ -336,6 +351,92 @@ def reference_assign_with_solo(values, solo_ul, solo_dl, num_channels):
         if r < num_ul and c < num_dl:
             partner_ul[r] = c
     return partner_ul, total
+
+
+def _reference_scored(tables: CornerTables, weights: WeightVector, partner_ul, corners):
+    """(partner_ul, corners, weighted sum, minimum) of one drop's corner
+    schedule's corner-table SEs."""
+    se_ul, se_dl = tables.solo_se_ul.copy(), tables.solo_se_dl.copy()
+    i = np.flatnonzero(partner_ul >= 0)
+    j, corner = partner_ul[i], corners[i]
+    se_ul[i] = np.where(corner == 0, tables.paired_se_ul[i], np.where(corner == 1, se_ul[i], 0.0))
+    se_dl[j] = np.where(corner == 0, tables.paired_se_dl[i, j],
+                        np.where(corner == 1, 0.0, se_dl[j]))
+    return (partner_ul, corners, float(weights.alpha_ul @ se_ul + weights.alpha_dl @ se_dl),
+            float(np.concatenate([se_ul, se_dl]).min()))
+
+
+def reference_drop_scan(tables: CornerTables, params: ScenarioParams,
+                        weights: list[WeightVector], max_sum: list[np.ndarray],
+                        plan_of: list[int], mus: list[float]) -> tuple[list[tuple], int]:
+    """One drop's P-OPT threshold scans, one objective and one threshold at
+    a time: ((UL partners, corners) per objective, the number of threshold
+    assignments solved).  Objective n scans on weights[plan_of[n]] from row
+    plan_of[n] of max_sum's UL partners and corners; the thresholds are the
+    sorted pair minima up to the cap, and each weight vector's scans share
+    one cache of threshold schedules."""
+    se_ul, se_dl = tables.paired_se_ul, tables.paired_se_dl
+    num_ul, num_dl = se_dl.shape
+    pair_min = np.minimum(se_ul[:, None], se_dl)
+    cap = float(np.concatenate([tables.solo_se_ul, tables.solo_se_dl]).min())
+    forced = min_pairs(num_ul, num_dl, params.num_channels)
+    for axis, users in ((1, num_ul), (0, num_dl)):
+        if users and forced == users:   # each of these users pairs
+            cap = min(cap, float(pair_min.max(axis=axis).min()))
+    thresholds = sorted({*pair_min[pair_min <= cap].tolist(), cap})
+    schedules, solved = [None] * len(mus), 0
+    for plan, w in enumerate(weights):
+        values = (w.alpha_ul * se_ul)[:, None] + w.alpha_dl * se_dl
+        solo_ul = w.alpha_ul * tables.solo_se_ul
+        solo_dl = w.alpha_dl * tables.solo_se_dl
+        penalty = -1.0 - 4.0 * (abs(values).sum() + abs(solo_ul).sum() + abs(solo_dl).sum())
+        first = _reference_scored(tables, w, *(a[plan] for a in max_sum))
+        scanned = {}   # threshold -> its scored schedule, or None if none is feasible
+
+        def best_at(t):
+            if t not in scanned:
+                partner = assign_with_solo(np.where(pair_min < t, penalty, values),
+                                           solo_ul, solo_dl, params.num_channels)
+                i = np.flatnonzero(partner >= 0)
+                scanned[t] = (_reference_scored(tables, w, partner, np.zeros(num_ul, np.int8))
+                              if (pair_min[i, partner[i]] >= t).all() else None)
+            return scanned[t]
+
+        for n, mu in enumerate(mus):
+            if plan_of[n] != plan:
+                continue
+            _, _, bound, low = first
+            best, value, k = first, (1.0 - mu) * bound + mu * low, 0
+            while k < len(thresholds) and (1.0 - mu) * bound + mu * cap > value:
+                found = best_at(thresholds[k])
+                if found is None:
+                    break
+                _, _, bound, low = found
+                found_value = (1.0 - mu) * bound + mu * low
+                if found_value > value:
+                    best, value = found, found_value
+                k = bisect.bisect_right(thresholds, low)
+            schedules[n] = best[:2]
+        solved += len(scanned)
+    return schedules, solved
+
+
+def reference_p_opt_schedules(tables: CornerTables, params: ScenarioParams, objectives):
+    """P-OPT's (D, K, I) UL partners and corners for a chunk's corner tables
+    and objectives, with each drop's threshold scans run on their own
+    (reference_drop_scan) from the package's max-sum plans, and the number
+    of threshold assignments the drops solved."""
+    distinct = list({id(w): w for w, _ in objectives}.values())
+    plan_of = [[id(v) for v in distinct].index(id(w)) for w, _ in objectives]
+    max_sum = _best_corner_assignments(tables, [(w, 0.0) for w in distinct],
+                                       params.num_channels)
+    mus = [mu for _, mu in objectives]
+    plans, solved = zip(*(reference_drop_scan(
+        CornerTables(*(a[d] for a in vars(tables).values())), params,
+        [WeightVector(w.alpha_ul[d], w.alpha_dl[d]) for w in distinct],
+        [a[d] for a in max_sum], plan_of, mus) for d in range(len(tables.paired_se_dl))))
+    return (np.array([[partner for partner, _ in drop] for drop in plans]),
+            np.array([[corners for _, corners in drop] for drop in plans]), sum(solved))
 
 
 def reference_drop_users(params: ScenarioParams, rng) -> DropPositions:

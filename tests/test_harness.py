@@ -829,7 +829,7 @@ POOL_PACKAGES = ("concurrent", "multiprocessing", "logging", "traceback")
 class TestChunkSizes:
     """A chunk holds about harness._CHUNK_BYTES of gain tables and what its
     costliest strategy holds per drop (stacked benefits, and P-OPT's corner
-    tables), but where the stacks go to the lockstep solver, enough drops
+    tables and pair minima), but where the stacks go to the lockstep solver, enough drops
     for a stack to reach the lockstep gate."""
 
     @pytest.mark.parametrize("doc, expect", [
@@ -847,6 +847,7 @@ class TestChunkSizes:
     def test_a_chunk_fits_its_byte_budget_or_reaches_the_gate(self, monkeypatch, doc, expect):
         # one drop's arrays as a run builds them: its gain table and, per
         # strategy, its largest stack of benefits and P-OPT's corner tables
+        # and pair minima (one entry per pair, as paired_se_dl)
         from fdsched import assignment, solvers
 
         stacks, tables, corners = [], [], []
@@ -867,7 +868,8 @@ class TestChunkSizes:
             harness._run_chunk(dataclasses.replace(cfg, strategies=(name,)), 0, 1)
             held.append(max((rects.nbytes for rects in stacks), default=0) + sum(
                 a.nbytes for t in corners if name == "P-OPT"
-                for a in (t.paired_se_ul, t.paired_se_dl, t.solo_se_ul, t.solo_se_dl)))
+                for a in (t.paired_se_ul, t.paired_se_dl, t.paired_se_dl, t.solo_se_ul,
+                          t.solo_se_dl)))
             counts.extend(len(rects) for rects in stacks)
         gains = tables[0]
         drop_bytes = max(held) + sum(

@@ -13,7 +13,8 @@ from fdsched.radio import (
     make_weights,
     objective_value,
 )
-from fdsched.harness import drop_rng
+from fdsched.harness import canned_experiments, drop_rng
+from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     STRATEGIES,
     solve_c_hun,
@@ -22,8 +23,8 @@ from fdsched.solvers import (
     solve_r_epa,
 )
 from oracles import (chunk_of, corner_se, drop_gain_table, dual_multipliers, evaluate_schedule,
-                     modules_after, one_drop, pairs_of, power_candidates, solve_drop,
-                     tie_heavy_drop)
+                     modules_after, one_drop, pairs_of, power_candidates,
+                     reference_p_opt_schedules, solve_drop, tie_heavy_drop)
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10
@@ -142,9 +143,9 @@ def recorded_assignments(monkeypatch):
     def recorded(values, *args, _assign=solvers.assign_with_solo):
         solved = _assign(values, *args)
         if values.ndim == 3:
-            calls.extend(zip(values, solved[0]))
+            calls.extend(zip(values, solved))
         else:
-            calls.append((values, solved[0]))
+            calls.append((values, solved))
         return solved
 
     monkeypatch.setattr(solvers, "assign_with_solo", recorded)
@@ -362,6 +363,59 @@ class TestPOptMatchesLoopReference:
             with np.errstate(invalid="ignore"):
                 assert_same_decisions(one_drop(solve_p_opt, g, params, [(sr(g), mu)])[0],
                                       reference_p_opt(g, params, sr(g), mu))
+
+
+ALL_MUS = (0.0, 0.1, 0.5, 0.9, 1.0)
+BOTH_MODES = (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)
+
+
+class TestChunkScanMatchesDropScans:
+    """P-OPT's threshold scans in rounds over a chunk against each drop's
+    scans one threshold at a time (tests/oracles.py): the same (D, K, I) UL
+    partners and corners, array for array, from exactly as many threshold
+    assignments as the drops' caches hold, with at most one problem per
+    (drop, weight vector) in a round."""
+
+    @pytest.mark.parametrize("params, drops, modes, mus", [
+        (canned_experiments("fig2").params, 120, (WeightMode.SUM_RATE,), (0.1, 0.5, 0.9)),
+        (params_with(num_ul=25, num_dl=25, num_channels=25, si_cancellation=1e-12), 12,
+         BOTH_MODES, ALL_MUS),
+        (params_with(num_ul=25, num_dl=25, num_channels=25, si_cancellation=1e-13), 12,
+         BOTH_MODES, ALL_MUS),
+        (params_with(num_ul=10, num_dl=10, num_channels=14, si_cancellation=1e-13), 30,
+         BOTH_MODES, ALL_MUS),
+        (params_with(num_ul=3, num_dl=6, num_channels=7, si_cancellation=1e-13), 40,
+         BOTH_MODES, ALL_MUS),
+        (params_with(num_ul=0, num_dl=4, num_channels=4), 10, BOTH_MODES, ALL_MUS),
+        (params_with(num_ul=4, num_dl=5, num_channels=6, si_cancellation=1e-13), -40,
+         BOTH_MODES, ALL_MUS),   # tie-heavy drops: equal values keep the first schedule
+    ], ids=["fig2", "25+25@-120", "25+25@-130", "10+10/14", "3+6/7", "0+4", "tied"])
+    def test_same_schedules_from_as_many_assignments(self, monkeypatch, params, drops, modes,
+                                                     mus):
+        if drops < 0:
+            rng, drops = np.random.default_rng(34), -drops
+            tied = [tie_heavy_drop(rng, params.num_ul, params.num_dl) for _ in range(drops)]
+            gains = GainTable(*(np.stack([getattr(g, name) for g in tied])
+                                for name in ("g_ul", "g_dl", "g_cross")))
+        else:
+            gains = build_gain_table(params, [drop_rng(33, k, 0) for k in range(drops)])
+        weights = {mode: make_weights(mode, gains) for mode in modes}
+        objectives = [(weights[mode], mu) for mode in modes for mu in mus]
+        tables = corner_tables(gains, params)
+        *want, solved = reference_p_opt_schedules(tables, params, objectives)
+        stacks = []
+        monkeypatch.setattr(solvers, "assign_with_solo",
+                            lambda values, *args, _assign=solvers.assign_with_solo:
+                            stacks.append(len(values)) or _assign(values, *args))
+        got = solvers._optimum(tables, params, objectives)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (drops, len(objectives), params.num_ul)
+            assert a.tolist() == b.tolist()
+        plans = drops * len(modes)
+        assert stacks[0] == plans and sum(stacks[1:]) == solved
+        assert all(0 < n <= plans for n in stacks[1:])
+        if params.num_ul == 25 and params.si_cancellation == 1e-13:
+            assert len(stacks) > 3   # scans of several rounds
 
 
 class TestPOptAtScale:
