@@ -172,11 +172,12 @@ class RunRecord:
 # holds per drop: the stacked benefits (I x (J + I - P) float64s a problem)
 # and, for P-OPT, the corner tables and pair minima (2 * I * J + 2 * I + J
 # float64s) it keeps until the chunk is solved; a threshold round stacks at
-# most one problem per drop and weight vector, as the max-sum stack does.  A lockstep problem costs 0.25 ms at 25 x 25 in
-# a stack of 60, 0.18 ms in one of 120 and 0.15 ms in one of 240 (ROADMAP
-# item 2); 1 MiB is 64 fig3 drops, stacks of 128, and raised a 60-drop fig3
-# run's peak RSS by 1.2 MB (3%) over stacks of 60.  The gain-table builder's
-# temporaries are not counted: they are gone before any strategy runs.
+# most one problem per drop and weight vector, as the max-sum stack does.
+# A lockstep problem costs 0.25 ms at 25 x 25 in a stack of 60, 0.18 ms in
+# one of 120 and 0.15 ms in one of 240 (ROADMAP item 9); 1 MiB is 64 fig3
+# drops, stacks of 128, and raised a 60-drop fig3 run's peak RSS by 1.2 MB
+# (3%) over stacks of 60.  The gain-table builder's temporaries are not
+# counted: they are gone before any strategy runs.
 _CHUNK_BYTES = 1 << 20
 
 

@@ -213,16 +213,15 @@ def _optimum(tables: CornerTables, params: ScenarioParams,
     """The (D, K, I) UL partners and corners of P-OPT's schedules for the
     chunk's corner tables and the K objectives (solve_p_opt).
 
-    A plan is a drop and one of the W distinct weight vectors, row d * W +
-    w (objectives share a weight vector when they share its object, as
-    solve's objectives of one weight mode do); its max-sum schedule is solved for all plans in one
-    stack.  Scan d * K + k, objective k's on drop d, keeps its incumbent
-    and that one's value.  Every scan of a plan reads the same schedule at
-    each threshold and so steps to the same next one, which the plan
-    keeps.  Each round solves the threshold matrix of every plan with a
-    live scan in one assign_with_solo stack, built in place from gathered
-    SE and weight rows a block at a time, and that one assignment serves
-    every mu of the plan."""
+    A plan is a drop and one of the W distinct weight vectors (by object:
+    solve makes one per weight mode), row d * W + w; the max-sum schedules
+    of all plans are one stack.  Scan d * K + k, objective k's on drop d,
+    keeps its incumbent and that one's value.  Every scan of a plan reads
+    the same schedule at each threshold and so steps to the same next one,
+    which the plan keeps.  Each round solves the threshold matrix of every
+    plan with a live scan in one assign_with_solo stack, built in place
+    from gathered SE and weight rows a block at a time; its assignment
+    serves every mu of the plan."""
     distinct = list({id(w): w for w, _ in objectives}.values())
     plan_of = [[id(v) for v in distinct].index(id(w)) for w, _ in objectives]
     drops, num_ul, num_dl = tables.paired_se_dl.shape
@@ -235,9 +234,8 @@ def _optimum(tables: CornerTables, params: ScenarioParams,
     sums, lows = _scored(tables, plan_drop, alpha_ul, alpha_dl, partner, corner)
     pair_min = np.minimum(tables.paired_se_ul[..., None], tables.paired_se_dl)
     cap = np.concatenate([tables.solo_se_ul, tables.solo_se_dl], axis=1).min(axis=1)
-    forced = min_pairs(num_ul, num_dl, params.num_channels)
     for axis, users in ((2, num_ul), (1, num_dl)):
-        if users and forced == users:   # each of these users pairs
+        if users and users == min_pairs(num_ul, num_dl, params.num_channels):   # each pairs
             cap = np.minimum(cap, pair_min.max(axis=axis).min(axis=1))
     t = _next_thresholds(pair_min, cap, np.full(drops, -np.inf))[plan_drop]
     plan = (np.arange(drops)[:, None] * len(distinct) + plan_of).ravel()
@@ -250,12 +248,14 @@ def _optimum(tables: CornerTables, params: ScenarioParams,
     while live.any():
         s = np.flatnonzero(live)
         rows, ask = np.unique(plan[s], return_inverse=True)
-        d, ts, blocks = plan_drop[rows], t[rows], range(0, len(rows), step)
-        solo_ul, solo_dl = alpha_ul[rows] * tables.solo_se_ul[d], alpha_dl[rows] * tables.solo_se_dl[d]
+        d, ts = plan_drop[rows], t[rows]
+        blocks = [slice(lo, lo + step) for lo in range(0, len(rows), step)]
+        a_ul, a_dl = alpha_ul[rows], alpha_dl[rows]
+        solo_ul, solo_dl = a_ul * tables.solo_se_ul[d], a_dl * tables.solo_se_dl[d]
         stack = np.empty((len(rows), num_ul, num_dl))
-        for b in (slice(lo, lo + step) for lo in blocks):
-            values = np.multiply(tables.paired_se_dl[d[b]], alpha_dl[rows[b], None], out=stack[b])
-            values += (alpha_ul[rows[b]] * tables.paired_se_ul[d[b]])[..., None]
+        for b in blocks:
+            values = np.multiply(tables.paired_se_dl[d[b]], a_dl[b, None], out=stack[b])
+            values += (a_ul[b] * tables.paired_se_ul[d[b]])[..., None]
             penalty = -1.0 - 4.0 * (abs(values).reshape(len(values), -1).sum(axis=1)
                                     + abs(solo_ul[b]).sum(axis=1) + abs(solo_dl[b]).sum(axis=1))
             np.copyto(values, penalty[:, None, None], where=pair_min[d[b]] < ts[b, None, None])
@@ -266,9 +266,9 @@ def _optimum(tables: CornerTables, params: ScenarioParams,
         feasible[r[~(pair_min[d[r], i, found[r, i]] >= ts[r])]] = False
         partners.append(found)
         corners.append(np.zeros(found.shape, corner.dtype))
-        found_sums, found_lows = _scored(tables, d, alpha_ul[rows], alpha_dl[rows], found, corners[-1])
-        t[rows] = np.concatenate([_next_thresholds(pair_min[d[lo:lo + step]], cap[d[lo:lo + step]],
-                                                   found_lows[lo:lo + step]) for lo in blocks])
+        found_sums, found_lows = _scored(tables, d, a_ul, a_dl, found, corners[-1])
+        t[rows] = np.concatenate([_next_thresholds(pair_min[d[b]], cap[d[b]], found_lows[b])
+                                  for b in blocks])
         live[s[~feasible[ask]]] = False
         s, ask = s[feasible[ask]], ask[feasible[ask]]
         found_value = (1.0 - mu[s]) * found_sums[ask] + mu[s] * found_lows[ask]
