@@ -829,8 +829,8 @@ POOL_PACKAGES = ("concurrent", "multiprocessing", "logging", "traceback")
 class TestChunkSizes:
     """A chunk holds about harness._CHUNK_BYTES of gain tables and what its
     costliest strategy holds per drop (stacked benefits, and P-OPT's corner
-    tables and pair minima), but where the stacks go to the lockstep solver, enough drops
-    for a stack to reach the lockstep gate."""
+    tables and pair minima), but where the stacks go to the lockstep
+    solver, enough drops for a stack to reach the lockstep gate."""
 
     @pytest.mark.parametrize("doc, expect", [
         ({"num_ul": 25, "num_dl": 25, "num_channels": 25,

@@ -369,6 +369,19 @@ ALL_MUS = (0.0, 0.1, 0.5, 0.9, 1.0)
 BOTH_MODES = (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)
 
 
+def seeded_chunk(params, drops):
+    """A chunk of drops as a run draws them (seed 33)."""
+    return build_gain_table(params, [drop_rng(33, k, 0) for k in range(drops)])
+
+
+def tied_chunk(params, drops):
+    """A chunk of tie-heavy drops, where many schedules score alike."""
+    rng = np.random.default_rng(34)
+    tied = [tie_heavy_drop(rng, params.num_ul, params.num_dl) for _ in range(drops)]
+    return GainTable(*(np.stack([getattr(g, name) for g in tied])
+                       for name in ("g_ul", "g_dl", "g_cross")))
+
+
 class TestChunkScanMatchesDropScans:
     """P-OPT's threshold scans in rounds over a chunk against each drop's
     scans one threshold at a time (tests/oracles.py): the same (D, K, I) UL
@@ -376,29 +389,25 @@ class TestChunkScanMatchesDropScans:
     assignments as the drops' caches hold, with at most one problem per
     (drop, weight vector) in a round."""
 
-    @pytest.mark.parametrize("params, drops, modes, mus", [
-        (canned_experiments("fig2").params, 120, (WeightMode.SUM_RATE,), (0.1, 0.5, 0.9)),
-        (params_with(num_ul=25, num_dl=25, num_channels=25, si_cancellation=1e-12), 12,
-         BOTH_MODES, ALL_MUS),
-        (params_with(num_ul=25, num_dl=25, num_channels=25, si_cancellation=1e-13), 12,
-         BOTH_MODES, ALL_MUS),
-        (params_with(num_ul=10, num_dl=10, num_channels=14, si_cancellation=1e-13), 30,
-         BOTH_MODES, ALL_MUS),
-        (params_with(num_ul=3, num_dl=6, num_channels=7, si_cancellation=1e-13), 40,
-         BOTH_MODES, ALL_MUS),
-        (params_with(num_ul=0, num_dl=4, num_channels=4), 10, BOTH_MODES, ALL_MUS),
-        (params_with(num_ul=4, num_dl=5, num_channels=6, si_cancellation=1e-13), -40,
-         BOTH_MODES, ALL_MUS),   # tie-heavy drops: equal values keep the first schedule
+    @pytest.mark.parametrize("params, chunk, drops, modes, mus", [
+        (canned_experiments("fig2").params, seeded_chunk, 120, (WeightMode.SUM_RATE,),
+         (0.1, 0.5, 0.9)),
+        (params_with(num_ul=25, num_dl=25, num_channels=25, si_cancellation=1e-12),
+         seeded_chunk, 12, BOTH_MODES, ALL_MUS),
+        (params_with(num_ul=25, num_dl=25, num_channels=25, si_cancellation=1e-13),
+         seeded_chunk, 12, BOTH_MODES, ALL_MUS),
+        (params_with(num_ul=10, num_dl=10, num_channels=14, si_cancellation=1e-13),
+         seeded_chunk, 30, BOTH_MODES, ALL_MUS),
+        (params_with(num_ul=3, num_dl=6, num_channels=7, si_cancellation=1e-13),
+         seeded_chunk, 40, BOTH_MODES, ALL_MUS),
+        (params_with(num_ul=0, num_dl=4, num_channels=4), seeded_chunk, 10, BOTH_MODES,
+         ALL_MUS),
+        (params_with(num_ul=4, num_dl=5, num_channels=6, si_cancellation=1e-13), tied_chunk,
+         40, BOTH_MODES, ALL_MUS),
     ], ids=["fig2", "25+25@-120", "25+25@-130", "10+10/14", "3+6/7", "0+4", "tied"])
-    def test_same_schedules_from_as_many_assignments(self, monkeypatch, params, drops, modes,
-                                                     mus):
-        if drops < 0:
-            rng, drops = np.random.default_rng(34), -drops
-            tied = [tie_heavy_drop(rng, params.num_ul, params.num_dl) for _ in range(drops)]
-            gains = GainTable(*(np.stack([getattr(g, name) for g in tied])
-                                for name in ("g_ul", "g_dl", "g_cross")))
-        else:
-            gains = build_gain_table(params, [drop_rng(33, k, 0) for k in range(drops)])
+    def test_same_schedules_from_as_many_assignments(self, monkeypatch, params, chunk, drops,
+                                                     modes, mus):
+        gains = chunk(params, drops)
         weights = {mode: make_weights(mode, gains) for mode in modes}
         objectives = [(weights[mode], mu) for mode in modes for mu in mus]
         tables = corner_tables(gains, params)
