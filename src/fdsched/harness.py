@@ -11,9 +11,13 @@ the lockstep gate where the stacks are solved in lockstep).  A chunk's gains
 are one GainTable with a leading drop axis, made in one build_gain_table
 call, and each strategy is solved once per chunk, for all of its drops'
 (weight mode, mu) objectives, so its assignments go to the solver as one
-stack.  The records are built per drop, in drop order, and keep the (weight
-mode, mu, strategy) order.  A chunk that fails is solved again one drop at a
-time, so a failure keeps every drop before the failing one.
+stack.  Once every strategy is solved, the chunk encodes its records per
+drop, in drop order and (weight mode, mu, strategy) order, and returns
+their records.jsonl text with a table of their CDF metrics, so a forked
+worker encodes its own drops.  records.jsonl grows a chunk at a time as
+the chunks are merged, so a failure keeps every merged drop; a chunk that
+fails is solved again one drop at a time, which keeps every drop before
+the failing one.
 Outcomes of one solve that share SE arrays (a schedule that several
 objectives chose, evaluated once and rescored, as every R-EPA schedule is)
 give records derived from the first one, sharing its pair of SE tuples.
@@ -30,7 +34,8 @@ Outputs per run directory:
 
 A parallel run forks one child per contiguous block of drops, at most
 parallelism of them, and merges the blocks back in drop order.  Each child
-runs its block in chunks and pickles their results into its own pipe.
+runs its block in chunks and pickles their results (each chunk's encoded
+text and metric table) into its own pipe.
 Where os.fork is missing (Windows) a parallel run is a serial one.
 """
 
@@ -199,24 +204,27 @@ def _chunk_drops(cfg: ExperimentConfig) -> tuple[int, int]:
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     """Evaluate all requested combinations on drops lo..hi-1: each strategy
-    is solved once over all of them, and its records are built per drop.
-    Returns (lo, hi, one (records, scenario document) per drop, the chunk's
-    wall time)."""
+    is solved once over all of them, then the records are built and encoded
+    a drop at a time (_record_lines).  Returns (lo, hi, each drop's
+    records.jsonl text, the (drops, objectives, strategies, METRIC_NAMES)
+    table of the records' metrics, the drops' scenario documents or None,
+    the chunk's wall time)."""
     started = time.perf_counter()
     master = cfg.params.rng_seed
     gains = build_gain_table(cfg.params, [drop_rng(master, k, _ROLE_SCENARIO)
                                           for k in range(lo, hi)])
-    rngs = [drop_rng(master, k, _ROLE_STRATEGY) for k in range(lo, hi)]
-    tags = [(f"{master}:{k}", _gain_hash(gains.drop(k - lo))) for k in range(lo, hi)]
+    rngs = ([drop_rng(master, k, _ROLE_STRATEGY) for k in range(lo, hi)]
+            if "R-EPA" in cfg.strategies else None)   # the one strategy that reads them
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
-    columns = [[] for _ in rngs]   # per drop, per strategy: its records, one per objective
-    for name in cfg.strategies:
-        for k, (column, outcomes, (seed, table_hash)) in enumerate(
-                zip(columns, solve(name, gains, rngs, cfg.params, objectives), tags), lo):
-            # Rescored outcomes share both SE arrays; their records derive from
-            # the first one and so share its pair of SE tuples.
-            firsts, records = {}, []
-            for (mode, mu), o in zip(objectives, outcomes):
+    solved = [solve(name, gains, rngs, cfg.params, objectives) for name in cfg.strategies]
+    texts, table, spelled = [], [], {}
+    for k, *drop_outcomes in zip(range(lo, hi), *solved):
+        seed, table_hash = f"{master}:{k}", _gain_hash(gains.drop(k - lo))
+        # Rescored outcomes share both SE arrays; their records derive from
+        # the first one and so share its pair of SE tuples.
+        firsts, records = {}, []
+        for (mode, mu), outcomes in zip(objectives, zip(*drop_outcomes)):
+            for name, o in zip(cfg.strategies, outcomes):
                 first = firsts.get(id(o.se_ul))
                 if first is None:
                     first = firsts[id(o.se_ul)] = RunRecord(
@@ -227,11 +235,12 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
                     records.append(first)
                 else:
                     records.append(first.rescored(mu, o.objective, mode.value))
-            column.append(records)
-    results = [([r for objective_records in zip(*column) for r in objective_records],
-                scenario_to_dict(gains.drop(d)) if cfg.dump_scenarios else None)
-               for d, column in enumerate(columns)]
-    return lo, hi, results, time.perf_counter() - started
+        table.extend(map(attrgetter(*METRIC_NAMES), records))
+        texts.append("\n".join([*_record_lines(records, spelled), ""]))
+    scenarios = ([scenario_to_dict(gains.drop(d)) for d in range(hi - lo)]
+                 if cfg.dump_scenarios else None)
+    return (lo, hi, texts, np.reshape(table, (hi - lo, len(objectives), len(solved), -1)),
+            scenarios, time.perf_counter() - started)
 
 
 def _solved_chunks(cfg: ExperimentConfig, lo: int, hi: int):
@@ -292,12 +301,12 @@ def _block_child(write_end: int, cfg: ExperimentConfig, lo: int, hi: int):
         os._exit(status)
 
 
-def _run_forked(cfg: ExperimentConfig, out: Path, records: list[RunRecord],
+def _run_forked(cfg: ExperimentConfig, out: Path, records, tables: list[np.ndarray],
                 timings: list[str]) -> list[str]:
     """Run the drops in min(iterations, parallelism) contiguous blocks, one
-    forked child each, and merge the blocks' chunks with _merge_chunk in
-    drop order.
-    Returns one timing line per block.
+    forked child each, and merge the blocks' encoded chunks (records, the
+    open records.jsonl file, and the other _merge_chunk arguments) in drop
+    order.  Returns one timing line per block.
 
     On an early exit (a failed block, a child that died without a result,
     KeyboardInterrupt) every child whose result was not read is killed;
@@ -333,7 +342,7 @@ def _run_forked(cfg: ExperimentConfig, out: Path, records: list[RunRecord],
                                    f"a result (wait status {status})")
             chunks, error, elapsed = pickle.loads(data)
             for chunk in chunks:
-                _merge_chunk(out, chunk, records, timings)
+                _merge_chunk(out, records, chunk, tables, timings)
             if error is not None:
                 raise error[0] from _WorkerTraceback(error[1])
             block_lines.append(f"drops {lo}-{hi - 1}: pid {pid}, {elapsed:.4f} s")
@@ -354,12 +363,12 @@ def _run_forked(cfg: ExperimentConfig, out: Path, records: list[RunRecord],
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all drops, write result files, return a small result index.
-
+    records.jsonl is opened once and each chunk's text is written as the
+    chunk is merged; the CDFs and summary come from the chunks' tables.
     On runtime failure a FAILED marker with the error text is left in the
     output directory, records.jsonl holds the records of every drop before
     the first failed one, and the exception propagates.  Result files an
-    earlier run left in the directory are deleted first; other files are
-    kept.
+    earlier run left in the directory are deleted first; others are kept.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,39 +378,41 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     (out / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=1,
                                                 sort_keys=True) + "\n")
 
-    records: list[RunRecord] = []
+    tables: list[np.ndarray] = []   # each chunk's metric table (_run_chunk)
     timings: list[str] = []
     try:
-        if cfg.parallelism > 1 and hasattr(os, "fork"):
-            timings.extend(_run_forked(cfg, out, records, timings))
-        else:
-            for chunk in _solved_chunks(cfg, 0, cfg.iterations):
-                _merge_chunk(out, chunk, records, timings)
+        with open(out / "records.jsonl", "w") as records:
+            if cfg.parallelism > 1 and hasattr(os, "fork"):
+                timings.extend(_run_forked(cfg, out, records, tables, timings))
+            else:
+                for chunk in _solved_chunks(cfg, 0, cfg.iterations):
+                    _merge_chunk(out, records, chunk, tables, timings)
     except Exception as exc:
-        _flush_records(out, records)
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         raise
 
-    _flush_records(out, records)
-    cdf_files, summary = _write_cdfs_and_summary(out, cfg, records)
+    table = np.concatenate(tables)
+    cdf_files, summary = _write_cdfs_and_summary(out, cfg, table)
     (out / "timing.log").write_text(
         time.strftime("run finished %Y-%m-%dT%H:%M:%S\n") + "\n".join(timings) + "\n")
-    return {"out_dir": str(out), "records": len(records),
+    return {"out_dir": str(out), "records": table[..., 0].size,
             "cdf_files": cdf_files, "summary": summary}
 
 
-def _merge_chunk(out: Path, chunk, records: list[RunRecord], timings: list[str]) -> None:
-    """Append a chunk's results (_run_chunk); chunks are merged in drop
-    order as they finish, so a later failure keeps every earlier drop."""
-    lo, hi, results, elapsed = chunk
+def _merge_chunk(out: Path, records, chunk, tables: list[np.ndarray],
+                 timings: list[str]) -> None:
+    """Append a chunk's results (_run_chunk): its text to the open
+    records.jsonl file records, its metric table to tables.  Chunks are
+    merged in drop order as they finish, so a later failure keeps every
+    earlier drop."""
+    lo, hi, texts, table, scenarios, elapsed = chunk
     timings.append(f"chunk {lo}-{hi - 1}: {elapsed:.4f} s")
-    for k, (drop_records, scenario_doc) in enumerate(results, lo):
-        records.extend(drop_records)
-        if scenario_doc is not None:
-            scen_dir = out / "scenarios"
-            scen_dir.mkdir(exist_ok=True)
-            (scen_dir / f"drop_{k:04d}.json").write_text(
-                json.dumps(scenario_doc, indent=1, sort_keys=True))
+    records.writelines(texts)
+    tables.append(table)
+    for k, scenario_doc in enumerate(scenarios or (), lo):
+        (out / "scenarios").mkdir(exist_ok=True)
+        (out / f"scenarios/drop_{k:04d}.json").write_text(
+            json.dumps(scenario_doc, indent=1, sort_keys=True))
 
 
 # json.dumps(obj, sort_keys=True) without building an encoder per call
@@ -430,17 +441,16 @@ def _hole_template(r: RunRecord) -> list:
     return template
 
 
-_rescored_values = attrgetter(*_RESCORED)
-
-
-def _record_lines(records: list[RunRecord]):
+def _record_lines(records: list[RunRecord], spelled: dict | None = None):
     """Yield the records.jsonl lines: json.dumps(vars(r), sort_keys=True) of
     each.  _run_chunk shares SE tuple objects only among the records of one
     evaluated schedule, so those differ only in their _RESCORED fields: each
     schedule's line is cut once (_hole_template), and every line of it is
-    filled in.  Only the current drop's templates are held.  (Encoding in
-    _run_chunk, between solves, measured slower.)"""
-    templates, drop = {}, None
+    filled in.  Only the current drop's templates are held.  The records of
+    one objective share its mu object, so spelled (which a chunk's calls
+    share) keeps each objective's mu and weight mode spellings keyed by that
+    object's identity: equal floats may spell differently (-0.0 and 0.0)."""
+    templates, drop, spelled = {}, None, {} if spelled is None else spelled
     for r in records:
         if r.drop != drop:   # records come in drop order; hold one drop's templates
             templates, drop = {}, r.drop
@@ -448,50 +458,40 @@ def _record_lines(records: list[RunRecord]):
         template = templates.get(key)
         if template is None:
             template = templates[key] = _hole_template(r)
-        template[1::2] = map(_encode_float, _rescored_values(r))
+        key = id(r.mu), r.weight_mode
+        if key not in spelled:   # kept with the mu object, so its id is not reused
+            spelled[key] = r.mu, _encode_float(r.mu), _ENCODER.encode(r.weight_mode)
+        _, mu, mode = spelled[key]
+        template[1::2] = mu, _encode_float(r.objective), mode
         yield "".join(template)
 
 
-def _flush_records(out: Path, records: list[RunRecord]) -> None:
-    """Write records.jsonl a line at a time through one open file, so the
-    file is never held in memory whole; no records give an empty file."""
-    with open(out / "records.jsonl", "w") as f:
-        for line in _record_lines(records):
-            f.write(line)
-            f.write("\n")
-
-
 def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
-                            records) -> tuple[list[str], dict]:
+                            table: np.ndarray) -> tuple[list[str], dict]:
     """One CDF file per (metric, strategy, mu, weight mode), and the summary
-    of their medians and pairwise median gaps."""
+    of their medians and pairwise median gaps, from the run's (drops,
+    objectives, strategies, METRIC_NAMES) table (_run_chunk)."""
     files = []
     medians: dict[str, float] = {}
     gaps: dict[str, float | None] = {}
-    combos: dict[tuple, list[RunRecord]] = {}   # (strategy, mu, weight mode) -> records
-    for r in records:
-        combos.setdefault((r.strategy, r.mu, r.weight_mode), []).append(r)
-    row = attrgetter(*METRIC_NAMES)
     formatted = {}   # CSV rows shared by this run's CDF files (CdfSeries.to_csv_lines)
-    for mode in cfg.weight_modes:
-        for mu in cfg.mu_values:
-            tag = f"mu={mu}|{mode.value}"
-            for strategy in cfg.strategies:
-                combo = combos.get((strategy, mu, mode.value), ())
-                columns = dict(zip(METRIC_NAMES, zip(*map(row, combo))))   # {} if no records
-                for metric in METRIC_NAMES:
-                    series = metrics.empirical_cdf(
-                        columns.get(metric, ()), metric=metric, strategy=strategy, mu=mu,
-                        weight_mode=mode.value)
-                    path = out / f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
-                    series.write_csv(path, formatted)
-                    files.append(path.name)
-                    medians[f"{metric}|{strategy}|{tag}"] = metrics.percentile(series, 50)
-            for metric in METRIC_NAMES:
-                for a, b in itertools.permutations(cfg.strategies, 2):
-                    pa = medians[f"{metric}|{a}|{tag}"]
-                    pb = medians[f"{metric}|{b}|{tag}"]
-                    gaps[f"{metric}|{a}-vs-{b}|{tag}"] = (pa - pb) / pb if pb != 0 else None
+    objectives = itertools.product(cfg.weight_modes, cfg.mu_values)
+    for (mode, mu), columns in zip(objectives, table.transpose(1, 2, 3, 0)):
+        tag = f"mu={mu}|{mode.value}"
+        for strategy, combo in zip(cfg.strategies, columns):
+            for metric, column in zip(METRIC_NAMES, combo):
+                series = metrics.empirical_cdf(
+                    column, metric=metric, strategy=strategy, mu=mu,
+                    weight_mode=mode.value)
+                path = out / f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
+                series.write_csv(path, formatted)
+                files.append(path.name)
+                medians[f"{metric}|{strategy}|{tag}"] = metrics.percentile(series, 50)
+        for metric in METRIC_NAMES:
+            for a, b in itertools.permutations(cfg.strategies, 2):
+                pa = medians[f"{metric}|{a}|{tag}"]
+                pb = medians[f"{metric}|{b}|{tag}"]
+                gaps[f"{metric}|{a}-vs-{b}|{tag}"] = (pa - pb) / pb if pb != 0 else None
     summary = {"name": cfg.name, "iterations": cfg.iterations,
                "master_seed": cfg.params.rng_seed, "medians": medians, "gaps": gaps}
     (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")

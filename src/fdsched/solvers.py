@@ -48,37 +48,48 @@ def _outcomes(gains: GainTable, params: ScenarioParams, objectives: Objectives,
               partner_ul: np.ndarray, corners: np.ndarray) -> list[list[ScheduleOutcome]]:
     """The outcome of every drop d and objective k of the chunk gains for the
     schedule that pairs UL user i with DL user partner_ul[d, k, i] (-1:
-    alone) at the corner_points index corners[d, k, i], every user not in a
-    pair at max power.  Each drop's distinct schedules (their own partner
-    and power bytes) go to one outcome_metrics call for the whole chunk,
-    and one objective_value call scores every (drop, objective) row; the
-    outcomes of one schedule share its arrays, so a repeat is known by its
-    SE arrays."""
-    drops, count, num_ul = partner_ul.shape
-    points = np.array(corner_points(params))
-    paired = partner_ul >= 0
-    p_ul = np.where(paired, points[corners, 0], params.p_max_ul_w)
-    p_dl = np.full((drops, count, gains.num_dl), params.p_max_dl_w)
-    d, k, i = np.nonzero(paired)
-    p_dl[d, k, partner_ul[d, k, i]] = points[corners[d, k, i], 1]
-    rows = [a.reshape(drops * count, a.shape[-1]) for a in (partner_ul, p_ul, p_dl)]
-    schedules, index = {}, []   # (drop, partner and power bytes) -> its distinct schedule
-    for n, key in enumerate(zip(*(map(np.ndarray.tobytes, a) for a in rows))):
-        index.append(schedules.setdefault((n // count, key), len(schedules)))
+    alone) at the corner_points index corners[d, k, i] (0 for a user alone),
+    every user not in a pair at max power; (D, 1, I) arrays give each drop
+    one schedule for every objective.  Each drop's distinct schedules (their
+    own partner and corner bytes) get their powers and go to one
+    outcome_metrics call for the whole chunk, and one objective_value call
+    scores every (drop, objective) row.  The outcomes of one schedule share
+    its read-only arrays, so a repeat is known by its SE arrays."""
+    drops, rows, num_ul = partner_ul.shape
+    count = len(objectives)
+    flat = [a.reshape(drops * rows, num_ul) for a in (partner_ul, corners)]
+    schedules, index = {}, []   # (drop, partner and corner bytes) -> its distinct schedule
+    for n, key in enumerate(zip(*(map(np.ndarray.tobytes, a) for a in flat))):
+        index.append(schedules.setdefault((n // rows, key), len(schedules)))
     firsts = np.unique(index, return_index=True)[1]
-    se_ul, se_dl, sums, minima, jain = outcome_metrics(gains, params, firsts // count,
-                                                       *(a[firsts] for a in rows))
+    index = np.broadcast_to(np.reshape(index, (drops, rows)), (drops, count)).ravel()
+    partner, corner = (a[firsts] for a in flat)
+    points = np.array(corner_points(params))
+    paired = partner >= 0
+    p_ul = np.where(paired, points[corner, 0], params.p_max_ul_w)
+    p_dl = np.full((len(firsts), gains.num_dl), params.p_max_dl_w)
+    r, i = np.nonzero(paired)
+    p_dl[r, partner[r, i]] = points[corner[r, i], 1]
+    se_ul, se_dl, sums, minima, jain = outcome_metrics(gains, params, firsts // rows,
+                                                       partner, p_ul, p_dl)
     alpha_ul, alpha_dl = (np.stack(a, axis=1) for a in zip(*((w.alpha_ul, w.alpha_dl)
                                                              for w, _ in objectives)))
     weights = WeightVector(alpha_ul.reshape(drops * count, num_ul),
                            alpha_dl.reshape(drops * count, gains.num_dl))
     values = objective_value(se_ul[index], se_dl[index], minima[index], weights,
                              np.tile([mu for _, mu in objectives], drops))
-    shared = list(zip(*(a[firsts] for a in rows), se_ul, se_dl))   # one row object each
-    metrics = list(zip(sums.tolist(), minima.tolist(), jain.tolist()))
-    outcomes = [ScheduleOutcome(*shared[s], value, *metrics[s])
-                for s, value in zip(index, values.tolist())]
+    for a in (partner, p_ul, p_dl, se_ul, se_dl):
+        a.setflags(write=False)   # once a chunk: an outcome's arrays are rows of these
+    shared = [dict(zip(_SCHEDULE_FIELDS, row)) for row in zip(
+        partner, p_ul, p_dl, se_ul, se_dl, sums.tolist(), minima.tolist(), jain.tolist())]
+    outcomes = [object.__new__(ScheduleOutcome) for _ in index]
+    for o, s, value in zip(outcomes, index.tolist(), values.tolist()):
+        o.__dict__.update(shared[s], objective=value)
     return [outcomes[n:n + count] for n in range(0, drops * count, count)]
+
+
+# The ScheduleOutcome fields that the outcomes of one schedule share
+_SCHEDULE_FIELDS = ("partner_ul", "p_ul", "p_dl", "se_ul", "se_dl", "sum_se", "min_se", "jain")
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +314,8 @@ def solve_r_epa(gains: GainTable, rngs: Generators, params: ScenarioParams,
             row[:] = perm[:num_ul]
         else:
             row[perm[:num_dl]] = np.arange(num_dl)
-    shape = (len(rngs), len(objectives), num_ul)
-    return _outcomes(gains, params, objectives,
-                     np.broadcast_to(partner_ul[:, None], shape), np.zeros(shape, np.int8))
+    return _outcomes(gains, params, objectives, partner_ul[:, None],
+                     np.zeros((len(rngs), 1, num_ul), np.int8))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ threshold scans one drop and one threshold at a time, the
 one-candidate-at-a-time UE placement, the link-group-at-a-time gain
 table, the pairs and 0/1 matrix of a row of UL partners, the
 per-combination drop loop that solves every strategy once
-for each (mu, weight mode) and the closed-form solution of the dual
+for each (mu, weight mode), the CDF files and summary of a run's records
+gathered record by record, and the closed-form solution of the dual
 linear program that motivates the Hungarian heuristic.
 
 They are written one user or one permutation at a time, independent of
@@ -34,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from fdsched.assignment import assign_with_solo, hungarian_max, min_pairs
-from fdsched.harness import _ROLE_SCENARIO, _ROLE_STRATEGY, RunRecord, _gain_hash, drop_rng
-from fdsched.metrics import CdfSeries, jain_index, percentile
+from fdsched.harness import (_ROLE_SCENARIO, _ROLE_STRATEGY, METRIC_NAMES, RunRecord,
+                             _gain_hash, drop_rng)
+from fdsched.metrics import CdfSeries, empirical_cdf, jain_index, percentile
 from fdsched.model import DropPositions, GainTable, ScenarioParams, ScheduleOutcome, WeightVector
 from fdsched.radio import (CornerTables, check_mu, corner_points, objective_value,
                            outcome_metrics, sinr)
@@ -511,6 +513,33 @@ def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
                     gain_hash=_gain_hash(gains),
                 ))
     return records
+
+
+def reference_cdfs_and_summary(cfg, records) -> dict[str, str]:
+    """The text of each cdf_*.csv file and of summary.json for a run of cfg
+    whose records are records: each combination's samples gathered record
+    by record, its CSV spelled alone."""
+    files, medians, gaps = {}, {}, {}
+    for mode in cfg.weight_modes:
+        for mu in cfg.mu_values:
+            tag = f"mu={mu}|{mode.value}"
+            for strategy in cfg.strategies:
+                combo = [r for r in records
+                         if (r.strategy, r.mu, r.weight_mode) == (strategy, mu, mode.value)]
+                for metric in METRIC_NAMES:
+                    series = empirical_cdf([getattr(r, metric) for r in combo], metric=metric,
+                                           strategy=strategy, mu=mu, weight_mode=mode.value)
+                    name = f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
+                    files[name] = "\n".join(series.to_csv_lines()) + "\n"
+                    medians[f"{metric}|{strategy}|{tag}"] = percentile(series, 50)
+            for metric in METRIC_NAMES:
+                for a, b in itertools.permutations(cfg.strategies, 2):
+                    pa, pb = medians[f"{metric}|{a}|{tag}"], medians[f"{metric}|{b}|{tag}"]
+                    gaps[f"{metric}|{a}-vs-{b}|{tag}"] = (pa - pb) / pb if pb != 0 else None
+    summary = {"name": cfg.name, "iterations": cfg.iterations,
+               "master_seed": cfg.params.rng_seed, "medians": medians, "gaps": gaps}
+    files["summary.json"] = json.dumps(summary, indent=1, sort_keys=True) + "\n"
+    return files
 
 
 def read_cdf_csv(path) -> CdfSeries:

@@ -33,7 +33,7 @@ from fdsched.harness import (
 from fdsched.model import ScenarioParams, WeightMode, db_to_linear
 from fdsched.scenario import scenario_to_dict
 from oracles import (drop_gain_table, load_scenario, median_gap, modules_after,
-                     read_cdf_csv, reference_drop_records)
+                     read_cdf_csv, reference_cdfs_and_summary, reference_drop_records)
 
 
 @pytest.fixture
@@ -49,10 +49,33 @@ def templates(monkeypatch):
     return built
 
 
+def chunk_records(cfg, lo, hi):
+    """harness._run_chunk's result for drops lo..hi-1, and the records it
+    encodes (one list per drop, each as _record_lines gets it)."""
+    encoded = []
+
+    def recorded(records, *args, _encode=harness._record_lines):
+        encoded.append(records)
+        return _encode(records, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_record_lines", recorded)
+        return harness._run_chunk(cfg, lo, hi), encoded
+
+
 def drop_records(cfg, k):
     """The records harness._run_chunk makes of drop k alone."""
-    [(records, _)] = harness._run_chunk(cfg, k, k + 1)[2]
+    [records] = chunk_records(cfg, k, k + 1)[1]
     return records
+
+
+def dumped(records):
+    """The records.jsonl text of records: json.dumps of each, sorted keys."""
+    return "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records)
+
+
+def metric_rows(records):
+    return [[getattr(r, metric) for metric in harness.METRIC_NAMES] for r in records]
 
 
 def tiny_config(out_dir, iterations=4, parallelism=1, **params_kw):
@@ -474,10 +497,13 @@ class TestChunkEqualsItsDrops:
             tiny_config(tmp_path, **params), strategies=("P-OPT", "C-HUN", "C-NINT", "R-EPA"),
             mu_values=(0.1, 0.5, 0.9),
             weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
-        _, _, results, _ = harness._run_chunk(cfg, 0, 4)
-        assert len(results) == 4
-        for k, (records, _) in enumerate(results):
-            assert [vars(r) for r in records] == [vars(r) for r in reference_drop_records(cfg, k)]
+        _, _, texts, table, scenarios, _ = harness._run_chunk(cfg, 0, 4)
+        assert len(texts) == 4 and scenarios is None
+        assert table.shape == (4, 6, 4, len(harness.METRIC_NAMES))
+        for k, (text, drop_table) in enumerate(zip(texts, table)):
+            want = reference_drop_records(cfg, k)
+            assert text == dumped(want)
+            assert drop_table.reshape(-1, len(harness.METRIC_NAMES)).tolist() == metric_rows(want)
 
     @pytest.mark.parametrize("iterations", [10, 30])
     def test_weights_and_corner_tables_are_made_once_per_chunk(self, tmp_path, monkeypatch,
@@ -537,8 +563,12 @@ class TestRepeatedSchedules:
         want = [json.dumps(vars(r), sort_keys=True)
                 for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
         assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
-        # one template per evaluated schedule; every other line is derived
-        assert 0 < len(templates) < len(want)
+        # one template per evaluated schedule; every other line is derived.
+        # Forked workers encode their own drops, so the parent cuts none.
+        if parallelism == 1:
+            assert 0 < len(templates) < len(want)
+        else:
+            assert templates == []
 
 
 class TestEncodedLines:
@@ -554,10 +584,14 @@ class TestEncodedLines:
         cfg = dataclasses.replace(tiny_config(tmp_path, num_ul=3, num_dl=4, num_channels=5),
                                   strategies=strategies, mu_values=mu_values,
                                   weight_modes=weight_modes)
-        records = [r for k in range(3) for r in drop_records(cfg, k)]
-        assert len(records) == 3 * len(strategies) * len(mu_values) * len(weight_modes)
-        assert list(_record_lines(records)) == [json.dumps(vars(r), sort_keys=True)
-                                                for r in records]
+        (_, _, texts, table, _, _), records = chunk_records(cfg, 0, 3)
+        assert [len(drop) for drop in records] == [
+            len(strategies) * len(mu_values) * len(weight_modes)] * 3
+        assert texts == [dumped(drop) for drop in records]
+        assert table.reshape(-1, len(harness.METRIC_NAMES)).tolist() == [
+            row for drop in records for row in metric_rows(drop)]
+        assert [r for drop in records for r in drop] == [
+            r for k in range(3) for r in reference_drop_records(cfg, k)]
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_written_file_equals_the_fresh_solve_records(self, tmp_path, parallelism):
@@ -586,6 +620,20 @@ class TestEncodedLines:
                                                 for r in records]
         assert len(templates) == 1 and templates[0] is solved
 
+    def test_mu_is_spelled_once_per_objective_not_per_value(self, templates):
+        # 0.0 and -0.0 are equal dict keys with different spellings; each
+        # objective's mu object is spelled once, whatever the lines
+        solved = RunRecord(drop=0, strategy="C-HUN", mu=0.0, weight_mode="SR",
+                           objective=1.5, sum_se=4.0, min_se=0.25, jain=0.75,
+                           se_ul=(0.25,), se_dl=(1.5,), seed="1:0", gain_hash="0123abcd")
+        objectives = [(0.0, "SR"), (-0.0, "SR"), (0.0, "PL"), (-0.0, "PL")]
+        records = [dataclasses.replace(solved, mu=mu, weight_mode=mode, objective=x)
+                   for x in (-0.0, 0.5) for mu, mode in objectives]
+        spelled = {}
+        assert list(_record_lines(records, spelled)) == [json.dumps(vars(r), sort_keys=True)
+                                                         for r in records]
+        assert len(spelled) == len(objectives) and len(templates) == 1
+
     def test_a_field_that_sorts_between_the_rescored_ones_is_kept(self):
         @dataclasses.dataclass(frozen=True)
         class PairCountRecord(RunRecord):
@@ -613,30 +661,76 @@ class TestEncodedLines:
             assert _encode_float(x) == json.dumps(x)
 
 
-class TestFlushRecords:
-    """records.jsonl is written a line at a time, never held whole."""
+class TestRecordsFile:
+    """records.jsonl grows a chunk at a time as the chunks are merged; the
+    run never holds it whole."""
 
-    def test_flush_allocates_a_small_share_of_the_file(self, tmp_path, monkeypatch):
+    def test_merges_allocate_a_small_share_of_the_file(self, tmp_path, monkeypatch):
+        # 10 chunks of 10 drops.  Tracing runs from the first merge on, so
+        # each merge's peak counts what the run kept since then (a chunk's
+        # text, made after tracing began, and anything held run-long) on top
+        # of the merge's own allocations; the gain-table builder's
+        # temporaries between merges (about 0.45 MB a chunk) do not count
         cfg = ExperimentConfig(
             params=ScenarioParams(num_ul=25, num_dl=25, num_channels=25, rng_seed=3),
             strategies=("R-EPA",), mu_values=(0.1, 0.5, 0.9),
             weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION),
             iterations=100, out_dir=str(tmp_path))
-        peaks = []
+        monkeypatch.setattr(harness, "_chunk_drops", lambda cfg: (10, 1))
+        merges = []
 
-        def traced(out, records, _flush=harness._flush_records):
-            tracemalloc.start()
-            try:
-                _flush(out, records)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        def traced(*args, _merge=harness._merge_chunk):
+            if not merges:
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+            _merge(*args)
+            merges.append(tracemalloc.get_traced_memory()[1])
 
-        monkeypatch.setattr(harness, "_flush_records", traced)
-        run_experiment(cfg)
+        monkeypatch.setattr(harness, "_merge_chunk", traced)
+        try:
+            run_experiment(cfg)
+        finally:
+            tracemalloc.stop()
         size = (tmp_path / "records.jsonl").stat().st_size
-        assert len(peaks) == 1 and size > 500_000
-        assert peaks[0] < size / 4
+        assert len(merges) == 10 and size > 500_000
+        assert max(merges) < size / 4
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_cdfs_and_summary_equal_those_of_the_fresh_solve_records(self, tmp_path,
+                                                                     parallelism):
+        cfg = dataclasses.replace(
+            tiny_config(tmp_path / "run", iterations=7, parallelism=parallelism,
+                        num_ul=3, num_dl=4, num_channels=5),
+            strategies=("P-OPT", "R-EPA", "C-HUN"), mu_values=(0.9, 0.1),
+            weight_modes=(WeightMode.PATH_LOSS_COMPENSATION, WeightMode.SUM_RATE))
+        result = run_experiment(cfg)
+        want = reference_cdfs_and_summary(
+            cfg, [r for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)])
+        got = {name: text for name, text in read_deterministic_outputs(tmp_path / "run").items()
+               if name.startswith("cdf_") or name == "summary.json"}
+        assert got == want and len(want) == len(result["cdf_files"]) + 1
+        assert result["records"] == cfg.iterations * 3 * 2 * 2
+
+
+class TestStrategyGenerators:
+    """Only R-EPA reads a drop's strategy generator; a run makes one per drop
+    when R-EPA is among its strategies and none otherwise."""
+
+    @pytest.mark.parametrize("strategies, made", [
+        (("P-OPT", "C-HUN"), 0), (("C-HUN", "C-NINT"), 0), (("C-HUN", "R-EPA"), 5),
+        (("R-EPA",), 5)])
+    def test_generators_only_for_r_epa(self, tmp_path, monkeypatch, strategies, made):
+        roles, real_drop_rng = [], harness.drop_rng
+
+        def counted(master_seed, drop_index, role):
+            roles.append((role, drop_index))
+            return real_drop_rng(master_seed, drop_index, role)
+
+        monkeypatch.setattr(harness, "drop_rng", counted)
+        run_experiment(dataclasses.replace(tiny_config(tmp_path, iterations=5),
+                                           strategies=strategies))
+        assert sorted(roles) == ([(harness._ROLE_SCENARIO, k) for k in range(5)]
+                                 + [(harness._ROLE_STRATEGY, k) for k in range(made)])
 
 
 class TestPoolBlocks:

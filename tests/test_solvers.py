@@ -797,6 +797,34 @@ class TestSilencedPartnerRepeats:
                                                        g, params, w, mu))
 
 
+class TestOutcomeArrays:
+    """A chunk's outcomes are built without wrapping their arrays again:
+    every array is read-only, and the outcomes of one schedule (the same
+    partners and powers on one drop) share all five of them."""
+
+    FIELDS = ("partner_ul", "p_ul", "p_dl", "se_ul", "se_dl")
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_read_only_and_shared_by_a_schedule(self, name):
+        params = params_with(num_ul=3, num_dl=5, num_channels=6)
+        gains = build_gain_table(params, [drop_rng(9, k, 0) for k in range(12)])
+        rngs = [drop_rng(9, k, 1) for k in range(12)]
+        shared = 0
+        for outcomes in solvers.solve(name, gains, rngs, params, MIXED_OBJECTIVES):
+            for n, o in enumerate(outcomes):
+                arrays = [getattr(o, field) for field in self.FIELDS]
+                assert not any(a.flags.writeable for a in arrays)
+                with pytest.raises(ValueError, match="read-only"):
+                    o.se_ul[...] = 0.0
+                for earlier in outcomes[:n]:
+                    same = all(a.tobytes() == getattr(earlier, field).tobytes()
+                               for field, a in zip(self.FIELDS, arrays[:3]))
+                    assert [a is getattr(earlier, field)
+                            for field, a in zip(self.FIELDS, arrays)] == [same] * 5
+                    shared += same
+        assert shared > 0
+
+
 class TestOptimalitySandwich:
     def test_heuristics_never_beat_exhaustive(self):
         rng = np.random.default_rng(12)
