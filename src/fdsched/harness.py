@@ -458,10 +458,10 @@ def _record_lines(records: list[RunRecord], spelled: dict | None = None):
         template = templates.get(key)
         if template is None:
             template = templates[key] = _hole_template(r)
-        key = id(r.mu), r.weight_mode
-        if key not in spelled:   # kept with the mu object, so its id is not reused
-            spelled[key] = r.mu, _encode_float(r.mu), _ENCODER.encode(r.weight_mode)
-        _, mu, mode = spelled[key]
+        objective = id(r.mu), r.weight_mode
+        if objective not in spelled:   # kept with the mu object, so its id is not reused
+            spelled[objective] = r.mu, _encode_float(r.mu), _ENCODER.encode(r.weight_mode)
+        _, mu, mode = spelled[objective]
         template[1::2] = mu, _encode_float(r.objective), mode
         yield "".join(template)
 
