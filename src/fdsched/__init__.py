@@ -11,7 +11,6 @@ Monte Carlo drops.
 from .assignment import assign_with_solo, hungarian_max
 from .harness import (
     ExperimentConfig,
-    RunRecord,
     canned_experiments,
     config_from_dict,
     load_config,
@@ -20,8 +19,8 @@ from .harness import (
 from .metrics import CdfSeries, empirical_cdf, jain_index, percentile
 from .model import (
     GainTable,
+    Outcomes,
     ScenarioParams,
-    ScheduleOutcome,
     WeightMode,
     WeightVector,
     dbm_to_watts,

@@ -11,18 +11,17 @@ the lockstep gate where the stacks are solved in lockstep).  A chunk's gains
 are one GainTable with a leading drop axis, made in one build_gain_table
 call, and each strategy is solved once per chunk, for all of its drops'
 (weight mode, mu) objectives, so its assignments go to the solver as one
-stack.  Once every strategy is solved, the chunk encodes its records per
-drop, in drop order and (weight mode, mu, strategy) order, and returns
-their records.jsonl text with a table of their CDF metrics, so a forked
-worker encodes its own drops.  records.jsonl grows a chunk at a time as
-the chunks are merged, so a failure keeps every merged drop; a chunk that
-fails is solved again one drop at a time, which keeps every drop before
-the failing one.
-Outcomes of one solve that share SE arrays (a schedule that several
-objectives chose, evaluated once and rescored, as every R-EPA schedule is)
-give records derived from the first one, sharing its pair of SE tuples.
-One records.jsonl line per schedule is encoded with a hole in each field a
-rescoring changes (_RESCORED), and each of its lines fills in the holes.
+stack.  Once every strategy is solved (one Outcomes each), the chunk
+encodes its records per drop, in drop order and (weight mode, mu,
+strategy) order, and returns their records.jsonl text with a table of
+their CDF metrics, so a forked worker encodes its own drops.
+records.jsonl grows a chunk at a time as the chunks are merged, so a
+failure keeps every merged drop; a chunk that fails is solved again one
+drop at a time, which keeps every drop before the failing one.
+A schedule that several objectives of a drop chose (Outcomes.schedule
+names the same row, as for every R-EPA schedule) is evaluated once and
+rescored: its records.jsonl line is encoded once with a hole in each field
+a rescoring changes (_RESCORED), and each of its lines fills in the holes.
 
 Outputs per run directory:
   config.json    resolved configuration (deterministic)
@@ -56,6 +55,7 @@ import numpy as np
 from . import assignment, metrics
 from .model import (
     GainTable,
+    Outcomes,
     ScenarioParams,
     WeightMode,
     db_to_linear,
@@ -143,33 +143,11 @@ def _gain_hash(gains: GainTable) -> str:
 # Records
 # ---------------------------------------------------------------------------
 
-# The fields in which the records of one evaluated schedule differ, sorted
+# A records.jsonl line holds one (drop, strategy, mu, weight mode) evaluation:
+# drop, strategy, mu, weight_mode, objective, sum_se, min_se, jain, se_ul,
+# se_dl (lists), seed and gain_hash.  The fields in which the lines of one
+# evaluated schedule differ, sorted:
 _RESCORED = ("mu", "objective", "weight_mode")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Metrics of one (drop, strategy, mu, weight mode) evaluation."""
-
-    drop: int
-    strategy: str
-    mu: float
-    weight_mode: str
-    objective: float
-    sum_se: float
-    min_se: float
-    jain: float
-    se_ul: tuple[float, ...]
-    se_dl: tuple[float, ...]
-    seed: str
-    gain_hash: str
-
-    def rescored(self, mu: float, objective: float, weight_mode: str) -> "RunRecord":
-        """This record of an evaluated schedule with other _RESCORED fields:
-        the same SE tuples and metrics, without running __init__ again."""
-        repeat = object.__new__(RunRecord)
-        repeat.__dict__.update(vars(self), mu=mu, objective=objective, weight_mode=weight_mode)
-        return repeat
 
 
 # A chunk holds about this many bytes at once: its gain tables (I * J + 3 *
@@ -204,11 +182,14 @@ def _chunk_drops(cfg: ExperimentConfig) -> tuple[int, int]:
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     """Evaluate all requested combinations on drops lo..hi-1: each strategy
-    is solved once over all of them, then the records are built and encoded
-    a drop at a time (_record_lines).  Returns (lo, hi, each drop's
-    records.jsonl text, the (drops, objectives, strategies, METRIC_NAMES)
-    table of the records' metrics, the drops' scenario documents or None,
-    the chunk's wall time)."""
+    is solved once over all of them, then the records are encoded a drop at
+    a time.  Each (drop, strategy, schedule row) line is cut once
+    (_hole_template) and every objective that chose the row fills in its
+    _RESCORED holes; each objective's mu and weight mode are spelled once,
+    by objective index, since equal floats may spell differently (-0.0 and
+    0.0).  Returns (lo, hi, each drop's records.jsonl text, the (drops,
+    objectives, strategies, METRIC_NAMES) table of the records' metrics,
+    the drops' scenario documents or None, the chunk's wall time)."""
     started = time.perf_counter()
     master = cfg.params.rng_seed
     gains = build_gain_table(cfg.params, [drop_rng(master, k, _ROLE_SCENARIO)
@@ -217,30 +198,35 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
             if "R-EPA" in cfg.strategies else None)   # the one strategy that reads them
     objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
     solved = [solve(name, gains, rngs, cfg.params, objectives) for name in cfg.strategies]
-    texts, table, spelled = [], [], {}
-    for k, *drop_outcomes in zip(range(lo, hi), *solved):
-        seed, table_hash = f"{master}:{k}", _gain_hash(gains.drop(k - lo))
-        # Rescored outcomes share both SE arrays; their records derive from
-        # the first one and so share its pair of SE tuples.
-        firsts, records = {}, []
-        for (mode, mu), outcomes in zip(objectives, zip(*drop_outcomes)):
-            for name, o in zip(cfg.strategies, outcomes):
-                first = firsts.get(id(o.se_ul))
-                if first is None:
-                    first = firsts[id(o.se_ul)] = RunRecord(
-                        drop=k, strategy=name, mu=mu, weight_mode=mode.value,
-                        objective=o.objective, sum_se=o.sum_se, min_se=o.min_se, jain=o.jain,
-                        se_ul=tuple(o.se_ul.tolist()), se_dl=tuple(o.se_dl.tolist()),
-                        seed=seed, gain_hash=table_hash)
-                    records.append(first)
-                else:
-                    records.append(first.rescored(mu, o.objective, mode.value))
-        table.extend(map(attrgetter(*METRIC_NAMES), records))
-        texts.append("\n".join([*_record_lines(records, spelled), ""]))
+    table = np.array([[o.objective, o.sum_se[o.schedule], o.min_se[o.schedule],
+                       o.jain[o.schedule]] for o in solved]).transpose(2, 3, 0, 1)
+    spelled = [(_encode_float(mu), _ENCODER.encode(mode.value)) for mode, mu in objectives]
+    chosen = [(name, o, o.schedule.tolist(), o.objective.tolist())
+              for name, o in zip(cfg.strategies, solved)]
+    texts = []
+    for d, k in enumerate(range(lo, hi)):
+        drop = {"drop": k, "seed": f"{master}:{k}", "gain_hash": _gain_hash(gains.drop(d))}
+        templates, lines = {}, []   # (strategy, schedule row) -> its line template
+        for n, (mu, mode) in enumerate(spelled):
+            for name, o, rows, values in chosen:
+                s = rows[d][n]
+                template = templates.get((name, s))
+                if template is None:
+                    template = templates[name, s] = _hole_template(
+                        {**drop, "strategy": name, **_schedule_fields(o, s)})
+                template[1::2] = mu, _encode_float(values[d][n]), mode
+                lines.append("".join(template))
+        texts.append("\n".join([*lines, ""]))
     scenarios = ([scenario_to_dict(gains.drop(d)) for d in range(hi - lo)]
                  if cfg.dump_scenarios else None)
-    return (lo, hi, texts, np.reshape(table, (hi - lo, len(objectives), len(solved), -1)),
-            scenarios, time.perf_counter() - started)
+    return lo, hi, texts, table, scenarios, time.perf_counter() - started
+
+
+def _schedule_fields(outcomes: Outcomes, s: int) -> dict:
+    """The record fields of distinct schedule s of outcomes: its SEs and metrics."""
+    return {"sum_se": float(outcomes.sum_se[s]), "min_se": float(outcomes.min_se[s]),
+            "jain": float(outcomes.jain[s]), "se_ul": outcomes.se_ul[s].tolist(),
+            "se_dl": outcomes.se_dl[s].tolist()}
 
 
 def _solved_chunks(cfg: ExperimentConfig, lo: int, hi: int):
@@ -430,40 +416,16 @@ def _encode_float(x: float) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-def _hole_template(r: RunRecord) -> list:
-    """r's records.jsonl line cut at a hole in each _RESCORED field (encoded
-    "\x00", which no other field's text holds), with a slot for each field's
-    value between the pieces; sorted keys keep the fields in _RESCORED order."""
-    pieces = _ENCODER.encode({**vars(r), **dict.fromkeys(_RESCORED, "\x00")}).split(
+def _hole_template(fields: dict) -> list:
+    """The records.jsonl line of the record fields cut at a hole in each
+    _RESCORED field (encoded "\x00", which no other field's text holds),
+    with a slot for each field's value between the pieces; sorted keys keep
+    the fields in _RESCORED order."""
+    pieces = _ENCODER.encode({**fields, **dict.fromkeys(_RESCORED, "\x00")}).split(
         _ENCODER.encode("\x00"))
     template = [None] * (2 * len(pieces) - 1)
     template[::2] = pieces
     return template
-
-
-def _record_lines(records: list[RunRecord], spelled: dict | None = None):
-    """Yield the records.jsonl lines: json.dumps(vars(r), sort_keys=True) of
-    each.  _run_chunk shares SE tuple objects only among the records of one
-    evaluated schedule, so those differ only in their _RESCORED fields: each
-    schedule's line is cut once (_hole_template), and every line of it is
-    filled in.  Only the current drop's templates are held.  The records of
-    one objective share its mu object, so spelled (which a chunk's calls
-    share) keeps each objective's mu and weight mode spellings keyed by that
-    object's identity: equal floats may spell differently (-0.0 and 0.0)."""
-    templates, drop, spelled = {}, None, {} if spelled is None else spelled
-    for r in records:
-        if r.drop != drop:   # records come in drop order; hold one drop's templates
-            templates, drop = {}, r.drop
-        key = r.strategy, id(r.se_ul), id(r.se_dl)   # () is one object
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = _hole_template(r)
-        objective = id(r.mu), r.weight_mode
-        if objective not in spelled:   # kept with the mu object, so its id is not reused
-            spelled[objective] = r.mu, _encode_float(r.mu), _ENCODER.encode(r.weight_mode)
-        _, mu, mode = spelled[objective]
-        template[1::2] = mu, _encode_float(r.objective), mode
-        yield "".join(template)
 
 
 def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,

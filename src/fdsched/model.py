@@ -1,8 +1,9 @@
 """Shared domain types, unit conversions and parameter validation.
 
 A schedule is a row of UL partners (the DL user each UL user pairs, -1
-for one alone on its channel) with its UL and DL powers; ScheduleOutcome
-holds one with its SEs and metrics.
+for one alone on its channel) with its UL and DL powers; Outcomes holds a
+chunk's distinct schedules with their SEs and metrics, and which one each
+(drop, objective) chose.
 
 Everything downstream computes in linear units: watts for powers and
 dimensionless linear factors for path gains.  dB and dBm appear only at the
@@ -203,27 +204,32 @@ class WeightVector:
 
 
 @dataclass(frozen=True)
-class ScheduleOutcome:
-    """Full result of one scheduling decision on one drop.
+class Outcomes:
+    """What a strategy chose for every drop d and objective k of a chunk.
 
-    partner_ul[i] is the DL user paired with UL user i, or -1 when it holds
-    a frequency channel alone; p_ul and p_dl are the transmit powers in
-    watts.  objective is the scalarized value (1-mu) * sum(alpha * SE) +
-    mu * min(SE) with the minimum ranging over all UL and DL users
-    together.  Outcomes of one evaluated schedule share its arrays.
+    schedule[d, k] is the row of the chunk's distinct schedules that (d, k)
+    chose, objective[d, k] its scalarized value (1-mu) * sum(alpha * SE) +
+    mu * min(SE), the minimum ranging over all UL and DL users together.
+    Row s of the other arrays is distinct schedule s: partner_ul[s, i] is
+    the DL user paired with UL user i, or -1 when it holds a frequency
+    channel alone; p_ul and p_dl are the transmit powers in watts, se_ul and
+    se_dl the SEs, and sum_se, min_se and jain the metrics of its users.
+    Two objectives of a drop share a row exactly when they chose the same
+    partners and powers.  Arrays are read-only after construction.
     """
 
-    partner_ul: np.ndarray
-    p_ul: np.ndarray
-    p_dl: np.ndarray
-    se_ul: np.ndarray      # bit/s/Hz per UL user
-    se_dl: np.ndarray      # bit/s/Hz per DL user
-    objective: float
-    sum_se: float
-    min_se: float
-    jain: float
+    schedule: np.ndarray     # (D, K) rows of the arrays below
+    objective: np.ndarray    # (D, K)
+    partner_ul: np.ndarray   # (S, I)
+    p_ul: np.ndarray         # (S, I) W
+    p_dl: np.ndarray         # (S, J) W
+    se_ul: np.ndarray        # (S, I) bit/s/Hz per UL user
+    se_dl: np.ndarray        # (S, J) bit/s/Hz per DL user
+    sum_se: np.ndarray       # (S,)
+    min_se: np.ndarray       # (S,)
+    jain: np.ndarray         # (S,)
 
     def __post_init__(self):
-        object.__setattr__(self, "partner_ul", _readonly(self.partner_ul, np.intp))
-        for name in ("p_ul", "p_dl", "se_ul", "se_dl"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        for name, value in vars(self).items():
+            integral = name in ("schedule", "partner_ul")
+            object.__setattr__(self, name, _readonly(value, np.intp if integral else float))

@@ -5,17 +5,16 @@ the random/equal-power baseline (R-EPA).
 All strategies share one signature: they map a chunk of drops (a
 GainTable with a leading drop axis), its generators (or None; only R-EPA
 reads them), the ScenarioParams and one list of objectives (weights with
-the same drop axis, mu) to one list of ScheduleOutcomes per drop, one per
-objective, in order, with metrics computed on the true gains.  Weights,
-corner tables and pair benefits are array passes over the whole chunk,
-and the Hungarian problems of every drop go to one assign_with_solo call
-per strategy (or per P-OPT round), which solves a large stack in lockstep.  A
-strategy's schedules for the chunk are two (D, K, I) arrays, the UL
+the same drop axis, mu) to one Outcomes of the chunk, with metrics
+computed on the true gains.  Weights, corner tables and pair benefits
+are array passes over the whole chunk, and the Hungarian problems of every
+drop go to one assign_with_solo call per strategy (or per P-OPT round),
+which solves a large stack in lockstep.  A strategy's schedules for the chunk are two (D, K, I) arrays, the UL
 partners (-1 for a user alone) and the pairs' corner_points indices;
 _outcomes evaluates each drop's distinct schedules in one outcome_metrics
 call for the whole chunk and scores every (drop, objective) in one
 objective_value call, so a schedule that several objectives of a drop
-chose is evaluated once.
+chose is evaluated once, and the Outcomes index says which one each chose.
 Schedules must fit the channel budget: a drop with I UL and J DL users and
 P pairs occupies I + J - P channels, so at least I + J - F pairs are forced.
 """
@@ -27,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .assignment import assign_with_solo, min_pairs
-from .model import GainTable, ScenarioParams, ScheduleOutcome, WeightMode, WeightVector
+from .model import GainTable, Outcomes, ScenarioParams, WeightMode, WeightVector
 from .radio import (
     CornerTables,
     check_mu,
@@ -45,16 +44,15 @@ Generators = Optional[Sequence[np.random.Generator]]
 
 
 def _outcomes(gains: GainTable, params: ScenarioParams, objectives: Objectives,
-              partner_ul: np.ndarray, corners: np.ndarray) -> list[list[ScheduleOutcome]]:
-    """The outcome of every drop d and objective k of the chunk gains for the
+              partner_ul: np.ndarray, corners: np.ndarray) -> Outcomes:
+    """The Outcomes of every drop d and objective k of the chunk gains for the
     schedule that pairs UL user i with DL user partner_ul[d, k, i] (-1:
     alone) at the corner_points index corners[d, k, i] (0 for a user alone),
     every user not in a pair at max power; (D, 1, I) arrays give each drop
     one schedule for every objective.  Each drop's distinct schedules (their
     own partner and corner bytes) get their powers and go to one
     outcome_metrics call for the whole chunk, and one objective_value call
-    scores every (drop, objective) row.  The outcomes of one schedule share
-    its read-only arrays, so a repeat is known by its SE arrays."""
+    scores every (drop, objective) row.  Outcomes.schedule indexes them."""
     drops, rows, num_ul = partner_ul.shape
     count = len(objectives)
     flat = [a.reshape(drops * rows, num_ul) for a in (partner_ul, corners)]
@@ -62,7 +60,7 @@ def _outcomes(gains: GainTable, params: ScenarioParams, objectives: Objectives,
     for n, key in enumerate(zip(*(map(np.ndarray.tobytes, a) for a in flat))):
         index.append(schedules.setdefault((n // rows, key), len(schedules)))
     firsts = np.unique(index, return_index=True)[1]
-    index = np.broadcast_to(np.reshape(index, (drops, rows)), (drops, count)).ravel()
+    index = np.broadcast_to(np.reshape(index, (drops, rows)), (drops, count))
     partner, corner = (a[firsts] for a in flat)
     points = np.array(corner_points(params))
     paired = partner >= 0
@@ -76,20 +74,11 @@ def _outcomes(gains: GainTable, params: ScenarioParams, objectives: Objectives,
                                                              for w, _ in objectives)))
     weights = WeightVector(alpha_ul.reshape(drops * count, num_ul),
                            alpha_dl.reshape(drops * count, gains.num_dl))
-    values = objective_value(se_ul[index], se_dl[index], minima[index], weights,
+    chosen = index.ravel()
+    values = objective_value(se_ul[chosen], se_dl[chosen], minima[chosen], weights,
                              np.tile([mu for _, mu in objectives], drops))
-    for a in (partner, p_ul, p_dl, se_ul, se_dl):
-        a.setflags(write=False)   # once a chunk: an outcome's arrays are rows of these
-    shared = [dict(zip(_SCHEDULE_FIELDS, row)) for row in zip(
-        partner, p_ul, p_dl, se_ul, se_dl, sums.tolist(), minima.tolist(), jain.tolist())]
-    outcomes = [object.__new__(ScheduleOutcome) for _ in index]
-    for o, s, value in zip(outcomes, index.tolist(), values.tolist()):
-        o.__dict__.update(shared[s], objective=value)
-    return [outcomes[n:n + count] for n in range(0, drops * count, count)]
-
-
-# The ScheduleOutcome fields that the outcomes of one schedule share
-_SCHEDULE_FIELDS = ("partner_ul", "p_ul", "p_dl", "se_ul", "se_dl", "sum_se", "min_se", "jain")
+    return Outcomes(index, values.reshape(drops, count), partner, p_ul, p_dl, se_ul, se_dl,
+                    sums, minima, jain)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +111,7 @@ def _best_corner_assignments(tables: CornerTables, objectives: Objectives,
 
 
 def _hungarian_schedules(planning_gains: GainTable, gains: GainTable, params: ScenarioParams,
-                         objectives: Objectives) -> list[list[ScheduleOutcome]]:
+                         objectives: Objectives) -> Outcomes:
     """Corner tables -> every objective's benefit -> every assignment ->
     every outcome, each in one pass over the chunk.  Decisions are taken on
     planning_gains; outcomes are evaluated on gains."""
@@ -131,7 +120,7 @@ def _hungarian_schedules(planning_gains: GainTable, gains: GainTable, params: Sc
 
 
 def solve_c_hun(gains: GainTable, rngs: Generators, params: ScenarioParams,
-                objectives: Objectives) -> list[list[ScheduleOutcome]]:
+                objectives: Objectives) -> Outcomes:
     """Centralized Hungarian heuristic.
 
     Each candidate pair is scored at its best power corner, the assignment
@@ -143,7 +132,7 @@ def solve_c_hun(gains: GainTable, rngs: Generators, params: ScenarioParams,
 
 
 def solve_c_nint(gains: GainTable, rngs: Generators, params: ScenarioParams,
-                 objectives: Objectives) -> list[list[ScheduleOutcome]]:
+                 objectives: Objectives) -> Outcomes:
     """C-HUN planned as if UE-to-UE interference did not exist.
 
     The benefit matrix is built with all cross gains zeroed, so the planner
@@ -187,7 +176,7 @@ def _next_thresholds(pair_min: np.ndarray, cap: np.ndarray, low: np.ndarray) -> 
 
 
 def solve_p_opt(gains: GainTable, rngs: Generators, params: ScenarioParams,
-                objectives: Objectives) -> list[list[ScheduleOutcome]]:
+                objectives: Objectives) -> Outcomes:
     """The exact optimum over every channel-feasible matching and per-pair
     power corner, unpaired users at max power, from a few pure-sum
     assignments (sum plus bottleneck: Minoux, Math. Programming 45, 1989;
@@ -233,8 +222,11 @@ def _optimum(tables: CornerTables, params: ScenarioParams,
     plan with a live scan in one assign_with_solo stack, built in place
     from gathered SE and weight rows a block at a time; its assignment
     serves every mu of the plan."""
-    distinct = list({id(w): w for w, _ in objectives}.values())
-    plan_of = [[id(v) for v in distinct].index(id(w)) for w, _ in objectives]
+    distinct = []
+    for w, _ in objectives:
+        if not any(v is w for v in distinct):
+            distinct.append(w)
+    plan_of = [next(n for n, v in enumerate(distinct) if v is w) for w, _ in objectives]
     drops, num_ul, num_dl = tables.paired_se_dl.shape
     plans = drops * len(distinct)
     partner, corner = (a.reshape(plans, num_ul) for a in _best_corner_assignments(
@@ -297,7 +289,7 @@ def _optimum(tables: CornerTables, params: ScenarioParams,
 # ---------------------------------------------------------------------------
 
 def solve_r_epa(gains: GainTable, rngs: Generators, params: ScenarioParams,
-                objectives: Objectives) -> list[list[ScheduleOutcome]]:
+                objectives: Objectives) -> Outcomes:
     """Uniformly random maximal matching with everyone at max power, drawn
     from each drop's generator.
 
@@ -322,8 +314,7 @@ def solve_r_epa(gains: GainTable, rngs: Generators, params: ScenarioParams,
 # Registry
 # ---------------------------------------------------------------------------
 
-Strategy = Callable[[GainTable, Generators, ScenarioParams, Objectives],
-                    list[list[ScheduleOutcome]]]
+Strategy = Callable[[GainTable, Generators, ScenarioParams, Objectives], Outcomes]
 
 STRATEGIES: dict[str, Strategy] = {
     "P-OPT": solve_p_opt,
@@ -346,10 +337,10 @@ def stacked_problems(name: str, objectives: Sequence[tuple[WeightMode, float]]) 
 
 
 def solve(name: str, gains: GainTable, rngs: Generators, params: ScenarioParams,
-          objectives: Sequence[tuple[WeightMode, float]]) -> list[list[ScheduleOutcome]]:
+          objectives: Sequence[tuple[WeightMode, float]]) -> Outcomes:
     """Solve every drop of the chunk gains (its generators rngs, or None)
-    with strategy name for each (weight mode, mu) of objectives: per drop,
-    one outcome per pair, in order.  Weights are made once per mode, for
+    with strategy name for each (weight mode, mu) of objectives: one
+    Outcomes, its objective axis in the order of objectives.  Weights are made once per mode, for
     the whole chunk.  A mu outside [0, 1] anywhere in the list fails here,
     before any weights or schedule are built."""
     try:

@@ -18,8 +18,9 @@ the vectorized code they check.  The readers of a run's outputs (a CDF
 file, a dumped scenario) and the median gap of two CDFs, which only the
 tests use, are here too, and so are the list of modules a script loads in
 a fresh interpreter, the one-drop forms of build_gain_table's and the
-strategies' calls (chunk_of, drop_views) and the one-schedule form of the
-evaluator's (evaluate_schedule).
+strategies' calls (chunk_of, drop_views), the per-objective view of a
+drop's Outcomes (ScheduleOutcome, outcome_views) and the one-schedule form
+of the evaluator's (evaluate_schedule).
 """
 
 import bisect
@@ -35,10 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from fdsched.assignment import assign_with_solo, hungarian_max, min_pairs
-from fdsched.harness import (_ROLE_SCENARIO, _ROLE_STRATEGY, METRIC_NAMES, RunRecord,
-                             _gain_hash, drop_rng)
+from fdsched.harness import (_ROLE_SCENARIO, _ROLE_STRATEGY, METRIC_NAMES, _gain_hash,
+                             drop_rng)
 from fdsched.metrics import CdfSeries, empirical_cdf, jain_index, percentile
-from fdsched.model import DropPositions, GainTable, ScenarioParams, ScheduleOutcome, WeightVector
+from fdsched.model import (DropPositions, GainTable, Outcomes, ScenarioParams, WeightVector,
+                           _readonly)
 from fdsched.radio import (CornerTables, check_mu, corner_points, objective_value,
                            outcome_metrics, sinr)
 from fdsched.scenario import (
@@ -63,10 +65,43 @@ def drop_views(chunk: GainTable) -> list[GainTable]:
     return [chunk.drop(d) for d in range(len(chunk.g_ul))]
 
 
+@dataclass(frozen=True)
+class ScheduleOutcome:
+    """One drop's outcome under one objective: its schedule (partner_ul[i]
+    the DL user paired with UL user i, -1 alone; p_ul and p_dl in watts)
+    with its SEs, its objective value and its metrics.  Arrays are
+    read-only."""
+
+    partner_ul: np.ndarray
+    p_ul: np.ndarray
+    p_dl: np.ndarray
+    se_ul: np.ndarray      # bit/s/Hz per UL user
+    se_dl: np.ndarray      # bit/s/Hz per DL user
+    objective: float
+    sum_se: float
+    min_se: float
+    jain: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "partner_ul", _readonly(self.partner_ul, np.intp))
+        for name in ("p_ul", "p_dl", "se_ul", "se_dl"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+
+def outcome_views(outcomes: Outcomes, d: int = 0) -> list[ScheduleOutcome]:
+    """Drop d of a chunk's Outcomes as one ScheduleOutcome per objective,
+    over the rows of the schedule each objective chose."""
+    return [ScheduleOutcome(outcomes.partner_ul[s], outcomes.p_ul[s], outcomes.p_dl[s],
+                            outcomes.se_ul[s], outcomes.se_dl[s], float(objective),
+                            float(outcomes.sum_se[s]), float(outcomes.min_se[s]),
+                            float(outcomes.jain[s]))
+            for s, objective in zip(outcomes.schedule[d], outcomes.objective[d])]
+
+
 def solve_drop(name, gains, params, objectives, rng=None):
     """solvers.solve on the one drop (gains, rng): its outcome list."""
-    [outcomes] = solve(name, chunk_of(gains), None if rng is None else [rng], params, objectives)
-    return outcomes
+    return outcome_views(solve(name, chunk_of(gains), None if rng is None else [rng], params,
+                               objectives))
 
 
 def drop_gain_table(params, rng) -> GainTable:
@@ -79,9 +114,8 @@ def one_drop(strategy, gains, params, objectives, rng=None):
     (weights, mu) objectives: its outcome list.  Objectives that share a
     weight vector share its one-drop chunk form too."""
     chunked = {id(w): WeightVector(w.alpha_ul[None], w.alpha_dl[None]) for w, _ in objectives}
-    [outcomes] = strategy(chunk_of(gains), None if rng is None else [rng], params,
-                          [(chunked[id(w)], mu) for w, mu in objectives])
-    return outcomes
+    return outcome_views(strategy(chunk_of(gains), None if rng is None else [rng], params,
+                                  [(chunked[id(w)], mu) for w, mu in objectives]))
 
 
 def benefit_value(c_u, c_d, alpha_u, alpha_d, mu):
@@ -484,10 +518,11 @@ def reference_build_gain_table(params: ScenarioParams, rng) -> GainTable:
     return GainTable(*gains, positions=positions)
 
 
-def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
-    """harness._run_chunk's records of one drop with every strategy solved
-    afresh, alone, for every (mu, weight mode), its generator rewound before
-    each solve."""
+def reference_drop_records(cfg, drop_index: int) -> list[dict]:
+    """harness._run_chunk's records of one drop, as the dicts whose
+    json.dumps with sorted keys are its records.jsonl lines, with every
+    strategy solved afresh, alone, for every (mu, weight mode), its
+    generator rewound before each solve."""
     master = cfg.params.rng_seed
     gains = drop_gain_table(cfg.params, drop_rng(master, drop_index, _ROLE_SCENARIO))
     strategy_rng = drop_rng(master, drop_index, _ROLE_STRATEGY)
@@ -498,7 +533,7 @@ def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
             for name in cfg.strategies:
                 strategy_rng.bit_generator.state = strategy_state
                 [outcome] = solve_drop(name, gains, cfg.params, [(mode, mu)], strategy_rng)
-                records.append(RunRecord(
+                records.append(dict(
                     drop=drop_index,
                     strategy=name,
                     mu=mu,
@@ -507,8 +542,8 @@ def reference_drop_records(cfg, drop_index: int) -> list[RunRecord]:
                     sum_se=outcome.sum_se,
                     min_se=outcome.min_se,
                     jain=outcome.jain,
-                    se_ul=tuple(outcome.se_ul.tolist()),
-                    se_dl=tuple(outcome.se_dl.tolist()),
+                    se_ul=outcome.se_ul.tolist(),
+                    se_dl=outcome.se_dl.tolist(),
                     seed=f"{master}:{drop_index}",
                     gain_hash=_gain_hash(gains),
                 ))
@@ -524,10 +559,10 @@ def reference_cdfs_and_summary(cfg, records) -> dict[str, str]:
         for mu in cfg.mu_values:
             tag = f"mu={mu}|{mode.value}"
             for strategy in cfg.strategies:
-                combo = [r for r in records
-                         if (r.strategy, r.mu, r.weight_mode) == (strategy, mu, mode.value)]
+                combo = [r for r in records if (r["strategy"], r["mu"], r["weight_mode"])
+                         == (strategy, mu, mode.value)]
                 for metric in METRIC_NAMES:
-                    series = empirical_cdf([getattr(r, metric) for r in combo], metric=metric,
+                    series = empirical_cdf([r[metric] for r in combo], metric=metric,
                                            strategy=strategy, mu=mu, weight_mode=mode.value)
                     name = f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
                     files[name] = "\n".join(series.to_csv_lines()) + "\n"

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import inspect
 import itertools
 import json
 import os
@@ -16,12 +15,12 @@ import pytest
 from fdsched import harness
 from fdsched.cli import main
 from fdsched.harness import (
+    _ENCODER,
     _RESCORED,
     ConfigError,
     ExperimentConfig,
-    RunRecord,
     _encode_float,
-    _record_lines,
+    _hole_template,
     canned_experiments,
     config_from_dict,
     config_to_dict,
@@ -38,44 +37,57 @@ from oracles import (drop_gain_table, load_scenario, median_gap, modules_after,
 
 @pytest.fixture
 def templates(monkeypatch):
-    """The records harness._hole_template builds a line template of, in order."""
+    """The record fields harness._hole_template builds a line template of, in order."""
     built = []
 
-    def counted(r, _build=harness._hole_template):
-        built.append(r)
-        return _build(r)
+    def counted(fields, _build=harness._hole_template):
+        built.append(fields)
+        return _build(fields)
 
     monkeypatch.setattr(harness, "_hole_template", counted)
     return built
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """The Outcomes of every harness.solve call, in order."""
+    results = []
+
+    def recorded(*args, _solve=harness.solve):
+        results.append(_solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "solve", recorded)
+    return results
+
+
 def chunk_records(cfg, lo, hi):
-    """harness._run_chunk's result for drops lo..hi-1, and the records it
-    encodes (one list per drop, each as _record_lines gets it)."""
-    encoded = []
-
-    def recorded(records, *args, _encode=harness._record_lines):
-        encoded.append(records)
-        return _encode(records, *args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_record_lines", recorded)
-        return harness._run_chunk(cfg, lo, hi), encoded
+    """harness._run_chunk's result for drops lo..hi-1, and the records its
+    lines hold, read back (one list per drop)."""
+    chunk = harness._run_chunk(cfg, lo, hi)
+    return chunk, [[json.loads(line) for line in text.splitlines()] for text in chunk[2]]
 
 
 def drop_records(cfg, k):
-    """The records harness._run_chunk makes of drop k alone."""
+    """The records harness._run_chunk writes of drop k alone."""
     [records] = chunk_records(cfg, k, k + 1)[1]
     return records
 
 
 def dumped(records):
     """The records.jsonl text of records: json.dumps of each, sorted keys."""
-    return "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records)
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def metric_rows(records):
-    return [[getattr(r, metric) for metric in harness.METRIC_NAMES] for r in records]
+    return [[r[metric] for metric in harness.METRIC_NAMES] for r in records]
+
+
+def filled(template, mu, objective, weight_mode):
+    """A _hole_template line with its _RESCORED holes filled as _run_chunk
+    fills them."""
+    template[1::2] = _encode_float(mu), _encode_float(objective), _ENCODER.encode(weight_mode)
+    return "".join(template)
 
 
 def tiny_config(out_dir, iterations=4, parallelism=1, **params_kw):
@@ -462,19 +474,23 @@ class TestObjectiveFreeRescoring:
         for k in range(3):
             got = drop_records(cfg, k)
             want = reference_drop_records(cfg, k)
-            assert [vars(r) for r in got] == [vars(r) for r in want]
-        assert len({r.objective for r in got if r.strategy == "R-EPA"}) == 6
+            assert got == want
+        assert len({r["objective"] for r in got if r["strategy"] == "R-EPA"}) == 6
 
-    def test_objective_free_records_share_their_se_tuples(self, tmp_path):
+    def test_an_objective_free_schedule_is_cut_once(self, tmp_path, templates, solved):
         cfg = dataclasses.replace(
             tiny_config(tmp_path, num_ul=3, num_dl=5, num_channels=6),
             strategies=("C-HUN", "R-EPA"), mu_values=(0.1, 0.5, 0.9),
             weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
         for k in range(3):
+            templates.clear()
+            solved.clear()
             records = drop_records(cfg, k)
-            repa = [r for r in records if r.strategy == "R-EPA"]
+            assert solved[1].schedule.tolist() == [[0] * 6]
+            [cut] = [fields for fields in templates if fields["strategy"] == "R-EPA"]
+            repa = [r for r in records if r["strategy"] == "R-EPA"]
             assert len(repa) == 6
-            assert all(r.se_ul is repa[0].se_ul and r.se_dl is repa[0].se_dl for r in repa)
+            assert all(r["se_ul"] == cut["se_ul"] and r["se_dl"] == cut["se_dl"] for r in repa)
 
 
 class TestChunkEqualsItsDrops:
@@ -528,31 +544,26 @@ class TestChunkEqualsItsDrops:
 
 class TestRepeatedSchedules:
     """On fig2 most objectives after a solve's first choose a schedule that
-    an earlier one chose; it is evaluated once, its records share one pair
-    of SE tuples, and their lines derive from the first one's line."""
+    an earlier one chose; it is evaluated once, its line is cut once per
+    (drop, strategy, schedule row), and every line of the row fills it in."""
 
-    def test_records_of_a_repeated_schedule_share_their_se_tuples(self, tmp_path,
-                                                                   monkeypatch):
-        solved = []
-
-        def recorded(*args, _solve=harness.solve):
-            solved.append(_solve(*args))
-            return solved[-1]
-
-        monkeypatch.setattr(harness, "solve", recorded)
+    def test_a_line_is_cut_once_per_distinct_schedule(self, tmp_path, templates, solved):
         cfg = canned_experiments("fig2", seed=5, iterations=6, out_dir=str(tmp_path))
         shared = 0
         for k in range(cfg.iterations):
+            templates.clear()
             solved.clear()
             records = drop_records(cfg, k)
-            for name, [outcomes] in zip(cfg.strategies, solved):
-                own = [r for r in records if r.strategy == name]
-                for n, (r, o) in enumerate(zip(own, outcomes)):
-                    for earlier_r, earlier_o in zip(own[:n], outcomes[:n]):
-                        same = earlier_o.se_ul is o.se_ul
-                        assert (earlier_r.se_ul is r.se_ul) == same
-                        assert (earlier_r.se_dl is r.se_dl) == same
-                        shared += same
+            for name, o in zip(cfg.strategies, solved):
+                [rows] = o.schedule.tolist()
+                cut = [(f["se_ul"], f["se_dl"], f["sum_se"])
+                       for f in templates if f["strategy"] == name]
+                assert cut == [(o.se_ul[s].tolist(), o.se_dl[s].tolist(), float(o.sum_se[s]))
+                               for s in dict.fromkeys(rows)]
+                own = [r for r in records if r["strategy"] == name]
+                assert [(r["se_ul"], r["se_dl"]) for r in own] == [
+                    (o.se_ul[s].tolist(), o.se_dl[s].tolist()) for s in rows]
+                shared += len(rows) - len(cut)
         assert shared > 0
 
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -560,7 +571,7 @@ class TestRepeatedSchedules:
         cfg = canned_experiments("fig2", seed=5, iterations=6, out_dir=str(tmp_path),
                                  parallelism=parallelism)
         run_experiment(cfg)
-        want = [json.dumps(vars(r), sort_keys=True)
+        want = [json.dumps(r, sort_keys=True)
                 for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
         assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
         # one template per evaluated schedule; every other line is derived.
@@ -572,8 +583,8 @@ class TestRepeatedSchedules:
 
 
 class TestEncodedLines:
-    """A rescored record's line is derived from its solve's line; every
-    written line must equal json.dumps of its record with sorted keys."""
+    """A rescored record's line is derived from its schedule's template;
+    every written line must equal json.dumps of its record with sorted keys."""
 
     @pytest.mark.parametrize("strategies", [("R-EPA", "C-HUN"), ("C-HUN", "R-EPA")])
     @pytest.mark.parametrize("mu_values", [(0.5,), (0.1, 0.5, 0.9)])
@@ -600,59 +611,43 @@ class TestEncodedLines:
             strategies=("R-EPA", "C-HUN"), mu_values=(0.1, 0.5, 0.9),
             weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
         run_experiment(cfg)
-        want = [json.dumps(vars(r), sort_keys=True)
+        want = [json.dumps(r, sort_keys=True)
                 for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
         assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
 
-    def test_rescored_line_with_tricky_reprs(self, templates):
-        solved = RunRecord(drop=3, strategy="R-EPA", mu=0.5, weight_mode="SR",
-                           objective=2.5, sum_se=4.0, min_se=0.25, jain=0.75,
-                           se_ul=(0.25, 1.5), se_dl=(2.25, -0.0), seed="7:3",
-                           gain_hash="0123abcd")
-        tricky = [-0.0, 5e-324, 1e22, 0.1 + 0.2, 1.0]
-        # every repeat shares the solved record's SE tuples, so all derive from
-        # its one template, with the two modes' spellings alternating
-        records = [solved] + [
-            dataclasses.replace(solved, mu=mu, objective=objective, weight_mode=mode)
-            for mu in tricky for objective in tricky + [float("nan"), float("-inf")]
-            for mode in ("PL", "SR")]
-        assert list(_record_lines(records)) == [json.dumps(vars(r), sort_keys=True)
-                                                for r in records]
-        assert len(templates) == 1 and templates[0] is solved
+    def test_rescored_line_with_tricky_reprs(self):
+        fields = dict(drop=3, strategy="R-EPA", sum_se=4.0, min_se=0.25, jain=0.75,
+                      se_ul=[0.25, 1.5], se_dl=[2.25, -0.0], seed="7:3", gain_hash="0123abcd")
+        tricky = [-0.0, 5e-324, 1e22, 0.1 + 0.2, 1.0, float("nan"), float("-inf")]
+        # every line of one template, with the two modes' spellings alternating
+        template = _hole_template(fields)
+        for mu, objective, mode in itertools.product(tricky, tricky, ("PL", "SR")):
+            record = {**fields, "mu": mu, "objective": objective, "weight_mode": mode}
+            assert filled(template, mu, objective, mode) == json.dumps(record, sort_keys=True)
 
-    def test_mu_is_spelled_once_per_objective_not_per_value(self, templates):
-        # 0.0 and -0.0 are equal dict keys with different spellings; each
-        # objective's mu object is spelled once, whatever the lines
-        solved = RunRecord(drop=0, strategy="C-HUN", mu=0.0, weight_mode="SR",
-                           objective=1.5, sum_se=4.0, min_se=0.25, jain=0.75,
-                           se_ul=(0.25,), se_dl=(1.5,), seed="1:0", gain_hash="0123abcd")
-        objectives = [(0.0, "SR"), (-0.0, "SR"), (0.0, "PL"), (-0.0, "PL")]
-        records = [dataclasses.replace(solved, mu=mu, weight_mode=mode, objective=x)
-                   for x in (-0.0, 0.5) for mu, mode in objectives]
-        spelled = {}
-        assert list(_record_lines(records, spelled)) == [json.dumps(vars(r), sort_keys=True)
-                                                         for r in records]
-        assert len(spelled) == len(objectives) and len(templates) == 1
+    @pytest.mark.parametrize("mu, spelling", [(-0.0, '"mu": -0.0'), (0.0, '"mu": 0.0')])
+    def test_mu_is_spelled_as_configured(self, tmp_path, mu, spelling):
+        # 0.0 and -0.0 are equal floats with different spellings
+        cfg = dataclasses.replace(tiny_config(tmp_path), mu_values=(mu,),
+                                  weight_modes=tuple(WeightMode))
+        (_, _, texts, _, _, _), _ = chunk_records(cfg, 0, 2)
+        lines = "".join(texts).splitlines()
+        assert len(lines) == 2 * 2 * 2 and all(spelling in line for line in lines)
+        assert texts == [dumped(reference_drop_records(cfg, k)) for k in range(2)]
 
     def test_a_field_that_sorts_between_the_rescored_ones_is_kept(self):
-        @dataclasses.dataclass(frozen=True)
-        class PairCountRecord(RunRecord):
-            n_pairs: int = 0   # sorts between mu and objective
+        for n in (1, 2):
+            fields = dict(drop=0, strategy="R-EPA", sum_se=4.0, min_se=0.25, jain=0.75,
+                          se_ul=[0.25 * n, 1.5], se_dl=[2.25], seed="1:0", gain_hash="0123abcd",
+                          n_pairs=n)   # sorts between mu and objective
+            template = _hole_template(fields)
+            for mode, mu, objective in itertools.product(("SR", "PL"), (0.1, 0.9), (1.5, -0.0)):
+                record = {**fields, "mu": mu, "objective": objective, "weight_mode": mode}
+                assert filled(template, mu, objective, mode) == json.dumps(record,
+                                                                           sort_keys=True)
 
-        solved = [PairCountRecord(drop=0, strategy="R-EPA", mu=0.1, weight_mode="SR",
-                                  objective=1.5, sum_se=4.0, min_se=0.25, jain=0.75,
-                                  se_ul=(0.25 * n, 1.5), se_dl=(2.25,), seed="1:0",
-                                  gain_hash="0123abcd", n_pairs=n) for n in (1, 2)]
-        records = [dataclasses.replace(first, mu=mu, objective=objective, weight_mode=mode)
-                   for first in solved for mode in ("SR", "PL") for mu in (0.1, 0.9)
-                   for objective in (first.objective, -0.0)]
-        assert all(r.se_ul is solved[r.n_pairs - 1].se_ul for r in records)
-        assert list(_record_lines(records)) == [json.dumps(vars(r), sort_keys=True)
-                                                for r in records]
-
-    def test_rescored_fields_are_sorted_and_are_what_rescored_takes(self):
+    def test_rescored_fields_are_sorted(self):
         assert list(_RESCORED) == sorted(_RESCORED)
-        assert tuple(inspect.signature(RunRecord.rescored).parameters)[1:] == _RESCORED
 
     def test_encode_float_matches_json_dumps(self):
         values = [0.0, -0.0, 1e-320, 1e22, sys.float_info.max, float("nan"),

@@ -1,17 +1,19 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from fdsched.model import (
     GainTable,
+    Outcomes,
     ScenarioParams,
-    ScheduleOutcome,
     WeightMode,
     dbm_to_watts,
     watts_to_dbm,
 )
 from fdsched import solvers
+from fdsched.scenario import build_gain_table
 from fdsched.solvers import STRATEGIES
 from oracles import drop_gain_table, pairing_matrix, solve_drop, validate_gain_table
 
@@ -142,24 +144,41 @@ class TestGainTable:
             g.g_ul[0] = 2.0
 
 
-class TestScheduleOutcome:
-    def test_fields_are_read_only_arrays(self):
-        out = ScheduleOutcome([1, -1], [1.0, 0.5], [0.0, 1.0], se_ul=[1.5, 0.25],
-                              se_dl=[0.5, 2.0], objective=3.0, sum_se=4.25, min_se=0.25,
-                              jain=0.8)
-        assert out.partner_ul.dtype == np.intp and out.partner_ul.tolist() == [1, -1]
-        for name in ("partner_ul", "p_ul", "p_dl", "se_ul", "se_dl"):
-            with pytest.raises(ValueError):
-                getattr(out, name)[0] = 2
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            out.objective = 1.0
+class TestOutcomes:
+    """Every strategy returns one Outcomes per chunk: (D, K) schedule rows
+    and objectives, (S, ...) arrays of its distinct schedules, all read-only."""
 
-    def test_an_outcome_keeps_the_rows_it_is_given(self):
-        # the outcomes of one evaluated schedule share its rows, which the
-        # harness reads as one schedule
-        se, partners = np.array([[1.0, 2.0]]), np.array([[0]])
-        se_ul, se_dl, partner_ul = se[0, :1], se[0, 1:], partners[0]
-        outcomes = [ScheduleOutcome(partner_ul, [1.0], [1.0], se_ul, se_dl, objective, 3.0, 1.0,
-                                    0.9) for objective in (1.0, 2.0)]
-        for out in outcomes:
-            assert out.se_ul is se_ul and out.se_dl is se_dl and out.partner_ul is partner_ul
+    OBJECTIVES = [(WeightMode.SUM_RATE, 0.1), (WeightMode.PATH_LOSS_COMPENSATION, 0.5),
+                  (WeightMode.SUM_RATE, 0.9)]
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    @pytest.mark.parametrize("num_ul, num_dl, num_channels",
+                             [(4, 4, 4), (3, 5, 6), (0, 3, 3), (3, 0, 3)])
+    def test_read_only_arrays_of_the_documented_shapes(self, name, num_ul, num_dl,
+                                                       num_channels):
+        params = ScenarioParams(num_ul=num_ul, num_dl=num_dl, num_channels=num_channels)
+        drops, count = 5, len(self.OBJECTIVES)
+        rngs = [np.random.default_rng(k) for k in range(drops)]
+        gains = build_gain_table(params, rngs)
+        out = solvers.solve(name, gains, rngs, params, self.OBJECTIVES)
+        rows = len(out.sum_se)
+        shapes = {"schedule": (drops, count), "objective": (drops, count),
+                  "partner_ul": (rows, num_ul), "p_ul": (rows, num_ul), "p_dl": (rows, num_dl),
+                  "se_ul": (rows, num_ul), "se_dl": (rows, num_dl), "sum_se": (rows,),
+                  "min_se": (rows,), "jain": (rows,)}
+        assert [f.name for f in dataclasses.fields(Outcomes)] == list(shapes)
+        for field, shape in shapes.items():
+            array = getattr(out, field)
+            assert array.shape == shape, field
+            assert not array.flags.writeable, field
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert out.schedule.dtype == out.partner_ul.dtype == np.intp
+        # every row is chosen by some objective of one drop, and no two drops share one
+        assert sorted(set(out.schedule.ravel().tolist())) == list(range(rows))
+        assert all(not set(a) & set(b) for a, b in itertools.combinations(
+            out.schedule.tolist(), 2))
+        if name == "R-EPA":   # one draw per drop serves every objective
+            assert out.schedule.tolist() == [[d] * count for d in range(drops)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.schedule = out.schedule

@@ -23,7 +23,7 @@ from fdsched.solvers import (
     solve_r_epa,
 )
 from oracles import (chunk_of, corner_se, drop_gain_table, dual_multipliers, evaluate_schedule,
-                     modules_after, one_drop, pairs_of, power_candidates,
+                     modules_after, one_drop, outcome_views, pairs_of, power_candidates,
                      reference_p_opt_schedules, solve_drop, tie_heavy_drop)
 
 NOISE = 2.29086765276777e-15
@@ -662,6 +662,26 @@ MIXED_OBJECTIVES = [(WeightMode.SUM_RATE, 0.0), (WeightMode.SUM_RATE, 0.1),
                     (WeightMode.PATH_LOSS_COMPENSATION, 1.0)]
 
 
+def shared_exactly_when_equal(outcomes, corners=None):
+    """How many pairs of objectives of a drop share a schedule row, after
+    checking that two share one exactly when their partner and corner bytes
+    are equal.  Without corners given, powers stand in for them: a pair's
+    corner fixes its powers, and a user alone is at corner 0."""
+    shared = 0
+    for d, rows in enumerate(outcomes.schedule.tolist()):
+        for n, s in enumerate(rows):
+            for m, t in enumerate(rows[:n]):
+                if corners is None:
+                    same = all(a[s].tobytes() == a[t].tobytes()
+                               for a in (outcomes.partner_ul, outcomes.p_ul, outcomes.p_dl))
+                else:
+                    same = (outcomes.partner_ul[s].tobytes() == outcomes.partner_ul[t].tobytes()
+                            and corners[d][n] == corners[d][m])
+                assert (s == t) == same
+                shared += same
+    return shared
+
+
 def assert_same_outcome(got, want):
     assert_same_decisions(got, want)
     assert got.se_ul.tobytes() == want.se_ul.tobytes()
@@ -691,8 +711,8 @@ class TestSeveralObjectives:
     @pytest.mark.parametrize("name", ["P-OPT", "C-HUN"])
     def test_rescored_outcomes_equal_a_fresh_evaluation(self, name):
         # an objective whose schedule an earlier one chose shares that
-        # outcome's SE arrays and is only rescored; every field must equal
-        # the evaluation of its own schedule under its own objective
+        # schedule's row and is only rescored; every field must equal the
+        # evaluation of its own schedule under its own objective
         fig2 = [(WeightMode.SUM_RATE, mu) for mu in (0.1, 0.5, 0.9)]
         repeats = 0
         for shape in P_OPT_SHAPES:
@@ -701,12 +721,12 @@ class TestSeveralObjectives:
             rng = np.random.default_rng(300 + sum(shape))
             for g in (random_drop(rng, params), tie_heavy_drop(rng, num_ul, num_dl)):
                 for objectives in (MIXED_OBJECTIVES, fig2):
-                    outcomes = solve_drop(name, g, params, objectives)
-                    for n, ((mode, mu), got) in enumerate(zip(objectives, outcomes)):
+                    solved = solvers.solve(name, chunk_of(g), None, params, objectives)
+                    for (mode, mu), got in zip(objectives, outcome_views(solved)):
                         fresh = evaluate_schedule(got.partner_ul, got.p_ul, got.p_dl, g,
                                                   params, make_weights(mode, g), mu)
                         assert_same_outcome(got, fresh)
-                        repeats += any(got.se_ul is earlier.se_ul for earlier in outcomes[:n])
+                    repeats += shared_exactly_when_equal(solved)
         assert repeats > 0
 
     def test_p_opt_evaluates_each_winners_schedule_once(self, monkeypatch):
@@ -723,11 +743,11 @@ class TestSeveralObjectives:
         shared = 0
         for _ in range(20):
             rows.clear()
-            outcomes = solve_drop("P-OPT", random_drop(rng, params), params, fig2)
-            # objectives with one winner share its evaluated arrays
-            assert rows == [len({id(o.partner_ul) for o in outcomes})]
-            assert len({id(o.se_ul) for o in outcomes}) == rows[0]
-            shared += rows[0] < len(fig2)
+            solved = solvers.solve("P-OPT", chunk_of(random_drop(rng, params)), None, params,
+                                   fig2)
+            # objectives with one winner share its evaluated row
+            assert rows == [len(solved.sum_se)]
+            shared += shared_exactly_when_equal(solved)
         assert shared > 0
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
@@ -782,12 +802,13 @@ class TestSilencedPartnerRepeats:
         weights = [sr(g), make_weights(WeightMode.PATH_LOSS_COMPENSATION, g)]
         objectives = [(w, mu) for w, mu in zip(weights, (0.5, 0.9))]
         chunked = [(WeightVector(w.alpha_ul[None], w.alpha_dl[None]), mu) for w, mu in objectives]
-        outcomes, = solvers._outcomes(chunk_of(g), params, chunked, np.array([partners]),
-                                      np.array([corners], dtype=np.int8))
+        solved = solvers._outcomes(chunk_of(g), params, chunked, np.array([partners]),
+                                   np.array([corners], dtype=np.int8))
         assert rows == [evaluations]
-        assert (outcomes[1].se_ul is outcomes[0].se_ul) == (evaluations == 1)
+        assert shared_exactly_when_equal(solved, [corners]) == (evaluations == 1)
         points = corner_points(params)
-        for partner, corner, (w, mu), got in zip(partners, corners, objectives, outcomes):
+        for partner, corner, (w, mu), got in zip(partners, corners, objectives,
+                                                 outcome_views(solved)):
             p_ul, p_dl = [self.PMAX] * 2, [self.PMAX] * 3
             for (i, j), c in zip(pairs_of(partner), [c for j, c in zip(partner, corner) if j >= 0]):
                 p_ul[i], p_dl[j] = points[c]
@@ -798,31 +819,20 @@ class TestSilencedPartnerRepeats:
 
 
 class TestOutcomeArrays:
-    """A chunk's outcomes are built without wrapping their arrays again:
-    every array is read-only, and the outcomes of one schedule (the same
-    partners and powers on one drop) share all five of them."""
-
-    FIELDS = ("partner_ul", "p_ul", "p_dl", "se_ul", "se_dl")
+    """A chunk's Outcomes holds each drop's distinct schedules once: every
+    array is read-only, and the objectives of one schedule (the same
+    partners and powers on one drop) share its row."""
 
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_read_only_and_shared_by_a_schedule(self, name):
         params = params_with(num_ul=3, num_dl=5, num_channels=6)
         gains = build_gain_table(params, [drop_rng(9, k, 0) for k in range(12)])
         rngs = [drop_rng(9, k, 1) for k in range(12)]
-        shared = 0
-        for outcomes in solvers.solve(name, gains, rngs, params, MIXED_OBJECTIVES):
-            for n, o in enumerate(outcomes):
-                arrays = [getattr(o, field) for field in self.FIELDS]
-                assert not any(a.flags.writeable for a in arrays)
-                with pytest.raises(ValueError, match="read-only"):
-                    o.se_ul[...] = 0.0
-                for earlier in outcomes[:n]:
-                    same = all(a.tobytes() == getattr(earlier, field).tobytes()
-                               for field, a in zip(self.FIELDS, arrays[:3]))
-                    assert [a is getattr(earlier, field)
-                            for field, a in zip(self.FIELDS, arrays)] == [same] * 5
-                    shared += same
-        assert shared > 0
+        solved = solvers.solve(name, gains, rngs, params, MIXED_OBJECTIVES)
+        assert not any(a.flags.writeable for a in vars(solved).values())
+        with pytest.raises(ValueError, match="read-only"):
+            solved.se_ul[...] = 0.0
+        assert shared_exactly_when_equal(solved) > 0
 
 
 class TestOptimalitySandwich:
@@ -885,10 +895,14 @@ class TestRegistry:
 
     def test_solve_dispatches(self):
         params = params_with()
-        g = random_drop(np.random.default_rng(14), params)
-        direct = one_drop(solve_c_hun, g, params, [(sr(g), 0.5)])[0]
-        via_registry = solve_drop("C-HUN", g, params, [(WeightMode.SUM_RATE, 0.5)])[0]
-        assert via_registry.objective == direct.objective
+        gains = build_gain_table(params, [np.random.default_rng(k) for k in range(8)])
+        w = sr(gains)
+        direct = solve_c_hun(gains, None, params, [(w, 0.5), (w, 0.1), (w, 0.9)])
+        via_registry = solvers.solve("C-HUN", gains, None, params,
+                                     [(WeightMode.SUM_RATE, mu) for mu in (0.5, 0.1, 0.9)])
+        for field, a in vars(direct).items():
+            assert getattr(via_registry, field).tobytes() == a.tobytes(), field
+        assert shared_exactly_when_equal(via_registry) > 0
 
     def test_readme_library_example_runs(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
