@@ -24,7 +24,7 @@ import numpy as np
 
 # A cost with fewer than this many entries beyond its square part,
 # n * (m - n), keeps the full scan: below it, building the dominance table
-# cost more than the pruned scan saved (ROADMAP item 8, "Ruled out").
+# cost more than the pruned scan saved (ROADMAP item 9, "Ruled out").
 _PRUNE_MIN_SPARE_ENTRIES = 256
 
 # A stack of fewer problems than this goes to the scalar solver one matrix

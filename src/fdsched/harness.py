@@ -26,15 +26,16 @@ a rescoring changes (_RESCORED), and each of its lines fills in the holes.
 Outputs per run directory:
   config.json    resolved configuration (deterministic)
   records.jsonl  one record per (drop, strategy, mu, weight mode)
-  cdf_*.csv      empirical CDF per metric and combination
+  cdf_*.csv      empirical CDF per metric and combination, cut from the
+                 run's metric table sorted once (_write_cdfs_and_summary)
   summary.json   medians and pairwise median gaps
   timing.log     wall-clock sidecar, one line per chunk and, in a parallel
                  run, per block; the only non-deterministic file
 
 A parallel run forks one child per contiguous block of drops, at most
-parallelism of them, and merges the blocks back in drop order.  Each child
-runs its block in chunks and pickles their results (each chunk's encoded
-text and metric table) into its own pipe.
+parallelism of them.  Each child runs its block in chunks and pickles their
+results (each chunk's encoded text and metric table) into its own pipe; the
+parent hands them in drop order to the merge loop a serial run uses.
 Where os.fork is missing (Windows) a parallel run is a serial one.
 """
 
@@ -164,11 +165,17 @@ _RESCORED = ("mu", "objective", "weight_mode")
 _CHUNK_BYTES = 1 << 20
 
 
+def _objectives(cfg: ExperimentConfig) -> list:
+    """The (weight mode, mu) objectives in record order, which the metric
+    table's objective axis and the CDF loop follow."""
+    return [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
+
+
 def _chunk_drops(cfg: ExperimentConfig) -> tuple[int, int]:
     """(most, least): as many drops as _CHUNK_BYTES holds (at least one),
     and where the stacks go to the lockstep solver (too narrow to prune),
     enough drops for one stack to reach its gate (1 elsewhere)."""
-    objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
+    objectives = _objectives(cfg)
     ul, dl = cfg.params.num_ul, cfg.params.num_dl
     width = dl + ul - assignment.min_pairs(ul, dl, cfg.params.num_channels)
     stacks = [stacked_problems(name, objectives) for name in cfg.strategies]
@@ -196,7 +203,7 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
                                           for k in range(lo, hi)])
     rngs = ([drop_rng(master, k, _ROLE_STRATEGY) for k in range(lo, hi)]
             if "R-EPA" in cfg.strategies else None)   # the one strategy that reads them
-    objectives = [(mode, mu) for mode in cfg.weight_modes for mu in cfg.mu_values]
+    objectives = _objectives(cfg)
     solved = [solve(name, gains, rngs, cfg.params, objectives) for name in cfg.strategies]
     table = np.array([[o.objective, o.sum_se[o.schedule], o.min_se[o.schedule],
                        o.jain[o.schedule]] for o in solved]).transpose(2, 3, 0, 1)
@@ -287,18 +294,17 @@ def _block_child(write_end: int, cfg: ExperimentConfig, lo: int, hi: int):
         os._exit(status)
 
 
-def _run_forked(cfg: ExperimentConfig, out: Path, records, tables: list[np.ndarray],
-                timings: list[str]) -> list[str]:
+def _forked_chunks(cfg: ExperimentConfig, block_lines: list[str]):
     """Run the drops in min(iterations, parallelism) contiguous blocks, one
-    forked child each, and merge the blocks' encoded chunks (records, the
-    open records.jsonl file, and the other _merge_chunk arguments) in drop
-    order.  Returns one timing line per block.
+    forked child each, and yield the blocks' chunks (_run_chunk's results)
+    in drop order, appending one timing line per finished block to
+    block_lines.
 
     On an early exit (a failed block, a child that died without a result,
-    KeyboardInterrupt) every child whose result was not read is killed;
-    closing its pipe would not stop it, since later children hold the read
-    ends of earlier pipes.  Every child is reaped before this returns or
-    raises.
+    KeyboardInterrupt, or the generator closed before its end) every child
+    whose result was not read is killed; closing its pipe would not stop
+    it, since later children hold the read ends of earlier pipes.  Every
+    child is reaped before the generator finishes, raises or is closed.
     """
     n_blocks = min(cfg.iterations, cfg.parallelism)
     edges = [cfg.iterations * b // n_blocks for b in range(n_blocks + 1)]
@@ -316,7 +322,6 @@ def _run_forked(cfg: ExperimentConfig, out: Path, records, tables: list[np.ndarr
                 _block_child(write_end, cfg, lo, hi)
             os.close(write_end)
             children.append((pid, open(read_end, "rb"), lo, hi))
-        block_lines = []
         while children:
             pid, pipe, lo, hi = children[0]
             data = pipe.read()
@@ -327,12 +332,10 @@ def _run_forked(cfg: ExperimentConfig, out: Path, records, tables: list[np.ndarr
                 raise RuntimeError(f"the worker of drops {lo}-{hi - 1} ended without "
                                    f"a result (wait status {status})")
             chunks, error, elapsed = pickle.loads(data)
-            for chunk in chunks:
-                _merge_chunk(out, records, chunk, tables, timings)
+            yield from chunks
             if error is not None:
                 raise error[0] from _WorkerTraceback(error[1])
             block_lines.append(f"drops {lo}-{hi - 1}: pid {pid}, {elapsed:.4f} s")
-        return block_lines
     finally:
         if children:   # an early exit
             import signal   # about 0.8 ms that a run without one never pays
@@ -349,8 +352,10 @@ def _run_forked(cfg: ExperimentConfig, out: Path, records, tables: list[np.ndarr
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all drops, write result files, return a small result index.
-    records.jsonl is opened once and each chunk's text is written as the
-    chunk is merged; the CDFs and summary come from the chunks' tables.
+    One loop merges the chunks of _solved_chunks or _forked_chunks in drop
+    order: records.jsonl is opened once and each chunk's text is written as
+    the chunk is merged; the CDFs and summary come from the chunks' tables.
+    The chunks' generator is closed on any exit, which reaps every worker.
     On runtime failure a FAILED marker with the error text is left in the
     output directory, records.jsonl holds the records of every drop before
     the first failed one, and the exception propagates.  Result files an
@@ -366,17 +371,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     tables: list[np.ndarray] = []   # each chunk's metric table (_run_chunk)
     timings: list[str] = []
+    block_lines: list[str] = []
+    chunks = (_forked_chunks(cfg, block_lines) if cfg.parallelism > 1 and hasattr(os, "fork")
+              else _solved_chunks(cfg, 0, cfg.iterations))
     try:
         with open(out / "records.jsonl", "w") as records:
-            if cfg.parallelism > 1 and hasattr(os, "fork"):
-                timings.extend(_run_forked(cfg, out, records, tables, timings))
-            else:
-                for chunk in _solved_chunks(cfg, 0, cfg.iterations):
-                    _merge_chunk(out, records, chunk, tables, timings)
+            for chunk in chunks:
+                _merge_chunk(out, records, chunk, tables, timings)
     except Exception as exc:
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         raise
+    finally:
+        chunks.close()
 
+    timings += block_lines
     table = np.concatenate(tables)
     cdf_files, summary = _write_cdfs_and_summary(out, cfg, table)
     (out / "timing.log").write_text(
@@ -432,23 +440,32 @@ def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
                             table: np.ndarray) -> tuple[list[str], dict]:
     """One CDF file per (metric, strategy, mu, weight mode), and the summary
     of their medians and pairwise median gaps, from the run's (drops,
-    objectives, strategies, METRIC_NAMES) table (_run_chunk)."""
+    objectives, strategies, METRIC_NAMES) table (_run_chunk), sorted once
+    column by column.  A CDF file is a comment line (metric, strategy, mu,
+    weight mode), a column header, then value,probability rows, each float
+    spelled with repr so files are byte-reproducible.  The probability
+    column is spelled once, and each distinct sorted column (by its bytes,
+    so -0.0 and 0.0 stay apart) once."""
+    cdf = metrics.empirical_cdf(table)
+    probabilities = list(map(repr, cdf.probabilities.tolist()))
+    rows = {}   # a sorted column's bytes -> its rows' text
     files = []
     medians: dict[str, float] = {}
     gaps: dict[str, float | None] = {}
-    formatted = {}   # CSV rows shared by this run's CDF files (CdfSeries.to_csv_lines)
-    objectives = itertools.product(cfg.weight_modes, cfg.mu_values)
-    for (mode, mu), columns in zip(objectives, table.transpose(1, 2, 3, 0)):
+    for (mode, mu), columns, middles in zip(_objectives(cfg), cdf.values.transpose(1, 2, 3, 0),
+                                            metrics.percentile(cdf, 50).tolist()):
         tag = f"mu={mu}|{mode.value}"
-        for strategy, combo in zip(cfg.strategies, columns):
-            for metric, column in zip(METRIC_NAMES, combo):
-                series = metrics.empirical_cdf(
-                    column, metric=metric, strategy=strategy, mu=mu,
-                    weight_mode=mode.value)
+        for strategy, combo, combo_middles in zip(cfg.strategies, columns, middles):
+            for metric, column, median in zip(METRIC_NAMES, combo, combo_middles):
+                key = column.tobytes()
+                if key not in rows:
+                    rows[key] = "".join(f"\n{v!r},{p}"
+                                        for v, p in zip(column.tolist(), probabilities))
                 path = out / f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
-                series.write_csv(path, formatted)
+                path.write_text(f"# {metric},{strategy},{float(mu)!r},{mode.value}\n"
+                                f"value,probability{rows[key]}\n")
                 files.append(path.name)
-                medians[f"{metric}|{strategy}|{tag}"] = metrics.percentile(series, 50)
+                medians[f"{metric}|{strategy}|{tag}"] = median
         for metric in METRIC_NAMES:
             for a, b in itertools.permutations(cfg.strategies, 2):
                 pa = medians[f"{metric}|{a}|{tag}"]

@@ -1,12 +1,12 @@
 """Aggregate statistics across Monte Carlo drops: Jain's fairness index,
-empirical CDFs and nearest-rank percentiles."""
+empirical CDFs and nearest-rank percentiles, of one series or of many
+columns at once.  Statistics only: harness spells the CDF files."""
 
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -38,61 +38,34 @@ def jain_index(se):
 
 @dataclass(frozen=True)
 class CdfSeries:
-    """Empirical CDF of one metric: sorted values with probabilities k/N."""
+    """Empirical CDF: values sorted along their first axis (one series, or
+    one per column) with probabilities k/N."""
 
     values: np.ndarray
     probabilities: np.ndarray
-    metric: str = ""
-    strategy: str = ""
-    mu: float = math.nan
-    weight_mode: str = ""
 
     def __len__(self) -> int:
-        return self.values.size
-
-    # CSV layout: one metadata comment line (metric, strategy, mu,
-    # weight_mode), a column header, then value,probability rows.  Floats
-    # use repr so files are byte-reproducible.
-    def to_csv_lines(self, formatted: dict | None = None) -> list[str]:
-        """The CSV lines.  formatted, when the series of one output stage
-        share it, keeps the spellings of each probability column, and the
-        rows of each (value, probability) column pair from its second use
-        on, keyed by dtype and bytes: a column is spelled once or twice, and
-        the rows of a column used once are not held."""
-        formatted = {} if formatted is None else formatted
-        probabilities = self.probabilities.dtype.str, self.probabilities.tobytes()
-        key = self.values.dtype.str, self.values.tobytes(), probabilities
-        rows = formatted.get(key)
-        if rows is None:
-            spelled = formatted.get(probabilities)
-            if spelled is None:
-                spelled = formatted[probabilities] = list(map(repr, self.probabilities.tolist()))
-            rows = [f"{v!r},{p}" for v, p in zip(self.values.tolist(), spelled)]
-            formatted[key] = rows if key in formatted else None
-        return [f"# {self.metric},{self.strategy},{float(self.mu)!r},{self.weight_mode}",
-                "value,probability", *rows]
-
-    def write_csv(self, path, formatted: dict | None = None) -> None:
-        Path(path).write_text("\n".join(self.to_csv_lines(formatted)) + "\n")
+        return len(self.values)
 
 
-def empirical_cdf(samples, metric="", strategy="", mu=math.nan,
-                  weight_mode="") -> CdfSeries:
-    """The CDF of samples, labelled with its combination: the sorted
-    samples with probabilities k/N.  ValueError without samples."""
-    v = np.sort(np.asarray(samples, dtype=float))
-    if v.size == 0:
+def empirical_cdf(samples) -> CdfSeries:
+    """The CDF of samples along their first axis: (N,) samples give one
+    series, (N, ...) samples one per column, each column sorted as np.sort
+    sorts it alone.  ValueError without samples."""
+    v = np.sort(np.asarray(samples, dtype=float), axis=0)
+    if len(v) == 0:
         raise ValueError("empirical CDF needs at least one sample")
-    return CdfSeries(values=v, probabilities=np.arange(1, v.size + 1) / v.size,
-                     metric=metric, strategy=strategy, mu=mu, weight_mode=weight_mode)
+    return CdfSeries(values=v, probabilities=np.arange(1, len(v) + 1) / len(v))
 
 
-def percentile(cdf: CdfSeries, q: float) -> float:
-    """Nearest-rank percentile: smallest sample with CDF >= q/100.
+def percentile(cdf: CdfSeries, q: float):
+    """Nearest-rank percentile: smallest sample with CDF >= q/100, a float
+    for one series and a row of one per column for columns.
 
     q=0 returns the minimum sample, q=100 the maximum; no interpolation.
     """
     if not 0 <= q <= 100:
         raise ValueError(f"percentile q must lie in [0, 100], got {q}")
     rank = max(1, math.ceil(q / 100.0 * len(cdf)))
-    return float(cdf.values[rank - 1])
+    row = cdf.values[rank - 1]
+    return float(row) if row.ndim == 0 else row

@@ -244,8 +244,12 @@ def _optimum(tables: CornerTables, params: ScenarioParams,
     plan = (np.arange(drops)[:, None] * len(distinct) + plan_of).ravel()
     best = plan.copy()
     mu, scan_cap = np.tile([m for _, m in objectives], drops), cap[plan_drop[plan]]
-    value = (1.0 - mu) * sums[plan] + mu * lows[plan]
-    live = (1.0 - mu) * sums[plan] + mu * scan_cap > value
+
+    def scalarized(m, total, low):   # the objective of a weighted sum and a minimum SE
+        return (1.0 - m) * total + m * low
+
+    value = scalarized(mu, sums[plan], lows[plan])
+    live = scalarized(mu, sums[plan], scan_cap) > value
     partners, corners = [partner], [corner]
     step = max(_BLOCK_ENTRIES // max(num_ul * num_dl, 1), 1)
     while live.any():
@@ -274,12 +278,12 @@ def _optimum(tables: CornerTables, params: ScenarioParams,
                                   for b in blocks])
         live[s[~feasible[ask]]] = False
         s, ask = s[feasible[ask]], ask[feasible[ask]]
-        found_value = (1.0 - mu[s]) * found_sums[ask] + mu[s] * found_lows[ask]
+        found_value = scalarized(mu[s], found_sums[ask], found_lows[ask])
         better = found_value > value[s]
         best[s[better]] = sum(map(len, partners[:-1])) + ask[better]
         value[s[better]] = found_value[better]
-        live[s] = ~np.isnan(t[plan[s]]) & ((1.0 - mu[s]) * found_sums[ask]
-                                           + mu[s] * scan_cap[s] > value[s])
+        live[s] = ~np.isnan(t[plan[s]]) & (scalarized(mu[s], found_sums[ask], scan_cap[s])
+                                           > value[s])
     return tuple(np.concatenate(a)[best].reshape(drops, len(objectives), num_ul)
                  for a in (partners, corners))
 

@@ -38,7 +38,7 @@ import numpy as np
 from fdsched.assignment import assign_with_solo, hungarian_max, min_pairs
 from fdsched.harness import (_ROLE_SCENARIO, _ROLE_STRATEGY, METRIC_NAMES, _gain_hash,
                              drop_rng)
-from fdsched.metrics import CdfSeries, empirical_cdf, jain_index, percentile
+from fdsched.metrics import CdfSeries, jain_index, percentile
 from fdsched.model import (DropPositions, GainTable, Outcomes, ScenarioParams, WeightVector,
                            _readonly)
 from fdsched.radio import (CornerTables, check_mu, corner_points, objective_value,
@@ -553,7 +553,8 @@ def reference_drop_records(cfg, drop_index: int) -> list[dict]:
 def reference_cdfs_and_summary(cfg, records) -> dict[str, str]:
     """The text of each cdf_*.csv file and of summary.json for a run of cfg
     whose records are records: each combination's samples gathered record
-    by record, its CSV spelled alone."""
+    by record and sorted alone by np.sort, each row spelled with repr, and
+    the median the nearest-rank one of the sorted samples."""
     files, medians, gaps = {}, {}, {}
     for mode in cfg.weight_modes:
         for mu in cfg.mu_values:
@@ -562,11 +563,14 @@ def reference_cdfs_and_summary(cfg, records) -> dict[str, str]:
                 combo = [r for r in records if (r["strategy"], r["mu"], r["weight_mode"])
                          == (strategy, mu, mode.value)]
                 for metric in METRIC_NAMES:
-                    series = empirical_cdf([r[metric] for r in combo], metric=metric,
-                                           strategy=strategy, mu=mu, weight_mode=mode.value)
+                    values = np.sort(np.array([r[metric] for r in combo], dtype=float))
+                    n = len(values)
+                    lines = [f"# {metric},{strategy},{float(mu)!r},{mode.value}",
+                             "value,probability"]
+                    lines += [f"{float(v)!r},{k / n!r}" for k, v in enumerate(values, 1)]
                     name = f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
-                    files[name] = "\n".join(series.to_csv_lines()) + "\n"
-                    medians[f"{metric}|{strategy}|{tag}"] = percentile(series, 50)
+                    files[name] = "\n".join(lines) + "\n"
+                    medians[f"{metric}|{strategy}|{tag}"] = float(values[math.ceil(n / 2) - 1])
             for metric in METRIC_NAMES:
                 for a, b in itertools.permutations(cfg.strategies, 2):
                     pa, pb = medians[f"{metric}|{a}|{tag}"], medians[f"{metric}|{b}|{tag}"]
@@ -577,19 +581,15 @@ def reference_cdfs_and_summary(cfg, records) -> dict[str, str]:
     return files
 
 
-def read_cdf_csv(path) -> CdfSeries:
-    """A cdf_*.csv file as written by CdfSeries.write_csv."""
+def read_cdf_csv(path) -> tuple[tuple, CdfSeries]:
+    """A cdf_*.csv file as harness writes it: its header's labels (metric,
+    strategy, mu, weight mode) and its CDF."""
     lines = Path(path).read_text().splitlines()
-    meta = lines[0].lstrip("# ").split(",")
+    metric, strategy, mu, mode = lines[0].removeprefix("# ").split(",")
     rows = [line.split(",") for line in lines[2:] if line]
-    return CdfSeries(
+    return (metric, strategy, float(mu), mode), CdfSeries(
         values=np.array([float(r[0]) for r in rows]),
-        probabilities=np.array([float(r[1]) for r in rows]),
-        metric=meta[0],
-        strategy=meta[1],
-        mu=float(meta[2]),
-        weight_mode=meta[3],
-    )
+        probabilities=np.array([float(r[1]) for r in rows]))
 
 
 def median_gap(a: CdfSeries, b: CdfSeries) -> float:

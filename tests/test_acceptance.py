@@ -39,7 +39,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _read_cdf(out_dir, metric, strategy, mu, mode):
-    return read_cdf_csv(out_dir / f"cdf_{metric}_{strategy}_mu{mu}_{mode}.csv")
+    return read_cdf_csv(out_dir / f"cdf_{metric}_{strategy}_mu{mu}_{mode}.csv")[1]
 
 
 @pytest.fixture(scope="module")

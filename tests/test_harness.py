@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -319,7 +320,7 @@ class TestRunExperiment:
         for metric, mu, (a, b) in itertools.product(
                 ("objective", "sum_se", "min_se", "jain"), cfg.mu_values,
                 itertools.permutations(cfg.strategies, 2)):
-            cdf_a, cdf_b = (read_cdf_csv(tmp_path / f"cdf_{metric}_{s}_mu{mu}_SR.csv")
+            cdf_a, cdf_b = (read_cdf_csv(tmp_path / f"cdf_{metric}_{s}_mu{mu}_SR.csv")[1]
                             for s in (a, b))
             key = f"{metric}|{a}-vs-{b}|mu={mu}|SR"
             try:
@@ -705,6 +706,121 @@ class TestRecordsFile:
                if name.startswith("cdf_") or name == "summary.json"}
         assert got == want and len(want) == len(result["cdf_files"]) + 1
         assert result["records"] == cfg.iterations * 3 * 2 * 2
+
+
+class TestCdfFiles:
+    """_write_cdfs_and_summary on hand-made (drops, objectives, strategies,
+    METRIC_NAMES) tables: a header line, then one repr-spelled
+    value,probability row per sample in the order np.sort gives each column
+    alone, every distinct column spelled once."""
+
+    TRICKY = [-0.0, 5e-324, 1e308, 0.1 + 0.2, float("nan"), -1.5, 0.0, 1e-320]
+
+    @staticmethod
+    def write(out, table, strategies=("C-HUN",), mu_values=(0.9,),
+              weight_modes=(WeightMode.SUM_RATE,)):
+        cfg = ExperimentConfig(strategies=strategies, mu_values=mu_values,
+                               weight_modes=weight_modes, out_dir=str(out))
+        out.mkdir(parents=True, exist_ok=True)
+        table = np.asarray(table, dtype=float).reshape(
+            -1, len(mu_values) * len(weight_modes), len(strategies), 4)
+        return cfg, harness._write_cdfs_and_summary(out, cfg, table)
+
+    @staticmethod
+    def rows(column) -> list[str]:
+        values = np.sort(np.asarray(column, dtype=float))
+        return [f"{float(v)!r},{float(p)!r}"
+                for v, p in zip(values, np.arange(1, len(values) + 1) / len(values))]
+
+    def test_header_lines_and_labels(self, tmp_path):
+        table = np.zeros((3, 4))
+        table[:, 3] = [0.3, 0.1, 0.2]
+        self.write(tmp_path, table)
+        path = tmp_path / "cdf_jain_C-HUN_mu0.9_SR.csv"
+        assert path.read_text().splitlines()[:2] == ["# jain,C-HUN,0.9,SR", "value,probability"]
+        labels, cdf = read_cdf_csv(path)
+        assert labels == ("jain", "C-HUN", 0.9, "SR")
+        assert cdf.values.tolist() == [0.1, 0.2, 0.3]
+        assert cdf.probabilities.tolist() == [1 / 3, 2 / 3, 1.0]
+
+    def test_values_round_trip_exactly(self, tmp_path):
+        # repr-based serialization must preserve doubles bit for bit
+        table = np.random.default_rng(4).normal(size=(20, 4)) * math.pi
+        self.write(tmp_path, table)
+        for m, metric in enumerate(harness.METRIC_NAMES):
+            _, cdf = read_cdf_csv(tmp_path / f"cdf_{metric}_C-HUN_mu0.9_SR.csv")
+            assert cdf.values.tobytes() == np.sort(table[:, m]).tobytes()
+
+    def test_serialization_is_deterministic(self, tmp_path):
+        table = np.random.default_rng(3).normal(size=(50, 2, 1, 4))
+        for out in ("a", "b"):
+            self.write(tmp_path / out, table, strategies=("R-EPA",), mu_values=(0.1,),
+                       weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
+        assert (read_deterministic_outputs(tmp_path / "a")
+                == read_deterministic_outputs(tmp_path / "b"))
+
+    def test_tricky_values_keep_their_float_form(self, tmp_path):
+        # NaN spells nan here (JSON's NaN is the records' spelling), -0.0
+        # keeps its sign, subnormals and the largest exponents their repr
+        table = np.array([self.TRICKY * 3] * 4).T
+        self.write(tmp_path, table, mu_values=(0.1 + 0.2,))
+        text = (tmp_path / "cdf_sum_se_C-HUN_mu0.30000000000000004_SR.csv").read_text()
+        lines = text.splitlines()
+        assert lines[0] == "# sum_se,C-HUN,0.30000000000000004,SR"
+        assert lines[2:] == self.rows(self.TRICKY * 3) and text.endswith("\n")
+        assert {"-0.0", "5e-324", "1e+308", "0.30000000000000004", "nan"} <= {
+            line.split(",")[0] for line in lines[2:]}
+
+    def test_columns_keep_the_order_of_each_column_sorted_alone(self, tmp_path):
+        # -0.0 and 0.0 compare equal and NaN with nothing, so only the sort
+        # decides where each lands; the table is sorted once along its drop
+        # axis, and every file and median must be those of its column's own
+        # 1-D np.sort
+        rng = np.random.default_rng(5)
+        table = rng.choice([-0.0, 0.0, 1.0, -2.5], size=(400, 2, 2, 4))
+        table[rng.random(table.shape) < 0.1] = np.nan
+        modes = (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)
+        cfg, (files, summary) = self.write(tmp_path, table, strategies=("C-HUN", "R-EPA"),
+                                           mu_values=(0.5,), weight_modes=modes)
+        assert len(files) == 16
+        for (k, mode), (s, strategy), (m, metric) in itertools.product(
+                enumerate(modes), enumerate(cfg.strategies), enumerate(harness.METRIC_NAMES)):
+            column = table[:, k, s, m]
+            lines = (tmp_path / f"cdf_{metric}_{strategy}_mu0.5_{mode.value}.csv").read_text()
+            assert lines.splitlines()[2:] == self.rows(column)
+            median = summary["medians"][f"{metric}|{strategy}|mu=0.5|{mode.value}"]
+            assert repr(median) == repr(float(np.sort(column)[199]))
+        assert any("-0.0" in line and "\n0.0," in line
+                   for line in read_deterministic_outputs(tmp_path).values())
+
+    def test_equal_columns_are_spelled_once(self, tmp_path, monkeypatch):
+        # every sorted column is spelled by one tolist() of its values; equal
+        # columns share that text, while -0.0 and 0.0 columns stay apart
+        spelled = []
+
+        class Counted(np.ndarray):
+            def tolist(self):
+                if self.ndim == 1:
+                    spelled.append(self.tobytes())
+                return super().tolist()
+
+        def counted_cdf(samples, _cdf=harness.metrics.empirical_cdf):
+            cdf = _cdf(samples)
+            return dataclasses.replace(cdf, values=cdf.values.view(Counted))
+
+        monkeypatch.setattr(harness.metrics, "empirical_cdf", counted_cdf)
+        column = np.linspace(0.0, 1.0, 16)
+        table = np.empty((16, 3, 2, 4))
+        table[...] = column[:, None, None, None]
+        table[:, 1] = column[::-1, None, None] * 2     # another column, equal up to order
+        table[:, 2, :, :2] = 0.0
+        table[:, 2, :, 2:] = -0.0
+        files, _ = self.write(tmp_path, table, strategies=("C-HUN", "R-EPA"),
+                              mu_values=(0.1, 0.5, 0.9))[1]
+        assert len(files) == 24 and len(spelled) == len(set(spelled)) == 4
+        texts = read_deterministic_outputs(tmp_path)
+        assert texts["cdf_objective_C-HUN_mu0.9_SR.csv"].splitlines()[2:] == self.rows([0.0] * 16)
+        assert texts["cdf_min_se_C-HUN_mu0.9_SR.csv"].splitlines()[2:] == self.rows([-0.0] * 16)
 
 
 class TestStrategyGenerators:

@@ -1,11 +1,8 @@
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 
 from fdsched.metrics import empirical_cdf, jain_index, percentile
-from oracles import median_gap, read_cdf_csv
+from oracles import median_gap
 
 
 class TestJainIndex:
@@ -75,6 +72,17 @@ class TestEmpiricalCdf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             empirical_cdf([])
+        with pytest.raises(ValueError):
+            empirical_cdf(np.empty((0, 3)))
+
+    def test_columns_sort_as_each_column_alone(self):
+        samples = np.random.default_rng(6).choice([-0.0, 0.0, np.nan, 1.0], size=(50, 3, 2))
+        cdf = empirical_cdf(samples)
+        assert len(cdf) == 50 and cdf.values.shape == samples.shape
+        for at in np.ndindex(samples.shape[1:]):
+            column = samples[(slice(None), *at)]
+            assert cdf.values[(slice(None), *at)].tobytes() == np.sort(column).tobytes()
+        assert np.array_equal(cdf.probabilities, empirical_cdf(samples[:, 0, 0]).probabilities)
 
 
 class TestPercentile:
@@ -91,6 +99,13 @@ class TestPercentile:
         cdf = empirical_cdf(np.random.default_rng(2).normal(size=101))
         values = [percentile(cdf, q) for q in range(0, 101, 5)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_columns_give_a_row(self):
+        samples = np.random.default_rng(7).normal(size=(41, 2, 3))
+        row = percentile(empirical_cdf(samples), 50)
+        assert row.shape == (2, 3)
+        assert row.tolist() == [[percentile(empirical_cdf(samples[:, i, j]), 50)
+                                 for j in range(3)] for i in range(2)]
 
     def test_out_of_range_rejected(self):
         cdf = empirical_cdf([1.0])
@@ -114,64 +129,3 @@ class TestMedianGap:
         b = empirical_cdf([0.0])
         with pytest.raises(ZeroDivisionError):
             median_gap(a, b)
-
-
-class TestCsvRoundTrip:
-    def test_metadata_and_values_survive(self, tmp_path):
-        cdf = empirical_cdf([0.3, 0.1, 0.2], metric="jain", strategy="C-HUN",
-                            mu=0.9, weight_mode="SR")
-        path = tmp_path / "cdf.csv"
-        cdf.write_csv(path)
-        text = path.read_text()
-        assert text.splitlines()[0] == "# jain,C-HUN,0.9,SR"
-        assert text.splitlines()[1] == "value,probability"
-        loaded = read_cdf_csv(path)
-        assert np.array_equal(loaded.values, cdf.values)
-        assert np.array_equal(loaded.probabilities, cdf.probabilities)
-        assert (loaded.metric, loaded.strategy, loaded.mu, loaded.weight_mode) == \
-            ("jain", "C-HUN", 0.9, "SR")
-
-    def test_serialization_is_deterministic(self):
-        samples = list(np.random.default_rng(3).normal(size=50))
-        a = empirical_cdf(samples, metric="objective", strategy="R-EPA", mu=0.1,
-                          weight_mode="PL")
-        b = empirical_cdf(samples, metric="objective", strategy="R-EPA", mu=0.1,
-                          weight_mode="PL")
-        assert a.to_csv_lines() == b.to_csv_lines()
-
-    def test_lines_equal_the_per_element_float_form(self):
-        # the rows are written from tolist(); they must equal the repr of
-        # each element as a float, the form of the reference lines below,
-        # also when the series of one output stage share their formatted
-        # rows: two series with one value column, two sample counts, and
-        # columns that differ only in the sign of zero
-        tricky = [-0.0, 5e-324, 1e308, 0.1 + 0.2, float("nan"), -1.5, 0.0, 1e-320]
-        formatted = {}
-        for samples, metric, mu in [(tricky * 3, "sum_se", 0.1 + 0.2), (tricky * 3, "jain", 0.5),
-                                    (tricky * 2, "sum_se", 0.5), ([0.0] * 16, "min_se", 0.1),
-                                    ([-0.0] * 16, "min_se", 0.1), (tricky * 3, "sum_se", 0.9)]:
-            cdf = empirical_cdf(samples, metric=metric, strategy="C-HUN", mu=mu,
-                                weight_mode="PL")
-            want = [f"# {metric},C-HUN,{float(mu)!r},PL", "value,probability"]
-            want += [f"{float(v)!r},{float(p)!r}"
-                     for v, p in zip(cdf.values, cdf.probabilities)]
-            assert cdf.to_csv_lines() == want
-            assert cdf.to_csv_lines(formatted) == want
-        # two probability columns and four value columns; rows are kept for
-        # the one value column used more than once
-        assert len(formatted) == 2 + 4
-        assert sum(rows is not None for rows in formatted.values()) == 2 + 1
-        # a hand-built series whose probabilities are not k/N shares nothing
-        halved = dataclasses.replace(cdf, probabilities=cdf.probabilities / 2)
-        assert halved.to_csv_lines(formatted)[2:] == [
-            f"{float(v)!r},{float(p)!r}" for v, p in zip(halved.values, halved.probabilities)]
-        assert {"-0.0", "5e-324", "1e+308", "0.30000000000000004", "nan"} <= {
-            line.split(",")[0] for line in empirical_cdf(tricky).to_csv_lines()[2:]}
-
-    def test_values_round_trip_exactly(self, tmp_path):
-        # repr-based serialization must preserve doubles bit for bit
-        samples = np.random.default_rng(4).normal(size=20) * math.pi
-        cdf = empirical_cdf(samples, metric="m", strategy="s", mu=0.5, weight_mode="SR")
-        path = tmp_path / "exact.csv"
-        cdf.write_csv(path)
-        assert np.array_equal(read_cdf_csv(path).values, cdf.values)
