@@ -2,9 +2,9 @@
 
 One experiment sweeps (strategy, mu, weight mode) combinations over N
 independent network drops.  Every combination of one drop sees the same
-GainTable, so cross-strategy comparisons are paired.  Substream seeds are
-derived from the master seed and the drop index by a counter-based split,
-which makes results independent of scheduling order and parallelism.
+GainTable, so cross-strategy comparisons are paired.  Each drop's generators
+are those of default_rng(SeedSequence(seed, spawn_key=(drop, role))), made a
+chunk at a time (drop_rngs), so results depend on neither chunks nor workers.
 The drops run in near-equal chunks of at most about _CHUNK_BYTES of gain
 tables and of what a strategy holds per drop (but enough for a stack to reach
 the lockstep gate where the stacks are solved in lockstep).  A chunk's gains
@@ -52,6 +52,7 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import assignment, metrics
 from .model import (
@@ -101,6 +102,8 @@ def require_valid_config(cfg: ExperimentConfig) -> ExperimentConfig:
     bad = []
     if cfg.iterations < 1:
         bad.append(f"iterations must be >= 1, got {cfg.iterations}")
+    if cfg.iterations > 1 << 32:   # a drop index is one 32-bit seed word (drop_rngs)
+        bad.append(f"iterations must be <= 2**32, got {cfg.iterations}")
     for s in cfg.strategies:
         if s not in STRATEGIES:
             bad.append(f"unknown strategy {s!r} in strategies")
@@ -127,17 +130,74 @@ def require_valid_config(cfg: ExperimentConfig) -> ExperimentConfig:
 # Seeding
 # ---------------------------------------------------------------------------
 
-def drop_rng(master_seed: int, drop_index: int, role: int) -> np.random.Generator:
-    """Independent substream for (drop, role), stable across parallelism."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(drop_index, role))
-    return np.random.default_rng(ss)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
-def _gain_hash(gains: GainTable) -> str:
-    digest = hashlib.sha256()
-    for arr in (gains.g_ul, gains.g_dl, gains.g_cross):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()[:16]
+def _hash_constants(init: int, mult: int, calls: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) constants of a SeedSequence hash's first hashmix calls."""
+    consts = list(itertools.accumulate([mult] * calls, lambda c, m: c * m & _MASK32,
+                                       initial=init))
+    return list(zip(consts, consts[1:]))
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix of an int or, elementwise, a uint32 array."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+@dataclass
+class _PCG64Words(ISeedSequence):
+    """Hands PCG64 the 4 uint64 state words drop_rngs computed."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def drop_rngs(master_seed: int, lo: int, hi: int, role: int) -> list[np.random.Generator]:
+    """The generators of (drop k, role) for k in lo..hi-1, each in the state of
+    default_rng(SeedSequence(master_seed, spawn_key=(k, role))) bit for bit,
+    so a drop's streams depend on neither its chunk nor its worker.  The seed's
+    words are hashed once, in ints; the spawn keys (k < 2**32: one word each,
+    require_valid_config) are mixed into the pool as one (4, drops) array."""
+    # the seed's 32-bit words, low first, padded to the pool as a spawn key asks
+    words = [master_seed >> 32 * i & _MASK32
+             for i in range(max(-(-master_seed.bit_length() // 32), 4))]
+    calls = iter(_hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 8))
+    pool = [_hashmix(w, *next(calls)) for w in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
+    for word in words[4:]:
+        pool = [_mix(p, _hashmix(word, *next(calls))) for p in pool]
+    xor, mult = np.array([next(calls) for _ in pool], np.uint32).T[..., None]
+    pool = _mix(np.array(pool, np.uint32)[:, None],
+                _hashmix(np.arange(lo, hi, dtype=np.uint32), xor, mult))
+    pool = _mix(pool, np.array([[_hashmix(role, *next(calls))] for _ in pool], np.uint32))
+    xor, mult = np.array(_hash_constants(_INIT_B, _MULT_B, 8), np.uint32).T[..., None]
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mult).T   # 8 words a drop
+    state = np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_PCG64Words(row))) for row in state]
+
+
+def _gain_hashes(gains: GainTable) -> list[str]:
+    """Each drop's gain_hash: the first 16 hex digits of the sha256 of its
+    g_ul, g_dl and g_cross bytes, read from the chunk's rows in place."""
+    hashes = []
+    for rows in zip(*map(np.ascontiguousarray, (gains.g_ul, gains.g_dl, gains.g_cross))):
+        digest = hashlib.sha256()
+        for row in rows:
+            digest.update(row)
+        hashes.append(digest.hexdigest()[:16])
+    return hashes
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +259,8 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     the drops' scenario documents or None, the chunk's wall time)."""
     started = time.perf_counter()
     master = cfg.params.rng_seed
-    gains = build_gain_table(cfg.params, [drop_rng(master, k, _ROLE_SCENARIO)
-                                          for k in range(lo, hi)])
-    rngs = ([drop_rng(master, k, _ROLE_STRATEGY) for k in range(lo, hi)]
+    gains = build_gain_table(cfg.params, drop_rngs(master, lo, hi, _ROLE_SCENARIO))
+    rngs = (drop_rngs(master, lo, hi, _ROLE_STRATEGY)
             if "R-EPA" in cfg.strategies else None)   # the one strategy that reads them
     objectives = _objectives(cfg)
     solved = [solve(name, gains, rngs, cfg.params, objectives) for name in cfg.strategies]
@@ -211,8 +270,8 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     chosen = [(name, o, o.schedule.tolist(), o.objective.tolist())
               for name, o in zip(cfg.strategies, solved)]
     texts = []
-    for d, k in enumerate(range(lo, hi)):
-        drop = {"drop": k, "seed": f"{master}:{k}", "gain_hash": _gain_hash(gains.drop(d))}
+    for d, (k, gain_hash) in enumerate(zip(range(lo, hi), _gain_hashes(gains))):
+        drop = {"drop": k, "seed": f"{master}:{k}", "gain_hash": gain_hash}
         templates, lines = {}, []   # (strategy, schedule row) -> its line template
         for n, (mu, mode) in enumerate(spelled):
             for name, o, rows, values in chosen:

@@ -180,7 +180,8 @@ class GainTable:
         return self.g_dl.shape[-1]
 
     def drop(self, d: int) -> "GainTable":
-        """Drop d of a chunk: views of its rows, read-only already, so not re-wrapped."""
+        """Drop d of a chunk: views of its rows, read-only already, so not
+        re-wrapped.  Only the scenario dump reads a drop alone."""
         view, at = object.__new__(GainTable), self.positions
         view.__dict__.update(g_ul=self.g_ul[d], g_dl=self.g_dl[d], g_cross=self.g_cross[d],
                              positions=at and DropPositions(at.bs[d], at.ul[d], at.dl[d]))

@@ -17,13 +17,16 @@ They are written one user or one permutation at a time, independent of
 the vectorized code they check.  The readers of a run's outputs (a CDF
 file, a dumped scenario) and the median gap of two CDFs, which only the
 tests use, are here too, and so are the list of modules a script loads in
-a fresh interpreter, the one-drop forms of build_gain_table's and the
-strategies' calls (chunk_of, drop_views), the per-objective view of a
-drop's Outcomes (ScheduleOutcome, outcome_views) and the one-schedule form
-of the evaluator's (evaluate_schedule).
+a fresh interpreter, a drop's generators as numpy's SeedSequence makes
+them (drop_rng) and its gain hash from copies of its arrays (gain_hash),
+the one-drop forms of build_gain_table's and the strategies' calls
+(chunk_of, drop_views), the per-objective view of a drop's Outcomes
+(ScheduleOutcome, outcome_views) and the one-schedule form of the
+evaluator's (evaluate_schedule).
 """
 
 import bisect
+import hashlib
 import itertools
 import json
 import math
@@ -36,8 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from fdsched.assignment import assign_with_solo, hungarian_max, min_pairs
-from fdsched.harness import (_ROLE_SCENARIO, _ROLE_STRATEGY, METRIC_NAMES, _gain_hash,
-                             drop_rng)
+from fdsched.harness import _ROLE_SCENARIO, _ROLE_STRATEGY, METRIC_NAMES
 from fdsched.metrics import CdfSeries, jain_index, percentile
 from fdsched.model import (DropPositions, GainTable, Outcomes, ScenarioParams, WeightVector,
                            _readonly)
@@ -53,6 +55,20 @@ from fdsched.scenario import (
 from fdsched.solvers import _best_corner_assignments, solve
 
 _BRUTE_FORCE_MAX_SIZE = 9
+
+
+def drop_rng(master_seed: int, drop_index: int, role: int) -> np.random.Generator:
+    """The generator of (drop, role), built by numpy's SeedSequence alone."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=(drop_index, role))
+    return np.random.default_rng(ss)
+
+
+def gain_hash(gains: GainTable) -> str:
+    """A one-drop gain table's record gain_hash, from a bytes copy of each array."""
+    digest = hashlib.sha256()
+    for arr in (gains.g_ul, gains.g_dl, gains.g_cross):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()[:16]
 
 
 def chunk_of(gains: GainTable) -> GainTable:
@@ -545,7 +561,7 @@ def reference_drop_records(cfg, drop_index: int) -> list[dict]:
                     se_ul=outcome.se_ul.tolist(),
                     se_dl=outcome.se_dl.tolist(),
                     seed=f"{master}:{drop_index}",
-                    gain_hash=_gain_hash(gains),
+                    gain_hash=gain_hash(gains),
                 ))
     return records
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fdsched.assignment import hungarian_max
-from fdsched.harness import canned_experiments, drop_rng, run_experiment
+from fdsched.harness import canned_experiments, run_experiment
 from fdsched.metrics import percentile
 from fdsched.model import ScenarioParams, WeightMode
 from fdsched.radio import make_weights
@@ -24,6 +24,7 @@ from oracles import (
     benefit_value,
     brute_force_assignment,
     drop_gain_table,
+    drop_rng,
     dual_multipliers,
     evaluate_pair,
     median_gap,

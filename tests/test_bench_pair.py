@@ -278,6 +278,9 @@ def test_traced_pairs_run_after_the_pairs_and_land_under_traces(tmp_path, monkey
         assert all(r["command"] == ["python3", "perfbench/run.py", "--workload", workload,
                                     "--seed", str(r["seed"]), "--trace", "1"] for r in runs)
         assert all(set(r) == {"side", "seed", "command", "report", "result"} for r in runs)
+        # each traced run on one line of the file
+        assert sum(line.strip().startswith('{"side"')
+                   for line in out.read_text().splitlines()) == 8
         # the summary covers the untraced pairs only
         assert record["workloads"][workload]["summary"]["pairs"] == 2
         assert [p["seed"] for p in record["workloads"][workload]["pairs"]] == [7, 8]
@@ -302,3 +305,24 @@ def test_main_rejects_a_repeated_workload(tmp_path):
     with pytest.raises(SystemExit):
         bench_pair.main(["--base", "v0", "--workload", "fig3-p1", "--workload", "fig3-p1",
                          "--first-seed", "7", "--out", str(tmp_path / "bench.json")])
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_a_record_puts_each_pair_and_traced_run_on_one_line(traced):
+    pairs = make_pairs([(100.0, 8.0), (90.0, 8.5)], [(110.0, 7.0), (95.0, 7.5)])
+    for seed, pair in enumerate(pairs, 7):
+        pair.update(seed=seed, first="parent" if seed % 2 else "change", command="run")
+    runs = [{"side": side, "seed": 9, "command": ["run", "--trace", "1"], **pairs[0][side]}
+            for side in ("parent", "change")]
+    record = {"command": "run", "note": "n", "parent_revision": "a", "change_revision": "b",
+              "workloads": {"fig3-p1": {"summary": bench_pair.summarize(pairs, METRICS),
+                                        "pairs": pairs}}}
+    if traced:
+        record["traces"] = {"fig3-p1": {"note": "t", "runs": runs}}
+    text = bench_pair.dumps_record(record)
+    assert json.loads(text) == record and text.endswith("}\n")
+    lines = [line.strip().rstrip(",") for line in text.splitlines()]
+    assert [json.loads(line) for line in lines
+            if line.startswith("{") and line.endswith("}")] == pairs + runs * traced
+    # the summaries stay indented, one field a line
+    assert '    "pairs": 2,' in text.splitlines()

@@ -25,15 +25,27 @@ from fdsched.harness import (
     canned_experiments,
     config_from_dict,
     config_to_dict,
-    drop_rng,
+    drop_rngs,
     load_config,
     require_valid_config,
     run_experiment,
 )
-from fdsched.model import ScenarioParams, WeightMode, db_to_linear
-from fdsched.scenario import scenario_to_dict
-from oracles import (drop_gain_table, load_scenario, median_gap, modules_after,
-                     read_cdf_csv, reference_cdfs_and_summary, reference_drop_records)
+from fdsched.model import GainTable, ScenarioParams, WeightMode, db_to_linear
+from fdsched.scenario import build_gain_table, scenario_to_dict
+from oracles import (drop_gain_table, drop_rng, gain_hash, load_scenario, median_gap,
+                     modules_after, read_cdf_csv, reference_cdfs_and_summary,
+                     reference_drop_records)
+
+
+def fail_at_drop(monkeypatch, failing):
+    """Make harness.drop_rngs raise RuntimeError("drop <failing> failed") for
+    any range of drops that holds drop failing; forked workers inherit it."""
+    def failing_drop_rngs(master_seed, lo, hi, role, _real=harness.drop_rngs):
+        if lo <= failing < hi:
+            raise RuntimeError(f"drop {failing} failed")
+        return _real(master_seed, lo, hi, role)
+
+    monkeypatch.setattr(harness, "drop_rngs", failing_drop_rngs)
 
 
 @pytest.fixture
@@ -354,17 +366,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_runtime_failure_keeps_finished_drops(self, tmp_path, monkeypatch,
                                                   parallelism):
-        from fdsched import harness
-
-        real_drop_rng = harness.drop_rng
-
-        def failing_drop_rng(master_seed, drop_index, role):
-            if drop_index == 3:
-                raise RuntimeError("drop 3 failed")
-            return real_drop_rng(master_seed, drop_index, role)
-
         # workers fork after the patch, so the pool branch sees it too
-        monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
+        fail_at_drop(monkeypatch, 3)
         cfg = tiny_config(tmp_path / "fail", iterations=6, parallelism=parallelism)
         with pytest.raises(RuntimeError, match="drop 3 failed"):
             run_experiment(cfg)
@@ -378,18 +381,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("failing", [1, 4])
     def test_serial_failure_keeps_earlier_drops_byte_for_byte(self, tmp_path, monkeypatch,
                                                               failing):
-        from fdsched import harness
-
         cfg = tiny_config(tmp_path / "full", iterations=6)
         run_experiment(cfg)
-        real_drop_rng = harness.drop_rng
-
-        def failing_drop_rng(master_seed, drop_index, role):
-            if drop_index == failing:
-                raise RuntimeError(f"drop {failing} failed")
-            return real_drop_rng(master_seed, drop_index, role)
-
-        monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
+        fail_at_drop(monkeypatch, failing)
         with pytest.raises(RuntimeError, match=f"drop {failing} failed"):
             run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "fail")))
         per_drop = len(cfg.strategies) * len(cfg.mu_values) * len(cfg.weight_modes)
@@ -831,13 +825,13 @@ class TestStrategyGenerators:
         (("P-OPT", "C-HUN"), 0), (("C-HUN", "C-NINT"), 0), (("C-HUN", "R-EPA"), 5),
         (("R-EPA",), 5)])
     def test_generators_only_for_r_epa(self, tmp_path, monkeypatch, strategies, made):
-        roles, real_drop_rng = [], harness.drop_rng
+        roles, real_drop_rngs = [], harness.drop_rngs
 
-        def counted(master_seed, drop_index, role):
-            roles.append((role, drop_index))
-            return real_drop_rng(master_seed, drop_index, role)
+        def counted(master_seed, lo, hi, role):
+            roles.extend((role, k) for k in range(lo, hi))
+            return real_drop_rngs(master_seed, lo, hi, role)
 
-        monkeypatch.setattr(harness, "drop_rng", counted)
+        monkeypatch.setattr(harness, "drop_rngs", counted)
         run_experiment(dataclasses.replace(tiny_config(tmp_path, iterations=5),
                                            strategies=strategies))
         assert sorted(roles) == ([(harness._ROLE_SCENARIO, k) for k in range(5)]
@@ -871,13 +865,6 @@ class TestPoolBlocks:
         # are lockstep stacks of 20 or 40 problems
         from fdsched import assignment
 
-        real_drop_rng = harness.drop_rng
-
-        def failing_drop_rng(master_seed, drop_index, role):
-            if drop_index == failing:
-                raise RuntimeError(f"drop {failing} failed")
-            return real_drop_rng(master_seed, drop_index, role)
-
         out = tmp_path / "fail"
         if shape == "tiny":
             cfg = tiny_config(out, iterations=20, parallelism=parallelism)
@@ -887,7 +874,7 @@ class TestPoolBlocks:
                                      parallelism=parallelism)
         assert harness._chunk_drops(cfg)[0] >= cfg.iterations
         run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "full")))
-        monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
+        fail_at_drop(monkeypatch, failing)
         with pytest.raises(RuntimeError, match=f"drop {failing} failed") as excinfo:
             run_experiment(cfg)
         if parallelism > 1:
@@ -973,24 +960,19 @@ class TestPoolBlocks:
         # drop 1 fails in block 0's worker, or the parent is interrupted while
         # it merges block 0; the workers of blocks 1 and 2 would sleep far
         # past the run
-        real_run_block, real_drop_rng = harness._run_block, harness.drop_rng
+        real_run_block = harness._run_block
 
         def run_block(cfg, lo, hi):
             if lo > 0:
                 time.sleep(60)
             return real_run_block(cfg, lo, hi)
 
-        def failing_drop_rng(master_seed, drop_index, role):
-            if drop_index == 1:
-                raise RuntimeError("drop 1 failed")
-            return real_drop_rng(master_seed, drop_index, role)
-
         def interrupted(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(harness, "_run_block", run_block)
         if stop is RuntimeError:
-            monkeypatch.setattr(harness, "drop_rng", failing_drop_rng)
+            fail_at_drop(monkeypatch, 1)
         else:
             monkeypatch.setattr(harness, "_merge_chunk", interrupted)
         started = time.monotonic()
@@ -1169,10 +1151,13 @@ class TestUnstackedChunks:
                 return out
 
         run_experiment(self.config(tmp_path / "full"))
-        real_drop_rng = harness.drop_rng
-        monkeypatch.setattr(harness, "drop_rng", lambda master_seed, k, role: (
-            Outside() if (k, role) == (6, harness._ROLE_SCENARIO)
-            else real_drop_rng(master_seed, k, role)))
+        def swapped(master_seed, lo, hi, role, _real=harness.drop_rngs):
+            rngs = _real(master_seed, lo, hi, role)
+            if role == harness._ROLE_SCENARIO and lo <= 6 < hi:
+                rngs[6 - lo] = Outside()
+            return rngs
+
+        monkeypatch.setattr(harness, "drop_rngs", swapped)
         out = tmp_path / "fail"
         with pytest.raises(ValueError, match="could not place a UE inside the cell"):
             run_experiment(self.config(out, parallelism))
@@ -1205,16 +1190,71 @@ class TestImportFootprint:
 
 
 class TestSeeding:
+    SEEDS = [0, 1, 2, 5, 42, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**64 + 3, 2**96 + 11,
+             2**128 - 1, 2**128, 2**200 + 5, 12345678901234567890123]
+
     def test_substreams_are_stable(self):
-        a = drop_rng(42, 3, 0).random(4)
-        b = drop_rng(42, 3, 0).random(4)
+        a = drop_rngs(42, 3, 4, 0)[0].random(4)
+        b = drop_rngs(42, 3, 4, 0)[0].random(4)
         assert np.array_equal(a, b)
 
     def test_substreams_differ_across_drops_and_roles(self):
-        base = drop_rng(42, 0, 0).random(4)
-        assert not np.array_equal(base, drop_rng(42, 1, 0).random(4))
-        assert not np.array_equal(base, drop_rng(42, 0, 1).random(4))
-        assert not np.array_equal(base, drop_rng(43, 0, 0).random(4))
+        base = drop_rngs(42, 0, 1, 0)[0].random(4)
+        assert not np.array_equal(base, drop_rngs(42, 1, 2, 0)[0].random(4))
+        assert not np.array_equal(base, drop_rngs(42, 0, 1, 1)[0].random(4))
+        assert not np.array_equal(base, drop_rngs(43, 0, 1, 0)[0].random(4))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_numpys_seed_sequence(self, seed):
+        # seeds of one to seven 32-bit words, the last drop index that takes
+        # one spawn-key word, and a role the harness does not use
+        for role, (lo, hi) in itertools.product(
+                (0, 1, 2), [(0, 50), (1000, 1010), (2**31 - 3, 2**31 + 3), (2**32 - 4, 2**32)]):
+            rngs = drop_rngs(seed, lo, hi, role)
+            assert len(rngs) == hi - lo
+            for k, rng in zip(range(lo, hi), rngs):
+                assert rng.bit_generator.state == drop_rng(seed, k, role).bit_generator.state
+
+    def test_a_chunks_generators_equal_one_drop_calls(self):
+        chunk = drop_rngs(2**70 + 5, 17, 40, 1)
+        alone = [drop_rngs(2**70 + 5, k, k + 1, 1)[0] for k in range(17, 40)]
+        assert [r.random(3).tolist() for r in chunk] == [r.random(3).tolist() for r in alone]
+        assert drop_rngs(9, 5, 5, 0) == []
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gain_hashes_equal_the_per_drop_reference(self, order):
+        params = ScenarioParams(num_ul=3, num_dl=5, num_channels=6, rng_seed=11)
+        chunk = build_gain_table(params, drop_rngs(11, 0, 7, 0))
+        # a Fortran-ordered chunk's drops are not contiguous rows
+        chunk = GainTable(*(np.asarray(a, order=order)
+                            for a in (chunk.g_ul, chunk.g_dl, chunk.g_cross)))
+        hashes = harness._gain_hashes(chunk)
+        assert hashes == [gain_hash(chunk.drop(d)) for d in range(7)]
+        assert len(set(hashes)) == 7
+
+    def test_a_run_makes_no_seed_sequence(self, tmp_path):
+        # drop_rngs hashes the seeds itself: a serial and a parallel run
+        # complete, with records equal to the reference's, in an interpreter
+        # where numpy's SeedSequence and default_rng raise
+        script = ("import numpy as np, numpy.random.bit_generator as bit_generator\n"
+                  "def refused(*args, **kwargs):\n"
+                  "    raise AssertionError('SeedSequence used')\n"
+                  "np.random.SeedSequence = bit_generator.SeedSequence = refused\n"
+                  "np.random.default_rng = refused\n")
+        cfg = dataclasses.replace(tiny_config(tmp_path, iterations=5, rng_seed=2**70 + 5),
+                                  strategies=("P-OPT", "C-HUN", "R-EPA"))
+        for parallelism in (1, 2):
+            out = tmp_path / f"p{parallelism}"
+            script += ("from fdsched.harness import config_from_dict, run_experiment\n"
+                       f"doc = {config_to_dict(cfg)!r}\n"
+                       f"doc.update(out_dir={str(out)!r}, parallelism={parallelism})\n"
+                       "run_experiment(config_from_dict(doc))\n")
+        assert "fdsched.harness" in modules_after(script, "fdsched")
+        want = [json.dumps(r, sort_keys=True)
+                for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
+        for parallelism in (1, 2):
+            records = (tmp_path / f"p{parallelism}" / "records.jsonl").read_text()
+            assert records == "\n".join(want) + "\n"
 
 
 class TestJsonConfig:
@@ -1265,7 +1305,9 @@ class TestJsonConfig:
         ("weight_modes", ["XX"], "config key 'weight_modes': unknown weight mode 'XX'"),
         ("strategies", ["X"], "unknown strategy 'X' in strategies"),
         ("mu_values", [2.0], "mu_values: mu must lie in [0, 1], got 2.0"),
-    ], ids=["weight_modes", "strategies", "mu_values"])
+        # drop 2**32 would take a second spawn-key word, which drop_rngs does not mix
+        ("iterations", 2**32 + 1, "iterations must be <= 2**32, got 4294967297"),
+    ], ids=["weight_modes", "strategies", "mu_values", "iterations"])
     def test_a_bad_value_names_its_key(self, key, value, message):
         with pytest.raises(ConfigError) as exc:
             config_from_dict({key: value})

@@ -13,7 +13,7 @@ from fdsched.radio import (
     make_weights,
     objective_value,
 )
-from fdsched.harness import canned_experiments, drop_rng
+from fdsched.harness import canned_experiments
 from fdsched.scenario import build_gain_table
 from fdsched.solvers import (
     STRATEGIES,
@@ -22,9 +22,9 @@ from fdsched.solvers import (
     solve_p_opt,
     solve_r_epa,
 )
-from oracles import (chunk_of, corner_se, drop_gain_table, dual_multipliers, evaluate_schedule,
-                     modules_after, one_drop, outcome_views, pairs_of, power_candidates,
-                     reference_p_opt_schedules, solve_drop, tie_heavy_drop)
+from oracles import (chunk_of, corner_se, drop_gain_table, drop_rng, dual_multipliers,
+                     evaluate_schedule, modules_after, one_drop, outcome_views, pairs_of,
+                     power_candidates, reference_p_opt_schedules, solve_drop, tie_heavy_drop)
 
 NOISE = 2.29086765276777e-15
 BETA = 1e-10

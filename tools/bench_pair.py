@@ -42,12 +42,16 @@ With ``--traced-pairs N``, N more pairs per workload then run with
 and alternating in the same way.  Their runs are stored under ``traces``,
 per workload, in the order they ran; they give the per-layer metrics that
 show where a change's time went, and take no part in the summary.
+
+The file is indented JSON, except that each pair and each traced run
+takes one line (``dumps_record``): they hold most of its bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -166,6 +170,26 @@ def outputs_line(workload: str, summary: dict) -> str:
             f"failed parent {failed['parent']}, change {failed['change']}")
 
 
+def dumps_record(record: dict) -> str:
+    """The BENCH record as JSON text: indented, but with each pair and each
+    traced run, which hold the bulk of the record, on one line."""
+    lines = {}   # a placeholder's JSON text -> the entry's one-line JSON text
+
+    def one_line(entry):
+        placeholder = f"\0{len(lines)}"
+        lines[json.dumps(placeholder)] = json.dumps(entry)
+        return placeholder
+
+    shallow = {**record, "workloads": {
+        workload: {**entry, "pairs": [one_line(pair) for pair in entry["pairs"]]}
+        for workload, entry in record["workloads"].items()}}
+    if "traces" in record:
+        shallow["traces"] = {workload: {**entry, "runs": [one_line(run) for run in entry["runs"]]}
+                             for workload, entry in record["traces"].items()}
+    text = json.dumps(shallow, indent=1)
+    return re.sub(r'"\\u0000\d+"', lambda m: lines[m.group()], text) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
@@ -238,7 +262,7 @@ def main(argv=None) -> int:
     }
     if traces:
         record["traces"] = traces
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    args.out.write_text(dumps_record(record))
     for workload, entry in workloads.items():
         print(outputs_line(workload, entry["summary"]))
         for name, m in entry["summary"]["metrics"].items():
