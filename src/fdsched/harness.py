@@ -189,13 +189,13 @@ def drop_rngs(master_seed: int, lo: int, hi: int, role: int) -> list[np.random.G
 
 
 def _gain_hashes(gains: GainTable) -> list[str]:
-    """Each drop's gain_hash: the first 16 hex digits of the sha256 of its
-    g_ul, g_dl and g_cross bytes, read from the chunk's rows in place."""
+    """Each drop's gain_hash: the first 16 hex digits of the sha256 of its g_ul,
+    g_dl and g_cross bytes, read in place (each drop's rows are contiguous)."""
     hashes = []
-    for rows in zip(*map(np.ascontiguousarray, (gains.g_ul, gains.g_dl, gains.g_cross))):
+    for rows in zip(gains.g_ul, gains.g_dl, gains.g_cross):
         digest = hashlib.sha256()
         for row in rows:
-            digest.update(row)
+            digest.update(np.ascontiguousarray(row))
         hashes.append(digest.hexdigest()[:16])
     return hashes
 
