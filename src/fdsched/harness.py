@@ -52,7 +52,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import assignment, metrics
 from .model import (
@@ -154,7 +153,7 @@ def _mix(x, y):
 
 
 @dataclass
-class _PCG64Words(ISeedSequence):
+class _PCG64Words(np.random.bit_generator.ISeedSequence):
     """Hands PCG64 the 4 uint64 state words drop_rngs computed."""
 
     words: np.ndarray
