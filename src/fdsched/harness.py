@@ -269,8 +269,8 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     chosen = [(name, o, o.schedule.tolist(), o.objective.tolist())
               for name, o in zip(cfg.strategies, solved)]
     texts = []
-    for d, (k, gain_hash) in enumerate(zip(range(lo, hi), _gain_hashes(gains))):
-        drop = {"drop": k, "seed": f"{master}:{k}", "gain_hash": gain_hash}
+    for d, gain_hash in enumerate(_gain_hashes(gains)):
+        drop = {"drop": lo + d, "seed": f"{master}:{lo + d}", "gain_hash": gain_hash}
         templates, lines = {}, []   # (strategy, schedule row) -> its line template
         for n, (mu, mode) in enumerate(spelled):
             for name, o, rows, values in chosen:
