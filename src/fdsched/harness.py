@@ -12,35 +12,40 @@ are one GainTable with a leading drop axis, made in one build_gain_table
 call, and each strategy is solved once per chunk, for all of its drops'
 (weight mode, mu) objectives, so its assignments go to the solver as one
 stack.  Once every strategy is solved (one Outcomes each), the chunk
-encodes its records per drop, in drop order and (weight mode, mu,
+spells its records per drop, in drop order and (weight mode, mu,
 strategy) order, and returns their records.jsonl text with a table of
-their CDF metrics, so a forked worker encodes its own drops.
+their CDF metrics and the reprs its lines spelled them with, so a forked
+worker spells its own drops and each number is spelled once.
 records.jsonl grows a chunk at a time as the chunks are merged, so a
 failure keeps every merged drop; a chunk that fails is solved again one
 drop at a time, which keeps every drop before the failing one.
 A schedule that several objectives of a drop chose (Outcomes.schedule
 names the same row, as for every R-EPA schedule) is evaluated once and
-rescored: its records.jsonl line is encoded once with a hole in each field
-a rescoring changes (_RESCORED), and each of its lines fills in the holes.
+rescored: its fields are spelled once (_spelled_schedule), and each of its
+lines adds its objective's mu, objective and weight mode (_LAYOUT).
 
 Outputs per run directory:
   config.json    resolved configuration (deterministic)
   records.jsonl  one record per (drop, strategy, mu, weight mode)
   cdf_*.csv      empirical CDF per metric and combination, cut from the
-                 run's metric table sorted once (_write_cdfs_and_summary)
+                 run's metric table sorted once and the records' spellings
+                 of its values (_write_cdfs_and_summary)
   summary.json   medians and pairwise median gaps
   timing.log     wall-clock sidecar, one line per chunk and, in a parallel
                  run, per block; the only non-deterministic file
 
 A parallel run forks one child per contiguous block of drops, at most
-parallelism of them.  Each child runs its block in chunks and pickles their
-results (each chunk's encoded text and metric table) into its own pipe; the
-parent hands them in drop order to the merge loop a serial run uses.
+parallelism of them, with the parent's objects frozen out of the children's
+collections (gc.freeze).  Each child runs its block in chunks and pickles
+their results (each chunk's text, metric table and spellings) into its own
+pipe; the parent hands them in drop order to the merge loop a serial run
+uses.
 Where os.fork is missing (Windows) a parallel run is a serial one.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -67,6 +72,7 @@ from .model import (
 from .radio import check_mu
 from .scenario import build_gain_table, scenario_to_dict
 from .solvers import STRATEGIES, solve, stacked_problems
+from .seeding import drop_rngs   # after the solvers: it loads numpy.random (peak RSS)
 
 _ROLE_SCENARIO = 0
 _ROLE_STRATEGY = 1
@@ -126,66 +132,8 @@ def require_valid_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Seeding
+# Records
 # ---------------------------------------------------------------------------
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-
-
-def _hash_constants(init: int, mult: int, calls: int) -> list[tuple[int, int]]:
-    """The (xor, multiplier) constants of a SeedSequence hash's first hashmix calls."""
-    consts = list(itertools.accumulate([mult] * calls, lambda c, m: c * m & _MASK32,
-                                       initial=init))
-    return list(zip(consts, consts[1:]))
-
-
-def _hashmix(value, xor, mult):
-    """SeedSequence's hashmix of an int or, elementwise, a uint32 array."""
-    value = (value ^ xor) * mult & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return result ^ result >> 16
-
-
-@dataclass
-class _PCG64Words(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the 4 uint64 state words drop_rngs computed."""
-
-    words: np.ndarray
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def drop_rngs(master_seed: int, lo: int, hi: int, role: int) -> list[np.random.Generator]:
-    """The generators of (drop k, role) for k in lo..hi-1, each in the state of
-    default_rng(SeedSequence(master_seed, spawn_key=(k, role))) bit for bit,
-    so a drop's streams depend on neither its chunk nor its worker.  The seed's
-    words are hashed once, in ints; the spawn keys (k < 2**32: one word each,
-    require_valid_config) are mixed into the pool as one (4, drops) array."""
-    # the seed's 32-bit words, low first, padded to the pool as a spawn key asks
-    words = [master_seed >> 32 * i & _MASK32
-             for i in range(max(-(-master_seed.bit_length() // 32), 4))]
-    calls = iter(_hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 8))
-    pool = [_hashmix(w, *next(calls)) for w in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
-    for word in words[4:]:
-        pool = [_mix(p, _hashmix(word, *next(calls))) for p in pool]
-    xor, mult = np.array([next(calls) for _ in pool], np.uint32).T[..., None]
-    pool = _mix(np.array(pool, np.uint32)[:, None],
-                _hashmix(np.arange(lo, hi, dtype=np.uint32), xor, mult))
-    pool = _mix(pool, np.array([[_hashmix(role, *next(calls))] for _ in pool], np.uint32))
-    xor, mult = np.array(_hash_constants(_INIT_B, _MULT_B, 8), np.uint32).T[..., None]
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mult).T   # 8 words a drop
-    state = np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64, copy=False)
-    return [np.random.Generator(np.random.PCG64(_PCG64Words(row))) for row in state]
-
 
 def _gain_hashes(gains: GainTable) -> list[str]:
     """Each drop's gain_hash: the first 16 hex digits of the sha256 of its g_ul,
@@ -199,15 +147,15 @@ def _gain_hashes(gains: GainTable) -> list[str]:
     return hashes
 
 
-# ---------------------------------------------------------------------------
-# Records
-# ---------------------------------------------------------------------------
-
 # A records.jsonl line holds one (drop, strategy, mu, weight mode) evaluation:
-# drop, strategy, mu, weight_mode, objective, sum_se, min_se, jain, se_ul,
-# se_dl (lists), seed and gain_hash.  The fields in which the lines of one
-# evaluated schedule differ, sorted:
-_RESCORED = ("mu", "objective", "weight_mode")
+# its fields in the sorted order of their keys, as json.dumps(record,
+# sort_keys=True) writes them, each slot taking its field's JSON text.  A
+# float's JSON text is its repr, or JSON's spelling of NaN and the infinities.
+_LAYOUT = ('{{"drop": {drop}, "gain_hash": {gain_hash}, "jain": {jain}, "min_se": {min_se}, '
+           '"mu": {mu}, "objective": {objective}, "se_dl": {se_dl}, "se_ul": {se_ul}, '
+           '"seed": {seed}, "strategy": {strategy}, "sum_se": {sum_se}, '
+           '"weight_mode": {weight_mode}}}')
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 # A chunk holds about this many bytes at once: its gain tables (I * J + 3 *
@@ -248,14 +196,16 @@ def _chunk_drops(cfg: ExperimentConfig) -> tuple[int, int]:
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     """Evaluate all requested combinations on drops lo..hi-1: each strategy
-    is solved once over all of them, then the records are encoded a drop at
-    a time.  Each (drop, strategy, schedule row) line is cut once
-    (_hole_template) and every objective that chose the row fills in its
-    _RESCORED holes; each objective's mu and weight mode are spelled once,
-    by objective index, since equal floats may spell differently (-0.0 and
-    0.0).  Returns (lo, hi, each drop's records.jsonl text, the (drops,
-    objectives, strategies, METRIC_NAMES) table of the records' metrics,
-    the drops' scenario documents or None, the chunk's wall time)."""
+    is solved once over all of them, then the records are spelled a drop at
+    a time.  Every number is spelled once, with float.__repr__: a distinct
+    schedule's fields when its drop first reads them (_spelled_schedule),
+    each (drop, objective) objective once, and each objective's mu and
+    weight mode once per chunk, by objective index, since equal floats may
+    spell differently (-0.0 and 0.0).  Returns (lo, hi, each drop's
+    records.jsonl text, the (drops, objectives, strategies, METRIC_NAMES)
+    table of the records' metrics, the reprs of the table's entries as one
+    "\n"-joined text per (objective, strategy, metric) column, the drops'
+    scenario documents or None, the chunk's wall time)."""
     started = time.perf_counter()
     master = cfg.params.rng_seed
     gains = build_gain_table(cfg.params, drop_rngs(master, lo, hi, _ROLE_SCENARIO))
@@ -265,33 +215,56 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
     solved = [solve(name, gains, rngs, cfg.params, objectives) for name in cfg.strategies]
     table = np.array([[o.objective, o.sum_se[o.schedule], o.min_se[o.schedule],
                        o.jain[o.schedule]] for o in solved]).transpose(2, 3, 0, 1)
-    spelled = [(_encode_float(mu), _ENCODER.encode(mode.value)) for mode, mu in objectives]
-    chosen = [(name, o, o.schedule.tolist(), o.objective.tolist())
+    finite = all(np.isfinite(se).all() for o in solved for se in (o.se_ul, o.se_dl))
+    spelled = [(json.dumps(mu), json.dumps(mode.value)) for mode, mu in objectives]
+    chosen = [(json.dumps(name), o, o.schedule.tolist(), o.objective.tolist())
               for name, o in zip(cfg.strategies, solved)]
+    # each (objective, strategy) column's entries' reprs, per METRIC_NAMES
+    columns = [[([], [], [], []) for _ in solved] for _ in objectives]
     texts = []
-    for d, gain_hash in enumerate(_gain_hashes(gains)):
-        drop = {"drop": lo + d, "seed": f"{master}:{lo + d}", "gain_hash": gain_hash}
-        templates, lines = {}, []   # (strategy, schedule row) -> its line template
-        for n, (mu, mode) in enumerate(spelled):
-            for name, o, rows, values in chosen:
-                s = rows[d][n]
-                template = templates.get((name, s))
-                if template is None:
-                    template = templates[name, s] = _hole_template(
-                        {**drop, "strategy": name, **_schedule_fields(o, s)})
-                template[1::2] = mu, _encode_float(values[d][n]), mode
-                lines.append("".join(template))
+    for k, gain_hash in enumerate(_gain_hashes(gains), lo):
+        drop = {"drop": k, "gain_hash": f'"{gain_hash}"', "seed": f'"{master}:{k}"'}
+        schedules, lines = {}, []   # (strategy, schedule row) -> _spelled_schedule's
+        for n, ((mu, mode), combos) in enumerate(zip(spelled, columns)):
+            for (name, o, rows, values), (objective_words, sums, minima, fairness) in zip(
+                    chosen, combos):
+                s = rows[k - lo][n]
+                schedule = schedules.get((name, s))
+                if schedule is None:
+                    schedule = schedules[name, s] = _spelled_schedule(
+                        o, s, finite, strategy=name, **drop)
+                head, middle, tail, end, total, low, fair = schedule
+                objective = float.__repr__(values[k - lo][n])
+                lines.append(f"{head}{mu}{middle}{_JSON_NON_FINITE.get(objective, objective)}"
+                             f"{tail}{mode}{end}")
+                objective_words.append(objective)
+                sums.append(total)
+                minima.append(low)
+                fairness.append(fair)
         texts.append("\n".join([*lines, ""]))
     scenarios = ([scenario_to_dict(gains.drop(d)) for d in range(hi - lo)]
                  if cfg.dump_scenarios else None)
-    return lo, hi, texts, table, scenarios, time.perf_counter() - started
+    spellings = [[["\n".join(words) for words in combo] for combo in combos]
+                 for combos in columns]
+    return lo, hi, texts, table, spellings, scenarios, time.perf_counter() - started
 
 
-def _schedule_fields(outcomes: Outcomes, s: int) -> dict:
-    """The record fields of distinct schedule s of outcomes: its SEs and metrics."""
-    return {"sum_se": float(outcomes.sum_se[s]), "min_se": float(outcomes.min_se[s]),
-            "jain": float(outcomes.jain[s]), "se_ul": outcomes.se_ul[s].tolist(),
-            "se_dl": outcomes.se_dl[s].tolist()}
+def _spelled_schedule(outcomes: Outcomes, s: int, finite: bool, **fields) -> tuple:
+    """Distinct schedule s of outcomes spelled once: the four pieces of its
+    records.jsonl lines around the slots of an objective's mu, objective and
+    weight_mode (_LAYOUT, fields being the drop's and strategy's JSON
+    texts), then the reprs of its sum_se, min_se and jain.  Where finite
+    (every SE of the chunk is), an SE row's list repr is its JSON list."""
+    total, low, fair = map(float.__repr__, (outcomes.sum_se[s], outcomes.min_se[s],
+                                            outcomes.jain[s]))
+    se_dl, se_ul = (repr(row) if finite else
+                    f"[{', '.join(_JSON_NON_FINITE.get(x, x) for x in map(float.__repr__, row))}]"
+                    for row in (outcomes.se_dl[s].tolist(), outcomes.se_ul[s].tolist()))
+    line = _LAYOUT.format(**fields, jain=_JSON_NON_FINITE.get(fair, fair),
+                          min_se=_JSON_NON_FINITE.get(low, low), mu="\x00", objective="\x00",
+                          se_dl=se_dl, se_ul=se_ul, sum_se=_JSON_NON_FINITE.get(total, total),
+                          weight_mode="\x00")
+    return (*line.split("\x00"), total, low, fair)
 
 
 def _solved_chunks(cfg: ExperimentConfig, lo: int, hi: int):
@@ -314,6 +287,7 @@ def _solved_chunks(cfg: ExperimentConfig, lo: int, hi: int):
                 raise
             chunks = (_run_chunk(cfg, k, k + 1) for k in range(start, stop))
         yield from chunks
+        del chunks   # a merged chunk goes before the next one is solved
 
 
 class _WorkerTraceback(Exception):
@@ -367,6 +341,9 @@ def _forked_chunks(cfg: ExperimentConfig, block_lines: list[str]):
     n_blocks = min(cfg.iterations, cfg.parallelism)
     edges = [cfg.iterations * b // n_blocks for b in range(n_blocks + 1)]
     children = []   # (pid, read end of its pipe, lo, hi) of each child not yet reaped
+    # the parent's objects go to the permanent generation, which no child's
+    # collection walks, so the children do not copy the pages they sit on
+    gc.freeze()
     try:
         for lo, hi in zip(edges, edges[1:]):
             read_end, write_end = os.pipe()
@@ -390,7 +367,9 @@ def _forked_chunks(cfg: ExperimentConfig, block_lines: list[str]):
                 raise RuntimeError(f"the worker of drops {lo}-{hi - 1} ended without "
                                    f"a result (wait status {status})")
             chunks, error, elapsed = pickle.loads(data)
-            yield from chunks
+            del data
+            while chunks:   # each chunk goes once merged
+                yield chunks.pop(0)
             if error is not None:
                 raise error[0] from _WorkerTraceback(error[1])
             block_lines.append(f"drops {lo}-{hi - 1}: pid {pid}, {elapsed:.4f} s")
@@ -402,6 +381,7 @@ def _forked_chunks(cfg: ExperimentConfig, block_lines: list[str]):
                 pipe.close()
             for pid, *_ in children:
                 os.waitpid(pid, 0)
+        gc.unfreeze()
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +408,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                                 sort_keys=True) + "\n")
 
     tables: list[np.ndarray] = []   # each chunk's metric table (_run_chunk)
+    spellings: list[list] = []   # and its entries' reprs
     timings: list[str] = []
     block_lines: list[str] = []
     chunks = (_forked_chunks(cfg, block_lines) if cfg.parallelism > 1 and hasattr(os, "fork")
@@ -435,7 +416,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     try:
         with open(out / "records.jsonl", "w") as records:
             for chunk in chunks:
-                _merge_chunk(out, records, chunk, tables, timings)
+                _merge_chunk(out, records, chunk, tables, spellings, timings)
+                del chunk   # its text goes before the next chunk is solved
     except Exception as exc:
         (out / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         raise
@@ -444,7 +426,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     timings += block_lines
     table = np.concatenate(tables)
-    cdf_files, summary = _write_cdfs_and_summary(out, cfg, table)
+    cdf_files, summary = _write_cdfs_and_summary(out, cfg, table, spellings)
     (out / "timing.log").write_text(
         time.strftime("run finished %Y-%m-%dT%H:%M:%S\n") + "\n".join(timings) + "\n")
     return {"out_dir": str(out), "records": table[..., 0].size,
@@ -452,76 +434,56 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _merge_chunk(out: Path, records, chunk, tables: list[np.ndarray],
-                 timings: list[str]) -> None:
+                 spellings: list[list], timings: list[str]) -> None:
     """Append a chunk's results (_run_chunk): its text to the open
-    records.jsonl file records, its metric table to tables.  Chunks are
-    merged in drop order as they finish, so a later failure keeps every
-    earlier drop."""
-    lo, hi, texts, table, scenarios, elapsed = chunk
+    records.jsonl file records, its metric table to tables and the table's
+    spellings to spellings.  Chunks are merged in drop order as they
+    finish, so a later failure keeps every earlier drop."""
+    lo, hi, texts, table, spelled, scenarios, elapsed = chunk
     timings.append(f"chunk {lo}-{hi - 1}: {elapsed:.4f} s")
     records.writelines(texts)
     tables.append(table)
+    spellings.append(spelled)
     for k, scenario_doc in enumerate(scenarios or (), lo):
         (out / "scenarios").mkdir(exist_ok=True)
         (out / f"scenarios/drop_{k:04d}.json").write_text(
             json.dumps(scenario_doc, indent=1, sort_keys=True))
 
 
-# json.dumps(obj, sort_keys=True) without building an encoder per call
-_ENCODER = json.JSONEncoder(sort_keys=True)
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _encode_float(x: float) -> str:
-    """_ENCODER.encode(x) without its per-call setup: a float's repr, or the
-    encoder's spelling of NaN and the infinities.  Anything but a float goes
-    to the encoder."""
-    if not isinstance(x, float):
-        return _ENCODER.encode(x)
-    text = float.__repr__(x)
-    return _JSON_NON_FINITE.get(text, text)
-
-
-def _hole_template(fields: dict) -> list:
-    """The records.jsonl line of the record fields cut at a hole in each
-    _RESCORED field (encoded "\x00", which no other field's text holds),
-    with a slot for each field's value between the pieces; sorted keys keep
-    the fields in _RESCORED order."""
-    pieces = _ENCODER.encode({**fields, **dict.fromkeys(_RESCORED, "\x00")}).split(
-        _ENCODER.encode("\x00"))
-    template = [None] * (2 * len(pieces) - 1)
-    template[::2] = pieces
-    return template
-
-
-def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
-                            table: np.ndarray) -> tuple[list[str], dict]:
+def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig, table: np.ndarray,
+                            spellings: list) -> tuple[list[str], dict]:
     """One CDF file per (metric, strategy, mu, weight mode), and the summary
     of their medians and pairwise median gaps, from the run's (drops,
-    objectives, strategies, METRIC_NAMES) table (_run_chunk), sorted once
-    column by column.  A CDF file is a comment line (metric, strategy, mu,
+    objectives, strategies, METRIC_NAMES) table, sorted once column by
+    column, and the reprs of its entries: each chunk's spellings, in drop
+    order (_run_chunk).  A CDF file is a comment line (metric, strategy, mu,
     weight mode), a column header, then value,probability rows, each float
     spelled with repr so files are byte-reproducible.  The probability
-    column is spelled once, and each distinct sorted column (by its bytes,
-    so -0.0 and 0.0 stay apart) once."""
+    column is spelled once, and each distinct sorted column's rows (by its
+    bytes, so -0.0 and 0.0 stay apart) are joined once (_sorted_reprs)."""
     cdf = metrics.empirical_cdf(table)
-    probabilities = list(map(repr, cdf.probabilities.tolist()))
+    pieces = [""] * (2 * len(cdf))   # a column's rows: its values' reprs between these
+    pieces[1::2] = [f",{p!r}\n" for p in cdf.probabilities.tolist()]
     rows = {}   # a sorted column's bytes -> its rows' text
     files = []
     medians: dict[str, float] = {}
     gaps: dict[str, float | None] = {}
-    for (mode, mu), columns, middles in zip(_objectives(cfg), cdf.values.transpose(1, 2, 3, 0),
-                                            metrics.percentile(cdf, 50).tolist()):
+    for k, ((mode, mu), columns, middles) in enumerate(zip(
+            _objectives(cfg), cdf.values.transpose(1, 2, 3, 0),
+            metrics.percentile(cdf, 50).tolist())):
         tag = f"mu={mu}|{mode.value}"
-        for strategy, combo, combo_middles in zip(cfg.strategies, columns, middles):
-            for metric, column, median in zip(METRIC_NAMES, combo, combo_middles):
+        for s, (strategy, combo, combo_middles) in enumerate(zip(cfg.strategies, columns,
+                                                                 middles)):
+            for m, (metric, column, median) in enumerate(zip(METRIC_NAMES, combo,
+                                                             combo_middles)):
                 key = column.tobytes()
                 if key not in rows:
-                    rows[key] = "".join(f"\n{v!r},{p}"
-                                        for v, p in zip(column.tolist(), probabilities))
+                    pieces[::2] = _sorted_reprs([chunk[k][s][m] for chunk in spellings],
+                                                table[:, k, s, m], column)
+                    rows[key] = "".join(pieces)
                 path = out / f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
                 path.write_text(f"# {metric},{strategy},{float(mu)!r},{mode.value}\n"
-                                f"value,probability{rows[key]}\n")
+                                f"value,probability\n{rows[key]}")
                 files.append(path.name)
                 medians[f"{metric}|{strategy}|{tag}"] = median
         for metric in METRIC_NAMES:
@@ -533,6 +495,20 @@ def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig,
                "master_seed": cfg.params.rng_seed, "medians": medians, "gaps": gaps}
     (out / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return files, summary
+
+
+def _sorted_reprs(texts: list[str], values: np.ndarray, sorted_values: np.ndarray) -> list[str]:
+    """The reprs of a column's values (texts: its chunks' "\n"-joined reprs,
+    in drop order) in the order of sorted_values, np.sort's sort of values:
+    the order of their stable argsort, which puts equal floats where np.sort
+    does, as they spell alike, but for zeros, each spelled from its sorted
+    value's sign bit so -0.0 and 0.0 keep np.sort's order.  A NaN spells nan
+    wherever it lands."""
+    words = np.fromiter(itertools.chain.from_iterable(text.split("\n") for text in texts),
+                        object, len(values))[np.argsort(values, kind="stable")]
+    zero = sorted_values == 0
+    words[zero] = np.where(np.signbit(sorted_values[zero]), "-0.0", "0.0")
+    return words.tolist()
 
 
 # ---------------------------------------------------------------------------

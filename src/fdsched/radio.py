@@ -96,6 +96,11 @@ def corner_tables(gains: GainTable, params: ScenarioParams) -> CornerTables:
         solo_se_dl=np.log2(1.0 + sinr(pd, gains.g_dl, 0.0, 0.0, noise)))
 
 
+# corner_benefit adds its mu * min term through a buffer of at most about this
+# many floats (one drop's pairs if they are more), not one the size of a chunk
+_BLOCK_ENTRIES = 8192
+
+
 def corner_benefit(tables: CornerTables, weights: WeightVector, mu):
     """Score a CornerTables under the weights and mu: (best, corner,
     solo_contrib_ul, solo_contrib_dl), where best[i, j] is pair (i, j)'s
@@ -115,16 +120,24 @@ def corner_benefit(tables: CornerTables, weights: WeightVector, mu):
     ul_only = (scale * (weights.alpha_ul * tables.solo_se_ul))[..., :, None]
     dl_only = (scale * (weights.alpha_dl * tables.solo_se_dl))[..., None, :]
     # the (Pmax, Pmax) benefit, rounded as (1-mu) * (a_u c_u + a_d c_d) + mu * min(c_u, c_d)
-    # but written in place, its mu * min term one objective at a time
+    # but written in place, its mu * min term one objective and one block of
+    # drops at a time, through a buffer of at most about _BLOCK_ENTRIES floats
     best = weights.alpha_dl[..., None, :] * se_dl
     best += weights.alpha_ul[..., :, None] * se_ul
     best *= scale[..., None]
-    low = np.empty(se_dl.shape)
-    lead = best.shape[:best.ndim - low.ndim]
-    mus = np.broadcast_to(mu[..., None], lead + (1,) * low.ndim)
+    drops = math.prod(se_dl.shape[:-2])
+    drops_ul, drops_dl = (a.reshape(drops, *a.shape[-2:]) for a in (se_ul, se_dl))   # views
+    lead = best.shape[:best.ndim - se_dl.ndim]
+    by_drop = best.reshape(lead + drops_dl.shape)
+    mus = np.broadcast_to(mu[..., None], lead + (1,) * se_dl.ndim)
+    step = max(_BLOCK_ENTRIES // max(math.prod(se_dl.shape[-2:]), 1), 1)
+    low = np.empty((min(step, drops), *drops_dl.shape[1:]))
     for at in np.ndindex(lead):
-        best[at] += np.multiply(mus[at], np.minimum(se_ul, se_dl, out=low), out=low)
-    del low   # so the corner masks below add to two full-size float arrays only
+        for lo in range(0, drops, step):
+            hi = min(lo + step, drops)
+            block = low[:hi - lo]
+            by_drop[at][lo:hi] += np.multiply(
+                mus[at], np.minimum(drops_ul[lo:hi], drops_dl[lo:hi], out=block), out=block)
     # the first best corner: a one-user corner only where it beats (Pmax, Pmax)
     corner = (ul_only < dl_only) + np.int8(1)
     corner *= (best < ul_only) | (best < dl_only)

@@ -7,7 +7,7 @@ over each file's name and bytes, in name order) at 20 drops, seed 1, for:
                  {0.1, 0.5, 0.9} x SR/PL, so each R-EPA solve is rescored
                  across mu values as well as weight modes.
 The canned studies must give the same digests with every stack of
-assignment problems solved in lockstep.  A change that claims to keep
+assignment problems solved in lockstep, and at parallelism 2.  A change that claims to keep
 behaviour must keep these digests; a change that alters results on
 purpose updates them and says why.  The
 digests pin floating-point results, so they assume IEEE double arithmetic
@@ -70,6 +70,15 @@ def test_canned_outputs_match_golden_digest_in_lockstep(name, tmp_path, monkeypa
     test_canned_outputs_match_golden_digest(name, tmp_path)
     cfg = canned_experiments(name)   # C-HUN stacks one problem per objective and drop
     assert max(stacks) == 20 * len(cfg.mu_values) * len(cfg.weight_modes)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_canned_outputs_match_golden_digest_in_parallel(name, tmp_path):
+    # forked workers spell their own drops and hand the spellings to the
+    # parent, which cuts the CDF files from them: the same digests
+    run_experiment(canned_experiments(name, seed=1, iterations=20, out_dir=str(tmp_path),
+                                      parallelism=2))
+    assert _digests(tmp_path, GOLDEN[name]) == GOLDEN[name]
 
 
 RESCORING = {

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import string
 import sys
 import time
 import tracemalloc
@@ -16,12 +17,11 @@ import pytest
 from fdsched import harness
 from fdsched.cli import main
 from fdsched.harness import (
-    _ENCODER,
-    _RESCORED,
+    _JSON_NON_FINITE,
+    _LAYOUT,
     ConfigError,
     ExperimentConfig,
-    _encode_float,
-    _hole_template,
+    _spelled_schedule,
     canned_experiments,
     config_from_dict,
     config_to_dict,
@@ -30,7 +30,7 @@ from fdsched.harness import (
     require_valid_config,
     run_experiment,
 )
-from fdsched.model import GainTable, ScenarioParams, WeightMode, db_to_linear
+from fdsched.model import GainTable, Outcomes, ScenarioParams, WeightMode, db_to_linear
 from fdsched.scenario import build_gain_table, scenario_to_dict
 from oracles import (drop_gain_table, drop_rng, gain_hash, load_scenario, median_gap,
                      modules_after, read_cdf_csv, reference_cdfs_and_summary,
@@ -49,16 +49,19 @@ def fail_at_drop(monkeypatch, failing):
 
 
 @pytest.fixture
-def templates(monkeypatch):
-    """The record fields harness._hole_template builds a line template of, in order."""
-    built = []
+def schedules(monkeypatch):
+    """The schedules harness._spelled_schedule spells, in order: each one's
+    strategy, drop, SE rows and sum_se."""
+    spelled = []
 
-    def counted(fields, _build=harness._hole_template):
-        built.append(fields)
-        return _build(fields)
+    def counted(outcomes, s, finite, _spell=harness._spelled_schedule, **fields):
+        spelled.append({"strategy": json.loads(fields["strategy"]), "drop": fields["drop"],
+                        "se_ul": outcomes.se_ul[s].tolist(), "se_dl": outcomes.se_dl[s].tolist(),
+                        "sum_se": float(outcomes.sum_se[s])})
+        return _spell(outcomes, s, finite, **fields)
 
-    monkeypatch.setattr(harness, "_hole_template", counted)
-    return built
+    monkeypatch.setattr(harness, "_spelled_schedule", counted)
+    return spelled
 
 
 @pytest.fixture
@@ -96,11 +99,22 @@ def metric_rows(records):
     return [[r[metric] for metric in harness.METRIC_NAMES] for r in records]
 
 
-def filled(template, mu, objective, weight_mode):
-    """A _hole_template line with its _RESCORED holes filled as _run_chunk
-    fills them."""
-    template[1::2] = _encode_float(mu), _encode_float(objective), _ENCODER.encode(weight_mode)
-    return "".join(template)
+def spelled_line(schedule, mu, objective, weight_mode):
+    """The records.jsonl line of a _spelled_schedule result under one
+    objective, assembled as _run_chunk assembles it."""
+    head, middle, tail, end = schedule[:4]
+    objective = float.__repr__(objective)
+    return (f"{head}{json.dumps(mu)}{middle}{_JSON_NON_FINITE.get(objective, objective)}"
+            f"{tail}{json.dumps(weight_mode)}{end}")
+
+
+def chunk_spellings(table, chunks=1):
+    """The spellings _run_chunk hands over with a (drops, objectives,
+    strategies, METRIC_NAMES) table cut into that many chunks of drops: per
+    chunk, the repr of each entry, one "\n"-joined text per column."""
+    return [[[["\n".join(map(repr, column.tolist())) for column in combo] for combo in part]
+             for part in chunk.transpose(1, 2, 3, 0)]
+            for chunk in np.array_split(table, chunks)]
 
 
 def tiny_config(out_dir, iterations=4, parallelism=1, **params_kw):
@@ -472,17 +486,17 @@ class TestObjectiveFreeRescoring:
             assert got == want
         assert len({r["objective"] for r in got if r["strategy"] == "R-EPA"}) == 6
 
-    def test_an_objective_free_schedule_is_cut_once(self, tmp_path, templates, solved):
+    def test_an_objective_free_schedule_is_spelled_once(self, tmp_path, schedules, solved):
         cfg = dataclasses.replace(
             tiny_config(tmp_path, num_ul=3, num_dl=5, num_channels=6),
             strategies=("C-HUN", "R-EPA"), mu_values=(0.1, 0.5, 0.9),
             weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
         for k in range(3):
-            templates.clear()
+            schedules.clear()
             solved.clear()
             records = drop_records(cfg, k)
             assert solved[1].schedule.tolist() == [[0] * 6]
-            [cut] = [fields for fields in templates if fields["strategy"] == "R-EPA"]
+            [cut] = [fields for fields in schedules if fields["strategy"] == "R-EPA"]
             repa = [r for r in records if r["strategy"] == "R-EPA"]
             assert len(repa) == 6
             assert all(r["se_ul"] == cut["se_ul"] and r["se_dl"] == cut["se_dl"] for r in repa)
@@ -508,7 +522,7 @@ class TestChunkEqualsItsDrops:
             tiny_config(tmp_path, **params), strategies=("P-OPT", "C-HUN", "C-NINT", "R-EPA"),
             mu_values=(0.1, 0.5, 0.9),
             weight_modes=(WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION))
-        _, _, texts, table, scenarios, _ = harness._run_chunk(cfg, 0, 4)
+        _, _, texts, table, _, scenarios, _ = harness._run_chunk(cfg, 0, 4)
         assert len(texts) == 4 and scenarios is None
         assert table.shape == (4, 6, 4, len(harness.METRIC_NAMES))
         for k, (text, drop_table) in enumerate(zip(texts, table)):
@@ -539,20 +553,20 @@ class TestChunkEqualsItsDrops:
 
 class TestRepeatedSchedules:
     """On fig2 most objectives after a solve's first choose a schedule that
-    an earlier one chose; it is evaluated once, its line is cut once per
-    (drop, strategy, schedule row), and every line of the row fills it in."""
+    an earlier one chose; it is evaluated once, spelled once per (drop,
+    strategy, schedule row), and every line of the row reads that spelling."""
 
-    def test_a_line_is_cut_once_per_distinct_schedule(self, tmp_path, templates, solved):
+    def test_a_schedule_is_spelled_once_per_drop(self, tmp_path, schedules, solved):
         cfg = canned_experiments("fig2", seed=5, iterations=6, out_dir=str(tmp_path))
         shared = 0
         for k in range(cfg.iterations):
-            templates.clear()
+            schedules.clear()
             solved.clear()
             records = drop_records(cfg, k)
             for name, o in zip(cfg.strategies, solved):
                 [rows] = o.schedule.tolist()
                 cut = [(f["se_ul"], f["se_dl"], f["sum_se"])
-                       for f in templates if f["strategy"] == name]
+                       for f in schedules if f["strategy"] == name and f["drop"] == k]
                 assert cut == [(o.se_ul[s].tolist(), o.se_dl[s].tolist(), float(o.sum_se[s]))
                                for s in dict.fromkeys(rows)]
                 own = [r for r in records if r["strategy"] == name]
@@ -562,24 +576,25 @@ class TestRepeatedSchedules:
         assert shared > 0
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_written_lines_equal_json_dumps(self, tmp_path, parallelism, templates):
+    def test_written_lines_equal_json_dumps(self, tmp_path, parallelism, schedules):
         cfg = canned_experiments("fig2", seed=5, iterations=6, out_dir=str(tmp_path),
                                  parallelism=parallelism)
         run_experiment(cfg)
         want = [json.dumps(r, sort_keys=True)
                 for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
         assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
-        # one template per evaluated schedule; every other line is derived.
-        # Forked workers encode their own drops, so the parent cuts none.
+        # one spelling per evaluated schedule; every other line reads one.
+        # Forked workers spell their own drops, so the parent spells none.
         if parallelism == 1:
-            assert 0 < len(templates) < len(want)
+            assert 0 < len(schedules) < len(want)
         else:
-            assert templates == []
+            assert schedules == []
 
 
 class TestEncodedLines:
-    """A rescored record's line is derived from its schedule's template;
-    every written line must equal json.dumps of its record with sorted keys."""
+    """A record's line is _LAYOUT filled with its schedule's spellings and its
+    objective's; every written line must equal json.dumps of its record with
+    sorted keys, and every CDF value the repr its record was spelled from."""
 
     @pytest.mark.parametrize("strategies", [("R-EPA", "C-HUN"), ("C-HUN", "R-EPA")])
     @pytest.mark.parametrize("mu_values", [(0.5,), (0.1, 0.5, 0.9)])
@@ -590,12 +605,13 @@ class TestEncodedLines:
         cfg = dataclasses.replace(tiny_config(tmp_path, num_ul=3, num_dl=4, num_channels=5),
                                   strategies=strategies, mu_values=mu_values,
                                   weight_modes=weight_modes)
-        (_, _, texts, table, _, _), records = chunk_records(cfg, 0, 3)
+        (_, _, texts, table, spellings, _, _), records = chunk_records(cfg, 0, 3)
         assert [len(drop) for drop in records] == [
             len(strategies) * len(mu_values) * len(weight_modes)] * 3
         assert texts == [dumped(drop) for drop in records]
         assert table.reshape(-1, len(harness.METRIC_NAMES)).tolist() == [
             row for drop in records for row in metric_rows(drop)]
+        assert [spellings] == chunk_spellings(table)
         assert [r for drop in records for r in drop] == [
             r for k in range(3) for r in reference_drop_records(cfg, k)]
 
@@ -610,45 +626,85 @@ class TestEncodedLines:
                 for k in range(cfg.iterations) for r in reference_drop_records(cfg, k)]
         assert (tmp_path / "records.jsonl").read_text() == "\n".join(want) + "\n"
 
-    def test_rescored_line_with_tricky_reprs(self):
-        fields = dict(drop=3, strategy="R-EPA", sum_se=4.0, min_se=0.25, jain=0.75,
+    def test_spelled_line_with_tricky_reprs(self):
+        # every line of one spelled schedule, with the two modes' spellings
+        # alternating, and SE rows spelled in either form
+        outcomes = Outcomes(
+            schedule=np.zeros((1, 1)), objective=np.zeros((1, 1)), partner_ul=[[-1, -1]],
+            p_ul=np.ones((1, 2)), p_dl=np.ones((1, 2)), se_ul=[[0.25, 1.5]],
+            se_dl=[[2.25, -0.0]], sum_se=[4.0], min_se=[-0.0], jain=[0.75])
+        fields = dict(drop=3, strategy="R-EPA", sum_se=4.0, min_se=-0.0, jain=0.75,
                       se_ul=[0.25, 1.5], se_dl=[2.25, -0.0], seed="7:3", gain_hash="0123abcd")
         tricky = [-0.0, 5e-324, 1e22, 0.1 + 0.2, 1.0, float("nan"), float("-inf")]
-        # every line of one template, with the two modes' spellings alternating
-        template = _hole_template(fields)
-        for mu, objective, mode in itertools.product(tricky, tricky, ("PL", "SR")):
-            record = {**fields, "mu": mu, "objective": objective, "weight_mode": mode}
-            assert filled(template, mu, objective, mode) == json.dumps(record, sort_keys=True)
+        for finite in (True, False):
+            schedule = _spelled_schedule(outcomes, 0, finite, drop="3", strategy='"R-EPA"',
+                                         seed='"7:3"', gain_hash='"0123abcd"')
+            assert schedule[4:] == ("4.0", "-0.0", "0.75")
+            for mu, objective, mode in itertools.product(tricky, tricky, ("PL", "SR")):
+                record = {**fields, "mu": mu, "objective": objective, "weight_mode": mode}
+                assert spelled_line(schedule, mu, objective, mode) == json.dumps(
+                    record, sort_keys=True)
 
     @pytest.mark.parametrize("mu, spelling", [(-0.0, '"mu": -0.0'), (0.0, '"mu": 0.0')])
     def test_mu_is_spelled_as_configured(self, tmp_path, mu, spelling):
         # 0.0 and -0.0 are equal floats with different spellings
         cfg = dataclasses.replace(tiny_config(tmp_path), mu_values=(mu,),
                                   weight_modes=tuple(WeightMode))
-        (_, _, texts, _, _, _), _ = chunk_records(cfg, 0, 2)
+        (_, _, texts, _, _, _, _), _ = chunk_records(cfg, 0, 2)
         lines = "".join(texts).splitlines()
         assert len(lines) == 2 * 2 * 2 and all(spelling in line for line in lines)
         assert texts == [dumped(reference_drop_records(cfg, k)) for k in range(2)]
 
-    def test_a_field_that_sorts_between_the_rescored_ones_is_kept(self):
-        for n in (1, 2):
-            fields = dict(drop=0, strategy="R-EPA", sum_se=4.0, min_se=0.25, jain=0.75,
-                          se_ul=[0.25 * n, 1.5], se_dl=[2.25], seed="1:0", gain_hash="0123abcd",
-                          n_pairs=n)   # sorts between mu and objective
-            template = _hole_template(fields)
-            for mode, mu, objective in itertools.product(("SR", "PL"), (0.1, 0.9), (1.5, -0.0)):
-                record = {**fields, "mu": mu, "objective": objective, "weight_mode": mode}
-                assert filled(template, mu, objective, mode) == json.dumps(record,
-                                                                           sort_keys=True)
+    def test_the_layout_holds_the_records_keys_in_sorted_order(self, tmp_path):
+        # a new record field is one more slot of _LAYOUT, in key order
+        record = reference_drop_records(tiny_config(tmp_path), 0)[0]
+        keys = [field for _, field, _, _ in string.Formatter().parse(_LAYOUT) if field]
+        assert keys == sorted(record)
+        assert _LAYOUT.format(**{key: json.dumps(value) for key, value in record.items()}) == (
+            json.dumps(record, sort_keys=True))
 
-    def test_rescored_fields_are_sorted(self):
-        assert list(_RESCORED) == sorted(_RESCORED)
-
-    def test_encode_float_matches_json_dumps(self):
+    def test_json_spelling_of_a_repr_matches_json_dumps(self):
         values = [0.0, -0.0, 1e-320, 1e22, sys.float_info.max, float("nan"),
-                  float("inf"), float("-inf"), np.float64(0.1), 1]
+                  float("inf"), float("-inf"), np.float64(0.1)]
         for x in values:
-            assert _encode_float(x) == json.dumps(x)
+            text = float.__repr__(x)
+            assert _JSON_NON_FINITE.get(text, text) == json.dumps(x)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_non_finite_values_and_signed_zeros_spell_from_one_repr(self, tmp_path, monkeypatch,
+                                                                     parallelism):
+        # every SE, metric and objective of the patched outcomes is NaN, an
+        # infinity, -0.0, 0.0 or 1.5: records.jsonl spells them as json.dumps
+        # does (NaN, Infinity), the CDF files as repr does (nan, inf), and
+        # the CDF rows keep np.sort's order of each column
+        tricky = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5])
+
+        def cycled(shape, shift):
+            return tricky[(np.arange(math.prod(shape)) + shift) % len(tricky)].reshape(shape)
+
+        def patched(*args, _solve=harness.solve):
+            o = _solve(*args)
+            return dataclasses.replace(
+                o, se_ul=cycled(o.se_ul.shape, 0), se_dl=cycled(o.se_dl.shape, 1),
+                sum_se=cycled(o.sum_se.shape, 2), min_se=cycled(o.min_se.shape, 3),
+                jain=cycled(o.jain.shape, 4), objective=cycled(o.objective.shape, 5))
+
+        monkeypatch.setattr(harness, "solve", patched)
+        cfg = tiny_config(tmp_path, iterations=12, parallelism=parallelism)
+        run_experiment(cfg)
+        text = (tmp_path / "records.jsonl").read_text()
+        records = [json.loads(line) for line in text.splitlines()]
+        assert text == dumped(records)
+        assert all(word in text for word in ("NaN", "-Infinity", "Infinity", "-0.0", "0.0"))
+        spelled = set()
+        for mode, mu, strategy, metric in itertools.product(
+                cfg.weight_modes, cfg.mu_values, cfg.strategies, harness.METRIC_NAMES):
+            column = [r[metric] for r in records if (r["weight_mode"], r["mu"], r["strategy"])
+                      == (mode.value, mu, strategy)]
+            path = tmp_path / f"cdf_{metric}_{strategy}_mu{mu}_{mode.value}.csv"
+            assert path.read_text().splitlines()[2:] == TestCdfFiles.rows(column)
+            spelled |= {line.split(",")[0] for line in path.read_text().splitlines()[2:]}
+        assert {"nan", "inf", "-inf", "-0.0", "0.0"} <= spelled
 
 
 class TestRecordsFile:
@@ -704,9 +760,10 @@ class TestRecordsFile:
 
 class TestCdfFiles:
     """_write_cdfs_and_summary on hand-made (drops, objectives, strategies,
-    METRIC_NAMES) tables: a header line, then one repr-spelled
-    value,probability row per sample in the order np.sort gives each column
-    alone, every distinct column spelled once."""
+    METRIC_NAMES) tables and their entries' reprs, handed over in two chunks
+    as _run_chunk hands them: a header line, then one value,probability row
+    per sample in the order np.sort gives each column alone, every distinct
+    column's rows joined once."""
 
     TRICKY = [-0.0, 5e-324, 1e308, 0.1 + 0.2, float("nan"), -1.5, 0.0, 1e-320]
 
@@ -718,7 +775,8 @@ class TestCdfFiles:
         out.mkdir(parents=True, exist_ok=True)
         table = np.asarray(table, dtype=float).reshape(
             -1, len(mu_values) * len(weight_modes), len(strategies), 4)
-        return cfg, harness._write_cdfs_and_summary(out, cfg, table)
+        return cfg, harness._write_cdfs_and_summary(out, cfg, table,
+                                                    chunk_spellings(table, min(len(table), 2)))
 
     @staticmethod
     def rows(column) -> list[str]:
@@ -788,21 +846,16 @@ class TestCdfFiles:
                    for line in read_deterministic_outputs(tmp_path).values())
 
     def test_equal_columns_are_spelled_once(self, tmp_path, monkeypatch):
-        # every sorted column is spelled by one tolist() of its values; equal
-        # columns share that text, while -0.0 and 0.0 columns stay apart
+        # every distinct sorted column's reprs are put in order once
+        # (_sorted_reprs); equal columns share its rows, while -0.0 and 0.0
+        # columns stay apart
         spelled = []
 
-        class Counted(np.ndarray):
-            def tolist(self):
-                if self.ndim == 1:
-                    spelled.append(self.tobytes())
-                return super().tolist()
+        def counted(texts, values, sorted_values, _sort=harness._sorted_reprs):
+            spelled.append(sorted_values.tobytes())
+            return _sort(texts, values, sorted_values)
 
-        def counted_cdf(samples, _cdf=harness.metrics.empirical_cdf):
-            cdf = _cdf(samples)
-            return dataclasses.replace(cdf, values=cdf.values.view(Counted))
-
-        monkeypatch.setattr(harness.metrics, "empirical_cdf", counted_cdf)
+        monkeypatch.setattr(harness, "_sorted_reprs", counted)
         column = np.linspace(0.0, 1.0, 16)
         table = np.empty((16, 3, 2, 4))
         table[...] = column[:, None, None, None]
@@ -994,6 +1047,30 @@ class TestPoolBlocks:
         before = children_cpu_s()
         run_experiment(tiny_config(tmp_path / "cpu", iterations=40, parallelism=2))
         assert children_cpu_s() > before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("end", ["finished", "failed", "closed"])
+    def test_the_parents_objects_are_frozen_only_while_workers_run(self, tmp_path,
+                                                                    monkeypatch, end):
+        # gc.freeze() before the first fork keeps the children's collections
+        # off the parent's objects; every exit reaps the workers and unfreezes
+        import gc
+
+        assert gc.get_freeze_count() == 0
+        cfg = tiny_config(tmp_path / end, iterations=6, parallelism=2)
+        if end == "finished":
+            run_experiment(cfg)
+        elif end == "failed":
+            fail_at_drop(monkeypatch, 4)
+            with pytest.raises(RuntimeError, match="drop 4 failed"):
+                run_experiment(cfg)
+        else:
+            chunks = harness._forked_chunks(cfg, [])
+            assert next(chunks)[:2] == (0, 3)
+            assert gc.get_freeze_count() > 0
+            chunks.close()
+        assert gc.get_freeze_count() == 0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1214,6 +1291,21 @@ class TestSeeding:
             assert len(rngs) == hi - lo
             for k, rng in zip(range(lo, hi), rngs):
                 assert rng.bit_generator.state == drop_rng(seed, k, role).bit_generator.state
+
+    def test_one_drop_calls_equal_numpys_seed_sequence(self):
+        # the one-drop calls that retry a failed chunk, with the seeds
+        # interleaved: each call's seed replaces the one pool kept, and a
+        # seed's repeated calls hash its words once
+        from fdsched import seeding
+
+        for k, role in itertools.product((0, 7, 2**32 - 1), (0, 1)):
+            for seed in self.SEEDS:
+                [rng] = drop_rngs(seed, k, k + 1, role)
+                assert rng.bit_generator.state == drop_rng(seed, k, role).bit_generator.state
+        seeding._seed_pool.cache_clear()
+        for k in range(5):
+            drop_rngs(2**70 + 5, k, k + 1, 0)
+        assert seeding._seed_pool.cache_info()[:2] == (4, 1)   # hits, misses
 
     def test_a_chunks_generators_equal_one_drop_calls(self):
         chunk = drop_rngs(2**70 + 5, 17, 40, 1)

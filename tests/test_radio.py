@@ -263,6 +263,55 @@ class TestStackedBenefit:
             for chunked, alone in zip(chunk_scores, scores):
                 assert chunked[:, d].tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize("block", [1, 700, 1300, 1 << 20],
+                             ids=["one-drop", "one-drop-above", "two-drops", "whole-chunk"])
+    def test_drop_blocks_keep_each_drops_bits(self, monkeypatch, block):
+        # the mu * min term goes through a buffer of _BLOCK_ENTRIES floats, a
+        # block of drops at a time (a 25 x 25 drop has 625 pairs; 5 drops in
+        # blocks of 2 end in a block of 1)
+        from fdsched import radio
+
+        monkeypatch.setattr(radio, "_BLOCK_ENTRIES", block)
+        params = ScenarioParams(num_ul=25, num_dl=25, num_channels=25)
+        chunk = successive_drops(params, np.random.default_rng(3), 5)
+        objectives = [(make_weights(mode, chunk), mu) for mode, mu in STACKED_OBJECTIVES]
+        chunk_scores = corner_benefit(
+            corner_tables(chunk, params),
+            WeightVector(np.array([w.alpha_ul for w, _ in objectives]),
+                         np.array([w.alpha_dl for w, _ in objectives])),
+            np.array([[mu] for _, mu in objectives]))
+        for d in range(5):
+            g = chunk.drop(d)
+            alone = self.assert_each_slice_equals_its_own_objective(
+                corner_tables(g, params),
+                [(make_weights(mode, g), mu) for mode, mu in STACKED_OBJECTIVES])
+            for chunked, scores in zip(chunk_scores, alone):
+                assert chunked[:, d].tobytes() == scores.tobytes()
+
+    def test_a_chunk_is_scored_without_a_chunk_sized_buffer(self, monkeypatch):
+        # a 40-drop 25 + 25 chunk under one objective: a chunk-sized mu * min
+        # buffer (one block) adds a benefit's bytes to the peak that blocks of
+        # 13 drops (_BLOCK_ENTRIES) keep to a third of them
+        import tracemalloc
+
+        from fdsched import radio
+
+        params = ScenarioParams(num_ul=25, num_dl=25, num_channels=25)
+        chunk = successive_drops(params, np.random.default_rng(5), 40)
+        tables = corner_tables(chunk, params)
+        weights = make_weights(WeightMode.SUM_RATE, chunk)
+        peaks = []
+        for block in (radio._BLOCK_ENTRIES, 1 << 30):
+            monkeypatch.setattr(radio, "_BLOCK_ENTRIES", block)
+            tracemalloc.start()
+            try:
+                best = corner_benefit(tables, weights, 0.5)[0]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert best.shape == (40, 25, 25)
+        assert peaks[0] < peaks[1] - best.nbytes / 2
+
     @pytest.mark.parametrize("direct, cross, modes", [
         ((1e-9, 1e-7), (1e-12, 1e-6), (WeightMode.SUM_RATE, WeightMode.PATH_LOSS_COMPENSATION)),
         # a zero direct gain gives a zero SE, which ties (Pmax, Pmax) at mu = 1
