@@ -158,6 +158,11 @@ _LAYOUT = ('{{"drop": {drop}, "gain_hash": {gain_hash}, "jain": {jain}, "min_se"
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _json_float(text: str) -> str:
+    """The JSON text of the float whose repr is text."""
+    return _JSON_NON_FINITE.get(text, text)
+
+
 # A chunk holds about this many bytes at once: its gain tables (I * J + 3 *
 # (I + J) + 2 float64s with the positions) and what its costliest strategy
 # holds per drop: the stacked benefits (I x (J + I - P) float64s a problem)
@@ -235,8 +240,7 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int):
                         o, s, finite, strategy=name, **drop)
                 head, middle, tail, end, total, low, fair = schedule
                 objective = float.__repr__(values[k - lo][n])
-                lines.append(f"{head}{mu}{middle}{_JSON_NON_FINITE.get(objective, objective)}"
-                             f"{tail}{mode}{end}")
+                lines.append(f"{head}{mu}{middle}{_json_float(objective)}{tail}{mode}{end}")
                 objective_words.append(objective)
                 sums.append(total)
                 minima.append(low)
@@ -257,13 +261,11 @@ def _spelled_schedule(outcomes: Outcomes, s: int, finite: bool, **fields) -> tup
     (every SE of the chunk is), an SE row's list repr is its JSON list."""
     total, low, fair = map(float.__repr__, (outcomes.sum_se[s], outcomes.min_se[s],
                                             outcomes.jain[s]))
-    se_dl, se_ul = (repr(row) if finite else
-                    f"[{', '.join(_JSON_NON_FINITE.get(x, x) for x in map(float.__repr__, row))}]"
+    se_dl, se_ul = (repr(row) if finite else f"[{', '.join(map(_json_float, map(repr, row)))}]"
                     for row in (outcomes.se_dl[s].tolist(), outcomes.se_ul[s].tolist()))
-    line = _LAYOUT.format(**fields, jain=_JSON_NON_FINITE.get(fair, fair),
-                          min_se=_JSON_NON_FINITE.get(low, low), mu="\x00", objective="\x00",
-                          se_dl=se_dl, se_ul=se_ul, sum_se=_JSON_NON_FINITE.get(total, total),
-                          weight_mode="\x00")
+    line = _LAYOUT.format(**fields, jain=_json_float(fair), min_se=_json_float(low),
+                          se_dl=se_dl, se_ul=se_ul, sum_se=_json_float(total),
+                          mu="\x00", objective="\x00", weight_mode="\x00")
     return (*line.split("\x00"), total, low, fair)
 
 

@@ -17,10 +17,10 @@ import pytest
 from fdsched import harness
 from fdsched.cli import main
 from fdsched.harness import (
-    _JSON_NON_FINITE,
     _LAYOUT,
     ConfigError,
     ExperimentConfig,
+    _json_float,
     _spelled_schedule,
     canned_experiments,
     config_from_dict,
@@ -103,8 +103,7 @@ def spelled_line(schedule, mu, objective, weight_mode):
     """The records.jsonl line of a _spelled_schedule result under one
     objective, assembled as _run_chunk assembles it."""
     head, middle, tail, end = schedule[:4]
-    objective = float.__repr__(objective)
-    return (f"{head}{json.dumps(mu)}{middle}{_JSON_NON_FINITE.get(objective, objective)}"
+    return (f"{head}{json.dumps(mu)}{middle}{_json_float(float.__repr__(objective))}"
             f"{tail}{json.dumps(weight_mode)}{end}")
 
 
@@ -663,12 +662,11 @@ class TestEncodedLines:
         assert _LAYOUT.format(**{key: json.dumps(value) for key, value in record.items()}) == (
             json.dumps(record, sort_keys=True))
 
-    def test_json_spelling_of_a_repr_matches_json_dumps(self):
+    def test_json_float_of_a_repr_matches_json_dumps(self):
         values = [0.0, -0.0, 1e-320, 1e22, sys.float_info.max, float("nan"),
                   float("inf"), float("-inf"), np.float64(0.1)]
         for x in values:
-            text = float.__repr__(x)
-            assert _JSON_NON_FINITE.get(text, text) == json.dumps(x)
+            assert _json_float(float.__repr__(x)) == json.dumps(x)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_non_finite_values_and_signed_zeros_spell_from_one_repr(self, tmp_path, monkeypatch,
