@@ -500,12 +500,12 @@ def _write_cdfs_and_summary(out: Path, cfg: ExperimentConfig, table: np.ndarray,
 
 
 def _sorted_reprs(texts: list[str], values: np.ndarray, sorted_values: np.ndarray) -> list[str]:
-    """The reprs of a column's values (texts: its chunks' "\n"-joined reprs,
-    in drop order) in the order of sorted_values, np.sort's sort of values:
-    the order of their stable argsort, which puts equal floats where np.sort
-    does, as they spell alike, but for zeros, each spelled from its sorted
-    value's sign bit so -0.0 and 0.0 keep np.sort's order.  A NaN spells nan
-    wherever it lands."""
+    """The reprs of a column's values, read from texts (its chunks'
+    "\n"-joined reprs, in drop order), in the order of sorted_values, the
+    values' np.sort.  Their stable argsort gives that order, since equal
+    floats spell alike, but for zeros: each zero is spelled from the sign
+    bit of its sorted value, so -0.0 and 0.0 keep np.sort's order.  Every
+    NaN spells nan wherever it lands."""
     words = np.fromiter(itertools.chain.from_iterable(text.split("\n") for text in texts),
                         object, len(values))[np.argsort(values, kind="stable")]
     zero = sorted_values == 0
